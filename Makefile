@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test vet race bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 bench10 chaos fuzz sketch-conformance clean
+.PHONY: tier1 build test vet race bench bench-compare chaos fuzz sketch-conformance clean
 
 # tier1 is the gate every change must pass: vet, build, and the full test
 # suite under the race detector.
@@ -18,131 +18,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the accuracy-kernel benchmarks (the Fig 5(c) throughput
-# pipelines and the BOOTSTRAP-ACCURACY-INFO microbench) with allocation
-# stats and records the run, plus the environment it ran on, in
-# BENCH_1.json.
+# bench runs the standing benchmark (bench/README.md): every workload
+# against a real asdbd, untraced for the end-to-end metrics and traced for
+# the per-layer budget; tables on stdout, bench/out/result.json on disk.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig5c|BenchmarkBootstrapAccuracyInfo' \
-		-benchmem -count 1 . | tee bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_1.json \
-		-notes "Pre-change baseline (same host): Fig5cBootstrap 30045 ns/op, 44581 B/op, 21 allocs/op; BootstrapAccuracyInfo 1124 ns/op, 752 B/op, 5 allocs/op. This container exposes a single CPU (GOMAXPROCS=1), so the parallel speedup of the worker pool is not measurable here; determinism across worker counts is asserted by tests instead (internal/bootstrap/parallel_test.go)."
-	rm -f bench.out
+	bash bench/run.sh -trace 1
 
-# bench2 runs the durability benchmarks (WAL append under each fsync
-# policy, raw WAL replay, and end-to-end crash-recovery replay through the
-# server) and records the run in BENCH_2.json.
-bench2:
-	$(GO) test -run '^$$' -bench 'BenchmarkWALAppend|BenchmarkWALReplay' \
-		-benchmem -count 1 ./internal/wal/ | tee bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRecoveryReplay' \
-		-benchmem -count 1 ./internal/server/ | tee -a bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_2.json \
-		-notes "Durability subsystem benchmarks. WAL appends are ~53-byte INSERT payloads; always-fsync pays one fdatasync per append, interval/none amortize it. WALReplay is raw frame scan + CRC32C verification (SetBytes counts framed bytes). RecoveryReplay is full NewDurable boot: open WAL, replay N journaled inserts through a 3-row AVG window query with bootstrap accuracy - engine work, not I/O, dominates."
-	rm -f bench.out
-
-# bench3 reruns the accuracy-kernel benchmarks with the observability layer
-# in place (quantifying instrumentation overhead against BENCH_1.json) and
-# adds the metrics-registry microbenchmarks, recording both in BENCH_3.json.
-bench3:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig5c|BenchmarkBootstrapAccuracyInfo' \
-		-benchmem -count 1 . | tee bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkCounter|BenchmarkGauge|BenchmarkHistogram|BenchmarkRegistrySnapshot' \
-		-benchmem -count 1 ./internal/metrics/ | tee -a bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_3.json \
-		-notes "Instrumented rerun of the BENCH_1 accuracy-kernel benchmarks plus metrics-registry microbenchmarks. BENCH_1 baseline (same host): Fig5cBootstrap 24000 ns/op, Fig5cAnalytical 17198 ns/op, Fig5cQPOnly 13087 ns/op, BootstrapAccuracyInfo 1196 ns/op. Measured instrumentation overhead is within run-to-run noise (every instrumented series came in at or below baseline: -6.8%..-0.1%), comfortably inside the 5% budget: the observability layer adds one timer pair and a few atomic adds per kernel call and per query push. The registry microbenchmarks bound the per-event cost (counter inc ~6 ns, histogram observe ~21 ns, timer observe ~63 ns, all 0 allocs/op)."
-	rm -f bench.out
-
-# bench4 measures multi-client ingest throughput on a durable fsync=always
-# server: four concurrent clients on four distinct streams, single-tuple
-# INSERTs (the serialized baseline: one round trip + WAL frame + fsync per
-# tuple) versus 32-tuple INSERTBATCH frames (batched + sharded path: one
-# round trip, one WAL frame, one group-commit fsync per batch). Records the
-# run in BENCH_4.json.
-bench4:
-	$(GO) test -run '^$$' -bench 'BenchmarkMultiClientIngest' \
-		-benchmem -count 1 ./internal/server/ | tee bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_4.json \
-		-notes "Multi-client durable ingest, 4 clients x 4 streams, fsync=always, each stream feeding an AVG WINDOW 8 ROWS query. ns/op is per tuple end-to-end (client write -> engine push -> WAL commit -> fsync -> OK). Measured on this host: serialized single INSERTs 143598 ns/op vs 32-tuple INSERTBATCH 24649 ns/op - 5.8x throughput, from amortizing the round trip, the WAL frame, and the group-commit fsync over 32 tuples. This container exposes a single CPU (GOMAXPROCS=1), so shard-lock parallelism contributes no additional speedup here; cross-worker determinism and shard-contention behavior are asserted by tests instead (internal/core/race_test.go, internal/server/batch_ingest_test.go)."
-	rm -f bench.out
-
-# bench5 measures accuracy-aware load shedding under overload: a bootstrap
-# server with an 800-resample budget is driven flat out, with the shed
-# controller off vs on (5ms interval, 200us p99 target). Records the run in
-# BENCH_5.json.
-bench5:
-	$(GO) test -run '^$$' -bench 'BenchmarkOverloadShed' \
-		-benchmem -count 1 ./internal/server/ | tee bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_5.json \
-		-notes "Accuracy-aware load shedding under sustained overload (bootstrap accuracy, 800 resamples/push, controller target p99=200us). Measured on this host: shed=off 571828 ns/op with push p99 2500us (12x past target); shed=on 84189 ns/op with push p99 bounded at 500us and degrade level 3 reached - 6.8x throughput from halving the resample budget per level. Degraded output stays honest: intervals switch to Method bootstrap-shed and widen monotonically with level (TestShedWidensIntervals), no tuple or query is ever dropped, and the level returns to 0 after load stops (TestShedControllerDegradesAndRecovers). Every transition is WAL-journaled so recovery replays the same budget schedule (TestChaosShedLevelJournaled)."
-	rm -f bench.out
-
-# bench6 measures the columnar-window + render-once serving path: the Fig
-# 5(c) pipeline under both window layouts, the raw window AVG scan at 1000
-# and 100k rows, and one-result delivery to 16 subscribers. Records the run
-# in BENCH_6.json.
-bench6:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig5c(QPOnly|Analytical|Bootstrap)' \
-		-benchmem -count 1 . | tee bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkWindowScan' \
-		-benchmem -count 1 ./internal/stream/ | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFanout16' \
-		-benchmem -count 1 ./internal/server/ | tee -a bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_6.json \
-		-notes "Columnar window storage + render-once zero-copy serving. Fig5c* run the full learn+push pipeline on the default columnar layout; Fig5c*Row force the legacy row (*Tuple ring) layout on the same pipeline - measured on this host: QPOnly 15237->2852 ns/op (5.3x), Analytical 19456->6977 (2.8x), Bootstrap 24250->12293 (2.0x, vs BENCH_3 baseline Fig5cBootstrap 24000). WindowScan isolates the window-1000/window-100k AVG closed-form scan: row gathers *Tuple fields then sums, col scans two contiguous float64 segments - 10758->2619 ns/op at 1000 (4.1x), 1435636->197712 at 100k (7.3x, the row path's 23 KiB/op of gather allocations drop to a flat 16 B). Fanout16 delivers one query result to 16 subscribers: legacy pays per-recipient json.Marshal(EncodeResult) (108379 ns/op, 50696 B/op, 400 allocs/op), renderonce renders once into a pooled refcounted frame and fans the same bytes out (1725 ns/op, 0 B/op, 0 allocs/op, 63x). Byte-identity of the new render path is pinned by TestRenderMatchesJSON and the golden transcripts (TestGoldenSession vs TestGoldenSessionRowEngine share one golden file)."
-	rm -f bench.out
-
-# bench7 measures the replication + cluster-routing serving paths: STATS
-# round-trips against the primary vs fanned out across two caught-up
-# replicas, and INSERTBATCH ingest across a 1-node vs 4-node sharded
-# cluster. Records the run in BENCH_7.json.
-bench7:
-	$(GO) test -run '^$$' -bench 'BenchmarkReadFanout|BenchmarkRoutedIngest' \
-		-benchmem -count 1 ./internal/cluster/ | tee bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_7.json \
-		-notes "Replication read fan-out + stream-sharded routed ingest. ReadFanout: 8 concurrent connections doing STATS round-trips against a durable primary vs round-robined across two caught-up in-memory replicas - measured on this host: primary 10455 ns/op vs replicas 9820 ns/op (6% faster), i.e. a replica serves engine reads at parity with the primary (replication adds no read-path overhead), which is the per-node basis for linear read scaling: each added replica contributes one full node of read capacity. RoutedIngest: 4-row INSERTBATCH frames against 1 primary (all writers on one stream/lock) vs 4 rendezvous-sharded primaries (one stream each) - 14187 ns/op vs 16130 ns/op, parity within run-to-run noise. This container exposes a single CPU (GOMAXPROCS=1) and all nodes are processes on the same host, so cross-node parallelism cannot show as wall-clock speedup here; the benchmark pins per-op parity of the replicated/sharded paths, and cross-node correctness (byte-identical DATA at workers 1 vs 8 under chaos, exactly-once routed retries across failover) is asserted by internal/cluster tests instead."
-	rm -f bench.out
-
-# bench8 measures the sketch accuracy backend against the exact backends
-# through the engine push path: steady-state per-tuple cost on a full,
-# emitting window at 1k/100k/1M rows, and the live heap a 1M-tuple window
-# pins (retained_bytes/op). Records the run in BENCH_8.json.
-bench8:
-	$(GO) test -run '^$$' -bench 'BenchmarkSketchPushSteady|BenchmarkExactPushSteady|BenchmarkBootstrapPushSteady' \
-		-benchmem -count 1 ./internal/core/ | tee bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkWindowAbsorb1M' \
-		-benchmem -benchtime 2x -count 1 ./internal/core/ | tee -a bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_8.json \
-		-notes "Sketch accuracy backend (BACKEND SKETCH) vs exact backends through the engine push path. PushSteady is the per-tuple cost on a full, emitting window - measured on this host: the exact closed-form backend rescans O(window) per emission (11939 ns/op at window 1000, 548383 at 100k; bootstrap 27107 at 1000 with the default resample budget), while the sketch backend merges 16 block summaries only on block-seal pushes, so per-tuple cost falls as blocks grow (4757 ns/op at 1000, 767 at 100k, 653 at 1M - a window size the exact backends cannot serve at streaming rates). WindowAbsorb1M ingests 1M tuples from cold: retained_bytes/op (printed in the bench output; the parser keeps ns/op and B/op) is the live heap pinned by the full window after GC - exact columnar 82.1 MB (every row materialized, already past the 64 MiB budget), sketch 0.92 MB (16 Welford/Chan block moment summaries + one K=256 deterministic quantile sketch), an 89x reduction; B/op is dominated by per-tuple construction in both backends. The accuracy side of the trade is pinned by conformance tests rather than benchmarked: sketch mean/variance interval coverage at 90/95/99% matches nominal within binomial 3-sigma over 4000 trials (the moment sketch tracks the exact sample moments), quantile intervals stay conservative under the deterministic rank-error widening, and shard-merged sketches calibrate identically (internal/accuracy/calibration_sketch_test.go, internal/sketch). This container exposes a single CPU (GOMAXPROCS=1); worker-count independence of sketch emission is asserted by tests instead (internal/core/sketch_backend_test.go, internal/server/sketch_crash_test.go, internal/cluster/sketch_replica_test.go)."
-	rm -f bench.out
-
-# bench9 measures the multi-query planner: 1000 identical windowed queries
-# with shared per-(stream, field, window) state vs the same fleet evaluated
-# independently, vs the single-query floor, plus the Fig 5(c) single-query
-# parity check. Records the run in BENCH_9.json. The independent baseline
-# pays a full O(window) scan per query per tuple (~0.5 s/op at window
-# 131072), so it runs a small fixed iteration count.
-bench9:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlanner(1kShared|SingleQuery)$$' \
-		-benchmem -benchtime 50x -count 1 ./internal/core/ | tee bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkPlanner1kIndependent$$' \
-		-benchmem -benchtime 3x -count 1 ./internal/core/ | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFig5c(QPOnly|Analytical|Bootstrap)$$' \
-		-benchmem -count 1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_9.json \
-		-notes "Multi-query planner: 1000 identical 'SELECT AVG(val) WINDOW 131072 ROWS' queries through the engine push path, steady state on a full, emitting window. Measured on this host: shared planner state 858620 ns/op per tuple for the whole 1000-query fleet vs 436468 ns/op for a single query - the fleet costs 1.97x one query's learning work (the window push and the closed-form moment scan run once per tuple; each extra member pays only an emission replay of ~420 ns), meeting the within-~2x target. The same fleet with the planner disabled (NoSharedState) pays the full O(window) scan per query per tuple: 546468956 ns/op, so shared state is a 636x speedup at this fan-out. Fig5c re-run confirms no single-query regression from the planner pass: QPOnly 2892 ns/op, Analytical 6894, Bootstrap 12096 vs the BENCH_4 baselines 2852/6977/12293 - parity within ~2% run-to-run noise. Byte-identity of shared-state DATA vs unshared, at workers 1 vs 8, across checkpoint+WAL crash recovery, and on replicas is asserted by tests (internal/core/plan_shared_test.go, internal/server/plan_crash_test.go, internal/cluster/plan_replica_test.go) rather than benchmarked. This container exposes a single CPU (GOMAXPROCS=1)."
-	rm -f bench.out
-
-# bench10 measures automatic failover time-to-recovery: from the instant
-# the primary dies (heartbeats stop - the start of detection) to the first
-# write accepted by the automatically promoted successor, with
-# SuspectAfter=50ms and ProbeEvery=2ms. Records the run in BENCH_10.json.
-bench10:
-	$(GO) test -run '^$$' -bench 'BenchmarkFailoverRecovery' \
-		-benchtime 10x -count 1 ./internal/cluster/ | tee bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_10.json \
-		-notes "Automatic failover time-to-recovery (detection -> first accepted write). Each iteration boots a fresh durable primary + durable follower pair (fsync=none, same host), kills the primary's server and ship listener, and hammers the follower with INSERTs until one is accepted; the FailoverManager must notice the silence (SuspectAfter=50ms, ProbeEvery=2ms, rank 0), journal the epoch bump, flip writable, and serve the write. Measured on this host: ~61 ms/op - the 50 ms detection window plus ~11 ms of probe quantization, epoch journaling, and the first write round-trip, i.e. recovery cost is dominated by the configured detection window, not by promotion mechanics. Safety properties of the same path (exactly-once retries across failover, stale-epoch fencing of the revived primary, diverged-suffix truncation on rejoin, byte-identical convergence at workers 1 vs 8) are asserted by internal/cluster chaos tests rather than benchmarked. This container exposes a single CPU (GOMAXPROCS=1)."
-	rm -f bench.out
+# bench-compare judges result file B against A per workload and metric
+# (exit 1 on any "worse"): make bench-compare A=before.json B=after.json
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
 
 # sketch-conformance runs the statistical conformance suites for the sketch
 # backend under the race detector: interval-coverage calibration, merge
@@ -176,4 +61,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime $(FUZZTIME) ./internal/sketch/
 
 clean:
-	rm -f bench.out
+	rm -rf .bench_build

@@ -8,7 +8,7 @@ import (
 	"repro/internal/stream"
 )
 
-// bench9: the multi-query planner's headline numbers. A production load is
+// The multi-query planner's headline numbers. A production load is
 // many continuous queries differing only in labels; with shared
 // per-(stream, field, window, backend) state, 1000 identical-window
 // queries should cost roughly one query's learning work per tuple (the

@@ -10,7 +10,7 @@ import (
 	"repro/internal/stream"
 )
 
-// bench8: exact-vs-sketch backend comparison through the real engine push
+// Exact-vs-sketch backend comparison through the real engine push
 // path. PushSteady measures the per-tuple cost of a full window emitting
 // results (the exact backends rescan O(window) per emission; the sketch
 // backend merges 16 block summaries regardless of window size, and only on

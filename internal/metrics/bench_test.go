@@ -6,8 +6,7 @@ import (
 )
 
 // The registry microbenchmarks quantify the per-event cost the
-// instrumentation adds to the engine's hot paths (recorded in BENCH_3.json
-// alongside the instrumented Fig 5(c) reruns).
+// instrumentation adds to the engine's hot paths.
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "")

@@ -231,12 +231,17 @@ func (s *Server) waitDurable(lsn uint64) error {
 	return nil
 }
 
+// checkpointDue reports whether the record cadence calls for a checkpoint.
+func (s *Server) checkpointDue() bool {
+	return s.ckEvery > 0 && s.sinceCk.Load() >= int64(s.ckEvery)
+}
+
 // maybeCheckpoint writes a checkpoint when the record cadence is due. It
 // quiesces the engine (Exclusive) so the snapshot is a consistent cut: any
 // journaled record's pushes complete under the shard locks before
 // Exclusive acquires them, so capturing at LastLSN is always safe.
 func (s *Server) maybeCheckpoint() {
-	if s.ckEvery <= 0 || s.sinceCk.Load() < int64(s.ckEvery) {
+	if !s.checkpointDue() {
 		return
 	}
 	release := s.engine.Exclusive()
@@ -244,7 +249,7 @@ func (s *Server) maybeCheckpoint() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.wal.Load()
-	if w == nil || s.ck == nil || s.sinceCk.Load() < int64(s.ckEvery) {
+	if w == nil || s.ck == nil || !s.checkpointDue() {
 		return
 	}
 	lsn := w.LastLSN()

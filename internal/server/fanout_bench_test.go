@@ -1,63 +1,31 @@
 package server
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"testing"
-)
+import "testing"
 
 // BenchmarkFanout16 measures the serving-path cost of delivering one query
-// result to 16 subscribers. "legacy" is the pre-columnar path: every
-// recipient pays its own json.Marshal(EncodeResult) plus string assembly.
-// "renderonce" is the shipping path: one strconv render into a pooled
-// frame, 16 zero-copy writes of the same bytes. Both write through bufio
-// to io.Discard so only encode + copy cost is measured.
+// result to 16 subscribers: one strconv render into a pooled frame, then 16
+// copies of the same bytes, each staged into its connection's write batch
+// and sent. The connections discard, so only render + copy cost is
+// measured.
 func BenchmarkFanout16(b *testing.B) {
 	r := renderTestResults(b)[0]
 	const subs = 16
-	sinks := make([]*bufio.Writer, subs)
+	sinks := make([]*conn, subs)
 	for i := range sinks {
-		sinks[i] = bufio.NewWriter(io.Discard)
+		sinks[i] = &conn{id: uint64(i), c: &recConn{discard: true}}
 	}
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, w := range sinks {
-				payload, err := json.Marshal(EncodeResult(r))
-				if err != nil {
-					b.Fatal(err)
-				}
-				line := "DATA q1 " + string(payload)
-				if _, err := w.WriteString(line); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.WriteByte('\n'); err != nil {
-					b.Fatal(err)
-				}
-				w.Flush()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := newFrame()
+		var err error
+		if f.buf, err = appendDataFrame(f.buf, "q1", r, nil); err != nil {
+			b.Fatal(err)
+		}
+		f.refs.Store(subs)
+		for _, c := range sinks {
+			if !c.queueFrame(f) {
+				b.Fatal("write failed")
 			}
 		}
-	})
-	b.Run("renderonce", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f := newFrame()
-			var err error
-			if f.buf, err = appendDataLine(f.buf, "q1", r); err != nil {
-				b.Fatal(err)
-			}
-			f.refs.Store(subs)
-			for _, w := range sinks {
-				if _, err := w.Write(f.buf); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.WriteByte('\n'); err != nil {
-					b.Fatal(err)
-				}
-				w.Flush()
-				f.release()
-			}
-		}
-	})
+	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"io"
 	"strings"
 	"testing"
 
@@ -131,7 +129,7 @@ func FuzzProtocolDispatch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := &conn{id: 1, w: bufio.NewWriter(io.Discard)}
+		c := &conn{id: 1, c: &recConn{}}
 		// Prelude mirrors the seed corpus's assumptions.
 		if _, err := s.dispatch(c, "STREAM readings k v:dist"); err != nil {
 			t.Fatal(err)

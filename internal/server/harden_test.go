@@ -142,7 +142,7 @@ func TestSlowClientOutboxOverflow(t *testing.T) {
 	drops := mSlowClientDrops.Value()
 	p1, p2 := net.Pipe()
 	defer p2.Close()
-	c := &conn{id: 1, c: p1, w: bufio.NewWriter(p1), outbox: make(chan *frame, 2)}
+	c := &conn{id: 1, c: p1, outbox: make(chan *frame, 2)}
 	line := func() *frame {
 		f := newFrame()
 		f.buf = append(f.buf, "DATA q1 {}"...)

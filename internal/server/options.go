@@ -11,9 +11,10 @@ type Options struct {
 	// that long (default 5m; negative disables). It bounds how long a dead
 	// peer can pin a connection slot.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one write (reply or DATA line) to a client
-	// (default 30s; negative disables). A client that stops reading cannot
-	// block a handler forever.
+	// WriteTimeout bounds one socket write to a client — a reply, a
+	// command's DATA lines with its reply, or one outbox drain (default 30s;
+	// negative disables). A client that stops reading cannot block a
+	// handler forever.
 	WriteTimeout time.Duration
 	// MaxConns caps concurrently open client connections (default 1024;
 	// negative means unlimited). Connections over the cap receive one ERR

@@ -9,25 +9,29 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/stream"
 )
 
-// Render-once serving path: each DATA line is rendered exactly once into a
-// pooled frame and the same bytes fan out to every recipient (owner plus
-// subscribers) by reference. Frames are reference-counted — the renderer
-// sets the count to the number of recipients, every recipient path
-// (synchronous same-conn write, outbox enqueue, slow-client drop, outbox
-// drain at teardown) releases exactly once, and the buffer returns to the
-// pool only at zero. See the ownership contract in internal/stream/doc.go.
+// Render-once serving path: each DATA line is rendered into a pooled frame
+// and the same bytes fan out to every recipient (owner plus subscribers) by
+// reference. Frames are reference-counted — the renderer sets the count to
+// the number of recipients, every recipient path (staged into a write
+// batch, outbox enqueue, slow-client drop, outbox drain at teardown)
+// releases exactly once, and the buffer returns to the pool only at zero.
+// See the ownership contract in internal/stream/doc.go.
 //
 // The renderer itself (appendResult) is a strconv.Append* replication of
 // json.Marshal(EncodeResult(r)) — byte-identical, pinned by
 // TestRenderMatchesJSON and the golden transcripts — so the steady-state
-// push path allocates nothing.
+// push path allocates nothing. Within one command it runs once per
+// emission, not once per line: results that carry the same output tuple
+// copy the body rendered for the first of them (bodyCache).
 
 // maxPooledFrame caps the buffer capacity a recycled frame may retain, so
 // one huge result (e.g. a wide histogram) doesn't pin memory forever.
 const maxPooledFrame = 64 * 1024
 
+// frame is one rendered wire line, trailing newline included.
 type frame struct {
 	buf  []byte
 	refs atomic.Int32
@@ -54,13 +58,47 @@ func (f *frame) release() {
 	}
 }
 
-// appendDataLine renders "DATA <id> <json>" for r into dst, byte-identical
-// to the fmt/json.Marshal formatting it replaces.
-func appendDataLine(dst []byte, id string, r core.Result) ([]byte, error) {
+// bodyCache maps an output tuple to the JSON body (newline included)
+// already rendered for it in this command. The body aliases the frame of
+// the first result that carried the tuple, which planDeliveries keeps
+// referenced until every line of the command is rendered.
+//
+// Keying on the tuple pointer is sound because emitted tuples are immutable
+// and an output tuple belongs to exactly one emission (internal/stream/
+// doc.go): two results share a *Tuple only when a plan group handed its one
+// emission — tuple, Fields and TupleProb together — to several members.
+// Queries that merely computed equal values hold distinct tuples and render
+// from their own results.
+type bodyCache map[*stream.Tuple]sharedBody
+
+type sharedBody struct {
+	tupleProb *accuracy.Interval
+	unsure    bool
+	body      []byte
+}
+
+// appendDataFrame renders the wire line "DATA <id> <json>\n" for r into
+// dst. With a non-nil cache the JSON is rendered once per emission and
+// copied for every further result carrying the same output tuple; the
+// bytes are identical either way.
+func appendDataFrame(dst []byte, id string, r core.Result, bodies bodyCache) ([]byte, error) {
 	dst = append(dst, "DATA "...)
 	dst = append(dst, id...)
 	dst = append(dst, ' ')
-	return appendResult(dst, r)
+	hit, seen := bodies[r.Tuple]
+	if seen && hit.tupleProb == r.TupleProb && hit.unsure == r.Unsure {
+		return append(dst, hit.body...), nil
+	}
+	mark := len(dst)
+	dst, err := appendResult(dst, r)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, '\n')
+	if bodies != nil && !seen {
+		bodies[r.Tuple] = sharedBody{r.TupleProb, r.Unsure, dst[mark:]}
+	}
+	return dst, nil
 }
 
 // appendResult appends the wire JSON for r, byte-identical to

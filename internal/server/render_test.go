@@ -82,6 +82,13 @@ func renderTestResults(t testing.TB) []core.Result {
 	}
 }
 
+// appendDataLine is the per-line reference renderer the serving path's
+// shared-body frames are compared against: "DATA <id> <json>", no newline,
+// rendered from r alone.
+func appendDataLine(dst []byte, id string, r core.Result) ([]byte, error) {
+	return appendResult(append(append(append(dst, "DATA "...), id...), ' '), r)
+}
+
 // TestRenderMatchesJSON pins the render-once path to the legacy encoder:
 // appendResult must be byte-identical to json.Marshal(EncodeResult(r)).
 func TestRenderMatchesJSON(t *testing.T) {
@@ -104,6 +111,13 @@ func TestRenderMatchesJSON(t *testing.T) {
 		if wantLine := "DATA q1 " + string(want); string(line) != wantLine {
 			t.Errorf("result %d line:\nappend: %s\n  want: %s", i, line, wantLine)
 		}
+		wire, err := appendDataFrame(nil, "q1", r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantWire := "DATA q1 " + string(want) + "\n"; string(wire) != wantWire {
+			t.Errorf("result %d frame:\nappend: %q\n  want: %q", i, wire, wantWire)
+		}
 	}
 }
 
@@ -115,13 +129,13 @@ func TestRenderZeroAlloc(t *testing.T) {
 	defer f.release()
 	allocs := testing.AllocsPerRun(200, func() {
 		var err error
-		f.buf, err = appendDataLine(f.buf[:0], "q1", r)
+		f.buf, err = appendDataFrame(f.buf[:0], "q1", r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("appendDataLine allocates %v times per line, want 0", allocs)
+		t.Errorf("appendDataFrame allocates %v times per line, want 0", allocs)
 	}
 }
 

@@ -50,9 +50,9 @@ type Server struct {
 	// readOnly rejects state-changing commands (replication follower mode);
 	// atomic so failover promotion can flip it while connections are live.
 	readOnly atomic.Bool
-	// repl is a connection-less *conn lending its delivery scratch to
-	// ApplyReplicated, which runs on the single follower apply goroutine.
-	repl conn
+	// replScratch is the delivery scratch of ApplyReplicated, which runs on
+	// the single follower apply goroutine.
+	replScratch deliveryScratch
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -287,62 +287,127 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // conn is one client connection. Writes are serialized by wmu because the
-// handler goroutine (command responses), the outbox drainer (cross-conn
-// DATA pushes), and — with the outbox disabled — insert paths of other
-// connections all write.
+// handler goroutine (command responses, same-connection DATA), the outbox
+// drainer (cross-conn DATA pushes), and — with the outbox disabled — insert
+// paths of other connections all write.
+//
+// Every write is a batch: lockWrite borrows a pooled buffer, stage copies
+// lines into it, unlockWrite sends what is pending with one socket write.
+// The connection itself holds no write buffer between batches, so an idle
+// connection costs no buffer memory however many are open.
 type conn struct {
 	id           uint64
 	c            net.Conn
 	writeTimeout time.Duration
-	wmu          sync.Mutex
-	w            *bufio.Writer
+
+	wmu   sync.Mutex
+	wb    *writeBuf // the open batch's buffer; nil between batches
+	wdata uint64    // DATA lines staged since the last socket write
 
 	// outbox buffers rendered DATA frames produced by OTHER connections'
 	// inserts; a dedicated goroutine drains it so a slow subscriber never
 	// blocks the inserting connection. nil when Options.OutboxLines < 0
 	// (cross-conn delivery then writes synchronously, pre-hardening
 	// behavior). Every frame handed to the outbox carries one reference
-	// owned by the conn, released after the write (or on drop/drain).
+	// owned by the conn, released once its bytes are staged (or on
+	// drop/drain).
 	outbox     chan *frame
 	outboxStop chan struct{}
 	outboxDone chan struct{}
 	dead       atomic.Bool // outbox overflow or write failure; conn is being torn down
 
-	// deliv is the handler-goroutine-local delivery scratch reused across
+	// scratch is the handler-goroutine-local delivery scratch reused across
 	// ingests, keeping the steady-state push path allocation-free.
-	deliv []delivery
+	scratch deliveryScratch
+}
+
+// writeBufSize is the capacity of one pooled write buffer: a batch of n
+// bytes costs ⌈n/writeBufSize⌉ socket writes.
+const writeBufSize = 64 << 10
+
+type writeBuf struct{ b []byte }
+
+var writeBufPool = sync.Pool{New: func() any {
+	return &writeBuf{b: make([]byte, 0, writeBufSize)}
+}}
+
+// lockWrite opens a write batch; pair with unlockWrite.
+func (c *conn) lockWrite() {
+	c.wmu.Lock()
+	c.wb = writeBufPool.Get().(*writeBuf)
+}
+
+// stage copies p into the open batch, sending the buffer whenever it is
+// full and more of p remains. After an error the batch is broken: the
+// caller stops staging and unlocks. (A function because methods cannot be
+// generic; frames are []byte, replies strings.)
+func stage[T string | []byte](c *conn, p T) error {
+	for {
+		b := c.wb.b
+		n := copy(b[len(b):cap(b)], p)
+		c.wb.b = b[:len(b)+n]
+		if p = p[n:]; len(p) == 0 {
+			return nil
+		}
+		if err := c.flushLocked(); err != nil {
+			return err
+		}
+	}
+}
+
+// stageData stages one rendered DATA line (newline included) and counts it
+// toward asdb_server_data_lines_total once the write carrying its last
+// byte succeeds.
+func (c *conn) stageData(line []byte) error {
+	if err := stage(c, line); err != nil {
+		return err
+	}
+	c.wdata++
+	return nil
+}
+
+// flushLocked sends the pending bytes with one socket write under one
+// deadline. Caller holds wmu.
+func (c *conn) flushLocked() error {
+	if len(c.wb.b) == 0 {
+		return nil
+	}
+	if c.writeTimeout > 0 {
+		c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	}
+	_, err := c.c.Write(c.wb.b)
+	c.wb.b = c.wb.b[:0]
+	if err == nil {
+		mDataLines.Add(c.wdata)
+	}
+	c.wdata = 0
+	return err
+}
+
+// stageLine stages a reply line and its newline.
+func (c *conn) stageLine(line string) error {
+	if err := stage(c, line); err != nil {
+		return err
+	}
+	return stage(c, "\n")
+}
+
+// unlockWrite sends what the batch still holds and closes it.
+func (c *conn) unlockWrite() error {
+	err := c.flushLocked()
+	writeBufPool.Put(c.wb)
+	c.wb = nil
+	c.wmu.Unlock()
+	return err
 }
 
 func (c *conn) writeLine(line string) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.writeTimeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	c.lockWrite()
+	err := c.stageLine(line)
+	if ferr := c.unlockWrite(); err == nil {
+		err = ferr
 	}
-	if _, err := c.w.WriteString(line); err != nil {
-		return err
-	}
-	if err := c.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	return c.w.Flush()
-}
-
-// writeFrame writes a rendered frame buffer plus newline. The caller keeps
-// its frame reference across the call and releases afterwards.
-func (c *conn) writeFrame(buf []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.writeTimeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	}
-	if _, err := c.w.Write(buf); err != nil {
-		return err
-	}
-	if err := c.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return err
 }
 
 // queueFrame hands one cross-connection DATA frame to the conn, consuming
@@ -352,13 +417,13 @@ func (c *conn) writeFrame(buf []byte) error {
 // backlog stall ingest. Reports whether the frame was delivered or queued.
 func (c *conn) queueFrame(f *frame) bool {
 	if c.outbox == nil {
-		err := c.writeFrame(f.buf)
-		f.release()
-		if err != nil {
-			return false
+		c.lockWrite()
+		err := c.stageData(f.buf)
+		if ferr := c.unlockWrite(); err == nil {
+			err = ferr
 		}
-		mDataLines.Inc()
-		return true
+		f.release()
+		return err == nil
 	}
 	if c.dead.Load() {
 		f.release()
@@ -377,30 +442,48 @@ func (c *conn) queueFrame(f *frame) bool {
 	}
 }
 
-// outboxLoop drains queued DATA frames until the handler exits. On a write
-// failure the conn is marked dead and closed; the loop keeps consuming (and
-// releasing) so queueFrame never wedges.
+// outboxLoop drains queued DATA frames until the handler exits. It keeps
+// consuming (and releasing) after the conn is dead so queueFrame never
+// wedges.
 func (c *conn) outboxLoop() {
 	defer close(c.outboxDone)
 	for {
 		select {
 		case f := <-c.outbox:
-			if c.dead.Load() {
-				f.release()
-				continue
-			}
-			err := c.writeFrame(f.buf)
-			f.release()
-			if err != nil {
-				if c.dead.CompareAndSwap(false, true) {
-					c.c.Close()
-				}
-				continue
-			}
-			mDataLines.Inc()
+			c.drainOutbox(f)
 		case <-c.outboxStop:
 			return
 		}
+	}
+}
+
+// drainOutbox sends f and every frame queued behind it at wake-up as one
+// batch — a burst that piled up while the drainer was busy leaves in one
+// socket write. The first write failure marks the conn dead and closes it;
+// the rest of the batch is released unwritten. The receives cannot block:
+// this goroutine is the outbox's only consumer while it runs.
+func (c *conn) drainOutbox(f *frame) {
+	if c.dead.Load() {
+		f.release()
+		return
+	}
+	c.lockWrite()
+	var err error
+	for queued := len(c.outbox); ; queued-- {
+		if err == nil {
+			err = c.stageData(f.buf)
+		}
+		f.release()
+		if queued == 0 {
+			break
+		}
+		f = <-c.outbox
+	}
+	if ferr := c.unlockWrite(); err == nil {
+		err = ferr
+	}
+	if err != nil && c.dead.CompareAndSwap(false, true) {
+		c.c.Close()
 	}
 }
 
@@ -448,7 +531,7 @@ func (s *Server) handle(nc net.Conn) {
 		return
 	}
 	s.nextConn++
-	c := &conn{id: s.nextConn, c: nc, w: bufio.NewWriter(nc), writeTimeout: s.opts.WriteTimeout}
+	c := &conn{id: s.nextConn, c: nc, writeTimeout: s.opts.WriteTimeout}
 	if s.opts.OutboxLines > 0 {
 		c.outbox = make(chan *frame, s.opts.OutboxLines)
 		c.outboxStop = make(chan struct{})
@@ -724,57 +807,76 @@ type delivery struct {
 	f      *frame
 }
 
-// planDeliveries routes engine results to their recipients under s.mu
-// (owner/subscriber lookup); writing happens later in sendDeliveries,
-// outside the lock and after the WAL fsync. Each DATA line is rendered
-// exactly once into a pooled frame whose reference count equals the number
-// of recipients. emitted counts results produced (delivered or discarded
+// deliveryScratch holds the slices planDeliveries reuses from one ingest to
+// the next on the same goroutine.
+type deliveryScratch struct {
+	items   []delivery
+	targets []*conn // recipients of every result set, flattened
+	ends    []int   // targets[ends[i-1]:ends[i]] receive results[i]
+}
+
+// planDeliveries routes engine results to their recipients and renders the
+// DATA lines; writing happens later in sendDeliveries, after the WAL fsync.
+// s.mu is held only to snapshot each query's owner and subscribers, so a
+// large fan-out's renders do not stall SUBSCRIBE, CLOSE or other inserters.
+// Each DATA line is rendered into a pooled frame whose reference count
+// equals the number of recipients, and results that carry the same output
+// tuple — the members of a plan group — share one rendered body (see
+// appendDataFrame). emitted counts results produced (delivered or discarded
 // for recipient-less queries); the error aggregates per-query push
-// failures, sorted for deterministic messages. items reuses the inserting
-// conn's scratch slice.
-func (s *Server) planDeliveries(c *conn, results []core.QueryResults) (int, []delivery, error) {
-	var (
-		items    = c.deliv[:0]
-		pushErrs []string
-		emitted  int
-	)
+// failures, sorted for deterministic messages.
+func (s *Server) planDeliveries(sc *deliveryScratch, results []core.QueryResults) (int, []delivery, error) {
+	targets, ends := sc.targets[:0], sc.ends[:0]
 	s.mu.Lock()
 	for _, qr := range results {
+		if rq := s.queries[qr.ID]; rq != nil {
+			if rq.owner != nil {
+				targets = append(targets, rq.owner)
+			}
+			targets = append(targets, rq.subs...)
+		}
+		ends = append(ends, len(targets))
+	}
+	s.mu.Unlock()
+
+	var (
+		items    = sc.items[:0]
+		pushErrs []string
+		emitted  int
+		bodies   bodyCache
+	)
+	if len(results) > 1 {
+		bodies = make(bodyCache)
+	}
+	lo := 0
+	for i, qr := range results {
 		if qr.Err != nil {
 			pushErrs = append(pushErrs, fmt.Sprintf("query %s: %v", qr.ID, qr.Err))
 		}
-		rq := s.queries[qr.ID]
-		var targets int
-		if rq != nil {
-			targets = len(rq.subs)
-			if rq.owner != nil {
-				targets++
-			}
+		to := targets[lo:ends[i]]
+		lo = ends[i]
+		if len(to) == 0 {
+			emitted += len(qr.Results)
+			continue
 		}
 		for _, r := range qr.Results {
-			if targets == 0 {
-				emitted++
-				continue
-			}
 			f := newFrame()
 			var rerr error
-			if f.buf, rerr = appendDataLine(f.buf, qr.ID, r); rerr != nil {
+			if f.buf, rerr = appendDataFrame(f.buf, qr.ID, r, bodies); rerr != nil {
 				pushErrs = append(pushErrs, fmt.Sprintf("query %s: %v", qr.ID, rerr))
 				f.release()
 				continue
 			}
-			f.refs.Store(int32(targets))
-			if rq.owner != nil {
-				items = append(items, delivery{rq.owner, f})
-			}
-			for _, sub := range rq.subs {
-				items = append(items, delivery{sub, f})
+			f.refs.Store(int32(len(to)))
+			for _, t := range to {
+				items = append(items, delivery{t, f})
 			}
 			emitted++
 		}
 	}
-	s.mu.Unlock()
-	c.deliv = items
+	// Drop conn pointers so the scratch doesn't pin closed connections.
+	clear(targets)
+	sc.items, sc.targets, sc.ends = items, targets, ends
 	if len(pushErrs) > 0 {
 		sort.Strings(pushErrs)
 		return emitted, items, errors.New(strings.Join(pushErrs, "; "))
@@ -782,30 +884,54 @@ func (s *Server) planDeliveries(c *conn, results []core.QueryResults) (int, []de
 	return emitted, items, nil
 }
 
-// sendDeliveries writes planned DATA frames. Frames for the inserting
-// connection itself stay synchronous — same-connection clients observe
-// DATA before the command's OK, a protocol invariant — while frames for
-// other connections go through their bounded outboxes so one slow
-// subscriber cannot stall this insert. Every delivery's frame reference is
-// consumed here or inside queueFrame.
-func (s *Server) sendDeliveries(from *conn, items []delivery) {
+// sendDeliveries writes planned DATA frames and, when reply is non-empty,
+// the command's reply line. Frames for other connections go first, through
+// their bounded outboxes, so one slow subscriber cannot stall this insert
+// and no write lock of ours is held while theirs are taken. Frames for the
+// inserting connection and the reply then leave as one write batch, DATA
+// strictly before the reply — a protocol invariant same-connection clients
+// rely on. Every delivery's frame reference is consumed exactly once, here
+// or inside queueFrame: after a write to from fails, its remaining frames
+// are released unwritten and the error is returned. from is nil on the
+// replica apply path, which has no inserting connection.
+func (s *Server) sendDeliveries(from *conn, items []delivery, reply string) error {
+	var dropped *conn
 	for _, it := range items {
-		if it.target == from {
-			err := from.writeFrame(it.f.buf)
-			it.f.release()
-			if err != nil {
-				s.logf("deliver: %v", err)
+		if it.target != from && !it.target.queueFrame(it.f) && it.target != dropped {
+			dropped = it.target
+			s.logf("deliver: conn %d dropped (slow or closed)", dropped.id)
+		}
+	}
+	var err error
+	if from != nil {
+		from.lockWrite()
+		for _, it := range items {
+			if it.target != from {
 				continue
 			}
-			mDataLines.Inc()
-			continue
+			if err == nil {
+				err = from.stageData(it.f.buf)
+			}
+			it.f.release()
 		}
-		if !it.target.queueFrame(it.f) {
-			s.logf("deliver: conn %d dropped (slow or closed)", it.target.id)
+		if reply != "" && err == nil {
+			err = from.stageLine(reply)
+		}
+		if ferr := from.unlockWrite(); err == nil {
+			err = ferr
 		}
 	}
 	// Drop frame pointers so the scratch slice doesn't pin released frames
 	// until the next ingest.
+	clear(items)
+	return err
+}
+
+// dropDeliveries releases planned frames that will never be written.
+func dropDeliveries(items []delivery) {
+	for _, it := range items {
+		it.f.release()
+	}
 	clear(items)
 }
 
@@ -874,7 +1000,7 @@ func (s *Server) cmdIngest(c *conn, rest string, batch bool) error {
 		// retry may (and must) re-execute — no dedup entry.
 		return err
 	}
-	emitted, items, pushErr := s.planDeliveries(c, results)
+	emitted, items, pushErr := s.planDeliveries(&c.scratch, results)
 	reply := ingestReply(batch, len(rows), emitted, pushErr)
 	if reqID != "" {
 		// Registered before the fsync wait: if waitDurable fails the record
@@ -883,16 +1009,28 @@ func (s *Server) cmdIngest(c *conn, rest string, batch bool) error {
 		s.dedup.put(reqID, dedupEntry{reply: reply, lsn: lsn})
 	}
 	// Durable before externalized: the fsync wait runs outside the shard
-	// locks (group commit), and DATA lines go out only after it.
+	// locks (group commit), and no DATA byte goes out before it.
 	if err := s.waitDurable(lsn); err != nil {
+		dropDeliveries(items)
 		return err
 	}
-	s.sendDeliveries(c, items)
-	s.maybeCheckpoint()
-	if pushErr != nil {
-		return pushErr
+	if !s.checkpointDue() {
+		err = s.sendDeliveries(c, items, reply)
+	} else {
+		// A checkpoint is about to quiesce the engine: DATA leaves first so
+		// results are not held behind the snapshot; the reply follows it.
+		err = s.sendDeliveries(c, items, "")
+		s.maybeCheckpoint()
+		if err == nil {
+			err = c.writeLine(reply)
+		}
 	}
-	return c.writeLine(reply)
+	if err == nil && pushErr != nil {
+		// The ERR reply went out here, after the DATA lines, so handle never
+		// sees this error.
+		mCmdErrs.Inc()
+	}
+	return err
 }
 
 // cmdShed reports (bare SHED) or forces (SHED <level>) the degrade level.

@@ -32,6 +32,21 @@
 //     the per-field scalars (and, for non-Gaussian fields, the immutable
 //     Dist pointer) into its column arrays and drops the tuple reference.
 //
+// Emitted tuples:
+//
+//   - A *Tuple a query emits (core.Result.Tuple) is immutable from the
+//     moment it is returned: neither the engine nor any consumer writes to
+//     the tuple, its Fields slice, or the accuracy values returned beside
+//     it (Result.Fields entries, Result.TupleProb).
+//   - An emitted tuple belongs to exactly one emission. Every unshared
+//     evaluation allocates its own output tuple; only a plan group hands
+//     one tuple — together with the one Fields map and TupleProb computed
+//     for it — to several member queries. Pointer identity of
+//     Result.Tuple therefore means "same emission, same accuracy values",
+//     which is what lets the server render an emission's wire body once
+//     and reuse the bytes for every result carrying that tuple, and equal
+//     values behind distinct tuples never qualify.
+//
 // Window snapshots:
 //
 //   - Tuples()/AppendTuples return tuples that the caller may read until
@@ -51,8 +66,12 @@
 //   - A DATA line is rendered exactly once into a pooled frame and fanned
 //     out to every subscriber by reference. The frame is reference-counted:
 //     the renderer sets the count to the number of recipients, each
-//     recipient (synchronous write, outbox enqueue-then-write, or the
+//     recipient (copy into a write batch, outbox enqueue-then-copy, or the
 //     slow-client drop path) releases exactly once, and the frame returns
 //     to the pool only when the count reaches zero. Nobody may touch
 //     frame.buf after their release.
+//   - Within one command a rendered body may alias the frame of the first
+//     result that carried its tuple; the planner holds every frame of the
+//     command until the last line is rendered, so the alias never outlives
+//     its frame.
 package stream
