@@ -54,15 +54,7 @@ func BenchmarkFig5h(b *testing.B) { benchFigure(b, "5h") }
 // points, push through a sliding-window AVG — under one accuracy method.
 func benchWindowAvg(b *testing.B, method core.AccuracyMethod) {
 	b.Helper()
-	benchWindowAvgCfg(b, core.Config{Method: method})
-}
-
-// benchWindowAvgCfg is benchWindowAvg parameterized over the full engine
-// config, so the columnar window layout (the default) can be benchmarked
-// against the legacy row layout (RowWindows: true).
-func benchWindowAvgCfg(b *testing.B, cfg core.Config) {
-	b.Helper()
-	eng, err := core.NewEngine(cfg)
+	eng, err := core.NewEngine(core.Config{Method: method})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,20 +96,6 @@ func benchWindowAvgCfg(b *testing.B, cfg core.Config) {
 func BenchmarkFig5cQPOnly(b *testing.B)     { benchWindowAvg(b, core.AccuracyNone) }
 func BenchmarkFig5cAnalytical(b *testing.B) { benchWindowAvg(b, core.AccuracyAnalytical) }
 func BenchmarkFig5cBootstrap(b *testing.B)  { benchWindowAvg(b, core.AccuracyBootstrap) }
-
-// Row-layout comparators for the same three bars: identical pipeline and
-// results, legacy *Tuple ring storage. The delta against the benches above
-// is the columnar-window win on the full §V-C pipeline.
-
-func BenchmarkFig5cQPOnlyRow(b *testing.B) {
-	benchWindowAvgCfg(b, core.Config{Method: core.AccuracyNone, RowWindows: true})
-}
-func BenchmarkFig5cAnalyticalRow(b *testing.B) {
-	benchWindowAvgCfg(b, core.Config{Method: core.AccuracyAnalytical, RowWindows: true})
-}
-func BenchmarkFig5cBootstrapRow(b *testing.B) {
-	benchWindowAvgCfg(b, core.Config{Method: core.AccuracyBootstrap, RowWindows: true})
-}
 
 // benchWindowAvgWithPredicate layers a significance predicate over each
 // window aggregate (Fig 5(f)).

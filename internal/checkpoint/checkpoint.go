@@ -122,14 +122,17 @@ type colWindowState struct {
 	Cols  []colColumnState `json:"cols,omitempty"`
 }
 
-type groupState struct {
+// groupWindow is the window of one GROUP BY key.
+type groupWindow struct {
 	Key       float64         `json:"key"`
 	Window    *windowState    `json:"window,omitempty"`
 	ColWindow *colWindowState `json:"col_window,omitempty"`
 }
 
 // QueryState is one registered continuous query: its identity, SQL, and
-// serialized runtime state.
+// serialized runtime state. Aggregate windows (ungrouped and per group) are
+// written as col_window; the row form, window, is what older checkpoints
+// hold and is still read. Join windows are rows in both directions.
 type QueryState struct {
 	ID        string          `json:"id"`
 	SQL       string          `json:"sql"`
@@ -138,7 +141,7 @@ type QueryState struct {
 	Stats     core.QueryStats `json:"stats"`
 	Window    *windowState    `json:"window,omitempty"`
 	ColWindow *colWindowState `json:"col_window,omitempty"`
-	Groups    []groupState    `json:"groups,omitempty"`
+	Groups    []groupWindow   `json:"groups,omitempty"`
 	JoinLeft  *windowState    `json:"join_left,omitempty"`
 	JoinRight *windowState    `json:"join_right,omitempty"`
 	// Sketch is the sketch-backend window, serialized directly: its state
@@ -217,22 +220,13 @@ func Capture(eng *core.Engine, lsn uint64, defs []QueryDef) (*Snapshot, error) {
 			Sketch: st.Sketch,
 		}
 		var err error
-		if qs.Window, err = encodeWindow(st.Window); err != nil {
-			return nil, fmt.Errorf("checkpoint: query %s: %w", def.ID, err)
-		}
 		if qs.ColWindow, err = encodeColWindow(st.ColWindow); err != nil {
 			return nil, fmt.Errorf("checkpoint: query %s: %w", def.ID, err)
 		}
 		for _, g := range st.Groups {
-			gs := groupState{Key: g.Key}
-			if g.ColWindow != nil {
-				if gs.ColWindow, err = encodeColWindow(g.ColWindow); err != nil {
-					return nil, fmt.Errorf("checkpoint: query %s group %g: %w", def.ID, g.Key, err)
-				}
-			} else {
-				if gs.Window, err = encodeWindow(&g.Window); err != nil {
-					return nil, fmt.Errorf("checkpoint: query %s group %g: %w", def.ID, g.Key, err)
-				}
+			gs := groupWindow{Key: g.Key}
+			if gs.ColWindow, err = encodeColWindow(g.ColWindow); err != nil {
+				return nil, fmt.Errorf("checkpoint: query %s group %g: %w", def.ID, g.Key, err)
 			}
 			qs.Groups = append(qs.Groups, gs)
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/randvar"
-	"repro/internal/stream"
 )
 
 // pushHist pushes a tuple whose probabilistic field is a histogram — a
@@ -86,92 +85,5 @@ func TestColumnarCheckpointRoundTrip(t *testing.T) {
 		if fa, fb := fingerprint(ra), fingerprint(rb); fa != fb {
 			t.Fatalf("push %d diverged:\noriginal:  %srestored: %s", i, fa, fb)
 		}
-	}
-}
-
-// TestCrossFormRestore proves the snapshot forms interchange: a columnar
-// engine's checkpoint restores into a row-window engine (and vice versa)
-// with bit-identical subsequent results — upgrades and rollbacks across
-// the storage change keep their durability story.
-func TestCrossFormRestore(t *testing.T) {
-	rowCfg := testConfig()
-	rowCfg.RowWindows = true
-	for _, dir := range []struct {
-		name             string
-		fromRow, intoRow bool
-	}{
-		{"col-to-row", false, true},
-		{"row-to-col", true, false},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			cfgA, cfgB := testConfig(), testConfig()
-			if dir.fromRow {
-				cfgA = rowCfg
-			}
-			if dir.intoRow {
-				cfgB = rowCfg
-			}
-			engA, err := core.NewEngine(cfgA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			schema, err := stream.NewSchema("temps",
-				stream.Column{Name: "key"},
-				stream.Column{Name: "val", Probabilistic: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := engA.RegisterStream(schema); err != nil {
-				t.Fatal(err)
-			}
-			qA, err := engA.Compile(testSQL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 7; i++ {
-				if i%3 == 1 {
-					pushHist(t, engA, qA, float64(i), []int{2, 4 + i, 1})
-				} else {
-					pushOne(t, engA, qA, float64(i), 30+float64(i), 1.5, 12+i)
-				}
-			}
-			snap, err := Capture(engA, 3, []QueryDef{{ID: "q1", SQL: qA.SQL(), Query: qA}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, err := snap.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Contains(string(data), `"col_window"`); got == dir.fromRow {
-				t.Fatalf("col_window present=%v, want %v", got, !dir.fromRow)
-			}
-			snap2, err := Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engB, err := core.NewEngine(cfgB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored, err := Restore(engB, snap2)
-			if err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			qB := restored[0].Query
-			for i := 7; i < 13; i++ {
-				var ra, rb []core.Result
-				if i%3 == 1 {
-					ra = pushHist(t, engA, qA, float64(i), []int{2, 4 + i, 1})
-					rb = pushHist(t, engB, qB, float64(i), []int{2, 4 + i, 1})
-				} else {
-					ra = pushOne(t, engA, qA, float64(i), 30+float64(i), 1.5, 12+i)
-					rb = pushOne(t, engB, qB, float64(i), 30+float64(i), 1.5, 12+i)
-				}
-				if fa, fb := fingerprint(ra), fingerprint(rb); fa != fb {
-					t.Fatalf("push %d diverged:\noriginal:  %srestored: %s", i, fa, fb)
-				}
-			}
-		})
 	}
 }

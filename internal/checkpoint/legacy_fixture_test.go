@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/randvar"
-	"repro/internal/stream"
 )
 
 // testdata/legacy_row_windows.ck is a checkpoint written by an engine that
@@ -25,24 +23,6 @@ const (
 	legacyCaptureAt = 17
 	legacyEnd       = 57
 )
-
-// legacyConfig is the engine configuration on both sides of the fixture;
-// few bins keep the golden continuation small.
-func legacyConfig() core.Config {
-	cfg := testConfig()
-	cfg.HistogramBins = 4
-	return cfg
-}
-
-var genLegacyFixture = flag.Bool("gen-legacy-fixture", false,
-	"rewrite the legacy row-window checkpoint fixture (needs an engine with Config.RowWindows)")
-
-var legacyDefs = []struct{ id, sql string }{
-	{"qcount", "SELECT AVG(val) AS a, COUNT(key) AS c FROM temps WINDOW 4 ROWS"},
-	{"qgroup", "SELECT key, SUM(val) AS s FROM temps GROUP BY key WINDOW 3 ROWS"},
-	{"qgtime", "SELECT key, AVG(val) AS a FROM temps GROUP BY key WINDOW 6 SECONDS"},
-	{"qtime", "SELECT AVG(val) AS a, MAX(val) AS hi FROM temps WINDOW 6 SECONDS"},
-}
 
 // legacyIngest feeds rows [from, to) one batch each and returns one line per
 // row and query: the SHA-256 of the bit-exact fingerprint of what it emitted.
@@ -90,50 +70,6 @@ func legacyIngest(t *testing.T, eng *core.Engine, from, to int) string {
 // windows are all in the row form this engine no longer writes — and
 // demands the continuation the writing engine produced, byte for byte.
 func TestLegacyRowFixture(t *testing.T) {
-	if *genLegacyFixture {
-		cfg := legacyConfig()
-		cfg.RowWindows = true
-		eng, err := core.NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		schema, err := stream.NewSchema("temps",
-			stream.Column{Name: "key"},
-			stream.Column{Name: "val", Probabilistic: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.RegisterStream(schema); err != nil {
-			t.Fatal(err)
-		}
-		defs := make([]QueryDef, len(legacyDefs))
-		for i, d := range legacyDefs {
-			q, err := eng.Compile(d.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Bind(d.id, q); err != nil {
-				t.Fatal(err)
-			}
-			defs[i] = QueryDef{ID: d.id, SQL: q.SQL(), Query: q}
-		}
-		legacyIngest(t, eng, 0, legacyCaptureAt)
-		snap, err := Capture(eng, legacyCaptureAt, defs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := snap.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacyFixture, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacyGolden, []byte(legacyIngest(t, eng, legacyCaptureAt, legacyEnd)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	data, err := os.ReadFile(legacyFixture)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +85,9 @@ func TestLegacyRowFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(legacyConfig())
+	cfg := testConfig()
+	cfg.HistogramBins = 4 // as the writing engine ran
+	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +95,26 @@ func TestLegacyRowFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	for _, rq := range restored {
+	defs := make([]QueryDef, len(restored))
+	for i, rq := range restored {
 		if err := eng.Bind(rq.ID, rq.Query); err != nil {
 			t.Fatal(err)
 		}
+		defs[i] = QueryDef{ID: rq.ID, SQL: rq.SQL, Query: rq.Query}
+	}
+	// What was read as rows is written back as columns: one col_window for
+	// each ungrouped window and for each of the three keys of each grouped
+	// one.
+	resnap, err := Capture(eng, legacyCaptureAt, defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	redata, err := resnap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(redata), `"window"`) || strings.Count(string(redata), `"col_window"`) != 8 {
+		t.Fatalf("restored engine does not checkpoint its windows as col_window only:\n%s", redata[headerLen:])
 	}
 	got := strings.SplitAfter(legacyIngest(t, eng, legacyCaptureAt, legacyEnd), "\n")
 	for i, line := range strings.SplitAfter(string(want), "\n") {

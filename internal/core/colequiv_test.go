@@ -24,7 +24,7 @@ func pushBoth(t *testing.T, name string, qa, qb *Query, ta, tb *stream.Tuple) {
 	}
 	for i := range ra {
 		if !reflect.DeepEqual(ra[i], rb[i]) {
-			t.Fatalf("%s: result %d differs:\nrow: %+v\ncol: %+v", name, i, ra[i], rb[i])
+			t.Fatalf("%s: result %d differs:\n%+v\n%+v", name, i, ra[i], rb[i])
 		}
 	}
 }
@@ -53,45 +53,6 @@ func mixedDelay(t *testing.T, e *Engine, i int) *stream.Tuple {
 		return tp
 	}
 	return trafficTuple(t, e, road, 55+float64(i%9), 10+i%4, 40+float64(i%7), 12)
-}
-
-// TestColumnarRowEquivalence runs the same windowed-aggregate workloads
-// through a columnar-window engine and a RowWindows engine and demands
-// byte-identical results, for analytical and bootstrap accuracy, for
-// ungrouped and grouped plans, at 1 and 8 workers.
-func TestColumnarRowEquivalence(t *testing.T) {
-	queries := []string{
-		"SELECT AVG(delay) AS a, SUM(delay2) AS s, COUNT(road_id) AS c FROM traffic WINDOW 4 ROWS",
-		"SELECT MIN(delay) AS lo, MAX(delay) AS hi FROM traffic WINDOW 3 ROWS",
-		"SELECT road_id, AVG(delay) FROM traffic GROUP BY road_id WINDOW 2 ROWS",
-	}
-	for _, m := range []AccuracyMethod{AccuracyAnalytical, AccuracyBootstrap} {
-		for _, workers := range []int{1, 8} {
-			cfg := Config{Method: m, Seed: 7, Workers: workers, MonteCarloValues: 64, BootstrapResamples: 40}
-			name := m.String() + "/workers=" + string(rune('0'+workers))
-			t.Run(name, func(t *testing.T) {
-				col := newTestEngine(t, cfg)
-				rowCfg := cfg
-				rowCfg.RowWindows = true
-				row := newTestEngine(t, rowCfg)
-				for qi, sql := range queries {
-					qc, err := col.Compile(sql)
-					if err != nil {
-						t.Fatal(err)
-					}
-					qr, err := row.Compile(sql)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := 0; i < 25; i++ {
-						// Engines assign Seq independently; identical inputs
-						// keep them in lockstep.
-						pushBoth(t, sql, qr, qc, mixedDelay(t, row, qi*100+i), mixedDelay(t, col, qi*100+i))
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestColumnarWorkersBitIdentical pins that the columnar path itself is

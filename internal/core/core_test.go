@@ -467,7 +467,7 @@ func TestLogicalCombinations(t *testing.T) {
 	approx(t, "NOT prob", res[0].Tuple.Prob, 0.5, 1e-9)
 }
 
-func TestWindowAggregateQuery(t *testing.T) {
+func TestWindowedAggregateQuery(t *testing.T) {
 	e := newTestEngine(t, Config{Method: AccuracyAnalytical})
 	q, err := e.Compile("SELECT AVG(delay) FROM traffic WINDOW 4 ROWS")
 	if err != nil {

@@ -101,11 +101,6 @@ type Config struct {
 	// work item derives its own RNG substream from the query seed
 	// (dist.DeriveSeed), so Workers trades only latency, never output.
 	Workers int
-	// RowWindows forces the legacy row-oriented (*Tuple ring) storage for
-	// count-based aggregate windows instead of the columnar layout. The
-	// two layouts are bit-identical in every observable output; the flag
-	// exists for equivalence tests and before/after benchmarks.
-	RowWindows bool
 	// DataDir enables the durability layer: a write-ahead log of ingested
 	// tuples and DDL/query registrations plus periodic engine checkpoints
 	// live under it, and a daemon started over a non-empty DataDir

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -66,9 +67,9 @@ func TestGroupByErrors(t *testing.T) {
 	}
 }
 
-// TestTimeWindowAggregate: WINDOW n SECONDS evicts by tuple timestamp and
+// TestSecondsAggregate: WINDOW n SECONDS evicts by tuple timestamp and
 // emits on every arrival.
-func TestTimeWindowAggregate(t *testing.T) {
+func TestSecondsAggregate(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	q, err := e.Compile("SELECT AVG(delay) FROM traffic WINDOW 10 SECONDS")
 	if err != nil {
@@ -93,16 +94,49 @@ func TestTimeWindowAggregate(t *testing.T) {
 	// t=15: the t=0 tuple (age 15 > 10) is evicted, t=5 remains.
 	r = push(15, 40)
 	approx(t, "avg after eviction", r[0].Tuple.Fields[0].Dist.Mean(), 30, 1e-9)
-	// Out-of-order arrival errors.
+	// Out-of-order arrival errors and leaves the window as it was.
 	tp := trafficTuple(t, e, 1, 10, 20, 0, 10)
 	tp.Time = 1
-	if _, err := q.Push(tp); err == nil {
-		t.Error("out-of-order tuple: want error")
+	if _, err := q.Push(tp); err == nil || err.Error() != "stream: out-of-order tuple: time 1 after 15" {
+		t.Errorf("out-of-order tuple: err = %v", err)
+	}
+	// t=25: t=5 (age 20) leaves, t=15 (exactly 10 old) stays.
+	r = push(25, 60)
+	approx(t, "avg after rejected push", r[0].Tuple.Fields[0].Dist.Mean(), 50, 1e-9)
+}
+
+// TestGroupByNaNKey: NaN is a well-formed deterministic field value, but as
+// a group key it equals nothing, itself included — every such tuple would
+// miss the group map and leave a fresh window behind. The push is refused.
+func TestGroupByNaNKey(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	for _, window := range []string{"WINDOW 1000 ROWS", "WINDOW 10 SECONDS"} {
+		q, err := e.Compile("SELECT road_id, AVG(delay) FROM traffic GROUP BY road_id " + window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10_000; i++ {
+			if _, err := q.Push(trafficTuple(t, e, math.NaN(), 10, 20, 0, 10)); err == nil {
+				t.Fatal("NaN group key: want error")
+			}
+		}
+		if n := len(q.groups); n != 0 {
+			t.Fatalf("%s: %d group windows after NaN-keyed inserts, want 0", window, n)
+		}
+		// ±Inf are ordinary map keys and keep their groups.
+		for _, k := range []float64{math.Inf(1), math.Inf(-1), math.Inf(1)} {
+			if _, err := q.Push(trafficTuple(t, e, k, 10, 20, 0, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(q.groups); n != 2 {
+			t.Fatalf("%s: %d group windows after ±Inf keys, want 2", window, n)
+		}
 	}
 }
 
-// TestGroupedTimeWindow combines GROUP BY with a time window.
-func TestGroupedTimeWindow(t *testing.T) {
+// TestGroupedSecondsWindow combines GROUP BY with a time window.
+func TestGroupedSecondsWindow(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	q, err := e.Compile("SELECT road_id, COUNT(delay) FROM traffic GROUP BY road_id WINDOW 10 SECONDS")
 	if err != nil {

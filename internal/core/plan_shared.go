@@ -20,9 +20,10 @@ import (
 //   - the filter (statically RNG-free for shareable queries, see
 //     plan.FilterShareable) is evaluated once and its outcome replayed;
 //   - the window buffer (ColumnWindow or sketch ring) is pushed once;
-//   - aggregate evaluation is fused: all closed-form aggregates any member
-//     requests are computed in one scan (LinearUniformMoments), Monte
-//     Carlo aggregates get one shared column materialization;
+//   - aggregates are evaluated once: every closed-form aggregate any
+//     member requests is computed once per emission (LinearUniformMoments,
+//     one scan per column), Monte Carlo aggregates get one shared column
+//     materialization;
 //   - when every member runs the identical output plan under an accuracy
 //     backend that consumes no per-query randomness, the fully decorated
 //     emission (output tuple, accuracy infos, membership interval) is
@@ -71,10 +72,11 @@ type sharedAggVal struct {
 	err   error
 }
 
-// sharedResult is a fully built emission shared verbatim by every member
-// of a signature-uniform group: the output tuple, the accuracy-info map,
-// the infos in emission order (for per-member telemetry replay), and the
-// membership-probability interval.
+// sharedResult is a fully built emission — the output tuple, the
+// accuracy-info map, the infos in emission order (for per-query telemetry),
+// and the membership-probability interval — that emitShared hands to a
+// query: shared verbatim by every member of a signature-uniform group, and
+// what the sketch backend builds for any query, grouped or not.
 type sharedResult struct {
 	tuple     *stream.Tuple
 	fields    map[string]*accuracy.Info
@@ -97,12 +99,12 @@ type sharedEmission struct {
 	aggs  map[aggSpec]sharedAggVal
 	mat   map[int][]randvar.Field
 
-	// Sketch stage (sketch groups only): emit marks a sealed, full window.
-	emit bool
-	err  error
+	// Sketch stage (sketch groups only): the push error, if any.
+	err error
 
-	// res is the fully shared emission; nil when members must assemble
-	// (and decorate) their own results from aggs/mat.
+	// res is the fully shared emission. For a column group nil means
+	// members must assemble (and decorate) their own results from aggs/mat;
+	// for a sketch group it means the push sealed no full window.
 	res *sharedResult
 }
 
@@ -132,12 +134,6 @@ type sharedGroup struct {
 func (q *Query) planProfileOf() planProfile {
 	p := planProfile{Decision: plan.Analyze(q.stmt, q.method.String())}
 	if !p.Shareable {
-		return p
-	}
-	if q.window == nil && q.sketchWin == nil {
-		// Row-oriented layout (Config.RowWindows) — the legacy window has
-		// no content-addressed sharing support.
-		p.Decision = plan.Decision{Reason: "engine uses row-oriented windows (Config.RowWindows)"}
 		return p
 	}
 	for _, oc := range q.outPlan {
@@ -170,9 +166,6 @@ func (q *Query) planProfileOf() planProfile {
 // push is in flight and the group cache is empty.
 func (e *Engine) attachShared(q *Query) {
 	if e.plans == nil || q.shared != nil || !q.prof.Shareable {
-		return
-	}
-	if q.window == nil && q.sketchWin == nil {
 		return
 	}
 	join := func(state any) bool {
@@ -334,7 +327,10 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple) *sharedEmission {
 		}
 	}
 	if g.sk != nil {
-		g.computeSketch(q, t, em, prob, probN)
+		// Sketch groups are signature-uniform by key, so labels (and
+		// therefore wrapped errors) are identical across members and the
+		// fully built emission is always shared.
+		em.res, em.err = q.sketchPush(t, prob, probN)
 		return em
 	}
 
@@ -356,11 +352,11 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple) *sharedEmission {
 	if timed {
 		t0 = time.Now()
 	}
-	// Fused aggregate evaluation: every closed-form aggregate any member
-	// requests rides one scan; Monte Carlo aggregates get one shared
-	// column materialization and stay per-member (replayShared).
+	// Every closed-form aggregate any member requests is computed once;
+	// Monte Carlo aggregates get one shared column materialization and stay
+	// per-member (replayShared).
 	em.aggs = make(map[aggSpec]sharedAggVal, len(g.specs))
-	var fused []aggSpec
+	var closed []aggSpec
 	var cols []int
 	var wts []float64
 	for spec := range g.specs {
@@ -373,7 +369,7 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple) *sharedEmission {
 				if spec.kind == stream.Avg {
 					wt = 1 / float64(em.count)
 				}
-				fused = append(fused, spec)
+				closed = append(closed, spec)
 				cols = append(cols, spec.col)
 				wts = append(wts, wt)
 			} else {
@@ -383,9 +379,9 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple) *sharedEmission {
 			g.materialize(em, spec.col)
 		}
 	}
-	if len(fused) > 0 {
+	if len(closed) > 0 {
 		mu, sigma2, n := g.win.LinearUniformMoments(cols, wts)
-		for j, spec := range fused {
+		for j, spec := range closed {
 			f, err := randvar.GaussianResult(mu[j], sigma2[j], n[j])
 			em.aggs[spec] = sharedAggVal{field: f, err: err}
 		}
@@ -470,95 +466,6 @@ func (g *sharedGroup) buildSharedResult(q *Query, em *sharedEmission, t *stream.
 	em.res = sr
 }
 
-// computeSketch runs the sketch-backend pipeline once for the group,
-// mirroring pushSketch minus per-member stats/telemetry. Sketch groups are
-// signature-uniform by key, so labels (and therefore wrapped errors) are
-// identical across members and the fully built emission is always shared.
-func (g *sharedGroup) computeSketch(q *Query, t *stream.Tuple, em *sharedEmission, prob float64, probN int) {
-	obs := make([]sketch.Obs, 0, len(q.aggs))
-	for _, a := range q.aggs {
-		f := t.Fields[a.colIdx]
-		obs = append(obs, sketch.Obs{Mean: f.Dist.Mean(), Variance: f.Dist.Variance(), N: f.N})
-	}
-	sealed, err := g.sk.Push(obs, prob)
-	if err != nil {
-		em.err = err
-		return
-	}
-	if !sealed || !g.sk.Full() {
-		return
-	}
-	em.emit = true
-	cfg := q.eng.cfg
-	m := g.sk.Rows()
-	sr := &sharedResult{}
-	fields := make([]randvar.Field, 0, len(q.aggs))
-	for i, a := range q.aggs {
-		s, err := g.sk.MergedCol(i)
-		if err != nil {
-			em.err = fmt.Errorf("core: sketch aggregate %s: %w", a.label, err)
-			return
-		}
-		var f randvar.Field
-		var info *accuracy.Info
-		switch a.kind {
-		case stream.Count:
-			f = randvar.Det(float64(m))
-		case stream.Min:
-			f = randvar.Det(s.Quant.Min)
-		case stream.Max:
-			f = randvar.Det(s.Quant.Max)
-		case stream.Avg, stream.Sum:
-			w := 1.0
-			mu := s.Mom.Sum()
-			if a.kind == stream.Avg {
-				w = 1 / float64(m)
-				mu = s.Mom.Mean
-			}
-			f, err = randvar.GaussianResult(mu, s.SumVar*w*w, s.MinN)
-			if err != nil {
-				em.err = fmt.Errorf("core: sketch aggregate %s: %w", a.label, err)
-				return
-			}
-			if s.MinN >= 2 {
-				info, err = q.sketchInfo(&s, f.Dist, w, m)
-				if err != nil {
-					em.err = fmt.Errorf("core: sketch accuracy %s: %w", a.label, err)
-					return
-				}
-			}
-		default:
-			em.err = fmt.Errorf("core: sketch aggregate %v not supported", a.kind)
-			return
-		}
-		fields = append(fields, f)
-		if info != nil {
-			if sr.fields == nil {
-				sr.fields = make(map[string]*accuracy.Info)
-			}
-			sr.fields[a.label] = info
-			sr.infos = append(sr.infos, info)
-		}
-	}
-	sr.tuple = &stream.Tuple{
-		Schema: q.out,
-		Fields: fields,
-		Prob:   prob,
-		ProbN:  probN,
-		Seq:    t.Seq,
-		Time:   t.Time,
-	}
-	if prob < 1 && probN >= 1 {
-		iv, err := accuracy.TupleProbInterval(prob, probN, cfg.Level)
-		if err != nil {
-			em.err = err
-			return
-		}
-		sr.tupleProb = &iv
-	}
-	em.res = sr
-}
-
 // replayShared reproduces one member's view of a cached group emission, in
 // the exact order of the unshared pipeline: filter error, UNSURE and
 // membership-probability drops (per-member counters), then emission. The
@@ -590,11 +497,8 @@ func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, err
 		}
 	}
 	if q.shared.sk != nil {
-		if em.err != nil {
+		if em.err != nil || em.res == nil {
 			return nil, em.err
-		}
-		if !em.emit {
-			return nil, nil
 		}
 		return q.emitShared(em.res, unsure), nil
 	}
@@ -655,9 +559,9 @@ func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, err
 	return []Result{res}, nil
 }
 
-// emitShared returns the fully shared emission as this member's result,
-// replaying per-member telemetry and counters so STATS/METRICS snapshots
-// are indistinguishable from an unshared run.
+// emitShared returns a fully built emission as this query's result,
+// applying the per-query telemetry and counters — for a group member, so
+// that STATS/METRICS snapshots are indistinguishable from an unshared run.
 func (q *Query) emitShared(sr *sharedResult, unsure bool) []Result {
 	recovering := q.eng.recovering.Load()
 	for _, info := range sr.infos {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -111,13 +112,6 @@ type aggOutCol struct {
 	agg         aggItem
 }
 
-// groupState is the window of one GROUP BY key.
-type groupState struct {
-	col   *stream.ColumnWindow
-	count *stream.CountWindow
-	time  *stream.TimeWindow
-}
-
 // joinState executes a symmetric window equi-join: each side retains a
 // count window; an arriving tuple probes the opposite window for equal
 // (deterministic) keys and emits one combined tuple per match, with
@@ -156,19 +150,15 @@ type Query struct {
 
 	// Per-push scratch reused across pushes (a Query is single-goroutine
 	// by contract); holds only references consumed within the push.
-	winBuf    []*stream.Tuple
 	aggInputs []randvar.Field
 	valuesBuf [][]float64
 
-	// Aggregate windows: exactly one of window/rowWindow/timeWindow is set
-	// for ungrouped aggregates; groups is used with GROUP BY. Count-based
-	// windows are columnar (window) by default; rowWindow is the legacy
-	// layout behind Config.RowWindows.
-	window     *stream.ColumnWindow
-	rowWindow  *stream.CountWindow
-	timeWindow *stream.TimeWindow
-	groupIdx   int // index of the GROUP BY column, -1 when absent
-	groups     map[float64]*groupState
+	// Aggregate windows: window for ungrouped aggregates, groups (one
+	// window per key) with GROUP BY. The statement's WINDOW clause fixes
+	// the eviction rule of each (newWindow).
+	window   *stream.ColumnWindow
+	groupIdx int // index of the GROUP BY column, -1 when absent
+	groups   map[float64]*stream.ColumnWindow
 
 	// sketchWin replaces the materialized window under the sketch backend:
 	// bounded memory, block-granular slide, one tracked column per
@@ -497,31 +487,16 @@ func (q *Query) planAggregates() error {
 			return fmt.Errorf("core: GROUP BY column %q must be deterministic", stmt.GroupBy)
 		}
 		q.groupIdx = idx
-		q.groups = make(map[float64]*groupState)
+		q.groups = make(map[float64]*stream.ColumnWindow)
 	} else if q.sketchWin == nil {
 		if len(q.scalars) > 0 {
 			return errors.New("core: scalar select items require GROUP BY")
 		}
-		switch {
-		case stmt.Window.Seconds > 0:
-			tw, err := stream.NewTimeWindow(stmt.Window.Seconds)
-			if err != nil {
-				return err
-			}
-			q.timeWindow = tw
-		case q.eng.cfg.RowWindows:
-			w, err := stream.NewCountWindow(stmt.Window.Rows)
-			if err != nil {
-				return err
-			}
-			q.rowWindow = w
-		default:
-			w, err := stream.NewColumnWindow(q.in, stmt.Window.Rows)
-			if err != nil {
-				return err
-			}
-			q.window = w
+		w, err := q.newWindow()
+		if err != nil {
+			return err
 		}
+		q.window = w
 	}
 	out, err := stream.NewSchema(q.in.Name+"_agg", cols...)
 	if err != nil {
@@ -755,77 +730,60 @@ func (q *Query) pushScalar(t *stream.Tuple, prob float64, probN int, unsure bool
 	return []Result{res}, nil
 }
 
+// newWindow builds an aggregate window with the eviction rule of the
+// statement's WINDOW clause.
+func (q *Query) newWindow() (*stream.ColumnWindow, error) {
+	if span := q.stmt.Window.Seconds; span > 0 {
+		return stream.NewSpanColumnWindow(q.in, span)
+	}
+	return stream.NewColumnWindow(q.in, q.stmt.Window.Rows)
+}
+
 // windowFor returns the window the tuple belongs to, creating per-group
 // windows on demand.
-func (q *Query) windowFor(t *stream.Tuple) (*groupState, error) {
+func (q *Query) windowFor(t *stream.Tuple) (*stream.ColumnWindow, error) {
 	if q.groupIdx < 0 {
-		return &groupState{col: q.window, count: q.rowWindow, time: q.timeWindow}, nil
+		return q.window, nil
 	}
 	key := t.Fields[q.groupIdx].Dist.Mean()
-	g, ok := q.groups[key]
+	if math.IsNaN(key) {
+		// NaN never equals itself: as a map key every such tuple would miss
+		// q.groups and allocate a window nothing can reach again.
+		return nil, fmt.Errorf("core: GROUP BY key %s is NaN", q.in.Columns[q.groupIdx].Name)
+	}
+	w, ok := q.groups[key]
 	if !ok {
-		g = &groupState{}
 		var err error
-		switch {
-		case q.stmt.Window.Seconds > 0:
-			g.time, err = stream.NewTimeWindow(q.stmt.Window.Seconds)
-		case q.eng.cfg.RowWindows:
-			g.count, err = stream.NewCountWindow(q.stmt.Window.Rows)
-		default:
-			g.col, err = stream.NewColumnWindow(q.in, q.stmt.Window.Rows)
-		}
-		if err != nil {
+		if w, err = q.newWindow(); err != nil {
 			return nil, err
 		}
-		q.groups[key] = g
+		q.groups[key] = w
 	}
-	return g, nil
+	return w, nil
 }
 
 func (q *Query) pushAggregate(t *stream.Tuple, prob float64, probN int, unsure bool) ([]Result, error) {
 	if q.sketchWin != nil {
 		return q.pushSketch(t, prob, probN, unsure)
 	}
-	g, err := q.windowFor(t)
+	win, err := q.windowFor(t)
 	if err != nil {
 		return nil, err
 	}
-	// The window snapshot and aggregate-input gather reuse Query-owned
-	// buffers: stream.Aggregate consumes its inputs within the call, so
-	// nothing here outlives the push. Columnar windows skip the gather
-	// entirely and scan their column arrays in place.
 	timed := q.timing.Enabled()
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	q.winBuf = q.winBuf[:0]
-	var colWin *stream.ColumnWindow
-	switch {
-	case g.time != nil:
-		// Time windows emit on every arrival over the live contents.
-		if _, err := g.time.Push(t); err != nil {
-			return nil, err
-		}
-		q.winBuf = g.time.AppendTuples(q.winBuf)
-	case g.col != nil:
-		g.col.Push(t)
-		if !g.col.Full() {
-			return nil, nil
-		}
-		colWin = g.col
-	default:
-		g.count.Push(t)
-		if !g.count.Full() {
-			return nil, nil
-		}
-		q.winBuf = g.count.AppendTuples(q.winBuf)
+	// A count window emits once it is full, a span window on every arrival.
+	emit, err := win.Admit(t)
+	if err != nil || !emit {
+		return nil, err
 	}
 	if timed {
 		q.timing.Observe(plan.StageWindow, time.Since(t0))
 		t0 = time.Now()
 	}
-	winTuples := q.winBuf
 	fields := make([]randvar.Field, 0, len(q.outPlan))
 	values := q.valuesBuf[:0]
 	// Output columns appear in out-schema order per the plan resolved in
@@ -836,18 +794,10 @@ func (q *Query) pushAggregate(t *stream.Tuple, prob float64, probN int, unsure b
 			values = append(values, nil)
 			continue
 		}
-		var res randvar.Result
-		var err error
-		if colWin != nil {
-			res, err = stream.AggregateColumn(q.ev, oc.agg.kind, colWin, oc.agg.colIdx, &q.aggInputs)
-		} else {
-			inputs := q.aggInputs[:0]
-			for _, wt := range winTuples {
-				inputs = append(inputs, wt.Fields[oc.agg.colIdx])
-			}
-			q.aggInputs = inputs
-			res, err = stream.Aggregate(q.ev, oc.agg.kind, inputs)
-		}
+		// The scan reads the column arrays in place; only a Monte Carlo
+		// aggregate materializes fields, into a Query-owned buffer that
+		// stream.Aggregate consumes within the call.
+		res, err := stream.AggregateColumn(q.ev, oc.agg.kind, win, oc.agg.colIdx, &q.aggInputs)
 		if err != nil {
 			return nil, fmt.Errorf("core: aggregate %s: %w", oc.agg.label, err)
 		}
@@ -880,11 +830,23 @@ func (q *Query) pushAggregate(t *stream.Tuple, prob float64, probN int, unsure b
 	return []Result{res}, nil
 }
 
-// pushSketch is the aggregate push path of the sketch backend: the tuple's
-// per-column (mean, variance, N) observations feed the blocked window, and
-// sealing a full window's block emits one result whose fields come from the
-// merged sketches. The path consumes no RNG, so it is deterministic at any
-// worker count and across WAL replays and replicas by construction.
+// pushSketch is the aggregate push path of the sketch backend: one
+// sketchPush, returned as this query's result.
+func (q *Query) pushSketch(t *stream.Tuple, prob float64, probN int, unsure bool) ([]Result, error) {
+	sr, err := q.sketchPush(t, prob, probN)
+	if err != nil || sr == nil {
+		return nil, err
+	}
+	return q.emitShared(sr, unsure), nil
+}
+
+// sketchPush feeds the tuple's per-column (mean, variance, N) observations
+// to the blocked window (q.sketchWin — for a plan-group member, the group's)
+// and, when that seals a full window's block, builds the one emission whose
+// fields come from the merged sketches; otherwise it returns nil. The path
+// consumes no RNG, so it is deterministic at any worker count and across WAL
+// replays and replicas by construction. Counters and telemetry are the
+// caller's (emitShared), once per query the emission is handed to.
 //
 // Semantics vs the exact backends, documented in DESIGN.md §13: AVG and SUM
 // reproduce the Gaussian closed form over the per-tuple means and variances
@@ -892,12 +854,8 @@ func (q *Query) pushAggregate(t *stream.Tuple, prob float64, probN int, unsure b
 // the exact window row count; MIN and MAX are the exact extremes of the
 // per-tuple means (value-based, not distribution-based — no Monte Carlo);
 // results are emitted once per sealed block rather than once per push.
-func (q *Query) pushSketch(t *stream.Tuple, prob float64, probN int, unsure bool) ([]Result, error) {
-	obs := q.sketchObs
-	if cap(obs) < len(q.aggs) {
-		obs = make([]sketch.Obs, 0, len(q.aggs))
-	}
-	obs = obs[:0]
+func (q *Query) sketchPush(t *stream.Tuple, prob float64, probN int) (*sharedResult, error) {
+	obs := q.sketchObs[:0]
 	for _, a := range q.aggs {
 		f := t.Fields[a.colIdx]
 		obs = append(obs, sketch.Obs{Mean: f.Dist.Mean(), Variance: f.Dist.Variance(), N: f.N})
@@ -910,10 +868,8 @@ func (q *Query) pushSketch(t *stream.Tuple, prob float64, probN int, unsure bool
 	if !sealed || !q.sketchWin.Full() {
 		return nil, nil
 	}
-	cfg := q.eng.cfg
-	recovering := q.eng.recovering.Load()
 	m := q.sketchWin.Rows()
-	res := Result{Unsure: unsure}
+	sr := &sharedResult{}
 	fields := make([]randvar.Field, 0, len(q.aggs))
 	for i, a := range q.aggs {
 		s, err := q.sketchWin.MergedCol(i)
@@ -951,14 +907,14 @@ func (q *Query) pushSketch(t *stream.Tuple, prob float64, probN int, unsure bool
 		}
 		fields = append(fields, f)
 		if info != nil {
-			if res.Fields == nil {
-				res.Fields = make(map[string]*accuracy.Info)
+			if sr.fields == nil {
+				sr.fields = make(map[string]*accuracy.Info)
 			}
-			res.Fields[a.label] = info
-			q.telem.observeField(info, recovering)
+			sr.fields[a.label] = info
+			sr.infos = append(sr.infos, info)
 		}
 	}
-	res.Tuple = &stream.Tuple{
+	sr.tuple = &stream.Tuple{
 		Schema: q.out,
 		Fields: fields,
 		Prob:   prob,
@@ -967,15 +923,13 @@ func (q *Query) pushSketch(t *stream.Tuple, prob float64, probN int, unsure bool
 		Time:   t.Time,
 	}
 	if prob < 1 && probN >= 1 {
-		iv, err := accuracy.TupleProbInterval(prob, probN, cfg.Level)
+		iv, err := accuracy.TupleProbInterval(prob, probN, q.eng.cfg.Level)
 		if err != nil {
 			return nil, err
 		}
-		res.TupleProb = &iv
-		q.telem.observeTupleProb(iv, recovering)
+		sr.tupleProb = &iv
 	}
-	q.stats.out.Add(1)
-	return []Result{res}, nil
+	return sr, nil
 }
 
 // sketchInfo derives one AVG/SUM field's accuracy information from its

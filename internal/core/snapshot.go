@@ -29,14 +29,15 @@ type TupleState struct {
 	Time   int64
 }
 
-// WindowState is the serializable contents of one sliding window,
-// oldest-first.
+// WindowState is the serializable contents of one sliding window in row
+// form, oldest-first: what join windows are captured as, and what
+// checkpoints written before aggregate windows were columnar hold.
 type WindowState struct {
 	Tuples []TupleState
 }
 
-// GroupWindowState is the window of one GROUP BY key: exactly one of
-// Window (row form) and ColWindow (columnar form) is populated.
+// GroupWindowState is the window of one GROUP BY key. State fills
+// ColWindow; SetState also accepts the legacy row form in Window.
 type GroupWindowState struct {
 	Key       float64
 	Window    WindowState
@@ -54,14 +55,13 @@ type QueryState struct {
 	Boot dist.RandState
 	// Stats are the query counters.
 	Stats QueryStats
-	// Window holds the ungrouped aggregate window (row-oriented count- or
+	// ColWindow holds the ungrouped aggregate window (count- or
 	// time-based), nil when the query has none.
-	Window *WindowState
-	// ColWindow holds the ungrouped aggregate window in columnar form
-	// (the default count-window layout); mutually exclusive with Window.
-	// Either form restores into either window layout, so checkpoints
-	// written by one engine configuration recover under the other.
 	ColWindow *stream.ColumnWindowState
+	// Window is the legacy row form of ColWindow: State never fills it,
+	// SetState restores from either, so checkpoints written before
+	// aggregate windows were columnar still recover.
+	Window *WindowState
 	// Groups holds per-key windows of GROUP BY queries, sorted by key.
 	Groups []GroupWindowState
 	// JoinLeft and JoinRight hold the symmetric join windows.
@@ -86,10 +86,6 @@ func (q *Query) State() *QueryState {
 		st.Sketch = q.sketchWin.Clone()
 	case q.window != nil:
 		st.ColWindow = q.window.State()
-	case q.rowWindow != nil:
-		st.Window = windowState(q.rowWindow.Tuples())
-	case q.timeWindow != nil:
-		st.Window = windowState(q.timeWindow.Tuples())
 	}
 	if q.groups != nil {
 		keys := make([]float64, 0, len(q.groups))
@@ -98,17 +94,7 @@ func (q *Query) State() *QueryState {
 		}
 		sort.Float64s(keys)
 		for _, k := range keys {
-			g := q.groups[k]
-			gs := GroupWindowState{Key: k}
-			switch {
-			case g.col != nil:
-				gs.ColWindow = g.col.State()
-			case g.count != nil:
-				gs.Window = *windowState(g.count.Tuples())
-			default:
-				gs.Window = *windowState(g.time.Tuples())
-			}
-			st.Groups = append(st.Groups, gs)
+			st.Groups = append(st.Groups, GroupWindowState{Key: k, ColWindow: q.groups[k].State()})
 		}
 	}
 	if q.join != nil {
@@ -161,25 +147,15 @@ func (q *Query) SetState(st *QueryState) error {
 		q.sketchWin = st.Sketch.Clone()
 	}
 	if st.Window != nil || st.ColWindow != nil {
+		if q.window == nil {
+			return errors.New("core: window state for a query without an ungrouped window")
+		}
 		tuples, err := windowTuples(q.in, st.Window, st.ColWindow)
 		if err != nil {
 			return err
 		}
-		switch {
-		case q.window != nil:
-			if err := q.window.RestoreTuples(tuples); err != nil {
-				return err
-			}
-		case q.rowWindow != nil:
-			if err := q.rowWindow.RestoreTuples(tuples); err != nil {
-				return err
-			}
-		case q.timeWindow != nil:
-			if err := q.timeWindow.RestoreTuples(tuples); err != nil {
-				return err
-			}
-		default:
-			return errors.New("core: window state for a query without an ungrouped window")
+		if err := q.window.RestoreTuples(tuples); err != nil {
+			return err
 		}
 	}
 	if len(st.Groups) > 0 {
@@ -195,37 +171,14 @@ func (q *Query) SetState(st *QueryState) error {
 			if err != nil {
 				return err
 			}
-			g := &groupState{}
-			switch {
-			case q.stmt.Window.Seconds > 0:
-				tw, err := stream.NewTimeWindow(q.stmt.Window.Seconds)
-				if err != nil {
-					return err
-				}
-				if err := tw.RestoreTuples(tuples); err != nil {
-					return err
-				}
-				g.time = tw
-			case q.eng.cfg.RowWindows:
-				cw, err := stream.NewCountWindow(q.stmt.Window.Rows)
-				if err != nil {
-					return err
-				}
-				if err := cw.RestoreTuples(tuples); err != nil {
-					return err
-				}
-				g.count = cw
-			default:
-				cw, err := stream.NewColumnWindow(q.in, q.stmt.Window.Rows)
-				if err != nil {
-					return err
-				}
-				if err := cw.RestoreTuples(tuples); err != nil {
-					return err
-				}
-				g.col = cw
+			w, err := q.newWindow()
+			if err != nil {
+				return err
 			}
-			q.groups[gs.Key] = g
+			if err := w.RestoreTuples(tuples); err != nil {
+				return err
+			}
+			q.groups[gs.Key] = w
 		}
 	}
 	if st.JoinLeft != nil || st.JoinRight != nil {
@@ -255,8 +208,7 @@ func (q *Query) SetState(st *QueryState) error {
 }
 
 // windowTuples materializes a captured window — whichever form it was
-// stored in — as validated row tuples, the common currency both window
-// layouts restore from.
+// stored in — as validated row tuples, which is what RestoreTuples takes.
 func windowTuples(schema *stream.Schema, ws *WindowState, cs *stream.ColumnWindowState) ([]*stream.Tuple, error) {
 	if cs != nil {
 		tuples, err := cs.Tuples(schema)

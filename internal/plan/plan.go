@@ -111,7 +111,7 @@ func Analyze(stmt *sql.SelectStmt, backend string) Decision {
 		return no("no WINDOW clause")
 	}
 	if stmt.Window.Seconds > 0 {
-		return no("time windows use per-query row buffers")
+		return no("time windows are per-query: the shared pipeline slides count windows only")
 	}
 	if !FilterShareable(stmt.Where) {
 		return no("filter may consume per-query randomness")

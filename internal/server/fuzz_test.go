@@ -113,6 +113,8 @@ func FuzzProtocolDispatch(f *testing.F) {
 		"QUERY",
 		"STREAM",
 		"INSERT readings N(,,) 7",
+		"INSERT readings NaN N(10,4,25)",
+		"INSERTBATCH readings NaN 1 | Inf 2 | NaN 3",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -137,6 +139,9 @@ func FuzzProtocolDispatch(f *testing.F) {
 		if _, err := s.dispatch(c, "QUERY q1 SELECT v FROM readings WHERE v > 0"); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := s.dispatch(c, "QUERY g1 SELECT k, AVG(v) FROM readings GROUP BY k WINDOW 2 ROWS"); err != nil {
+			t.Fatal(err)
+		}
 		quit, _ := s.dispatch(c, line)
 		if quit && !strings.EqualFold(strings.TrimSpace(line), "QUIT") &&
 			!strings.HasPrefix(strings.ToUpper(strings.TrimSpace(line)), "QUIT ") {
@@ -145,6 +150,15 @@ func FuzzProtocolDispatch(f *testing.F) {
 		// The engine must stay usable after arbitrary input.
 		if _, err := s.dispatch(c, "INSERT readings 1 N(10,4,25)"); err != nil {
 			t.Fatalf("engine unusable after dispatch(%q): %v", line, err)
+		}
+		// A NaN group key can never be looked up again: a window stored under
+		// one is a leak, one per tuple.
+		if g1 := eng.Bound("g1"); g1 != nil {
+			for _, g := range g1.State().Groups {
+				if g.Key != g.Key {
+					t.Fatalf("dispatch(%q) left a group window under a NaN key", line)
+				}
+			}
 		}
 	})
 }

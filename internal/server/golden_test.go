@@ -58,25 +58,12 @@ var goldenScript = []string{
 }
 
 func TestGoldenSession(t *testing.T) {
-	runGoldenSession(t, false)
-}
-
-// TestGoldenSessionRowEngine replays the identical script against an engine
-// forced onto the legacy row-window storage and compares against the same
-// golden file — the byte-level proof that the columnar layout and the
-// render-once serving path change no observable output.
-func TestGoldenSessionRowEngine(t *testing.T) {
-	runGoldenSession(t, true)
-}
-
-func runGoldenSession(t *testing.T, rowWindows bool) {
 	eng, err := core.NewEngine(core.Config{
-		Seed:       7,
-		Method:     core.AccuracyAnalytical,
-		Level:      0.9,
-		Workers:    1,
-		RowWindows: rowWindows,
-		DataDir:    t.TempDir(),
+		Seed:    7,
+		Method:  core.AccuracyAnalytical,
+		Level:   0.9,
+		Workers: 1,
+		DataDir: t.TempDir(),
 		// fsync=none keeps the transcript free of timing-dependent fsync
 		// scheduling; durability correctness has its own tests.
 		FsyncPolicy: "none",
@@ -134,9 +121,7 @@ func runGoldenSession(t *testing.T, rowWindows bool) {
 
 	got := transcript.String()
 	goldenPath := filepath.Join("testdata", "golden_session.txt")
-	// -update regenerates from the default (columnar) engine only; the row
-	// variant always compares, so a layout divergence cannot be recorded.
-	if *updateGolden && !rowWindows {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -31,10 +31,11 @@ import (
 // One digest is asserted for engine configurations that must not change an
 // output bit: Workers 1 with planner sharing, Workers 8 without.
 //
-// The digests were generated at commit bd57fee (the parent of the change
-// that removed the row-oriented window storage), where the row and column
-// engines were still proven equal by test. They are constants: a digest
-// that no longer matches is a behaviour change, not a reason to regenerate.
+// The digests were generated at commit bd57fee, the last engine that could
+// also store these windows as rows of *Tuple (time windows always, count
+// windows behind an option); there the row engine was held to the same
+// digests. They are constants: a digest that no longer matches is a
+// behaviour change, not a reason to regenerate.
 const pinTuples = 10000
 
 // pinSpan is the WINDOW n SECONDS width the timed cases use; the generator
@@ -316,16 +317,13 @@ func TestWindowPins(t *testing.T) {
 	configs := []core.Config{
 		{Workers: 1},
 		{Workers: 8, NoSharedState: true},
-		// The row-oriented window storage, while it exists, is held to the
-		// same digests: what replaces it is pinned to what it emitted.
-		{Workers: 1, RowWindows: true},
 	}
 	for _, pc := range pinCases {
 		for _, m := range []core.AccuracyMethod{core.AccuracyAnalytical, core.AccuracyBootstrap} {
 			for _, cfg := range configs {
 				cfg.Level, cfg.Method, cfg.Seed = 0.9, m, 7
 				cfg.MonteCarloValues, cfg.HistogramBins, cfg.BootstrapResamples = 16, 6, 8
-				name := fmt.Sprintf("%s/%s/workers=%d/unshared=%v/rows=%v", pc.name, m, cfg.Workers, cfg.NoSharedState, cfg.RowWindows)
+				name := fmt.Sprintf("%s/%s/workers=%d/unshared=%v", pc.name, m, cfg.Workers, cfg.NoSharedState)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					if got := pinRun(t, pc, cfg); got != pc.want[m] {

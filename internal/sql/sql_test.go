@@ -338,7 +338,7 @@ func TestParseGroupBy(t *testing.T) {
 	}
 }
 
-func TestParseTimeWindow(t *testing.T) {
+func TestParseSecondsWindow(t *testing.T) {
 	stmt, err := Parse("SELECT AVG(x) FROM s WINDOW 30 SECONDS")
 	if err != nil {
 		t.Fatal(err)

@@ -115,7 +115,8 @@ func Aggregate(e *randvar.Evaluator, kind AggKind, fields []randvar.Field) (rand
 // applies. When it does not (a non-Gaussian field is present, or the
 // aggregate is Min/Max), the column is materialized into *scratch and the
 // computation delegates to Aggregate, so errors, RNG consumption, and
-// results are bit-identical to the row path at any worker count.
+// results are bit-identical to Aggregate over the same fields at any worker
+// count.
 //
 // scratch is a caller-owned reusable buffer (may be nil); the materialized
 // fields are consumed within the call.
@@ -149,30 +150,4 @@ func AggregateColumn(e *randvar.Evaluator, kind AggKind, w *ColumnWindow, c int,
 		*scratch = fields
 	}
 	return Aggregate(e, kind, fields)
-}
-
-// ExpectedCount returns the expected number of existing tuples under the
-// possible-world semantics: Σ Prob over the tuples.
-func ExpectedCount(tuples []*Tuple) float64 {
-	total := 0.0
-	for _, t := range tuples {
-		total += t.Prob
-	}
-	return total
-}
-
-// ColumnFields extracts the named column's field from each tuple, in order.
-func ColumnFields(tuples []*Tuple, col string) ([]randvar.Field, error) {
-	if len(tuples) == 0 {
-		return nil, nil
-	}
-	idx, ok := tuples[0].Schema.Index(col)
-	if !ok {
-		return nil, fmt.Errorf("stream: no column %q", col)
-	}
-	out := make([]randvar.Field, len(tuples))
-	for i, t := range tuples {
-		out[i] = t.Fields[idx]
-	}
-	return out, nil
 }

@@ -37,24 +37,31 @@ type winColumn struct {
 	numOther int
 }
 
-// ColumnWindow is a count-based sliding window with columnar (struct-of-
-// arrays) storage: per schema column, contiguous kind/mean/variance/n
-// arrays, plus per-tuple Prob/ProbN/Seq/Time columns. It is the hot-path
-// replacement for CountWindow in aggregate queries (§V-C throughput
-// experiment): the Gaussian closed form becomes a branch-free scan over
-// two contiguous float64 segments instead of a pointer walk over *Tuple
-// graphs.
+// ColumnWindow is the sliding window of an exact aggregate query, with
+// columnar (struct-of-arrays) storage: per schema column, contiguous
+// kind/mean/variance/n arrays, plus per-tuple Prob/ProbN/Seq/Time columns.
+// It is one ring with two eviction rules, fixed at construction by the
+// statement's WINDOW clause:
 //
-// Push copies field data out of the tuple — the window never retains the
-// *Tuple (see the ownership contract in doc.go). Results are bit-identical
-// to the row path: the closed-form scan visits slots oldest-first with the
-// same summation order as randvar.LinearGaussianUniform, and the fallback
-// path materializes fields in the same order the row engine gathers them.
+//   - count (NewColumnWindow, WINDOW n ROWS): the ring holds the most
+//     recent n tuples; the paper's throughput experiment (§V-C) runs on it;
+//   - span (NewSpanColumnWindow, WINDOW n SECONDS): the ring holds the
+//     tuples whose Time is within n of the newest one's and grows by
+//     doubling when an arrival finds it full.
+//
+// Either way the Gaussian closed form is a branch-free scan over two
+// contiguous float64 segments, and pushing copies field data out of the
+// tuple — the window never retains the *Tuple (see the ownership contract in
+// doc.go). Results are bit-identical to aggregating the same tuples as rows:
+// the closed-form scan visits slots oldest-first with the same summation
+// order as randvar.LinearGaussianUniform, and the fallback path materializes
+// fields in that order for Aggregate.
 type ColumnWindow struct {
 	schema *Schema
 	head   int // slot index of the oldest tuple
 	count  int
-	size   int
+	size   int   // ring capacity: the window size under the count rule
+	span   int64 // > 0 selects the span rule
 
 	prob  []float64
 	probN []int
@@ -63,18 +70,36 @@ type ColumnWindow struct {
 	cols  []winColumn
 }
 
+// spanInitialCap is the capacity a span window starts with. GROUP BY
+// allocates one window per key, so it starts small and doubles on demand.
+const spanInitialCap = 16
+
 // NewColumnWindow returns a columnar window over schema holding the most
 // recent size tuples.
 func NewColumnWindow(schema *Schema, size int) (*ColumnWindow, error) {
-	if schema == nil {
-		return nil, fmt.Errorf("stream: column window with nil schema")
-	}
 	if size < 1 {
 		return nil, fmt.Errorf("stream: count window size %d, need ≥ 1", size)
+	}
+	return newColumnWindow(schema, size, 0)
+}
+
+// NewSpanColumnWindow returns a columnar window over schema holding the
+// tuples whose Time is within span of the most recently admitted tuple's.
+func NewSpanColumnWindow(schema *Schema, span int64) (*ColumnWindow, error) {
+	if span <= 0 {
+		return nil, fmt.Errorf("stream: time window span %d, need > 0", span)
+	}
+	return newColumnWindow(schema, spanInitialCap, span)
+}
+
+func newColumnWindow(schema *Schema, size int, span int64) (*ColumnWindow, error) {
+	if schema == nil {
+		return nil, fmt.Errorf("stream: column window with nil schema")
 	}
 	w := &ColumnWindow{
 		schema: schema,
 		size:   size,
+		span:   span,
 		prob:   make([]float64, size),
 		probN:  make([]int, size),
 		seq:    make([]uint64, size),
@@ -92,21 +117,15 @@ func NewColumnWindow(schema *Schema, size int) (*ColumnWindow, error) {
 	return w, nil
 }
 
-// Schema returns the window's schema.
-func (w *ColumnWindow) Schema() *Schema { return w.schema }
-
 // Len returns the number of tuples currently in the window.
 func (w *ColumnWindow) Len() int { return w.count }
 
-// Full reports whether the window has reached capacity.
+// Full reports whether a count window has reached its size.
 func (w *ColumnWindow) Full() bool { return w.count == w.size }
 
-// Cap returns the window capacity.
-func (w *ColumnWindow) Cap() int { return w.size }
-
-// Push adds t, evicting the oldest tuple once the window is full. The
-// tuple's field data is copied into the column arrays; the *Tuple itself
-// is not retained.
+// Push adds t under the count rule, evicting the oldest tuple once the
+// window is full. The tuple's field data is copied into the column arrays;
+// the *Tuple itself is not retained. Span windows take tuples through Admit.
 func (w *ColumnWindow) Push(t *Tuple) {
 	var slot int
 	if w.count < w.size {
@@ -122,6 +141,11 @@ func (w *ColumnWindow) Push(t *Tuple) {
 			w.head = 0
 		}
 	}
+	w.store(slot, t)
+}
+
+// store copies t into ring slot slot, releasing what the slot held.
+func (w *ColumnWindow) store(slot int, t *Tuple) {
 	w.prob[slot] = t.Prob
 	w.probN[slot] = t.ProbN
 	w.seq[slot] = t.Seq
@@ -131,14 +155,91 @@ func (w *ColumnWindow) Push(t *Tuple) {
 	}
 }
 
+// Admit adds t under the eviction rule the window was built with and
+// reports whether the window is now to be aggregated: a count window once it
+// is full, a span window on every arrival. A span window rejects a tuple
+// older than its newest one and is left untouched by the rejection.
+func (w *ColumnWindow) Admit(t *Tuple) (bool, error) {
+	if w.span == 0 {
+		w.Push(t)
+		return w.Full(), nil
+	}
+	if w.count > 0 {
+		if newest := w.time[w.slot(w.count-1)]; t.Time < newest {
+			return false, fmt.Errorf("stream: out-of-order tuple: time %d after %d", t.Time, newest)
+		}
+	}
+	// Tuples with age strictly greater than the span are evicted; a tuple
+	// exactly span old is still in the window. Nothing overwrites an evicted
+	// slot until the ring comes round to it, so eviction itself releases the
+	// slot's distribution — otherwise the Gaussian fast path stays off after
+	// the last histogram has left.
+	for cutoff := t.Time - w.span; w.count > 0 && w.time[w.head] < cutoff; w.count-- {
+		for c := range w.cols {
+			w.cols[c].release(w.head)
+		}
+		w.head++
+		if w.head == w.size {
+			w.head = 0
+		}
+	}
+	w.append(t)
+	return true, nil
+}
+
+// slot returns the ring slot of the k-th oldest tuple.
+func (w *ColumnWindow) slot(k int) int {
+	i := w.head + k
+	if i >= w.size {
+		i -= w.size
+	}
+	return i
+}
+
+// append stores t behind the newest tuple without evicting, doubling the
+// ring first when it is full.
+func (w *ColumnWindow) append(t *Tuple) {
+	if w.count == w.size {
+		w.grow()
+	}
+	w.count++
+	w.store(w.slot(w.count-1), t)
+}
+
+// grow doubles the ring, relinearising every column (head becomes 0).
+func (w *ColumnWindow) grow() {
+	size := 2 * w.size
+	w.prob = regrow(w.prob, w.head, size)
+	w.probN = regrow(w.probN, w.head, size)
+	w.seq = regrow(w.seq, w.head, size)
+	w.time = regrow(w.time, w.head, size)
+	for c := range w.cols {
+		col := &w.cols[c]
+		col.kind = regrow(col.kind, w.head, size)
+		col.mean = regrow(col.mean, w.head, size)
+		col.varr = regrow(col.varr, w.head, size)
+		col.n = regrow(col.n, w.head, size)
+		if col.other != nil {
+			col.other = regrow(col.other, w.head, size)
+		}
+	}
+	w.head, w.size = 0, size
+}
+
+// regrow copies a full ring whose oldest slot is head into a new array of
+// the given size, oldest-first from index 0.
+func regrow[T any](ring []T, head, size int) []T {
+	out := make([]T, size)
+	n := copy(out, ring[head:])
+	copy(out[n:], ring[:head])
+	return out
+}
+
 // set stores field f into ring slot i, classifying it with the same type
 // switch as randvar's gaussianOf so the closed-form applicability matches
 // the row path exactly.
 func (col *winColumn) set(i int, f randvar.Field) {
-	if col.other != nil && col.other[i] != nil {
-		col.other[i] = nil
-		col.numOther--
-	}
+	col.release(i)
 	switch d := f.Dist.(type) {
 	case dist.Point:
 		col.kind[i] = slotPoint
@@ -159,6 +260,14 @@ func (col *winColumn) set(i int, f randvar.Field) {
 		col.numOther++
 	}
 	col.n[i] = f.N
+}
+
+// release drops the distribution slot i retains, if any.
+func (col *winColumn) release(i int) {
+	if col.other != nil && col.other[i] != nil {
+		col.other[i] = nil
+		col.numOther--
+	}
 }
 
 // field materializes ring slot i back into a randvar.Field, bit-identical
@@ -183,14 +292,18 @@ func (col *winColumn) gaussian() bool { return col.numOther == 0 }
 func (w *ColumnWindow) ColumnGaussian(c int) bool { return w.cols[c].gaussian() }
 
 // LinearUniform computes Σ wt·Xᵢ over column c in the Gaussian closed form
-// (Theorem: a uniform linear combination of independent Gaussians), scanning
-// the mean/variance columns oldest-first in the exact summation order of
-// randvar.LinearGaussianUniform so results are bit-identical to the row
-// path. The caller must have checked ColumnGaussian(c).
+// (Theorem: a uniform linear combination of independent Gaussians). The
+// caller must have checked ColumnGaussian(c).
 func (w *ColumnWindow) LinearUniform(c int, wt float64) (randvar.Field, error) {
+	return randvar.GaussianResult(w.linearUniform(c, wt))
+}
+
+// linearUniform is the one closed-form kernel: it scans column c's mean and
+// variance arrays oldest-first in the exact summation order of
+// randvar.LinearGaussianUniform, so its moments are bit-identical to
+// aggregating the same fields as rows.
+func (w *ColumnWindow) linearUniform(c int, wt float64) (mu, sigma2 float64, n int) {
 	col := &w.cols[c]
-	mu, sigma2 := 0.0, 0.0
-	n := 0
 	scan := func(lo, hi int) {
 		mean, varr := col.mean[lo:hi], col.varr[lo:hi]
 		for i := range mean {
@@ -209,88 +322,45 @@ func (w *ColumnWindow) LinearUniform(c int, wt float64) (randvar.Field, error) {
 		scan(w.head, w.size)
 		scan(0, end-w.size)
 	}
-	return randvar.GaussianResult(mu, sigma2, n)
+	return mu, sigma2, n
 }
 
-// LinearUniformMoments is the fused form of LinearUniform: one pass over
-// the live window accumulates the closed-form Gaussian moments of
-// Σ wts[j]·X over column cols[j] for every requested aggregate at once.
-// Each accumulator sees exactly the slot sequence (and therefore the
-// floating-point summation order) of a standalone LinearUniform over its
-// column, so the fused scan is bit-identical per aggregate — it only
-// shares the walk. Callers must have checked ColumnGaussian for each
-// requested column and must turn the moments into fields via
-// randvar.GaussianResult(mu[j], sigma2[j], n[j]).
+// LinearUniformMoments returns the closed-form Gaussian moments of
+// Σ wts[j]·X over column cols[j] for every requested aggregate: one
+// linearUniform scan per column. With struct-of-arrays storage the columns
+// share no memory, so there is no walk to fuse. Callers must have checked
+// ColumnGaussian for each requested column and must turn the moments into
+// fields via randvar.GaussianResult(mu[j], sigma2[j], n[j]).
 func (w *ColumnWindow) LinearUniformMoments(cols []int, wts []float64) (mu, sigma2 []float64, n []int) {
 	mu = make([]float64, len(cols))
 	sigma2 = make([]float64, len(cols))
 	n = make([]int, len(cols))
-	scan := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j, c := range cols {
-				col := &w.cols[c]
-				mu[j] += wts[j] * col.mean[i]
-				sigma2[j] += wts[j] * wts[j] * col.varr[i]
-				if fn := col.n[i]; fn > 0 && (n[j] == 0 || fn < n[j]) {
-					n[j] = fn
-				}
-			}
-		}
-	}
-	if end := w.head + w.count; end <= w.size {
-		scan(w.head, end)
-	} else {
-		scan(w.head, w.size)
-		scan(0, end-w.size)
+	for j, c := range cols {
+		mu[j], sigma2[j], n[j] = w.linearUniform(c, wts[j])
 	}
 	return mu, sigma2, n
 }
 
-// SameContents reports whether w and o hold the same tuple sequence: equal
-// capacity, equal length, and the same tuple sequence numbers oldest-first.
-// Engine sequence numbers identify ingested tuples uniquely, so equal
-// sequences imply bit-identical window contents for windows fed from the
-// same deterministic engine — the admission test the multi-query planner
-// uses before aliasing two queries onto one shared window.
+// SameContents reports whether w and o hold the same tuple sequence under
+// the same eviction rule: equal span, equal size for count windows, equal
+// length, and the same tuple sequence numbers oldest-first. Engine sequence
+// numbers identify ingested tuples uniquely, so equal sequences imply
+// bit-identical window contents for windows fed from the same deterministic
+// engine — the admission test the multi-query planner uses before aliasing
+// two queries onto one shared window.
 func (w *ColumnWindow) SameContents(o *ColumnWindow) bool {
 	if w == nil || o == nil {
 		return w == o
 	}
-	if w.size != o.size || w.count != o.count {
+	if w.span != o.span || (w.span == 0 && w.size != o.size) || w.count != o.count {
 		return false
 	}
 	for k := 0; k < w.count; k++ {
-		i := w.head + k
-		if i >= w.size {
-			i -= w.size
-		}
-		j := o.head + k
-		if j >= o.size {
-			j -= o.size
-		}
-		if w.seq[i] != o.seq[j] {
+		if w.seq[w.slot(k)] != o.seq[o.slot(k)] {
 			return false
 		}
 	}
 	return true
-}
-
-// ExpectedProb returns Σ Prob over the live window (expected count under
-// possible-world semantics), oldest-first.
-func (w *ColumnWindow) ExpectedProb() float64 {
-	total := 0.0
-	scan := func(lo, hi int) {
-		for _, p := range w.prob[lo:hi] {
-			total += p
-		}
-	}
-	if end := w.head + w.count; end <= w.size {
-		scan(w.head, end)
-	} else {
-		scan(w.head, w.size)
-		scan(0, end-w.size)
-	}
-	return total
 }
 
 // AppendColumnFields appends column c's fields oldest-first to dst and
@@ -324,10 +394,7 @@ func (w *ColumnWindow) Tuples() []*Tuple {
 // AppendTuples appends materialized window contents oldest-first to dst.
 func (w *ColumnWindow) AppendTuples(dst []*Tuple) []*Tuple {
 	for i := 0; i < w.count; i++ {
-		slot := w.head + i
-		if slot >= w.size {
-			slot -= w.size
-		}
+		slot := w.slot(i)
 		fields := make([]randvar.Field, len(w.cols))
 		for c := range w.cols {
 			fields[c] = w.cols[c].field(slot)
@@ -344,30 +411,31 @@ func (w *ColumnWindow) AppendTuples(dst []*Tuple) []*Tuple {
 	return dst
 }
 
-// Do calls fn for each materialized tuple oldest-first.
-func (w *ColumnWindow) Do(fn func(*Tuple)) {
-	for _, t := range w.Tuples() {
-		fn(t)
-	}
-}
-
 // RestoreTuples replaces the window contents with tuples (oldest-first),
-// e.g. when a checkpointed window is reloaded during crash recovery. It
-// fails if tuples exceed the window capacity. Like CountWindow, the
-// restored ring is linearized (head 0), which does not affect any
-// observable behavior.
+// e.g. when a checkpointed window is reloaded during crash recovery. The
+// contents are restored exactly as captured — no eviction is applied — so a
+// count window rejects more tuples than it holds, and a span window, which
+// takes any number, rejects tuples not in non-decreasing Time order. The
+// restored ring starts at head 0 wherever the captured one did; every scan
+// runs oldest-first from head, so no result depends on where head is.
 func (w *ColumnWindow) RestoreTuples(tuples []*Tuple) error {
-	if len(tuples) > w.size {
+	if w.span == 0 && len(tuples) > w.size {
 		return fmt.Errorf("stream: restoring %d tuples into count window of %d",
 			len(tuples), w.size)
 	}
-	w.reset()
-	for _, t := range tuples {
+	for i, t := range tuples {
 		if len(t.Fields) != len(w.cols) {
 			return fmt.Errorf("stream: restoring tuple with %d fields into window of arity %d",
 				len(t.Fields), len(w.cols))
 		}
-		w.Push(t)
+		if w.span > 0 && i > 0 && t.Time < tuples[i-1].Time {
+			return fmt.Errorf("stream: restoring out-of-order tuples: time %d after %d",
+				t.Time, tuples[i-1].Time)
+		}
+	}
+	w.reset()
+	for _, t := range tuples {
+		w.append(t)
 	}
 	return nil
 }
@@ -426,10 +494,7 @@ func (w *ColumnWindow) State() *ColumnWindowState {
 		}
 	}
 	for i := 0; i < w.count; i++ {
-		slot := w.head + i
-		if slot >= w.size {
-			slot -= w.size
-		}
+		slot := w.slot(i)
 		st.Prob = append(st.Prob, w.prob[slot])
 		st.ProbN = append(st.ProbN, w.probN[slot])
 		st.Seq = append(st.Seq, w.seq[slot])
@@ -466,6 +531,14 @@ func (st *ColumnWindowState) Validate(arity int) error {
 	if len(st.Cols) != arity {
 		return fmt.Errorf("stream: columnar snapshot arity %d, schema wants %d", len(st.Cols), arity)
 	}
+	for i, p := range st.Prob {
+		if p < 0 || p > 1 || math.IsNaN(p) {
+			return fmt.Errorf("stream: columnar snapshot tuple %d probability %v outside [0,1]", i, p)
+		}
+		if st.ProbN[i] < 0 {
+			return fmt.Errorf("stream: columnar snapshot tuple %d ProbN %d negative", i, st.ProbN[i])
+		}
+	}
 	for c, cs := range st.Cols {
 		if len(cs.Kind) != n || len(cs.Mean) != n || len(cs.Var) != n || len(cs.N) != n {
 			return fmt.Errorf("stream: columnar snapshot column %d ragged", c)
@@ -480,10 +553,8 @@ func (st *ColumnWindowState) Validate(arity int) error {
 			default:
 				return fmt.Errorf("stream: columnar snapshot column %d slot %d has unknown kind %d", c, i, k)
 			}
-		}
-		for i, p := range st.Prob {
-			if p < 0 || p > 1 || math.IsNaN(p) {
-				return fmt.Errorf("stream: columnar snapshot tuple %d probability %v outside [0,1]", i, p)
+			if cs.N[i] < 0 {
+				return fmt.Errorf("stream: columnar snapshot column %d slot %d sample size %d negative", c, i, cs.N[i])
 			}
 		}
 	}
@@ -491,9 +562,8 @@ func (st *ColumnWindowState) Validate(arity int) error {
 }
 
 // Tuples materializes the snapshot as row tuples over schema, validating
-// each — the cross-form bridge that lets a columnar checkpoint restore
-// into a row-oriented window (and, composed with RestoreTuples, into a
-// columnar one).
+// each — composed with RestoreTuples, the way a columnar checkpoint restores
+// into a window.
 func (st *ColumnWindowState) Tuples(schema *Schema) ([]*Tuple, error) {
 	if err := st.Validate(schema.Arity()); err != nil {
 		return nil, err

@@ -82,70 +82,322 @@ func TestColumnWindowAliasing(t *testing.T) {
 			}
 		}
 	}
-	if !w.Full() || w.Len() != size || w.Cap() != size {
-		t.Fatalf("Full/Len/Cap = %v/%d/%d", w.Full(), w.Len(), w.Cap())
+	if !w.Full() || w.Len() != size {
+		t.Fatalf("Full/Len = %v/%d", w.Full(), w.Len())
+	}
+
+	// The same check across ring growth: a span window whose tuples arrive
+	// faster than they age out doubles several times, and every doubling
+	// moves every live value. Holding every pushed tuple and comparing all of
+	// them catches a column left behind or copied from the wrong offset.
+	const span = 700
+	sw, err := NewSpanColumnWindow(s, span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := 0
+	for i, tp := range pushed {
+		if _, err := sw.Admit(tp); err != nil {
+			t.Fatal(err)
+		}
+		for pushed[lo].Time < tp.Time-span {
+			lo++
+		}
+		// Check on both sides of every doubling on the way up, then at a
+		// stride.
+		if n := i + 1 - lo; n&(n-1) != 0 && (n-1)&(n-2) != 0 && i%997 != 0 {
+			continue
+		}
+		got := sw.Tuples()
+		if len(got) != i+1-lo {
+			t.Fatalf("span, after %d pushes: len = %d, want %d", i+1, len(got), i+1-lo)
+		}
+		for j, g := range got {
+			if want := pushed[lo+j]; !tuplesEqual(g, want) {
+				t.Fatalf("span, after %d pushes: tuple %d = %+v, want %+v", i+1, j, g, want)
+			}
+		}
+	}
+	if sw.Len() != span+1 {
+		t.Fatalf("span window holds %d tuples, want %d", sw.Len(), span+1)
 	}
 }
 
-// TestColumnWindowAggregateEquivalence checks AggregateColumn against the
-// row path for every aggregate kind, both on the Gaussian fast path and on
-// the Monte Carlo fallback, demanding bit-identical results and identical
-// RNG consumption.
-func TestColumnWindowAggregateEquivalence(t *testing.T) {
+// rowModel is the reference a ColumnWindow is compared against: the live
+// tuples as a plain slice, evicted by the same two rules.
+type rowModel struct {
+	size int   // count rule when > 0
+	span int64 // span rule otherwise
+	rows []*Tuple
+}
+
+func (m *rowModel) push(tp *Tuple) (emit bool, ok bool) {
+	if m.size > 0 {
+		m.rows = append(m.rows, tp)
+		m.rows = m.rows[max(0, len(m.rows)-m.size):]
+		return len(m.rows) == m.size, true
+	}
+	if n := len(m.rows); n > 0 && tp.Time < m.rows[n-1].Time {
+		return false, false
+	}
+	m.rows = append(m.rows, tp)
+	for m.rows[0].Time < tp.Time-m.span {
+		m.rows = m.rows[1:]
+	}
+	return true, true
+}
+
+func (m *rowModel) column(c int) []randvar.Field {
+	out := make([]randvar.Field, len(m.rows))
+	for i, tp := range m.rows {
+		out[i] = tp.Fields[c]
+	}
+	return out
+}
+
+// TestSpanWindowModel drives a span window with random arrival times — equal
+// timestamps, small steps, gaps that empty it, out-of-order arrivals — past
+// several doublings and demands, after every push, the contents of the slice
+// model; a rejected push must leave the window exactly as it was.
+func TestSpanWindowModel(t *testing.T) {
 	s := testSchema(t)
-	for _, gaussianOnly := range []bool{true, false} {
-		name := "fallback"
-		if gaussianOnly {
-			name = "gaussian"
+	const span = 150
+	w, err := NewSpanColumnWindow(s, span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSpanColumnWindow(s, 0); err == nil {
+		t.Error("span 0: want error")
+	}
+	model := &rowModel{span: span}
+	rng := dist.NewRand(9)
+	now, maxLen, rejected := int64(1000), 0, 0
+	for i := 0; i < 20_000; i++ {
+		tp := mixedTuple(t, s, i)
+		switch r := rng.Uint64() % 1000; {
+		case r < 550: // same timestamp: the window only grows
+		case r < 980:
+			now += int64(1 + rng.Uint64()%3)
+		case r < 990:
+			now += span // the previous newest is exactly span old and stays
+		case r < 994:
+			now += span + 1 + int64(rng.Uint64()%50) // everything leaves
 		}
-		t.Run(name, func(t *testing.T) {
-			const size = 64
-			row, err := NewCountWindow(size)
+		tp.Time = now
+		if rng.Uint64()%40 == 0 {
+			tp.Time = now - 1 - int64(rng.Uint64()%5)
+		}
+		before := w.State()
+		emit, err := w.Admit(tp)
+		_, ok := model.push(tp)
+		if ok != (err == nil) {
+			t.Fatalf("push %d (time %d): window err %v, model accepted=%v", i, tp.Time, err, ok)
+		}
+		if err != nil {
+			rejected++
+			if want := fmt.Sprintf("stream: out-of-order tuple: time %d after %d", tp.Time, model.rows[len(model.rows)-1].Time); err.Error() != want {
+				t.Fatalf("push %d: error %q, want %q", i, err, want)
+			}
+			if !reflect.DeepEqual(w.State(), before) {
+				t.Fatalf("push %d: rejected push changed the window", i)
+			}
+			continue
+		}
+		if !emit {
+			t.Fatalf("push %d: span window did not emit", i)
+		}
+		got := w.Tuples()
+		if len(got) != len(model.rows) || w.Len() != len(model.rows) {
+			t.Fatalf("push %d: len = %d/%d, model %d", i, len(got), w.Len(), len(model.rows))
+		}
+		others := 0
+		for j, g := range got {
+			if !tuplesEqual(g, model.rows[j]) {
+				t.Fatalf("push %d: tuple %d = %+v, want %+v", i, j, g, model.rows[j])
+			}
+			if _, isHist := g.Fields[1].Dist.(*dist.Histogram); isHist {
+				others++
+			}
+		}
+		// An evicted histogram must release its slot, or the closed form
+		// stays off for a window that holds only Gaussians.
+		if w.ColumnGaussian(1) != (others == 0) {
+			t.Fatalf("push %d: ColumnGaussian = %v with %d histograms live", i, w.ColumnGaussian(1), others)
+		}
+		maxLen = max(maxLen, len(got))
+	}
+	if maxLen < 8*spanInitialCap || rejected < 100 {
+		t.Fatalf("run too tame: longest window %d, %d rejected pushes", maxLen, rejected)
+	}
+
+	// A checkpointed span window restores past its initial capacity, keeps
+	// evolving like the original, and fails closed on non-monotone times.
+	tuples := w.Tuples()
+	w2, _ := NewSpanColumnWindow(s, span)
+	if err := w2.RestoreTuples(tuples); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w2.State(), w.State()) {
+		t.Fatal("restored span window differs")
+	}
+	for i := 0; i < 200; i++ {
+		tp := mixedTuple(t, s, 50_000+i)
+		tp.Time = now + int64(i/3)
+		w.Admit(tp)
+		w2.Admit(tp)
+	}
+	if !reflect.DeepEqual(w2.State(), w.State()) || !w.SameContents(w2) {
+		t.Fatal("span windows diverged after restore")
+	}
+	tuples[len(tuples)/2].Time = tuples[0].Time - 1
+	if err := w2.RestoreTuples(tuples); err == nil {
+		t.Error("restore of non-monotone times: want error")
+	}
+	// Same tuples, different rule: never the same contents.
+	cw, _ := NewColumnWindow(s, w.Len())
+	for _, tp := range w.Tuples() {
+		cw.Push(tp)
+	}
+	if cw.SameContents(w) || w.SameContents(cw) {
+		t.Error("a span window compares equal to a count window")
+	}
+}
+
+// TestAggregateColumnEquivalence checks AggregateColumn over a ColumnWindow
+// against Aggregate over the same tuples held as rows, after every push:
+// count and span eviction, all-Gaussian and mixed columns, one window and one
+// window per group key, and every aggregate kind over both probabilistic
+// columns drawn from one evaluator — demanding bit-identical results,
+// identical errors and identical RNG consumption.
+func TestAggregateColumnEquivalence(t *testing.T) {
+	s, err := NewSchema("s",
+		Column{Name: "id"},
+		Column{Name: "speed", Probabilistic: true},
+		Column{Name: "load", Probabilistic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := testSchema(t) // the helpers build (id, speed); load is appended below
+	for _, span := range []int64{0, 12} {
+		for _, gaussianOnly := range []bool{true, false} {
+			for _, groups := range []int{1, 3} {
+				name := fmt.Sprintf("span=%d/gaussian=%v/groups=%d", span, gaussianOnly, groups)
+				t.Run(name, func(t *testing.T) {
+					const size = 16
+					wins := make([]*ColumnWindow, groups)
+					models := make([]*rowModel, groups)
+					for g := range wins {
+						if span > 0 {
+							wins[g], err = NewSpanColumnWindow(s, span)
+							models[g] = &rowModel{span: span}
+						} else {
+							wins[g], err = NewColumnWindow(s, size)
+							models[g] = &rowModel{size: size}
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					eRow := randvar.NewEvaluator(dist.NewRand(42))
+					eCol := randvar.NewEvaluator(dist.NewRand(42))
+					eRow.Values, eCol.Values = 24, 24
+					var scratch []randvar.Field
+					emitted := 0
+					for i := 0; i < 400; i++ {
+						tp := mixedTuple(t, two, i)
+						if gaussianOnly {
+							tp = speedTuple(t, two, float64(i), 3+float64(i%9), 0.5+float64(i%4), 10+i%5)
+						}
+						nd, err := dist.NewNormal(float64(i%13), 1+float64(i%3))
+						if err != nil {
+							t.Fatal(err)
+						}
+						tp.Schema = s
+						tp.Fields = append(tp.Fields, randvar.Field{Dist: nd, N: 4 + i%6})
+						// Bursts of equal times, then a gap that evicts many.
+						tp.Time = int64(i/4 + i/50*9)
+						g := i % groups
+						emit, err := wins[g].Admit(tp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if mEmit, _ := models[g].push(tp.Clone()); mEmit != emit {
+							t.Fatalf("push %d: emit %v, model %v", i, emit, mEmit)
+						}
+						if !emit {
+							continue
+						}
+						emitted++
+						for _, c := range []int{1, 2} {
+							for _, kind := range []AggKind{Avg, Sum, Count, Min, Max} {
+								want, werr := Aggregate(eRow, kind, models[g].column(c))
+								got, gerr := AggregateColumn(eCol, kind, wins[g], c, &scratch)
+								if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+									t.Fatalf("push %d %v(col %d): error mismatch: row %v, col %v", i, kind, c, werr, gerr)
+								}
+								if werr == nil && !reflect.DeepEqual(want, got) {
+									t.Fatalf("push %d %v(col %d): row %+v, col %+v", i, kind, c, want, got)
+								}
+							}
+						}
+						if a, b := eRow.RNG().State(), eCol.RNG().State(); a != b {
+							t.Fatalf("push %d: RNG diverged after the aggregates", i)
+						}
+					}
+					if emitted < 300/groups {
+						t.Fatalf("only %d emissions", emitted)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestLinearUniformMomentsPerColumn pins that asking for k columns' moments
+// at once is k standalone LinearUniform scans, bit for bit, on a wrapped
+// ring — including the same column twice under different weights.
+func TestLinearUniformMomentsPerColumn(t *testing.T) {
+	cols := []Column{{Name: "a", Probabilistic: true}, {Name: "b", Probabilistic: true},
+		{Name: "c", Probabilistic: true}, {Name: "d", Probabilistic: true}}
+	s, err := NewSchema("s", cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 1000
+	w, err := NewColumnWindow(s, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := dist.NewRand(3)
+	for i := 0; i < 2*size+size/3; i++ {
+		fields := make([]randvar.Field, len(cols))
+		for c := range fields {
+			// Mixed magnitudes, so a different summation order would show.
+			mu := rng.NormFloat64() * math.Pow(10, float64(rng.Uint64()%9)-4)
+			if rng.Uint64()%4 == 0 {
+				fields[c] = randvar.Field{Dist: dist.Point{V: mu}, N: int(rng.Uint64() % 30)}
+				continue
+			}
+			nd, err := dist.NewNormal(mu, 0.01+rng.Float64()*100)
 			if err != nil {
 				t.Fatal(err)
 			}
-			col, err := NewColumnWindow(s, size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < size*2+7; i++ {
-				var tp *Tuple
-				if gaussianOnly {
-					tp = speedTuple(t, s, float64(i), 3+float64(i%9), 0.5+float64(i%4), 10+i%5)
-				} else {
-					tp = mixedTuple(t, s, i)
-				}
-				row.Push(tp.Clone())
-				col.Push(tp)
-			}
-			var scratch []randvar.Field
-			for _, kind := range []AggKind{Avg, Sum, Count, Min, Max} {
-				eRow := randvar.NewEvaluator(dist.NewRand(42))
-				eCol := randvar.NewEvaluator(dist.NewRand(42))
-				fields, err := ColumnFields(row.Tuples(), "speed")
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, werr := Aggregate(eRow, kind, fields)
-				got, gerr := AggregateColumn(eCol, kind, col, 1, &scratch)
-				if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-					t.Fatalf("%v: error mismatch: row %v, col %v", kind, werr, gerr)
-				}
-				if werr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%v: row %+v, col %+v", kind, want, got)
-				}
-				if a, b := eRow.RNG().Uint64(), eCol.RNG().Uint64(); a != b {
-					t.Errorf("%v: RNG diverged after aggregate (%d vs %d)", kind, a, b)
-				}
-			}
-			// ExpectedProb matches the row-side expected count.
-			if want, got := ExpectedCount(row.Tuples()), col.ExpectedProb(); want != got {
-				t.Errorf("ExpectedProb = %v, want %v", got, want)
-			}
-		})
+			fields[c] = randvar.Field{Dist: nd, N: 2 + int(rng.Uint64()%30)}
+		}
+		w.Push(&Tuple{Schema: s, Fields: fields, Prob: 1, Seq: uint64(i + 1)})
+	}
+	ask := []int{2, 0, 3, 1, 0}
+	wts := []float64{1, 1.0 / size, 0.37, 1.0 / size, 1}
+	mu, sigma2, n := w.LinearUniformMoments(ask, wts)
+	for j, c := range ask {
+		want, werr := w.LinearUniform(c, wts[j])
+		got, gerr := randvar.GaussianResult(mu[j], sigma2[j], n[j])
+		if werr != nil || gerr != nil {
+			t.Fatalf("column %d: %v / %v", c, werr, gerr)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("column %d weight %v: moments give %+v, LinearUniform %+v", c, wts[j], got, want)
+		}
 	}
 }
 
@@ -263,9 +515,28 @@ func TestColumnWindowValidation(t *testing.T) {
 		t.Error("NaN prob: want error")
 	}
 	st.Prob[0] = 0.5
+	st.ProbN[0] = -1
+	if err := st.Validate(2); err == nil {
+		t.Error("negative ProbN: want error")
+	}
+	st.ProbN[0] = 0
+	st.Cols[0].N[0] = -3
+	if err := st.Validate(2); err == nil {
+		t.Error("negative sample size: want error")
+	}
+	st.Cols[0].N[0] = 0
+	if err := st.Validate(2); err != nil {
+		t.Errorf("repaired snapshot: %v", err)
+	}
 	st.Cols = st.Cols[:1]
 	if err := st.Validate(2); err == nil {
 		t.Error("arity mismatch: want error")
+	}
+	// The per-tuple checks do not depend on there being a column to hang
+	// them on.
+	st.Cols, st.Prob[0] = nil, 1.5
+	if err := st.Validate(0); err == nil {
+		t.Error("probability 1.5 at arity 0: want error")
 	}
 }
 

@@ -1,12 +1,20 @@
 // Package stream is the uncertain stream database substrate (§II-A): typed
 // schemas, tuples with both tuple uncertainty (a membership probability)
 // and attribute uncertainty (distribution-valued fields), sliding windows,
-// and composable push-based operators.
+// window aggregates, and the streaming learner.
 //
 // Accuracy information flows with the data: every probabilistic field
 // carries the sample size its distribution was learned from, and every
-// operator derives output sample sizes via Lemma 3, so that the engine
+// aggregate derives its output sample size via Lemma 3, so that the engine
 // (package core) can attach confidence intervals to any query result.
+//
+// There are two windows. ColumnWindow is the window of every exact
+// aggregate query: one columnar ring that evicts by count (WINDOW n ROWS)
+// or by time span (WINDOW n SECONDS), with one closed-form Gaussian scan.
+// CountWindow is a ring of whole tuples and exists for joins, whose probe
+// needs every field of a match. Aggregate over a []randvar.Field is both the
+// Monte Carlo path AggregateColumn falls back to and the reference its
+// closed form is tested against.
 //
 // # Ownership contract
 //
@@ -19,18 +27,21 @@
 //
 // Tuples:
 //
-//   - A *Tuple handed to an ingest path (Engine.Ingest, Operator.Push,
-//     CountWindow.Push, TimeWindow.Push, ColumnWindow.Push) is owned by the
-//     callee from that point on. The caller must not mutate the tuple or
-//     its Fields slice afterwards. Callers that need to keep writing must
-//     pass t.Clone().
+//   - A *Tuple handed to an ingest path (core's Query.Push,
+//     CountWindow.Push, ColumnWindow.Push/Admit) is owned by the callee
+//     from that point on. The caller must not mutate the tuple or its
+//     Fields slice afterwards. Callers that need to keep writing must pass
+//     t.Clone().
 //   - Fields[i].Dist values are immutable by convention: no code in this
 //     module ever mutates a distribution after construction, which is what
 //     makes Clone's shallow copy of the Dist pointers safe.
-//   - CountWindow/TimeWindow retain the *Tuple pointers they were given
-//     until eviction. ColumnWindow does NOT retain the tuple: Push copies
-//     the per-field scalars (and, for non-Gaussian fields, the immutable
-//     Dist pointer) into its column arrays and drops the tuple reference.
+//   - ColumnWindow does NOT retain the tuple: pushing copies the per-field
+//     scalars (and, for non-Gaussian fields, the immutable Dist pointer,
+//     released again when the slot is evicted or overwritten) into its
+//     column arrays and drops the tuple reference. No aggregate window
+//     holds a caller's *Tuple. CountWindow — the join window — is the one
+//     window that retains the *Tuple pointers it was given, until
+//     eviction.
 //
 // Emitted tuples:
 //
@@ -49,10 +60,10 @@
 //
 // Window snapshots:
 //
-//   - Tuples()/AppendTuples return tuples that the caller may read until
-//     the next Push on the same window; after that the contents may have
-//     been evicted or (for ColumnWindow materializations) reused. Callers
-//     that outlive the next push must deep-copy.
+//   - CountWindow's Tuples()/AppendTuples return the retained tuples, which
+//     the caller may read until the next Push on the same window; after
+//     that they may have been evicted. Callers that outlive the next push
+//     must deep-copy.
 //   - ColumnWindow.Tuples materializes fresh *Tuple values; those are
 //     owned by the caller, but their Dist pointers are shared with the
 //     window for non-Gaussian fields (safe: immutable).

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/accuracy"
 	"repro/internal/dist"
 	"repro/internal/randvar"
 )
@@ -169,43 +168,6 @@ func TestCountWindow(t *testing.T) {
 	}
 }
 
-func TestTimeWindow(t *testing.T) {
-	w, err := NewTimeWindow(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewTimeWindow(0); err == nil {
-		t.Error("span 0: want error")
-	}
-	s := testSchema(t)
-	push := func(ts int64) []*Tuple {
-		tp := speedTuple(t, s, 0, 60, 25, 10)
-		tp.Time = ts
-		ev, err := w.Push(tp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev
-	}
-	push(0)
-	push(5)
-	if ev := push(9); len(ev) != 0 {
-		t.Errorf("premature eviction: %v", ev)
-	}
-	if ev := push(11); len(ev) != 1 || ev[0].Time != 0 {
-		t.Errorf("eviction at t=11: %v", ev)
-	}
-	if w.Len() != 3 {
-		t.Errorf("Len = %d, want 3", w.Len())
-	}
-	// Out-of-order push errors.
-	tp := speedTuple(t, s, 0, 60, 25, 10)
-	tp.Time = 1
-	if _, err := w.Push(tp); err == nil {
-		t.Error("out-of-order push: want error")
-	}
-}
-
 func TestAggregateGaussianFastPath(t *testing.T) {
 	e := randvar.NewEvaluator(dist.NewRand(1))
 	fields := make([]randvar.Field, 4)
@@ -275,291 +237,5 @@ func TestParseAggKind(t *testing.T) {
 	}
 	if _, err := ParseAggKind("MEDIAN"); err == nil {
 		t.Error("unknown aggregate name: want error")
-	}
-}
-
-func TestProbFilter(t *testing.T) {
-	s := testSchema(t)
-	f, err := NewProbFilter(s, "speed", CmpGT, 60, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Speed ~ N(60, 25): P(>60) = 0.5.
-	tp := speedTuple(t, s, 1, 60, 25, 12)
-	out, err := f.Process(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("emitted %d tuples", len(out))
-	}
-	approx(t, "tuple prob", out[0].Prob, 0.5, 1e-12)
-	if out[0].ProbN != 12 {
-		t.Errorf("ProbN = %d, want 12 (Lemma 3)", out[0].ProbN)
-	}
-	// Impossible predicate drops the tuple.
-	f2, _ := NewProbFilter(s, "speed", CmpLT, -1e9, 0)
-	out, err = f2.Process(tp)
-	if err != nil || len(out) != 0 {
-		t.Errorf("impossible predicate: %v, %v", out, err)
-	}
-	// MinProb drops low-probability results.
-	f3, _ := NewProbFilter(s, "speed", CmpGT, 75, 0.1) // P ≈ 0.0013
-	out, err = f3.Process(tp)
-	if err != nil || len(out) != 0 {
-		t.Errorf("MinProb cut: %v, %v", out, err)
-	}
-	// Bad construction.
-	if _, err := NewProbFilter(s, "ghost", CmpGT, 0, 0); err == nil {
-		t.Error("unknown column: want error")
-	}
-	if _, err := NewProbFilter(s, "speed", CmpGT, 0, 2); err == nil {
-		t.Error("MinProb > 1: want error")
-	}
-}
-
-func TestProbFilterProbNLemma3(t *testing.T) {
-	s := testSchema(t)
-	f, _ := NewProbFilter(s, "speed", CmpGT, 55, 0)
-	tp := speedTuple(t, s, 1, 60, 25, 30)
-	tp.ProbN = 8 // existing tuple uncertainty from an earlier filter
-	out, err := f.Process(tp)
-	if err != nil || len(out) != 1 {
-		t.Fatal(err)
-	}
-	if out[0].ProbN != 8 {
-		t.Errorf("ProbN = %d, want min(8, 30) = 8", out[0].ProbN)
-	}
-}
-
-func TestThresholdFilter(t *testing.T) {
-	s := testSchema(t)
-	// The intro's predicate: with probability ≥ 2/3, Delay > 50.
-	f, err := NewThresholdFilter(s, "speed", CmpGT, 50, 2.0/3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pass := speedTuple(t, s, 1, 60, 25, 3) // P(>50) ≈ 0.977
-	out, err := f.Process(pass)
-	if err != nil || len(out) != 1 {
-		t.Errorf("should pass: %v, %v", out, err)
-	}
-	fail := speedTuple(t, s, 2, 48, 25, 50) // P(>50) ≈ 0.34
-	out, err = f.Process(fail)
-	if err != nil || len(out) != 0 {
-		t.Errorf("should fail: %v, %v", out, err)
-	}
-	if _, err := NewThresholdFilter(s, "speed", CmpGT, 0, 1.5); err == nil {
-		t.Error("tau > 1: want error")
-	}
-	if _, err := NewThresholdFilter(s, "ghost", CmpGT, 0, 0.5); err == nil {
-		t.Error("unknown column: want error")
-	}
-}
-
-func TestFuncFilter(t *testing.T) {
-	s := testSchema(t)
-	f, err := NewFuncFilter(s, "id>2", func(tp *Tuple) (bool, error) {
-		return tp.Fields[0].Dist.Mean() > 2, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.Process(speedTuple(t, s, 5, 60, 25, 10))
-	if err != nil || len(out) != 1 {
-		t.Errorf("id=5 should pass: %v, %v", out, err)
-	}
-	out, err = f.Process(speedTuple(t, s, 1, 60, 25, 10))
-	if err != nil || len(out) != 0 {
-		t.Errorf("id=1 should fail: %v, %v", out, err)
-	}
-	if _, err := NewFuncFilter(s, "x", nil); err == nil {
-		t.Error("nil predicate: want error")
-	}
-}
-
-func TestProject(t *testing.T) {
-	s := testSchema(t)
-	p, err := NewProject(s, "speed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := speedTuple(t, s, 1, 60, 25, 10)
-	tp.Prob = 0.7
-	tp.ProbN = 9
-	out, err := p.Process(tp)
-	if err != nil || len(out) != 1 {
-		t.Fatal(err)
-	}
-	if out[0].Schema.Arity() != 1 || out[0].Prob != 0.7 || out[0].ProbN != 9 {
-		t.Errorf("projected tuple: %+v", out[0])
-	}
-	if _, err := NewProject(s, "ghost"); err == nil {
-		t.Error("unknown column: want error")
-	}
-}
-
-func TestMapOp(t *testing.T) {
-	s := testSchema(t)
-	e := randvar.NewEvaluator(dist.NewRand(3))
-	m, err := NewMapOp(s, "speed2", true, func(tp *Tuple) (randvar.Field, error) {
-		res, err := e.Square(tp.Fields[1])
-		return res.Field, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := m.Process(speedTuple(t, s, 1, 10, 1, 20))
-	if err != nil || len(out) != 1 {
-		t.Fatal(err)
-	}
-	if out[0].Schema.Arity() != 3 {
-		t.Fatalf("extended arity = %d", out[0].Schema.Arity())
-	}
-	// E[X²] = μ² + σ² = 101.
-	approx(t, "mapped mean", out[0].Fields[2].Dist.Mean(), 101, 3)
-	if out[0].Fields[2].N != 20 {
-		t.Errorf("mapped N = %d, want 20", out[0].Fields[2].N)
-	}
-	if _, err := NewMapOp(s, "x", true, nil); err == nil {
-		t.Error("nil expr: want error")
-	}
-}
-
-func TestWindowAggPipeline(t *testing.T) {
-	s := testSchema(t)
-	e := randvar.NewEvaluator(dist.NewRand(4))
-	agg, err := NewWindowAgg(s, Avg, "speed", 3, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var emitted []*Tuple
-	for i := 0; i < 5; i++ {
-		out, err := agg.Process(speedTuple(t, s, float64(i), 60, 25, 20))
-		if err != nil {
-			t.Fatal(err)
-		}
-		emitted = append(emitted, out...)
-	}
-	// Window size 3: first output after the 3rd input → 3 outputs.
-	if len(emitted) != 3 {
-		t.Fatalf("emitted %d aggregates, want 3", len(emitted))
-	}
-	for _, tp := range emitted {
-		nd, ok := tp.Fields[0].Dist.(dist.Normal)
-		if !ok {
-			t.Fatalf("AVG of Gaussians should stay Gaussian, got %T", tp.Fields[0].Dist)
-		}
-		approx(t, "window AVG mean", nd.Mu, 60, 1e-9)
-		approx(t, "window AVG var", nd.Sigma2, 25.0/3, 1e-9)
-	}
-	if _, err := NewWindowAgg(s, Avg, "ghost", 3, e); err == nil {
-		t.Error("unknown column: want error")
-	}
-	if _, err := NewWindowAgg(s, Avg, "speed", 0, e); err == nil {
-		t.Error("size 0: want error")
-	}
-	if _, err := NewWindowAgg(s, Avg, "speed", 3, nil); err == nil {
-		t.Error("nil evaluator: want error")
-	}
-}
-
-func TestWindowAggEmitPartial(t *testing.T) {
-	s := testSchema(t)
-	e := randvar.NewEvaluator(dist.NewRand(4))
-	agg, _ := NewWindowAgg(s, Count, "speed", 3, e)
-	agg.EmitPartial = true
-	out, err := agg.Process(speedTuple(t, s, 0, 60, 25, 20))
-	if err != nil || len(out) != 1 {
-		t.Fatalf("partial emit: %v, %v", out, err)
-	}
-	if out[0].Fields[0].Dist.Mean() != 1 {
-		t.Errorf("partial COUNT = %v", out[0].Fields[0].Dist.Mean())
-	}
-}
-
-func TestPipeline(t *testing.T) {
-	s := testSchema(t)
-	f, _ := NewProbFilter(s, "speed", CmpGT, 60, 0)
-	p, _ := NewProject(s, "speed")
-	pipe, err := NewPipeline(f, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pipe.Process(speedTuple(t, s, 1, 60, 25, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Schema.Arity() != 1 {
-		t.Fatalf("pipeline output: %v", out)
-	}
-	approx(t, "pipeline prob", out[0].Prob, 0.5, 1e-12)
-	if pipe.OutSchema().Arity() != 1 {
-		t.Error("OutSchema should come from the last stage")
-	}
-	if _, err := NewPipeline(); err == nil {
-		t.Error("empty pipeline: want error")
-	}
-	if _, err := NewPipeline(nil); err == nil {
-		t.Error("nil operator: want error")
-	}
-	// A dropping filter short-circuits.
-	f2, _ := NewProbFilter(s, "speed", CmpGT, 1e9, 0)
-	pipe2, _ := NewPipeline(f2, p)
-	out, err = pipe2.Process(speedTuple(t, s, 1, 60, 25, 10))
-	if err != nil || out != nil {
-		t.Errorf("dropped tuple: %v, %v", out, err)
-	}
-}
-
-func TestAttachAccuracy(t *testing.T) {
-	s := testSchema(t)
-	var got *accuracy.Info
-	op, err := NewAttachAccuracy(s, "speed", 0.9, func(_ *Tuple, info *accuracy.Info) {
-		got = info
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := op.Process(speedTuple(t, s, 1, 60, 25, 20))
-	if err != nil || len(out) != 1 {
-		t.Fatal(err)
-	}
-	if got == nil || got.N != 20 || got.Level != 0.9 {
-		t.Fatalf("accuracy info: %+v", got)
-	}
-	if !got.Mean.Contains(60) {
-		t.Error("mean interval should contain the estimate")
-	}
-	// Fields with no sample size are passed through silently.
-	got = nil
-	out, err = op.Process(speedTuple(t, s, 1, 60, 25, 0))
-	if err != nil || len(out) != 1 || got != nil {
-		t.Errorf("no-sample field: %v, %v, info=%v", out, err, got)
-	}
-	if _, err := NewAttachAccuracy(s, "ghost", 0.9, func(*Tuple, *accuracy.Info) {}); err == nil {
-		t.Error("unknown column: want error")
-	}
-	if _, err := NewAttachAccuracy(s, "speed", 0.9, nil); err == nil {
-		t.Error("nil callback: want error")
-	}
-}
-
-func TestExpectedCountAndColumnFields(t *testing.T) {
-	s := testSchema(t)
-	a := speedTuple(t, s, 1, 60, 25, 10)
-	b := speedTuple(t, s, 2, 70, 25, 10)
-	b.Prob = 0.5
-	approx(t, "expected count", ExpectedCount([]*Tuple{a, b}), 1.5, 1e-12)
-	fields, err := ColumnFields([]*Tuple{a, b}, "speed")
-	if err != nil || len(fields) != 2 {
-		t.Fatal(err)
-	}
-	approx(t, "field 1 mean", fields[1].Dist.Mean(), 70, 1e-12)
-	if _, err := ColumnFields([]*Tuple{a}, "ghost"); err == nil {
-		t.Error("unknown column: want error")
-	}
-	if f, err := ColumnFields(nil, "speed"); err != nil || f != nil {
-		t.Error("empty input should return nil, nil")
 	}
 }

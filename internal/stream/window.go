@@ -4,10 +4,10 @@ import (
 	"fmt"
 )
 
-// CountWindow is a count-based sliding window of fixed capacity: pushing a
-// tuple evicts the oldest once the window is full. It is the window of the
-// paper's throughput experiment ("a simple count-based sliding window AVG
-// query with a window size of 1000", §V-C).
+// CountWindow is a count-based sliding window of whole tuples, of fixed
+// capacity: pushing a tuple evicts the oldest once the window is full. Joins
+// keep one per side because a probe needs every field of a match; aggregate
+// queries use ColumnWindow.
 //
 // The implementation is a ring buffer: Push is O(1) and Tuples materializes
 // the window in arrival order on demand.
@@ -84,74 +84,5 @@ func (w *CountWindow) RestoreTuples(tuples []*Tuple) error {
 	copy(w.buf, tuples)
 	w.head = 0
 	w.count = len(tuples)
-	return nil
-}
-
-// TimeWindow is a time-based sliding window: it retains tuples whose Time
-// is within Span of the most recently pushed tuple's Time. Tuples must be
-// pushed in non-decreasing Time order.
-type TimeWindow struct {
-	span int64
-	buf  []*Tuple
-}
-
-// NewTimeWindow returns a window spanning span time units.
-func NewTimeWindow(span int64) (*TimeWindow, error) {
-	if span <= 0 {
-		return nil, fmt.Errorf("stream: time window span %d, need > 0", span)
-	}
-	return &TimeWindow{span: span}, nil
-}
-
-// Push adds t and returns the tuples evicted because they fell out of the
-// span. It returns an error if t is older than the newest tuple already in
-// the window (out-of-order arrival).
-func (w *TimeWindow) Push(t *Tuple) ([]*Tuple, error) {
-	if n := len(w.buf); n > 0 && t.Time < w.buf[n-1].Time {
-		return nil, fmt.Errorf("stream: out-of-order tuple: time %d after %d",
-			t.Time, w.buf[n-1].Time)
-	}
-	w.buf = append(w.buf, t)
-	// Tuples with age strictly greater than the span are evicted; a tuple
-	// exactly span old is still in the window.
-	cutoff := t.Time - w.span
-	i := 0
-	for i < len(w.buf) && w.buf[i].Time < cutoff {
-		i++
-	}
-	if i == 0 {
-		return nil, nil
-	}
-	evicted := append([]*Tuple(nil), w.buf[:i]...)
-	w.buf = append(w.buf[:0], w.buf[i:]...)
-	return evicted, nil
-}
-
-// Len returns the number of tuples currently in the window.
-func (w *TimeWindow) Len() int { return len(w.buf) }
-
-// Tuples returns the window contents oldest-first.
-func (w *TimeWindow) Tuples() []*Tuple {
-	return append([]*Tuple(nil), w.buf...)
-}
-
-// AppendTuples appends the window contents oldest-first to dst and returns
-// the extended slice.
-func (w *TimeWindow) AppendTuples(dst []*Tuple) []*Tuple {
-	return append(dst, w.buf...)
-}
-
-// RestoreTuples replaces the window contents with tuples (oldest-first, in
-// non-decreasing Time order), e.g. when a checkpointed window is reloaded
-// during crash recovery. No span-based eviction is applied: the contents
-// are restored exactly as captured.
-func (w *TimeWindow) RestoreTuples(tuples []*Tuple) error {
-	for i := 1; i < len(tuples); i++ {
-		if tuples[i].Time < tuples[i-1].Time {
-			return fmt.Errorf("stream: restoring out-of-order tuples: time %d after %d",
-				tuples[i].Time, tuples[i-1].Time)
-		}
-	}
-	w.buf = append(w.buf[:0], tuples...)
 	return nil
 }
