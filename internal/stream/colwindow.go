@@ -302,18 +302,27 @@ func (w *ColumnWindow) LinearUniform(c int, wt float64) (randvar.Field, error) {
 // variance arrays oldest-first in the exact summation order of
 // randvar.LinearGaussianUniform, so its moments are bit-identical to
 // aggregating the same fields as rows.
+//
+// Each of the two loops is one dependency chain with as little around it as
+// the compiler allows. A window-sized scan per tuple is most of a
+// large-window query's cost, and a loop that needs the core's whole issue
+// width runs 1.6× slower while the core's other hardware thread is busy,
+// where a loop waiting on its own last result barely changes (DESIGN §11.1).
+// So varr is re-sliced to len(mean), which drops the bounds check per slot,
+// and the smallest positive sample size is a branch-free running minimum
+// over n-1 as unsigned: every n ≤ 0 wraps to a value no positive n reaches.
 func (w *ColumnWindow) linearUniform(c int, wt float64) (mu, sigma2 float64, n int) {
 	col := &w.cols[c]
+	least := ^uint(0)
 	scan := func(lo, hi int) {
 		mean, varr := col.mean[lo:hi], col.varr[lo:hi]
+		varr = varr[:len(mean)]
 		for i := range mean {
 			mu += wt * mean[i]
 			sigma2 += wt * wt * varr[i]
 		}
 		for _, fn := range col.n[lo:hi] {
-			if fn > 0 && (n == 0 || fn < n) {
-				n = fn
-			}
+			least = min(least, uint(fn)-1)
 		}
 	}
 	if end := w.head + w.count; end <= w.size {
@@ -321,6 +330,9 @@ func (w *ColumnWindow) linearUniform(c int, wt float64) (mu, sigma2 float64, n i
 	} else {
 		scan(w.head, w.size)
 		scan(0, end-w.size)
+	}
+	if least < math.MaxInt {
+		n = int(least) + 1
 	}
 	return mu, sigma2, n
 }

@@ -401,6 +401,42 @@ func TestLinearUniformMomentsPerColumn(t *testing.T) {
 	}
 }
 
+// TestLinearUniformSampleSize checks the scan's branch-free minimum against
+// randvar.DFSampleSize on a wrapped ring: deterministic fields (n = 0) never
+// win, the smallest positive n does wherever it sits, none gives 0.
+func TestLinearUniformSampleSize(t *testing.T) {
+	s, err := NewSchema("s", Column{Name: "v", Probabilistic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 7
+	for _, ns := range [][]int{
+		{0, 0, 0, 0, 0, 0, 0},
+		{0, 0, 9, 0, 0, 0, 0},
+		{5, 4, 3, 2, 1, 2, 3},
+		{math.MaxInt, 0, math.MaxInt, 0, 0, 0, 0},
+		{8, 0, 8, 0, 8, 0, 2},
+	} {
+		w, err := NewColumnWindow(s, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Three throwaway pushes first, so the live tuples wrap the ring.
+		fields := make([]randvar.Field, 0, size)
+		for i := 0; i < 3+size; i++ {
+			f := randvar.Field{Dist: dist.Point{V: float64(i)}, N: 1}
+			if i >= 3 {
+				f.N = ns[i-3]
+				fields = append(fields, f)
+			}
+			w.Push(&Tuple{Schema: s, Fields: []randvar.Field{f}, Prob: 1, Seq: uint64(i + 1)})
+		}
+		if _, _, n := w.LinearUniformMoments([]int{0}, []float64{1}); n[0] != randvar.DFSampleSize(fields...) {
+			t.Errorf("sample sizes %v: scan gives %d, DFSampleSize %d", ns, n[0], randvar.DFSampleSize(fields...))
+		}
+	}
+}
+
 // TestColumnWindowStateRoundTrip snapshots a wrapped ring with Other slots
 // and checks the linearized state restores bit-identically — directly via
 // RestoreTuples and across forms via ColumnWindowState.Tuples — and that
