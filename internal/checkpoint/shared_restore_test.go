@@ -182,3 +182,89 @@ func TestSharedStateRestoreDivergedWindows(t *testing.T) {
 		t.Fatalf("Groups() = %d, want 2 (diverged windows must not merge)", g)
 	}
 }
+
+// TestPlanGroupRestore covers the window states a plan group owns beyond the
+// shared count window: a sketch ring shared by two queries and the per-key
+// windows of a GROUP BY query's private group. Every query's group exists
+// from compile on, before Restore writes its state, so the restored state
+// must land in the group — a copy the group never sees would leave it
+// pushing the empty windows it was compiled with.
+func TestPlanGroupRestore(t *testing.T) {
+	stmts := []string{
+		"SELECT AVG(val) AS a, COUNT(key) AS c FROM temps WINDOW 6 ROWS BACKEND SKETCH",
+		"SELECT AVG(val) AS a, COUNT(key) AS c FROM temps WINDOW 6 ROWS BACKEND SKETCH",
+		"SELECT key, AVG(val) AS a FROM temps GROUP BY key WINDOW 2 ROWS",
+	}
+	bind := func(eng *core.Engine, qs []*core.Query) []QueryDef {
+		defs := make([]QueryDef, len(qs))
+		for i, q := range qs {
+			id := fmt.Sprintf("q%d", i)
+			if err := eng.Bind(id, q); err != nil {
+				t.Fatal(err)
+			}
+			defs[i] = QueryDef{ID: id, SQL: q.SQL(), Query: q}
+		}
+		return defs
+	}
+	engA := newEngine(t)
+	qs := make([]*core.Query, len(stmts))
+	for i, s := range stmts {
+		q, err := engA.Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = q
+	}
+	defsA := bind(engA, qs)
+	// Keys repeat every third row, so each GROUP BY window holds history.
+	ingest := func(eng *core.Engine, i int) string {
+		nd, err := dist.NewNormal(10+float64(i%13), 2.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []core.IngestRow{{Fields: []randvar.Field{randvar.Det(float64(i % 3)), {Dist: nd, N: 20 + i%5}}, Time: int64(i)}}
+		out, err := eng.IngestBatch("temps", rows, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batchFingerprint(out)
+	}
+	for i := 0; i < 10; i++ {
+		ingest(engA, i)
+	}
+	snap, err := Capture(engA, 10, defsA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engB, err := core.NewEngine(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(engB, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qsB := make([]*core.Query, len(restored))
+	for i, rq := range restored {
+		qsB[i] = rq.Query
+	}
+	bind(engB, qsB)
+	if g := engB.Planner().Groups(); g != 1 {
+		t.Fatalf("restored Groups() = %d, want 1: the sketch pair shares, GROUP BY is private", g)
+	}
+	for i, want := range []string{"2 sharer(s)", "2 sharer(s)", "per-query state — GROUP BY windows are per-key"} {
+		if ex := qsB[i].Explain(); !strings.Contains(ex, want) {
+			t.Fatalf("restored query %d EXPLAIN lacks %q:\n%s", i, want, ex)
+		}
+	}
+	for i := 10; i < 30; i++ {
+		if fa, fb := ingest(engA, i), ingest(engB, i); fa != fb {
+			t.Fatalf("ingest %d diverged after restore:\n original: %s\n restored: %s", i, fa, fb)
+		}
+	}
+	for i, q := range qs {
+		if sa, sb := q.Stats(), qsB[i].Stats(); sa != sb {
+			t.Fatalf("query %d stats diverged: %+v vs %+v", i, sa, sb)
+		}
+	}
+}

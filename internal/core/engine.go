@@ -129,13 +129,6 @@ type Config struct {
 	// windows (default sketch.DefaultQuantileK); larger K tightens the
 	// deterministic rank error bound at proportional memory cost.
 	SketchK int
-	// NoSharedState disables the multi-query planner's shared-state
-	// registry: every query keeps private window buffers and computes its
-	// own aggregates and accuracy information, as if it were the only
-	// query on its stream. Output is bit-identical either way — the flag
-	// exists for equivalence tests and for benchmarking shared against
-	// independent evaluation.
-	NoSharedState bool
 }
 
 // Normalize fills defaults and validates ranges.
@@ -217,8 +210,9 @@ func DefaultConfig() Config {
 // Ingest is sharded per stream: IngestBatch serializes against the target
 // stream's shard lock (plus the shards of any join partners), so inserts
 // into unrelated streams proceed in parallel while each compiled Query is
-// still driven from exactly one goroutine at a time. Driving a Query
-// directly via Push remains single-goroutine by contract.
+// still driven from exactly one goroutine at a time. An unbound Query may
+// be driven directly via Push, single-goroutine by contract; a bound one
+// takes tuples only through IngestBatch.
 type Engine struct {
 	cfg Config
 
@@ -250,9 +244,9 @@ type Engine struct {
 	// the same RNG consumption — as the live run.
 	degrade atomic.Int32
 
-	// plans is the multi-query planner's shared-state registry (nil when
-	// Config.NoSharedState). Group membership mutates only under the
-	// Bind/Unbind registration contract; see plan_shared.go.
+	// plans is the multi-query planner's shared-state registry. Group
+	// membership mutates only under the Bind/Unbind registration contract;
+	// see plan_shared.go.
 	plans *plan.Registry
 }
 
@@ -314,23 +308,20 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := &Engine{
+	return &Engine{
 		cfg:     norm,
 		streams: make(map[string]*streamDef),
 		bound:   make(map[string]*boundQuery),
-	}
-	if !norm.NoSharedState {
-		eng.plans = plan.NewRegistry()
-	}
-	return eng, nil
+		plans:   plan.NewRegistry(),
+	}, nil
 }
 
 // Config returns the engine's normalized configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Planner returns the multi-query planner's shared-state registry, nil
-// when Config.NoSharedState disabled it. Exposed for EXPLAIN-style
-// introspection and tests; group membership is engine-internal.
+// Planner returns the multi-query planner's shared-state registry. Exposed
+// for EXPLAIN-style introspection and tests; group membership is
+// engine-internal.
 func (e *Engine) Planner() *plan.Registry { return e.plans }
 
 // RegisterStream declares a stream with the given schema.

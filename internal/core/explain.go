@@ -30,14 +30,13 @@ func (q *Query) Explain() string {
 	switch q.mode {
 	case modeAggregate:
 		if q.join == nil {
-			switch {
-			case q.shared != nil:
+			switch g := q.group; {
+			case g.registered:
 				// Only structural facts here: lead/follow counters depend on
 				// how much history this node replayed (a replica caught up
 				// from a snapshot skips earlier pushes), so they live in
 				// ExplainTiming, keeping Explain byte-identical across
 				// replicas and crash recovery.
-				g := q.shared
 				fmt.Fprintf(&b, "  plan: shared state [%s] — %d sharer(s), window+filter+closed-form aggregates computed once per tuple\n",
 					g.key, g.sharers.Load())
 			case q.prof.Shareable:
@@ -46,11 +45,12 @@ func (q *Query) Explain() string {
 				fmt.Fprintf(&b, "  plan: per-query state — %s\n", q.prof.Reason)
 			}
 		}
+		sk := q.group.sk
 		var windowDesc string
 		switch {
-		case q.sketchWin != nil:
+		case sk != nil:
 			windowDesc = fmt.Sprintf("sketch count window of %d rows (%d blocks of %d rows, quantile K=%d; block-granular slide, one emission per sealed block)",
-				q.sketchWin.W, q.sketchWin.B, q.sketchWin.BlockRows, q.sketchWin.K)
+				sk.W, sk.B, sk.BlockRows, sk.K)
 		case q.stmt.Window.Seconds > 0:
 			windowDesc = fmt.Sprintf("time window of %d seconds", q.stmt.Window.Seconds)
 		default:
@@ -65,9 +65,9 @@ func (q *Query) Explain() string {
 		for _, a := range q.aggs {
 			fmt.Fprintf(&b, "    %s(%s) AS %s", a.kind, q.in.Columns[a.colIdx].Name, a.label)
 			switch {
-			case q.sketchWin != nil && (a.kind == stream.Avg || a.kind == stream.Sum):
+			case sk != nil && (a.kind == stream.Avg || a.kind == stream.Sum):
 				b.WriteString("  [Gaussian closed form from merged moment sketches]")
-			case q.sketchWin != nil && (a.kind == stream.Min || a.kind == stream.Max):
+			case sk != nil && (a.kind == stream.Min || a.kind == stream.Max):
 				b.WriteString("  [exact extreme of per-tuple means]")
 			case a.kind == stream.Avg || a.kind == stream.Sum:
 				b.WriteString("  [Gaussian closed form when inputs allow]")
@@ -121,7 +121,7 @@ func (q *Query) ExplainTiming() string {
 	for s, st := range snap {
 		fmt.Fprintf(&b, "  stage %-9s %d timed runs, %d ns total\n", plan.Stage(s), st.Count, st.Nanos)
 	}
-	if g := q.shared; g != nil {
+	if g := q.group; g != nil && g.registered {
 		fmt.Fprintf(&b, "  shared group [%s]: %d sharers, %d emissions computed, %d replayed from the group cache\n",
 			g.key, g.sharers.Load(), g.leads.Load(), g.follows.Load())
 	}

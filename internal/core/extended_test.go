@@ -120,7 +120,7 @@ func TestGroupByNaNKey(t *testing.T) {
 				t.Fatal("NaN group key: want error")
 			}
 		}
-		if n := len(q.groups); n != 0 {
+		if n := len(q.group.groups); n != 0 {
 			t.Fatalf("%s: %d group windows after NaN-keyed inserts, want 0", window, n)
 		}
 		// ±Inf are ordinary map keys and keep their groups.
@@ -129,7 +129,7 @@ func TestGroupByNaNKey(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := len(q.groups); n != 2 {
+		if n := len(q.group.groups); n != 2 {
 			t.Fatalf("%s: %d group windows after ±Inf keys, want 2", window, n)
 		}
 	}

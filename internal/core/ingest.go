@@ -94,6 +94,7 @@ func (e *Engine) Bind(id string, q *Query) error {
 		def.queries[i] = bq
 	}
 	e.bound[id] = bq
+	q.bound = true
 	// Planner pass at registration: join (or found) the query's
 	// shared-state group. Content-equality admission means recovered
 	// queries re-merge into shared groups only when their restored windows
@@ -112,6 +113,7 @@ func (e *Engine) Unbind(id string) bool {
 		return false
 	}
 	delete(e.bound, id)
+	bq.q.bound = false
 	for _, def := range bq.defs {
 		for i, cand := range def.queries {
 			if cand == bq {
@@ -307,7 +309,7 @@ func (e *Engine) IngestBatch(streamName string, rows []IngestRow, commit func() 
 		qr := QueryResults{ID: bq.id}
 		var errs []string
 		for _, t := range tuples {
-			res, err := bq.q.Push(t)
+			res, err := bq.q.push(t)
 			if err != nil {
 				errs = append(errs, err.Error())
 				continue

@@ -147,3 +147,37 @@ func TestIngestBatchSequencing(t *testing.T) {
 		t.Errorf("seq after batch = %d, want %d + %d rows", got, seq0, len(rows))
 	}
 }
+
+// TestPushRejectsBoundQuery: every member of a plan group must see the same
+// tuple sequence, so a bound query takes tuples only through IngestBatch. A
+// direct Push used to slip tuples into the shared window behind the other
+// members' backs: the group cache filled with entries no member would
+// consume, and the other member's next emission averaged tuples it never
+// received.
+func TestPushRejectsBoundQuery(t *testing.T) {
+	e := newTestEngine(t, Config{Method: AccuracyAnalytical, Seed: 1})
+	stmt := "SELECT AVG(delay) AS a FROM traffic WINDOW 4 ROWS"
+	qs := bindAll(t, e, []string{stmt, stmt})
+	for i := 0; i < 1000; i++ {
+		if _, err := qs[0].Push(trafficTuple(t, e, 1, float64(i), 10, 0, 10)); err == nil {
+			t.Fatalf("push %d into a bound query: want error", i)
+		}
+	}
+	// Neither member has seen a tuple, so the window fills on the fourth.
+	for i := 0; i < 4; i++ {
+		out, err := e.IngestBatch("traffic", []IngestRow{sharedRow(t, i)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, qr := range out {
+			if want := i / 3; qr.Err != nil || len(qr.Results) != want {
+				t.Fatalf("row %d: %s emitted %d results (err %v), want %d", i, qr.ID, len(qr.Results), qr.Err, want)
+			}
+		}
+	}
+	// Unbound, the query takes direct pushes again.
+	e.Unbind("q000")
+	if _, err := qs[0].Push(trafficTuple(t, e, 1, 50, 10, 0, 10)); err != nil {
+		t.Fatalf("push into an unbound query: %v", err)
+	}
+}

@@ -13,8 +13,7 @@ import (
 // per-(stream, field, window, backend) state, 1000 identical-window
 // queries should cost roughly one query's learning work per tuple (the
 // window push and the closed-form moment scan run once; each extra member
-// pays only an emission replay), where fully independent queries pay the
-// whole O(window) scan per query per tuple.
+// pays only an emission replay).
 
 const (
 	planBenchWindow  = 131072
@@ -23,9 +22,9 @@ const (
 
 // benchMultiQueryEngine binds nq copies of the same windowed AVG and
 // prefills the window so every subsequent push emits.
-func benchMultiQueryEngine(b *testing.B, nq int, noShared bool) *Engine {
+func benchMultiQueryEngine(b *testing.B, nq int) *Engine {
 	b.Helper()
-	e, err := NewEngine(Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9, Workers: 1, NoSharedState: noShared})
+	e, err := NewEngine(Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,8 +47,8 @@ func benchMultiQueryEngine(b *testing.B, nq int, noShared bool) *Engine {
 			b.Fatal(err)
 		}
 	}
-	// Prefill in chunks; the windows are not yet full, so this is the
-	// cheap phase even for independent queries.
+	// Prefill in chunks; the window is not yet full, so this is the cheap
+	// phase.
 	const chunk = 4096
 	rows := make([]IngestRow, chunk)
 	for filled := 0; filled < planBenchWindow; filled += chunk {
@@ -95,17 +94,11 @@ func benchSteadyPush(b *testing.B, e *Engine) {
 // BenchmarkPlanner1kShared: 1000 identical queries, shared state. Target:
 // within ~2x of BenchmarkPlannerSingleQuery per tuple.
 func BenchmarkPlanner1kShared(b *testing.B) {
-	benchSteadyPush(b, benchMultiQueryEngine(b, planBenchQueries, false))
-}
-
-// BenchmarkPlanner1kIndependent: the same 1000 queries with the planner
-// disabled — every query pays the full window scan per tuple.
-func BenchmarkPlanner1kIndependent(b *testing.B) {
-	benchSteadyPush(b, benchMultiQueryEngine(b, planBenchQueries, true))
+	benchSteadyPush(b, benchMultiQueryEngine(b, planBenchQueries))
 }
 
 // BenchmarkPlannerSingleQuery: the one-query floor the shared fleet is
 // measured against.
 func BenchmarkPlannerSingleQuery(b *testing.B) {
-	benchSteadyPush(b, benchMultiQueryEngine(b, 1, false))
+	benchSteadyPush(b, benchMultiQueryEngine(b, 1))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -12,32 +13,36 @@ import (
 	"repro/internal/stream"
 )
 
-// This file is the engine half of the multi-query planner (package plan
-// holds the static analysis and the registry). A shared-state group aliases
-// every member query's window onto one buffer and runs the per-push
-// pipeline once per ingested tuple instead of once per query:
+// This file is the push pipeline of every aggregate query, and the engine
+// half of the multi-query planner (package plan holds the static analysis
+// and the registry). Each aggregate query runs in a plan group that owns its
+// window state and runs the per-push pipeline once per ingested tuple for
+// all of its members:
 //
-//   - the filter (statically RNG-free for shareable queries, see
-//     plan.FilterShareable) is evaluated once and its outcome replayed;
-//   - the window buffer (ColumnWindow or sketch ring) is pushed once;
-//   - aggregates are evaluated once: every closed-form aggregate any
-//     member requests is computed once per emission (LinearUniformMoments,
-//     one scan per column), Monte Carlo aggregates get one shared column
-//     materialization;
+//   - the filter is evaluated once and its verdict replayed to each member;
+//   - the window (ColumnWindow, one per GROUP BY key, or sketch ring) is
+//     pushed once;
+//   - every closed-form aggregate any member requests is computed once;
+//     Monte Carlo aggregates get one shared column materialization and run
+//     per member, on the member's own evaluator;
 //   - when every member runs the identical output plan under an accuracy
-//     backend that consumes no per-query randomness, the fully decorated
-//     emission (output tuple, accuracy infos, membership interval) is
-//     built once and shared verbatim.
+//     backend that consumes no per-query randomness, the first member's
+//     assembled and decorated emission is handed to the others verbatim.
+//
+// A query the planner may share (plan.Analyze) joins a registry group at
+// Bind; any other aggregate query — GROUP BY, WINDOW n SECONDS, an
+// RNG-consuming filter, or one pushed without Bind — runs in a private group
+// of one that the registry never sees. A group of one computes and replays
+// in one step, so the pipeline is the same code either way.
 //
 // Determinism is the design constraint, not a side effect: every shared
-// computation is provably identical to what each member would have
-// computed alone (same float summation order, same RNG non-consumption,
-// same error values), so DATA output is bit-identical to the unshared
-// path at any worker count and across crash recovery. Aggregates that do
-// consume the member's Monte Carlo evaluator (MIN/MAX, non-Gaussian
-// AVG/SUM) or its bootstrap RNG stay per-member over the shared inputs,
-// keeping each member's RNG evolution — and therefore its checkpoints —
-// exactly as unshared.
+// computation is provably identical to what each member would compute alone
+// (same float summation order, same RNG non-consumption, same error values),
+// so DATA output does not depend on who shares with whom, at any worker
+// count and across crash recovery. Aggregates that consume the member's
+// Monte Carlo evaluator (MIN/MAX, non-Gaussian AVG/SUM) or its bootstrap RNG
+// stay per member, keeping each member's RNG evolution — and therefore its
+// checkpoints — exactly as if it were alone.
 //
 // Cache lifecycle: IngestBatch is query-major (all tuples through member
 // 1, then member 2, …), so the first member reaching a sequence number
@@ -58,64 +63,67 @@ type planProfile struct {
 	Sig string
 }
 
-// aggSpec identifies one aggregate computation over a shared window.
+// aggSpec identifies one aggregate computation over a group's window.
 type aggSpec struct {
 	col  int
 	kind stream.AggKind
 }
 
 // sharedAggVal is one closed-form aggregate computed once per emission;
-// err is the raw (unwrapped) error so each member can wrap it with its own
-// output label exactly as the unshared path would.
+// err is the raw (unwrapped) error so each member wraps it with its own
+// output label.
 type sharedAggVal struct {
 	field randvar.Field
 	err   error
 }
 
 // sharedResult is a fully built emission — the output tuple, the
-// accuracy-info map, the infos in emission order (for per-query telemetry),
-// and the membership-probability interval — that emitShared hands to a
-// query: shared verbatim by every member of a signature-uniform group, and
-// what the sketch backend builds for any query, grouped or not.
+// accuracy-info map and the membership-probability interval — that
+// emitShared hands to a query.
 type sharedResult struct {
 	tuple     *stream.Tuple
 	fields    map[string]*accuracy.Info
-	infos     []*accuracy.Info
 	tupleProb *accuracy.Interval
 }
 
-// sharedEmission caches everything one input sequence number produced for
-// the group, for replay by members that reach it later in the batch.
+// sharedEmission is everything one input sequence number produced for the
+// group, replayed by each member.
 type sharedEmission struct {
 	remaining int // members yet to consume the entry
 
-	filtered  bool // a WHERE clause ran
 	filterErr error
-	outcome   predOutcome
+	adm       admission
 
-	// Columnar window stage (column groups only).
-	full  bool
-	count int
-	aggs  map[aggSpec]sharedAggVal
-	mat   map[int][]randvar.Field
-
-	// Sketch stage (sketch groups only): the push error, if any.
+	// err is the window or sketch push error.
 	err error
 
-	// res is the fully shared emission. For a column group nil means
-	// members must assemble (and decorate) their own results from aggs/mat;
-	// for a sketch group it means the push sealed no full window.
+	// Columnar window stage: emit is set when the window is to be
+	// aggregated; mc when some aggregate needs the materialized columns.
+	emit bool
+	mc   bool
+	aggs map[aggSpec]sharedAggVal
+	mat  map[int][]randvar.Field
+
+	// res is the fully built emission: for a sketch group, set when the push
+	// sealed a full window; for a column group, set by the first member of a
+	// uniform group whose assembly consumed no member randomness.
 	res *sharedResult
 }
 
-// sharedGroup is one live shared-state equivalence class. Exactly one of
-// win/sk is set. Membership mutates only under the engine registration
-// contract; the atomics exist because EXPLAIN renders sharers and
-// hit counters without quiescing ingest.
+// sharedGroup is one plan group: the window state and emission cache of its
+// members. Exactly one of win/groups/sk is set. Membership mutates only
+// under the engine registration contract; the atomics exist because EXPLAIN
+// renders sharers and hit counters without quiescing ingest.
 type sharedGroup struct {
-	key     plan.Key
-	win     *stream.ColumnWindow
-	sk      *sketch.Window
+	// registered is set while the group is in the planner registry under key;
+	// a private group has no key and only ever one member.
+	registered bool
+	key        plan.Key
+
+	win    *stream.ColumnWindow
+	groups map[float64]*stream.ColumnWindow // per GROUP BY key
+	sk     *sketch.Window
+
 	members []*Query
 	// specs refcounts every aggregate any member requests, so one pass
 	// computes the union.
@@ -125,6 +133,8 @@ type sharedGroup struct {
 	// precondition for sharing fully built emissions.
 	uniform bool
 	cache   map[uint64]*sharedEmission
+	// solo is the emission a group of one reuses push after push.
+	solo sharedEmission
 
 	sharers        atomic.Int32
 	leads, follows atomic.Uint64
@@ -152,7 +162,7 @@ func (q *Query) planProfileOf() planProfile {
 		Rows:    q.stmt.Window.Rows,
 		Backend: q.method.String(),
 	}
-	if q.sketchWin != nil {
+	if q.group.sk != nil {
 		// A sketch window tracks one moment column per aggregate item, so
 		// only identical aggregate lists can share one.
 		p.Key.Sig = p.Sig
@@ -160,12 +170,60 @@ func (q *Query) planProfileOf() planProfile {
 	return p
 }
 
-// attachShared joins q to its shared-state group (creating one if needed),
-// aliasing q's window onto the group's. Called from Bind under the
-// engine's registration contract (Exclusive or single-threaded), so no
-// push is in flight and the group cache is empty.
+// add makes q a member of g.
+func (g *sharedGroup) add(q *Query) {
+	g.members = append(g.members, q)
+	for _, oc := range q.outPlan {
+		if oc.passthrough < 0 {
+			g.specs[aggSpec{oc.agg.colIdx, oc.agg.kind}]++
+		}
+	}
+	g.refresh()
+}
+
+// remove drops q from g's members.
+func (g *sharedGroup) remove(q *Query) {
+	for i, m := range g.members {
+		if m == q {
+			g.members = append(g.members[:i], g.members[i+1:]...)
+			break
+		}
+	}
+	for _, oc := range q.outPlan {
+		if oc.passthrough >= 0 {
+			continue
+		}
+		spec := aggSpec{oc.agg.colIdx, oc.agg.kind}
+		if g.specs[spec]--; g.specs[spec] == 0 {
+			delete(g.specs, spec)
+		}
+	}
+	g.refresh()
+}
+
+// refresh recomputes the sharer count and whether fully built emissions may
+// be shared: every member runs the identical output plan, and the accuracy
+// backend consumes no per-query randomness (analytical and none never touch
+// the member RNGs; bootstrap draws from each member's own RNG, whose
+// evolution must stay exactly as if the member were alone; sketch emissions
+// are deterministic by construction and signature-uniform by key).
+func (g *sharedGroup) refresh() {
+	g.sharers.Store(int32(len(g.members)))
+	g.uniform = len(g.members) > 0 && g.members[0].method != AccuracyBootstrap
+	for _, m := range g.members {
+		if m.prof.Sig != g.members[0].prof.Sig {
+			g.uniform = false
+		}
+	}
+}
+
+// attachShared moves q from its private group into its registry group,
+// joining an existing one or registering its own. Called from Bind under the
+// engine's registration contract (Exclusive or single-threaded), so no push
+// is in flight and every group cache is empty.
 func (e *Engine) attachShared(q *Query) {
-	if e.plans == nil || q.shared != nil || !q.prof.Shareable {
+	own := q.group
+	if own == nil || own.registered || !q.prof.Shareable {
 		return
 	}
 	join := func(state any) bool {
@@ -174,89 +232,44 @@ func (e *Engine) attachShared(q *Query) {
 			return false
 		}
 		if g.sk != nil {
-			return q.sketchWin != nil && g.sk.Pushes() == q.sketchWin.Pushes()
+			return g.sk.Pushes() == own.sk.Pushes()
 		}
-		return q.window != nil && g.win.SameContents(q.window)
+		return g.win.SameContents(own.win)
 	}
 	create := func() any {
-		return &sharedGroup{
-			key:   q.prof.Key,
-			win:   q.window,
-			sk:    q.sketchWin,
-			specs: make(map[aggSpec]int),
-			cache: make(map[uint64]*sharedEmission),
-		}
+		own.registered, own.key = true, q.prof.Key
+		own.cache = make(map[uint64]*sharedEmission)
+		return own
 	}
 	state, _ := e.plans.Acquire(q.prof.Key, join, create)
-	g := state.(*sharedGroup)
-	if g.win != nil {
-		q.window = g.win
+	if g := state.(*sharedGroup); g != own {
+		g.add(q)
+		q.group = g
 	}
-	if g.sk != nil {
-		q.sketchWin = g.sk
-	}
-	g.members = append(g.members, q)
-	for _, oc := range q.outPlan {
-		g.specs[aggSpec{oc.agg.colIdx, oc.agg.kind}]++
-	}
-	g.refreshUniform()
-	g.sharers.Store(int32(len(g.members)))
-	q.shared = g
 }
 
-// detachShared removes q from its group on Unbind. The departing query
-// keeps the aliased window (it is no longer driven); survivors keep
-// ownership, and the last member's departure releases the group.
+// detachShared removes q from its registry group on Unbind; the last
+// member's departure releases the group. The departing query moves to a
+// private group over the window it shared: it is no longer driven, and
+// survivors keep advancing that window.
 func (e *Engine) detachShared(q *Query) {
-	g := q.shared
-	if g == nil {
+	g := q.group
+	if g == nil || !g.registered {
 		return
 	}
-	q.shared = nil
-	for i, m := range g.members {
-		if m == q {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			break
-		}
-	}
-	for _, oc := range q.outPlan {
-		spec := aggSpec{oc.agg.colIdx, oc.agg.kind}
-		if g.specs[spec]--; g.specs[spec] == 0 {
-			delete(g.specs, spec)
-		}
-	}
+	g.remove(q)
 	clear(g.cache)
 	if len(g.members) == 0 {
 		e.plans.Release(g.key, g)
-		return
 	}
-	g.refreshUniform()
-	g.sharers.Store(int32(len(g.members)))
+	q.group = newGroup(q, g.win, nil, g.sk)
 }
 
-// refreshUniform recomputes whether fully built emissions may be shared:
-// every member runs the identical output plan, and the accuracy backend
-// consumes no per-query randomness (analytical and none never touch the
-// member RNGs; bootstrap draws from each member's own RNG, whose evolution
-// must stay exactly as unshared; sketch emissions are deterministic by
-// construction and signature-uniform by key).
-func (g *sharedGroup) refreshUniform() {
-	if len(g.members) == 0 {
-		g.uniform = false
-		return
-	}
-	first := g.members[0]
-	if first.method == AccuracyBootstrap {
-		g.uniform = false
-		return
-	}
-	for _, m := range g.members[1:] {
-		if m.prof.Sig != first.prof.Sig {
-			g.uniform = false
-			return
-		}
-	}
-	g.uniform = true
+// newGroup returns a private group of one over the given window state.
+func newGroup(q *Query, win *stream.ColumnWindow, groups map[float64]*stream.ColumnWindow, sk *sketch.Window) *sharedGroup {
+	g := &sharedGroup{win: win, groups: groups, sk: sk, specs: make(map[aggSpec]int)}
+	g.add(q)
+	return g
 }
 
 // sweepShared clears any emission-cache stragglers after a batch. In the
@@ -265,73 +278,63 @@ func (g *sharedGroup) refreshUniform() {
 // TestSharedCacheInvalidation) rather than a working path.
 func (e *Engine) sweepShared(sd *streamDef) {
 	for _, bq := range sd.queries {
-		if g := bq.q.shared; g != nil && len(g.cache) != 0 {
+		if g := bq.q.group; g != nil && len(g.cache) != 0 {
 			clear(g.cache)
 		}
 	}
 }
 
-// pushShared is the push path of a group member: the first member to reach
-// a sequence number computes the group emission, later members replay it.
-// Solo groups compute and replay in one step without touching the cache,
-// so a query that happens to be alone in its class runs at unshared cost.
+// pushShared is the push path of every aggregate query: the first member to
+// reach a sequence number computes the group emission, later members replay
+// it. A group of one computes and replays in one step without touching the
+// cache, reusing one emission across pushes.
 func (q *Query) pushShared(t *stream.Tuple) ([]Result, error) {
-	g := q.shared
+	g := q.group
+	if len(g.members) == 1 {
+		g.leads.Add(1)
+		g.solo.reset()
+		g.compute(q, t, &g.solo)
+		return q.replayShared(&g.solo, t)
+	}
 	em, ok := g.cache[t.Seq]
 	if !ok {
-		em = g.compute(q, t)
-		if len(g.members) > 1 {
-			em.remaining = len(g.members) - 1
-			g.cache[t.Seq] = em
-		}
 		g.leads.Add(1)
+		em = &sharedEmission{remaining: len(g.members) - 1}
+		g.compute(q, t, em)
+		g.cache[t.Seq] = em
 	} else {
+		g.follows.Add(1)
 		if em.remaining--; em.remaining == 0 {
 			delete(g.cache, t.Seq)
 		}
-		g.follows.Add(1)
 	}
 	return q.replayShared(em, t)
 }
 
-// compute runs the shared pipeline once for tuple t on behalf of the whole
-// group. q is the member that reached t first; shareable filters ignore
-// the evaluator argument, so evaluating with q's is equivalent for every
-// member.
-func (g *sharedGroup) compute(q *Query, t *stream.Tuple) *sharedEmission {
-	em := &sharedEmission{}
-	prob, probN := t.Prob, t.ProbN
-	if q.where != nil {
-		em.filtered = true
-		timed := q.timing.Enabled()
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		o, err := q.where(q.ev, t)
-		if timed {
-			q.timing.Observe(plan.StageFilter, time.Since(t0))
-		}
-		if err != nil {
-			em.filterErr = err
-			return em
-		}
-		em.outcome = o
-		if o.Unsure && q.eng.cfg.DropUnsure {
-			return em
-		}
-		prob *= o.Prob
-		probN = combineN(probN, o.N)
-		if prob == 0 || prob < q.eng.cfg.MinProb {
-			return em
-		}
+// reset empties a reused emission, keeping its maps and column buffers.
+func (em *sharedEmission) reset() {
+	clear(em.aggs)
+	for c, fields := range em.mat {
+		em.mat[c] = fields[:0]
+	}
+	*em = sharedEmission{aggs: em.aggs, mat: em.mat}
+}
+
+// compute runs the group pipeline once for tuple t into em. q is the member
+// that reached t first; shareable filters ignore the evaluator argument, so
+// evaluating with q's is equivalent for every member, and a group whose
+// filter may draw from it has q as its only member.
+func (g *sharedGroup) compute(q *Query, t *stream.Tuple, em *sharedEmission) {
+	em.adm, em.filterErr = q.filter(t)
+	if em.filterErr != nil || em.adm.drop {
+		return
 	}
 	if g.sk != nil {
 		// Sketch groups are signature-uniform by key, so labels (and
 		// therefore wrapped errors) are identical across members and the
 		// fully built emission is always shared.
-		em.res, em.err = q.sketchPush(t, prob, probN)
-		return em
+		em.res, em.err = q.sketchPush(t, em.adm.prob, em.adm.probN)
+		return
 	}
 
 	timed := q.timing.Enabled()
@@ -339,174 +342,108 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple) *sharedEmission {
 	if timed {
 		t0 = time.Now()
 	}
-	g.win.Push(t)
+	win, err := g.windowFor(q, t)
+	if err == nil {
+		// A count window emits once it is full, a span window on every
+		// arrival.
+		em.emit, err = win.Admit(t)
+	}
+	em.err = err
 	if timed {
 		q.timing.Observe(plan.StageWindow, time.Since(t0))
 	}
-	if !g.win.Full() {
-		return em
+	if !em.emit {
+		return
 	}
-	em.full = true
-	em.count = g.win.Len()
 
 	if timed {
 		t0 = time.Now()
 	}
-	// Every closed-form aggregate any member requests is computed once;
-	// Monte Carlo aggregates get one shared column materialization and stay
-	// per-member (replayShared).
-	em.aggs = make(map[aggSpec]sharedAggVal, len(g.specs))
-	var closed []aggSpec
-	var cols []int
-	var wts []float64
+	if em.aggs == nil {
+		em.aggs = make(map[aggSpec]sharedAggVal, len(g.specs))
+	}
+	count := win.Len()
 	for spec := range g.specs {
 		switch spec.kind {
 		case stream.Count:
-			em.aggs[spec] = sharedAggVal{field: randvar.Det(float64(em.count))}
+			em.aggs[spec] = sharedAggVal{field: randvar.Det(float64(count))}
+			continue
 		case stream.Avg, stream.Sum:
-			if g.win.ColumnGaussian(spec.col) {
+			if win.ColumnGaussian(spec.col) {
 				wt := 1.0
 				if spec.kind == stream.Avg {
-					wt = 1 / float64(em.count)
+					wt = 1 / float64(count)
 				}
-				closed = append(closed, spec)
-				cols = append(cols, spec.col)
-				wts = append(wts, wt)
-			} else {
-				g.materialize(em, spec.col)
+				f, err := win.LinearUniform(spec.col, wt)
+				em.aggs[spec] = sharedAggVal{field: f, err: err}
+				continue
 			}
-		default: // Min, Max: always Monte Carlo, always per-member.
-			g.materialize(em, spec.col)
 		}
-	}
-	if len(closed) > 0 {
-		mu, sigma2, n := g.win.LinearUniformMoments(cols, wts)
-		for j, spec := range closed {
-			f, err := randvar.GaussianResult(mu[j], sigma2[j], n[j])
-			em.aggs[spec] = sharedAggVal{field: f, err: err}
-		}
+		// Min, Max and non-Gaussian Avg/Sum: Monte Carlo, per member.
+		em.materialize(win, spec.col)
 	}
 	if timed {
 		q.timing.Observe(plan.StageAggregate, time.Since(t0))
 	}
-	if g.uniform {
-		g.buildSharedResult(q, em, t, prob, probN)
-	}
-	return em
 }
 
-// materialize snapshots one column of the shared window, oldest-first —
-// the common input every member's Monte Carlo aggregate consumes with its
-// own evaluator.
-func (g *sharedGroup) materialize(em *sharedEmission, col int) {
+// windowFor returns the window t belongs to, creating per-key windows on
+// demand.
+func (g *sharedGroup) windowFor(q *Query, t *stream.Tuple) (*stream.ColumnWindow, error) {
+	if g.groups == nil {
+		return g.win, nil
+	}
+	key := t.Fields[q.groupIdx].Dist.Mean()
+	if math.IsNaN(key) {
+		// NaN never equals itself: as a map key every such tuple would miss
+		// g.groups and allocate a window nothing can reach again.
+		return nil, fmt.Errorf("core: GROUP BY key %s is NaN", q.in.Columns[q.groupIdx].Name)
+	}
+	w, ok := g.groups[key]
+	if !ok {
+		var err error
+		if w, err = q.newWindow(); err != nil {
+			return nil, err
+		}
+		g.groups[key] = w
+	}
+	return w, nil
+}
+
+// materialize snapshots one column of the window, oldest-first — the common
+// input every member's Monte Carlo aggregate consumes with its own
+// evaluator.
+func (em *sharedEmission) materialize(win *stream.ColumnWindow, col int) {
 	if em.mat == nil {
 		em.mat = make(map[int][]randvar.Field)
 	}
-	if _, ok := em.mat[col]; ok {
-		return
+	if len(em.mat[col]) == 0 {
+		em.mat[col] = win.AppendColumnFields(em.mat[col], col)
 	}
-	em.mat[col] = g.win.AppendColumnFields(nil, col)
+	em.mc = true
 }
 
-// buildSharedResult assembles the one emission every member of a
-// signature-uniform group returns verbatim. It mirrors the unshared
-// assembly + decorate exactly, minus per-member telemetry (replayed at
-// consumption). Any error or Monte Carlo dependency abandons the shared
-// result; members then assemble their own and reproduce the identical
-// outcome (including the identical error) from the cached stage outputs.
-func (g *sharedGroup) buildSharedResult(q *Query, em *sharedEmission, t *stream.Tuple, prob float64, probN int) {
-	fields := make([]randvar.Field, 0, len(q.outPlan))
-	for _, oc := range q.outPlan {
-		v, ok := em.aggs[aggSpec{oc.agg.colIdx, oc.agg.kind}]
-		if !ok || v.err != nil {
-			return
-		}
-		fields = append(fields, v.field)
-	}
-	sr := &sharedResult{tuple: &stream.Tuple{
-		Schema: q.out,
-		Fields: fields,
-		Prob:   prob,
-		ProbN:  probN,
-		Seq:    t.Seq,
-		Time:   t.Time,
-	}}
-	cfg := q.eng.cfg
-	if q.method != AccuracyNone {
-		timed := q.timing.Enabled()
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		for i, f := range fields {
-			if !q.out.Columns[i].Probabilistic || f.N < 2 {
-				continue
-			}
-			info, err := accuracy.ForDistribution(f.Dist, f.N, cfg.Level)
-			if err != nil {
-				return
-			}
-			if sr.fields == nil {
-				sr.fields = make(map[string]*accuracy.Info)
-			}
-			sr.fields[q.out.Columns[i].Name] = info
-			sr.infos = append(sr.infos, info)
-		}
-		if prob < 1 && probN >= 1 {
-			iv, err := accuracy.TupleProbInterval(prob, probN, cfg.Level)
-			if err != nil {
-				return
-			}
-			sr.tupleProb = &iv
-		}
-		if timed {
-			q.timing.Observe(plan.StageAccuracy, time.Since(t0))
-		}
-	}
-	em.res = sr
-}
-
-// replayShared reproduces one member's view of a cached group emission, in
-// the exact order of the unshared pipeline: filter error, UNSURE and
-// membership-probability drops (per-member counters), then emission. The
-// member either returns the fully shared result (replaying telemetry so
-// METRICS snapshots match unshared runs) or assembles its own output from
-// the cached stage products, consuming its own evaluator exactly where the
-// unshared path would.
+// replayShared reproduces one member's view of a group emission, in pipeline
+// order: filter error, UNSURE and membership-probability drops (per-member
+// counters), window error, then emission. The member returns the fully built
+// emission when there is one, and otherwise assembles and decorates its own
+// from the group's stage products, consuming its own evaluator where a Monte
+// Carlo aggregate needs it.
 func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, error) {
 	if em.filterErr != nil {
 		return nil, em.filterErr
 	}
-	prob, probN := t.Prob, t.ProbN
-	unsure := false
-	if em.filtered {
-		o := em.outcome
-		if o.Unsure {
-			q.stats.unsure.Add(1)
-			if q.eng.cfg.DropUnsure {
-				q.stats.dropped.Add(1)
-				return nil, nil
-			}
-			unsure = true
-		}
-		prob *= o.Prob
-		probN = combineN(probN, o.N)
-		if prob == 0 || prob < q.eng.cfg.MinProb {
-			q.stats.dropped.Add(1)
-			return nil, nil
-		}
-	}
-	if q.shared.sk != nil {
-		if em.err != nil || em.res == nil {
-			return nil, em.err
-		}
-		return q.emitShared(em.res, unsure), nil
-	}
-	if !em.full {
+	if !q.admit(em.adm) {
 		return nil, nil
 	}
+	if em.err != nil {
+		return nil, em.err
+	}
 	if em.res != nil {
-		return q.emitShared(em.res, unsure), nil
+		return q.emitShared(em.res, em.adm.unsure), nil
+	}
+	if !em.emit {
+		return nil, nil
 	}
 
 	timed := q.timing.Enabled()
@@ -517,6 +454,11 @@ func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, err
 	fields := make([]randvar.Field, 0, len(q.outPlan))
 	values := q.valuesBuf[:0]
 	for _, oc := range q.outPlan {
+		if oc.passthrough >= 0 {
+			fields = append(fields, t.Fields[oc.passthrough])
+			values = append(values, nil)
+			continue
+		}
 		spec := aggSpec{oc.agg.colIdx, oc.agg.kind}
 		if v, ok := em.aggs[spec]; ok {
 			if v.err != nil {
@@ -536,36 +478,40 @@ func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, err
 	q.valuesBuf = values
 	if timed {
 		q.timing.Observe(plan.StageAggregate, time.Since(t0))
-	}
-	out := &stream.Tuple{
-		Schema: q.out,
-		Fields: fields,
-		Prob:   prob,
-		ProbN:  probN,
-		Seq:    t.Seq,
-		Time:   t.Time,
-	}
-	if timed {
 		t0 = time.Now()
 	}
-	res, err := q.decorate(out, values, unsure)
+	sr, err := q.decorate(&stream.Tuple{
+		Schema: q.out,
+		Fields: fields,
+		Prob:   em.adm.prob,
+		ProbN:  em.adm.probN,
+		Seq:    t.Seq,
+		Time:   t.Time,
+	}, values)
 	if timed {
 		q.timing.Observe(plan.StageAccuracy, time.Since(t0))
 	}
 	if err != nil {
 		return nil, err
 	}
-	q.stats.out.Add(1)
-	return []Result{res}, nil
+	if g := q.group; g.uniform && !em.mc && len(g.members) > 1 {
+		res := sr
+		em.res = &res
+	}
+	return q.emitShared(&sr, em.adm.unsure), nil
 }
 
 // emitShared returns a fully built emission as this query's result,
-// applying the per-query telemetry and counters — for a group member, so
-// that STATS/METRICS snapshots are indistinguishable from an unshared run.
+// applying the per-query telemetry and counters, so that STATS/METRICS
+// snapshots do not depend on whether the emission was shared.
 func (q *Query) emitShared(sr *sharedResult, unsure bool) []Result {
 	recovering := q.eng.recovering.Load()
-	for _, info := range sr.infos {
-		q.telem.observeField(info, recovering)
+	if sr.fields != nil {
+		for _, col := range sr.tuple.Schema.Columns {
+			if info := sr.fields[col.Name]; info != nil {
+				q.telem.observeField(info, recovering)
+			}
+		}
 	}
 	if sr.tupleProb != nil {
 		q.telem.observeTupleProb(*sr.tupleProb, recovering)

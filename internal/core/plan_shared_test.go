@@ -37,10 +37,8 @@ func sharedRow(t *testing.T, i int) IngestRow {
 	return IngestRow{Fields: []randvar.Field{road, d1, {Dist: nd2, N: 12}}, Time: int64(i)}
 }
 
-// bindAll compiles and binds the same statements, in the same order, on an
-// engine. Query ids are zero-padded so IngestBatch result order is the
-// statement order.
-func bindAll(t *testing.T, e *Engine, stmts []string) []*Query {
+// compileAll compiles the statements, in order, on an engine.
+func compileAll(t *testing.T, e *Engine, stmts []string) []*Query {
 	t.Helper()
 	qs := make([]*Query, len(stmts))
 	for i, s := range stmts {
@@ -48,12 +46,104 @@ func bindAll(t *testing.T, e *Engine, stmts []string) []*Query {
 		if err != nil {
 			t.Fatalf("compile %q: %v", s, err)
 		}
-		if err := e.Bind(fmt.Sprintf("q%03d", i), q); err != nil {
-			t.Fatal(err)
-		}
 		qs[i] = q
 	}
 	return qs
+}
+
+// queryID is the id the tests bind statement i under: zero-padded, so
+// IngestBatch result order is the statement order.
+func queryID(i int) string { return fmt.Sprintf("q%03d", i) }
+
+// bindAll compiles and binds the same statements, in the same order, on an
+// engine.
+func bindAll(t *testing.T, e *Engine, stmts []string) []*Query {
+	t.Helper()
+	qs := compileAll(t, e, stmts)
+	for i, q := range qs {
+		if err := e.Bind(queryID(i), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return qs
+}
+
+// aloneRef is the reference the planner is held to: per statement i, one
+// engine that compiles the whole workload — so evaluator seeds and tuple
+// sequence numbers match the shared engine's — but binds only query i,
+// which therefore shares with no one.
+type aloneRef struct {
+	engines map[int]*Engine
+	queries map[int]*Query
+}
+
+// newAloneRef builds alone engines for the statements at the given indices
+// (every statement when none are given).
+func newAloneRef(t *testing.T, cfg Config, stmts []string, only ...int) *aloneRef {
+	t.Helper()
+	if len(only) == 0 {
+		for i := range stmts {
+			only = append(only, i)
+		}
+	}
+	r := &aloneRef{engines: make(map[int]*Engine), queries: make(map[int]*Query)}
+	for _, i := range only {
+		e := newTestEngine(t, cfg)
+		q := compileAll(t, e, stmts)[i]
+		if err := e.Bind(queryID(i), q); err != nil {
+			t.Fatal(err)
+		}
+		r.engines[i], r.queries[i] = e, q
+	}
+	return r
+}
+
+// unbind detaches statement i from its alone engine, as the shared engine
+// does with its member.
+func (r *aloneRef) unbind(i int) {
+	r.engines[i].Unbind(queryID(i))
+	delete(r.engines, i)
+}
+
+// ingestAlone pushes the identical batch through the shared engine and every
+// alone engine and demands that each alone query's results and errors equal
+// its shared twin's bit for bit. It returns the shared engine's results.
+func ingestAlone(t *testing.T, label string, shared *Engine, ref *aloneRef, rows []IngestRow) []QueryResults {
+	t.Helper()
+	ra, err := shared.IngestBatch("traffic", rows, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	byID := make(map[string]QueryResults, len(ra))
+	for _, qr := range ra {
+		byID[qr.ID] = qr
+	}
+	for i, e := range ref.engines {
+		rb, err := e.IngestBatch("traffic", rows, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(rb) != 1 {
+			t.Fatalf("%s: alone engine %d returned %d query results", label, i, len(rb))
+		}
+		a, ok := byID[queryID(i)]
+		if !ok {
+			t.Fatalf("%s: shared engine has no results for %s", label, queryID(i))
+		}
+		compareResults(t, label, a, rb[0])
+	}
+	return ra
+}
+
+// checkAloneStats demands the STATS counters of every alone query equal its
+// shared twin's.
+func checkAloneStats(t *testing.T, qs []*Query, ref *aloneRef) {
+	t.Helper()
+	for i, q := range ref.queries {
+		if sa, sb := qs[i].Stats(), q.Stats(); sa != sb {
+			t.Errorf("query %d stats diverged: shared %+v, alone %+v", i, sa, sb)
+		}
+	}
 }
 
 // ingestBoth pushes the identical batch through two engines and demands
@@ -69,23 +159,28 @@ func ingestBoth(t *testing.T, label string, ea, eb *Engine, rows []IngestRow) {
 		t.Fatalf("%s: %d vs %d query results", label, len(ra), len(rb))
 	}
 	for i := range ra {
-		if ra[i].ID != rb[i].ID {
-			t.Fatalf("%s: result order diverged: %s vs %s", label, ra[i].ID, rb[i].ID)
-		}
-		ae, be := "", ""
-		if ra[i].Err != nil {
-			ae = ra[i].Err.Error()
-		}
-		if rb[i].Err != nil {
-			be = rb[i].Err.Error()
-		}
-		if ae != be {
-			t.Fatalf("%s: query %s error mismatch:\n  a: %s\n  b: %s", label, ra[i].ID, ae, be)
-		}
-		if !reflect.DeepEqual(ra[i].Results, rb[i].Results) {
-			t.Fatalf("%s: query %s results diverged:\n  a: %+v\n  b: %+v",
-				label, ra[i].ID, ra[i].Results, rb[i].Results)
-		}
+		compareResults(t, label, ra[i], rb[i])
+	}
+}
+
+// compareResults demands two engines' results for one query be identical.
+func compareResults(t *testing.T, label string, a, b QueryResults) {
+	t.Helper()
+	if a.ID != b.ID {
+		t.Fatalf("%s: result order diverged: %s vs %s", label, a.ID, b.ID)
+	}
+	ae, be := "", ""
+	if a.Err != nil {
+		ae = a.Err.Error()
+	}
+	if b.Err != nil {
+		be = b.Err.Error()
+	}
+	if ae != be {
+		t.Fatalf("%s: query %s error mismatch:\n  a: %s\n  b: %s", label, a.ID, ae, be)
+	}
+	if !reflect.DeepEqual(a.Results, b.Results) {
+		t.Fatalf("%s: query %s results diverged:\n  a: %+v\n  b: %+v", label, a.ID, a.Results, b.Results)
 	}
 }
 
@@ -109,27 +204,24 @@ var sharedWorkload = []string{
 	"SELECT AVG(delay) AS a FROM traffic WHERE delay > delay2 WINDOW 4 ROWS",
 }
 
-// TestSharedStateEquivalence pins the planner's core promise: enabling
-// shared per-(stream, filter, window, backend) state changes no output bit
-// relative to fully independent queries, across accuracy methods.
+// TestSharedStateEquivalence pins the planner's core promise: sharing
+// per-(stream, filter, window, backend) state changes no output bit relative
+// to each query running alone, across accuracy methods.
 func TestSharedStateEquivalence(t *testing.T) {
 	for _, m := range []AccuracyMethod{AccuracyNone, AccuracyAnalytical, AccuracyBootstrap} {
 		t.Run(m.String(), func(t *testing.T) {
 			cfg := Config{Method: m, Seed: 7, MonteCarloValues: 64, BootstrapResamples: 40}
 			shared := newTestEngine(t, cfg)
-			indep := newTestEngine(t, func() Config { c := cfg; c.NoSharedState = true; return c }())
-			bindAll(t, shared, sharedWorkload)
-			bindAll(t, indep, sharedWorkload)
+			qs := bindAll(t, shared, sharedWorkload)
+			ref := newAloneRef(t, cfg, sharedWorkload)
 			if g := shared.Planner().Groups(); g == 0 {
 				t.Fatal("no shared groups formed")
 			}
-			if indep.Planner() != nil {
-				t.Fatal("NoSharedState engine built a planner registry")
-			}
 			for i := 0; i < 30; i += 3 {
 				rows := []IngestRow{sharedRow(t, i), sharedRow(t, i+1), sharedRow(t, i+2)}
-				ingestBoth(t, fmt.Sprintf("batch@%d", i), shared, indep, rows)
+				ingestAlone(t, fmt.Sprintf("batch@%d", i), shared, ref, rows)
 			}
+			checkAloneStats(t, qs, ref)
 		})
 	}
 }
@@ -149,22 +241,17 @@ func TestSharedStateWorkersBitIdentical(t *testing.T) {
 }
 
 // TestSharedStatsEquivalence demands STATS counters (in/out/dropped/unsure)
-// are indistinguishable between shared and independent runs — the shared
-// path replays per-member counters rather than counting once per group.
+// are indistinguishable between shared and alone runs — the shared path
+// replays per-member counters rather than counting once per group.
 func TestSharedStatsEquivalence(t *testing.T) {
 	cfg := Config{Method: AccuracyAnalytical, Seed: 3, MinProb: 0.05}
 	shared := newTestEngine(t, cfg)
-	indep := newTestEngine(t, func() Config { c := cfg; c.NoSharedState = true; return c }())
-	qa := bindAll(t, shared, sharedWorkload)
-	qb := bindAll(t, indep, sharedWorkload)
+	qs := bindAll(t, shared, sharedWorkload)
+	ref := newAloneRef(t, cfg, sharedWorkload)
 	for i := 0; i < 20; i++ {
-		ingestBoth(t, fmt.Sprintf("row@%d", i), shared, indep, []IngestRow{sharedRow(t, i)})
+		ingestAlone(t, fmt.Sprintf("row@%d", i), shared, ref, []IngestRow{sharedRow(t, i)})
 	}
-	for i := range qa {
-		if sa, sb := qa[i].Stats(), qb[i].Stats(); sa != sb {
-			t.Errorf("query %d stats diverged: shared %+v, independent %+v", i, sa, sb)
-		}
-	}
+	checkAloneStats(t, qs, ref)
 }
 
 // TestSharedGroupLifecycle walks registration, group accounting, EXPLAIN
@@ -192,12 +279,16 @@ func TestSharedGroupLifecycle(t *testing.T) {
 		t.Errorf("unshareable Explain missing reason:\n%s", ex)
 	}
 
-	// Members of one class alias one window buffer.
-	if qs[0].window != qs[1].window || qs[0].window != qs[6].window {
-		t.Error("same-class members do not alias one window")
+	// Members of one class run in one group; the unshareable query runs in
+	// a private group the registry never sees.
+	if qs[0].group != qs[1].group || qs[0].group != qs[6].group {
+		t.Error("same-class members do not share one group")
 	}
-	if qs[0].window == qs[7].window {
-		t.Error("different classes alias one window")
+	if qs[0].group == qs[7].group || qs[0].group.win == qs[7].group.win {
+		t.Error("different classes share one group")
+	}
+	if g := qs[9].group; g.registered || len(g.members) != 1 {
+		t.Errorf("unshareable query: registered=%v members=%d, want a private group of one", g.registered, len(g.members))
 	}
 
 	// Unbinding all but one member keeps the (solo) group; the last
@@ -234,16 +325,16 @@ func TestSharedCacheInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for qi, q := range qs {
-			if q.shared != nil && len(q.shared.cache) != 0 {
+			if len(q.group.cache) != 0 {
 				t.Fatalf("after batch@%d query %d group cache holds %d entries, want 0",
-					i, qi, len(q.shared.cache))
+					i, qi, len(q.group.cache))
 			}
 		}
 	}
 	// Lead/follow accounting: the 7-member group must have computed each
 	// sequence once and replayed it 6 times.
-	g := qs[0].shared
-	if g == nil {
+	g := qs[0].group
+	if !g.registered {
 		t.Fatal("query 0 not shared")
 	}
 	leads, follows := g.leads.Load(), g.follows.Load()
@@ -264,13 +355,12 @@ func TestSharedSketchEquivalence(t *testing.T) {
 	}
 	cfg := Config{Method: AccuracyAnalytical, Seed: 9}
 	shared := newTestEngine(t, cfg)
-	indep := newTestEngine(t, func() Config { c := cfg; c.NoSharedState = true; return c }())
 	qs := bindAll(t, shared, stmts)
-	bindAll(t, indep, stmts)
-	if qs[0].sketchWin == nil || qs[0].sketchWin != qs[2].sketchWin {
+	ref := newAloneRef(t, cfg, stmts)
+	if qs[0].group.sk == nil || qs[0].group.sk != qs[2].group.sk {
 		t.Fatal("sketch members do not alias one ring")
 	}
-	if qs[0].sketchWin == qs[3].sketchWin {
+	if qs[0].group.sk == qs[3].group.sk {
 		t.Fatal("different sketch signatures share a ring")
 	}
 	for i := 0; i < 160; i += 8 {
@@ -278,32 +368,33 @@ func TestSharedSketchEquivalence(t *testing.T) {
 		for j := range rows {
 			rows[j] = sharedRow(t, i+j)
 		}
-		ingestBoth(t, fmt.Sprintf("batch@%d", i), shared, indep, rows)
+		ingestAlone(t, fmt.Sprintf("batch@%d", i), shared, ref, rows)
 	}
+	checkAloneStats(t, qs, ref)
 }
 
 // TestSharedUnbindMidStream detaches a sharer between batches and checks
-// the survivors continue bit-identically to independent queries driven
-// through the same unbind.
+// the survivors continue bit-identically to queries running alone.
 func TestSharedUnbindMidStream(t *testing.T) {
 	cfg := Config{Method: AccuracyAnalytical, Seed: 5}
 	shared := newTestEngine(t, cfg)
-	indep := newTestEngine(t, func() Config { c := cfg; c.NoSharedState = true; return c }())
-	bindAll(t, shared, sharedWorkload)
-	bindAll(t, indep, sharedWorkload)
+	qs := bindAll(t, shared, sharedWorkload)
+	ref := newAloneRef(t, cfg, sharedWorkload)
 	for i := 0; i < 10; i++ {
-		ingestBoth(t, fmt.Sprintf("pre@%d", i), shared, indep, []IngestRow{sharedRow(t, i)})
+		ingestAlone(t, fmt.Sprintf("pre@%d", i), shared, ref, []IngestRow{sharedRow(t, i)})
 	}
-	shared.Unbind("q001")
-	indep.Unbind("q001")
+	shared.Unbind(queryID(1))
+	ref.unbind(1)
 	for i := 10; i < 20; i++ {
-		ingestBoth(t, fmt.Sprintf("post@%d", i), shared, indep, []IngestRow{sharedRow(t, i)})
+		ingestAlone(t, fmt.Sprintf("post@%d", i), shared, ref, []IngestRow{sharedRow(t, i)})
 	}
+	checkAloneStats(t, qs, ref)
 }
 
 // TestSharedThousandQueries is the scale acceptance test: one thousand
 // identical-window queries form a single shared-state group and stay
-// byte-identical to both an unshared engine and a different worker count.
+// byte-identical to a different worker count and, sampled, to queries
+// running alone.
 func TestSharedThousandQueries(t *testing.T) {
 	const nq = 1000
 	stmts := make([]string, nq)
@@ -312,17 +403,15 @@ func TestSharedThousandQueries(t *testing.T) {
 	}
 	cfg := Config{Method: AccuracyAnalytical, Seed: 21}
 	shared := newTestEngine(t, cfg)
-	indep := newTestEngine(t, func() Config { c := cfg; c.NoSharedState = true; return c }())
 	w8 := newTestEngine(t, func() Config { c := cfg; c.Workers = 8; return c }())
-	bindAll(t, shared, stmts)
-	bindAll(t, indep, stmts)
+	qs := bindAll(t, shared, stmts)
 	bindAll(t, w8, stmts)
+	ref := newAloneRef(t, cfg, stmts, 0, nq/2, nq-1)
 	if g := shared.Planner().Groups(); g != 1 {
 		t.Fatalf("Groups() = %d, want 1", g)
 	}
 	// All-Gaussian rows keep every engine on the closed form (the Monte
-	// Carlo fallback's equivalence is pinned by the smaller tests above;
-	// at 1000 independent queries it would dominate the suite's runtime).
+	// Carlo fallback's equivalence is pinned by the smaller tests above).
 	gaussianRow := func(i int) IngestRow {
 		nd, err := dist.NewNormal(55+float64(i%9), 100)
 		if err != nil {
@@ -341,20 +430,16 @@ func TestSharedThousandQueries(t *testing.T) {
 		for j := range rows {
 			rows[j] = gaussianRow(i + j)
 		}
-		ra, err := shared.IngestBatch("traffic", rows, nil)
+		ra := ingestAlone(t, fmt.Sprintf("batch@%d", i), shared, ref, rows)
+		rb, err := w8.IngestBatch("traffic", rows, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, other := range map[string]*Engine{"independent": indep, "workers=8": w8} {
-			rb, err := other.IngestBatch("traffic", rows, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ra, rb) {
-				t.Fatalf("batch@%d: shared vs %s diverged", i, name)
-			}
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("batch@%d: workers=1 vs workers=8 diverged", i)
 		}
 	}
+	checkAloneStats(t, qs, ref)
 }
 
 // TestExplainTiming smoke-tests the operator timing surface: enabling via
@@ -389,5 +474,50 @@ func TestExplainTiming(t *testing.T) {
 	snap := qs[0].timing.Snapshot()
 	if snap[0].Count == 0 {
 		t.Error("filter stage never timed after enablement")
+	}
+}
+
+// TestPrivateGroup pins what a query the registry never sees looks like: its
+// group consumes no engine sequence number (only its evaluator does), EXPLAIN
+// keeps the per-query and not-yet-bound verdicts, and EXPLAIN … TIMING prints
+// no group line.
+func TestPrivateGroup(t *testing.T) {
+	e := newTestEngine(t, Config{Method: AccuracyAnalytical, Seed: 4})
+	seq := e.Seq()
+	qs := compileAll(t, e, []string{
+		"SELECT road_id, AVG(delay) AS a FROM traffic GROUP BY road_id WINDOW 3 ROWS",
+		"SELECT AVG(delay) AS a FROM traffic WINDOW 3 SECONDS",
+		"SELECT AVG(delay) AS a FROM traffic WINDOW 3 ROWS",
+	})
+	if got := e.Seq() - seq; got != uint64(len(qs)) {
+		t.Fatalf("compiling %d queries consumed %d sequence numbers", len(qs), got)
+	}
+	for i, want := range []string{
+		"  plan: per-query state — GROUP BY windows are per-key\n",
+		"  plan: per-query state — time windows are per-query: the shared pipeline slides count windows only\n",
+		"  plan: shareable [stream=traffic rows=3 backend=analytical] — not yet bound to a shared-state group\n",
+	} {
+		if ex := qs[i].Explain(); !strings.Contains(ex, want) {
+			t.Errorf("query %d EXPLAIN lacks %q:\n%s", i, want, ex)
+		}
+	}
+	for i, q := range qs {
+		q.ExplainTiming()
+		if err := e.Bind(queryID(i), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g := e.Planner().Groups(); g != 1 {
+		t.Fatalf("Groups() = %d, want 1: only the ROWS query registers", g)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := e.IngestBatch("traffic", []IngestRow{sharedRow(t, i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, q := range qs {
+		if got, want := strings.Contains(q.ExplainTiming(), "shared group ["), i == 2; got != want {
+			t.Errorf("query %d EXPLAIN TIMING group line = %v, want %v", i, got, want)
+		}
 	}
 }

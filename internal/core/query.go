@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -145,34 +144,29 @@ type Query struct {
 	scalars []scalarItem
 	aggs    []aggItem
 	// outPlan maps each aggregate-output column to its source, resolved
-	// once at plan time so pushAggregate does no per-push label lookups.
+	// once at plan time so the push path does no per-push label lookups.
 	outPlan []aggOutCol
 
 	// Per-push scratch reused across pushes (a Query is single-goroutine
 	// by contract); holds only references consumed within the push.
-	aggInputs []randvar.Field
 	valuesBuf [][]float64
-
-	// Aggregate windows: window for ungrouped aggregates, groups (one
-	// window per key) with GROUP BY. The statement's WINDOW clause fixes
-	// the eviction rule of each (newWindow).
-	window   *stream.ColumnWindow
-	groupIdx int // index of the GROUP BY column, -1 when absent
-	groups   map[float64]*stream.ColumnWindow
-
-	// sketchWin replaces the materialized window under the sketch backend:
-	// bounded memory, block-granular slide, one tracked column per
-	// aggregate item (q.aggs order). sketchObs is per-push scratch.
-	sketchWin *sketch.Window
 	sketchObs []sketch.Obs
+
+	groupIdx int // index of the GROUP BY column, -1 when absent
 
 	join *joinState
 
-	// prof is the compile-time shareability profile; shared is the live
-	// shared-state group this query is attached to (nil when unshared).
-	// timing collects per-stage wall time once EXPLAIN … TIMING enables it.
+	// group runs an aggregate query's push pipeline and owns its window
+	// state (plan_shared.go): a registry group shared with other bound
+	// queries, or a private group of one. Nil for scalar queries.
+	group *sharedGroup
+	// bound is set while the query is bound to its engine, which then
+	// drives it through IngestBatch alone.
+	bound bool
+
+	// prof is the compile-time shareability profile; timing collects
+	// per-stage wall time once EXPLAIN … TIMING enables it.
 	prof   planProfile
-	shared *sharedGroup
 	timing plan.StageTimer
 
 	stats queryCounters
@@ -233,7 +227,7 @@ func (e *Engine) CompileStmt(stmt *sql.SelectStmt) (*Query, error) {
 	if err := q.planSelect(); err != nil {
 		return nil, err
 	}
-	if q.method == AccuracySketch && q.sketchWin == nil {
+	if q.method == AccuracySketch && (q.group == nil || q.group.sk == nil) {
 		return nil, errors.New("core: BACKEND SKETCH requires an ungrouped count-windowed aggregate query")
 	}
 	q.prof = q.planProfileOf()
@@ -453,6 +447,11 @@ func (q *Query) planAggregates() error {
 		cols = append(cols, stream.Column{Name: label, Probabilistic: q.in.Columns[idx].Probabilistic})
 	}
 
+	var (
+		win    *stream.ColumnWindow
+		groups map[float64]*stream.ColumnWindow
+		sk     *sketch.Window
+	)
 	if q.method == AccuracySketch {
 		switch {
 		case stmt.GroupBy != "":
@@ -472,11 +471,10 @@ func (q *Query) planAggregates() error {
 				return fmt.Errorf("core: BACKEND SKETCH does not support aggregate %v (supported: AVG, SUM, COUNT, MIN, MAX)", a.kind)
 			}
 		}
-		w, err := sketch.NewWindow(stmt.Window.Rows, q.eng.cfg.SketchBlocks, q.eng.cfg.SketchK, len(q.aggs))
-		if err != nil {
+		var err error
+		if sk, err = sketch.NewWindow(stmt.Window.Rows, q.eng.cfg.SketchBlocks, q.eng.cfg.SketchK, len(q.aggs)); err != nil {
 			return err
 		}
-		q.sketchWin = w
 	}
 	if stmt.GroupBy != "" {
 		idx, ok := q.in.Index(stmt.GroupBy)
@@ -487,16 +485,15 @@ func (q *Query) planAggregates() error {
 			return fmt.Errorf("core: GROUP BY column %q must be deterministic", stmt.GroupBy)
 		}
 		q.groupIdx = idx
-		q.groups = make(map[float64]*stream.ColumnWindow)
-	} else if q.sketchWin == nil {
+		groups = make(map[float64]*stream.ColumnWindow)
+	} else if sk == nil {
 		if len(q.scalars) > 0 {
 			return errors.New("core: scalar select items require GROUP BY")
 		}
-		w, err := q.newWindow()
-		if err != nil {
+		var err error
+		if win, err = q.newWindow(); err != nil {
 			return err
 		}
-		q.window = w
 	}
 	out, err := stream.NewSchema(q.in.Name+"_agg", cols...)
 	if err != nil {
@@ -521,6 +518,7 @@ func (q *Query) planAggregates() error {
 		}
 		q.outPlan = append(q.outPlan, aggOutCol{passthrough: -1, agg: aggByLabel[col.Name]})
 	}
+	q.group = newGroup(q, win, groups, sk)
 	return nil
 }
 
@@ -534,9 +532,18 @@ func (q *Query) Stats() QueryStats { return q.stats.snapshot() }
 // String renders the compiled statement.
 func (q *Query) String() string { return q.stmt.String() }
 
-// Push feeds one tuple through the query, returning zero or more results.
-// For join queries the tuple may belong to either input stream.
+// Push feeds one tuple through an unbound query, returning zero or more
+// results. For join queries the tuple may belong to either input stream. A
+// bound query takes tuples only through IngestBatch: the queries sharing its
+// plan group must all see the same tuple sequence.
 func (q *Query) Push(t *stream.Tuple) ([]Result, error) {
+	if q.bound {
+		return nil, errors.New("core: query is bound to the engine; ingest through IngestBatch")
+	}
+	return q.push(t)
+}
+
+func (q *Query) push(t *stream.Tuple) ([]Result, error) {
 	if t == nil {
 		return nil, errors.New("core: nil tuple")
 	}
@@ -573,49 +580,65 @@ func (q *Query) Push(t *stream.Tuple) ([]Result, error) {
 	return out, err
 }
 
-// pushFiltered applies WHERE and routes to the scalar or aggregate path.
-// Members of a shared-state group divert to the planner's shared pipeline,
-// which runs filter/window/aggregate once per tuple for the whole group.
+// pushFiltered routes a tuple to the aggregate pipeline of the query's plan
+// group (plan_shared.go) or to the scalar path.
 func (q *Query) pushFiltered(t *stream.Tuple) ([]Result, error) {
-	if q.shared != nil {
+	if q.group != nil {
 		return q.pushShared(t)
 	}
-	prob, probN := t.Prob, t.ProbN
-	unsure := false
-	if q.where != nil {
-		timed := q.timing.Enabled()
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		o, err := q.where(q.ev, t)
-		if timed {
-			q.timing.Observe(plan.StageFilter, time.Since(t0))
-		}
-		if err != nil {
-			return nil, err
-		}
-		if o.Unsure {
-			q.stats.unsure.Add(1)
-			if q.eng.cfg.DropUnsure {
-				q.stats.dropped.Add(1)
-				return nil, nil
-			}
-			unsure = true
-		}
-		prob *= o.Prob
-		probN = combineN(probN, o.N)
-		if prob == 0 || prob < q.eng.cfg.MinProb {
-			q.stats.dropped.Add(1)
-			return nil, nil
-		}
+	return q.pushScalar(t)
+}
+
+// admission is one tuple's WHERE verdict under possible-world semantics:
+// the membership probability and its d.f. size after the filter, whether a
+// significance test answered UNSURE, and whether the tuple is dropped.
+type admission struct {
+	prob   float64
+	probN  int
+	unsure bool
+	drop   bool
+}
+
+// filter evaluates the WHERE clause for t.
+func (q *Query) filter(t *stream.Tuple) (admission, error) {
+	a := admission{prob: t.Prob, probN: t.ProbN}
+	if q.where == nil {
+		return a, nil
 	}
-	switch q.mode {
-	case modeAggregate:
-		return q.pushAggregate(t, prob, probN, unsure)
-	default:
-		return q.pushScalar(t, prob, probN, unsure)
+	timed := q.timing.Enabled()
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
 	}
+	o, err := q.where(q.ev, t)
+	if timed {
+		q.timing.Observe(plan.StageFilter, time.Since(t0))
+	}
+	if err != nil {
+		return a, err
+	}
+	cfg := q.eng.cfg
+	a.unsure = o.Unsure
+	if o.Unsure && cfg.DropUnsure {
+		a.drop = true
+		return a, nil
+	}
+	a.prob *= o.Prob
+	a.probN = combineN(a.probN, o.N)
+	a.drop = a.prob == 0 || a.prob < cfg.MinProb
+	return a, nil
+}
+
+// admit counts a WHERE verdict against the query and reports whether the
+// tuple goes on.
+func (q *Query) admit(a admission) bool {
+	if a.unsure {
+		q.stats.unsure.Add(1)
+	}
+	if a.drop {
+		q.stats.dropped.Add(1)
+	}
+	return !a.drop
 }
 
 // pushJoin inserts the tuple into its side's window, probes the other
@@ -688,7 +711,11 @@ func maxInt64(a, b int64) int64 {
 	return b
 }
 
-func (q *Query) pushScalar(t *stream.Tuple, prob float64, probN int, unsure bool) ([]Result, error) {
+func (q *Query) pushScalar(t *stream.Tuple) ([]Result, error) {
+	adm, err := q.filter(t)
+	if err != nil || !q.admit(adm) {
+		return nil, err
+	}
 	fields := make([]randvar.Field, len(q.scalars))
 	// The value-sequence container is consumed by decorate within this
 	// push, so it reuses a Query-owned buffer.
@@ -714,20 +741,18 @@ func (q *Query) pushScalar(t *stream.Tuple, prob float64, probN int, unsure bool
 		fields[i] = res.Field
 		values[i] = res.Values
 	}
-	out := &stream.Tuple{
+	sr, err := q.decorate(&stream.Tuple{
 		Schema: q.out,
 		Fields: fields,
-		Prob:   prob,
-		ProbN:  probN,
+		Prob:   adm.prob,
+		ProbN:  adm.probN,
 		Seq:    t.Seq,
 		Time:   t.Time,
-	}
-	res, err := q.decorate(out, values, unsure)
+	}, values)
 	if err != nil {
 		return nil, err
 	}
-	q.stats.out.Add(1)
-	return []Result{res}, nil
+	return q.emitShared(&sr, adm.unsure), nil
 }
 
 // newWindow builds an aggregate window with the eviction rule of the
@@ -739,114 +764,13 @@ func (q *Query) newWindow() (*stream.ColumnWindow, error) {
 	return stream.NewColumnWindow(q.in, q.stmt.Window.Rows)
 }
 
-// windowFor returns the window the tuple belongs to, creating per-group
-// windows on demand.
-func (q *Query) windowFor(t *stream.Tuple) (*stream.ColumnWindow, error) {
-	if q.groupIdx < 0 {
-		return q.window, nil
-	}
-	key := t.Fields[q.groupIdx].Dist.Mean()
-	if math.IsNaN(key) {
-		// NaN never equals itself: as a map key every such tuple would miss
-		// q.groups and allocate a window nothing can reach again.
-		return nil, fmt.Errorf("core: GROUP BY key %s is NaN", q.in.Columns[q.groupIdx].Name)
-	}
-	w, ok := q.groups[key]
-	if !ok {
-		var err error
-		if w, err = q.newWindow(); err != nil {
-			return nil, err
-		}
-		q.groups[key] = w
-	}
-	return w, nil
-}
-
-func (q *Query) pushAggregate(t *stream.Tuple, prob float64, probN int, unsure bool) ([]Result, error) {
-	if q.sketchWin != nil {
-		return q.pushSketch(t, prob, probN, unsure)
-	}
-	win, err := q.windowFor(t)
-	if err != nil {
-		return nil, err
-	}
-	timed := q.timing.Enabled()
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	// A count window emits once it is full, a span window on every arrival.
-	emit, err := win.Admit(t)
-	if err != nil || !emit {
-		return nil, err
-	}
-	if timed {
-		q.timing.Observe(plan.StageWindow, time.Since(t0))
-		t0 = time.Now()
-	}
-	fields := make([]randvar.Field, 0, len(q.outPlan))
-	values := q.valuesBuf[:0]
-	// Output columns appear in out-schema order per the plan resolved in
-	// planAggregates.
-	for _, oc := range q.outPlan {
-		if oc.passthrough >= 0 {
-			fields = append(fields, t.Fields[oc.passthrough])
-			values = append(values, nil)
-			continue
-		}
-		// The scan reads the column arrays in place; only a Monte Carlo
-		// aggregate materializes fields, into a Query-owned buffer that
-		// stream.Aggregate consumes within the call.
-		res, err := stream.AggregateColumn(q.ev, oc.agg.kind, win, oc.agg.colIdx, &q.aggInputs)
-		if err != nil {
-			return nil, fmt.Errorf("core: aggregate %s: %w", oc.agg.label, err)
-		}
-		fields = append(fields, res.Field)
-		values = append(values, res.Values)
-	}
-	q.valuesBuf = values
-	if timed {
-		q.timing.Observe(plan.StageAggregate, time.Since(t0))
-	}
-	out := &stream.Tuple{
-		Schema: q.out,
-		Fields: fields,
-		Prob:   prob,
-		ProbN:  probN,
-		Seq:    t.Seq,
-		Time:   t.Time,
-	}
-	if timed {
-		t0 = time.Now()
-	}
-	res, err := q.decorate(out, values, unsure)
-	if timed {
-		q.timing.Observe(plan.StageAccuracy, time.Since(t0))
-	}
-	if err != nil {
-		return nil, err
-	}
-	q.stats.out.Add(1)
-	return []Result{res}, nil
-}
-
-// pushSketch is the aggregate push path of the sketch backend: one
-// sketchPush, returned as this query's result.
-func (q *Query) pushSketch(t *stream.Tuple, prob float64, probN int, unsure bool) ([]Result, error) {
-	sr, err := q.sketchPush(t, prob, probN)
-	if err != nil || sr == nil {
-		return nil, err
-	}
-	return q.emitShared(sr, unsure), nil
-}
-
 // sketchPush feeds the tuple's per-column (mean, variance, N) observations
-// to the blocked window (q.sketchWin — for a plan-group member, the group's)
-// and, when that seals a full window's block, builds the one emission whose
-// fields come from the merged sketches; otherwise it returns nil. The path
-// consumes no RNG, so it is deterministic at any worker count and across WAL
-// replays and replicas by construction. Counters and telemetry are the
-// caller's (emitShared), once per query the emission is handed to.
+// to the blocked window of the query's plan group and, when that seals a
+// full window's block, builds the one emission whose fields come from the
+// merged sketches; otherwise it returns nil. The path consumes no RNG, so it
+// is deterministic at any worker count and across WAL replays and replicas
+// by construction. Counters and telemetry are the caller's (emitShared),
+// once per query the emission is handed to.
 //
 // Semantics vs the exact backends, documented in DESIGN.md §13: AVG and SUM
 // reproduce the Gaussian closed form over the per-tuple means and variances
@@ -861,18 +785,19 @@ func (q *Query) sketchPush(t *stream.Tuple, prob float64, probN int) (*sharedRes
 		obs = append(obs, sketch.Obs{Mean: f.Dist.Mean(), Variance: f.Dist.Variance(), N: f.N})
 	}
 	q.sketchObs = obs
-	sealed, err := q.sketchWin.Push(obs, prob)
+	sk := q.group.sk
+	sealed, err := sk.Push(obs, prob)
 	if err != nil {
 		return nil, err
 	}
-	if !sealed || !q.sketchWin.Full() {
+	if !sealed || !sk.Full() {
 		return nil, nil
 	}
-	m := q.sketchWin.Rows()
+	m := sk.Rows()
 	sr := &sharedResult{}
 	fields := make([]randvar.Field, 0, len(q.aggs))
 	for i, a := range q.aggs {
-		s, err := q.sketchWin.MergedCol(i)
+		s, err := sk.MergedCol(i)
 		if err != nil {
 			return nil, fmt.Errorf("core: sketch aggregate %s: %w", a.label, err)
 		}
@@ -911,7 +836,6 @@ func (q *Query) sketchPush(t *stream.Tuple, prob float64, probN int) (*sharedRes
 				sr.fields = make(map[string]*accuracy.Info)
 			}
 			sr.fields[a.label] = info
-			sr.infos = append(sr.infos, info)
 		}
 	}
 	sr.tuple = &stream.Tuple{
@@ -962,39 +886,36 @@ func (q *Query) sketchInfo(s *sketch.ColSummary, d dist.Distribution, w float64,
 	return info, nil
 }
 
-// decorate attaches accuracy information per the engine configuration.
-// mcValues holds per-field Monte Carlo value sequences when expression
-// evaluation produced them (the preferred bootstrap input, §III-B category
-// 1).
-func (q *Query) decorate(t *stream.Tuple, mcValues [][]float64, unsure bool) (Result, error) {
-	res := Result{Tuple: t, Unsure: unsure}
-	cfg := q.eng.cfg
-	if q.method != AccuracyNone {
-		recovering := q.eng.recovering.Load()
-		for i, f := range t.Fields {
-			if !t.Schema.Columns[i].Probabilistic || f.N < 2 {
-				continue
-			}
-			info, err := q.fieldAccuracy(f, mcValues[i])
-			if err != nil {
-				return Result{}, fmt.Errorf("core: accuracy for %s: %w", t.Schema.Columns[i].Name, err)
-			}
-			if res.Fields == nil {
-				res.Fields = make(map[string]*accuracy.Info)
-			}
-			res.Fields[t.Schema.Columns[i].Name] = info
-			q.telem.observeField(info, recovering)
-		}
-		if t.Prob < 1 && t.ProbN >= 1 {
-			iv, err := accuracy.TupleProbInterval(t.Prob, t.ProbN, cfg.Level)
-			if err != nil {
-				return Result{}, err
-			}
-			res.TupleProb = &iv
-			q.telem.observeTupleProb(iv, recovering)
-		}
+// decorate builds the emission of output tuple t, attaching accuracy
+// information per the query's backend. mcValues holds per-field Monte Carlo
+// value sequences when evaluation produced them (the preferred bootstrap
+// input, §III-B category 1).
+func (q *Query) decorate(t *stream.Tuple, mcValues [][]float64) (sharedResult, error) {
+	sr := sharedResult{tuple: t}
+	if q.method == AccuracyNone {
+		return sr, nil
 	}
-	return res, nil
+	for i, f := range t.Fields {
+		if !t.Schema.Columns[i].Probabilistic || f.N < 2 {
+			continue
+		}
+		info, err := q.fieldAccuracy(f, mcValues[i])
+		if err != nil {
+			return sr, fmt.Errorf("core: accuracy for %s: %w", t.Schema.Columns[i].Name, err)
+		}
+		if sr.fields == nil {
+			sr.fields = make(map[string]*accuracy.Info)
+		}
+		sr.fields[t.Schema.Columns[i].Name] = info
+	}
+	if t.Prob < 1 && t.ProbN >= 1 {
+		iv, err := accuracy.TupleProbInterval(t.Prob, t.ProbN, q.eng.cfg.Level)
+		if err != nil {
+			return sr, err
+		}
+		sr.tupleProb = &iv
+	}
+	return sr, nil
 }
 
 // fieldAccuracy computes one field's accuracy info with the configured

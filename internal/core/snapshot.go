@@ -81,20 +81,20 @@ func (q *Query) State() *QueryState {
 		Boot:  q.rng.State(),
 		Stats: q.stats.snapshot(),
 	}
-	switch {
-	case q.sketchWin != nil:
-		st.Sketch = q.sketchWin.Clone()
-	case q.window != nil:
-		st.ColWindow = q.window.State()
-	}
-	if q.groups != nil {
-		keys := make([]float64, 0, len(q.groups))
-		for k := range q.groups {
+	if g := q.group; g != nil {
+		switch {
+		case g.sk != nil:
+			st.Sketch = g.sk.Clone()
+		case g.win != nil:
+			st.ColWindow = g.win.State()
+		}
+		keys := make([]float64, 0, len(g.groups))
+		for k := range g.groups {
 			keys = append(keys, k)
 		}
 		sort.Float64s(keys)
 		for _, k := range keys {
-			st.Groups = append(st.Groups, GroupWindowState{Key: k, ColWindow: q.groups[k].State()})
+			st.Groups = append(st.Groups, GroupWindowState{Key: k, ColWindow: g.groups[k].State()})
 		}
 	}
 	if q.join != nil {
@@ -119,7 +119,8 @@ func windowState(tuples []*stream.Tuple) *WindowState {
 }
 
 // SetState restores a state captured with State into a freshly compiled
-// query over the same SQL and engine configuration.
+// query over the same SQL and engine configuration. Window state is
+// restored into the query's plan group, its only owner.
 func (q *Query) SetState(st *QueryState) error {
 	if st == nil {
 		return errors.New("core: nil query state")
@@ -131,35 +132,42 @@ func (q *Query) SetState(st *QueryState) error {
 		return fmt.Errorf("core: bootstrap RNG: %w", err)
 	}
 	q.stats.restore(st.Stats)
+	g := q.group
+	if g == nil {
+		// A scalar query has no window state: an empty group makes every
+		// window form below an error.
+		g = &sharedGroup{}
+	}
 	if st.Sketch != nil {
-		if q.sketchWin == nil {
+		sk := g.sk
+		if sk == nil {
 			return errors.New("core: sketch state for a non-sketch query")
 		}
 		if err := st.Sketch.Validate(); err != nil {
 			return fmt.Errorf("core: restoring sketch window: %w", err)
 		}
-		if st.Sketch.W != q.sketchWin.W || st.Sketch.NCols != q.sketchWin.NCols ||
-			st.Sketch.B != q.sketchWin.B || st.Sketch.K != q.sketchWin.K {
+		if st.Sketch.W != sk.W || st.Sketch.NCols != sk.NCols ||
+			st.Sketch.B != sk.B || st.Sketch.K != sk.K {
 			return fmt.Errorf("core: sketch window geometry (w=%d b=%d k=%d cols=%d) does not match plan (w=%d b=%d k=%d cols=%d)",
 				st.Sketch.W, st.Sketch.B, st.Sketch.K, st.Sketch.NCols,
-				q.sketchWin.W, q.sketchWin.B, q.sketchWin.K, q.sketchWin.NCols)
+				sk.W, sk.B, sk.K, sk.NCols)
 		}
-		q.sketchWin = st.Sketch.Clone()
+		g.sk = st.Sketch.Clone()
 	}
 	if st.Window != nil || st.ColWindow != nil {
-		if q.window == nil {
+		if g.win == nil {
 			return errors.New("core: window state for a query without an ungrouped window")
 		}
 		tuples, err := windowTuples(q.in, st.Window, st.ColWindow)
 		if err != nil {
 			return err
 		}
-		if err := q.window.RestoreTuples(tuples); err != nil {
+		if err := g.win.RestoreTuples(tuples); err != nil {
 			return err
 		}
 	}
 	if len(st.Groups) > 0 {
-		if q.groups == nil {
+		if g.groups == nil {
 			return errors.New("core: group state for a query without GROUP BY")
 		}
 		for _, gs := range st.Groups {
@@ -178,7 +186,7 @@ func (q *Query) SetState(st *QueryState) error {
 			if err := w.RestoreTuples(tuples); err != nil {
 				return err
 			}
-			q.groups[gs.Key] = w
+			g.groups[gs.Key] = w
 		}
 	}
 	if st.JoinLeft != nil || st.JoinRight != nil {

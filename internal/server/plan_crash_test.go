@@ -149,3 +149,41 @@ func TestRejectedStatementNeverJournaled(t *testing.T) {
 	}
 	tc2.mustOK(crashInsertCmd(5))
 }
+
+// TestDaemonRejectsTimeWindow: the line protocol carries no event times, so
+// a WINDOW n SECONDS query registered over it would never evict and grow
+// without bound. QUERY refuses it before compiling — a compiled-then-rejected
+// statement would consume an engine sequence number that WAL replay never
+// sees — while the replay path still takes it, so older WALs recover.
+func TestDaemonRejectsTimeWindow(t *testing.T) {
+	s, addr := startDurableServer(t, durableConfig(t.TempDir(), 1, 1024))
+	defer s.Close()
+	tc := dialServer(t, addr)
+	defer tc.c.Close()
+	tc.mustOK(crashStreamCmd)
+	seq, lsn := s.engine.Seq(), s.WAL().LastLSN()
+	for _, cmd := range []string{
+		"QUERY t1 SELECT AVG(val) AS a FROM temps WINDOW 5 SECONDS",
+		"QUERY t2 SELECT key, COUNT(val) AS c FROM temps GROUP BY key WINDOW 60 SECONDS",
+	} {
+		if reply, _ := tc.cmd(cmd); !strings.HasPrefix(reply, "ERR") || !strings.Contains(reply, "SECONDS") {
+			t.Fatalf("%q: got %q, want ERR naming SECONDS", cmd, reply)
+		}
+	}
+	if got := s.engine.Seq(); got != seq {
+		t.Errorf("engine seq %d after rejected QUERY, want %d", got, seq)
+	}
+	if got := s.WAL().LastLSN(); got != lsn {
+		t.Errorf("wal lsn %d after rejected QUERY, want %d: the statement was journaled", got, lsn)
+	}
+	tc.mustOK(crashQueryCmd)
+
+	release := s.engine.Exclusive()
+	s.mu.Lock()
+	err := s.applyQueryLocked("t3", "SELECT AVG(val) AS a FROM temps WINDOW 5 SECONDS", nil)
+	s.mu.Unlock()
+	release()
+	if err != nil {
+		t.Fatalf("replay path refused a journaled SECONDS query: %v", err)
+	}
+}

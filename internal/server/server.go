@@ -19,6 +19,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/randvar"
+	"repro/internal/sql"
 	"repro/internal/wal"
 )
 
@@ -728,6 +729,13 @@ func (s *Server) cmdQuery(c *conn, rest string) error {
 		return errors.New("usage: QUERY <id> <sql>")
 	}
 	id, sqlText := rest[:idx], strings.TrimSpace(rest[idx+1:])
+	// The line protocol sets no Tuple.Time, so a time window would never
+	// evict. It is refused here, before Compile consumes an engine sequence
+	// number; replay and replication apply journaled statements unchecked,
+	// so WALs written before this check still recover.
+	if stmt, err := sql.Parse(sqlText); err == nil && stmt.Window != nil && stmt.Window.Seconds > 0 {
+		return errors.New("WINDOW n SECONDS needs event times, which the line protocol does not carry; use WINDOW n ROWS")
+	}
 	release := s.engine.Exclusive()
 	s.mu.Lock()
 	err := s.applyQueryLocked(id, sqlText, c)
