@@ -54,6 +54,9 @@ type pinCase struct {
 	// evict most or all of the window at once, bursts that grow it, and an
 	// out-of-order arrival now and then followed by in-order ones.
 	timed bool
+	// hist makes v a histogram on every row, in the shape the kernel-mc
+	// benchmark workload sends, so AVG and SUM never take the closed form.
+	hist bool
 	// dropUnsure and minProb set the engine's WHERE policy.
 	dropUnsure bool
 	minProb    float64
@@ -229,15 +232,33 @@ var pinCases = []pinCase{
 			core.AccuracyAnalytical: "dc6f3c44437e3be7fba36e2d6c157ded5d488fc05514ee01b1e79dbe0e65f576",
 		},
 	},
+
+	// Generated at commit 01b6be3, whose histogram sampler picked a bucket by
+	// walking the running sum with an early exit.
+	{
+		name: "histogram-rows",
+		hist: true,
+		sql: []string{
+			"SELECT AVG(v) AS a FROM s WINDOW 32 ROWS BACKEND BOOTSTRAP",
+			"SELECT AVG(v) AS a, SUM(v) AS s FROM s WINDOW 32 ROWS",
+			"SELECT AVG(v) AS a, SUM(v) AS s FROM s WINDOW 32 ROWS",
+			"SELECT MIN(v) AS lo, MAX(v) AS hi FROM s WINDOW 32 ROWS",
+		},
+		want: map[core.AccuracyMethod]string{
+			core.AccuracyAnalytical: "be845aa494e885042f5282f63c5fd1a58a175f5ae82afd8004fa7188b10286b6",
+			core.AccuracyBootstrap:  "d84040991fe9e655f29b271421f7a2fd15ab9ae92c0bdfde052ab7d01184c64a",
+		},
+	},
 }
 
 // pinGen produces the seeded input stream: k is a deterministic group key,
 // v is Normal or Point with a histogram every fifth row (so aggregates over
-// it move in and out of the Gaussian closed form), w is always Normal or
-// Point.
+// it move in and out of the Gaussian closed form) or, with hist, a histogram
+// on every row, and w is always Normal or Point.
 type pinGen struct {
 	rng   *rand.Rand
 	timed bool
+	hist  bool
 	i     int
 	now   int64
 	burst int
@@ -258,7 +279,27 @@ func (g *pinGen) row(t *testing.T) core.IngestRow {
 		return randvar.Field{Dist: nd, N: n}
 	}
 	v := gaussian(40)
-	if g.i%5 == 4 {
+	switch {
+	case g.hist:
+		// Six edges ten apart, five counts of 1–12, n the total count: what
+		// the protocol's H() field makes of a kernel-mc row.
+		lo := 15 + 5*r.Float64()
+		edges := make([]float64, 6)
+		for i := range edges {
+			edges[i] = lo + 10*float64(i)
+		}
+		counts := make([]int, 5)
+		n := 0
+		for i := range counts {
+			counts[i] = 1 + r.Intn(12)
+			n += counts[i]
+		}
+		h, err := dist.HistogramFromCounts(edges, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v = randvar.Field{Dist: h, N: n}
+	case g.i%5 == 4:
 		counts := []int{1 + r.Intn(6), r.Intn(6), 1 + r.Intn(6), r.Intn(6)}
 		h, err := dist.HistogramFromCounts([]float64{40, 50, 60, 70, 80}, counts)
 		if err != nil {
@@ -340,7 +381,7 @@ func pinRun(t *testing.T, pc pinCase, cfg core.Config, alone int) [][]core.Query
 		defs[i] = checkpoint.QueryDef{ID: id, SQL: q.SQL(), Query: q}
 	}
 
-	gen := &pinGen{rng: rand.New(rand.NewSource(20120401)), timed: pc.timed}
+	gen := &pinGen{rng: rand.New(rand.NewSource(20120401)), timed: pc.timed, hist: pc.hist}
 	var held [][]core.QueryResults
 	restores := map[int]bool{pinTuples / 3: true, 2 * pinTuples / 3: true}
 	for gen.i < pinTuples {

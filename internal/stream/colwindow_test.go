@@ -639,3 +639,48 @@ func BenchmarkWindowScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAggregateColumnMC measures the Monte Carlo aggregate over the
+// kernel-mc benchmark workload's window: 32 histogram rows of six edges ten
+// apart and five counts of 1–12, with the evaluator's default 1000 joint
+// draws and 20-bucket result histogram.
+func BenchmarkAggregateColumnMC(b *testing.B) {
+	s, err := NewSchema("s", Column{Name: "v", Probabilistic: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := NewColumnWindow(s, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := dist.NewRand(32)
+	for i := 0; i < 32; i++ {
+		lo := 15 + 5*r.Float64()
+		edges := make([]float64, 6)
+		for j := range edges {
+			edges[j] = lo + 10*float64(j)
+		}
+		counts := make([]int, 5)
+		n := 0
+		for j := range counts {
+			counts[j] = 1 + r.Intn(12)
+			n += counts[j]
+		}
+		h, err := dist.HistogramFromCounts(edges, counts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.Push(&Tuple{Schema: s, Fields: []randvar.Field{{Dist: h, N: n}}, Prob: 1, Seq: uint64(i + 1)})
+	}
+	for _, kind := range []AggKind{Avg, Max} {
+		b.Run(kind.String(), func(b *testing.B) {
+			e := randvar.NewEvaluator(dist.NewRand(1))
+			var scratch []randvar.Field
+			for i := 0; i < b.N; i++ {
+				if _, err := AggregateColumn(e, kind, w, 0, &scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
