@@ -11,8 +11,9 @@ import (
 // Attribute uncertainty in the paper's model may be "either continuous ...
 // or discrete" (§II-A); Discrete covers the latter.
 type Discrete struct {
-	xs []float64 // sorted, distinct
-	ps []float64 // same length, sums to 1
+	xs  []float64 // sorted, distinct
+	ps  []float64 // same length, sums to 1
+	cum []float64 // prefixSums(ps)
 }
 
 // NewDiscrete builds a discrete distribution from parallel value/probability
@@ -45,6 +46,7 @@ func NewDiscrete(values, probs []float64) (*Discrete, error) {
 		d.xs = append(d.xs, it.x)
 		d.ps = append(d.ps, it.p/total)
 	}
+	d.cum = prefixSums(d.ps)
 	return d, nil
 }
 
@@ -71,8 +73,9 @@ func RestoreDiscrete(values, probs []float64) (*Discrete, error) {
 		return nil, fmt.Errorf("%w: restored discrete mass %v, want 1", ErrInvalidParam, total)
 	}
 	return &Discrete{
-		xs: append([]float64(nil), values...),
-		ps: append([]float64(nil), probs...),
+		xs:  append([]float64(nil), values...),
+		ps:  append([]float64(nil), probs...),
+		cum: prefixSums(probs),
 	}, nil
 }
 
@@ -143,15 +146,7 @@ func (d *Discrete) Quantile(p float64) float64 {
 }
 
 func (d *Discrete) Sample(r *Rand) float64 {
-	u := r.Float64()
-	c := 0.0
-	for i, pi := range d.ps {
-		c += pi
-		if u < c {
-			return d.xs[i]
-		}
-	}
-	return d.xs[len(d.xs)-1]
+	return d.xs[pick(d.cum, d.ps, r.Float64())]
 }
 
 func (d *Discrete) String() string {
@@ -188,9 +183,14 @@ func Bernoulli(p float64) (*Discrete, error) {
 
 // Mixture is a finite mixture of component distributions with given weights;
 // used for multimodal learned distributions (e.g. Gaussian mixtures, §III-B).
+//
+// Like Histogram.Probs, Weights must not be changed after construction; a
+// mixture built as a literal has no prefix table and samples the same
+// components without it.
 type Mixture struct {
 	Components []Distribution
 	Weights    []float64 // normalized in NewMixture
+	cum        []float64 // prefixSums(Weights), or nil for a literal
 }
 
 // NewMixture builds a mixture, validating matching lengths and positive
@@ -219,6 +219,7 @@ func NewMixture(components []Distribution, weights []float64) (*Mixture, error) 
 	for i, w := range weights {
 		m.Weights[i] = w / total
 	}
+	m.cum = prefixSums(m.Weights)
 	return m, nil
 }
 
@@ -246,6 +247,7 @@ func RestoreMixture(components []Distribution, weights []float64) (*Mixture, err
 	return &Mixture{
 		Components: append([]Distribution(nil), components...),
 		Weights:    append([]float64(nil), weights...),
+		cum:        prefixSums(weights),
 	}, nil
 }
 
@@ -301,15 +303,7 @@ func (m *Mixture) Quantile(p float64) float64 {
 }
 
 func (m *Mixture) Sample(r *Rand) float64 {
-	u := r.Float64()
-	c := 0.0
-	for i, w := range m.Weights {
-		c += w
-		if u < c {
-			return m.Components[i].Sample(r)
-		}
-	}
-	return m.Components[len(m.Components)-1].Sample(r)
+	return m.Components[pick(m.cum, m.Weights, r.Float64())].Sample(r)
 }
 
 func (m *Mixture) String() string {

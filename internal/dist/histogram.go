@@ -16,10 +16,15 @@ import (
 // Counts preserves the raw per-bucket observation counts when the histogram
 // was learned from a sample; accuracy computations (Lemma 1) need the sample
 // size but not the raw observations.
+//
+// The constructors also build a prefix table of Probs, which Sample searches
+// for a draw's bucket; Probs must not be changed afterwards. A histogram
+// built as a literal has no table and samples the same buckets without it.
 type Histogram struct {
 	Edges  []float64 // len b+1, strictly increasing
 	Probs  []float64 // len b, non-negative, sums to 1
 	Counts []int     // len b or nil; raw observation counts if learned
+	cum    []float64 // prefixSums(Probs), or nil for a literal
 }
 
 // NewHistogram builds a histogram from bucket edges and probabilities,
@@ -52,6 +57,7 @@ func NewHistogram(edges, probs []float64) (*Histogram, error) {
 	for i := range h.Probs {
 		h.Probs[i] /= total
 	}
+	h.cum = prefixSums(h.Probs)
 	return h, nil
 }
 
@@ -82,6 +88,7 @@ func RestoreHistogram(edges, probs []float64) (*Histogram, error) {
 	return &Histogram{
 		Edges: append([]float64(nil), edges...),
 		Probs: append([]float64(nil), probs...),
+		cum:   prefixSums(probs),
 	}, nil
 }
 
@@ -193,19 +200,11 @@ func (h *Histogram) Quantile(p float64) float64 {
 	return h.Edges[len(h.Edges)-1]
 }
 
-// Sample draws a bucket by probability, then a uniform point within it.
+// Sample draws a bucket by probability (see pick), then a uniform point
+// within it.
 func (h *Histogram) Sample(r *Rand) float64 {
-	u := r.Float64()
-	cum := 0.0
-	for i, pi := range h.Probs {
-		cum += pi
-		if u < cum {
-			return h.Edges[i] + r.Float64()*(h.Edges[i+1]-h.Edges[i])
-		}
-	}
-	// Rounding left u just above the final cumulative mass.
-	last := len(h.Probs) - 1
-	return h.Edges[last] + r.Float64()*(h.Edges[last+1]-h.Edges[last])
+	i := pick(h.cum, h.Probs, r.Float64())
+	return h.Edges[i] + r.Float64()*(h.Edges[i+1]-h.Edges[i])
 }
 
 // BucketProb returns the probability of bucket i.
