@@ -343,3 +343,48 @@ func TestGracefulShutdownState(t *testing.T) {
 		t.Fatalf("fresh query over 3-row window emitted %d results after 1 insert", len(data))
 	}
 }
+
+// TestNonFiniteFieldNeverJournaled: strconv.ParseFloat reads "Inf" and
+// "NaN", and a field built from one used to be journaled and applied. Every
+// later result over its window then failed to render (JSON has no such
+// numbers) although the INSERT behind it had been applied and journaled, and
+// no checkpoint could encode the window. Such a field is refused before it
+// takes a sequence number or a WAL record, alone or inside a batch, and the
+// window goes on emitting.
+func TestNonFiniteFieldNeverJournaled(t *testing.T) {
+	s, addr := startDurableServer(t, durableConfig(t.TempDir(), 1, 1024))
+	defer s.Close()
+	tc := dialServer(t, addr)
+	defer tc.c.Close()
+	tc.mustOK(crashStreamCmd)
+	tc.mustOK(crashQueryCmd)
+	tc.mustOK(crashInsertCmd(0))
+	seq, lsn := s.engine.Seq(), s.WAL().LastLSN()
+	for _, spec := range nonFiniteSpecs {
+		for _, cmd := range []string{
+			"INSERT temps 1 " + spec,
+			"INSERT temps " + spec + " N(1,1,5)",
+			"INSERTBATCH temps 1 N(1,1,5) | 2 " + spec,
+		} {
+			if reply, _ := tc.cmd(cmd); !strings.HasPrefix(reply, "ERR") || !strings.Contains(reply, "non-finite number") {
+				t.Fatalf("%q: got %q, want ERR naming the non-finite number", cmd, reply)
+			}
+		}
+	}
+	if got := s.engine.Seq(); got != seq {
+		t.Errorf("engine seq %d after refused inserts, want %d", got, seq)
+	}
+	if got := s.WAL().LastLSN(); got != lsn {
+		t.Errorf("wal lsn %d after refused inserts, want %d: a refused insert was journaled", got, lsn)
+	}
+	// Rows 0–2 fill the 3-row window; from then on every insert emits.
+	for i := 1; i < 5; i++ {
+		want := 0
+		if i >= 2 {
+			want = 1
+		}
+		if data := tc.mustOK(crashInsertCmd(i)); len(data) != want {
+			t.Fatalf("insert %d: %d DATA lines, want %d", i, len(data), want)
+		}
+	}
+}

@@ -34,6 +34,7 @@ func FuzzParseFieldSpec(f *testing.F) {
 		"NaN",
 		"Inf",
 	}
+	seeds = append(seeds, nonFiniteSpecs...)
 	for _, s := range seeds {
 		f.Add(s)
 	}

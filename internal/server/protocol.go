@@ -45,6 +45,8 @@
 //	H(e0,e1,...|c1,...)  histogram from bucket edges and raw counts
 //	J{...}               any distribution as compact codec JSON (lossless)
 //
+// Every number in a field must be finite; Inf and NaN are refused.
+//
 // Responses are "OK[ payload]" or "ERR <message>". Asynchronous result
 // lines have the form "DATA <queryID> <json>"; the JSON shape is
 // server.ResultJSON.
@@ -53,6 +55,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -65,10 +68,23 @@ import (
 	"repro/internal/stream"
 )
 
-// ParseFieldSpec parses one INSERT field.
+// finite refuses the infinities and NaN that strconv.ParseFloat accepts
+// ("Inf", "+inf", "infinity", "NaN"). A field built from one cannot be
+// rendered as JSON or encoded into a checkpoint, and an infinite histogram
+// edge samples NaN, so every ParseFieldSpec arm checks its numbers here:
+// such an INSERT fails before it takes a sequence number or a WAL record.
+func finite(v float64, tok, spec string) error {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return fmt.Errorf("server: non-finite number %q in field %q", tok, spec)
+	}
+	return nil
+}
+
+// ParseFieldSpec parses one INSERT field. Every number in it must be finite.
 func ParseFieldSpec(spec string) (randvar.Field, error) {
 	switch {
 	case strings.HasPrefix(spec, "J{"):
+		// JSON numbers are finite by construction.
 		return codec.DecodeField([]byte(spec[1:]))
 	case strings.HasPrefix(spec, "N(") && strings.HasSuffix(spec, ")"):
 		body := spec[2 : len(spec)-1]
@@ -80,9 +96,15 @@ func ParseFieldSpec(spec string) (randvar.Field, error) {
 		if err != nil {
 			return randvar.Field{}, fmt.Errorf("server: bad mu in %q: %w", spec, err)
 		}
+		if err := finite(mu, parts[0], spec); err != nil {
+			return randvar.Field{}, err
+		}
 		sigma2, err := strconv.ParseFloat(parts[1], 64)
 		if err != nil {
 			return randvar.Field{}, fmt.Errorf("server: bad sigma2 in %q: %w", spec, err)
+		}
+		if err := finite(sigma2, parts[1], spec); err != nil {
+			return randvar.Field{}, err
 		}
 		n, err := strconv.Atoi(parts[2])
 		if err != nil || n < 0 {
@@ -105,6 +127,9 @@ func ParseFieldSpec(spec string) (randvar.Field, error) {
 			if err != nil {
 				return randvar.Field{}, fmt.Errorf("server: bad observation %q in %q", p, spec)
 			}
+			if err := finite(v, p, spec); err != nil {
+				return randvar.Field{}, err
+			}
 			obs = append(obs, v)
 		}
 		if len(obs) < 2 {
@@ -124,6 +149,9 @@ func ParseFieldSpec(spec string) (randvar.Field, error) {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
 				return randvar.Field{}, fmt.Errorf("server: bad edge %q in %q", s, spec)
+			}
+			if err := finite(v, s, spec); err != nil {
+				return randvar.Field{}, err
 			}
 			edges = append(edges, v)
 		}
@@ -146,6 +174,9 @@ func ParseFieldSpec(spec string) (randvar.Field, error) {
 		v, err := strconv.ParseFloat(spec, 64)
 		if err != nil {
 			return randvar.Field{}, fmt.Errorf("server: unrecognized field %q", spec)
+		}
+		if err := finite(v, spec, spec); err != nil {
+			return randvar.Field{}, err
 		}
 		return randvar.Det(v), nil
 	}

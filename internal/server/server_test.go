@@ -226,6 +226,24 @@ func TestParseFieldSpec(t *testing.T) {
 	}
 }
 
+// nonFiniteSpecs are fields strconv.ParseFloat would read as holding an
+// infinity or NaN, in every arm of the field syntax.
+var nonFiniteSpecs = []string{
+	"Inf", "-inf", "NaN", "+Infinity",
+	"N(Inf,1,5)", "N(1,Inf,5)", "N(nan,1,5)",
+	"S(1;inf)", "S(NaN;2;3)",
+	"H(-inf,0,1|1,1)", "H(0,1,+Inf|2,3)",
+}
+
+func TestParseFieldSpecNonFinite(t *testing.T) {
+	for _, spec := range nonFiniteSpecs {
+		_, err := ParseFieldSpec(spec)
+		if err == nil || !strings.Contains(err.Error(), "non-finite number") {
+			t.Errorf("ParseFieldSpec(%q) = %v, want the non-finite number error", spec, err)
+		}
+	}
+}
+
 func TestFormatFieldSpecRoundTrip(t *testing.T) {
 	nd, _ := dist.NewNormal(60, 100)
 	h, _ := dist.HistogramFromCounts([]float64{0, 10, 20}, []int{3, 7})
