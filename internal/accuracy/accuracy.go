@@ -204,16 +204,9 @@ func MeanInterval(ybar, s float64, n int, c float64) (Interval, error) {
 	if err := stat.CheckLevel(c); err != nil {
 		return Interval{}, fmt.Errorf("accuracy: confidence level %v: %w", c, err)
 	}
-	a := (1 - c) / 2
-	var mult float64
-	if n < 30 {
-		t, err := stat.TUpper(a, float64(n-1))
-		if err != nil {
-			return Interval{}, err
-		}
-		mult = t
-	} else {
-		mult = stat.ZUpper(a)
+	mult, err := stat.MeanCritical((1-c)/2, n)
+	if err != nil {
+		return Interval{}, err
 	}
 	half := mult * s / math.Sqrt(float64(n))
 	return Interval{Lo: ybar - half, Hi: ybar + half, Level: c}, nil
@@ -232,16 +225,12 @@ func VarianceInterval(s2 float64, n int, c float64) (Interval, error) {
 	if err := stat.CheckLevel(c); err != nil {
 		return Interval{}, fmt.Errorf("accuracy: confidence level %v: %w", c, err)
 	}
-	df := float64(n - 1)
 	// χ² that locates (1−c)/2 to the right (upper) and to the left (lower).
-	upper, err := stat.ChiSquareUpper((1-c)/2, df)
+	upper, lower, err := stat.VarianceCritical(c, n)
 	if err != nil {
 		return Interval{}, err
 	}
-	lower, err := stat.ChiSquareUpper((1+c)/2, df)
-	if err != nil {
-		return Interval{}, err
-	}
+	df := float64(n - 1)
 	return Interval{
 		Lo:    df * s2 / upper,
 		Hi:    df * s2 / lower,

@@ -185,6 +185,36 @@ func TestVarianceIntervalValidation(t *testing.T) {
 	}
 }
 
+// TestIntervalsAllocFreeAfterChurn: Lemma 2's critical values come from
+// stat's bounded table. After a burst of distinct (level, n) pairs far past
+// its capacity, one call re-installs a hot pair, and from then on both
+// intervals for it allocate nothing.
+func TestIntervalsAllocFreeAfterChurn(t *testing.T) {
+	for i := 0; i < 4096; i++ {
+		if _, err := VarianceInterval(4, 2+i, 0.95); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MeanInterval(0, 2, 2+i%28, 0.5+float64(i)*1e-4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n, c = 20, 0.95
+	if _, err := ForSample(50, 3, n, c); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := MeanInterval(50, 3, n, c); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := VarianceInterval(9, n, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MeanInterval + VarianceInterval allocate %v times per call, want 0", allocs)
+	}
+}
+
 func TestVarianceIntervalAsymmetry(t *testing.T) {
 	// The chi-square interval is asymmetric: the upper bound is farther
 	// from s² than the lower bound for small n.

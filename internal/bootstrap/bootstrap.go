@@ -299,7 +299,7 @@ func tPredictionInterval(stats []float64, alpha float64) accuracy.Interval {
 		ss += d * d
 	}
 	sd := math.Sqrt(ss / float64(r-1))
-	t, err := stat.TQuantile((1+alpha)/2, float64(r-1))
+	t, err := stat.PredictionCritical(alpha, r)
 	if err != nil {
 		// Unreachable for r ≥ 2 and α ∈ (0,1); degrade to the percentile
 		// interval rather than fail the query.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/accuracy"
 	"repro/internal/hypothesis"
@@ -54,7 +55,7 @@ func (r AcquireRule) normalize() (AcquireRule, error) {
 	if r.Level == 0 {
 		r.Level = 0.9
 	}
-	if r.Level <= 0 || r.Level >= 1 {
+	if !(r.Level > 0 && r.Level < 1) { // NaN fails both comparisons
 		return r, fmt.Errorf("core: acquire level %v outside (0,1)", r.Level)
 	}
 	if r.MaxWidth == 0 && r.Test == nil {
@@ -62,6 +63,9 @@ func (r AcquireRule) normalize() (AcquireRule, error) {
 	}
 	if r.MaxWidth < 0 {
 		return r, fmt.Errorf("core: MaxWidth %v negative", r.MaxWidth)
+	}
+	if math.IsNaN(r.MaxWidth) || math.IsInf(r.MaxWidth, 0) {
+		return r, fmt.Errorf("core: MaxWidth %v not finite", r.MaxWidth)
 	}
 	if r.Batch == 0 {
 		r.Batch = 5

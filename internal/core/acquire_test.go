@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/dist"
@@ -33,6 +34,27 @@ func TestAcquireRuleValidation(t *testing.T) {
 	for i, r := range bad {
 		if _, err := Acquire(src, r); err == nil {
 			t.Errorf("rule %d: want error", i)
+		}
+	}
+}
+
+// TestAcquireRefusesNonFiniteRule: a NaN level used to pass the range check
+// and fail only after the first batch had been acquired; a NaN width
+// disabled the width rule, so acquisition ran to the budget. Both are
+// refused before the source is asked for anything.
+func TestAcquireRefusesNonFiniteRule(t *testing.T) {
+	for _, r := range []AcquireRule{
+		{MaxWidth: 1, Level: math.NaN()},
+		{MaxWidth: math.NaN()},
+		{MaxWidth: math.Inf(1)},
+	} {
+		calls := 0
+		src := func(n int) ([]float64, error) {
+			calls++
+			return make([]float64, n), nil
+		}
+		if _, err := Acquire(src, r); err == nil || calls != 0 {
+			t.Errorf("rule %+v: err %v after %d source calls, want an error and none", r, err, calls)
 		}
 	}
 }

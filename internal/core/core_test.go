@@ -73,6 +73,7 @@ func TestConfigNormalize(t *testing.T) {
 	}
 	bad := []Config{
 		{Level: 1.5},
+		{Level: math.NaN()},
 		{MonteCarloValues: 1},
 		{HistogramBins: -1},
 		{BootstrapResamples: 1},
@@ -81,6 +82,9 @@ func TestConfigNormalize(t *testing.T) {
 	for i, c := range bad {
 		if _, err := c.Normalize(); err == nil {
 			t.Errorf("config %d should fail normalization", i)
+		}
+		if _, err := NewEngine(c); err == nil {
+			t.Errorf("config %d: NewEngine accepted it", i)
 		}
 	}
 }

@@ -136,7 +136,7 @@ func (c Config) Normalize() (Config, error) {
 	if c.Level == 0 {
 		c.Level = 0.9
 	}
-	if c.Level <= 0 || c.Level >= 1 {
+	if !(c.Level > 0 && c.Level < 1) { // NaN fails both comparisons
 		return c, fmt.Errorf("core: confidence level %v outside (0,1)", c.Level)
 	}
 	if c.Seed == 0 {

@@ -21,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/learn"
@@ -161,66 +159,27 @@ func checkAlpha(alpha float64) error {
 	return nil
 }
 
-// critCache memoizes critical values: a streaming query evaluates the same
-// (α, n) pair on every tuple, and the Student-t quantile costs Newton
-// iterations on the incomplete beta function. The cache is bounded; once
-// full, new pairs are computed without caching (no eviction churn).
-var critCache sync.Map // critKey -> float64
-
-type critKey struct {
-	a float64
-	n int
-}
-
-var critCacheSize int64
-
-const critCacheMax = 4096
-
-// tCritical returns the upper-a critical value, using Student's t with df
-// degrees of freedom for small samples and the normal approximation for
-// n ≥ 30 — the same switch as Lemma 2.
-func tCritical(a float64, n int) (float64, error) {
-	key := critKey{a: a, n: n}
-	if v, ok := critCache.Load(key); ok {
-		return v.(float64), nil
-	}
-	var crit float64
-	if n < 30 {
-		t, err := stat.TUpper(a, float64(n-1))
-		if err != nil {
-			return 0, err
-		}
-		crit = t
-	} else {
-		crit = stat.ZUpper(a)
-	}
-	if atomic.LoadInt64(&critCacheSize) < critCacheMax {
-		if _, loaded := critCache.LoadOrStore(key, crit); !loaded {
-			atomic.AddInt64(&critCacheSize, 1)
-		}
-	}
-	return crit, nil
-}
-
 // decide compares a test statistic against the critical region for op at
 // level alpha with n the sample size behind the statistic. It reports
-// whether H0 is rejected in favor of H1.
+// whether H0 is rejected in favor of H1. The critical value follows Lemma 2's
+// switch: Student's t with n−1 degrees of freedom for n < 30, normal from
+// there on.
 func decide(tstat float64, op Op, alpha float64, n int) (bool, error) {
 	switch op {
 	case Greater:
-		crit, err := tCritical(alpha, n)
+		crit, err := stat.MeanCritical(alpha, n)
 		if err != nil {
 			return false, err
 		}
 		return tstat > crit, nil
 	case Less:
-		crit, err := tCritical(alpha, n)
+		crit, err := stat.MeanCritical(alpha, n)
 		if err != nil {
 			return false, err
 		}
 		return tstat < -crit, nil
 	case NotEqual:
-		crit, err := tCritical(alpha/2, n)
+		crit, err := stat.MeanCritical(alpha/2, n)
 		if err != nil {
 			return false, err
 		}
@@ -422,7 +381,7 @@ func MTestPower(mu, sigma, c float64, n int, alpha float64) (float64, error) {
 	if err := checkAlpha(alpha); err != nil {
 		return 0, err
 	}
-	crit, err := tCritical(alpha, n)
+	crit, err := stat.MeanCritical(alpha, n)
 	if err != nil {
 		return 0, err
 	}
@@ -453,7 +412,7 @@ func MDTestPower(mux, sigmax float64, nx int, muy, sigmay float64, ny int, c, al
 	df := (vx + vy) * (vx + vy) /
 		(vx*vx/float64(nx-1) + vy*vy/float64(ny-1))
 	n := int(math.Max(2, math.Round(df+1))) // mirror MDTest's df handling
-	crit, err := tCritical(alpha, n)
+	crit, err := stat.MeanCritical(alpha, n)
 	if err != nil {
 		return 0, err
 	}

@@ -12,6 +12,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -386,5 +387,46 @@ func TestNonFiniteFieldNeverJournaled(t *testing.T) {
 		if data := tc.mustOK(crashInsertCmd(i)); len(data) != want {
 			t.Fatalf("insert %d: %d DATA lines, want %d", i, len(data), want)
 		}
+	}
+}
+
+// TestNaNLevelRefusedAtStart: a NaN confidence level used to pass Config
+// normalisation. A daemon started with it applied and journaled every INSERT
+// that filled a window, then answered ERR for the query's interval, so a
+// client without @reqid would retry and insert twice. The level is now
+// refused before a server exists, and the data directory stays empty.
+func TestNaNLevelRefusedAtStart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir, 1, 1024)
+	cfg.Level = math.NaN()
+	if eng, err := core.NewEngine(cfg); err == nil {
+		s, err := NewDurable(eng, nil)
+		if err != nil {
+			t.Fatalf("NewDurable: %v", err)
+		}
+		defer s.Close()
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go s.Serve()
+		tc := dialServer(t, addr.String())
+		defer tc.c.Close()
+		tc.mustOK(crashStreamCmd)
+		tc.mustOK(crashQueryCmd)
+		for i := 0; i < 3; i++ {
+			lsn := s.WAL().LastLSN()
+			if reply, _ := tc.cmd(crashInsertCmd(i)); strings.HasPrefix(reply, "ERR") && s.WAL().LastLSN() != lsn {
+				t.Errorf("insert %d journaled at lsn %d, then answered %q", i, s.WAL().LastLSN(), reply)
+			}
+		}
+		t.Fatal("core.NewEngine accepted confidence level NaN")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("data dir holds %s after a refused start", e.Name())
 	}
 }
