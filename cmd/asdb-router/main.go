@@ -10,10 +10,12 @@
 //	asdb-router [-addr 127.0.0.1:7432] -node primary1[,replica1,replica2] [-node primary2...]
 //	            [-retries N] [-retry-base D] [-retry-max D] [-seed N] [-op-timeout D]
 //
-// During a failover the router follows the epoch automatically: a target
-// answering "read-only replica" (not yet promoted) or "fenced: stale
-// epoch" (an ex-primary that lost the failover) sends the ingest retry to
-// the next failover target after a capped, seeded-jitter backoff.
+// An @reqid-tagged ingest line gets 1 + -retries attempts (default 3
+// retries; 0 means one attempt, a negative value is refused). During a
+// failover the router follows the epoch automatically: a target answering
+// "read-only replica" (not yet promoted) or "fenced: stale epoch" (an
+// ex-primary that lost the failover) sends the ingest retry to the next
+// failover target after a capped, seeded-jitter backoff.
 //
 // Each -node names one shard: a primary address followed by optional
 // comma-separated replica addresses. Protocol clients connect to the
@@ -31,6 +33,7 @@ import (
 	"syscall"
 
 	"repro/internal/cluster"
+	"repro/internal/server"
 )
 
 type nodeFlags []cluster.Node
@@ -57,7 +60,7 @@ func (n *nodeFlags) Set(v string) error {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7432", "listen address for protocol clients")
-	retries := flag.Int("retries", 0, "failover retries for @reqid-tagged ingest (0 = default 3, negative disables)")
+	retries := flag.Int("retries", 3, "failover retries for @reqid-tagged ingest (0 = one attempt)")
 	retryBase := flag.Duration("retry-base", 0, "base backoff between ingest retries (0 = default 50ms)")
 	retryMax := flag.Duration("retry-max", 0, "backoff cap between ingest retries (0 = default 2s)")
 	seed := flag.Uint64("seed", 0, "backoff jitter seed (0 = from the clock)")
@@ -70,8 +73,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "asdb-router: at least one -node is required")
 		os.Exit(2)
 	}
+	if *retries < 0 {
+		fmt.Fprintf(os.Stderr, "asdb-router: -retries %d is negative\n", *retries)
+		os.Exit(2)
+	}
 	logger := log.New(os.Stderr, "asdb-router: ", log.LstdFlags)
-	rt, err := cluster.NewRouter(nodes, logger, cluster.RouterOptions{
+	rt, err := cluster.NewRouter(nodes, logger, server.DialOptions{
 		Retries:   *retries,
 		RetryBase: *retryBase,
 		RetryMax:  *retryMax,

@@ -1,50 +1,35 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
-// benchConn is a minimal request/reply connection for benchmarks
-// (panics on error; RunParallel goroutines must not call b.Fatal).
-type benchConn struct {
-	nc net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
-}
-
-func dialBench(addr string) *benchConn {
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+// dialBench opens a request/reply connection for benchmarks (panics on
+// error; RunParallel goroutines must not call b.Fatal).
+func dialBench(addr string) *server.Conn {
+	c, err := server.DialConn(addr, server.DialOptions{}, func(string) {})
 	if err != nil {
 		panic(err)
 	}
-	return &benchConn{nc: nc, br: bufio.NewReaderSize(nc, 1<<20), bw: bufio.NewWriter(nc)}
+	return c
 }
 
-func (c *benchConn) do(line string) string {
-	if _, err := c.bw.WriteString(line + "\n"); err != nil {
+// benchDo sends one command and returns its OK reply line.
+func benchDo(c *server.Conn, line string) string {
+	rep, err := c.Exchange(line)
+	if err != nil {
 		panic(err)
 	}
-	if err := c.bw.Flush(); err != nil {
-		panic(err)
+	if !strings.HasPrefix(rep, "OK") {
+		panic(rep)
 	}
-	for {
-		s, err := readLine(c.br, maxShipLine)
-		if err != nil {
-			panic(err)
-		}
-		if strings.HasPrefix(s, "OK") {
-			return s
-		}
-		if strings.HasPrefix(s, "ERR") {
-			panic(s)
-		}
-	}
+	return rep
 }
 
 // BenchmarkReadFanout measures STATS round-trips against one node under
@@ -81,9 +66,9 @@ func BenchmarkReadFanout(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				addr := tc.addrs[int(next.Add(1))%len(tc.addrs)]
 				c := dialBench(addr)
-				defer c.nc.Close()
+				defer c.Close()
 				for pb.Next() {
-					c.do("STATS q2")
+					benchDo(c, "STATS q2")
 				}
 			})
 		})
@@ -115,8 +100,8 @@ func BenchmarkRoutedIngest(b *testing.B) {
 				if streams[n] == "" {
 					streams[n] = name
 					pc := dialBench(primaries[n].addr)
-					pc.do("STREAM " + name + " seq temp:dist")
-					pc.nc.Close()
+					benchDo(pc, "STREAM "+name+" seq temp:dist")
+					pc.Close()
 				}
 			}
 			for i, s := range streams {
@@ -134,10 +119,10 @@ func BenchmarkRoutedIngest(b *testing.B) {
 				// precomputed, the per-node serving path measured.
 				idx := int(next.Add(1)) % nnodes
 				c := dialBench(primaries[idx].addr)
-				defer c.nc.Close()
+				defer c.Close()
 				line := fmt.Sprintf(batch, streams[idx])
 				for pb.Next() {
-					c.do(line)
+					benchDo(c, line)
 				}
 			})
 		})

@@ -92,7 +92,7 @@ func runAutoFailoverRejoin(t *testing.T, workers int) string {
 		}
 		return fault.ConnFaults{}
 	})
-	cl, err := NewClient([]Node{{Primary: proxy.Addr(), Replicas: []string{df.addr}}}, ClientOptions{
+	cl, err := NewClient([]Node{{Primary: proxy.Addr(), Replicas: []string{df.addr}}}, server.DialOptions{
 		Retries:   12,
 		RetryBase: 10 * time.Millisecond,
 		RetryMax:  100 * time.Millisecond,

@@ -163,7 +163,7 @@ func TestChaosFailoverExactlyOnce(t *testing.T) {
 		}
 		return fault.ConnFaults{}
 	})
-	cl, err := NewClient([]Node{{Primary: proxy.Addr(), Replicas: []string{f.addr}}}, ClientOptions{
+	cl, err := NewClient([]Node{{Primary: proxy.Addr(), Replicas: []string{f.addr}}}, server.DialOptions{
 		Retries:   3,
 		RetryBase: 2 * time.Millisecond,
 		OpTimeout: 2 * time.Second,

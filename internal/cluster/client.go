@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/randvar"
@@ -13,65 +12,18 @@ import (
 	"repro/internal/stream"
 )
 
-// testHookRouteRetry, when set, runs before each ingest retry attempt
-// (attempt numbering starts at 1). Chaos tests use it to promote a
-// follower and kill the primary between the torn first attempt and the
-// retry.
-var testHookRouteRetry func(attempt int)
-
-// ClientOptions tunes the cluster client. Zero values mean defaults.
-type ClientOptions struct {
-	// DialTimeout and OpTimeout are passed to each per-node connection
-	// (defaults 5s, 30s).
-	DialTimeout time.Duration
-	OpTimeout   time.Duration
-	// Retries is how many extra attempts an ingest gets across failover
-	// targets after a transport failure (default 0 = fail fast). Every
-	// ingest carries a request id when Retries > 0, so a retry whose
-	// original applied is answered from the dedup window — on the primary
-	// or on a promoted follower, which replicates the window.
-	Retries int
-	// RetryBase and RetryMax shape backoff between attempts (defaults
-	// 50ms, 2s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// Seed makes request ids and backoff jitter deterministic for tests;
-	// 0 derives a seed from the clock.
-	Seed uint64
-}
-
-func (o ClientOptions) normalize() ClientOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.OpTimeout <= 0 {
-		o.OpTimeout = 30 * time.Second
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = uint64(time.Now().UnixNano()) | 1
-	}
-	return o
-}
-
 // Client routes commands across a cluster: streams shard to primaries by
 // rendezvous hash, join inputs co-locate, reads fan out to replicas, and
 // ingest retries fail over with exactly-once semantics. It multiplexes
 // every node's asynchronous DATA results onto one channel.
 type Client struct {
-	topo *topo
-	opts ClientOptions
+	topo  *topo
+	opts  server.DialOptions
+	retry *server.Retrier // one id minter for every node: see ingest
 
-	mu       sync.Mutex
-	clients  map[string]*server.Client
-	closed   bool
-	reqSeq   uint64
-	rngState uint64
+	mu      sync.Mutex
+	clients map[string]*server.Client
+	closed  bool
 
 	data     chan server.Data
 	dataOnce sync.Once
@@ -79,19 +31,23 @@ type Client struct {
 }
 
 // NewClient builds a routing client over the given nodes. No connections
-// are opened until the first command needs one.
-func NewClient(nodes []Node, opts ClientOptions) (*Client, error) {
+// are opened until the first command needs one. opts.Retries is how many
+// extra attempts an ingest gets across the node's failover targets; every
+// ingest carries a request id when it is above 0, so a retry whose
+// original applied is answered from the dedup window — on the primary or
+// on a promoted follower, which replicates the window.
+func NewClient(nodes []Node, opts server.DialOptions) (*Client, error) {
 	t, err := newTopo(nodes)
 	if err != nil {
 		return nil, err
 	}
-	o := opts.normalize()
+	o := opts.Normalize()
 	return &Client{
-		topo:     t,
-		opts:     o,
-		clients:  make(map[string]*server.Client),
-		rngState: o.Seed,
-		data:     make(chan server.Data, 1024),
+		topo:    t,
+		opts:    o,
+		retry:   server.NewRetrier(o),
+		clients: make(map[string]*server.Client),
+		data:    make(chan server.Data, 1024),
 	}, nil
 }
 
@@ -134,13 +90,11 @@ func (c *Client) clientFor(addr string) (*server.Client, error) {
 	if cl, ok := c.clients[addr]; ok {
 		return cl, nil
 	}
+	// Per-node retries stay off: the routing layer owns retry policy (it
+	// must be able to switch nodes between attempts).
 	cl, err := server.DialOpts(addr, server.DialOptions{
 		DialTimeout: c.opts.DialTimeout,
 		OpTimeout:   c.opts.OpTimeout,
-		// Per-node retries stay off: the routing layer owns retry policy
-		// (it must be able to switch nodes between attempts).
-		Retries: 0,
-		Seed:    c.opts.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -173,42 +127,10 @@ func (c *Client) dropClient(addr string, cl *server.Client) {
 	cl.Close()
 }
 
-func (c *Client) nextReqID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reqSeq++
-	return fmt.Sprintf("c%x-%d", c.opts.Seed&0xffffffff, c.reqSeq)
-}
-
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.opts.RetryBase << uint(min(attempt-1, 16))
-	if d > c.opts.RetryMax {
-		d = c.opts.RetryMax
-	}
-	c.mu.Lock()
-	c.rngState = c.rngState*6364136223846793005 + 1442695040888963407
-	r := c.rngState >> 33
-	c.mu.Unlock()
-	half := uint64(d) / 2
-	if half == 0 {
-		return d
-	}
-	return time.Duration(half + r%half)
-}
-
 // RegisterStream registers a stream's schema on the node rendezvous
 // hashing assigns it.
 func (c *Client) RegisterStream(schema *stream.Schema) error {
-	parts := make([]string, 0, schema.Arity()+1)
-	parts = append(parts, schema.Name)
-	for _, col := range schema.Columns {
-		if col.Probabilistic {
-			parts = append(parts, col.Name+":dist")
-		} else {
-			parts = append(parts, col.Name)
-		}
-	}
-	ddl := strings.Join(parts, " ")
+	ddl := server.FormatStreamDef(schema)
 	node := c.topo.registerStream(schema.Name, ddl)
 	cl, err := c.clientFor(c.topo.primaryAddr(node))
 	if err != nil {
@@ -249,50 +171,32 @@ func (c *Client) Query(id, sqlText string) error {
 // Insert pushes one tuple to the stream's node; returns the number of
 // query results it produced.
 func (c *Client) Insert(streamName string, fields ...randvar.Field) (int, error) {
-	parts := make([]string, 0, len(fields)+2)
-	parts = append(parts, "INSERT", streamName)
-	for _, f := range fields {
-		parts = append(parts, server.FormatFieldSpec(f))
-	}
-	payload, err := c.ingest(streamName, strings.Join(parts, " "))
+	payload, err := c.ingest(streamName, server.FormatInsert(streamName, fields...))
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	fmt.Sscanf(payload, "inserted results=%d", &n)
-	return n, nil
+	return server.ParseInsertReply(payload), nil
 }
 
 // InsertBatch pushes several tuples in one round trip to the stream's
 // node; returns the number of query results the batch produced.
 func (c *Client) InsertBatch(streamName string, rows ...[]randvar.Field) (int, error) {
-	if len(rows) == 0 {
-		return 0, errors.New("cluster: empty batch")
-	}
-	parts := make([]string, 0, 2+2*len(rows))
-	parts = append(parts, "INSERTBATCH", streamName)
-	for i, fields := range rows {
-		if i > 0 {
-			parts = append(parts, "|")
-		}
-		for _, f := range fields {
-			parts = append(parts, server.FormatFieldSpec(f))
-		}
-	}
-	payload, err := c.ingest(streamName, strings.Join(parts, " "))
+	line, err := server.FormatInsertBatch(streamName, rows...)
 	if err != nil {
 		return 0, err
 	}
-	tuples, results := 0, 0
-	fmt.Sscanf(payload, "inserted tuples=%d results=%d", &tuples, &results)
-	return results, nil
+	payload, err := c.ingest(streamName, line)
+	if err != nil {
+		return 0, err
+	}
+	return server.ParseInsertReply(payload), nil
 }
 
-// ingest routes one INSERT/INSERTBATCH line with failover retries. The
-// line gets a request id whenever retries are enabled; attempt k targets
-// failoverAddrs[k mod n], so the first attempt hits the primary and
-// retries walk the replicas (a promoted one answers — deduplicated — and
-// an unpromoted one refuses, sending the loop onward).
+// ingest routes one INSERT/INSERTBATCH line through the failover walk. The
+// line gets a request id whenever retries are enabled, minted once per
+// request by the client's one Retrier: a promoted replica's dedup window
+// holds the ids its primary saw, so a counter per node would re-issue them
+// and a new request would be answered from the window instead of applied.
 func (c *Client) ingest(streamName, line string) (string, error) {
 	node, ok := c.topo.streamNode(streamName)
 	if !ok {
@@ -300,46 +204,22 @@ func (c *Client) ingest(streamName, line string) (string, error) {
 	}
 	c.topo.markDirty(streamName)
 	if c.opts.Retries > 0 {
-		line += " @" + c.nextReqID()
+		line += " @" + c.retry.NextReqID()
 	}
-	targets := c.topo.failoverAddrs(node)
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			mRouteRetries.Inc()
-			if hook := testHookRouteRetry; hook != nil {
-				hook(attempt)
-			}
-			time.Sleep(c.backoff(attempt))
-		}
-		addr := targets[attempt%len(targets)]
+	return walkFailover(c.topo.failoverAddrs(node), c.opts.Retries+1, c.retry, func(addr string) (string, error) {
 		cl, err := c.clientFor(addr)
 		if err != nil {
-			lastErr = err
-			continue
-		}
-		payload, err := cl.Do(line)
-		if err == nil {
-			return payload, nil
-		}
-		var se server.ServerError
-		if errors.As(err, &se) {
-			// The server answered. "read-only replica" means this target is
-			// a follower that has not been promoted (yet); "fenced: stale
-			// epoch" means it is an ex-primary that lost a failover — keep
-			// failing over either way. Any other ERR is a real rejection.
-			if retryableIngestReject(string(se)) {
-				lastErr = err
-				continue
-			}
 			return "", err
 		}
-		// Transport failure: the connection is suspect, drop it so the
-		// next attempt (possibly back on this address) redials.
-		c.dropClient(addr, cl)
-		lastErr = err
-	}
-	return "", lastErr
+		payload, err := cl.Do(line)
+		var se server.ServerError
+		if err != nil && !errors.As(err, &se) {
+			// The connection is suspect: drop it so the next attempt
+			// (possibly back on this address) redials.
+			c.dropClient(addr, cl)
+		}
+		return payload, err
+	})
 }
 
 // Stats fetches a query's counters from a replica of its node (bounded

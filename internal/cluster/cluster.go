@@ -22,10 +22,9 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
-	"io"
 	"strings"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/server"
@@ -78,34 +77,36 @@ func retryableIngestReject(msg string) bool {
 // bytes, so one extra MiB of slack is plenty.
 const maxShipLine = 17 << 20
 
-var errLineTooLong = errors.New("cluster: protocol line exceeds cap")
+// testHookRouteRetry, when set, runs before each ingest retry attempt
+// (attempt numbering starts at 1). Chaos tests use it to promote a
+// follower and kill the primary between the torn first attempt and the
+// retry.
+var testHookRouteRetry func(attempt int)
 
-// readLine mirrors the server's line reader: one newline-terminated line,
-// terminator (and trailing \r) stripped, torn fragment at EOF surfaced as
-// io.ErrUnexpectedEOF so a half-shipped record or reply never parses.
-func readLine(r *bufio.Reader, max int) (string, error) {
-	var buf []byte
-	for {
-		frag, err := r.ReadSlice('\n')
-		buf = append(buf, frag...)
-		switch err {
-		case nil:
-			line := buf[:len(buf)-1]
-			if n := len(line); n > 0 && line[n-1] == '\r' {
-				line = line[:n-1]
+// walkFailover is the one failover walk of routed ingest, shared by Client
+// and Router. Attempt k goes to targets[k mod len(targets)] — primary
+// first, then its replicas, wrapping around — with a backoff before every
+// retry. try makes one attempt and returns the reply; a server.ServerError
+// means the node answered ERR, any other error a transport failure (try has
+// dropped that connection). A retryable reject or a transport failure
+// walks on; success or any other ERR ends the walk. When attempts run out
+// the last attempt's result is returned.
+func walkFailover(targets []string, attempts int, retry *server.Retrier, try func(addr string) (string, error)) (string, error) {
+	var rep string
+	var err error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			mRouteRetries.Inc()
+			if hook := testHookRouteRetry; hook != nil {
+				hook(attempt)
 			}
-			return string(line), nil
-		case bufio.ErrBufferFull:
-			if max > 0 && len(buf) > max {
-				return "", errLineTooLong
-			}
-		case io.EOF:
-			if len(buf) > 0 {
-				return "", io.ErrUnexpectedEOF
-			}
-			return "", io.EOF
-		default:
-			return "", err
+			time.Sleep(retry.Backoff(attempt))
+		}
+		rep, err = try(targets[attempt%len(targets)])
+		var se server.ServerError
+		if err == nil || errors.As(err, &se) && !retryableIngestReject(string(se)) {
+			return rep, err
 		}
 	}
+	return rep, err
 }

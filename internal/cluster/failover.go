@@ -29,15 +29,12 @@ package cluster
 //     primary.
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,50 +75,15 @@ func successorRank(primary, self string, peers []string) int {
 	return len(ranked)
 }
 
-// RoleProbe is one peer's answer to a ladder survey: the ROLE fields that
-// matter for promotion arbitration.
-type RoleProbe struct {
-	// Role is "primary", "follower", or "fenced".
-	Role string
-	// Epoch is the replication term the peer believes is current.
-	Epoch uint64
-	// ReplAddr is the peer's WAL-ship listener address, when it runs one
-	// (a freshly promoted primary advertises it so survivors can follow).
-	ReplAddr string
-}
-
 // probeRole is the default ladder prober: one ROLE round trip on the
-// peer's client address.
-func probeRole(addr string, timeout time.Duration) (RoleProbe, error) {
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+// peer's client address, dial and exchange each bounded by timeout.
+func probeRole(addr string, timeout time.Duration) (server.RoleInfo, error) {
+	cl, err := server.DialOpts(addr, server.DialOptions{DialTimeout: timeout, OpTimeout: timeout})
 	if err != nil {
-		return RoleProbe{}, err
+		return server.RoleInfo{}, err
 	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(nc, "ROLE\n"); err != nil {
-		return RoleProbe{}, err
-	}
-	line, err := readLine(bufio.NewReaderSize(nc, 4<<10), maxShipLine)
-	if err != nil {
-		return RoleProbe{}, err
-	}
-	payload, ok := strings.CutPrefix(line, "OK ")
-	if !ok {
-		return RoleProbe{}, fmt.Errorf("cluster: ROLE probe of %s answered %q", addr, line)
-	}
-	var rp RoleProbe
-	var followers int
-	var lastLSN uint64
-	var lag int64
-	if _, err := fmt.Sscanf(payload, "role=%s epoch=%d followers=%d last_lsn=%d lag_records=%d",
-		&rp.Role, &rp.Epoch, &followers, &lastLSN, &lag); err != nil {
-		return RoleProbe{}, fmt.Errorf("cluster: malformed ROLE reply %q: %w", payload, err)
-	}
-	if i := strings.Index(payload, " repl="); i >= 0 {
-		rp.ReplAddr = strings.TrimSpace(payload[i+len(" repl="):])
-	}
-	return rp, nil
+	defer cl.Close()
+	return cl.Role()
 }
 
 // FailoverOptions configures one replica's failure detector. Zero values
@@ -149,7 +111,7 @@ type FailoverOptions struct {
 	OnPromote func(epoch uint64)
 	// ProbeRole surveys one higher-ranked peer before promoting;
 	// injectable for tests (default: a real ROLE round trip).
-	ProbeRole func(addr string, timeout time.Duration) (RoleProbe, error)
+	ProbeRole func(addr string, timeout time.Duration) (server.RoleInfo, error)
 }
 
 func (o FailoverOptions) normalize() FailoverOptions {
@@ -323,7 +285,7 @@ const (
 
 // surveyLadder probes every peer ranked above self. Rank 0 has an empty
 // ladder and is always clear to act.
-func (m *FailoverManager) surveyLadder() (ladderVerdict, RoleProbe) {
+func (m *FailoverManager) surveyLadder() (ladderVerdict, server.RoleInfo) {
 	verdict := ladderDead
 	for _, addr := range m.higher {
 		rp, err := m.opts.ProbeRole(addr, m.probeTimeout())
@@ -335,7 +297,7 @@ func (m *FailoverManager) surveyLadder() (ladderVerdict, RoleProbe) {
 		}
 		verdict = ladderAlive
 	}
-	return verdict, RoleProbe{}
+	return verdict, server.RoleInfo{}
 }
 
 // probeTimeout bounds one survey probe: half a suspicion window, clamped
@@ -355,7 +317,7 @@ func (m *FailoverManager) probeTimeout() time.Duration {
 // suspicion episode ends (grace resets so the detector starts a fresh
 // silence measurement) and the follower is re-pointed at the winner's ship
 // listener, whose stream will refresh LastContact from here on.
-func (m *FailoverManager) standDown(now time.Time, winner RoleProbe) {
+func (m *FailoverManager) standDown(now time.Time, winner server.RoleInfo) {
 	m.grace = now
 	m.missWindows = 0
 	if winner.ReplAddr != "" && m.f.Target() != winner.ReplAddr {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/server"
 )
 
 // Every node must compute the same promotion ladder from the same
@@ -84,8 +85,8 @@ func TestFailoverManagerTickPromotesOnce(t *testing.T) {
 		SuspectAfter: 100 * time.Millisecond,
 		Now:          func() time.Time { return now },
 		// The whole ladder above is dead: probes fail, clearing promotion.
-		ProbeRole: func(string, time.Duration) (RoleProbe, error) {
-			return RoleProbe{}, fmt.Errorf("connection refused")
+		ProbeRole: func(string, time.Duration) (server.RoleInfo, error) {
+			return server.RoleInfo{}, fmt.Errorf("connection refused")
 		},
 	})
 	if m.Rank() != 1 {
@@ -185,9 +186,9 @@ func TestFailoverStandsDownForPromotedPeer(t *testing.T) {
 		Self: self, Primary: "pri:1", Peers: peers,
 		SuspectAfter: 100 * time.Millisecond,
 		Now:          func() time.Time { return t0 },
-		ProbeRole: func(addr string, _ time.Duration) (RoleProbe, error) {
+		ProbeRole: func(addr string, _ time.Duration) (server.RoleInfo, error) {
 			probes++
-			return RoleProbe{Role: "primary", Epoch: 7, ReplAddr: "127.0.0.1:9"}, nil
+			return server.RoleInfo{Role: "primary", Epoch: 7, ReplAddr: "127.0.0.1:9"}, nil
 		},
 	})
 	failoversBefore := mFailovers.Value()
@@ -243,11 +244,11 @@ func TestFailoverDefersToLivePeer(t *testing.T) {
 		Self: self, Primary: "pri:1", Peers: peers,
 		SuspectAfter: 100 * time.Millisecond,
 		Now:          func() time.Time { return t0 },
-		ProbeRole: func(addr string, _ time.Duration) (RoleProbe, error) {
+		ProbeRole: func(addr string, _ time.Duration) (server.RoleInfo, error) {
 			if alive {
-				return RoleProbe{Role: "follower", Epoch: 1}, nil
+				return server.RoleInfo{Role: "follower", Epoch: 1}, nil
 			}
-			return RoleProbe{}, fmt.Errorf("connection refused")
+			return server.RoleInfo{}, fmt.Errorf("connection refused")
 		},
 	})
 	for _, dt := range []time.Duration{250, 350, 450} {

@@ -345,7 +345,7 @@ func (f *Follower) followOnce() (progressed bool, err error) {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	for {
 		nc.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
-		line, err := readLine(br, maxShipLine)
+		line, err := server.ReadLine(br, maxShipLine)
 		if err != nil {
 			return progressed, err
 		}

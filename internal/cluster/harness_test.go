@@ -196,7 +196,7 @@ func (r *raw) send(line string) {
 
 func (r *raw) line() string {
 	r.t.Helper()
-	s, err := readLine(r.br, maxShipLine)
+	s, err := server.ReadLine(r.br, maxShipLine)
 	if err != nil {
 		r.t.Fatalf("read reply: %v", err)
 	}

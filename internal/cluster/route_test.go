@@ -168,7 +168,7 @@ func catchUpAll(t *testing.T, primaries, followers []*tnode) {
 // with live DDL replay, routed ingest, replica reads, merged DATA.
 func TestClusterClientEndToEnd(t *testing.T) {
 	nodes, primaries, followers := twoNodeCluster(t)
-	cl, err := NewClient(nodes, ClientOptions{Seed: 42, Retries: 2, RetryBase: 2 * time.Millisecond})
+	cl, err := NewClient(nodes, server.DialOptions{Seed: 42, Retries: 2, RetryBase: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,39 @@ func TestClusterClientEndToEnd(t *testing.T) {
 	}
 }
 
+// A negative Retries counts as none: the ingest gets one attempt and
+// applies, instead of a walk of zero attempts that reports success.
+func TestClusterClientNegativeRetriesIngests(t *testing.T) {
+	p := startPrimary(t, 1, 1<<20, 0)
+	pc := dialRaw(t, p.addr)
+	pc.mustOK("STREAM temps seq temp:dist")
+	pc.mustOK("QUERY q1 SELECT temp FROM temps")
+	cl, err := NewClient([]Node{{Primary: p.addr}}, server.DialOptions{Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	cl.topo.registerStream("temps", "temps seq temp:dist")
+	retriesBefore := mRouteRetries.Value()
+	results, err := cl.Insert("temps", batchRowsRaw(t, 1)[0]...)
+	if err != nil || results != 1 {
+		t.Fatalf("Insert = %d, %v; want 1 result", results, err)
+	}
+	if got := mRouteRetries.Value() - retriesBefore; got != 0 {
+		t.Fatalf("%d retries, want one attempt", got)
+	}
+	rep := pc.mustOK("STATS q1")
+	if stats := rep[len(rep)-1]; !strings.Contains(stats, `"In":1,`) {
+		t.Fatalf("tuple not applied once: %s", stats)
+	}
+}
+
 // The router proxies the full protocol: sharded DDL, placed queries,
 // verbatim DATA relay to attached clients, replica reads, failover
 // ingest.
 func TestRouterEndToEnd(t *testing.T) {
 	nodes, primaries, followers := twoNodeCluster(t)
-	rt, err := NewRouter(nodes, quiet, RouterOptions{Retries: 2, RetryBase: 2 * time.Millisecond})
+	rt, err := NewRouter(nodes, quiet, server.DialOptions{Retries: 2, RetryBase: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

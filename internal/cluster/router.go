@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/server"
 )
 
 // Router is the same routing policy as Client, packaged as a thin proxy
@@ -22,88 +24,34 @@ import (
 type Router struct {
 	topo   *topo
 	logger *log.Logger
-	opts   RouterOptions
+	opts   server.DialOptions
+	retry  *server.Retrier // backoff shared by every session's walks
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
-	rngState uint64 // LCG state for backoff jitter, guarded by mu
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
-// RouterOptions tunes the proxy. Zero values mean defaults.
-type RouterOptions struct {
-	// OpTimeout bounds one backend exchange (default 30s).
-	OpTimeout time.Duration
-	// Retries is how many failover attempts an @reqid-tagged ingest gets
-	// after a transport failure (default 3).
-	Retries int
-	// RetryBase and RetryMax shape backoff between attempts (defaults
-	// 50ms, 2s). Backoff is jittered so the retry storms of many sessions
-	// chasing one failover spread out instead of synchronizing.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// Seed makes backoff jitter deterministic for tests; 0 derives a seed
-	// from the clock.
-	Seed uint64
-}
-
-func (o RouterOptions) normalize() RouterOptions {
-	if o.OpTimeout <= 0 {
-		o.OpTimeout = 30 * time.Second
-	}
-	if o.Retries == 0 {
-		o.Retries = 3
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = uint64(time.Now().UnixNano()) | 1
-	}
-	return o
-}
-
-// NewRouter builds a proxy over the given nodes.
-func NewRouter(nodes []Node, logger *log.Logger, opts RouterOptions) (*Router, error) {
+// NewRouter builds a proxy over the given nodes. opts shape every backend
+// connection (dial and exchange timeouts) and the failover walk of
+// @reqid-tagged ingest: Retries extra attempts, jittered backoff between
+// them so the retry storms of many sessions chasing one failover spread
+// out instead of synchronizing.
+func NewRouter(nodes []Node, logger *log.Logger, opts server.DialOptions) (*Router, error) {
 	t, err := newTopo(nodes)
 	if err != nil {
 		return nil, err
 	}
-	o := opts.normalize()
+	o := opts.Normalize()
 	return &Router{
-		topo:     t,
-		logger:   logger,
-		opts:     o,
-		conns:    make(map[net.Conn]struct{}),
-		rngState: o.Seed,
+		topo:   t,
+		logger: logger,
+		opts:   o,
+		retry:  server.NewRetrier(o),
+		conns:  make(map[net.Conn]struct{}),
 	}, nil
-}
-
-// backoff returns the jittered delay before retry attempt (1-based):
-// capped exponential, then uniform in [d/2, d) from a seeded LCG — the
-// same scheme the embedded Client uses.
-func (rt *Router) backoff(attempt int) time.Duration {
-	d := rt.opts.RetryBase << uint(min(attempt-1, 16))
-	if d > rt.opts.RetryMax {
-		d = rt.opts.RetryMax
-	}
-	rt.mu.Lock()
-	rt.rngState = rt.rngState*6364136223846793005 + 1442695040888963407
-	r := rt.rngState >> 33
-	rt.mu.Unlock()
-	half := uint64(d) / 2
-	if half == 0 {
-		return d
-	}
-	return time.Duration(half + r%half)
 }
 
 // Listen binds the client-facing listener.
@@ -184,26 +132,13 @@ func (rt *Router) logf(format string, args ...any) {
 	}
 }
 
-// backend is one upstream connection owned by one client session. Its
-// reader goroutine splits the upstream byte stream: DATA lines go
-// straight to the client (preserving bytes), reply lines resolve the
-// in-flight exchange.
-type backend struct {
-	addr    string
-	nc      net.Conn
-	bw      *bufio.Writer
-	replies chan string
-	done    chan struct{}
-	readErr error
-}
-
 // rsession is one proxied client connection plus its cached backends.
 type rsession struct {
 	rt       *Router
 	nc       net.Conn
 	cmu      sync.Mutex // serializes all writes to the client
 	cw       *bufio.Writer
-	backends map[string]*backend
+	backends map[string]*server.Conn
 }
 
 func (rt *Router) serveConn(nc net.Conn) {
@@ -211,18 +146,18 @@ func (rt *Router) serveConn(nc net.Conn) {
 		rt:       rt,
 		nc:       nc,
 		cw:       bufio.NewWriterSize(nc, 64<<10),
-		backends: make(map[string]*backend),
+		backends: make(map[string]*server.Conn),
 	}
 	defer func() {
 		for _, b := range s.backends {
-			b.nc.Close()
+			b.Close()
 		}
 		nc.Close()
 	}()
 	br := bufio.NewReaderSize(nc, 64<<10)
 	for {
 		nc.SetReadDeadline(time.Now().Add(5 * time.Minute))
-		line, err := readLine(br, maxShipLine)
+		line, err := server.ReadLine(br, maxShipLine)
 		if err != nil {
 			return
 		}
@@ -361,134 +296,60 @@ func (s *rsession) readAddrFor(rest string) string {
 	return t.readAddr(0)
 }
 
-// hasReqID reports whether an ingest line carries a client request id
-// (trailing " @id" token) — the marker that makes failover retries safe.
-func hasReqID(line string) bool {
-	i := strings.LastIndexByte(line, ' ')
-	return i >= 0 && i+1 < len(line) && line[i+1] == '@' && len(line)-i > 2
-}
-
-// ingestDispatch forwards an ingest line, failing over across the node's
-// targets only when the line is idempotent (@reqid present).
+// ingestDispatch forwards an ingest line through the failover walk: the
+// node's targets in turn when the line is idempotent (@reqid present), one
+// attempt otherwise. A final ERR goes back to the client as the reply.
 func (s *rsession) ingestDispatch(node int, line string) (string, error) {
-	t := s.rt.topo
 	attempts := 1
-	if hasReqID(line) {
+	if _, id := server.SplitReqID(line); id != "" {
 		attempts = s.rt.opts.Retries + 1
 	}
-	targets := t.failoverAddrs(node)
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			mRouteRetries.Inc()
-			if hook := testHookRouteRetry; hook != nil {
-				hook(attempt)
-			}
-			time.Sleep(s.rt.backoff(attempt))
+	rep, err := walkFailover(s.rt.topo.failoverAddrs(node), attempts, s.rt.retry, func(addr string) (string, error) {
+		rep, err := s.backendDo(addr, line)
+		if msg, ok := strings.CutPrefix(rep, "ERR "); ok {
+			return rep, server.ServerError(msg)
 		}
-		rep, err := s.backendDo(targets[attempt%len(targets)], line)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if attempt+1 < attempts && strings.HasPrefix(rep, "ERR ") && retryableIngestReject(rep) {
-			lastErr = errors.New(rep[4:])
-			continue
-		}
+		return rep, err
+	})
+	var se server.ServerError
+	if errors.As(err, &se) {
 		return rep, nil
 	}
-	return "", lastErr
+	return rep, err
 }
 
-// backendDo sends one line upstream and waits for its reply. DATA lines
-// arriving first are forwarded to the client by the backend's reader, so
-// the client still sees DATA before OK, exactly like a direct connection.
+// backendDo sends one line upstream on this session's connection to addr
+// (dialed if needed) and returns the reply line. DATA lines arriving first
+// are relayed to the client by the connection's reader, so the client
+// still sees DATA before OK, exactly like a direct connection.
 func (s *rsession) backendDo(addr string, line string) (string, error) {
-	b, err := s.backend(addr)
-	if err != nil {
-		return "", err
-	}
-	b.nc.SetWriteDeadline(time.Now().Add(s.rt.opts.OpTimeout))
-	if _, err := b.bw.WriteString(line); err == nil {
-		err = b.bw.WriteByte('\n')
-		if err == nil {
-			err = b.bw.Flush()
-		}
-	} else {
-		b.nc.Close()
-		delete(s.backends, addr)
-		return "", err
-	}
-	select {
-	case rep := <-b.replies:
-		return rep, nil
-	case <-b.done:
-		delete(s.backends, addr)
-		return "", b.readErr
-	case <-time.After(s.rt.opts.OpTimeout):
-		// A late reply could otherwise match a later request; kill the
-		// connection so it never does.
-		b.nc.Close()
-		delete(s.backends, addr)
-		return "", fmt.Errorf("cluster: backend %s timed out", addr)
-	}
-}
-
-// backend returns (dialing if needed) this session's connection to addr.
-func (s *rsession) backend(addr string) (*backend, error) {
-	if b, ok := s.backends[addr]; ok {
+	b, ok := s.backends[addr]
+	if ok {
 		select {
-		case <-b.done:
-			delete(s.backends, addr)
+		case <-b.Done():
+			ok = false
 		default:
-			return b, nil
 		}
 	}
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if !ok {
+		var err error
+		if b, err = server.DialConn(addr, s.rt.opts, s.relay); err != nil {
+			return "", err
+		}
+		s.backends[addr] = b
+	}
+	rep, err := b.Exchange(line)
 	if err != nil {
-		return nil, err
+		delete(s.backends, addr)
 	}
-	b := &backend{
-		addr:    addr,
-		nc:      nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
-		replies: make(chan string, 1),
-		done:    make(chan struct{}),
-	}
-	s.backends[addr] = b
-	go b.readLoop(s)
-	return b, nil
+	return rep, err
 }
 
-func (b *backend) readLoop(s *rsession) {
-	br := bufio.NewReaderSize(b.nc, 64<<10)
-	for {
-		line, err := readLine(br, maxShipLine)
-		if err != nil {
-			b.readErr = err
-			close(b.done)
-			b.nc.Close()
-			return
-		}
-		if strings.HasPrefix(line, "DATA ") {
-			// Relay verbatim; bytes rendered upstream are the bytes the
-			// client sees.
-			if !s.writeClient(line) {
-				b.readErr = errors.New("cluster: client gone")
-				close(b.done)
-				b.nc.Close()
-				return
-			}
-			continue
-		}
-		select {
-		case b.replies <- line:
-		case <-time.After(time.Minute):
-			// No exchange claimed this reply — protocol desync; bail.
-			b.readErr = errors.New("cluster: unclaimed backend reply")
-			close(b.done)
-			b.nc.Close()
-			return
-		}
+// relay forwards one upstream DATA line verbatim: bytes rendered upstream
+// are the bytes the client sees. A client that cannot take it loses its
+// session rather than a frame.
+func (s *rsession) relay(line string) {
+	if !s.writeClient(line) {
+		s.nc.Close()
 	}
 }

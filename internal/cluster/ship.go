@@ -260,7 +260,7 @@ func (ss *ShipServer) serveConn(nc net.Conn) {
 	defer nc.Close()
 	br := bufio.NewReaderSize(nc, 4<<10)
 	nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	line, err := readLine(br, 256)
+	line, err := server.ReadLine(br, 256)
 	if err != nil {
 		ss.logf("repl: handshake read: %v", err)
 		return

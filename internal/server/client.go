@@ -31,23 +31,25 @@ type ServerError string
 
 func (e ServerError) Error() string { return string(e) }
 
-// DialOptions tunes the client's fault handling. The zero value keeps the
-// historical behavior: one connection, one attempt per operation, a 30s
-// per-operation deadline.
+// DialOptions tunes a client's fault handling; the cluster client and the
+// router take the same options. The zero value keeps the historical
+// behavior: one connection, one attempt per operation, a 30s per-operation
+// deadline.
 type DialOptions struct {
 	// DialTimeout bounds each TCP dial, including redials (default 5s).
 	DialTimeout time.Duration
-	// OpTimeout bounds one request/reply exchange (default 30s). A timed
-	// out exchange closes the connection — the late reply can never be
-	// matched to a later request.
+	// OpTimeout bounds one request/reply exchange, write included (default
+	// 30s). A timed out exchange closes the connection — the late reply can
+	// never be matched to a later request.
 	OpTimeout time.Duration
 	// Retries is how many extra attempts idempotent operations get after a
-	// transport failure (default 0 = fail fast). Retried inserts carry a
-	// request id, so a retry whose original was applied — reply lost on the
-	// wire — is answered from the server's dedup window, not re-applied.
+	// transport failure (default 0 = one attempt; negative counts as 0).
+	// Retried inserts carry a request id, so a retry whose original was
+	// applied — reply lost on the wire — is answered from the server's
+	// dedup window, not re-applied.
 	Retries int
 	// RetryBase and RetryMax shape the exponential backoff between
-	// attempts: base·2^(attempt-1), capped at max, with ±50% jitter
+	// attempts: base·2^(attempt-1), capped at max, jittered to [d/2, d]
 	// (defaults 50ms and 2s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
@@ -56,7 +58,8 @@ type DialOptions struct {
 	Seed uint64
 }
 
-func (o DialOptions) normalize() DialOptions {
+// Normalize fills in the defaults and clamps a negative Retries to 0.
+func (o DialOptions) Normalize() DialOptions {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
@@ -78,38 +81,198 @@ func (o DialOptions) normalize() DialOptions {
 	return o
 }
 
+// Retrier is the seeded state of one logical client's retries: the backoff
+// between attempts and the request ids that make retried ingest
+// exactly-once. A client that spreads its retries over several nodes mints
+// every id from one Retrier, so no two requests share an id in any node's
+// dedup window. Safe for concurrent use.
+type Retrier struct {
+	base, max time.Duration
+	idPfx     string
+
+	mu  sync.Mutex
+	rng uint64 // xorshift state, never 0
+	seq uint64
+}
+
+// NewRetrier builds the retry state for o (normalized first).
+func NewRetrier(o DialOptions) *Retrier {
+	o = o.Normalize()
+	return &Retrier{
+		base:  o.RetryBase,
+		max:   o.RetryMax,
+		idPfx: fmt.Sprintf("c%x", splitmix64(o.Seed)&0xffffffff),
+		rng:   o.Seed,
+	}
+}
+
+// Backoff is the delay before retry attempt (1-based): RetryBase doubled
+// per attempt up to RetryMax, jittered to [d/2, d] so synchronized clients
+// fan out.
+func (r *Retrier) Backoff(attempt int) time.Duration {
+	d := r.base
+	for i := 1; i < attempt && d < r.max; i++ {
+		d *= 2
+	}
+	d = min(d, r.max)
+	r.mu.Lock()
+	r.rng ^= r.rng << 13
+	r.rng ^= r.rng >> 7
+	r.rng ^= r.rng << 17
+	x := r.rng
+	r.mu.Unlock()
+	half := d / 2
+	return half + time.Duration(x%uint64(d-half+1))
+}
+
+// NextReqID mints a request id unique within this Retrier; the prefix
+// separates clients sharing a server's dedup window.
+func (r *Retrier) NextReqID() string {
+	r.mu.Lock()
+	r.seq++
+	n := r.seq
+	r.mu.Unlock()
+	return r.idPfx + "-" + strconv.FormatUint(n, 10)
+}
+
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Conn is one request/reply connection on the line protocol, the one every
+// Go-side speaker uses (a Client, each backend link of a router session).
+// Requests go out one at a time — callers serialize Exchange. A reader
+// goroutine hands each DATA line to onData as it arrives and every other
+// line to the waiting exchange, so the DATA a command produced is delivered
+// before its reply. Any transport failure, an exchange that outlives the
+// op timeout included, closes the connection: a late reply can never be
+// matched to a later request.
+type Conn struct {
+	nc        net.Conn
+	opTimeout time.Duration
+	replies   chan string
+	done      chan struct{}
+	readErr   error // written by the reader before done closes
+
+	closeOnce sync.Once
+	closeErr  error
+}
+
+// NewConn wraps an established connection. onData runs on the reader
+// goroutine, once per DATA line; the reply behind the line waits for it.
+func NewConn(nc net.Conn, opTimeout time.Duration, onData func(line string)) *Conn {
+	cc := &Conn{
+		nc:        nc,
+		opTimeout: opTimeout,
+		replies:   make(chan string, 1),
+		done:      make(chan struct{}),
+	}
+	go cc.readLoop(onData)
+	return cc
+}
+
+// DialConn dials addr within o.DialTimeout and wraps the connection with
+// o.OpTimeout (both normalized).
+func DialConn(addr string, o DialOptions, onData func(line string)) (*Conn, error) {
+	o = o.Normalize()
+	nc, err := net.DialTimeout("tcp", addr, o.DialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return NewConn(nc, o.OpTimeout, onData), nil
+}
+
+func (cc *Conn) readLoop(onData func(line string)) {
+	r := bufio.NewReaderSize(cc.nc, 64*1024)
+	for {
+		line, err := ReadLine(r, maxLineBytes)
+		if err != nil {
+			// ReadLine surfaces a torn final line (connection died mid-reply)
+			// as io.ErrUnexpectedEOF instead of the fragment, so a truncated
+			// "OK ..." can never parse as a successful answer.
+			if err != io.EOF {
+				cc.readErr = err
+			}
+			break
+		}
+		if strings.HasPrefix(line, "DATA ") {
+			onData(line)
+			continue
+		}
+		select {
+		case cc.replies <- line:
+			continue
+		default:
+			// The previous reply is still unclaimed, so no request is waiting
+			// for this one: the stream is out of step.
+			cc.readErr = errors.New("server: unsolicited reply")
+		}
+		break
+	}
+	cc.Close()
+	close(cc.done)
+}
+
+// Exchange sends one request line and returns the reply line ("OK ..." or
+// "ERR ..."); an error means the transport failed and the connection is
+// closed. The write and the wait for the reply share one op timeout.
+func (cc *Conn) Exchange(line string) (string, error) {
+	deadline := time.Now().Add(cc.opTimeout)
+	cc.nc.SetWriteDeadline(deadline)
+	if _, err := io.WriteString(cc.nc, line+"\n"); err != nil {
+		cc.Close()
+		return "", fmt.Errorf("server: sending request: %w", err)
+	}
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case rep := <-cc.replies:
+		return rep, nil
+	case <-cc.done:
+		// A reply read before the connection ended is still the answer.
+		select {
+		case rep := <-cc.replies:
+			return rep, nil
+		default:
+		}
+		if cc.readErr != nil {
+			return "", cc.readErr
+		}
+		return "", errors.New("server: connection closed")
+	case <-timer.C:
+		cc.Close()
+		return "", errors.New("server: request timed out")
+	}
+}
+
+// Close closes the connection; its reader exits and Done closes.
+func (cc *Conn) Close() error {
+	cc.closeOnce.Do(func() { cc.closeErr = cc.nc.Close() })
+	return cc.closeErr
+}
+
+// Done is closed once the reader has exited (the connection is dead).
+func (cc *Conn) Done() <-chan struct{} { return cc.done }
+
 // Client is a Go client for the line protocol. Safe for concurrent use;
 // requests are serialized and DATA lines are delivered on the Data channel.
 // With Retries > 0 it redials on transport failures and resends idempotent
 // requests (tagged with request ids, so inserts apply exactly once).
 type Client struct {
-	addr string
-	opts DialOptions
+	addr  string
+	opts  DialOptions
+	retry *Retrier
 
-	data     chan Data
-	dataOnce sync.Once
+	data       chan Data
+	dataMu     sync.Mutex // orders sends on data with its close
+	dataClosed bool
 
-	mu     sync.Mutex // serializes exchanges, redials, and backoff state
-	cc     *clientConn
+	mu     sync.Mutex // serializes exchanges and redials
+	cc     *Conn
 	closed bool
-	rng    uint64
-	idPfx  string
-	reqSeq uint64
-}
-
-// clientConn is one live TCP connection; redials replace it wholesale so a
-// stale reader can never feed replies into a new connection's exchange.
-type clientConn struct {
-	c       net.Conn
-	w       *bufio.Writer
-	replies chan reply
-	done    chan struct{}
-	readErr error
-}
-
-type reply struct {
-	ok      bool
-	payload string
 }
 
 // Dial connects to a server with defaults (no retries).
@@ -119,14 +282,13 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 
 // DialOpts connects with explicit fault-handling options.
 func DialOpts(addr string, o DialOptions) (*Client, error) {
-	o = o.normalize()
+	o = o.Normalize()
 	cl := &Client{
-		addr: addr,
-		opts: o,
-		data: make(chan Data, 1024),
-		rng:  o.Seed,
+		addr:  addr,
+		opts:  o,
+		retry: NewRetrier(o),
+		data:  make(chan Data, 1024),
 	}
-	cl.idPfx = fmt.Sprintf("c%x", splitmix64(o.Seed)&0xffffffff)
 	cl.mu.Lock()
 	err := cl.redialLocked()
 	cl.mu.Unlock()
@@ -144,7 +306,37 @@ func (cl *Client) Addr() string { return cl.addr }
 // results are dropped if the channel backs up.
 func (cl *Client) Data() <-chan Data { return cl.data }
 
-func (cl *Client) closeData() { cl.dataOnce.Do(func() { close(cl.data) }) }
+func (cl *Client) closeData() {
+	cl.dataMu.Lock()
+	defer cl.dataMu.Unlock()
+	if !cl.dataClosed {
+		cl.dataClosed = true
+		close(cl.data)
+	}
+}
+
+// deliver decodes one DATA line onto the Data channel. It runs on the
+// connection's reader, so it never blocks: a full channel drops the result.
+func (cl *Client) deliver(line string) {
+	rest := line[len("DATA "):]
+	idx := strings.IndexByte(rest, ' ')
+	if idx < 0 {
+		return
+	}
+	var rj ResultJSON
+	if err := json.Unmarshal([]byte(rest[idx+1:]), &rj); err != nil {
+		return
+	}
+	cl.dataMu.Lock()
+	defer cl.dataMu.Unlock()
+	if cl.dataClosed {
+		return
+	}
+	select {
+	case cl.data <- Data{QueryID: rest[:idx], Result: rj}:
+	default:
+	}
+}
 
 // Close terminates the connection and stops any retrying.
 func (cl *Client) Close() error {
@@ -159,8 +351,8 @@ func (cl *Client) Close() error {
 	cl.mu.Unlock()
 	var err error
 	if cc != nil {
-		err = cc.c.Close()
-		<-cc.done
+		err = cc.Close()
+		<-cc.Done()
 	}
 	cl.closeData()
 	return err
@@ -184,18 +376,20 @@ func (cl *Client) Err() error {
 }
 
 func (cl *Client) redialLocked() error {
-	nc, err := net.DialTimeout("tcp", cl.addr, cl.opts.DialTimeout)
+	cc, err := DialConn(cl.addr, cl.opts, cl.deliver)
 	if err != nil {
 		return err
 	}
-	cc := &clientConn{
-		c:       nc,
-		w:       bufio.NewWriter(nc),
-		replies: make(chan reply, 1),
-		done:    make(chan struct{}),
-	}
 	cl.cc = cc
-	go cl.readLoop(cc)
+	if cl.opts.Retries == 0 {
+		// Without retries a dead connection is terminal, matching the
+		// original client contract; with retries the data channel survives
+		// redials.
+		go func() {
+			<-cc.Done()
+			cl.closeData()
+		}()
+	}
 	return nil
 }
 
@@ -211,88 +405,27 @@ func (cl *Client) ensureConnLocked() error {
 
 func (cl *Client) dropConnLocked() {
 	if cl.cc != nil {
-		cl.cc.c.Close()
+		cl.cc.Close()
 		cl.cc = nil
 	}
 }
 
-func (cl *Client) readLoop(cc *clientConn) {
-	r := bufio.NewReaderSize(cc.c, 64*1024)
-	for {
-		line, err := readLine(r, maxLineBytes)
-		if err != nil {
-			// readLine surfaces a torn final line (connection died mid-reply)
-			// as io.ErrUnexpectedEOF instead of the fragment, so a truncated
-			// "OK ..." can never parse as a successful answer — the exchange
-			// fails and, with retries enabled, the request id makes the
-			// resend safe.
-			if err != io.EOF {
-				cc.readErr = err
-			}
-			break
-		}
-		switch {
-		case strings.HasPrefix(line, "DATA "):
-			rest := line[len("DATA "):]
-			idx := strings.IndexByte(rest, ' ')
-			if idx < 0 {
-				continue
-			}
-			var rj ResultJSON
-			if err := json.Unmarshal([]byte(rest[idx+1:]), &rj); err != nil {
-				continue
-			}
-			select {
-			case cl.data <- Data{QueryID: rest[:idx], Result: rj}:
-			default: // drop on backpressure rather than deadlock
-			}
-		case strings.HasPrefix(line, "OK"):
-			payload := strings.TrimSpace(strings.TrimPrefix(line, "OK"))
-			cc.replies <- reply{ok: true, payload: payload}
-		case strings.HasPrefix(line, "ERR "):
-			cc.replies <- reply{ok: false, payload: line[len("ERR "):]}
-		}
-	}
-	close(cc.done)
-	// Without retries a dead connection is terminal, matching the original
-	// client contract; with retries the data channel survives redials.
-	if cl.opts.Retries == 0 {
-		cl.closeData()
-	}
-}
-
 // exchangeLocked performs one request/reply exchange on the current
-// connection. Transport failures (including an OpTimeout) poison the
-// connection — it is closed and dropped so a late reply cannot desync the
-// next exchange.
+// connection and splits the reply into an OK payload or a ServerError. A
+// transport failure drops the connection (the next exchange redials).
 func (cl *Client) exchangeLocked(line string) (string, error) {
-	cc := cl.cc
-	if _, err := cc.w.WriteString(line + "\n"); err != nil {
-		cl.dropConnLocked()
-		return "", err
-	}
-	if err := cc.w.Flush(); err != nil {
-		cl.dropConnLocked()
-		return "", err
-	}
-	timer := time.NewTimer(cl.opts.OpTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-cc.replies:
-		if !r.ok {
-			return "", ServerError(r.payload)
+	rep, err := cl.cc.Exchange(line)
+	if err == nil {
+		if msg, ok := strings.CutPrefix(rep, "ERR "); ok {
+			return "", ServerError(msg)
 		}
-		return r.payload, nil
-	case <-cc.done:
-		cl.dropConnLocked()
-		if cc.readErr != nil {
-			return "", cc.readErr
+		if payload, ok := strings.CutPrefix(rep, "OK"); ok {
+			return strings.TrimSpace(payload), nil
 		}
-		return "", errors.New("server: connection closed")
-	case <-timer.C:
-		cl.dropConnLocked()
-		return "", errors.New("server: request timed out")
+		err = fmt.Errorf("server: malformed reply %q", rep)
 	}
+	cl.dropConnLocked()
+	return "", err
 }
 
 // roundTrip sends one non-idempotent request: a single attempt, because a
@@ -315,7 +448,7 @@ func (cl *Client) roundTripIdem(line string) (string, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cl.opts.Retries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(cl.backoffLocked(attempt))
+			time.Sleep(cl.retry.Backoff(attempt))
 		}
 		if err := cl.ensureConnLocked(); err != nil {
 			lastErr = err
@@ -334,32 +467,58 @@ func (cl *Client) roundTripIdem(line string) (string, error) {
 	return "", lastErr
 }
 
-// backoffLocked computes base·2^(attempt-1) capped at RetryMax, jittered to
-// [d/2, d] so synchronized clients fan out.
-func (cl *Client) backoffLocked(attempt int) time.Duration {
-	d := cl.opts.RetryBase << (attempt - 1)
-	if d > cl.opts.RetryMax || d <= 0 {
-		d = cl.opts.RetryMax
+// FormatStreamDef renders a schema as the STREAM command's arguments,
+// "name col col:dist ...": the inverse of ParseStreamDef.
+func FormatStreamDef(schema *stream.Schema) string {
+	parts := make([]string, 0, schema.Arity()+1)
+	parts = append(parts, schema.Name)
+	for _, col := range schema.Columns {
+		if col.Probabilistic {
+			parts = append(parts, col.Name+":dist")
+		} else {
+			parts = append(parts, col.Name)
+		}
 	}
-	cl.rng ^= cl.rng << 13
-	cl.rng ^= cl.rng >> 7
-	cl.rng ^= cl.rng << 17
-	half := d / 2
-	return half + time.Duration(cl.rng%uint64(half+1))
+	return strings.Join(parts, " ")
 }
 
-// nextReqIDLocked mints a request id unique within this client; the prefix
-// separates clients sharing a server's dedup window.
-func (cl *Client) nextReqIDLocked() string {
-	cl.reqSeq++
-	return fmt.Sprintf("%s-%d", cl.idPfx, cl.reqSeq)
+// FormatInsert renders one INSERT line, without a request id.
+func FormatInsert(streamName string, fields ...randvar.Field) string {
+	parts := make([]string, 0, len(fields)+2)
+	parts = append(parts, "INSERT", streamName)
+	for _, f := range fields {
+		parts = append(parts, FormatFieldSpec(f))
+	}
+	return strings.Join(parts, " ")
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// FormatInsertBatch renders one INSERTBATCH line, tuples separated by "|",
+// without a request id.
+func FormatInsertBatch(streamName string, rows ...[]randvar.Field) (string, error) {
+	if len(rows) == 0 {
+		return "", errors.New("server: empty batch")
+	}
+	parts := make([]string, 0, 2+2*len(rows))
+	parts = append(parts, "INSERTBATCH", streamName)
+	for i, fields := range rows {
+		if i > 0 {
+			parts = append(parts, "|")
+		}
+		for _, f := range fields {
+			parts = append(parts, FormatFieldSpec(f))
+		}
+	}
+	return strings.Join(parts, " "), nil
+}
+
+// ParseInsertReply returns the number of query results an INSERT or
+// INSERTBATCH produced, from its OK payload ("inserted [tuples=N ]results=M").
+func ParseInsertReply(payload string) int {
+	n := 0
+	if _, v, ok := strings.Cut(payload, "results="); ok {
+		fmt.Sscan(v, &n)
+	}
+	return n
 }
 
 // Do sends one raw protocol line and returns the OK payload: a single
@@ -378,16 +537,7 @@ func (cl *Client) Ping() error {
 
 // RegisterStream declares a stream schema.
 func (cl *Client) RegisterStream(schema *stream.Schema) error {
-	parts := make([]string, 0, schema.Arity()+2)
-	parts = append(parts, "STREAM", schema.Name)
-	for _, col := range schema.Columns {
-		if col.Probabilistic {
-			parts = append(parts, col.Name+":dist")
-		} else {
-			parts = append(parts, col.Name)
-		}
-	}
-	_, err := cl.roundTrip(strings.Join(parts, " "))
+	_, err := cl.roundTrip("STREAM " + FormatStreamDef(schema))
 	return err
 }
 
@@ -401,59 +551,38 @@ func (cl *Client) Query(id, sqlText string) error {
 	return err
 }
 
-// insertLine finalizes an ingest request: with retries enabled it appends a
+// ingestRoundTrip sends an ingest line: with retries enabled it appends a
 // request id, making the retry loop exactly-once end to end.
-func (cl *Client) ingestRoundTrip(parts []string) (string, error) {
+func (cl *Client) ingestRoundTrip(line string) (string, error) {
 	if cl.opts.Retries == 0 {
-		return cl.roundTrip(strings.Join(parts, " "))
+		return cl.roundTrip(line)
 	}
-	cl.mu.Lock()
-	id := cl.nextReqIDLocked()
-	cl.mu.Unlock()
-	return cl.roundTripIdem(strings.Join(parts, " ") + " @" + id)
+	return cl.roundTripIdem(line + " @" + cl.retry.NextReqID())
 }
 
 // Insert pushes one tuple; the returned count is the number of query
 // results the insert produced server-side.
 func (cl *Client) Insert(streamName string, fields ...randvar.Field) (int, error) {
-	parts := make([]string, 0, len(fields)+2)
-	parts = append(parts, "INSERT", streamName)
-	for _, f := range fields {
-		parts = append(parts, FormatFieldSpec(f))
-	}
-	payload, err := cl.ingestRoundTrip(parts)
+	payload, err := cl.ingestRoundTrip(FormatInsert(streamName, fields...))
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	fmt.Sscanf(payload, "inserted results=%d", &n)
-	return n, nil
+	return ParseInsertReply(payload), nil
 }
 
 // InsertBatch pushes several tuples in one round trip (and, with
 // durability on, one WAL record and at most one fsync). Returns the number
 // of query results the batch produced server-side.
 func (cl *Client) InsertBatch(streamName string, rows ...[]randvar.Field) (int, error) {
-	if len(rows) == 0 {
-		return 0, errors.New("server: empty batch")
-	}
-	parts := make([]string, 0, 2+2*len(rows))
-	parts = append(parts, "INSERTBATCH", streamName)
-	for i, fields := range rows {
-		if i > 0 {
-			parts = append(parts, "|")
-		}
-		for _, f := range fields {
-			parts = append(parts, FormatFieldSpec(f))
-		}
-	}
-	payload, err := cl.ingestRoundTrip(parts)
+	line, err := FormatInsertBatch(streamName, rows...)
 	if err != nil {
 		return 0, err
 	}
-	tuples, results := 0, 0
-	fmt.Sscanf(payload, "inserted tuples=%d results=%d", &tuples, &results)
-	return results, nil
+	payload, err := cl.ingestRoundTrip(line)
+	if err != nil {
+		return 0, err
+	}
+	return ParseInsertReply(payload), nil
 }
 
 // Stats fetches a query's counters.

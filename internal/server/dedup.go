@@ -71,10 +71,11 @@ func (d *dedupWindow) len() int {
 	return len(d.byID)
 }
 
-// splitReqID strips a trailing " @<id>" request-id token from an ingest
-// payload. Returns the payload unchanged and "" when no token is present.
-// Field specs never start with '@', so the framing is unambiguous.
-func splitReqID(rest string) (payload, reqID string) {
+// SplitReqID strips a trailing " @<id>" request-id token from an ingest
+// payload (or a whole ingest line). Returns the payload unchanged and ""
+// when no token is present. Field specs never start with '@', so the
+// framing is unambiguous.
+func SplitReqID(rest string) (payload, reqID string) {
 	idx := strings.LastIndexByte(rest, ' ')
 	if idx < 0 || idx+2 > len(rest) || rest[idx+1] != '@' {
 		return rest, ""

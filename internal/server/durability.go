@@ -128,7 +128,7 @@ func (s *Server) applyRecord(rec wal.Record) error {
 		}
 	case wal.RecInsert, wal.RecInsertBatch:
 		batch := rec.Type == wal.RecInsertBatch
-		body, reqID := splitReqID(payload)
+		body, reqID := SplitReqID(payload)
 		streamName, rows, err := parseInsertRows(body, batch)
 		if err != nil {
 			return fmt.Errorf("lsn %d (INSERT): %w", rec.LSN, err)

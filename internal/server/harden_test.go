@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -358,9 +359,9 @@ func TestSplitReqID(t *testing.T) {
 		{"a @x @y", "a @x", "y"},
 	}
 	for _, c := range cases {
-		payload, id := splitReqID(c.in)
+		payload, id := SplitReqID(c.in)
 		if payload != c.payload || id != c.id {
-			t.Errorf("splitReqID(%q) = (%q, %q), want (%q, %q)",
+			t.Errorf("SplitReqID(%q) = (%q, %q), want (%q, %q)",
 				c.in, payload, id, c.payload, c.id)
 		}
 	}
@@ -396,19 +397,47 @@ func TestDedupWindowEviction(t *testing.T) {
 	}
 }
 
+// One Retrier serves every session of a router and every node of a
+// cluster client at once: its ids stay unique under concurrent use.
+func TestRetrierConcurrentIDsUnique(t *testing.T) {
+	r := NewRetrier(DialOptions{Seed: 3})
+	const workers, each = 4, 250
+	ids := make(chan string, workers*each)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.Backoff(i%5 + 1)
+				ids <- r.NextReqID()
+			}
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	seen := make(map[string]bool, workers*each)
+	for id := range ids {
+		if seen[id] {
+			t.Fatalf("request id %s minted twice", id)
+		}
+		seen[id] = true
+	}
+}
+
 // TestClientBackoffDeterministic pins the retry backoff shape: seeded
 // clients produce identical jitter sequences within [d/2, d].
 func TestClientBackoffDeterministic(t *testing.T) {
-	mk := func() *Client {
-		return &Client{opts: DialOptions{
+	mk := func() *Retrier {
+		return NewRetrier(DialOptions{
 			RetryBase: 10 * time.Millisecond,
 			RetryMax:  80 * time.Millisecond,
 			Seed:      7,
-		}.normalize(), rng: 7}
+		})
 	}
 	a, b := mk(), mk()
-	for attempt := 1; attempt <= 6; attempt++ {
-		da, db := a.backoffLocked(attempt), b.backoffLocked(attempt)
+	for attempt := 1; attempt <= 70; attempt++ {
+		da, db := a.Backoff(attempt), b.Backoff(attempt)
 		if da != db {
 			t.Fatalf("attempt %d: %v != %v", attempt, da, db)
 		}

@@ -164,7 +164,7 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 		}
 	case wal.RecInsert, wal.RecInsertBatch:
 		batch := rec.Type == wal.RecInsertBatch
-		body, reqID := splitReqID(payload)
+		body, reqID := SplitReqID(payload)
 		streamName, rows, err := parseInsertRows(body, batch)
 		if err != nil {
 			return fmt.Errorf("replicated lsn %d (INSERT): %w", rec.LSN, err)

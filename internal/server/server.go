@@ -558,7 +558,7 @@ func (s *Server) handle(nc net.Conn) {
 		if s.opts.IdleTimeout > 0 {
 			nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		raw, err := readLine(r, maxLineBytes)
+		raw, err := ReadLine(r, maxLineBytes)
 		if err != nil {
 			readErr = err
 			break
@@ -976,7 +976,7 @@ func (s *Server) cmdInsertBatch(c *conn, rest string) error {
 // the window survives crash recovery (a retry that straddles a crash still
 // applies exactly once).
 func (s *Server) cmdIngest(c *conn, rest string, batch bool) error {
-	payload, reqID := splitReqID(rest)
+	payload, reqID := SplitReqID(rest)
 	if reqID != "" {
 		if e, ok := s.dedup.get(reqID); ok {
 			mDedupHits.Inc()
