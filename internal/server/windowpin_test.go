@@ -57,6 +57,10 @@ type pinCase struct {
 	// hist makes v a histogram on every row, in the shape the kernel-mc
 	// benchmark workload sends, so AVG and SUM never take the closed form.
 	hist bool
+	// mixed draws v and w from every kind the Monte Carlo path samples:
+	// Normal, Point, histograms of five and of forty buckets, Discrete with
+	// up to eight points, Uniform and two-component Mixture.
+	mixed bool
 	// dropUnsure and minProb set the engine's WHERE policy.
 	dropUnsure bool
 	minProb    float64
@@ -249,6 +253,24 @@ var pinCases = []pinCase{
 			core.AccuracyBootstrap:  "d84040991fe9e655f29b271421f7a2fd15ab9ae92c0bdfde052ab7d01184c64a",
 		},
 	},
+
+	// Generated at commit 5d678d4, whose Monte Carlo path drew every input
+	// through Distribution.Sample, one draw at a time.
+	{
+		name:  "mixed-kinds",
+		mixed: true,
+		sql: []string{
+			"SELECT MIN(v) AS lo, MAX(w) AS hi FROM s WINDOW 12 ROWS",
+			"SELECT AVG(v) AS a, SUM(w) AS s FROM s WINDOW 12 ROWS",
+			"SELECT AVG(v) AS a, SUM(w) AS s FROM s WINDOW 12 ROWS",
+			"SELECT k, MAX(v) AS hi, AVG(w) AS a, MIN(w) AS lo FROM s GROUP BY k WINDOW 4 ROWS",
+			"SELECT k, v * w AS p, SQRT(ABS(v - w)) AS d FROM s",
+		},
+		want: map[core.AccuracyMethod]string{
+			core.AccuracyAnalytical: "a8c784c1c1b7d148541c8d83bd8878ce0b23fdb2e58a9b6b1f33a2acf28d13a7",
+			core.AccuracyBootstrap:  "e6036d9ea998ff9f1ccc9264293db59f443d2234a803617b6405f8aa992c5f8b",
+		},
+	},
 }
 
 // pinGen produces the seeded input stream: k is a deterministic group key,
@@ -259,6 +281,7 @@ type pinGen struct {
 	rng   *rand.Rand
 	timed bool
 	hist  bool
+	mixed bool
 	i     int
 	now   int64
 	burst int
@@ -277,6 +300,14 @@ func (g *pinGen) row(t *testing.T) core.IngestRow {
 			t.Fatal(err)
 		}
 		return randvar.Field{Dist: nd, N: n}
+	}
+	if g.mixed {
+		row := core.IngestRow{
+			Fields: []randvar.Field{randvar.Det(float64(r.Intn(5))), g.mixedField(t, 40), g.mixedField(t, 30)},
+			Time:   g.time(),
+		}
+		g.i++
+		return row
 	}
 	v := gaussian(40)
 	switch {
@@ -313,6 +344,62 @@ func (g *pinGen) row(t *testing.T) core.IngestRow {
 	}
 	g.i++
 	return row
+}
+
+// mixedField returns a field of a kind chosen at random, with its values
+// around lo.
+func (g *pinGen) mixedField(t *testing.T, lo float64) randvar.Field {
+	t.Helper()
+	r := g.rng
+	n := 5 + r.Intn(25)
+	histogram := func(buckets, maxCount int) *dist.Histogram {
+		edges := make([]float64, buckets+1)
+		for i := range edges {
+			edges[i] = lo + 40*float64(i)/float64(buckets)
+		}
+		counts := make([]int, buckets)
+		for i := range counts {
+			counts[i] = r.Intn(maxCount + 1)
+		}
+		counts[r.Intn(buckets)]++
+		h, err := dist.HistogramFromCounts(edges, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	var d dist.Distribution
+	var err error
+	switch r.Intn(7) {
+	case 0:
+		d, err = dist.NewNormal(lo+40*r.Float64(), 1+30*r.Float64())
+	case 1:
+		d = dist.Point{V: lo + 40*r.Float64()}
+	case 2:
+		d = histogram(5, 12)
+	case 3:
+		d = histogram(40, 3)
+	case 4:
+		xs := make([]float64, 1+r.Intn(8))
+		ps := make([]float64, len(xs))
+		for i := range xs {
+			xs[i] = lo + 40*r.Float64()
+			ps[i] = float64(1 + r.Intn(5))
+		}
+		d, err = dist.NewDiscrete(xs, ps)
+	case 5:
+		a := lo + 20*r.Float64()
+		d, err = dist.NewUniform(a, a+1+20*r.Float64())
+	default:
+		var nd dist.Normal
+		if nd, err = dist.NewNormal(lo+40*r.Float64(), 1+10*r.Float64()); err == nil {
+			d, err = dist.NewMixture([]dist.Distribution{nd, histogram(5, 6)}, []float64{1 + r.Float64(), 1})
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return randvar.Field{Dist: d, N: n}
 }
 
 // time advances the generator clock and returns the next row's timestamp.
@@ -381,7 +468,7 @@ func pinRun(t *testing.T, pc pinCase, cfg core.Config, alone int) [][]core.Query
 		defs[i] = checkpoint.QueryDef{ID: id, SQL: q.SQL(), Query: q}
 	}
 
-	gen := &pinGen{rng: rand.New(rand.NewSource(20120401)), timed: pc.timed, hist: pc.hist}
+	gen := &pinGen{rng: rand.New(rand.NewSource(20120401)), timed: pc.timed, hist: pc.hist, mixed: pc.mixed}
 	var held [][]core.QueryResults
 	restores := map[int]bool{pinTuples / 3: true, 2 * pinTuples / 3: true}
 	for gen.i < pinTuples {
