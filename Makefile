@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSelect$$' -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzMonteCarloDraws$$' -fuzztime $(FUZZTIME) ./internal/randvar/
 
 clean:
 	rm -rf .bench_build

@@ -23,8 +23,8 @@ import (
 //   - the window (ColumnWindow, one per GROUP BY key, or sketch ring) is
 //     pushed once;
 //   - every closed-form aggregate any member requests is computed once;
-//     Monte Carlo aggregates get one shared column materialization and run
-//     per member, on the member's own evaluator;
+//     Monte Carlo aggregates get one compiled column per window column and
+//     run per member, on the member's own evaluator;
 //   - when every member runs the identical output plan under an accuracy
 //     backend that consumes no per-query randomness, the first member's
 //     assembled and decorated emission is handed to the others verbatim.
@@ -98,11 +98,11 @@ type sharedEmission struct {
 	err error
 
 	// Columnar window stage: emit is set when the window is to be
-	// aggregated; mc when some aggregate needs the materialized columns.
+	// aggregated; mc when some aggregate draws from the compiled columns.
 	emit bool
 	mc   bool
 	aggs map[aggSpec]sharedAggVal
-	mat  map[int][]randvar.Field
+	cols map[int]*randvar.Column
 
 	// res is the fully built emission: for a sketch group, set when the push
 	// sealed a full window; for a column group, set by the first member of a
@@ -311,13 +311,13 @@ func (q *Query) pushShared(t *stream.Tuple) ([]Result, error) {
 	return q.replayShared(em, t)
 }
 
-// reset empties a reused emission, keeping its maps and column buffers.
+// reset empties a reused emission, keeping its maps and compiled columns.
 func (em *sharedEmission) reset() {
 	clear(em.aggs)
-	for c, fields := range em.mat {
-		em.mat[c] = fields[:0]
+	for _, c := range em.cols {
+		c.Reset()
 	}
-	*em = sharedEmission{aggs: em.aggs, mat: em.mat}
+	*em = sharedEmission{aggs: em.aggs, cols: em.cols}
 }
 
 // compute runs the group pipeline once for tuple t into em. q is the member
@@ -380,7 +380,7 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple, em *sharedEmission) {
 			}
 		}
 		// Min, Max and non-Gaussian Avg/Sum: Monte Carlo, per member.
-		em.materialize(win, spec.col)
+		em.compile(win, spec.col)
 	}
 	if timed {
 		q.timing.Observe(plan.StageAggregate, time.Since(t0))
@@ -410,15 +410,20 @@ func (g *sharedGroup) windowFor(q *Query, t *stream.Tuple) (*stream.ColumnWindow
 	return w, nil
 }
 
-// materialize snapshots one column of the window, oldest-first — the common
-// input every member's Monte Carlo aggregate consumes with its own
-// evaluator.
-func (em *sharedEmission) materialize(win *stream.ColumnWindow, col int) {
-	if em.mat == nil {
-		em.mat = make(map[int][]randvar.Field)
+// compile compiles one column of the window, oldest-first, once per
+// emission — the common input every member's Monte Carlo aggregate draws
+// from with its own evaluator.
+func (em *sharedEmission) compile(win *stream.ColumnWindow, col int) {
+	if em.cols == nil {
+		em.cols = make(map[int]*randvar.Column)
 	}
-	if len(em.mat[col]) == 0 {
-		em.mat[col] = win.AppendColumnFields(em.mat[col], col)
+	c := em.cols[col]
+	if c == nil {
+		c = new(randvar.Column)
+		em.cols[col] = c
+	}
+	if c.Len() == 0 {
+		win.CompileColumn(c, col)
 	}
 	em.mc = true
 }
@@ -468,7 +473,7 @@ func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, err
 			values = append(values, nil)
 			continue
 		}
-		res, err := stream.Aggregate(q.ev, oc.agg.kind, em.mat[spec.col])
+		res, err := stream.AggregateCompiled(q.ev, oc.agg.kind, em.cols[spec.col])
 		if err != nil {
 			return nil, fmt.Errorf("core: aggregate %s: %w", oc.agg.label, err)
 		}

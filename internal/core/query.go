@@ -942,7 +942,7 @@ func (q *Query) fieldAccuracy(f randvar.Field, values []float64) (*accuracy.Info
 	case AccuracyBootstrap:
 		div := shedDivisor(q.eng.DegradeLevel())
 		hist, _ := f.Dist.(*dist.Histogram)
-		if len(values) >= 2*f.N {
+		if f.N <= len(values)/2 { // len(values) ≥ 2n without overflowing 2n
 			// §III-B category 1: the Monte Carlo path already produced a
 			// value sequence of r = len(values)/n resamples. Shedding keeps
 			// a prefix worth max(2, r/div) resamples — no RNG involved, so

@@ -23,10 +23,32 @@ import (
 // Rand is not safe for concurrent use; give each goroutine its own instance
 // (see Split).
 type Rand struct {
-	s         [4]uint64
+	g         gen
 	spare     float64 // cached second normal variate
 	haveSpare bool
 }
+
+// gen is the xoshiro256** state, held by value: a loop that copies it into a
+// local keeps the four words in registers instead of loading and storing
+// them through a *Rand on every output (Joint's draw loop does).
+type gen struct{ s0, s1, s2, s3 uint64 }
+
+// next returns the generator advanced by one step, and that step's output.
+func (g gen) next() (gen, uint64) {
+	result := rotl(g.s1*5, 7) * 9
+	t := g.s1 << 17
+	g.s2 ^= g.s0
+	g.s3 ^= g.s1
+	g.s1 ^= g.s2
+	g.s0 ^= g.s3
+	g.s2 ^= t
+	g.s3 = rotl(g.s3, 45)
+	return g, result
+}
+
+// unit maps a generator output to a uniform float64 in [0, 1), as Float64
+// does.
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // NewRand returns a generator seeded deterministically from seed.
 func NewRand(seed uint64) *Rand {
@@ -66,14 +88,16 @@ func NewRandStream(root, i uint64) *Rand {
 // allocation. It lets pooled per-worker generators step through substreams
 // without churning the heap.
 func (r *Rand) Reseed(seed uint64) {
+	var s [4]uint64
 	x := seed
-	for i := range r.s {
+	for i := range s {
 		x += 0x9e3779b97f4a7c15
 		z := x
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		s[i] = z ^ (z >> 31)
 	}
+	r.g = gen{s[0], s[1], s[2], s[3]}
 	r.spare = 0
 	r.haveSpare = false
 }
@@ -90,7 +114,7 @@ type RandState struct {
 
 // State returns a snapshot of r's full state.
 func (r *Rand) State() RandState {
-	return RandState{S: r.s, Spare: r.spare, HaveSpare: r.haveSpare}
+	return RandState{S: [4]uint64{r.g.s0, r.g.s1, r.g.s2, r.g.s3}, Spare: r.spare, HaveSpare: r.haveSpare}
 }
 
 // SetState restores a snapshot taken with State. The all-zero xoshiro state
@@ -99,7 +123,7 @@ func (r *Rand) SetState(st RandState) error {
 	if st.S[0]|st.S[1]|st.S[2]|st.S[3] == 0 {
 		return errors.New("dist: all-zero generator state")
 	}
-	r.s = st.S
+	r.g = gen{st.S[0], st.S[1], st.S[2], st.S[3]}
 	r.spare = st.Spare
 	r.haveSpare = st.HaveSpare
 	return nil
@@ -109,16 +133,9 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var x uint64
+	r.g, x = r.g.next()
+	return x
 }
 
 // Float64 returns a uniform float64 in [0, 1).

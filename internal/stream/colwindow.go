@@ -375,24 +375,29 @@ func (w *ColumnWindow) SameContents(o *ColumnWindow) bool {
 	return true
 }
 
-// AppendColumnFields appends column c's fields oldest-first to dst and
-// returns the extended slice — the materialization used when an aggregate
-// must fall back to the generic (Monte Carlo) path.
-func (w *ColumnWindow) AppendColumnFields(dst []randvar.Field, c int) []randvar.Field {
+// CompileColumn adds column c's fields, oldest-first, to dst — the input of
+// an aggregate that falls back to the Monte Carlo path. Point and Normal
+// slots compile from the column arrays without materializing a field.
+func (w *ColumnWindow) CompileColumn(dst *randvar.Column, c int) {
 	col := &w.cols[c]
-	if end := w.head + w.count; end <= w.size {
-		for i := w.head; i < end; i++ {
-			dst = append(dst, col.field(i))
-		}
-	} else {
-		for i := w.head; i < w.size; i++ {
-			dst = append(dst, col.field(i))
-		}
-		for i := 0; i < end-w.size; i++ {
-			dst = append(dst, col.field(i))
+	add := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			switch col.kind[i] {
+			case slotPoint:
+				dst.AddPoint(col.mean[i], col.n[i])
+			case slotNormal:
+				dst.AddNormal(col.mean[i], col.varr[i], col.n[i])
+			default:
+				dst.Add(randvar.Field{Dist: col.other[i], N: col.n[i]})
+			}
 		}
 	}
-	return dst
+	if end := w.head + w.count; end <= w.size {
+		add(w.head, end)
+	} else {
+		add(w.head, w.size)
+		add(0, end-w.size)
+	}
 }
 
 // Tuples materializes the window contents oldest-first as fresh tuples
