@@ -37,7 +37,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "engine RNG seed")
 	script := flag.String("f", "", "script file to execute before the prompt")
 	batch := flag.Bool("batch", false, "exit after the script (no interactive prompt)")
-	workers := flag.Int("workers", 0, "accuracy-kernel parallelism (0 = GOMAXPROCS); results are identical at any setting")
 	dataDir := flag.String("data-dir", "", "durability directory (empty = in-memory only)")
 	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always | interval | none")
 	ckEvery := flag.Int("checkpoint-every", 1024, "checkpoint after this many journaled commands")
@@ -67,7 +66,7 @@ func main() {
 		os.Exit(2)
 	}
 	r, err := repl.New(core.Config{
-		Level: *level, Method: m, Seed: *seed, Workers: *workers,
+		Level: *level, Method: m, Seed: *seed,
 		DataDir: *dataDir, FsyncPolicy: *fsyncPolicy, CheckpointEvery: *ckEvery,
 	}, os.Stdout)
 	if err != nil {

@@ -94,7 +94,9 @@ func main() {
 	method := flag.String("method", "analytical", "accuracy method: none | analytical | bootstrap")
 	seed := flag.Uint64("seed", 1, "engine RNG seed")
 	dropUnsure := flag.Bool("drop-unsure", false, "drop tuples whose coupled significance test is UNSURE")
-	workers := flag.Int("workers", 0, "accuracy-kernel parallelism (0 = GOMAXPROCS); results are identical at any setting")
+	// Deprecated: -workers is accepted and ignored (the accuracy kernel runs
+	// serially) so that existing command lines keep starting the daemon.
+	flag.Int("workers", 0, "deprecated and ignored: the accuracy kernel runs serially")
 	dataDir := flag.String("data-dir", "", "durability directory (empty = in-memory only)")
 	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always | interval | none")
 	ckEvery := flag.Int("checkpoint-every", 1024, "checkpoint after this many journaled commands")
@@ -153,7 +155,6 @@ func main() {
 		Method:          m,
 		Seed:            *seed,
 		DropUnsure:      *dropUnsure,
-		Workers:         *workers,
 		DataDir:         *dataDir,
 		FsyncPolicy:     *fsyncPolicy,
 		CheckpointEvery: *ckEvery,

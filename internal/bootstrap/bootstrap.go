@@ -14,25 +14,21 @@
 // (resampling with replacement, §III-A) used to cross-check the d.f.
 // variant and to bootstrap source-data samples directly.
 //
-// # Parallel accuracy kernel
+// # Accuracy kernel
 //
-// Lemma 4's resamples are independent by construction, so every hot loop
-// here — per-resample statistics, classic bootstrap resamples, Monte Carlo
-// draws in FromDistribution — runs over internal/parallel with one RNG
-// substream per work item (dist.DeriveSeed). Output is bit-identical for
-// every worker count, including workers=1, which executes the plain serial
-// loop. The *Workers variants take an explicit worker bound (the engine
-// passes core.Config.Workers); the original entry points default to
-// runtime.GOMAXPROCS(0). Per-resample statistics use single-pass
-// Welford accumulation and pooled flat scratch buffers, so the steady-state
-// hot path allocates only the returned accuracy.Info.
+// Every loop here runs serially on the caller's goroutine. Lemma 4's
+// resamples are independent by construction, and each one that draws —
+// classic bootstrap resamples, Monte Carlo draws in FromDistribution — draws
+// from its own RNG substream of one root value (dist.DeriveSeed), so a
+// resample's values depend on its index alone. Per-resample statistics use
+// single-pass Welford accumulation and pooled flat scratch buffers, so the
+// steady-state hot path allocates only the returned accuracy.Info.
 package bootstrap
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -41,7 +37,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/learn"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/stat"
 )
 
@@ -66,17 +61,6 @@ var (
 // ErrTooFewValues reports that the value sequence cannot form enough d.f.
 // resamples for percentile intervals to be meaningful.
 var ErrTooFewValues = errors.New("bootstrap: too few values for requested resamples")
-
-// DefaultResamples is the resample count the engine aims for when it
-// controls m (the paper's Example 7 uses r = 20; convergence benches in
-// bench_test.go justify the default).
-const DefaultResamples = 40
-
-// serialCutoff is the total number of scalar work units (values scanned or
-// variates drawn) below which the parallel loops run serially: under it,
-// goroutine dispatch costs more than the loop body. Results are identical
-// either way — the cutoff only picks the execution strategy.
-const serialCutoff = 4096
 
 // scratchPool recycles the flat float64 scratch buffers of the hot paths
 // (resample statistics, sampled value sequences) across calls.
@@ -163,23 +147,11 @@ func percentile(sorted []float64, p float64) float64 {
 // It returns an error when fewer than 2 complete resamples fit in v
 // (r = ⌊m/n⌋ < 2); the paper assumes "m is sufficiently large so that the
 // confidence intervals ... converge".
-//
-// Resamples are processed with up to runtime.GOMAXPROCS(0) workers; see
-// AccuracyInfoWorkers for an explicit bound. The result does not depend on
-// the worker count.
 func AccuracyInfo(v []float64, n int, alpha float64, hist *dist.Histogram) (*accuracy.Info, error) {
-	return AccuracyInfoWorkers(v, n, alpha, hist, runtime.GOMAXPROCS(0))
+	return accuracyInfo(v, n, alpha, hist, false)
 }
 
-// AccuracyInfoWorkers is AccuracyInfo with an explicit worker bound
-// (workers <= 1 runs the serial loop inline). Per Lemma 4 the r resamples
-// are independent, and each one writes only its own output slot, so the
-// returned accuracy.Info is bit-identical for every worker count.
-func AccuracyInfoWorkers(v []float64, n int, alpha float64, hist *dist.Histogram, workers int) (*accuracy.Info, error) {
-	return accuracyInfo(v, n, alpha, hist, workers, false)
-}
-
-// AccuracyInfoShed is AccuracyInfoWorkers for a load-shed (reduced) resample
+// AccuracyInfoShed is AccuracyInfo for a load-shed (reduced) resample
 // budget. Percentile intervals over a handful of resamples undercover — the
 // empirical 5th/95th percentiles of r points collapse toward the min/max, so
 // trimming resamples would silently report narrower intervals. The shed
@@ -187,11 +159,11 @@ func AccuracyInfoWorkers(v []float64, n int, alpha float64, hist *dist.Histogram
 // statistics, mean ± t((1+α)/2, r−1)·s·√(1+1/r): asymptotically the same
 // interval under normality, and honestly wider as r shrinks — degraded
 // accuracy shows up in the output instead of hiding in lost coverage.
-func AccuracyInfoShed(v []float64, n int, alpha float64, hist *dist.Histogram, workers int) (*accuracy.Info, error) {
-	return accuracyInfo(v, n, alpha, hist, workers, true)
+func AccuracyInfoShed(v []float64, n int, alpha float64, hist *dist.Histogram) (*accuracy.Info, error) {
+	return accuracyInfo(v, n, alpha, hist, true)
 }
 
-func accuracyInfo(v []float64, n int, alpha float64, hist *dist.Histogram, workers int, shed bool) (*accuracy.Info, error) {
+func accuracyInfo(v []float64, n int, alpha float64, hist *dist.Histogram, shed bool) (*accuracy.Info, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("bootstrap: d.f. sample size %d, need ≥ 2", n)
 	}
@@ -202,9 +174,6 @@ func accuracyInfo(v []float64, n int, alpha float64, hist *dist.Histogram, worke
 	}
 	if alpha <= 0 || alpha >= 1 || math.IsNaN(alpha) {
 		return nil, fmt.Errorf("bootstrap: confidence level %v outside (0,1)", alpha)
-	}
-	if r*n < serialCutoff {
-		workers = 1
 	}
 	mResamples.Add(uint64(r))
 	mValues.Add(uint64(r * n))
@@ -217,9 +186,7 @@ func accuracyInfo(v []float64, n int, alpha float64, hist *dist.Histogram, worke
 	// [0,n) Welford reciprocals, then [_,r) resample means, [_,r)
 	// resample variances, then `buckets` rows of r bin heights each
 	// (row k holds bucket k across resamples, contiguous so its
-	// percentile interval sorts in place without a gather). Resample i
-	// writes column i of each region — disjoint slots, so the parallel
-	// loop needs no synchronization.
+	// percentile interval sorts in place without a gather).
 	scratch := getScratch(n + r*(2+buckets))
 	defer putScratch(scratch)
 	buf := *scratch
@@ -235,14 +202,7 @@ func accuracyInfo(v []float64, n int, alpha float64, hist *dist.Histogram, worke
 	for i := range bins {
 		bins[i] = 0
 	}
-	if workers <= 1 {
-		// Direct call: no closure materializes on the serial hot path.
-		resampleStats(v, n, r, 0, r, means, variances, bins, inv, hist)
-	} else {
-		parallel.ForChunks(workers, r, func(lo, hi int) {
-			resampleStats(v, n, r, lo, hi, means, variances, bins, inv, hist)
-		})
-	}
+	resampleStats(v, n, r, means, variances, bins, inv, hist)
 	interval := percentileIntervalInPlace
 	method := "bootstrap"
 	if shed {
@@ -309,11 +269,9 @@ func tPredictionInterval(stats []float64, alpha float64) accuracy.Interval {
 	return accuracy.Interval{Lo: mean - hw, Hi: mean + hw, Level: alpha}
 }
 
-// resampleStats computes the statistics of resamples [lo, hi) — lines 2–11
-// of BOOTSTRAP-ACCURACY-INFO. Resample i reads v[i*n:(i+1)*n] and writes
-// only means[i], variances[i], and column i of each bucket row in bins, so
-// disjoint ranges may run concurrently with no synchronization and the
-// output is independent of how [0, r) is partitioned.
+// resampleStats computes the statistics of the r resamples — lines 2–11 of
+// BOOTSTRAP-ACCURACY-INFO. Resample i reads v[i*n:(i+1)*n] and writes
+// means[i], variances[i], and column i of each bucket row in bins.
 //
 // Moments use single-pass Welford accumulation in two interleaved blocks
 // merged with Chan et al.'s pairwise formula: one sweep over the data (the
@@ -321,13 +279,13 @@ func tPredictionInterval(stats []float64, alpha float64) accuracy.Interval {
 // Welford's update, and half the loop-carried latency of a single
 // accumulator. inv holds precomputed reciprocals 1/(j+1) so the update
 // multiplies instead of divides.
-func resampleStats(v []float64, n, r, lo, hi int, means, variances, bins, inv []float64, hist *dist.Histogram) {
+func resampleStats(v []float64, n, r int, means, variances, bins, inv []float64, hist *dist.Histogram) {
 	buckets := 0
 	if hist != nil {
 		buckets = hist.NumBuckets()
 	}
 	invN := 1 / float64(n)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < r; i++ {
 		o := v[i*n : (i+1)*n]
 		h := n / 2
 		a, b := o[:h], o[h:]
@@ -370,30 +328,22 @@ func resampleStats(v []float64, n, r, lo, hi int, means, variances, bins, inv []
 // a sequence of values", then run BOOTSTRAP-ACCURACY-INFO on it. r controls
 // the number of d.f. resamples drawn (m = r·n values are sampled).
 //
-// Sampling and resample statistics run with up to runtime.GOMAXPROCS(0)
-// workers; see FromDistributionWorkers.
+// Each of the r resamples draws its n variates from its own RNG substream
+// derived from one value consumed off rng (dist.DeriveSeed), so rng advances
+// by exactly one step per call whatever n, r and d are.
 func FromDistribution(d dist.Distribution, n, r int, alpha float64, rng *dist.Rand) (*accuracy.Info, error) {
-	return FromDistributionWorkers(d, n, r, alpha, rng, runtime.GOMAXPROCS(0))
+	return fromDistribution(d, n, r, alpha, rng, false)
 }
 
-// FromDistributionWorkers is FromDistribution with an explicit worker
-// bound. Each of the r resamples draws its n variates from its own RNG
-// substream derived from one value consumed off rng (dist.DeriveSeed), so
-// the value sequence — and hence the returned accuracy.Info — is identical
-// for every worker count and every scheduling of the workers.
-func FromDistributionWorkers(d dist.Distribution, n, r int, alpha float64, rng *dist.Rand, workers int) (*accuracy.Info, error) {
-	return fromDistribution(d, n, r, alpha, rng, workers, false)
-}
-
-// FromDistributionShed is FromDistributionWorkers for a load-shed resample
+// FromDistributionShed is FromDistribution for a load-shed resample
 // budget: the reduced r draws proportionally fewer variates, and intervals
 // come from the t-based shed path (see AccuracyInfoShed) so they widen
 // honestly instead of undercovering.
-func FromDistributionShed(d dist.Distribution, n, r int, alpha float64, rng *dist.Rand, workers int) (*accuracy.Info, error) {
-	return fromDistribution(d, n, r, alpha, rng, workers, true)
+func FromDistributionShed(d dist.Distribution, n, r int, alpha float64, rng *dist.Rand) (*accuracy.Info, error) {
+	return fromDistribution(d, n, r, alpha, rng, true)
 }
 
-func fromDistribution(d dist.Distribution, n, r int, alpha float64, rng *dist.Rand, workers int, shed bool) (*accuracy.Info, error) {
+func fromDistribution(d dist.Distribution, n, r int, alpha float64, rng *dist.Rand, shed bool) (*accuracy.Info, error) {
 	if d == nil {
 		return nil, errors.New("bootstrap: nil distribution")
 	}
@@ -407,29 +357,20 @@ func fromDistribution(d dist.Distribution, n, r int, alpha float64, rng *dist.Ra
 	scratch := getScratch(n * r)
 	defer putScratch(scratch)
 	v := *scratch
-	sampleWorkers := workers
-	if n*r < serialCutoff {
-		sampleWorkers = 1
-	}
 	mDraws.Add(uint64(n * r))
 	t0 := time.Now()
-	if sampleWorkers <= 1 {
-		sampleChunk(d, v, n, root, 0, r)
-	} else {
-		parallel.ForChunks(sampleWorkers, r, func(lo, hi int) {
-			sampleChunk(d, v, n, root, lo, hi)
-		})
-	}
+	sampleResamples(d, v, n, root)
 	hSample.ObserveSince(t0)
 	hist, _ := d.(*dist.Histogram)
-	return accuracyInfo(v, n, alpha, hist, workers, shed)
+	return accuracyInfo(v, n, alpha, hist, shed)
 }
 
-// sampleChunk draws resamples [lo, hi) of the FromDistribution value
-// sequence. Resample i fills v[i*n:(i+1)*n] from RNG substream i of root,
-// reusing one generator struct per chunk, so the values depend only on
-// (d, root, n) — never on chunking or scheduling.
-func sampleChunk(d dist.Distribution, v []float64, n int, root uint64, lo, hi int) {
+// sampleResamples draws the FromDistribution value sequence v, len(v)/n
+// resamples of n. Resample i fills v[i*n:(i+1)*n] from RNG substream i of
+// root, reusing one generator struct, so the values depend only on
+// (d, root, n).
+func sampleResamples(d dist.Distribution, v []float64, n int, root uint64) {
+	r := len(v) / n
 	var sub dist.Rand
 	// Devirtualized fast paths for the two distributions the aggregate hot
 	// path emits. Bit-identical to the generic loop: Normal.Sample computes
@@ -438,7 +379,7 @@ func sampleChunk(d dist.Distribution, v []float64, n int, root uint64, lo, hi in
 	switch dd := d.(type) {
 	case dist.Normal:
 		mu, sd := dd.Mu, math.Sqrt(dd.Sigma2)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < r; i++ {
 			sub.Reseed(dist.DeriveSeed(root, uint64(i)))
 			o := v[i*n : (i+1)*n]
 			for j := range o {
@@ -447,15 +388,12 @@ func sampleChunk(d dist.Distribution, v []float64, n int, root uint64, lo, hi in
 		}
 		return
 	case dist.Point:
-		for i := lo; i < hi; i++ {
-			o := v[i*n : (i+1)*n]
-			for j := range o {
-				o[j] = dd.V
-			}
+		for j := range v {
+			v[j] = dd.V
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < r; i++ {
 		sub.Reseed(dist.DeriveSeed(root, uint64(i)))
 		o := v[i*n : (i+1)*n]
 		for j := range o {
@@ -487,20 +425,10 @@ func ProportionAbove(v float64) Statistic {
 // bootstrap distribution of the statistic. Use PercentileInterval on the
 // result for a confidence interval.
 //
-// Resamples run with up to runtime.GOMAXPROCS(0) workers; see
-// ClassicWorkers.
+// Resample i draws from RNG substream i of one value consumed off rng. One
+// scratch Sample is reused across every resample (learn.Sample.ResampleInto),
+// so the loop does not allocate per resample.
 func Classic(s *learn.Sample, stat Statistic, b int, rng *dist.Rand) ([]float64, error) {
-	return ClassicWorkers(s, stat, b, rng, runtime.GOMAXPROCS(0))
-}
-
-// ClassicWorkers is Classic with an explicit worker bound. Resample i draws
-// from RNG substream i of one value consumed off rng, so the bootstrap
-// distribution is identical for every worker count. stat must be safe for
-// concurrent calls on distinct samples (the built-in statistics are pure).
-// Each worker reuses one scratch Sample across its whole chunk of
-// resamples (learn.Sample.ResampleInto), so the loop does not allocate per
-// resample.
-func ClassicWorkers(s *learn.Sample, stat Statistic, b int, rng *dist.Rand, workers int) ([]float64, error) {
 	if s == nil || s.Size() == 0 {
 		return nil, learn.ErrEmptySample
 	}
@@ -508,56 +436,24 @@ func ClassicWorkers(s *learn.Sample, stat Statistic, b int, rng *dist.Rand, work
 		return nil, fmt.Errorf("bootstrap: resample count %d, need ≥ 1", b)
 	}
 	root := rng.Uint64()
-	if b*s.Size() < serialCutoff {
-		workers = 1
-	}
 	mClassic.Add(uint64(b))
 	out := make([]float64, b)
-	if workers <= 1 {
-		if err := classicChunk(s, stat, root, 0, b, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	parallel.ForChunks(workers, b, func(lo, hi int) {
-		if err := classicChunk(s, stat, root, lo, hi, out); err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// classicChunk computes classic-bootstrap resamples [lo, hi): resample i
-// draws from RNG substream i of root into a scratch sample reused across
-// the whole chunk, then evaluates stat on it into out[i].
-func classicChunk(s *learn.Sample, stat Statistic, root uint64, lo, hi int, out []float64) error {
 	var (
 		scratch learn.Sample
 		sub     dist.Rand
 	)
-	for i := lo; i < hi; i++ {
+	for i := range out {
 		sub.Reseed(dist.DeriveSeed(root, uint64(i)))
 		if err := s.ResampleInto(&scratch, &sub); err != nil {
-			return err
+			return nil, err
 		}
 		v, err := stat(&scratch)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[i] = v
 	}
-	return nil
+	return out, nil
 }
 
 // ClassicInterval is a convenience wrapper: bootstrap s with b resamples and

@@ -39,6 +39,25 @@ func TestPercentileInterval(t *testing.T) {
 	}
 }
 
+// TestPercentileIntervalRejectsNaN covers the hardening satellite: a NaN in
+// the value sequence must produce a clear error, not a silently wrong
+// interval from NaN-poisoned sorting.
+func TestPercentileIntervalRejectsNaN(t *testing.T) {
+	v := []float64{1, 2, math.NaN(), 4}
+	if _, err := PercentileInterval(v, 0.9); err == nil {
+		t.Error("PercentileInterval accepted NaN input")
+	}
+}
+
+// TestPercentileEmptyGuard covers the empty-slice guard added to the
+// internal percentile helper via the public path: an empty value sequence
+// must error, not panic.
+func TestPercentileEmptyGuard(t *testing.T) {
+	if _, err := PercentileInterval(nil, 0.9); err == nil {
+		t.Error("PercentileInterval accepted empty input")
+	}
+}
+
 func TestPercentileIntervalValidation(t *testing.T) {
 	if _, err := PercentileInterval([]float64{1}, 0.9); err == nil {
 		t.Error("single value: want error")

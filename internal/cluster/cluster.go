@@ -3,9 +3,9 @@
 //
 // Replication is WAL shipping: the primary's write-ahead log already
 // totally orders every state change (WAL order == engine sequence order,
-// and the engine is bit-identical at any worker count), so a follower that
-// replays the shipped records through the server's normal apply paths is
-// byte-identical to the primary at every LSN — DATA frames, STATS replies
+// and the engine's results are a pure function of that order), so a
+// follower that replays the shipped records through the server's normal
+// apply paths is byte-identical to the primary at every LSN — DATA frames, STATS replies
 // and per-query METRICS all match. ShipServer is the primary side (serves
 // sealed and live segments, tracks follower lag); Follower is the replica
 // side (applies records, serves read-only traffic, can be promoted).

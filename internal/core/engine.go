@@ -19,7 +19,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,8 +83,7 @@ type Config struct {
 	// (default randvar.DefaultHistogramBins).
 	HistogramBins int
 	// BootstrapResamples is the d.f. resample count r when the bootstrap
-	// backend must draw its own values (default
-	// bootstrap.DefaultResamples).
+	// backend must draw its own values (default 20, the paper's Example 7).
 	BootstrapResamples int
 	// DropUnsure controls significance predicates: when true (default),
 	// tuples whose coupled test returns UNSURE are dropped; when false
@@ -94,12 +92,10 @@ type Config struct {
 	// MinProb drops result tuples whose membership probability falls
 	// below it (0 keeps everything).
 	MinProb float64
-	// Workers bounds the parallelism of the accuracy kernel (bootstrap
-	// resample statistics and Monte Carlo draws). Default
-	// runtime.GOMAXPROCS(0); 1 runs every accuracy loop serially on the
-	// query's goroutine. Results are bit-identical for every value — each
-	// work item derives its own RNG substream from the query seed
-	// (dist.DeriveSeed), so Workers trades only latency, never output.
+	// Workers is ignored: the accuracy kernel runs serially on the query's
+	// goroutine.
+	//
+	// Deprecated: kept only so existing callers compile; it will be removed.
 	Workers int
 	// DataDir enables the durability layer: a write-ahead log of ingested
 	// tuples and DDL/query registrations plus periodic engine checkpoints
@@ -162,12 +158,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.MinProb < 0 || c.MinProb > 1 {
 		return c, fmt.Errorf("core: MinProb %v outside [0,1]", c.MinProb)
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers < 1 {
-		return c, fmt.Errorf("core: Workers %d, need ≥ 1", c.Workers)
 	}
 	if c.FsyncPolicy == "" {
 		c.FsyncPolicy = "interval"

@@ -92,8 +92,8 @@ func (q *Query) Explain() string {
 	if q.method != AccuracyNone {
 		fmt.Fprintf(&b, " at %g%% confidence", q.eng.cfg.Level*100)
 		if q.method == AccuracyBootstrap {
-			fmt.Fprintf(&b, " (value sequences when Monte Carlo ran, else %d d.f. resamples; up to %d workers, deterministic)",
-				q.eng.cfg.BootstrapResamples, q.eng.cfg.Workers)
+			fmt.Fprintf(&b, " (value sequences when Monte Carlo ran, else %d d.f. resamples)",
+				q.eng.cfg.BootstrapResamples)
 		}
 		if q.method == AccuracySketch {
 			b.WriteString(" (mergeable bounded-memory summaries; median ranks widened by the deterministic sketch rank-error bound, mean intervals by membership uncertainty)")

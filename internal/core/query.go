@@ -768,7 +768,7 @@ func (q *Query) newWindow() (*stream.ColumnWindow, error) {
 // to the blocked window of the query's plan group and, when that seals a
 // full window's block, builds the one emission whose fields come from the
 // merged sketches; otherwise it returns nil. The path consumes no RNG, so it
-// is deterministic at any worker count and across WAL replays and replicas
+// is deterministic across WAL replays and replicas
 // by construction. Counters and telemetry are the caller's (emitShared),
 // once per query the emission is handed to.
 //
@@ -958,9 +958,9 @@ func (q *Query) fieldAccuracy(f randvar.Field, values []float64) (*accuracy.Info
 				}
 				values = values[:r*f.N]
 				q.noteShed()
-				return bootstrap.AccuracyInfoShed(values, f.N, cfg.Level, hist, cfg.Workers)
+				return bootstrap.AccuracyInfoShed(values, f.N, cfg.Level, hist)
 			}
-			return bootstrap.AccuracyInfoWorkers(values, f.N, cfg.Level, hist, cfg.Workers)
+			return bootstrap.AccuracyInfo(values, f.N, cfg.Level, hist)
 		}
 		// Category 2: sample from the result distribution.
 		if div > 1 {
@@ -972,9 +972,9 @@ func (q *Query) fieldAccuracy(f randvar.Field, values []float64) (*accuracy.Info
 				resamples = cfg.BootstrapResamples
 			}
 			q.noteShed()
-			return bootstrap.FromDistributionShed(f.Dist, f.N, resamples, cfg.Level, q.rng, cfg.Workers)
+			return bootstrap.FromDistributionShed(f.Dist, f.N, resamples, cfg.Level, q.rng)
 		}
-		return bootstrap.FromDistributionWorkers(f.Dist, f.N, cfg.BootstrapResamples, cfg.Level, q.rng, cfg.Workers)
+		return bootstrap.FromDistribution(f.Dist, f.N, cfg.BootstrapResamples, cfg.Level, q.rng)
 	}
 	return nil, fmt.Errorf("core: accuracy method %v", q.method)
 }

@@ -11,7 +11,7 @@ import (
 // Engine-level and query-level observability. Everything in this file is
 // observation-only: instruments read values the query pipeline already
 // computed and never feed anything back, so the engine stays bit-identical
-// with instrumentation present at any worker count.
+// with instrumentation present.
 var (
 	mTuples = metrics.Default.Counter("asdb_engine_tuples_total",
 		"tuples constructed via Engine.NewTuple")

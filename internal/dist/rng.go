@@ -68,9 +68,8 @@ func (r *Rand) Split() *Rand {
 // DeriveSeed deterministically derives the seed of substream i from a root
 // seed (SplitMix-style: golden-ratio stride through the seed space followed
 // by a splitmix64 finalizer). It is a pure function — no generator state is
-// consumed — so the parallel accuracy kernel can hand work item i its own
-// independent stream and produce bit-identical output regardless of how
-// items are scheduled across workers.
+// consumed — so the bootstrap kernel hands resample i its own independent
+// stream, and a resample's draws depend on its index alone.
 func DeriveSeed(root, i uint64) uint64 {
 	z := root + (i+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -9,8 +9,8 @@
 // deterministic per-operation counter, never by wall-clock time or
 // goroutine scheduling. Replaying the same command sequence against the
 // same schedule therefore injects the same faults at the same points, so
-// chaos tests can assert bit-identical recovery, at any worker count, after
-// arbitrarily nasty injected failures.
+// chaos tests can assert bit-identical recovery after arbitrarily nasty
+// injected failures.
 //
 // Two fault surfaces are provided:
 //

@@ -5,9 +5,8 @@
 // The design constraints come from the engine it instruments:
 //
 //   - Observation-only. Nothing here touches engine state or RNG streams,
-//     so instrumented code remains bit-deterministic at any worker count
-//     (verified by the determinism and crash-recovery suites running with
-//     metrics enabled).
+//     so instrumented code remains bit-deterministic (verified by the
+//     determinism and crash-recovery suites running with metrics enabled).
 //   - Allocation-free on the hot path. Counter.Add and Gauge.Set are one
 //     atomic op; Histogram.Observe is a branch-free bucket search plus two
 //     atomic adds and a CAS loop for the sum. The throughput paths

@@ -7,7 +7,7 @@ package server
 // configuration and every consumer of randomness is restored (checkpointed
 // RNG states) or re-executed (WAL replay), a recovered server is
 // bit-identical to one that never crashed: the same inserts produce the
-// same results at any Workers setting.
+// same results.
 //
 // Replay runs with Engine.SetRecovering(true), which reroutes the
 // steady-state ingest/push metrics to a dedicated recovery counter, so a

@@ -4,7 +4,7 @@ package server
 // clients cannot mutate it, and applies records shipped from the primary's
 // WAL through ApplyReplicated — the same apply paths live commands and
 // crash recovery use. Because the engine is deterministic (WAL order ==
-// engine sequence order, bit-identical at any worker count), a follower
+// engine sequence order, results a pure function of that order), a follower
 // that has applied LSN n is byte-identical to the primary at LSN n: DATA
 // frames rendered for replica subscribers match the primary's, STATS and
 // per-query METRICS replies match, and the replicated @reqid entries make

@@ -21,7 +21,7 @@ const DefaultQuantileK = 256
 //
 //   - the compactor is deterministic: a per-level parity bit alternates
 //     which half of the sorted buffer survives, so Add/Merge sequences are
-//     bit-reproducible across replays, replicas, and worker counts — no RNG
+//     bit-reproducible across replays and replicas — no RNG
 //     is consumed anywhere;
 //   - the rank error is tracked explicitly: compacting a level whose items
 //     have weight w = 2^l can shift any value's estimated rank by at most

@@ -218,8 +218,7 @@ func (w *Window) Pushes() uint64 {
 
 // MergedCol returns the summary of column i merged across the sealed
 // blocks, oldest first — the fixed merge order that keeps float rounding
-// deterministic at any worker count. The result is detached from window
-// state.
+// deterministic. The result is detached from window state.
 func (w *Window) MergedCol(i int) (ColSummary, error) {
 	if i < 0 || i >= w.NCols {
 		return ColSummary{}, fmt.Errorf("sketch: column %d of %d", i, w.NCols)
