@@ -16,7 +16,7 @@ import (
 )
 
 func testConfig() core.Config {
-	return core.Config{Level: 0.9, Method: core.AccuracyBootstrap, Seed: 7, Workers: 2}
+	return core.Config{Level: 0.9, Method: core.AccuracyBootstrap, Seed: 7}
 }
 
 func newEngine(t *testing.T) *core.Engine {

@@ -24,7 +24,7 @@ const (
 // prefills the window so every subsequent push emits.
 func benchMultiQueryEngine(b *testing.B, nq int) *Engine {
 	b.Helper()
-	e, err := NewEngine(Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9, Workers: 1})
+	e, err := NewEngine(Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -146,23 +146,6 @@ func checkAloneStats(t *testing.T, qs []*Query, ref *aloneRef) {
 	}
 }
 
-// ingestBoth pushes the identical batch through two engines and demands
-// bit-identical per-query results and errors.
-func ingestBoth(t *testing.T, label string, ea, eb *Engine, rows []IngestRow) {
-	t.Helper()
-	ra, erra := ea.IngestBatch("traffic", rows, nil)
-	rb, errb := eb.IngestBatch("traffic", rows, nil)
-	if (erra == nil) != (errb == nil) {
-		t.Fatalf("%s: batch error mismatch: %v vs %v", label, erra, errb)
-	}
-	if len(ra) != len(rb) {
-		t.Fatalf("%s: %d vs %d query results", label, len(ra), len(rb))
-	}
-	for i := range ra {
-		compareResults(t, label, ra[i], rb[i])
-	}
-}
-
 // compareResults demands two engines' results for one query be identical.
 func compareResults(t *testing.T, label string, a, b QueryResults) {
 	t.Helper()
@@ -223,20 +206,6 @@ func TestSharedStateEquivalence(t *testing.T) {
 			}
 			checkAloneStats(t, qs, ref)
 		})
-	}
-}
-
-// TestSharedStateWorkersBitIdentical pins worker-count invariance with the
-// planner enabled and the RNG-dependent bootstrap backend.
-func TestSharedStateWorkersBitIdentical(t *testing.T) {
-	cfg := Config{Method: AccuracyBootstrap, Seed: 11, MonteCarloValues: 80, BootstrapResamples: 60}
-	one := newTestEngine(t, func() Config { c := cfg; c.Workers = 1; return c }())
-	eight := newTestEngine(t, func() Config { c := cfg; c.Workers = 8; return c }())
-	bindAll(t, one, sharedWorkload)
-	bindAll(t, eight, sharedWorkload)
-	for i := 0; i < 24; i += 2 {
-		rows := []IngestRow{sharedRow(t, i), sharedRow(t, i+1)}
-		ingestBoth(t, fmt.Sprintf("batch@%d", i), one, eight, rows)
 	}
 }
 
@@ -393,8 +362,7 @@ func TestSharedUnbindMidStream(t *testing.T) {
 
 // TestSharedThousandQueries is the scale acceptance test: one thousand
 // identical-window queries form a single shared-state group and stay
-// byte-identical to a different worker count and, sampled, to queries
-// running alone.
+// byte-identical, sampled, to queries running alone.
 func TestSharedThousandQueries(t *testing.T) {
 	const nq = 1000
 	stmts := make([]string, nq)
@@ -403,9 +371,7 @@ func TestSharedThousandQueries(t *testing.T) {
 	}
 	cfg := Config{Method: AccuracyAnalytical, Seed: 21}
 	shared := newTestEngine(t, cfg)
-	w8 := newTestEngine(t, func() Config { c := cfg; c.Workers = 8; return c }())
 	qs := bindAll(t, shared, stmts)
-	bindAll(t, w8, stmts)
 	ref := newAloneRef(t, cfg, stmts, 0, nq/2, nq-1)
 	if g := shared.Planner().Groups(); g != 1 {
 		t.Fatalf("Groups() = %d, want 1", g)
@@ -430,14 +396,7 @@ func TestSharedThousandQueries(t *testing.T) {
 		for j := range rows {
 			rows[j] = gaussianRow(i + j)
 		}
-		ra := ingestAlone(t, fmt.Sprintf("batch@%d", i), shared, ref, rows)
-		rb, err := w8.IngestBatch("traffic", rows, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ra, rb) {
-			t.Fatalf("batch@%d: workers=1 vs workers=8 diverged", i)
-		}
+		ingestAlone(t, fmt.Sprintf("batch@%d", i), shared, ref, rows)
 	}
 	checkAloneStats(t, qs, ref)
 }

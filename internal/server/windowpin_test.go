@@ -28,11 +28,11 @@ import (
 // into a fresh engine that carries on, so the digest also covers what a
 // checkpoint keeps of each window.
 //
-// One digest is asserted for engine configurations that must not change an
-// output bit: Workers 1 with every query bound to one engine, so the
-// planner shares what it can, and Workers 8 unshared — each query bound
-// alone to an engine that compiles the whole case, so evaluator seeds and
-// tuple sequence numbers are the same.
+// One digest is asserted for two engine configurations that must not change
+// an output bit: every query bound to one engine, so the planner shares what
+// it can, and unshared — each query bound alone to an engine that compiles
+// the whole case, so evaluator seeds and tuple sequence numbers are the
+// same.
 //
 // The first six cases' digests were generated at commit bd57fee, the last
 // engine that could also store these windows as rows of *Tuple (time windows
@@ -144,7 +144,7 @@ var pinCases = []pinCase{
 
 	// The cases below pin the rest of what a per-query push path served. They
 	// were generated at commit 264d5d9, the last engine with that second path,
-	// where the Workers 8 configuration disabled planner sharing and so ran
+	// where the unshared configuration disabled planner sharing and so ran
 	// every query through it.
 	{
 		name: "where-random",
@@ -553,13 +553,16 @@ func TestWindowPins(t *testing.T) {
 		t.Skip("long seeded streams")
 	}
 	// The two configurations differ in everything that must not change an
-	// output bit; both are held to the same digest.
+	// output bit; both are held to the same digest. The labels are the
+	// subtest names the digests were pinned under, when the configurations
+	// also ran the accuracy kernel at different worker counts; they are kept
+	// so every pinned subtest keeps its name.
 	configs := []struct {
-		core.Config
+		label    string
 		unshared bool
 	}{
-		{core.Config{Workers: 1}, false},
-		{core.Config{Workers: 8}, true},
+		{"workers=1/unshared=false", false},
+		{"workers=8/unshared=true", true},
 	}
 	for _, pc := range pinCases {
 		for _, m := range []core.AccuracyMethod{core.AccuracyNone, core.AccuracyAnalytical, core.AccuracyBootstrap} {
@@ -567,12 +570,11 @@ func TestWindowPins(t *testing.T) {
 				continue
 			}
 			for _, c := range configs {
-				cfg := c.Config
+				var cfg core.Config
 				cfg.Level, cfg.Method, cfg.Seed = 0.9, m, 7
 				cfg.MonteCarloValues, cfg.HistogramBins, cfg.BootstrapResamples = 16, 6, 8
 				cfg.DropUnsure, cfg.MinProb = pc.dropUnsure, pc.minProb
-				name := fmt.Sprintf("%s/%s/workers=%d/unshared=%v", pc.name, m, cfg.Workers, c.unshared)
-				t.Run(name, func(t *testing.T) {
+				t.Run(pc.name+"/"+m.String()+"/"+c.label, func(t *testing.T) {
 					t.Parallel()
 					var held [][]core.QueryResults
 					if !c.unshared {
