@@ -253,15 +253,15 @@ func unlockGroup(group []*streamDef) {
 const MaxSampleSize = 1 << 16
 
 // admit refuses a tuple a live ingest must not journal: one with a field
-// learned from more than MaxSampleSize observations, or a histogram bucket
-// of infinite width (dist.CheckBucketWidths).
+// learned from more than MaxSampleSize observations, or one whose
+// distribution can draw a value that is not finite (dist.CheckFiniteDraws).
 func admit(t *stream.Tuple) error {
 	for i, f := range t.Fields {
 		if f.N > MaxSampleSize {
 			return fmt.Errorf("core: field %q has sample size %d, above the bound %d",
 				t.Schema.Columns[i].Name, f.N, MaxSampleSize)
 		}
-		if err := dist.CheckBucketWidths(f.Dist); err != nil {
+		if err := dist.CheckFiniteDraws(f.Dist); err != nil {
 			return fmt.Errorf("core: field %q: %w", t.Schema.Columns[i].Name, err)
 		}
 	}

@@ -92,31 +92,6 @@ func RestoreHistogram(edges, probs []float64) (*Histogram, error) {
 	}, nil
 }
 
-// CheckBucketWidths returns an error when d is a histogram with a bucket of
-// infinite width, or a mixture with such a component. Finite edges can be
-// further apart than the largest float64 (H(-1e308,1e308|2)); every draw
-// from such a bucket is infinite or NaN, which a Monte Carlo query skips
-// until too few values are left. The constructors accept such a histogram,
-// so that one already in a journal or a checkpoint still restores; ingest
-// refuses a new one before journaling it.
-func CheckBucketWidths(d Distribution) error {
-	switch d := d.(type) {
-	case *Histogram:
-		for i := 0; i+1 < len(d.Edges); i++ {
-			if w := d.Edges[i+1] - d.Edges[i]; math.IsInf(w, 0) {
-				return fmt.Errorf("%w: histogram bucket %d is %v wide", ErrInvalidParam, i, w)
-			}
-		}
-	case *Mixture:
-		for _, c := range d.Components {
-			if err := CheckBucketWidths(c); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // HistogramFromCounts builds a histogram whose bucket probabilities are the
 // empirical frequencies counts[i]/n; this is how the database learns a
 // histogram distribution from a raw sample (§I). The counts are retained so

@@ -41,7 +41,7 @@ func TestNewHistogramValidation(t *testing.T) {
 
 // TestHistogramBucketWidthFinite: finite edges further apart than the
 // largest float64 make a bucket of infinite width, from which every draw is
-// infinite or NaN. CheckBucketWidths finds one wherever it sits, in a
+// infinite or NaN. CheckFiniteDraws finds one wherever it sits, in a
 // histogram or in a mixture's component, and passes the widest bucket that
 // is still finite. The constructors build such a histogram, as they did
 // before ingest refused it, so a journal or checkpoint holding one restores.
@@ -67,15 +67,15 @@ func TestHistogramBucketWidthFinite(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s(%v): %v", name, edges, err)
 			}
-			if err := CheckBucketWidths(h); err == nil || !strings.Contains(err.Error(), "wide") {
-				t.Errorf("CheckBucketWidths(%s(%v)) = %v, want an error naming the width", name, edges, err)
+			if err := CheckFiniteDraws(h); err == nil || !strings.Contains(err.Error(), "wide") {
+				t.Errorf("CheckFiniteDraws(%s(%v)) = %v, want an error naming the width", name, edges, err)
 			}
 			m, err := NewMixture([]Distribution{Normal{Mu: 0, Sigma2: 1}, h}, []float64{1, 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := CheckBucketWidths(m); err == nil {
-				t.Errorf("CheckBucketWidths(mixture of %s(%v)): want error", name, edges)
+			if err := CheckFiniteDraws(m); err == nil {
+				t.Errorf("CheckFiniteDraws(mixture of %s(%v)): want error", name, edges)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func TestHistogramBucketWidthFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckBucketWidths(h); err != nil {
+	if err := CheckFiniteDraws(h); err != nil {
 		t.Errorf("widest finite bucket refused: %v", err)
 	}
 	if x := h.Sample(NewRand(1)); math.IsInf(x, 0) || math.IsNaN(x) {

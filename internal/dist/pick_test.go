@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 	"testing"
 )
@@ -150,22 +149,6 @@ func checkSelect(t *testing.T, ps, ws []float64, us []float64, restoreOnly bool)
 			}
 		}
 	}
-}
-
-// randAt returns a generator whose next Float64 is u rounded down to the
-// generator's grid of multiples of 2⁻⁵³. A xoshiro256** output depends on the
-// state's second word alone, through an invertible map; fill sets the rest.
-func randAt(u float64, fill uint64) *Rand {
-	inverse := func(x uint64) uint64 { // of an odd x, mod 2⁶⁴, by Newton's iteration
-		y := x
-		for i := 0; i < 5; i++ {
-			y *= 2 - x*y
-		}
-		return y
-	}
-	out := uint64(u*(1<<53)) << 11
-	s1 := bits.RotateLeft64(out*inverse(9), -7) * inverse(5)
-	return &Rand{g: gen{s0: fill | 1, s1: s1, s2: fill * 3, s3: fill ^ 0x9e3779b97f4a7c15}}
 }
 
 // checkJointAt holds d's compiled row to d.Sample for a draw whose bucket

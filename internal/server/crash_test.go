@@ -519,6 +519,47 @@ func TestWideHistogramNeverJournaled(t *testing.T) {
 	}
 }
 
+// TestOverflowingDrawsNeverJournaled: a codec field can carry a distribution
+// with finite parameters whose draws overflow — a uniform wider than the
+// largest float64, an exponential with a subnormal rate, a lognormal with
+// μ = 800. Each used to be journaled and answered OK, and every later
+// emission of a Monte Carlo MAX over the window failed with too few finite
+// values while it stayed there. Each is refused before it is journaled, and
+// the window goes on emitting.
+func TestOverflowingDrawsNeverJournaled(t *testing.T) {
+	s, addr := startDurableServer(t, durableConfig(t.TempDir(), 1, 1024))
+	defer s.Close()
+	tc := dialServer(t, addr)
+	defer tc.c.Close()
+	tc.mustOK(crashStreamCmd)
+	tc.mustOK("QUERY q1 SELECT MAX(val) AS hi FROM temps WINDOW 4 ROWS")
+	tc.mustOK("INSERT temps 0 H(0,1,2|3,4)")
+	lsn := s.WAL().LastLSN()
+	for _, spec := range []string{
+		`J{"dist":{"type":"uniform","a":-1e308,"b":1e308},"n":10}`,
+		`J{"dist":{"type":"exponential","a":5e-324},"n":10}`,
+		`J{"dist":{"type":"lognormal","a":800,"b":1},"n":10}`,
+	} {
+		for _, cmd := range []string{
+			"INSERT temps 1 " + spec,
+			"INSERTBATCH temps 1 N(1,1,5) | 2 " + spec,
+		} {
+			if reply, _ := tc.cmd(cmd); !strings.HasPrefix(reply, "ERR") || !strings.Contains(reply, "draws") {
+				t.Fatalf("%q: got %q, want ERR naming the draw", cmd, reply)
+			}
+		}
+	}
+	if got := s.WAL().LastLSN(); got != lsn {
+		t.Errorf("wal lsn %d after refused inserts, want %d: a refused insert was journaled", got, lsn)
+	}
+	for i := 1; i < 8; i++ {
+		data := tc.mustOK(fmt.Sprintf("INSERT temps %d H(0,1,2|%d,4)", i, i))
+		if want := min(1, i/3); len(data) != want { // the window fills at insert 3
+			t.Fatalf("insert %d: %d DATA lines, want %d", i, len(data), want)
+		}
+	}
+}
+
 // TestRecordsAdmittedBeforeBoundsReplay: a journal may hold records from
 // before ingest refused oversized samples and infinitely wide buckets. The
 // records here are appended to the WAL beside the engine, as such a version
