@@ -275,13 +275,15 @@ func (e *Engine) SetDegradeLevel(level int) {
 	gDegrade.Set(int64(level))
 }
 
-// streamDef is one stream's shard: its schema, its shard lock, and the
-// queries fed by it (sorted by id so delivery order is deterministic).
+// streamDef is one stream's shard: its schema, its shard lock, the queries
+// fed by it (sorted by id so delivery order is deterministic), and the route
+// IngestBatch walks, compiled from them.
 type streamDef struct {
 	name    string // canonical (lower-cased) key
 	schema  *stream.Schema
 	mu      sync.Mutex
 	queries []*boundQuery
+	route   *route
 }
 
 // boundQuery ties a registered query id to its compiled query and the
@@ -325,7 +327,9 @@ func (e *Engine) RegisterStream(schema *stream.Schema) error {
 	if _, dup := e.streams[key]; dup {
 		return fmt.Errorf("core: stream %q already registered", schema.Name)
 	}
-	e.streams[key] = &streamDef{name: key, schema: schema}
+	sd := &streamDef{name: key, schema: schema}
+	sd.route = compileRoute(sd)
+	e.streams[key] = sd
 	if !e.recovering.Load() {
 		mStreams.Inc()
 	}

@@ -122,7 +122,7 @@ func (q *Query) ExplainTiming() string {
 		fmt.Fprintf(&b, "  stage %-9s %d timed runs, %d ns total\n", plan.Stage(s), st.Count, st.Nanos)
 	}
 	if g := q.group; g != nil && g.registered {
-		fmt.Fprintf(&b, "  shared group [%s]: %d sharers, %d emissions computed, %d replayed from the group cache\n",
+		fmt.Fprintf(&b, "  shared group [%s]: %d sharers, %d emissions computed, %d replayed to other members\n",
 			g.key, g.sharers.Load(), g.leads.Load(), g.follows.Load())
 	}
 	return b.String()

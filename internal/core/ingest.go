@@ -15,19 +15,20 @@ import (
 
 // Sharded batched ingest. The ingest hot path no longer serializes on a
 // global engine lock: every stream is a shard carrying its own mutex and
-// the list of queries it feeds, and IngestBatch holds exactly the shards a
-// batch can touch — the target stream plus the partner streams of any join
-// query bound to it. Inserts into unrelated streams run concurrently;
-// inserts into the same stream (or into streams coupled by a join)
-// serialize, which is what keeps every Query single-goroutine and the
-// engine bit-identical to the globally locked implementation.
+// the route of the queries it feeds (route.go), and IngestBatch holds
+// exactly the shards a batch can touch — the target stream plus the partner
+// streams of any join query bound to it, the route's lock group. Inserts
+// into unrelated streams run concurrently; inserts into the same stream (or
+// into streams coupled by a join) serialize, which is what keeps every
+// Query single-goroutine and the engine bit-identical to the globally
+// locked implementation.
 //
 // Lock order (outermost first): ctlMu → shard locks in sorted name order →
 // seqMu. IngestBatch acquires shard locks by sorted name and revalidates
-// its lock group after acquisition (a concurrent Exclusive-holding QUERY
-// registration may have bound a new join between computing the group and
-// locking it), so acquisition can never deadlock and never runs with a
-// stale group.
+// the route after acquisition (a concurrent Exclusive-holding QUERY
+// registration may have bound a new join between reading the route and
+// locking its group), so acquisition can never deadlock and never runs with
+// a stale group.
 
 var (
 	mIngestBatches = metrics.Default.Counter("asdb_ingest_batches_total",
@@ -101,6 +102,9 @@ func (e *Engine) Bind(id string, q *Query) error {
 	// queries re-merge into shared groups only when their restored windows
 	// hold identical contents.
 	e.attachShared(q)
+	for _, def := range defs {
+		def.route = compileRoute(def)
+	}
 	return nil
 }
 
@@ -124,6 +128,9 @@ func (e *Engine) Unbind(id string) bool {
 		}
 	}
 	e.detachShared(bq.q)
+	for _, def := range bq.defs {
+		def.route = compileRoute(def)
+	}
 	return true
 }
 
@@ -171,12 +178,11 @@ func (q *Query) SourceStreams() []string {
 	return []string{strings.ToLower(q.in.Name)}
 }
 
-// lockGroupOf computes sd's current lock group — sd plus every shard
-// reachable through a query bound to sd — sorted by name. One step of
-// closure suffices: a query's defs always include all of its own input
-// shards, and queries bound to a partner shard but not to sd never see
-// tuples of sd. Caller must hold every shard in the group (or be computing
-// a candidate group under sd.mu alone).
+// lockGroupOf computes sd's lock group — sd plus every shard reachable
+// through a query bound to sd — sorted by name. One step of closure
+// suffices: a query's defs always include all of its own input shards, and
+// queries bound to a partner shard but not to sd never see tuples of sd.
+// compileRoute calls it; IngestBatch reads the result from the route.
 func lockGroupOf(sd *streamDef) []*streamDef {
 	if len(sd.queries) == 0 {
 		return []*streamDef{sd}
@@ -195,44 +201,28 @@ func lockGroupOf(sd *streamDef) []*streamDef {
 	return group
 }
 
-// coveredBy reports whether every shard in need is present in held (both
-// sorted by name).
-func coveredBy(need, held []*streamDef) bool {
-	i := 0
-	for _, def := range need {
-		for i < len(held) && held[i].name < def.name {
-			i++
-		}
-		if i == len(held) || held[i] != def {
-			return false
-		}
-	}
-	return true
-}
-
-// lockGroup acquires sd's lock group. Fast path: sd feeds no join, so sd.mu
-// alone covers the batch. Slow path: probe the group under sd.mu, release,
-// re-acquire the whole group in sorted order, and revalidate — retrying if
-// a concurrent Exclusive-holder changed the bindings in between. Locks are
-// only ever awaited while holding lower-ordered names (or nothing), so the
-// loop cannot deadlock against other ingests or Exclusive.
-func (e *Engine) lockGroup(sd *streamDef) []*streamDef {
+// lockGroup acquires the lock group of sd's route and returns the route.
+// Fast path: sd feeds no join, so sd.mu alone covers the batch. Slow path:
+// read the route under sd.mu, release, acquire its whole lock group in
+// sorted order, and retry if a concurrent Exclusive-holder recompiled the
+// route in between. Locks are only ever awaited while holding
+// lower-ordered names (or nothing), so the loop cannot deadlock against
+// other ingests or Exclusive.
+func (e *Engine) lockGroup(sd *streamDef) *route {
 	for {
 		sd.mu.Lock()
-		group := lockGroupOf(sd)
-		if len(group) == 1 {
-			return group
+		r := sd.route
+		if len(r.lock) == 1 {
+			return r
 		}
 		sd.mu.Unlock()
-		for _, def := range group {
+		for _, def := range r.lock {
 			def.mu.Lock()
 		}
-		if coveredBy(lockGroupOf(sd), group) {
-			return group
+		if sd.route == r {
+			return r
 		}
-		for i := len(group) - 1; i >= 0; i-- {
-			group[i].mu.Unlock()
-		}
+		unlockGroup(r.lock)
 		mShardRetries.Inc()
 	}
 }
@@ -273,9 +263,13 @@ func admit(t *stream.Tuple) error {
 //
 // The batch is applied atomically with respect to other ingests on the same
 // shard group: tuples receive consecutive sequence numbers, and every bound
-// query sees the whole batch (query-major: all tuples into the first query
-// id, then all into the next), so results and RNG evolution are
-// deterministic for a given arrival order of batches.
+// query sees the whole batch in arrival order. Compute is tuple-major over
+// plan groups — each tuple runs once through each group and is replayed to
+// every member before the next tuple — and delivery is query-major: each
+// query's results come back together, in tuple order. Scalar and join
+// queries push the whole batch one query after another. Every query owns
+// its randomness and no query reads another's state, so results and RNG
+// evolution are deterministic for a given arrival order of batches.
 //
 // commit, when non-nil, runs inside the sequencing critical section before
 // any sequence number is consumed — the durability layer journals the batch
@@ -300,8 +294,8 @@ func (e *Engine) IngestBatch(streamName string, rows []IngestRow, commit func() 
 
 	recovering := e.recovering.Load()
 	t0 := time.Now()
-	group := e.lockGroup(sd)
-	defer unlockGroup(group)
+	r := e.lockGroup(sd)
+	defer unlockGroup(r.lock)
 	if !recovering {
 		hShardWait.ObserveSince(t0)
 		mIngestBatches.Inc()
@@ -339,26 +333,38 @@ func (e *Engine) IngestBatch(streamName string, rows []IngestRow, commit func() 
 		mTuples.Add(uint64(len(tuples)))
 	}
 
-	out := make([]QueryResults, 0, len(sd.queries))
-	for _, bq := range sd.queries {
-		qr := QueryResults{ID: bq.id}
-		var errs []string
+	b := batchOut{out: make([]QueryResults, len(sd.queries))}
+	for i, bq := range sd.queries {
+		b.out[i].ID = bq.id
+	}
+	// A group member emits at most one result per tuple, so one slab holds
+	// every member's results, each member's share pre-sized.
+	slab := make([]Result, r.members*len(tuples))
+	for _, rg := range r.groups {
+		for _, m := range rg.members {
+			b.out[m.slot].Results, slab = slab[:0:len(tuples)], slab[len(tuples):]
+		}
+	}
+	for _, t := range tuples {
+		for _, rg := range r.groups {
+			rg.g.push(rg.members, t, &b, recovering)
+		}
+	}
+	for _, s := range r.others {
 		for _, t := range tuples {
-			res, err := bq.q.push(t)
+			res, err := s.q.push(t)
 			if err != nil {
-				errs = append(errs, err.Error())
+				b.fail(s.slot, err)
 				continue
 			}
-			qr.Results = append(qr.Results, res...)
+			b.out[s.slot].Results = append(b.out[s.slot].Results, res...)
 		}
-		if len(errs) > 0 {
-			qr.Err = errors.New(strings.Join(errs, "; "))
-		}
-		out = append(out, qr)
 	}
-	// Batch boundary: the query-major loop above has replayed every shared
-	// emission into every group member, so group caches are empty again;
-	// sweep any straggler so the next batch starts from a clean slate.
-	e.sweepShared(sd)
-	return out, nil
+	for i := range b.out {
+		if len(b.out[i].Results) == 0 {
+			b.out[i].Results = nil
+		}
+	}
+	b.finish()
+	return b.out, nil
 }

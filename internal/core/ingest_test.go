@@ -179,9 +179,8 @@ func TestIngestBatchSequencing(t *testing.T) {
 // TestPushRejectsBoundQuery: every member of a plan group must see the same
 // tuple sequence, so a bound query takes tuples only through IngestBatch. A
 // direct Push used to slip tuples into the shared window behind the other
-// members' backs: the group cache filled with entries no member would
-// consume, and the other member's next emission averaged tuples it never
-// received.
+// members' backs, and the other member's next emission averaged tuples it
+// never received.
 func TestPushRejectsBoundQuery(t *testing.T) {
 	e := newTestEngine(t, Config{Method: AccuracyAnalytical, Seed: 1})
 	stmt := "SELECT AVG(delay) AS a FROM traffic WINDOW 4 ROWS"

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dist"
@@ -20,9 +21,9 @@ const (
 	planBenchQueries = 1000
 )
 
-// benchMultiQueryEngine binds nq copies of the same windowed AVG and
-// prefills the window so every subsequent push emits.
-func benchMultiQueryEngine(b *testing.B, nq int) *Engine {
+// benchMultiQueryEngine binds nq copies of the same AVG over a count window
+// of the given rows and prefills the window so every subsequent push emits.
+func benchMultiQueryEngine(b testing.TB, nq, window int) *Engine {
 	b.Helper()
 	e, err := NewEngine(Config{Seed: 7, Method: AccuracyAnalytical, Level: 0.9})
 	if err != nil {
@@ -39,7 +40,7 @@ func benchMultiQueryEngine(b *testing.B, nq int) *Engine {
 		b.Fatal(err)
 	}
 	for i := 0; i < nq; i++ {
-		q, err := e.Compile("SELECT AVG(val) AS a FROM bench WINDOW 131072 ROWS")
+		q, err := e.Compile(fmt.Sprintf("SELECT AVG(val) AS a FROM bench WINDOW %d ROWS", window))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,9 +50,8 @@ func benchMultiQueryEngine(b *testing.B, nq int) *Engine {
 	}
 	// Prefill in chunks; the window is not yet full, so this is the cheap
 	// phase.
-	const chunk = 4096
-	rows := make([]IngestRow, chunk)
-	for filled := 0; filled < planBenchWindow; filled += chunk {
+	rows := make([]IngestRow, min(window, 4096))
+	for filled := 0; filled < window; filled += len(rows) {
 		for j := range rows {
 			rows[j] = benchRow(b, filled+j)
 		}
@@ -66,7 +66,7 @@ func benchQueryID(i int) string {
 	return "q" + string([]byte{byte('0' + i/100%10), byte('0' + i/10%10), byte('0' + i%10)})
 }
 
-func benchRow(b *testing.B, i int) IngestRow {
+func benchRow(b testing.TB, i int) IngestRow {
 	d, err := dist.NewNormal(40+float64(i%50), 9)
 	if err != nil {
 		b.Fatal(err)
@@ -94,11 +94,45 @@ func benchSteadyPush(b *testing.B, e *Engine) {
 // BenchmarkPlanner1kShared: 1000 identical queries, shared state. Target:
 // within ~2x of BenchmarkPlannerSingleQuery per tuple.
 func BenchmarkPlanner1kShared(b *testing.B) {
-	benchSteadyPush(b, benchMultiQueryEngine(b, planBenchQueries))
+	benchSteadyPush(b, benchMultiQueryEngine(b, planBenchQueries, planBenchWindow))
 }
 
 // BenchmarkPlannerSingleQuery: the one-query floor the shared fleet is
 // measured against.
 func BenchmarkPlannerSingleQuery(b *testing.B) {
-	benchSteadyPush(b, benchMultiQueryEngine(b, 1))
+	benchSteadyPush(b, benchMultiQueryEngine(b, 1, planBenchWindow))
+}
+
+// Fan-out shape of the standing benchmark's fanout-shared workload: 128
+// identical AVG queries over a 1024-row window, batches of 4 Normal rows.
+const (
+	fanoutQueries = 128
+	fanoutWindow  = 1024
+	fanoutBatch   = 4
+)
+
+// fanoutRows returns the batch a steady-state fan-out ingest sends.
+func fanoutRows(b testing.TB) []IngestRow {
+	rows := make([]IngestRow, fanoutBatch)
+	for i := range rows {
+		rows[i] = benchRow(b, fanoutWindow+i)
+	}
+	return rows
+}
+
+// BenchmarkIngestFanout: one ingest batch through a 128-member plan group.
+// ns/op and allocs/op are per batch of 4 tuples.
+func BenchmarkIngestFanout(b *testing.B) {
+	e := benchMultiQueryEngine(b, fanoutQueries, fanoutWindow)
+	rows := fanoutRows(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		out, err := e.IngestBatch("bench", rows, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != fanoutQueries || len(out[0].Results) != fanoutBatch {
+			b.Fatalf("%d query results, %d results for the first", len(out), len(out[0].Results))
+		}
+	}
 }

@@ -38,19 +38,17 @@ import (
 // Determinism is the design constraint, not a side effect: every shared
 // computation is provably identical to what each member would compute alone
 // (same float summation order, same RNG non-consumption, same error values),
-// so DATA output does not depend on who shares with whom, at any worker
-// count and across crash recovery. Aggregates that consume the member's
-// Monte Carlo evaluator (MIN/MAX, non-Gaussian AVG/SUM) or its bootstrap RNG
-// stay per member, keeping each member's RNG evolution — and therefore its
-// checkpoints — exactly as if it were alone.
+// so DATA output does not depend on who shares with whom, and survives crash
+// recovery. Aggregates that consume the member's Monte Carlo evaluator
+// (MIN/MAX, non-Gaussian AVG/SUM) or its bootstrap RNG stay per member,
+// keeping each member's RNG evolution — and therefore its checkpoints —
+// exactly as if it were alone.
 //
-// Cache lifecycle: IngestBatch is query-major (all tuples through member
-// 1, then member 2, …), so the first member reaching a sequence number
-// computes its emission and later members consume it; the entry dies when
-// the last member has replayed it, and the window's own advance produces
-// the next entry — window-advance-driven invalidation. Group membership
-// only changes under the engine's Exclusive/single-threaded registration
-// contract, between batches, when the cache is provably empty.
+// The route (route.go) drives a bound group one tuple at a time: the group
+// computes the tuple's emission once, with its first member by query id as
+// leader, and every member replays it before the next tuple. One emission
+// per group is therefore alive at a time, and the group reuses it tuple
+// after tuple.
 
 // planProfile is a compiled query's shareability verdict plus the group
 // key it would share under.
@@ -77,20 +75,36 @@ type sharedAggVal struct {
 	err   error
 }
 
-// sharedResult is a fully built emission — the output tuple, the
-// accuracy-info map and the membership-probability interval — that
-// emitShared hands to a query.
+// sharedResult is a fully built emission: the output tuple, the
+// accuracy-info map and the membership-probability interval.
 type sharedResult struct {
 	tuple     *stream.Tuple
 	fields    map[string]*accuracy.Info
 	tupleProb *accuracy.Interval
 }
 
-// sharedEmission is everything one input sequence number produced for the
-// group, replayed by each member.
-type sharedEmission struct {
-	remaining int // members yet to consume the entry
+// infosInto appends the emission's accuracy infos to dst in output-column
+// order, the order telemetry observes them in.
+func (sr *sharedResult) infosInto(dst []*accuracy.Info) []*accuracy.Info {
+	if sr.fields == nil {
+		return dst
+	}
+	for _, col := range sr.tuple.Schema.Columns {
+		if info := sr.fields[col.Name]; info != nil {
+			dst = append(dst, info)
+		}
+	}
+	return dst
+}
 
+// result is the emission as one member's Result.
+func (sr *sharedResult) result(unsure bool) Result {
+	return Result{Tuple: sr.tuple, Fields: sr.fields, TupleProb: sr.tupleProb, Unsure: unsure}
+}
+
+// sharedEmission is everything one input tuple produced for the group,
+// replayed by each member.
+type sharedEmission struct {
 	filterErr error
 	adm       admission
 
@@ -106,14 +120,20 @@ type sharedEmission struct {
 
 	// res is the fully built emission: for a sketch group, set when the push
 	// sealed a full window; for a column group, set by the first member of a
-	// uniform group whose assembly consumed no member randomness.
-	res *sharedResult
+	// uniform group whose assembly consumed no member randomness, pointing
+	// at built. infos are res's accuracy infos in column order, and handedOut
+	// counts the members res was returned to.
+	res       *sharedResult
+	built     sharedResult
+	infos     []*accuracy.Info
+	handedOut uint64
 }
 
-// sharedGroup is one plan group: the window state and emission cache of its
-// members. Exactly one of win/groups/sk is set. Membership mutates only
-// under the engine registration contract; the atomics exist because EXPLAIN
-// renders sharers and hit counters without quiescing ingest.
+// sharedGroup is one plan group: the window state of its members and the
+// emission of the tuple being pushed. Exactly one of win/groups/sk is set.
+// Membership mutates only under the engine registration contract; the
+// atomics exist because EXPLAIN renders sharers and hit counters without
+// quiescing ingest.
 type sharedGroup struct {
 	// registered is set while the group is in the planner registry under key;
 	// a private group has no key and only ever one member.
@@ -132,9 +152,8 @@ type sharedGroup struct {
 	// under an accuracy backend free of per-query randomness — the
 	// precondition for sharing fully built emissions.
 	uniform bool
-	cache   map[uint64]*sharedEmission
-	// solo is the emission a group of one reuses push after push.
-	solo sharedEmission
+	// em is the emission of the tuple being pushed, reused push after push.
+	em sharedEmission
 
 	sharers        atomic.Int32
 	leads, follows atomic.Uint64
@@ -220,7 +239,7 @@ func (g *sharedGroup) refresh() {
 // attachShared moves q from its private group into its registry group,
 // joining an existing one or registering its own. Called from Bind under the
 // engine's registration contract (Exclusive or single-threaded), so no push
-// is in flight and every group cache is empty.
+// is in flight.
 func (e *Engine) attachShared(q *Query) {
 	own := q.group
 	if own == nil || own.registered || !q.prof.Shareable {
@@ -228,9 +247,6 @@ func (e *Engine) attachShared(q *Query) {
 	}
 	join := func(state any) bool {
 		g := state.(*sharedGroup)
-		if len(g.cache) != 0 {
-			return false
-		}
 		if g.sk != nil {
 			return g.sk.Pushes() == own.sk.Pushes()
 		}
@@ -238,7 +254,6 @@ func (e *Engine) attachShared(q *Query) {
 	}
 	create := func() any {
 		own.registered, own.key = true, q.prof.Key
-		own.cache = make(map[uint64]*sharedEmission)
 		return own
 	}
 	state, _ := e.plans.Acquire(q.prof.Key, join, create)
@@ -258,7 +273,6 @@ func (e *Engine) detachShared(q *Query) {
 		return
 	}
 	g.remove(q)
-	clear(g.cache)
 	if len(g.members) == 0 {
 		e.plans.Release(g.key, g)
 	}
@@ -272,58 +286,20 @@ func newGroup(q *Query, win *stream.ColumnWindow, groups map[float64]*stream.Col
 	return g
 }
 
-// sweepShared clears any emission-cache stragglers after a batch. In the
-// normal query-major flow every entry is consumed by every member within
-// the batch, so this is the enforcement point of the invariant (pinned by
-// TestSharedCacheInvalidation) rather than a working path.
-func (e *Engine) sweepShared(sd *streamDef) {
-	for _, bq := range sd.queries {
-		if g := bq.q.group; g != nil && len(g.cache) != 0 {
-			clear(g.cache)
-		}
-	}
-}
-
-// pushShared is the push path of every aggregate query: the first member to
-// reach a sequence number computes the group emission, later members replay
-// it. A group of one computes and replays in one step without touching the
-// cache, reusing one emission across pushes.
-func (q *Query) pushShared(t *stream.Tuple) ([]Result, error) {
-	g := q.group
-	if len(g.members) == 1 {
-		g.leads.Add(1)
-		g.solo.reset()
-		g.compute(q, t, &g.solo)
-		return q.replayShared(&g.solo, t)
-	}
-	em, ok := g.cache[t.Seq]
-	if !ok {
-		g.leads.Add(1)
-		em = &sharedEmission{remaining: len(g.members) - 1}
-		g.compute(q, t, em)
-		g.cache[t.Seq] = em
-	} else {
-		g.follows.Add(1)
-		if em.remaining--; em.remaining == 0 {
-			delete(g.cache, t.Seq)
-		}
-	}
-	return q.replayShared(em, t)
-}
-
-// reset empties a reused emission, keeping its maps and compiled columns.
+// reset empties a reused emission, keeping its maps, compiled columns and
+// info buffer.
 func (em *sharedEmission) reset() {
 	clear(em.aggs)
 	for _, c := range em.cols {
 		c.Reset()
 	}
-	*em = sharedEmission{aggs: em.aggs, cols: em.cols}
+	*em = sharedEmission{aggs: em.aggs, cols: em.cols, infos: em.infos[:0]}
 }
 
-// compute runs the group pipeline once for tuple t into em. q is the member
-// that reached t first; shareable filters ignore the evaluator argument, so
-// evaluating with q's is equivalent for every member, and a group whose
-// filter may draw from it has q as its only member.
+// compute runs the group pipeline once for tuple t into em. q is the
+// leader; shareable filters ignore the evaluator argument, so evaluating
+// with q's is equivalent for every member, and a group whose filter may draw
+// from it has q as its only member.
 func (g *sharedGroup) compute(q *Query, t *stream.Tuple, em *sharedEmission) {
 	em.adm, em.filterErr = q.filter(t)
 	if em.filterErr != nil || em.adm.drop {
@@ -334,6 +310,9 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple, em *sharedEmission) {
 		// therefore wrapped errors) are identical across members and the
 		// fully built emission is always shared.
 		em.res, em.err = q.sketchPush(t, em.adm.prob, em.adm.probN)
+		if em.res != nil {
+			em.infos = em.res.infosInto(em.infos)
+		}
 		return
 	}
 
@@ -428,27 +407,28 @@ func (em *sharedEmission) compile(win *stream.ColumnWindow, col int) {
 	em.mc = true
 }
 
-// replayShared reproduces one member's view of a group emission, in pipeline
+// replay reproduces one member's view of a group emission, in pipeline
 // order: filter error, UNSURE and membership-probability drops (per-member
 // counters), window error, then emission. The member returns the fully built
 // emission when there is one, and otherwise assembles and decorates its own
 // from the group's stage products, consuming its own evaluator where a Monte
-// Carlo aggregate needs it.
-func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, error) {
+// Carlo aggregate needs it; the first member of a uniform group hands what
+// it built on. ok reports whether the member emitted a result.
+func (q *Query) replay(em *sharedEmission, t *stream.Tuple) (res Result, ok bool, err error) {
 	if em.filterErr != nil {
-		return nil, em.filterErr
+		return res, false, em.filterErr
 	}
 	if !q.admit(em.adm) {
-		return nil, nil
+		return res, false, nil
 	}
 	if em.err != nil {
-		return nil, em.err
+		return res, false, em.err
 	}
 	if em.res != nil {
-		return q.emitShared(em.res, em.adm.unsure), nil
+		return q.emitHanded(em), true, nil
 	}
 	if !em.emit {
-		return nil, nil
+		return res, false, nil
 	}
 
 	timed := q.timing.Enabled()
@@ -467,18 +447,18 @@ func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, err
 		spec := aggSpec{oc.agg.colIdx, oc.agg.kind}
 		if v, ok := em.aggs[spec]; ok {
 			if v.err != nil {
-				return nil, fmt.Errorf("core: aggregate %s: %w", oc.agg.label, v.err)
+				return res, false, fmt.Errorf("core: aggregate %s: %w", oc.agg.label, v.err)
 			}
 			fields = append(fields, v.field)
 			values = append(values, nil)
 			continue
 		}
-		res, err := stream.AggregateCompiled(q.ev, oc.agg.kind, em.cols[spec.col])
+		r, err := stream.AggregateCompiled(q.ev, oc.agg.kind, em.cols[spec.col])
 		if err != nil {
-			return nil, fmt.Errorf("core: aggregate %s: %w", oc.agg.label, err)
+			return res, false, fmt.Errorf("core: aggregate %s: %w", oc.agg.label, err)
 		}
-		fields = append(fields, res.Field)
-		values = append(values, res.Values)
+		fields = append(fields, r.Field)
+		values = append(values, r.Values)
 	}
 	q.valuesBuf = values
 	if timed {
@@ -497,30 +477,35 @@ func (q *Query) replayShared(em *sharedEmission, t *stream.Tuple) ([]Result, err
 		q.timing.Observe(plan.StageAccuracy, time.Since(t0))
 	}
 	if err != nil {
-		return nil, err
+		return res, false, err
 	}
 	if g := q.group; g.uniform && !em.mc && len(g.members) > 1 {
-		res := sr
-		em.res = &res
+		em.built = sr
+		em.res = &em.built
+		em.infos = sr.infosInto(em.infos)
+		return q.emitHanded(em), true, nil
 	}
-	return q.emitShared(&sr, em.adm.unsure), nil
+	return q.emitOwn(&sr, em.adm.unsure), true, nil
 }
 
-// emitShared returns a fully built emission as this query's result,
-// applying the per-query telemetry and counters, so that STATS/METRICS
-// snapshots do not depend on whether the emission was shared.
-func (q *Query) emitShared(sr *sharedResult, unsure bool) []Result {
-	recovering := q.eng.recovering.Load()
-	if sr.fields != nil {
-		for _, col := range sr.tuple.Schema.Columns {
-			if info := sr.fields[col.Name]; info != nil {
-				q.telem.observeField(info, recovering)
-			}
-		}
-	}
-	if sr.tupleProb != nil {
-		q.telem.observeTupleProb(*sr.tupleProb, recovering)
+// emitHanded returns the group's fully built emission as this member's
+// result. The member's own counters and telemetry rings move as if it had
+// built the emission alone; the process-global instruments are the group's,
+// fed once per emission (observeEmission).
+func (q *Query) emitHanded(em *sharedEmission) Result {
+	em.handedOut++
+	q.telem.observe(em.infos, em.res.tupleProb)
+	q.stats.out.Add(1)
+	return em.res.result(em.adm.unsure)
+}
+
+// emitOwn returns an emission this query built for itself alone.
+func (q *Query) emitOwn(sr *sharedResult, unsure bool) Result {
+	q.infosBuf = sr.infosInto(q.infosBuf[:0])
+	q.telem.observe(q.infosBuf, sr.tupleProb)
+	if !q.eng.recovering.Load() {
+		observeEmission(q.infosBuf, sr.tupleProb, 1)
 	}
 	q.stats.out.Add(1)
-	return []Result{{Tuple: sr.tuple, Fields: sr.fields, TupleProb: sr.tupleProb, Unsure: unsure}}
+	return sr.result(unsure)
 }

@@ -151,6 +151,7 @@ type Query struct {
 	// by contract); holds only references consumed within the push.
 	valuesBuf [][]float64
 	sketchObs []sketch.Obs
+	infosBuf  []*accuracy.Info
 
 	groupIdx int // index of the GROUP BY column, -1 when absent
 
@@ -551,6 +552,18 @@ func (q *Query) push(t *stream.Tuple) ([]Result, error) {
 	// replayed pushes count toward the segregated recovery counter only,
 	// so a recovered process's snapshot matches a freshly booted one.
 	recovering := q.eng.recovering.Load()
+	matches := q.join == nil && strings.EqualFold(t.Schema.Name, q.in.Name) && t.Schema.Arity() == q.in.Arity()
+	if q.group != nil && matches {
+		// An aggregate query pushes through its plan group, a group of one
+		// when unbound, which keeps the clock and counters itself.
+		out := [1]QueryResults{}
+		b := batchOut{out: out[:]}
+		q.group.push([]routeSlot{{q: q}}, t, &b, recovering)
+		if len(b.errs) > 0 {
+			return nil, b.errs[0][0]
+		}
+		return out[0].Results, nil
+	}
 	var t0 time.Time
 	if recovering {
 		mRecoveryPushes.Inc()
@@ -563,13 +576,14 @@ func (q *Query) push(t *stream.Tuple) ([]Result, error) {
 		out []Result
 		err error
 	)
-	if q.join != nil {
+	switch {
+	case q.join != nil:
 		out, err = q.pushJoin(t)
-	} else if !strings.EqualFold(t.Schema.Name, q.in.Name) || t.Schema.Arity() != q.in.Arity() {
+	case !matches:
 		err = fmt.Errorf("core: tuple of stream %q pushed into query over %q",
 			t.Schema.Name, q.in.Name)
-	} else {
-		out, err = q.pushFiltered(t)
+	default:
+		out, err = q.pushScalar(t)
 	}
 	if !recovering {
 		hPush.ObserveSince(t0)
@@ -578,15 +592,6 @@ func (q *Query) push(t *stream.Tuple) ([]Result, error) {
 		}
 	}
 	return out, err
-}
-
-// pushFiltered routes a tuple to the aggregate pipeline of the query's plan
-// group (plan_shared.go) or to the scalar path.
-func (q *Query) pushFiltered(t *stream.Tuple) ([]Result, error) {
-	if q.group != nil {
-		return q.pushShared(t)
-	}
-	return q.pushScalar(t)
 }
 
 // admission is one tuple's WHERE verdict under possible-world semantics:
@@ -691,7 +696,7 @@ func (q *Query) pushJoin(t *stream.Tuple) ([]Result, error) {
 			Time:   maxInt64(lt.Time, rt.Time),
 		}
 		q.stats.joined.Add(1)
-		results, err := q.pushFiltered(combined)
+		results, err := q.pushScalar(combined)
 		if err != nil {
 			probeErr = err
 			return
@@ -752,7 +757,7 @@ func (q *Query) pushScalar(t *stream.Tuple) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return q.emitShared(&sr, adm.unsure), nil
+	return []Result{q.emitOwn(&sr, adm.unsure)}, nil
 }
 
 // newWindow builds an aggregate window with the eviction rule of the
@@ -769,7 +774,7 @@ func (q *Query) newWindow() (*stream.ColumnWindow, error) {
 // full window's block, builds the one emission whose fields come from the
 // merged sketches; otherwise it returns nil. The path consumes no RNG, so it
 // is deterministic across WAL replays and replicas
-// by construction. Counters and telemetry are the caller's (emitShared),
+// by construction. Counters and telemetry are the caller's (emitHanded),
 // once per query the emission is handed to.
 //
 // Semantics vs the exact backends, documented in DESIGN.md §13: AVG and SUM

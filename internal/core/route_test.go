@@ -236,3 +236,72 @@ func TestRouteParity(t *testing.T) {
 		t.Fatal("no results")
 	}
 }
+
+// Allocation guards of the ingest path. parentSingleAllocs is what one
+// single-query, single-tuple batch with a commit hook allocated before
+// ingest walked a route (measured by TestIngestAllocs at that commit), and
+// fanoutAllocSlack is the per-batch constant a plan group may spend on top
+// of one allocation per member; the route measured 11 and 35.
+const (
+	parentSingleAllocs = 14
+	fanoutAllocSlack   = 40
+)
+
+// TestIngestAllocs holds the allocations of one ingest batch in the two
+// shapes the route serves: one private group fed a tuple at a time with a
+// commit hook (the commit-single workload) may not allocate more than it did
+// before the route, and a 128-member plan group fed batches of 4
+// (fanout-shared) may allocate per batch, not per member push.
+func TestIngestAllocs(t *testing.T) {
+	single := benchMultiQueryEngine(t, 1, 8)
+	row := []IngestRow{benchRow(t, 8)}
+	commit := func() error { return nil }
+	perSingle := testing.AllocsPerRun(200, func() {
+		if _, err := single.IngestBatch("bench", row, commit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perSingle > parentSingleAllocs {
+		t.Errorf("single-query batch: %v allocations, want at most %d", perSingle, parentSingleAllocs)
+	}
+	fan := benchMultiQueryEngine(t, fanoutQueries, fanoutWindow)
+	rows := fanoutRows(t)
+	perFan := testing.AllocsPerRun(50, func() {
+		if _, err := fan.IngestBatch("bench", rows, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perFan > fanoutQueries+fanoutAllocSlack {
+		t.Errorf("%d-member batch of %d: %v allocations, want at most %d",
+			fanoutQueries, fanoutBatch, perFan, fanoutQueries+fanoutAllocSlack)
+	}
+}
+
+// TestPushInstrumentsPerMember: a plan group's step books one push, and one
+// push-histogram observation, per member and tuple, and counts every
+// member's result, so the process-global instruments read as if each member
+// had pushed alone.
+func TestPushInstrumentsPerMember(t *testing.T) {
+	e := benchMultiQueryEngine(t, 16, 8)
+	pushes, results, observed := mPushes.Value(), mResults.Value(), hPush.Count()
+	out, err := e.IngestBatch("bench", fanoutRows(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for _, qr := range out {
+		n += uint64(len(qr.Results))
+	}
+	if want := uint64(16 * fanoutBatch); n != want {
+		t.Fatalf("%d results, want %d", n, want)
+	}
+	if d := mPushes.Value() - pushes; d != n {
+		t.Errorf("push counter moved by %d, want %d", d, n)
+	}
+	if d := mResults.Value() - results; d != n {
+		t.Errorf("result counter moved by %d, want %d", d, n)
+	}
+	if d := hPush.Count() - observed; d != n {
+		t.Errorf("push histogram observed %d pushes, want %d", d, n)
+	}
+}

@@ -24,7 +24,8 @@ var (
 	mResults = metrics.Default.Counter("asdb_query_results_total",
 		"result tuples emitted by continuous queries")
 	hPush = metrics.Default.Histogram("asdb_query_push_seconds",
-		"wall time of one Query.Push call", metrics.DefBuckets)
+		"wall time of one tuple push through one query; a plan group's push of a tuple counts once per member, at the group's time divided by its members",
+		metrics.DefBuckets)
 	mRecoveryPushes = metrics.Default.Counter("asdb_query_recovery_push_total",
 		"tuples replayed into queries during WAL recovery (segregated from asdb_query_push_total)")
 
@@ -133,34 +134,50 @@ type queryTelemetry struct {
 	maxDF     int
 }
 
-func (qt *queryTelemetry) observeField(info *accuracy.Info, recovering bool) {
+// observe records one emission's accuracy infos (in output-column order)
+// and membership-probability interval on the query's rings.
+func (qt *queryTelemetry) observe(infos []*accuracy.Info, tupleProb *accuracy.Interval) {
+	if len(infos) == 0 && tupleProb == nil {
+		return
+	}
 	qt.mu.Lock()
-	qt.fields++
-	qt.meanHW.observe(info.Mean.Length() / 2)
-	qt.varWidth.observe(info.Variance.Length())
-	if qt.fields == 1 || info.N < qt.minDF {
-		qt.minDF = info.N
+	for _, info := range infos {
+		qt.fields++
+		qt.meanHW.observe(info.Mean.Length() / 2)
+		qt.varWidth.observe(info.Variance.Length())
+		if qt.fields == 1 || info.N < qt.minDF {
+			qt.minDF = info.N
+		}
+		if info.N > qt.maxDF {
+			qt.maxDF = info.N
+		}
+		qt.lastDF = info.N
 	}
-	if info.N > qt.maxDF {
-		qt.maxDF = info.N
+	if tupleProb != nil {
+		qt.tupleProb++
+		qt.probWidth.observe(tupleProb.Length())
 	}
-	qt.lastDF = info.N
 	qt.mu.Unlock()
-	if !recovering {
-		hMeanHW.Observe(info.Mean.Length() / 2)
-		gLastDF.Set(int64(info.N))
+}
+
+// observeEmission feeds the process-global accuracy instruments with one
+// emission returned to n queries. Callers skip it while recovering.
+func observeEmission(infos []*accuracy.Info, tupleProb *accuracy.Interval, n uint64) {
+	for _, info := range infos {
+		hMeanHW.ObserveN(info.Mean.Length()/2, n)
+	}
+	if len(infos) > 0 {
+		gLastDF.Set(int64(infos[len(infos)-1].N))
+	}
+	if tupleProb != nil {
+		hTupleProbW.ObserveN(tupleProb.Length(), n)
 	}
 }
 
-func (qt *queryTelemetry) observeTupleProb(iv accuracy.Interval, recovering bool) {
-	qt.mu.Lock()
-	qt.tupleProb++
-	qt.probWidth.observe(iv.Length())
-	qt.mu.Unlock()
-	if !recovering {
-		hTupleProbW.Observe(iv.Length())
-	}
-}
+// PushLatency is the push histogram, asdb_query_push_seconds: one
+// observation per (query, tuple) push. The load-shed controller reads its
+// tail.
+func PushLatency() *metrics.Histogram { return hPush }
 
 // DFStat summarizes the d.f. sample sizes (Definition 2 / Lemma 3) observed
 // on decorated fields.

@@ -93,8 +93,12 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value v in one step: its
+// bucket and the count grow by n, the sum by n·v.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if math.IsNaN(v) || n == 0 {
 		return
 	}
 	// Branchy linear scan beats binary search for the small (≤ ~16) bucket
@@ -103,11 +107,12 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	add := v * float64(n)
 	for {
 		old := h.sum.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
+		nw := math.Float64bits(math.Float64frombits(old) + add)
 		if h.sum.CompareAndSwap(old, nw) {
 			return
 		}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http/httptest"
@@ -65,6 +66,26 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if got, want := s.Sum, 0.5+1+1.5+3+100; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sum = %v, want %v", got, want)
+	}
+}
+
+// TestHistogramObserveN: n observations in one step land where n single
+// observations would, and n = 0 or a NaN value records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	r := NewRegistry()
+	one := r.Histogram("one", "", []float64{1, 2, 4})
+	many := r.Histogram("many", "", []float64{1, 2, 4})
+	for _, v := range []float64{0.5, 1.5, 3, 100} {
+		for i := 0; i < 7; i++ {
+			one.Observe(v)
+		}
+		many.ObserveN(v, 7)
+	}
+	many.ObserveN(2, 0)
+	many.ObserveN(math.NaN(), 3)
+	a, b := one.Snapshot(), many.Snapshot()
+	if fmt.Sprint(a.Counts) != fmt.Sprint(b.Counts) || a.Count != b.Count || a.Sum != b.Sum {
+		t.Fatalf("ObserveN %+v, Observe %+v", b, a)
 	}
 }
 

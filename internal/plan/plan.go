@@ -24,9 +24,9 @@
 //     annotations, atomically gated so the disabled fast path costs one
 //     atomic load per stage.
 //
-// The engine half — window aliasing, the per-sequence emission cache,
-// fused aggregate evaluation — lives in internal/core (plan_shared.go),
-// which consumes this package.
+// The engine half — window aliasing, one computed emission per group and
+// tuple replayed to every member, fused aggregate evaluation — lives in
+// internal/core (plan_shared.go, route.go), which consumes this package.
 package plan
 
 import (

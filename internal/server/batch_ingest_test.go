@@ -8,12 +8,14 @@ package server
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -300,6 +302,22 @@ func TestRecoveryMetricsParity(t *testing.T) {
 	}
 	if d := after.Counters["asdb_query_recovery_push_total"] - before.Counters["asdb_query_recovery_push_total"]; d != inserts {
 		t.Errorf("recovery pushes counted %d, want %d", d, inserts)
+	}
+}
+
+// TestPushHistogramHelp: asdb_query_push_seconds has one definition, the
+// engine's, whatever registers first; the load-shed controller reads that
+// same histogram. /debug/metrics serves metrics.Default.Handler.
+func TestPushHistogramHelp(t *testing.T) {
+	if core.PushLatency() != metrics.Default.Histogram("asdb_query_push_seconds", "", nil) {
+		t.Fatal("the registry's asdb_query_push_seconds is not the engine's push histogram")
+	}
+	rec := httptest.NewRecorder()
+	metrics.Default.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/metrics", nil))
+	const want = "# HELP asdb_query_push_seconds wall time of one tuple push through one query; " +
+		"a plan group's push of a tuple counts once per member, at the group's time divided by its members\n"
+	if !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("/debug/metrics lacks %q", want)
 	}
 }
 

@@ -58,13 +58,13 @@ func BenchmarkOverloadShed(b *testing.B) {
 			tc.mustOK(crashStreamCmd)
 			tc.mustOK("QUERY q1 SELECT AVG(val) FROM temps WINDOW 8 ROWS")
 
-			prev := pushLatency().Snapshot()
+			prev := core.PushLatency().Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tc.mustOK(fmt.Sprintf("INSERT temps %d N(%d.5,2.25,%d)", i, 10+i%50, 20+i%30))
 			}
 			b.StopTimer()
-			cur := pushLatency().Snapshot()
+			cur := core.PushLatency().Snapshot()
 			if _, p99 := intervalP99(prev, cur); p99 > 0 {
 				b.ReportMetric(float64(p99)/float64(time.Microsecond), "p99_push_us")
 			}

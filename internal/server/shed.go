@@ -120,7 +120,7 @@ func (s *Server) startShed() {
 		cfg:  s.opts.Shed,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-		prev: pushLatency().Snapshot(),
+		prev: core.PushLatency().Snapshot(),
 	}
 	s.shed = c
 	go c.run()
@@ -138,13 +138,6 @@ func (s *Server) stopShed() {
 	<-c.done
 }
 
-// pushLatency resolves the engine's push histogram from the shared registry
-// (registered by internal/core; Histogram is idempotent per name).
-func pushLatency() *metrics.Histogram {
-	return metrics.Default.Histogram("asdb_query_push_seconds",
-		"wall time of one tuple push through one query", metrics.DefBuckets)
-}
-
 func (c *shedController) run() {
 	defer close(c.done)
 	t := time.NewTicker(c.cfg.Interval)
@@ -160,7 +153,7 @@ func (c *shedController) run() {
 }
 
 func (c *shedController) tick() {
-	cur := pushLatency().Snapshot()
+	cur := core.PushLatency().Snapshot()
 	evals, p99 := intervalP99(c.prev, cur)
 	c.prev = cur
 	gShedP99Micros.Set(int64(p99 / time.Microsecond))
