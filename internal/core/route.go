@@ -106,9 +106,7 @@ func (g *sharedGroup) push(members []routeSlot, t *stream.Tuple, b *batchOut, re
 	g.compute(members[0].q, t, em)
 	k := uint64(len(members))
 	g.leads.Add(1)
-	if k > 1 {
-		g.follows.Add(k - 1)
-	}
+	g.follows.Add(k - 1)
 	var results uint64
 	for _, m := range members {
 		m.q.stats.in.Add(1)
