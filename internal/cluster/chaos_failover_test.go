@@ -19,10 +19,10 @@ import (
 // The ISSUE 10 acceptance scenario, end to end and fully automatic: the
 // primary dies mid-INSERTBATCH, the FailoverManager detects the silence
 // and promotes the durable follower (journaling the epoch bump first),
-// the client's retry lands exactly once via the replicated dedup window,
-// and the revived old primary is fenced with the stale-epoch sentinel,
-// truncates its diverged suffix, and rejoins as a follower — converging
-// byte-identical. Run at workers 1 and 8; the final state must also be
+// the router's retry of the client's batch lands exactly once via the
+// replicated dedup window, and the revived old primary is fenced with the
+// stale-epoch sentinel, truncates its diverged suffix, and rejoins as a
+// follower — converging byte-identical. Run at workers 1 and 8; the final state must also be
 // byte-identical ACROSS worker counts.
 func TestChaosAutoFailoverRejoin(t *testing.T) {
 	transcripts := make(map[int]string)
@@ -82,7 +82,7 @@ func runAutoFailoverRejoin(t *testing.T, workers int) string {
 	fm.Start()
 	t.Cleanup(fm.Stop)
 
-	// Client side: the primary address goes through a proxy that tears the
+	// Router side: the primary address goes through a proxy that tears the
 	// FIRST ingest reply mid-line; the durable follower is the failover
 	// target. DDL already happened out of band, so conn 0's fault budget is
 	// spent entirely on the ingest exchange.
@@ -92,18 +92,15 @@ func runAutoFailoverRejoin(t *testing.T, workers int) string {
 		}
 		return fault.ConnFaults{}
 	})
-	cl, err := NewClient([]Node{{Primary: proxy.Addr(), Replicas: []string{df.addr}}}, server.DialOptions{
+	rt, addr := startRouter(t, []Node{{Primary: proxy.Addr(), Replicas: []string{df.addr}}}, server.DialOptions{
 		Retries:   12,
 		RetryBase: 10 * time.Millisecond,
 		RetryMax:  100 * time.Millisecond,
 		OpTimeout: 2 * time.Second,
 		Seed:      42,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	cl.topo.registerStream("temps", "temps seq temp:dist")
+	rt.topo.registerStream("temps", "temps seq temp:dist")
+	cl := dialClient(t, addr, server.DialOptions{Retries: 1, Seed: 42})
 
 	// Kill the primary between the torn attempt and the first retry — and
 	// do NOT promote anyone: the FailoverManager must notice on its own.

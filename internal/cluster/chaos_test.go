@@ -140,10 +140,11 @@ func TestChaosPartitionHeal(t *testing.T) {
 	compareReplies(t, pr, fc, "STATS q1", "STATS q2", "METRICS q1", "METRICS q2")
 }
 
-// The acceptance scenario: a routed INSERTBATCH whose reply is torn by
-// the network, retried after the primary dies and the follower is
-// promoted, applies exactly once — the promoted follower answers the
-// retry from its replicated dedup window with the primary's exact reply.
+// The acceptance scenario: an INSERTBATCH routed through the Router whose
+// reply is torn by the network, retried after the primary dies and the
+// follower is promoted, applies exactly once — the promoted follower
+// answers the retry from its replicated dedup window with the primary's
+// exact reply.
 func TestChaosFailoverExactlyOnce(t *testing.T) {
 	p := startPrimary(t, 1, 1<<20, 0)
 	f := startFollower(t, 1, p.shipAddr)
@@ -153,7 +154,7 @@ func TestChaosFailoverExactlyOnce(t *testing.T) {
 	pc.mustOK("QUERY q1 SELECT temp FROM temps")
 	waitCaughtUp(t, p, f)
 
-	// Client side: node whose primary address goes through a proxy that
+	// Router side: node whose primary address goes through a proxy that
 	// tears the FIRST ingest reply mid-line, with the follower as the
 	// failover target. DDL already happened out of band, so conn 0's
 	// fault budget is spent entirely on the ingest exchange.
@@ -163,18 +164,17 @@ func TestChaosFailoverExactlyOnce(t *testing.T) {
 		}
 		return fault.ConnFaults{}
 	})
-	cl, err := NewClient([]Node{{Primary: proxy.Addr(), Replicas: []string{f.addr}}}, server.DialOptions{
+	rt, addr := startRouter(t, []Node{{Primary: proxy.Addr(), Replicas: []string{f.addr}}}, server.DialOptions{
 		Retries:   3,
 		RetryBase: 2 * time.Millisecond,
 		OpTimeout: 2 * time.Second,
 		Seed:      99,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	// The stream exists server-side; seed this client's placement map.
-	cl.topo.registerStream("temps", "temps seq temp:dist")
+	// The stream exists server-side; seed the router's placement map.
+	rt.topo.registerStream("temps", "temps seq temp:dist")
+	// The client in front of the router mints the request id; its op
+	// timeout (the default) covers the router's whole walk.
+	cl := dialClient(t, addr, server.DialOptions{Retries: 1, Seed: 99})
 
 	// Between the torn attempt and the retry: make sure the batch has
 	// replicated, then promote the follower and kill the primary — the

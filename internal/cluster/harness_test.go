@@ -153,6 +153,35 @@ func startFollower(t testing.TB, workers int, shipAddr string) *tnode {
 	return n
 }
 
+// startRouter serves a Router over nodes on a loopback port and returns it
+// with its client address.
+func startRouter(t testing.TB, nodes []Node, opts server.DialOptions) (*Router, string) {
+	t.Helper()
+	rt, err := NewRouter(nodes, quiet, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := rt.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.Serve()
+	t.Cleanup(func() { rt.Close() })
+	return rt, addr.String()
+}
+
+// dialClient connects a server.Client — the client operators run in front
+// of asdb-router — to addr.
+func dialClient(t testing.TB, addr string, opts server.DialOptions) *server.Client {
+	t.Helper()
+	cl, err := server.DialOpts(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
 // waitCaughtUp asserts the follower reaches the primary's current WAL
 // frontier.
 func waitCaughtUp(t testing.TB, p, f *tnode) uint64 {

@@ -285,23 +285,149 @@ func TestClusterClientNegativeRetriesIngests(t *testing.T) {
 	}
 }
 
+// A server.Client dialed at the router drives the whole cluster: sharded
+// DDL, join co-location with live DDL replay, routed ingest, replica
+// reads, and a replica's DATA merged onto the client's Data channel.
+func TestRouterClientEndToEnd(t *testing.T) {
+	nodes, primaries, followers := twoNodeCluster(t)
+	rt, addr := startRouter(t, nodes, server.DialOptions{Retries: 2, RetryBase: 2 * time.Millisecond})
+	cl := dialClient(t, addr, server.DialOptions{Seed: 42, Retries: 2, RetryBase: 2 * time.Millisecond})
+
+	// Register streams through the router until the hash has split two of
+	// them across the nodes.
+	var a, b string
+	var na int
+	for i := 0; i < 64 && b == ""; i++ {
+		name := fmt.Sprintf("t%d", i)
+		schema, err := server.ParseStreamDef(name, []string{"seq", "temp:dist"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.RegisterStream(schema); err != nil {
+			t.Fatal(err)
+		}
+		n, ok := rt.topo.streamNode(name)
+		if !ok {
+			t.Fatalf("router did not place %s", name)
+		}
+		switch {
+		case a == "":
+			a, na = name, n
+		case n != na:
+			b = name
+		}
+	}
+	if b == "" {
+		t.Fatal("hash put 64 streams on one node")
+	}
+
+	// Single-stream query on a's node; subscribe via the replica.
+	if err := cl.Query("qa", "SELECT temp FROM "+a); err != nil {
+		t.Fatal(err)
+	}
+	// Join across nodes: one clean group re-homes onto the other's node.
+	join := fmt.Sprintf("SELECT %s.temp FROM %s JOIN %s ON %s.seq = %s.seq WINDOW 4 ROWS", a, a, b, a, b)
+	if err := cl.Query("qj", join); err != nil {
+		t.Fatalf("join placement: %v", err)
+	}
+	naj, _ := rt.topo.streamNode(a)
+	nbj, _ := rt.topo.streamNode(b)
+	if naj != nbj {
+		t.Fatalf("join inputs still split: %d vs %d", naj, nbj)
+	}
+	// The moved stream's DDL was replayed on the join's node.
+	moved := a
+	if na == naj {
+		moved = b
+	}
+	rep := dialRaw(t, nodes[naj].Primary).cmd("STREAM " + moved + " seq temp:dist")
+	if last := rep[len(rep)-1]; !strings.Contains(last, "already registered") {
+		t.Fatalf("stream %s not replayed on the join's node %d: %s", moved, naj, last)
+	}
+
+	// Subscribe lands on qa's replica, which must first apply the
+	// replicated QUERY record.
+	catchUpAll(t, primaries, followers)
+	if err := cl.Subscribe("qa"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Routed ingest to both streams.
+	rows := batchRowsRaw(t, 3)
+	if _, err := cl.InsertBatch(a, rows...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.InsertBatch(b, rows...); err != nil {
+		t.Fatal(err)
+	}
+	catchUpAll(t, primaries, followers)
+
+	// Replica-served stats: qa saw 3 tuples.
+	st, err := cl.Stats("qa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.In != 3 {
+		t.Fatalf("qa In = %d, want 3", st.In)
+	}
+	if _, err := cl.QueryMetrics("qa"); err != nil {
+		t.Fatal(err)
+	}
+	if plan, err := cl.Explain("qa"); err != nil || plan == "" {
+		t.Fatalf("explain: %q, %v", plan, err)
+	}
+
+	// Subscribed DATA flowed through the router onto Data().
+	select {
+	case d := <-cl.Data():
+		if d.QueryID != "qa" {
+			t.Fatalf("unexpected data for %q", d.QueryID)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no DATA arrived on the client's channel")
+	}
+
+	if err := cl.CloseQuery("qa"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rt.topo.queryNode("qa"); ok {
+		t.Fatal("closed query qa is still placed")
+	}
+}
+
+// A router built with a negative Retries gives a tagged ingest one
+// attempt, and it applies, instead of a walk of zero attempts that
+// reports success.
+func TestRouterNegativeRetriesIngests(t *testing.T) {
+	p := startPrimary(t, 1, 1<<20, 0)
+	pc := dialRaw(t, p.addr)
+	pc.mustOK("STREAM temps seq temp:dist")
+	pc.mustOK("QUERY q1 SELECT temp FROM temps")
+	rt, addr := startRouter(t, []Node{{Primary: p.addr}}, server.DialOptions{Retries: -1})
+	rt.topo.registerStream("temps", "temps seq temp:dist")
+	cl := dialClient(t, addr, server.DialOptions{Retries: 1, Seed: 5})
+	retriesBefore := mRouteRetries.Value()
+	results, err := cl.Insert("temps", batchRowsRaw(t, 1)[0]...)
+	if err != nil || results != 1 {
+		t.Fatalf("Insert = %d, %v; want 1 result", results, err)
+	}
+	if got := mRouteRetries.Value() - retriesBefore; got != 0 {
+		t.Fatalf("%d retries, want one attempt", got)
+	}
+	rep := pc.mustOK("STATS q1")
+	if stats := rep[len(rep)-1]; !strings.Contains(stats, `"In":1,`) {
+		t.Fatalf("tuple not applied once: %s", stats)
+	}
+}
+
 // The router proxies the full protocol: sharded DDL, placed queries,
 // verbatim DATA relay to attached clients, replica reads, failover
 // ingest.
 func TestRouterEndToEnd(t *testing.T) {
 	nodes, primaries, followers := twoNodeCluster(t)
-	rt, err := NewRouter(nodes, quiet, server.DialOptions{Retries: 2, RetryBase: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := rt.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rt.Serve()
-	t.Cleanup(func() { rt.Close() })
+	rt, addr := startRouter(t, nodes, server.DialOptions{Retries: 2, RetryBase: 2 * time.Millisecond})
 
-	rc := dialRaw(t, addr.String())
+	rc := dialRaw(t, addr)
 	if rep := rc.cmd("PING"); rep[len(rep)-1] != "OK pong" {
 		t.Fatalf("PING: %v", rep)
 	}

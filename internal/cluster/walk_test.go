@@ -22,14 +22,14 @@ import (
 // of (target, line) contacts, the outcome the caller sees, and the retry
 // accounting (hook calls and asdb_route_retries_total).
 
-// newWalkClient and newWalkRouter are the only places the scenarios name a
-// front end's options.
+// walkOpts are the front ends' options: tc.retries, a fast backoff and a
+// fixed seed.
 func newWalkClient(nodes []Node, retries int) (*Client, error) {
-	return NewClient(nodes, server.DialOptions{Retries: retries, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond, Seed: 1})
+	return NewClient(nodes, walkOpts(retries))
 }
 
-func newWalkRouter(nodes []Node, retries int) (*Router, error) {
-	return NewRouter(nodes, quiet, server.DialOptions{Retries: retries, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond, Seed: 1})
+func walkOpts(retries int) server.DialOptions {
+	return server.DialOptions{Retries: retries, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond, Seed: 1}
 }
 
 // walkTear as a scripted reply writes half a reply line, then closes the
@@ -157,8 +157,8 @@ var walkCases = []walkCase{
 
 func TestFailoverWalk(t *testing.T) {
 	for _, tc := range walkCases {
-		for _, front := range []string{"client", "router"} {
-			if tc.bare && front == "client" {
+		for _, front := range []string{"client", "router", "client-via-router"} {
+			if tc.bare && front != "router" {
 				continue
 			}
 			t.Run(tc.name+"/"+front, func(t *testing.T) { runWalkCase(t, tc, front) })
@@ -199,24 +199,31 @@ func runWalkCase(t *testing.T, tc walkCase, front string) {
 		default:
 			outcome = walkTransport
 		}
-	case "router":
-		rt, err := newWalkRouter(nodes, tc.retries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := rt.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go rt.Serve()
-		t.Cleanup(func() { rt.Close() })
+	case "router", "client-via-router":
+		rt, addr := startRouter(t, nodes, walkOpts(tc.retries))
 		rt.topo.registerStream("ws", "ws x")
-		line := "INSERT ws 1 @walk-1"
-		if tc.bare {
-			line = "INSERT ws 1"
+		if front == "router" {
+			line := "INSERT ws 1 @walk-1"
+			if tc.bare {
+				line = "INSERT ws 1"
+			}
+			rep := dialRaw(t, addr).cmd(line)
+			outcome = rep[len(rep)-1]
+		} else {
+			// The client mints the request id; the router walks with
+			// tc.retries and answers the walk's last reply.
+			cl := dialClient(t, addr, server.DialOptions{Retries: 1, Seed: 1})
+			n, err := cl.Insert("ws", randvar.Det(1))
+			var se server.ServerError
+			switch {
+			case err == nil:
+				outcome = fmt.Sprintf("OK inserted results=%d", n)
+			case errors.As(err, &se):
+				outcome = "ERR " + string(se)
+			default:
+				t.Fatalf("client to router: %v", err)
+			}
 		}
-		rep := dialRaw(t, addr.String()).cmd(line)
-		outcome = rep[len(rep)-1]
 		if msg, ok := strings.CutPrefix(outcome, "ERR "); ok && !shard.scripted("ERR "+msg) {
 			outcome = walkTransport
 		}
