@@ -420,6 +420,62 @@ func TestRouterNegativeRetriesIngests(t *testing.T) {
 	}
 }
 
+// A query id names one query in the whole cluster. The router refuses an
+// id already placed on any node, with the server's own text, and an id
+// whose registration the backend rejected stays free.
+func TestRouterQueryIDOncePerCluster(t *testing.T) {
+	p1 := startPrimary(t, 1, 1<<20, 0)
+	p2 := startPrimary(t, 1, 1<<20, 0)
+	nodes := []Node{{Primary: p1.addr}, {Primary: p2.addr}}
+	rt, addr := startRouter(t, nodes, server.DialOptions{})
+	rc := dialRaw(t, addr)
+	var a, b string
+	for i := 0; i < 64 && b == ""; i++ {
+		name := fmt.Sprintf("d%d", i)
+		rc.mustOK("STREAM " + name + " seq temp:dist")
+		if a == "" {
+			a = name
+		} else if mustNode(t, rt, name) != mustNode(t, rt, a) {
+			b = name
+		}
+	}
+	if b == "" {
+		t.Fatal("hash put 64 streams on one node")
+	}
+
+	rc.mustOK("QUERY q1 SELECT temp FROM " + a)
+	rep := rc.cmd("QUERY q1 SELECT temp FROM " + b)
+	if got, want := rep[len(rep)-1], `ERR query id "q1" already in use`; got != want {
+		t.Fatalf("second q1 on another node: %q, want %q", got, want)
+	}
+	// b's node never saw q1, and CLOSE reaches the one that did.
+	if rep := dialRaw(t, nodes[mustNode(t, rt, b)].Primary).cmd("STATS q1"); !strings.HasPrefix(rep[len(rep)-1], "ERR") {
+		t.Fatalf("q1 registered on b's node too: %v", rep)
+	}
+	rc.mustOK("CLOSE q1")
+	if rep := dialRaw(t, nodes[mustNode(t, rt, a)].Primary).cmd("STATS q1"); !strings.HasPrefix(rep[len(rep)-1], "ERR") {
+		t.Fatalf("q1 still runs on a's node after CLOSE: %v", rep)
+	}
+
+	// A registration the backend rejects places nothing.
+	if rep := rc.cmd("QUERY q3 SELECT nosuchcol FROM " + a); !strings.HasPrefix(rep[len(rep)-1], "ERR") {
+		t.Fatalf("query over a missing column: %v", rep)
+	}
+	if _, ok := rt.topo.queryNode("q3"); ok {
+		t.Fatal("rejected q3 is still placed")
+	}
+	rc.mustOK("QUERY q3 SELECT temp FROM " + b)
+}
+
+func mustNode(t *testing.T, rt *Router, stream string) int {
+	t.Helper()
+	n, ok := rt.topo.streamNode(stream)
+	if !ok {
+		t.Fatalf("router did not place %s", stream)
+	}
+	return n
+}
+
 // The router proxies the full protocol: sharded DDL, placed queries,
 // verbatim DATA relay to attached clients, replica reads, failover
 // ingest.

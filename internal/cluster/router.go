@@ -227,19 +227,15 @@ func (s *rsession) dispatch(line string) (string, error) {
 		return s.backendDo(t.primaryAddr(node), line)
 	case "QUERY":
 		id := firstField(rest)
-		sqlText := strings.TrimSpace(strings.TrimPrefix(rest, id))
-		node, moves, err := t.placeQuery(id, sqlText)
+		node, moves, err := t.placeQuery(id, strings.TrimSpace(strings.TrimPrefix(rest, id)))
 		if err != nil {
 			return "", err
 		}
-		for _, mv := range moves {
-			if rep, err := s.backendDo(t.primaryAddr(mv.node), "STREAM "+mv.ddl); err != nil {
-				return "", fmt.Errorf("re-homing stream %s: %w", mv.stream, err)
-			} else if strings.HasPrefix(rep, "ERR ") {
-				return "", fmt.Errorf("re-homing stream %s: %s", mv.stream, rep[4:])
-			}
+		rep, err := s.registerQuery(node, moves, line)
+		if err != nil || !strings.HasPrefix(rep, "OK") {
+			t.dropQuery(id) // the id stays placed only once a backend took it
 		}
-		return s.backendDo(t.primaryAddr(node), line)
+		return rep, err
 	case "INSERT", "INSERTBATCH":
 		node, ok := t.streamNode(firstField(rest))
 		if !ok {
@@ -284,6 +280,20 @@ func (s *rsession) dispatch(line string) (string, error) {
 	default:
 		return s.backendDo(t.primaryAddr(0), line)
 	}
+}
+
+// registerQuery replays a placement's DDL moves on their target, then
+// sends the QUERY line to the node's primary.
+func (s *rsession) registerQuery(node int, moves []streamMove, line string) (string, error) {
+	t := s.rt.topo
+	for _, mv := range moves {
+		if rep, err := s.backendDo(t.primaryAddr(mv.node), "STREAM "+mv.ddl); err != nil {
+			return "", fmt.Errorf("re-homing stream %s: %w", mv.stream, err)
+		} else if strings.HasPrefix(rep, "ERR ") {
+			return "", fmt.Errorf("re-homing stream %s: %s", mv.stream, rep[4:])
+		}
+	}
+	return s.backendDo(t.primaryAddr(node), line)
 }
 
 // readAddrFor picks the read address for a query-scoped command, falling

@@ -167,7 +167,9 @@ func (t *topo) groupDirtyLocked(root string) bool {
 // groups if needed. The returned moves (possibly empty) are DDL replays
 // the caller must perform on the target node before registering the query
 // there. Unregistered streams are an error: placement cannot invent
-// schemas.
+// schemas. A query id names one query in the cluster: an id already placed
+// is refused before any move, and a new one is reserved until the caller
+// drops it because no backend took the query.
 func (t *topo) placeQuery(id, sqlText string) (int, []streamMove, error) {
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
@@ -175,6 +177,9 @@ func (t *topo) placeQuery(id, sqlText string) (int, []streamMove, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if _, dup := t.queries[id]; dup {
+		return 0, nil, fmt.Errorf("query id %q already in use", id)
+	}
 	streams := []string{stmt.From}
 	if stmt.Join != nil {
 		streams = append(streams, stmt.Join.Right)
