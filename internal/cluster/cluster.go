@@ -13,10 +13,10 @@
 // Routing is rendezvous hashing of streams across N independent primaries,
 // with join-aware co-location: both inputs of a JOIN must live on one node,
 // so streams are grouped with union-find and a group is re-homed (by
-// replaying its DDL) only while it has never taken routed ingest. Client is
-// the embedded routing client; Router is the same policy as a thin proxy
-// for protocol-level clients. Both reuse the server's @reqid dedup window
-// for exactly-once ingest retries across failover — the dedup window is
+// replaying its DDL) only while it has never taken routed ingest. Router is
+// the one routing front end, a thin proxy speaking the line protocol (the
+// asdb-router binary). It reuses the server's @reqid dedup window for
+// exactly-once ingest retries across failover — the dedup window is
 // replicated, so a promoted follower answers a retried batch from the
 // window instead of double-applying it.
 package cluster
@@ -83,10 +83,9 @@ const maxShipLine = 17 << 20
 // retry.
 var testHookRouteRetry func(attempt int)
 
-// walkFailover is the one failover walk of routed ingest, shared by Client
-// and Router. Attempt k goes to targets[k mod len(targets)] — primary
-// first, then its replicas, wrapping around — with a backoff before every
-// retry. try makes one attempt and returns the reply; a server.ServerError
+// walkFailover is the failover walk of routed ingest. Attempt k goes to
+// targets[k mod len(targets)] — primary first, then its replicas, wrapping
+// around — with a backoff before every retry. try makes one attempt and returns the reply; a server.ServerError
 // means the node answered ERR, any other error a transport failure (try has
 // dropped that connection). A retryable reject or a transport failure
 // walks on; success or any other ERR ends the walk. When attempts run out

@@ -164,127 +164,6 @@ func catchUpAll(t *testing.T, primaries, followers []*tnode) {
 	}
 }
 
-// The embedded cluster client end to end: sharded DDL, join co-location
-// with live DDL replay, routed ingest, replica reads, merged DATA.
-func TestClusterClientEndToEnd(t *testing.T) {
-	nodes, primaries, followers := twoNodeCluster(t)
-	cl, err := NewClient(nodes, server.DialOptions{Seed: 42, Retries: 2, RetryBase: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-
-	// Find two streams the hash splits across the nodes, registering
-	// through the client (raw DDL keeps the schema helper out of the
-	// way).
-	var a, b string
-	n0 := cl.topo.registerStream("t0", "t0 seq temp:dist")
-	if err := clientDo(cl, n0, "STREAM t0 seq temp:dist"); err != nil {
-		t.Fatal(err)
-	}
-	a = "t0"
-	for i := 1; i < 64 && b == ""; i++ {
-		name := fmt.Sprintf("t%d", i)
-		if n := cl.topo.registerStream(name, name+" seq temp:dist"); n != n0 {
-			if err := clientDo(cl, n, "STREAM "+name+" seq temp:dist"); err != nil {
-				t.Fatal(err)
-			}
-			b = name
-		}
-	}
-	if b == "" {
-		t.Fatal("hash put 64 streams on one node")
-	}
-
-	// Single-stream query on a's node; subscribe via the replica.
-	if err := cl.Query("qa", "SELECT temp FROM "+a); err != nil {
-		t.Fatal(err)
-	}
-	// Join across nodes: b's clean group re-homes onto one node.
-	join := fmt.Sprintf("SELECT %s.temp FROM %s JOIN %s ON %s.seq = %s.seq WINDOW 4 ROWS", a, a, b, a, b)
-	if err := cl.Query("qj", join); err != nil {
-		t.Fatalf("join placement: %v", err)
-	}
-	naj, _ := cl.topo.streamNode(a)
-	nbj, _ := cl.topo.streamNode(b)
-	if naj != nbj {
-		t.Fatalf("join inputs still split: %d vs %d", naj, nbj)
-	}
-
-	// Subscribe lands on qa's replica, which must first apply the
-	// replicated QUERY record.
-	catchUpAll(t, primaries, followers)
-	if err := cl.Subscribe("qa"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Routed ingest to both streams.
-	rows := batchRowsRaw(t, 3)
-	if _, err := cl.InsertBatch(a, rows...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.InsertBatch(b, rows...); err != nil {
-		t.Fatal(err)
-	}
-	catchUpAll(t, primaries, followers)
-
-	// Replica-served stats: qa saw 3 tuples.
-	st, err := cl.Stats("qa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.In != 3 {
-		t.Fatalf("qa In = %d, want 3", st.In)
-	}
-	if _, err := cl.QueryMetrics("qa"); err != nil {
-		t.Fatal(err)
-	}
-	if plan, err := cl.Explain("qa"); err != nil || plan == "" {
-		t.Fatalf("explain: %q, %v", plan, err)
-	}
-
-	// Subscribed DATA flowed through the merged channel.
-	select {
-	case d := <-cl.Data():
-		if d.QueryID != "qa" {
-			t.Fatalf("unexpected data for %q", d.QueryID)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no DATA arrived on the merged channel")
-	}
-
-	if err := cl.CloseQuery("qa"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A negative Retries counts as none: the ingest gets one attempt and
-// applies, instead of a walk of zero attempts that reports success.
-func TestClusterClientNegativeRetriesIngests(t *testing.T) {
-	p := startPrimary(t, 1, 1<<20, 0)
-	pc := dialRaw(t, p.addr)
-	pc.mustOK("STREAM temps seq temp:dist")
-	pc.mustOK("QUERY q1 SELECT temp FROM temps")
-	cl, err := NewClient([]Node{{Primary: p.addr}}, server.DialOptions{Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	cl.topo.registerStream("temps", "temps seq temp:dist")
-	retriesBefore := mRouteRetries.Value()
-	results, err := cl.Insert("temps", batchRowsRaw(t, 1)[0]...)
-	if err != nil || results != 1 {
-		t.Fatalf("Insert = %d, %v; want 1 result", results, err)
-	}
-	if got := mRouteRetries.Value() - retriesBefore; got != 0 {
-		t.Fatalf("%d retries, want one attempt", got)
-	}
-	rep := pc.mustOK("STATS q1")
-	if stats := rep[len(rep)-1]; !strings.Contains(stats, `"In":1,`) {
-		t.Fatalf("tuple not applied once: %s", stats)
-	}
-}
-
 // A server.Client dialed at the router drives the whole cluster: sharded
 // DDL, join co-location with live DDL replay, routed ingest, replica
 // reads, and a replica's DATA merged onto the client's Data channel.
@@ -548,17 +427,6 @@ func TestRouterEndToEnd(t *testing.T) {
 	if rep := rc.cmd("QUIT"); rep[len(rep)-1] != "OK bye" {
 		t.Fatalf("QUIT: %v", rep)
 	}
-}
-
-// clientDo issues one raw command on a node's primary through the
-// cluster client's cached connection.
-func clientDo(cl *Client, node int, line string) error {
-	c, err := cl.clientFor(cl.topo.primaryAddr(node))
-	if err != nil {
-		return err
-	}
-	_, err = c.Do(line)
-	return err
 }
 
 // batchRowsRaw mirrors the server chaos suite's batch builder.

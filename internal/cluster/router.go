@@ -13,14 +13,14 @@ import (
 	"repro/internal/server"
 )
 
-// Router is the same routing policy as Client, packaged as a thin proxy
-// for protocol-level clients: one listener speaking the asdb line
-// protocol, forwarding each command to the node that owns it. DATA lines
-// from backends are relayed to the client byte-for-byte — the router
-// never re-renders results, so replica frames stay identical to primary
-// frames end to end. Ingest lines carrying a client-minted @reqid are
-// retried across failover targets; bare ingest lines get one attempt
-// (the router must not invent idempotency the client didn't ask for).
+// Router routes commands across a cluster as a thin proxy: one listener
+// speaking the asdb line protocol, forwarding each command to the node
+// that owns it. DATA lines from backends are relayed to the client
+// byte-for-byte — the router never re-renders results, so replica frames
+// stay identical to primary frames end to end. Ingest lines carrying a
+// client-minted @reqid are retried across failover targets; bare ingest
+// lines get one attempt (the router must not invent idempotency the
+// client didn't ask for).
 type Router struct {
 	topo   *topo
 	logger *log.Logger

@@ -63,10 +63,10 @@ type streamMove struct {
 // puts them; a JOIN merges its two inputs' groups (union-find) onto one
 // node, re-homing a group only while it is clean — no routed ingest yet —
 // because moving a stream that already holds tuples would need state
-// migration, not just DDL replay. Shared by the embedded Client and the
-// Router (one instance per process each; placement is deterministic, so
-// independent routers agree on everything except clean-group join moves,
-// which are an optimization clients must not interleave across routers).
+// migration, not just DDL replay. One instance per Router; placement is
+// deterministic, so independent routers agree on everything except
+// clean-group join moves, which are an optimization clients must not
+// interleave across routers.
 type topo struct {
 	nodes []Node
 	rr    atomic.Uint32 // read fan-out round-robin cursor

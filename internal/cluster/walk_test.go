@@ -15,19 +15,16 @@ import (
 	"repro/internal/server"
 )
 
-// Failover-walk scenarios, run against both front ends that walk a node's
-// failover targets: the embedded Client and the Router. Each scenario
+// Failover-walk scenarios, run against the Router two ways: a raw line
+// that carries its own @reqid (or none), and a server.Client in front of
+// the router that mints the id, as operators run it. Each scenario
 // scripts one shard of fake nodes — tiny TCP listeners that record every
 // line they receive and answer from a script — and pins the exact sequence
 // of (target, line) contacts, the outcome the caller sees, and the retry
 // accounting (hook calls and asdb_route_retries_total).
 
-// walkOpts are the front ends' options: tc.retries, a fast backoff and a
+// walkOpts are the router's options: tc.retries, a fast backoff and a
 // fixed seed.
-func newWalkClient(nodes []Node, retries int) (*Client, error) {
-	return NewClient(nodes, walkOpts(retries))
-}
-
 func walkOpts(retries int) server.DialOptions {
 	return server.DialOptions{Retries: retries, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond, Seed: 1}
 }
@@ -51,8 +48,8 @@ type walkNode struct {
 type walkCase struct {
 	name    string
 	retries int
-	// bare: the ingest line carries no @reqid (router only; the client tags
-	// every ingest whenever it retries).
+	// bare: the ingest line carries no @reqid (raw line only; a client
+	// with retries tags every ingest).
 	bare  bool
 	nodes []walkNode // primary, then replicas
 	// contacts are "<target>: <line>" in arrival order, targets labelled P,
@@ -157,7 +154,7 @@ var walkCases = []walkCase{
 
 func TestFailoverWalk(t *testing.T) {
 	for _, tc := range walkCases {
-		for _, front := range []string{"client", "router", "client-via-router"} {
+		for _, front := range []string{"router", "client-via-router"} {
 			if tc.bare && front != "router" {
 				continue
 			}
@@ -180,15 +177,20 @@ func runWalkCase(t *testing.T, tc walkCase, front string) {
 	t.Cleanup(func() { testHookRouteRetry = nil })
 	retriesBefore := mRouteRetries.Value()
 
+	rt, addr := startRouter(t, nodes, walkOpts(tc.retries))
+	rt.topo.registerStream("ws", "ws x")
 	var outcome string
-	switch front {
-	case "client":
-		cl, err := newWalkClient(nodes, tc.retries)
-		if err != nil {
-			t.Fatal(err)
+	if front == "router" {
+		line := "INSERT ws 1 @walk-1"
+		if tc.bare {
+			line = "INSERT ws 1"
 		}
-		t.Cleanup(func() { cl.Close() })
-		cl.topo.registerStream("ws", "ws x")
+		rep := dialRaw(t, addr).cmd(line)
+		outcome = rep[len(rep)-1]
+	} else {
+		// The client mints the request id; the router walks with
+		// tc.retries and answers the walk's last reply.
+		cl := dialClient(t, addr, server.DialOptions{Retries: 1, Seed: 1})
 		n, err := cl.Insert("ws", randvar.Det(1))
 		var se server.ServerError
 		switch {
@@ -197,36 +199,11 @@ func runWalkCase(t *testing.T, tc walkCase, front string) {
 		case errors.As(err, &se):
 			outcome = "ERR " + string(se)
 		default:
-			outcome = walkTransport
+			t.Fatalf("client to router: %v", err)
 		}
-	case "router", "client-via-router":
-		rt, addr := startRouter(t, nodes, walkOpts(tc.retries))
-		rt.topo.registerStream("ws", "ws x")
-		if front == "router" {
-			line := "INSERT ws 1 @walk-1"
-			if tc.bare {
-				line = "INSERT ws 1"
-			}
-			rep := dialRaw(t, addr).cmd(line)
-			outcome = rep[len(rep)-1]
-		} else {
-			// The client mints the request id; the router walks with
-			// tc.retries and answers the walk's last reply.
-			cl := dialClient(t, addr, server.DialOptions{Retries: 1, Seed: 1})
-			n, err := cl.Insert("ws", randvar.Det(1))
-			var se server.ServerError
-			switch {
-			case err == nil:
-				outcome = fmt.Sprintf("OK inserted results=%d", n)
-			case errors.As(err, &se):
-				outcome = "ERR " + string(se)
-			default:
-				t.Fatalf("client to router: %v", err)
-			}
-		}
-		if msg, ok := strings.CutPrefix(outcome, "ERR "); ok && !shard.scripted("ERR "+msg) {
-			outcome = walkTransport
-		}
+	}
+	if msg, ok := strings.CutPrefix(outcome, "ERR "); ok && !shard.scripted("ERR "+msg) {
+		outcome = walkTransport
 	}
 
 	contacts, ids := shard.record()

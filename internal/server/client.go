@@ -31,10 +31,10 @@ type ServerError string
 
 func (e ServerError) Error() string { return string(e) }
 
-// DialOptions tunes a client's fault handling; the cluster client and the
-// router take the same options. The zero value keeps the historical
-// behavior: one connection, one attempt per operation, a 30s per-operation
-// deadline.
+// DialOptions tunes a client's fault handling; the cluster router takes
+// the same options for its backend links and its failover walk. The zero
+// value keeps the historical behavior: one connection, one attempt per
+// operation, a 30s per-operation deadline.
 type DialOptions struct {
 	// DialTimeout bounds each TCP dial, including redials (default 5s).
 	DialTimeout time.Duration
@@ -83,9 +83,10 @@ func (o DialOptions) Normalize() DialOptions {
 
 // Retrier is the seeded state of one logical client's retries: the backoff
 // between attempts and the request ids that make retried ingest
-// exactly-once. A client that spreads its retries over several nodes mints
-// every id from one Retrier, so no two requests share an id in any node's
-// dedup window. Safe for concurrent use.
+// exactly-once. Only the client that sends a request mints its id; a
+// router walking a node's failover targets forwards that one id to each
+// and uses its own Retrier for backoff alone, so a promoted replica's
+// dedup window never meets a re-issued id. Safe for concurrent use.
 type Retrier struct {
 	base, max time.Duration
 	idPfx     string
@@ -519,14 +520,6 @@ func ParseInsertReply(payload string) int {
 		fmt.Sscan(v, &n)
 	}
 	return n
-}
-
-// Do sends one raw protocol line and returns the OK payload: a single
-// attempt, no request-id minting. The cluster routing layer uses it to
-// relay commands whose retry policy it manages itself (it decides which
-// node — primary or promoted replica — each attempt targets).
-func (cl *Client) Do(line string) (string, error) {
-	return cl.roundTrip(line)
 }
 
 // Ping checks liveness.

@@ -26,8 +26,8 @@ import (
 )
 
 // errFencedStaleEpoch rejects writes on a deposed primary. The sentinel
-// substring "fenced: stale epoch" is load-bearing: cluster.Client and the
-// router match it (alongside "read-only replica") to fail writes over to
+// substring "fenced: stale epoch" is load-bearing: the cluster router
+// matches it (alongside "read-only replica") to fail writes over to
 // the current primary.
 var errFencedStaleEpoch = errors.New("fenced: stale epoch: a newer primary was promoted; writes must go to it")
 

@@ -397,8 +397,8 @@ func TestDedupWindowEviction(t *testing.T) {
 	}
 }
 
-// One Retrier serves every session of a router and every node of a
-// cluster client at once: its ids stay unique under concurrent use.
+// One Retrier serves every session of a router at once: its ids stay
+// unique under concurrent use.
 func TestRetrierConcurrentIDsUnique(t *testing.T) {
 	r := NewRetrier(DialOptions{Seed: 3})
 	const workers, each = 4, 250
