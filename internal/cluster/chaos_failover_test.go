@@ -22,8 +22,8 @@ import (
 // the router's retry of the client's batch lands exactly once via the
 // replicated dedup window, and the revived old primary is fenced with the
 // stale-epoch sentinel, truncates its diverged suffix, and rejoins as a
-// follower — converging byte-identical. Run at workers 1 and 8; the final state must also be
-// byte-identical ACROSS worker counts.
+// follower — converging byte-identical. Run at workers 1 and 8; the final
+// state must also be byte-identical ACROSS worker counts.
 func TestChaosAutoFailoverRejoin(t *testing.T) {
 	transcripts := make(map[int]string)
 	for _, workers := range []int{1, 8} {

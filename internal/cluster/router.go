@@ -227,7 +227,8 @@ func (s *rsession) dispatch(line string) (string, error) {
 		return s.backendDo(t.primaryAddr(node), line)
 	case "QUERY":
 		id := firstField(rest)
-		node, moves, err := t.placeQuery(id, strings.TrimSpace(strings.TrimPrefix(rest, id)))
+		sqlText := strings.TrimSpace(strings.TrimPrefix(rest, id))
+		node, moves, err := t.placeQuery(id, sqlText)
 		if err != nil {
 			return "", err
 		}
