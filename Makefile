@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSelect$$' -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzMonteCarloDraws$$' -fuzztime $(FUZZTIME) ./internal/randvar/
+	$(GO) test -run '^$$' -fuzz '^FuzzShipFrame$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 clean:
 	rm -rf .bench_build

@@ -74,7 +74,8 @@ func retryableIngestReject(msg string) bool {
 
 // maxShipLine bounds one shipped protocol line. WAL payloads are command
 // lines capped at 16MiB by the server; the REC framing adds a few tens of
-// bytes, so one extra MiB of slack is plenty.
+// bytes, so one extra MiB of slack is plenty. A SNAP body is not a line and
+// has no cap.
 const maxShipLine = 17 << 20
 
 // testHookRouteRetry, when set, runs before each ingest retry attempt

@@ -4,15 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -85,7 +83,6 @@ type Follower struct {
 	lastApplied atomic.Uint64
 	primaryLSN  atomic.Uint64
 	lastContact atomic.Int64 // unix nanos of the last frame (or dial) from the primary
-	dialFails   atomic.Int64 // consecutive failed dials; reset on success
 
 	mu       sync.Mutex
 	nc       net.Conn
@@ -150,10 +147,6 @@ func (f *Follower) Retarget(addr string) {
 // LastApplied returns the LSN of the last record applied locally.
 func (f *Follower) LastApplied() uint64 { return f.lastApplied.Load() }
 
-// PrimaryLSN returns the primary's last known shippable LSN (from records
-// and heartbeats); 0 before the first contact.
-func (f *Follower) PrimaryLSN() uint64 { return f.primaryLSN.Load() }
-
 // LastContact returns when the primary was last heard from (a frame
 // arrived or a dial succeeded); zero time before the first contact. The
 // failure detector reads this to count missed heartbeat windows.
@@ -164,10 +157,6 @@ func (f *Follower) LastContact() time.Time {
 	}
 	return time.Unix(0, n)
 }
-
-// DialFailures returns the number of consecutive failed dials to the
-// primary; 0 after any successful connect.
-func (f *Follower) DialFailures() int64 { return f.dialFails.Load() }
 
 func (f *Follower) touchContact() { f.lastContact.Store(time.Now().UnixNano()) }
 
@@ -316,10 +305,8 @@ func isApplyError(err error) bool {
 func (f *Follower) followOnce() (progressed bool, err error) {
 	nc, err := net.DialTimeout("tcp", f.Target(), f.opts.DialTimeout)
 	if err != nil {
-		f.dialFails.Add(1)
 		return false, err
 	}
-	f.dialFails.Store(0)
 	f.touchContact()
 	f.mu.Lock()
 	if f.closed {
@@ -339,97 +326,65 @@ func (f *Follower) followOnce() (progressed bool, err error) {
 	}()
 
 	nc.SetWriteDeadline(time.Now().Add(f.opts.DialTimeout))
-	if _, err := fmt.Fprintf(nc, "SYNC %d %d\n", f.lastApplied.Load(), f.srv.Epoch()); err != nil {
+	if _, err := nc.Write(frame{verb: "SYNC", lsn: f.lastApplied.Load(), epoch: f.srv.Epoch()}.append(nil)); err != nil {
 		return false, err
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
 	for {
 		nc.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
-		line, err := server.ReadLine(br, maxShipLine)
+		fr, err := readFrame(br)
 		if err != nil {
 			return progressed, err
 		}
 		f.touchContact()
-		switch {
-		case strings.HasPrefix(line, "REC "):
-			if err := f.handleRec(line[len("REC "):]); err != nil {
+		// A primary below our epoch lost a failover and has not rejoined
+		// yet, so its stream is superseded history. Frames at our epoch or
+		// above are fine — during a rejoin the new primary streams at a
+		// higher epoch and the journaled RecEpoch record advances ours at
+		// exactly the right LSN.
+		if cur := f.srv.Epoch(); fr.epoch < cur {
+			return progressed, fmt.Errorf("%w: frame epoch %d below local %d", ErrStalePrimary, fr.epoch, cur)
+		}
+		switch fr.verb {
+		case "REC":
+			if err := f.handleRec(fr); err != nil {
 				return progressed, err
 			}
 			progressed = true
-		case strings.HasPrefix(line, "HB "):
-			if err := f.handleHB(line[len("HB "):]); err != nil {
-				return progressed, err
-			}
-		case strings.HasPrefix(line, "SNAP "):
-			if err := f.handleSnap(br, line[len("SNAP "):]); err != nil {
+		case "HB":
+			f.observeFrontier(fr.lsn, int64(fr.n))
+		case "SNAP":
+			if err := f.handleSnap(fr); err != nil {
 				return progressed, err
 			}
 			progressed = true
-		case strings.HasPrefix(line, "FENCE "):
+		case "FENCE":
 			// The node we synced to fenced ITSELF because our epoch is
 			// higher: it is a stale ex-primary. Stop following it.
-			return progressed, fmt.Errorf("%w: it fenced itself on our epoch (%s)", ErrStalePrimary, line[len("FENCE "):])
-		case strings.HasPrefix(line, "TRUNC "):
-			return progressed, f.handleTrunc(line[len("TRUNC "):])
+			return progressed, fmt.Errorf("%w: it fenced itself on our epoch %d", ErrStalePrimary, fr.epoch)
+		case "TRUNC":
+			// Everything we applied after the safe LSN belongs to a
+			// fenced-off history. Fence the server now (writes start failing
+			// with the stale-epoch sentinel); the terminal RejoinError tells
+			// the rejoin driver where to cut.
+			f.srv.Fence(fr.epoch)
+			f.logf("follower: diverged at lsn %d; primary epoch %d keeps only ..%d", f.lastApplied.Load(), fr.epoch, fr.lsn)
+			return progressed, &RejoinError{SafeLSN: fr.lsn, Epoch: fr.epoch}
 		default:
-			return progressed, fmt.Errorf("cluster: unexpected ship line %.40q", line)
+			return progressed, fmt.Errorf("cluster: unexpected %s frame from the primary", fr.verb)
 		}
 	}
 }
 
-// checkFrameEpoch rejects frames from a primary whose announced epoch is
-// below ours: it lost a failover and has not rejoined yet, so its stream
-// is superseded history. Frames at our epoch or above are fine — during a
-// rejoin the new primary streams at a higher epoch and the journaled
-// RecEpoch record advances ours at exactly the right LSN.
-func (f *Follower) checkFrameEpoch(frameEpoch uint64) error {
-	if cur := f.srv.Epoch(); frameEpoch < cur {
-		return fmt.Errorf("%w: frame epoch %d below local %d", ErrStalePrimary, frameEpoch, cur)
-	}
-	return nil
-}
-
-// handleTrunc processes the primary's divergence verdict: everything we
-// applied after SafeLSN belongs to a fenced-off history. The server is
-// fenced immediately (writes start failing with the stale-epoch sentinel)
-// and the terminal RejoinError tells the rejoin driver where to cut.
-func (f *Follower) handleTrunc(args string) error {
-	var safe, epoch uint64
-	if _, err := fmt.Sscanf(args, "%d %d", &safe, &epoch); err != nil {
-		return fmt.Errorf("cluster: bad TRUNC %q: %w", args, err)
-	}
-	f.srv.Fence(epoch)
-	f.logf("follower: diverged at lsn %d; primary epoch %d keeps only ..%d", f.lastApplied.Load(), epoch, safe)
-	return &RejoinError{SafeLSN: safe, Epoch: epoch}
-}
-
-func (f *Follower) handleSnap(br *bufio.Reader, args string) error {
-	var lsn, epoch uint64
-	var n int
-	if _, err := fmt.Sscanf(args, "%d %d %d", &lsn, &epoch, &n); err != nil {
-		return fmt.Errorf("cluster: bad SNAP header %q: %w", args, err)
-	}
-	if n < 0 || n > maxShipLine {
-		return fmt.Errorf("cluster: SNAP size %d out of range", n)
-	}
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return fmt.Errorf("cluster: reading snapshot body: %w", err)
-	}
-	if b, err := br.ReadByte(); err != nil || b != '\n' {
-		return fmt.Errorf("cluster: snapshot body not newline-terminated")
-	}
-	if err := f.checkFrameEpoch(epoch); err != nil {
-		return err
-	}
+func (f *Follower) handleSnap(fr frame) error {
 	last := f.lastApplied.Load()
-	if last != 0 && lsn < last {
+	if last != 0 && fr.lsn < last {
 		// The offered snapshot is OLDER than our state: the primary lost a
 		// suffix we hold (lax fsync + crash). Installing it would roll us
 		// back and re-applying the stream would diverge. Operator decision.
 		return ErrResyncRequired
 	}
-	snap, err := decodeSnapshot(raw)
+	snap, err := checkpoint.Decode(fr.payload)
 	if err != nil {
 		return &applyError{fmt.Errorf("cluster: decoding shipped snapshot: %w", err)}
 	}
@@ -446,71 +401,27 @@ func (f *Follower) handleSnap(br *bufio.Reader, args string) error {
 	if err != nil {
 		return &applyError{err}
 	}
-	f.lastApplied.Store(lsn)
-	f.observeFrontier(lsn, time.Now().UnixNano())
-	f.logf("follower: installed snapshot lsn=%d epoch=%d (%d bytes, fast-forward=%v)", lsn, epoch, n, last != 0)
+	f.lastApplied.Store(fr.lsn)
+	f.observeFrontier(fr.lsn, time.Now().UnixNano())
+	f.logf("follower: installed snapshot lsn=%d epoch=%d (%d bytes, fast-forward=%v)", fr.lsn, fr.epoch, len(fr.payload), last != 0)
 	return nil
 }
 
-func (f *Follower) handleRec(args string) error {
-	// REC args: <lsn> <epoch> <type> <shipUnixNano> <payload>; payload may
-	// be empty and may contain spaces.
-	cut := func(s string) (tok, rest string) {
-		if i := strings.IndexByte(s, ' '); i >= 0 {
-			return s[:i], s[i+1:]
-		}
-		return s, ""
-	}
-	lsnStr, rest := cut(args)
-	epochStr, rest := cut(rest)
-	typStr, rest := cut(rest)
-	tsStr, payload := cut(rest)
-	lsn, err := strconv.ParseUint(lsnStr, 10, 64)
-	if err != nil {
-		return fmt.Errorf("cluster: bad REC lsn in %q", args)
-	}
-	epoch, err := strconv.ParseUint(epochStr, 10, 64)
-	if err != nil {
-		return fmt.Errorf("cluster: bad REC epoch in %q", args)
-	}
-	typ, err := strconv.ParseUint(typStr, 10, 8)
-	if err != nil {
-		return fmt.Errorf("cluster: bad REC type in %q", args)
-	}
-	ts, err := strconv.ParseInt(tsStr, 10, 64)
-	if err != nil {
-		return fmt.Errorf("cluster: bad REC timestamp in %q", args)
-	}
-	if err := f.checkFrameEpoch(epoch); err != nil {
-		return err
-	}
+func (f *Follower) handleRec(fr frame) error {
 	last := f.lastApplied.Load()
-	if lsn <= last {
+	if fr.lsn <= last {
 		// Possible after a reconnect that re-ships the tail; applying
 		// twice would diverge, skipping is always safe (same stream).
 		return nil
 	}
-	if lsn != last+1 {
-		return fmt.Errorf("cluster: lsn gap: applied %d, received %d", last, lsn)
+	if fr.lsn != last+1 {
+		return fmt.Errorf("cluster: lsn gap: applied %d, received %d", last, fr.lsn)
 	}
-	if err := f.srv.ApplyReplicated(wal.Record{LSN: lsn, Type: wal.RecordType(typ), Payload: []byte(payload)}); err != nil {
+	if err := f.srv.ApplyReplicated(wal.Record{LSN: fr.lsn, Type: wal.RecordType(fr.typ), Payload: fr.payload}); err != nil {
 		return &applyError{err}
 	}
-	f.lastApplied.Store(lsn)
-	f.observeFrontier(lsn, ts)
-	return nil
-}
-
-func (f *Follower) handleHB(args string) error {
-	var lastLSN, epoch uint64
-	var ts int64
-	if _, err := fmt.Sscanf(args, "%d %d %d", &lastLSN, &epoch, &ts); err != nil {
-		return fmt.Errorf("cluster: bad HB %q: %w", args, err)
-	}
-	if err := f.checkFrameEpoch(epoch); err != nil {
-		return err
-	}
-	f.observeFrontier(lastLSN, ts)
+	f.lastApplied.Store(fr.lsn)
+	f.observeFrontier(fr.lsn, int64(fr.n))
 	return nil
 }
 

@@ -125,6 +125,16 @@ func startDurableFollower(t testing.TB, workers int, shipAddr string) *tnode {
 // shipAddr (possibly a fault proxy in front of the primary's listener).
 func startFollower(t testing.TB, workers int, shipAddr string) *tnode {
 	t.Helper()
+	return startFollowerOpts(t, workers, shipAddr, FollowOptions{
+		RetryBase:   2 * time.Millisecond,
+		RetryMax:    50 * time.Millisecond,
+		ReadTimeout: 2 * time.Second,
+	})
+}
+
+// startFollowerOpts is startFollower with explicit replication options.
+func startFollowerOpts(t testing.TB, workers int, shipAddr string, opts FollowOptions) *tnode {
+	t.Helper()
 	eng, err := core.NewEngine(engineConfig(workers))
 	if err != nil {
 		t.Fatal(err)
@@ -139,11 +149,7 @@ func startFollower(t testing.TB, workers int, shipAddr string) *tnode {
 		t.Fatal(err)
 	}
 	go srv.Serve()
-	f := NewFollower(srv, shipAddr, quiet, FollowOptions{
-		RetryBase:   2 * time.Millisecond,
-		RetryMax:    50 * time.Millisecond,
-		ReadTimeout: 2 * time.Second,
-	})
+	f := NewFollower(srv, shipAddr, quiet, opts)
 	f.Start()
 	n := &tnode{srv: srv, addr: addr.String(), f: f}
 	t.Cleanup(func() {

@@ -434,9 +434,6 @@ func (e *Engine) Clear() {
 // that state is being reconstructed, not observed.
 func (e *Engine) SetRecovering(v bool) { e.recovering.Store(v) }
 
-// Recovering reports whether the engine is replaying its WAL.
-func (e *Engine) Recovering() bool { return e.recovering.Load() }
-
 // LearnField turns a raw sample into a probabilistic field using the given
 // learner, retaining the sample size for accuracy tracking — the paper's
 // transformation of raw records into a single record with a distribution

@@ -51,10 +51,6 @@ var EpochAdoptHook func(epoch uint64)
 // bumps it.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-// Fenced reports whether this node was superseded by a newer epoch and is
-// rejecting writes with the stale-epoch sentinel.
-func (s *Server) Fenced() bool { return s.fenced.Load() }
-
 // Fence marks this node as a deposed primary: a peer presented epoch
 // higher (greater than our own), so every write from here on would diverge
 // from the cluster's history and is rejected until the node rejoins as a
@@ -63,11 +59,6 @@ func (s *Server) Fence(higher uint64) {
 	if !s.fenced.Swap(true) {
 		s.logf("fenced: observed epoch %d > own %d; rejecting writes", higher, s.Epoch())
 	}
-}
-
-// BumpEpoch advances the epoch by one and journals the transition durably.
-func (s *Server) BumpEpoch() (uint64, error) {
-	return s.BumpEpochTo(s.epoch.Load() + 1)
 }
 
 // BumpEpochTo journals a transition to an explicit higher epoch. Promotion
@@ -94,7 +85,7 @@ func (s *Server) BumpEpochTo(next uint64) (uint64, error) {
 }
 
 // adoptEpoch records a term transition observed at startLSN — from
-// BumpEpoch, WAL replay, or a replicated RecEpoch record. Lower or equal
+// BumpEpochTo, WAL replay, or a replicated RecEpoch record. Lower or equal
 // epochs are ignored (transitions are monotonic). Adopting a new epoch
 // clears the fence: the node has caught up with the history that
 // superseded it.
