@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSelect$$' -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzMonteCarloDraws$$' -fuzztime $(FUZZTIME) ./internal/randvar/
 	$(GO) test -run '^$$' -fuzz '^FuzzShipFrame$$' -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzLinearUniformAhead$$' -fuzztime $(FUZZTIME) ./internal/stream/
 
 clean:
 	rm -rf .bench_build

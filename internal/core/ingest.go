@@ -263,9 +263,9 @@ func admit(t *stream.Tuple) error {
 //
 // The batch is applied atomically with respect to other ingests on the same
 // shard group: tuples receive consecutive sequence numbers, and every bound
-// query sees the whole batch in arrival order. Compute is tuple-major over
-// plan groups — each tuple runs once through each group and is replayed to
-// every member before the next tuple — and delivery is query-major: each
+// query sees the whole batch in arrival order. Each plan group steps
+// through it in chunks of up to stream.AheadWidth admitted tuples, one
+// closed-form scan per chunk (route.go), and delivery is query-major: each
 // query's results come back together, in tuple order. Scalar and join
 // queries push the whole batch one query after another. Every query owns
 // its randomness and no query reads another's state, so results and RNG
@@ -345,10 +345,8 @@ func (e *Engine) IngestBatch(streamName string, rows []IngestRow, commit func() 
 			b.out[m.slot].Results, slab = slab[:0:len(tuples)], slab[len(tuples):]
 		}
 	}
-	for _, t := range tuples {
-		for _, rg := range r.groups {
-			rg.g.push(rg.members, t, &b, recovering)
-		}
+	for _, rg := range r.groups {
+		rg.g.step(rg.members, tuples, &b, recovering)
 	}
 	for _, s := range r.others {
 		for _, t := range tuples {

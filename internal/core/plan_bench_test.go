@@ -136,3 +136,30 @@ func BenchmarkIngestFanout(b *testing.B) {
 		}
 	}
 }
+
+// Shape of the standing benchmark's scan-large workload: one analytical AVG
+// over a 32768-row window, batches of 8 Normal rows.
+const (
+	scanLargeWindow = 32768
+	scanLargeBatch  = 8
+)
+
+// BenchmarkIngestScanLarge: one ingest batch into a full 32768-row window,
+// whose closed-form scans dominate. ns/op is per batch of 8 tuples.
+func BenchmarkIngestScanLarge(b *testing.B) {
+	e := benchMultiQueryEngine(b, 1, scanLargeWindow)
+	rows := make([]IngestRow, scanLargeBatch)
+	for i := range rows {
+		rows[i] = benchRow(b, scanLargeWindow+i)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		out, err := e.IngestBatch("bench", rows, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out[0].Results) != scanLargeBatch {
+			b.Fatalf("%d results, want %d", len(out[0].Results), scanLargeBatch)
+		}
+	}
+}

@@ -558,7 +558,7 @@ func (q *Query) push(t *stream.Tuple) ([]Result, error) {
 		// when unbound, which keeps the clock and counters itself.
 		out := [1]QueryResults{}
 		b := batchOut{out: out[:]}
-		q.group.push([]routeSlot{{q: q}}, t, &b, recovering)
+		q.group.step([]routeSlot{{q: q}}, []*stream.Tuple{t}, &b, recovering)
 		if len(b.errs) > 0 {
 			return nil, b.errs[0][0]
 		}

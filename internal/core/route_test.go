@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dist"
+	"repro/internal/plan"
 	"repro/internal/randvar"
 	"repro/internal/stream"
 )
@@ -278,13 +279,29 @@ func TestIngestAllocs(t *testing.T) {
 }
 
 // TestPushInstrumentsPerMember: a plan group's step books one push, and one
-// push-histogram observation, per member and tuple, and counts every
-// member's result, so the process-global instruments read as if each member
-// had pushed alone.
+// push-histogram observation, per member and tuple, counts every member's
+// result, and adds one lead and members − 1 follows per tuple, so the
+// process-global instruments read as if each member had pushed alone. The
+// batch is not a whole number of chunks. EXPLAIN … TIMING keeps one window
+// observation per admitted tuple and two aggregate observations per
+// emission, the group's and the leader's assembly; the followers, handed the
+// leader's emission, observe nothing.
 func TestPushInstrumentsPerMember(t *testing.T) {
-	e := benchMultiQueryEngine(t, 16, 8)
+	const members, tuples = 16, 2*stream.AheadWidth + 3
+	e := benchMultiQueryEngine(t, members, 8)
+	qs := make([]*Query, members)
+	for i := range qs {
+		qs[i] = e.Bound(benchQueryID(i))
+		qs[i].timing.Enable()
+	}
+	g := qs[0].group
+	rows := make([]IngestRow, tuples)
+	for i := range rows {
+		rows[i] = benchRow(t, fanoutWindow+i)
+	}
 	pushes, results, observed := mPushes.Value(), mResults.Value(), hPush.Count()
-	out, err := e.IngestBatch("bench", fanoutRows(t), nil)
+	leads, follows := g.leads.Load(), g.follows.Load()
+	out, err := e.IngestBatch("bench", rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +309,7 @@ func TestPushInstrumentsPerMember(t *testing.T) {
 	for _, qr := range out {
 		n += uint64(len(qr.Results))
 	}
-	if want := uint64(16 * fanoutBatch); n != want {
+	if want := uint64(members * tuples); n != want {
 		t.Fatalf("%d results, want %d", n, want)
 	}
 	if d := mPushes.Value() - pushes; d != n {
@@ -303,5 +320,19 @@ func TestPushInstrumentsPerMember(t *testing.T) {
 	}
 	if d := hPush.Count() - observed; d != n {
 		t.Errorf("push histogram observed %d pushes, want %d", d, n)
+	}
+	if dl, df := g.leads.Load()-leads, g.follows.Load()-follows; dl != tuples || df != (members-1)*tuples {
+		t.Errorf("group led %d and followed %d times, want %d and %d", dl, df, tuples, (members-1)*tuples)
+	}
+	for i, q := range qs {
+		var want [plan.NumStages]uint64
+		if i == 0 {
+			want[plan.StageWindow], want[plan.StageAggregate], want[plan.StageAccuracy] = tuples, 2*tuples, tuples
+		}
+		for s, st := range q.timing.Snapshot() {
+			if st.Count != want[s] {
+				t.Errorf("member %d: %v stage observed %d times, want %d", i, plan.Stage(s), st.Count, want[s])
+			}
+		}
 	}
 }

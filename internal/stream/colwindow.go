@@ -235,24 +235,11 @@ func regrow[T any](ring []T, head, size int) []T {
 	return out
 }
 
-// set stores field f into ring slot i, classifying it with the same type
-// switch as randvar's gaussianOf so the closed-form applicability matches
-// the row path exactly.
+// set stores field f into ring slot i, classifying it with gaussianParts.
 func (col *winColumn) set(i int, f randvar.Field) {
 	col.release(i)
-	switch d := f.Dist.(type) {
-	case dist.Point:
-		col.kind[i] = slotPoint
-		col.mean[i] = d.V
-		col.varr[i] = 0
-	case dist.Normal:
-		col.kind[i] = slotNormal
-		col.mean[i] = d.Mu
-		col.varr[i] = d.Sigma2
-	default:
-		col.kind[i] = slotOther
-		col.mean[i] = 0
-		col.varr[i] = 0
+	col.mean[i], col.varr[i], col.kind[i] = gaussianParts(f.Dist)
+	if col.kind[i] == slotOther {
 		if col.other == nil {
 			col.other = make([]dist.Distribution, len(col.kind))
 		}
@@ -260,6 +247,20 @@ func (col *winColumn) set(i int, f randvar.Field) {
 		col.numOther++
 	}
 	col.n[i] = f.N
+}
+
+// gaussianParts classifies d with the same type switch as randvar's
+// gaussianOf, so the closed form applies to exactly the fields the row path
+// takes it for: a Point is its value and variance 0, a Normal its moments,
+// anything else slotOther with zero moments.
+func gaussianParts(d dist.Distribution) (mean, varr float64, kind uint8) {
+	switch d := d.(type) {
+	case dist.Point:
+		return d.V, 0, slotPoint
+	case dist.Normal:
+		return d.Mu, d.Sigma2, slotNormal
+	}
+	return 0, 0, slotOther
 }
 
 // release drops the distribution slot i retains, if any.
@@ -295,60 +296,123 @@ func (w *ColumnWindow) ColumnGaussian(c int) bool { return w.cols[c].gaussian() 
 // (Theorem: a uniform linear combination of independent Gaussians). The
 // caller must have checked ColumnGaussian(c).
 func (w *ColumnWindow) LinearUniform(c int, wt float64) (randvar.Field, error) {
-	return randvar.GaussianResult(w.linearUniform(c, wt))
+	mu, sigma2, n, _ := w.LinearUniformAhead(c, wt, nil)
+	return randvar.GaussianResult(mu[0], sigma2[0], n[0])
 }
 
-// linearUniform is the one closed-form kernel: it scans column c's mean and
-// variance arrays oldest-first in the exact summation order of
-// randvar.LinearGaussianUniform, so its moments are bit-identical to
-// aggregating the same fields as rows.
-//
-// Each of the two loops is one dependency chain with as little around it as
-// the compiler allows. A window-sized scan per tuple is most of a
-// large-window query's cost, and a loop that needs the core's whole issue
-// width runs 1.6× slower while the core's other hardware thread is busy,
-// where a loop waiting on its own last result barely changes (DESIGN §11.1).
-// So varr is re-sliced to len(mean), which drops the bounds check per slot,
-// and the smallest positive sample size is a branch-free running minimum
-// over n-1 as unsigned: every n ≤ 0 wraps to a value no positive n reaches.
-func (w *ColumnWindow) linearUniform(c int, wt float64) (mu, sigma2 float64, n int) {
+// AheadWidth is the most windows one closed-form scan sums side by side:
+// four lanes of two sums are eight add chains, which with their operands
+// fit amd64's sixteen float registers and fill its two add ports
+// (DESIGN §11.1).
+const AheadWidth = 4
+
+// LinearUniformAhead is the one closed-form kernel: the Gaussian moments of
+// Σ wt·Xᵢ over column c, and the smallest positive sample size (0 if none),
+// of the window after each push of ahead — lane j after ahead[:j+1] — or,
+// with no look-ahead, in lane 0 of the window as it stands. Each lane adds
+// its window's slots oldest-first, as randvar.LinearGaussianUniform adds
+// rows, so every bit matches pushing and aggregating. ok is false, and
+// nothing is scanned, for a field that is not Point or Normal, a look-ahead
+// longer than AheadWidth, or a span window with a look-ahead.
+func (w *ColumnWindow) LinearUniformAhead(c int, wt float64, ahead []*Tuple) (mu, sigma2 [AheadWidth]float64, n [AheadWidth]int, ok bool) {
 	col := &w.cols[c]
-	least := ^uint(0)
-	scan := func(lo, hi int) {
-		mean, varr := col.mean[lo:hi], col.varr[lo:hi]
-		varr = varr[:len(mean)]
-		for i := range mean {
-			mu += wt * mean[i]
-			sigma2 += wt * wt * varr[i]
-		}
-		for _, fn := range col.n[lo:hi] {
-			least = min(least, uint(fn)-1)
+	if !col.gaussian() || len(ahead) > AheadWidth || (w.span > 0 && len(ahead) > 0) {
+		return mu, sigma2, n, false
+	}
+	for _, t := range ahead {
+		if _, _, kind := gaussianParts(t.Fields[c].Dist); kind == slotOther {
+			return mu, sigma2, n, false
 		}
 	}
-	if end := w.head + w.count; end <= w.size {
-		scan(w.head, end)
-	} else {
-		scan(w.head, w.size)
-		scan(0, end-w.size)
+	// Lane j sums virtual indices [lo[j], hi[j]), both rising with j: k <
+	// w.count is the k-th oldest slot, w.count+j is ahead[j]. least is a
+	// running minimum of n-1 as unsigned, so every n ≤ 0 wraps out of it.
+	lanes := max(1, len(ahead))
+	var lo, hi [AheadWidth]int
+	var least [AheadWidth]uint
+	for j := 0; j < lanes; j++ {
+		hi[j] = w.count + j + min(1, len(ahead))
+		lo[j], least[j] = max(0, hi[j]-w.size), ^uint(0)
 	}
-	if least < math.MaxInt {
-		n = int(least) + 1
+	add := func(k int) {
+		m, v, fn := 0.0, 0.0, 0
+		if k < w.count {
+			s := w.slot(k)
+			m, v, fn = col.mean[s], col.varr[s], col.n[s]
+		} else {
+			f := ahead[k-w.count].Fields[c]
+			m, v, _ = gaussianParts(f.Dist)
+			fn = f.N
+		}
+		for j := 0; j < lanes; j++ {
+			if lo[j] <= k && k < hi[j] {
+				mu[j] += wt * m
+				sigma2[j] += wt * wt * v
+				least[j] = min(least[j], uint(fn)-1)
+			}
+		}
 	}
-	return mu, sigma2, n
+	// Every lane holds the ring slots [mid, end), nearly all of a large
+	// window; only the few slots some lanes lack go through add.
+	mid := lo[lanes-1]
+	end := max(mid, min(hi[0], w.count))
+	for k := lo[0]; k < mid; k++ {
+		add(k)
+	}
+	shared := ^uint(0)
+	for k := mid; k < end; {
+		p := w.slot(k)
+		q := p + min(end-k, w.size-p)
+		shared = scan4(&mu, &sigma2, shared, wt, col.mean[p:q], col.varr[p:q], col.n[p:q])
+		k += q - p
+	}
+	for k := end; k < hi[lanes-1]; k++ {
+		add(k)
+	}
+	for j := 0; j < lanes; j++ {
+		if l := min(least[j], shared); l < math.MaxInt {
+			n[j] = int(l) + 1
+		}
+	}
+	return mu, sigma2, n, true
+}
+
+// scan4, the closed form's one loop, adds wt·mean[i] and wt²·varr[i] to all
+// four lanes, i rising, and lowers least to the least ns[i]-1 as unsigned.
+// Eight independent sums run at add throughput, not one add's latency; a
+// loop of its own for the minimum would cost as much as the sums.
+func scan4(mu, sigma2 *[AheadWidth]float64, least uint, wt float64, mean, varr []float64, ns []int) uint {
+	varr, ns = varr[:len(mean)], ns[:len(mean)] // no bounds checks below
+	m0, m1, m2, m3 := mu[0], mu[1], mu[2], mu[3]
+	s0, s1, s2, s3 := sigma2[0], sigma2[1], sigma2[2], sigma2[3]
+	for i, x := range mean {
+		m0 += wt * x
+		m1 += wt * x
+		m2 += wt * x
+		m3 += wt * x
+		s0 += wt * wt * varr[i]
+		s1 += wt * wt * varr[i]
+		s2 += wt * wt * varr[i]
+		s3 += wt * wt * varr[i]
+		least = min(least, uint(ns[i])-1)
+	}
+	*mu = [AheadWidth]float64{m0, m1, m2, m3}
+	*sigma2 = [AheadWidth]float64{s0, s1, s2, s3}
+	return least
 }
 
 // LinearUniformMoments returns the closed-form Gaussian moments of
 // Σ wts[j]·X over column cols[j] for every requested aggregate: one
-// linearUniform scan per column. With struct-of-arrays storage the columns
-// share no memory, so there is no walk to fuse. Callers must have checked
-// ColumnGaussian for each requested column and must turn the moments into
-// fields via randvar.GaussianResult(mu[j], sigma2[j], n[j]).
+// LinearUniformAhead scan per column, with no look-ahead. Callers must have
+// checked ColumnGaussian for each requested column and must turn the
+// moments into fields via randvar.GaussianResult(mu[j], sigma2[j], n[j]).
 func (w *ColumnWindow) LinearUniformMoments(cols []int, wts []float64) (mu, sigma2 []float64, n []int) {
 	mu = make([]float64, len(cols))
 	sigma2 = make([]float64, len(cols))
 	n = make([]int, len(cols))
 	for j, c := range cols {
-		mu[j], sigma2[j], n[j] = w.linearUniform(c, wts[j])
+		m, s, k, _ := w.LinearUniformAhead(c, wts[j], nil)
+		mu[j], sigma2[j], n[j] = m[0], s[0], k[0]
 	}
 	return mu, sigma2, n
 }

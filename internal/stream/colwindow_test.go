@@ -577,13 +577,15 @@ func TestColumnWindowValidation(t *testing.T) {
 }
 
 // BenchmarkWindowScan measures the closed-form AVG scan over a full window
-// — row gather+LinearGaussianUniform vs the columnar contiguous scan.
+// — row gather+LinearGaussianUniform vs the columnar contiguous scan — and,
+// as col-ahead, the look-ahead scan answering the windows after each of
+// four more tuples in one pass, in ns per window.
 func BenchmarkWindowScan(b *testing.B) {
 	s, err := NewSchema("s", Column{Name: "v", Probabilistic: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, size := range []int{1000, 100_000} {
+	for _, size := range []int{1000, 32768, 100_000} {
 		tuples := make([]*Tuple, size)
 		for i := range tuples {
 			nd, err := dist.NewNormal(float64(i%100), 1+float64(i%7))
@@ -636,6 +638,23 @@ func BenchmarkWindowScan(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+		b.Run(fmt.Sprintf("col-ahead/%d", size), func(b *testing.B) {
+			w, err := NewColumnWindow(s, size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, tp := range tuples[:size-AheadWidth] {
+				w.Push(tp)
+			}
+			ahead := tuples[size-AheadWidth:]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, ok := w.LinearUniformAhead(0, 1/float64(size), ahead); !ok {
+					b.Fatal("look-ahead declined")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(AheadWidth*b.N), "ns/window")
 		})
 	}
 }
