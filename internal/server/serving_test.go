@@ -7,6 +7,8 @@ import (
 	"io"
 	"log"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -485,5 +487,84 @@ func TestSyncCrossDeliveryNoDeadlock(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("inserters deadlocked on each other's write locks")
 		}
+	}
+}
+
+// renderFailureScript streams a SUM over a three-row window past one row
+// whose variance overflows the result's interval: every push of the shared
+// group while that row is in the window cannot be rendered.
+var renderFailureScript = []string{
+	"INSERT temps 1 N(1,1,5)",
+	"INSERT temps 2 N(1,1,5)",
+	"INSERT temps 3 N(1,1,5)",
+	"INSERT temps 4 N(1,1.7e308,5)",
+	"INSERTBATCH temps 5 N(1,1,5) | 6 N(2,1,5) | 7 N(3,1,5) | 8 N(4,1,5)",
+	"INSERTBATCH temps 9 N(1,1.7e308,5) | 10 N(1,1,5)",
+	"INSERT temps 11 N(1,1,5)",
+	"INSERT temps 12 N(1,1,5)",
+}
+
+// TestRenderFailurePin pins the replies and DATA bytes of a shared group of
+// three whose emissions cannot be rendered: q1 is owned by the inserting
+// connection, q2 only subscribed from a second connection, q3 has no
+// recipient. Every reply and each connection's bytes are collected over the
+// whole stream and compared once at the end, against
+// testdata/render_failure.txt; the second arm detaches all three members.
+func TestRenderFailurePin(t *testing.T) {
+	var transcript strings.Builder
+	for _, arm := range []string{"mixed", "no-recipient"} {
+		s := newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1})
+		arc, brc := &recConn{}, &recConn{}
+		a, b := &conn{id: 1, c: arc}, &conn{id: 2, c: brc}
+		mustDispatch(t, s, a, "STREAM temps key val:dist")
+		for _, id := range []string{"q1", "q2", "q3"} {
+			mustDispatch(t, s, a, "QUERY "+id+" SELECT SUM(val) AS s FROM temps WINDOW 3 ROWS")
+		}
+		mustDispatch(t, s, b, "SUBSCRIBE q2")
+		s.mu.Lock()
+		detach := []string{"q2", "q3"}
+		if arm == "no-recipient" {
+			detach = append(detach, "q1")
+			s.queries["q2"].subs = nil
+		}
+		for _, id := range detach {
+			s.queries[id].owner = nil
+		}
+		s.mu.Unlock()
+		arc.take()
+		brc.take()
+
+		var replies []string
+		var aData, bData []byte
+		for _, cmd := range renderFailureScript {
+			mustDispatch(t, s, a, cmd)
+			out := bytes.Join(arc.take(), nil)
+			end := bytes.LastIndex(out[:len(out)-1], []byte("\n")) + 1
+			replies = append(replies, string(out[end:len(out)-1]))
+			aData = append(aData, out[:end]...)
+			bData = append(bData, bytes.Join(brc.take(), nil)...)
+		}
+		fmt.Fprintf(&transcript, "## %s: replies\n", arm)
+		for i, r := range replies {
+			fmt.Fprintf(&transcript, ">> %s\n%s\n", renderFailureScript[i], r)
+		}
+		fmt.Fprintf(&transcript, "## %s: DATA to the inserting connection\n%s", arm, aData)
+		fmt.Fprintf(&transcript, "## %s: DATA to the subscribing connection\n%s", arm, bData)
+	}
+
+	got := transcript.String()
+	path := filepath.Join("testdata", "render_failure.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read %s (regenerate with -update): %v", path, err)
+	}
+	if got != string(want) {
+		t.Fatalf("render-failure transcript diverged from %s\n%s", path, transcriptDiff(string(want), got))
 	}
 }
