@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStreamDef$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDispatch$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLine$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzDeliveries$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime $(FUZZTIME) ./internal/sketch/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSelect$$' -fuzztime $(FUZZTIME) ./internal/dist/

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/accuracy"
 	"repro/internal/core"
 )
 
@@ -159,6 +164,126 @@ func FuzzProtocolDispatch(f *testing.F) {
 				if g.Key != g.Key {
 					t.Fatalf("dispatch(%q) left a group window under a NaN key", line)
 				}
+			}
+		}
+	})
+}
+
+// FuzzDeliveries plans and sends one command's DATA lines for a random
+// fleet and checks each connection's bytes against the per-line reference
+// renderer (appendDataLine), then that every planned body's reference count
+// ended at zero. Each member takes two input bytes: a recipient mask over
+// the inserting connection, two outbox connections and two with the outbox
+// off (the first recipient is the owner, the rest subscribers), and a
+// variant — the group's shared results, one or both; the same tuples with
+// their own Unsure or TupleProb; equal tuples behind their own pointers; or
+// a shared TupleProb that cannot be rendered.
+func FuzzDeliveries(f *testing.F) {
+	f.Add([]byte{0x01, 0x00, 0x1f, 0x00, 0x06, 0x10})
+	f.Add([]byte{0x01, 0x00, 0x03, 0x01, 0x0c, 0x02, 0x11, 0x03, 0x00, 0x00})
+	f.Add([]byte{0x1f, 0x04, 0x01, 0x04, 0x02, 0x00, 0x1f, 0x15})
+	f.Fuzz(func(t *testing.T, spec []byte) {
+		if len(spec) > 128 {
+			spec = spec[:128]
+		}
+		base := renderTestResults(t)
+		bad := &accuracy.Interval{Lo: 0, Hi: math.Inf(1), Level: 0.9}
+		s := &Server{queries: make(map[string]*registeredQuery)}
+		var (
+			recs  []*recConn
+			conns []*conn
+		)
+		for i := 0; i < 5; i++ {
+			rc := &recConn{}
+			c := &conn{id: uint64(i + 1), c: rc}
+			if i == 1 || i == 2 {
+				c.outbox = make(chan dataLine, 256)
+			}
+			recs, conns = append(recs, rc), append(conns, c)
+		}
+		from := conns[0]
+
+		var results []core.QueryResults
+		want := make([][]byte, len(conns))
+		wantEmitted, wantFailed := 0, false
+		for m := 0; m+1 < len(spec); m += 2 {
+			mask, variant := spec[m], spec[m+1]
+			id := fmt.Sprintf("q%03d", m/2)
+			rs := []core.Result{base[0], base[1]}
+			if variant&0x10 != 0 {
+				rs = rs[:1]
+			}
+			for i := range rs {
+				switch variant & 0x0f % 5 {
+				case 1:
+					rs[i].Unsure = !rs[i].Unsure
+				case 2:
+					tp := accuracy.Interval{Lo: 0.25, Hi: 0.5, Level: 0.9}
+					rs[i].TupleProb = &tp
+				case 3:
+					clone := *rs[i].Tuple
+					rs[i].Tuple = &clone
+				case 4:
+					rs[i].TupleProb = bad
+				}
+			}
+			results = append(results, core.QueryResults{ID: id, Results: rs})
+			rq := &registeredQuery{id: id}
+			var to []int
+			for k := range conns {
+				if mask&(1<<k) == 0 {
+					continue
+				}
+				to = append(to, k)
+				if rq.owner == nil {
+					rq.owner = conns[k]
+				} else {
+					rq.subs = append(rq.subs, conns[k])
+				}
+			}
+			s.queries[id] = rq
+			for _, r := range rs {
+				line, err := appendDataLine(nil, id, r)
+				if len(to) == 0 || err == nil {
+					wantEmitted++
+				}
+				if len(to) > 0 && err != nil {
+					wantFailed = true
+					continue
+				}
+				for _, k := range to {
+					want[k] = append(append(want[k], line...), '\n')
+				}
+			}
+		}
+		want[0] = append(want[0], "OK\n"...)
+
+		emitted, err := s.planDeliveries(&from.scratch, from, results)
+		if emitted != wantEmitted || (err != nil) != wantFailed {
+			t.Fatalf("planDeliveries: emitted=%d err=%v, want emitted=%d failed=%v", emitted, err, wantEmitted, wantFailed)
+		}
+		var bodies []*frame
+		for _, it := range from.scratch.items {
+			if !slices.Contains(bodies, it.body) {
+				bodies = append(bodies, it.body)
+			}
+		}
+		if err := s.sendDeliveries(from, &from.scratch, "OK"); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range conns {
+			if len(c.outbox) > 0 {
+				c.drainOutbox(<-c.outbox)
+			}
+		}
+		for k, rc := range recs {
+			if got := bytes.Join(rc.take(), nil); !bytes.Equal(got, want[k]) {
+				t.Errorf("connection %d:\n got %q\nwant %q", k, got, want[k])
+			}
+		}
+		for i, b := range bodies {
+			if refs := b.refs.Load(); refs != 0 {
+				t.Errorf("body %d: refcount %d after delivery, want 0", i, refs)
 			}
 		}
 	})

@@ -143,11 +143,11 @@ func TestSlowClientOutboxOverflow(t *testing.T) {
 	drops := mSlowClientDrops.Value()
 	p1, p2 := net.Pipe()
 	defer p2.Close()
-	c := &conn{id: 1, c: p1, outbox: make(chan *frame, 2)}
-	line := func() *frame {
+	c := &conn{id: 1, c: p1, outbox: make(chan dataLine, 2)}
+	line := func() dataLine {
 		f := newFrame()
-		f.buf = append(f.buf, "DATA q1 {}"...)
-		return f
+		f.buf = append(f.buf, "{}\n"...)
+		return dataLine{"q1", f}
 	}
 	if !c.queueFrame(line()) || !c.queueFrame(line()) {
 		t.Fatal("queueFrame rejected frames below capacity")

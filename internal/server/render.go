@@ -12,26 +12,26 @@ import (
 	"repro/internal/stream"
 )
 
-// Render-once serving path: each DATA line is rendered into a pooled frame
-// and the same bytes fan out to every recipient (owner plus subscribers) by
-// reference. Frames are reference-counted — the renderer sets the count to
-// the number of recipients, every recipient path (staged into a write
-// batch, outbox enqueue, slow-client drop, outbox drain at teardown)
-// releases exactly once, and the buffer returns to the pool only at zero.
-// See the ownership contract in internal/stream/doc.go.
+// Render-once serving path: each emission's JSON body is rendered once into
+// a pooled frame, and every DATA line carrying it (one per plan-group member
+// and recipient) is "DATA <id> " written in front of those bytes as the line
+// is staged into a write batch (conn.stageData). Frames are
+// reference-counted: planDeliveries sets the count to one per line for
+// another connection, plus one the command holds while it writes its own
+// connection's lines; each recipient path and the command release exactly
+// once, and the buffer returns to the pool only at zero. See the ownership
+// contract in internal/stream/doc.go.
 //
 // The renderer itself (appendResult) is a strconv.Append* replication of
 // json.Marshal(EncodeResult(r)) — byte-identical, pinned by
 // TestRenderMatchesJSON and the golden transcripts — so the steady-state
-// push path allocates nothing. Within one command it runs once per
-// emission, not once per line: results that carry the same output tuple
-// copy the body rendered for the first of them (bodyCache).
+// push path allocates nothing.
 
 // maxPooledFrame caps the buffer capacity a recycled frame may retain, so
 // one huge result (e.g. a wide histogram) doesn't pin memory forever.
 const maxPooledFrame = 64 * 1024
 
-// frame is one rendered wire line, trailing newline included.
+// frame is one rendered DATA body: the JSON and its trailing newline.
 type frame struct {
 	buf  []byte
 	refs atomic.Int32
@@ -41,7 +41,7 @@ var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 // newFrame returns an empty frame with a reference count of 1 (the
 // renderer's own reference; planDeliveries overwrites it with the final
-// recipient count before any recipient can release).
+// count before any recipient can release).
 func newFrame() *frame {
 	f := framePool.Get().(*frame)
 	f.buf = f.buf[:0]
@@ -58,10 +58,9 @@ func (f *frame) release() {
 	}
 }
 
-// bodyCache maps an output tuple to the JSON body (newline included)
-// already rendered for it in this command. The body aliases the frame of
-// the first result that carried the tuple, which planDeliveries keeps
-// referenced until every line of the command is rendered.
+// bodyCache maps an output tuple to the emission (an index into
+// deliveryScratch.ems) rendered for the first result that carried it in
+// this command.
 //
 // Keying on the tuple pointer is sound because emitted tuples are immutable
 // and an output tuple belongs to exactly one emission (internal/stream/
@@ -69,36 +68,30 @@ func (f *frame) release() {
 // emission — tuple, Fields and TupleProb together — to several members.
 // Queries that merely computed equal values hold distinct tuples and render
 // from their own results.
-type bodyCache map[*stream.Tuple]sharedBody
+type bodyCache map[*stream.Tuple]int
 
-type sharedBody struct {
+// emission is one body rendered in a command, or the error rendering it
+// failed with, and the references its recipients take.
+type emission struct {
 	tupleProb *accuracy.Interval
 	unsure    bool
-	body      []byte
+	body      *frame // nil when rendering failed
+	err       error
+	refs      int32 // one per line for another connection, plus the command's
+	own       bool  // a line goes to the inserting connection: the command holds a reference
 }
 
-// appendDataFrame renders the wire line "DATA <id> <json>\n" for r into
-// dst. With a non-nil cache the JSON is rendered once per emission and
-// copied for every further result carrying the same output tuple; the
-// bytes are identical either way.
-func appendDataFrame(dst []byte, id string, r core.Result, bodies bodyCache) ([]byte, error) {
-	dst = append(dst, "DATA "...)
-	dst = append(dst, id...)
-	dst = append(dst, ' ')
-	hit, seen := bodies[r.Tuple]
-	if seen && hit.tupleProb == r.TupleProb && hit.unsure == r.Unsure {
-		return append(dst, hit.body...), nil
+// renderBody renders r's JSON body and newline into a new frame.
+func renderBody(r core.Result) emission {
+	e := emission{tupleProb: r.TupleProb, unsure: r.Unsure, body: newFrame()}
+	var err error
+	if e.body.buf, err = appendResult(e.body.buf, r); err != nil {
+		e.body.release()
+		e.body, e.err = nil, err
+		return e
 	}
-	mark := len(dst)
-	dst, err := appendResult(dst, r)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, '\n')
-	if bodies != nil && !seen {
-		bodies[r.Tuple] = sharedBody{r.TupleProb, r.Unsure, dst[mark:]}
-	}
-	return dst, nil
+	e.body.buf = append(e.body.buf, '\n')
+	return e
 }
 
 // appendResult appends the wire JSON for r, byte-identical to

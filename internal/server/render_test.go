@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/accuracy"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/randvar"
 	"repro/internal/stream"
+	"repro/internal/wal"
 )
 
 // renderTestResults builds Results covering every branch of the wire
@@ -111,31 +114,47 @@ func TestRenderMatchesJSON(t *testing.T) {
 		if wantLine := "DATA q1 " + string(want); string(line) != wantLine {
 			t.Errorf("result %d line:\nappend: %s\n  want: %s", i, line, wantLine)
 		}
-		wire, err := appendDataFrame(nil, "q1", r, nil)
-		if err != nil {
+		e := renderBody(r)
+		if e.err != nil {
+			t.Fatal(e.err)
+		}
+		rc := &recConn{}
+		c := &conn{c: rc}
+		c.lockWrite()
+		if err := c.stageData("q1", e.body.buf); err != nil {
 			t.Fatal(err)
 		}
-		if wantWire := "DATA q1 " + string(want) + "\n"; string(wire) != wantWire {
-			t.Errorf("result %d frame:\nappend: %q\n  want: %q", i, wire, wantWire)
+		c.unlockWrite()
+		e.body.release()
+		if wire, wantWire := rc.take(), "DATA q1 "+string(want)+"\n"; len(wire) != 1 || string(wire[0]) != wantWire {
+			t.Errorf("result %d wire line:\nappend: %q\n  want: %q", i, wire, wantWire)
 		}
 	}
 }
 
 // TestRenderZeroAlloc pins the steady-state push path at zero allocations
-// per rendered DATA line (satellite 3's testing.AllocsPerRun gate).
+// per DATA line: rendering a body into a frame and staging it behind its
+// prefix into a write batch.
 func TestRenderZeroAlloc(t *testing.T) {
 	r := renderTestResults(t)[0]
 	f := newFrame()
 	defer f.release()
+	c := &conn{c: &recConn{discard: true}}
+	c.lockWrite()
+	defer c.unlockWrite()
 	allocs := testing.AllocsPerRun(200, func() {
 		var err error
-		f.buf, err = appendDataFrame(f.buf[:0], "q1", r, nil)
-		if err != nil {
+		if f.buf, err = appendResult(f.buf[:0], r); err != nil {
+			t.Fatal(err)
+		}
+		f.buf = append(f.buf, '\n')
+		c.wb.b = c.wb.b[:0]
+		if err := c.stageData("q1", f.buf); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("appendDataFrame allocates %v times per line, want 0", allocs)
+		t.Errorf("render and stage allocate %v times per line, want 0", allocs)
 	}
 }
 
@@ -157,15 +176,18 @@ func TestIngestReplyFormat(t *testing.T) {
 	}
 }
 
-// TestFrameRefcount exercises the pool discipline: a frame fanned out to n
-// recipients survives n-1 releases and recycles on the last.
+// TestFrameRefcount exercises the pool discipline: a body shared by n
+// references survives n-1 releases and recycles on the last. Its subtests
+// follow planned bodies down every delivery path and check that each
+// returns to the pool exactly once (its count ends at zero, not below).
+// Lines queued on an outbox keep their bodies observable after the command.
 func TestFrameRefcount(t *testing.T) {
 	f := newFrame()
-	f.buf = append(f.buf, "DATA q {}"...)
+	f.buf = append(f.buf, "{}\n"...)
 	f.refs.Store(3)
 	f.release()
 	f.release()
-	if string(f.buf) != "DATA q {}" {
+	if string(f.buf) != "{}\n" {
 		t.Fatal("frame mutated while references remain")
 	}
 	f.release() // last reference; frame returns to the pool
@@ -176,4 +198,142 @@ func TestFrameRefcount(t *testing.T) {
 	h := newFrame()
 	h.buf = append(h.buf, make([]byte, maxPooledFrame+1)...)
 	h.release()
+
+	const batch = "s 5 N(10,4,25) | 6 N(11,4,25) | 7 N(12,4,25) | 8 N(13,4,25)"
+	analytical := core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1}
+	// fleet is a shared group of three owned by from; q001 is also
+	// subscribed from sub (outbox of outboxCap lines, no drainer running)
+	// and q002 from syncSub (outbox off, written synchronously).
+	fleet := func(t *testing.T, s *Server, outboxCap int) (from, sub, syncSub *conn) {
+		from = &conn{id: 1, c: &recConn{}}
+		sub = &conn{id: 2, c: &recConn{}, outbox: make(chan dataLine, outboxCap)}
+		syncSub = &conn{id: 3, c: &recConn{discard: true}}
+		sharedFleet(t, s, from, 3)
+		mustDispatch(t, s, sub, "SUBSCRIBE q001")
+		mustDispatch(t, s, syncSub, "SUBSCRIBE q002")
+		from.c.(*recConn).take()
+		sub.c.(*recConn).take()
+		return from, sub, syncSub
+	}
+	// drainQueued releases every line still queued on c's outbox.
+	drainQueued := func(c *conn) {
+		for len(c.outbox) > 0 {
+			(<-c.outbox).body.release()
+		}
+	}
+
+	t.Run("inserting connection and outbox", func(t *testing.T) {
+		s := newTestServer(t, analytical)
+		from, sub, _ := fleet(t, s, 8)
+		bodies := planBatch(t, s, from, batch)
+		if len(bodies) != 4 {
+			t.Fatalf("planned %d bodies, want one per emission (4)", len(bodies))
+		}
+		assertRefs(t, bodies, 3) // the command, sub's line, syncSub's line
+		if err := s.sendDeliveries(from, &from.scratch, "OK"); err != nil {
+			t.Fatal(err)
+		}
+		if w := from.c.(*recConn).take(); len(w) != 1 || strings.Count(string(w[0]), "\n") != 13 {
+			t.Fatalf("inserting connection got %q, want 12 DATA lines and the reply in one write", w)
+		}
+		assertRefs(t, bodies, 1) // sub's queued line
+		sub.drainOutbox(<-sub.outbox)
+		assertReleasedOnce(t, bodies)
+		if w := sub.c.(*recConn).take(); len(w) != 1 || strings.Count(string(w[0]), "DATA q001 ") != 4 {
+			t.Errorf("subscriber got %q, want its 4 lines in one write", w)
+		}
+	})
+	t.Run("outbox overflow", func(t *testing.T) {
+		s := newTestServer(t, analytical)
+		from, sub, _ := fleet(t, s, 2)
+		bodies := planBatch(t, s, from, batch)
+		if err := s.sendDeliveries(from, &from.scratch, "OK"); err != nil {
+			t.Fatal(err)
+		}
+		if !sub.dead.Load() {
+			t.Fatal("overflowing subscriber not marked dead")
+		}
+		assertRefs(t, bodies[:2], 1)
+		assertReleasedOnce(t, bodies[2:])
+		drainQueued(sub)
+		assertReleasedOnce(t, bodies)
+	})
+	t.Run("dropDeliveries after a failed durability wait", func(t *testing.T) {
+		s := newTestServer(t, analytical)
+		from, sub, _ := fleet(t, s, 8)
+		bodies := planBatch(t, s, from, batch)
+		dropDeliveries(from, &from.scratch)
+		assertReleasedOnce(t, bodies)
+		if len(sub.outbox) != 0 || len(from.c.(*recConn).take()) != 0 {
+			t.Error("dropped deliveries were written or queued")
+		}
+	})
+	t.Run("checkpoint-split send", func(t *testing.T) {
+		cfg := durableConfig(t.TempDir(), 1, 6)
+		cfg.Method = core.AccuracyAnalytical
+		s := newTestServer(t, cfg)
+		defer s.Close()
+		from, sub, _ := fleet(t, s, 8)                 // records 1-5
+		mustDispatch(t, s, from, "INSERTBATCH "+batch) // record 6: checkpoint due
+		if w := from.c.(*recConn).take(); len(w) != 2 || s.sinceCk.Load() != 0 {
+			t.Fatalf("%d writes (want DATA, then the reply) and sinceCk=%d (want 0)", len(w), s.sinceCk.Load())
+		}
+		var bodies []*frame
+		for len(sub.outbox) > 0 {
+			l := <-sub.outbox
+			bodies = append(bodies, l.body)
+			if refs := l.body.refs.Load(); refs != 1 {
+				t.Errorf("queued body refcount %d after the command, want 1 (the command's reference dropped)", refs)
+			}
+			l.body.release()
+		}
+		if len(bodies) != 4 {
+			t.Fatalf("subscriber queued %d lines, want 4", len(bodies))
+		}
+		assertReleasedOnce(t, bodies)
+	})
+	t.Run("replica apply", func(t *testing.T) {
+		s := newTestServer(t, analytical)
+		records := []string{"s key v:dist"}
+		for _, id := range []string{"q000", "q001", "q002"} {
+			records = append(records, id+" SELECT AVG(v) AS a FROM s WINDOW 4 ROWS")
+		}
+		for i, p := range records {
+			typ := wal.RecQuery
+			if i == 0 {
+				typ = wal.RecStream
+			}
+			if err := s.ApplyReplicated(wal.Record{LSN: uint64(i + 1), Type: typ, Payload: []byte(p)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		subs := []*conn{
+			{id: 1, c: &recConn{}, outbox: make(chan dataLine, 8)},
+			{id: 2, c: &recConn{}, outbox: make(chan dataLine, 8)},
+		}
+		mustDispatch(t, s, subs[0], "SUBSCRIBE q001")
+		mustDispatch(t, s, subs[1], "SUBSCRIBE q002")
+		rec := wal.Record{LSN: 5, Type: wal.RecInsertBatch, Payload: []byte("s 1 N(10,4,25) | 2 N(11,4,25) | " + batch[len("s "):])}
+		if err := s.ApplyReplicated(rec); err != nil {
+			t.Fatal(err)
+		}
+		var bodies []*frame
+		for _, c := range subs {
+			for n := len(c.outbox); n > 0; n-- {
+				l := <-c.outbox
+				if !slices.Contains(bodies, l.body) {
+					bodies = append(bodies, l.body)
+				}
+				c.outbox <- l // back in queue order
+			}
+		}
+		if len(bodies) != 3 {
+			t.Fatalf("%d bodies queued, want one per emission (3), shared by both subscribers", len(bodies))
+		}
+		assertRefs(t, bodies, 2)
+		subs[0].drainOutbox(<-subs[0].outbox)
+		assertRefs(t, bodies, 1)
+		subs[1].drainOutbox(<-subs[1].outbox)
+		assertReleasedOnce(t, bodies)
+	})
 }

@@ -173,7 +173,7 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("replicated lsn %d (INSERT): %w", rec.LSN, err)
 		}
-		emitted, items, pushErr := s.planDeliveries(&s.replScratch, results)
+		emitted, pushErr := s.planDeliveries(&s.replScratch, nil, results)
 		if reqID != "" {
 			// Same reply the primary computed (deterministic engine), same
 			// LSN: the dedup window stays failover-warm.
@@ -182,8 +182,8 @@ func (s *Server) ApplyReplicated(rec wal.Record) error {
 				lsn:   rec.LSN,
 			})
 		}
-		// No inserting connection: every frame goes to a subscriber's outbox.
-		_ = s.sendDeliveries(nil, items, "")
+		// No inserting connection: every line goes to a subscriber's outbox.
+		_ = s.sendDeliveries(nil, &s.replScratch, "")
 		if pushErr != nil {
 			// The primary hit (and reported) the same deterministic per-query
 			// error; the follower's state still matches, so applying continues.

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,7 +100,7 @@ type registeredQuery struct {
 	// queries (recovered after a crash, until a client ATTACHes).
 	owner *conn
 	// subs are additional connections that SUBSCRIBEd to this query's DATA
-	// lines; every recipient shares the single rendered frame. Invariant:
+	// lines; every recipient shares the single rendered body. Invariant:
 	// owner never appears in subs (ATTACH and SUBSCRIBE maintain it).
 	subs []*conn
 }
@@ -305,14 +306,14 @@ type conn struct {
 	wb    *writeBuf // the open batch's buffer; nil between batches
 	wdata uint64    // DATA lines staged since the last socket write
 
-	// outbox buffers rendered DATA frames produced by OTHER connections'
-	// inserts; a dedicated goroutine drains it so a slow subscriber never
-	// blocks the inserting connection. nil when Options.OutboxLines < 0
-	// (cross-conn delivery then writes synchronously, pre-hardening
-	// behavior). Every frame handed to the outbox carries one reference
-	// owned by the conn, released once its bytes are staged (or on
+	// outbox buffers DATA lines produced by OTHER connections' inserts; a
+	// dedicated goroutine drains it so a slow subscriber never blocks the
+	// inserting connection. nil when Options.OutboxLines < 0 (cross-conn
+	// delivery then writes synchronously, pre-hardening behavior). Every
+	// line handed to the outbox carries one reference to its body, owned
+	// by the conn and released once its bytes are staged (or on
 	// drop/drain).
-	outbox     chan *frame
+	outbox     chan dataLine
 	outboxStop chan struct{}
 	outboxDone chan struct{}
 	dead       atomic.Bool // outbox overflow or write failure; conn is being torn down
@@ -338,29 +339,37 @@ func (c *conn) lockWrite() {
 	c.wb = writeBufPool.Get().(*writeBuf)
 }
 
-// stage copies p into the open batch, sending the buffer whenever it is
-// full and more of p remains. After an error the batch is broken: the
-// caller stops staging and unlocks. (A function because methods cannot be
-// generic; frames are []byte, replies strings.)
-func stage[T string | []byte](c *conn, p T) error {
-	for {
-		b := c.wb.b
-		n := copy(b[len(b):cap(b)], p)
-		c.wb.b = b[:len(b)+n]
-		if p = p[n:]; len(p) == 0 {
-			return nil
-		}
-		if err := c.flushLocked(); err != nil {
-			return err
+// stage copies ps into the open batch, sending the buffer whenever it is
+// full and more remains. After an error the batch is broken: the caller
+// stops staging and unlocks. (A function because methods cannot be
+// generic; bodies are []byte, replies strings.)
+func stage[T string | []byte](c *conn, ps ...T) error {
+	for _, p := range ps {
+		for {
+			b := c.wb.b
+			n := copy(b[len(b):cap(b)], p)
+			c.wb.b = b[:len(b)+n]
+			if p = p[n:]; len(p) == 0 {
+				break
+			}
+			if err := c.flushLocked(); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
-// stageData stages one rendered DATA line (newline included) and counts it
-// toward asdb_server_data_lines_total once the write carrying its last
-// byte succeeds.
-func (c *conn) stageData(line []byte) error {
-	if err := stage(c, line); err != nil {
+// stageData stages "DATA <id> " + body (newline included) and counts the
+// line toward asdb_server_data_lines_total once the write carrying its last
+// byte succeeds. A line that overflows the buffer goes through stage, which
+// fills the buffers exactly as one contiguous line would.
+func (c *conn) stageData(id string, body []byte) error {
+	if b := c.wb.b; len(b)+len("DATA  ")+len(id)+len(body) <= cap(b) {
+		c.wb.b = append(append(append(append(b, "DATA "...), id...), ' '), body...)
+	} else if err := stage(c, "DATA ", id, " "); err != nil {
+		return err
+	} else if err := stage(c, body); err != nil {
 		return err
 	}
 	c.wdata++
@@ -387,10 +396,7 @@ func (c *conn) flushLocked() error {
 
 // stageLine stages a reply line and its newline.
 func (c *conn) stageLine(line string) error {
-	if err := stage(c, line); err != nil {
-		return err
-	}
-	return stage(c, "\n")
+	return stage(c, line, "\n")
 }
 
 // unlockWrite sends what the batch still holds and closes it.
@@ -411,30 +417,31 @@ func (c *conn) writeLine(line string) error {
 	return err
 }
 
-// queueFrame hands one cross-connection DATA frame to the conn, consuming
-// the caller's reference on every path (written, queued, or dropped). With
-// the outbox enabled the call never blocks: overflow means the subscriber
-// is not keeping up, and the conn is disconnected rather than letting its
-// backlog stall ingest. Reports whether the frame was delivered or queued.
-func (c *conn) queueFrame(f *frame) bool {
+// queueFrame hands one cross-connection DATA line to the conn, consuming
+// the caller's reference to its body on every path (written, queued, or
+// dropped). With the outbox enabled the call never blocks: overflow means
+// the subscriber is not keeping up, and the conn is disconnected rather
+// than letting its backlog stall ingest. Reports whether the line was
+// delivered or queued.
+func (c *conn) queueFrame(l dataLine) bool {
 	if c.outbox == nil {
 		c.lockWrite()
-		err := c.stageData(f.buf)
+		err := c.stageData(l.id, l.body.buf)
 		if ferr := c.unlockWrite(); err == nil {
 			err = ferr
 		}
-		f.release()
+		l.body.release()
 		return err == nil
 	}
 	if c.dead.Load() {
-		f.release()
+		l.body.release()
 		return false
 	}
 	select {
-	case c.outbox <- f:
+	case c.outbox <- l:
 		return true
 	default:
-		f.release()
+		l.body.release()
 		if c.dead.CompareAndSwap(false, true) {
 			mSlowClientDrops.Inc()
 			c.c.Close() // unblocks the handler's read loop; cleanup follows
@@ -443,42 +450,42 @@ func (c *conn) queueFrame(f *frame) bool {
 	}
 }
 
-// outboxLoop drains queued DATA frames until the handler exits. It keeps
+// outboxLoop drains queued DATA lines until the handler exits. It keeps
 // consuming (and releasing) after the conn is dead so queueFrame never
 // wedges.
 func (c *conn) outboxLoop() {
 	defer close(c.outboxDone)
 	for {
 		select {
-		case f := <-c.outbox:
-			c.drainOutbox(f)
+		case l := <-c.outbox:
+			c.drainOutbox(l)
 		case <-c.outboxStop:
 			return
 		}
 	}
 }
 
-// drainOutbox sends f and every frame queued behind it at wake-up as one
+// drainOutbox sends l and every line queued behind it at wake-up as one
 // batch — a burst that piled up while the drainer was busy leaves in one
 // socket write. The first write failure marks the conn dead and closes it;
 // the rest of the batch is released unwritten. The receives cannot block:
 // this goroutine is the outbox's only consumer while it runs.
-func (c *conn) drainOutbox(f *frame) {
+func (c *conn) drainOutbox(l dataLine) {
 	if c.dead.Load() {
-		f.release()
+		l.body.release()
 		return
 	}
 	c.lockWrite()
 	var err error
 	for queued := len(c.outbox); ; queued-- {
 		if err == nil {
-			err = c.stageData(f.buf)
+			err = c.stageData(l.id, l.body.buf)
 		}
-		f.release()
+		l.body.release()
 		if queued == 0 {
 			break
 		}
-		f = <-c.outbox
+		l = <-c.outbox
 	}
 	if ferr := c.unlockWrite(); err == nil {
 		err = ferr
@@ -494,14 +501,14 @@ func (c *conn) stopOutbox() {
 	}
 	close(c.outboxStop)
 	<-c.outboxDone
-	// Release any frames still queued; late queueFrame racers that slip in
-	// after this drain keep their own reference accounting (the frame is
-	// simply never pooled — garbage collected instead), so no frame is
+	// Release any lines still queued; late queueFrame racers that slip in
+	// after this drain keep their own reference accounting (the body is
+	// simply never pooled — garbage collected instead), so no body is
 	// ever double-released.
 	for {
 		select {
-		case f := <-c.outbox:
-			f.release()
+		case l := <-c.outbox:
+			l.body.release()
 		default:
 			return
 		}
@@ -534,7 +541,7 @@ func (s *Server) handle(nc net.Conn) {
 	s.nextConn++
 	c := &conn{id: s.nextConn, c: nc, writeTimeout: s.opts.WriteTimeout}
 	if s.opts.OutboxLines > 0 {
-		c.outbox = make(chan *frame, s.opts.OutboxLines)
+		c.outbox = make(chan dataLine, s.opts.OutboxLines)
 		c.outboxStop = make(chan struct{})
 		c.outboxDone = make(chan struct{})
 		go c.outboxLoop()
@@ -808,32 +815,40 @@ func (s *Server) ingest(typ wal.RecordType, payload, streamName string, rows []c
 	return results, lsn, err
 }
 
-// delivery is one planned DATA frame bound for a connection. The frame is
-// shared across recipients; each delivery owns one of its references.
-type delivery struct {
-	target *conn
-	f      *frame
+// dataLine is one DATA line, staged as "DATA <id> " + the shared body.
+type dataLine struct {
+	id   string
+	body *frame
 }
 
-// deliveryScratch holds the slices planDeliveries reuses from one ingest to
-// the next on the same goroutine.
+// delivery is one planned DATA line bound for a connection. A delivery to
+// another connection owns one reference to the body; one to the inserting
+// connection owns none (the command holds one, see emission.own).
+type delivery struct {
+	target *conn
+	dataLine
+}
+
+// deliveryScratch is one command's planned deliveries, reused per goroutine.
 type deliveryScratch struct {
 	items   []delivery
+	ems     []emission // every body rendered for the command
+	bodies  bodyCache
 	targets []*conn // recipients of every result set, flattened
 	ends    []int   // targets[ends[i-1]:ends[i]] receive results[i]
 }
 
 // planDeliveries routes engine results to their recipients and renders the
-// DATA lines; writing happens later in sendDeliveries, after the WAL fsync.
-// s.mu is held only to snapshot each query's owner and subscribers, so a
-// large fan-out's renders do not stall SUBSCRIBE, CLOSE or other inserters.
-// Each DATA line is rendered into a pooled frame whose reference count
-// equals the number of recipients, and results that carry the same output
-// tuple — the members of a plan group — share one rendered body (see
-// appendDataFrame). emitted counts results produced (delivered or discarded
-// for recipient-less queries); the error aggregates per-query push
-// failures, sorted for deterministic messages.
-func (s *Server) planDeliveries(sc *deliveryScratch, results []core.QueryResults) (int, []delivery, error) {
+// DATA bodies into sc; writing happens later in sendDeliveries, after the
+// WAL fsync. from is the inserting connection (nil on the replica apply
+// path). s.mu is held only to snapshot each query's owner and subscribers,
+// so a large fan-out's renders do not stall SUBSCRIBE, CLOSE or other
+// inserters. Each emission's body is rendered once (bodyCache); a body that
+// cannot be rendered is remembered, and each member with a recipient gets
+// its own push error. emitted counts results produced (delivered or
+// discarded for recipient-less queries); the error aggregates per-query
+// push failures, sorted for deterministic messages.
+func (s *Server) planDeliveries(sc *deliveryScratch, from *conn, results []core.QueryResults) (int, error) {
 	targets, ends := sc.targets[:0], sc.ends[:0]
 	s.mu.Lock()
 	for _, qr := range results {
@@ -849,12 +864,12 @@ func (s *Server) planDeliveries(sc *deliveryScratch, results []core.QueryResults
 
 	var (
 		items    = sc.items[:0]
+		ems      = sc.ems[:0]
 		pushErrs []string
 		emitted  int
-		bodies   bodyCache
 	)
-	if len(results) > 1 {
-		bodies = make(bodyCache)
+	if sc.bodies == nil {
+		sc.bodies = make(bodyCache)
 	}
 	lo := 0
 	for i, qr := range results {
@@ -868,59 +883,74 @@ func (s *Server) planDeliveries(sc *deliveryScratch, results []core.QueryResults
 			continue
 		}
 		for _, r := range qr.Results {
-			f := newFrame()
-			var rerr error
-			if f.buf, rerr = appendDataFrame(f.buf, qr.ID, r, bodies); rerr != nil {
-				pushErrs = append(pushErrs, fmt.Sprintf("query %s: %v", qr.ID, rerr))
-				f.release()
+			k, seen := sc.bodies[r.Tuple]
+			if !seen || ems[k].tupleProb != r.TupleProb || ems[k].unsure != r.Unsure {
+				k = len(ems)
+				ems = append(ems, renderBody(r))
+				if !seen {
+					sc.bodies[r.Tuple] = k
+				}
+			}
+			e := &ems[k]
+			if e.err != nil {
+				pushErrs = append(pushErrs, fmt.Sprintf("query %s: %v", qr.ID, e.err))
 				continue
 			}
-			f.refs.Store(int32(len(to)))
 			for _, t := range to {
-				items = append(items, delivery{t, f})
+				if t != from {
+					e.refs++
+				} else if !e.own {
+					e.own = true
+					e.refs++
+				}
+				items = append(items, delivery{t, dataLine{qr.ID, e.body}})
 			}
 			emitted++
 		}
 	}
-	// Drop conn pointers so the scratch doesn't pin closed connections.
+	for _, e := range ems {
+		if e.body != nil && e.refs != 1 { // newFrame set 1
+			e.body.refs.Store(e.refs)
+		}
+	}
+	// Drop pointers so the scratch doesn't pin closed connections or tuples.
 	clear(targets)
-	sc.items, sc.targets, sc.ends = items, targets, ends
+	clear(sc.bodies)
+	sc.items, sc.ems, sc.targets, sc.ends = items, ems, targets, ends
 	if len(pushErrs) > 0 {
 		sort.Strings(pushErrs)
-		return emitted, items, errors.New(strings.Join(pushErrs, "; "))
+		return emitted, errors.New(strings.Join(pushErrs, "; "))
 	}
-	return emitted, items, nil
+	return emitted, nil
 }
 
-// sendDeliveries writes planned DATA frames and, when reply is non-empty,
-// the command's reply line. Frames for other connections go first, through
-// their bounded outboxes, so one slow subscriber cannot stall this insert
-// and no write lock of ours is held while theirs are taken. Frames for the
-// inserting connection and the reply then leave as one write batch, DATA
-// strictly before the reply — a protocol invariant same-connection clients
-// rely on. Every delivery's frame reference is consumed exactly once, here
-// or inside queueFrame: after a write to from fails, its remaining frames
-// are released unwritten and the error is returned. from is nil on the
-// replica apply path, which has no inserting connection.
-func (s *Server) sendDeliveries(from *conn, items []delivery, reply string) error {
-	var dropped *conn
-	for _, it := range items {
-		if it.target != from && !it.target.queueFrame(it.f) && it.target != dropped {
-			dropped = it.target
-			s.logf("deliver: conn %d dropped (slow or closed)", dropped.id)
+// sendDeliveries writes the planned DATA lines and, when reply is
+// non-empty, the command's reply line. Lines for other connections go
+// first, through their bounded outboxes, so one slow subscriber cannot
+// stall this insert and no write lock of ours is held while theirs are
+// taken. Lines for the inserting connection and the reply then leave as one
+// write batch, DATA strictly before the reply — a protocol invariant
+// same-connection clients rely on — and the command's references drop
+// after it; after a write to from fails nothing more is staged and the
+// error is returned. from is nil on the replica apply path, which has no
+// inserting connection.
+func (s *Server) sendDeliveries(from *conn, sc *deliveryScratch, reply string) error {
+	var dropped []*conn
+	for _, it := range sc.items {
+		if it.target != from && !it.target.queueFrame(it.dataLine) && !slices.Contains(dropped, it.target) {
+			dropped = append(dropped, it.target)
+			s.logf("deliver: conn %d dropped (slow or closed)", it.target.id)
 		}
 	}
 	var err error
 	if from != nil {
 		from.lockWrite()
-		for _, it := range items {
-			if it.target != from {
-				continue
+		for _, it := range sc.items {
+			if it.target == from {
+				if err = from.stageData(it.id, it.body.buf); err != nil {
+					break
+				}
 			}
-			if err == nil {
-				err = from.stageData(it.f.buf)
-			}
-			it.f.release()
 		}
 		if reply != "" && err == nil {
 			err = from.stageLine(reply)
@@ -929,18 +959,31 @@ func (s *Server) sendDeliveries(from *conn, items []delivery, reply string) erro
 			err = ferr
 		}
 	}
-	// Drop frame pointers so the scratch slice doesn't pin released frames
-	// until the next ingest.
-	clear(items)
+	sc.releaseOwn()
 	return err
 }
 
-// dropDeliveries releases planned frames that will never be written.
-func dropDeliveries(items []delivery) {
-	for _, it := range items {
-		it.f.release()
+// dropDeliveries releases every reference of planned lines that will never
+// be written.
+func dropDeliveries(from *conn, sc *deliveryScratch) {
+	for _, it := range sc.items {
+		if it.target != from {
+			it.body.release()
+		}
 	}
-	clear(items)
+	sc.releaseOwn()
+}
+
+// releaseOwn drops the command's references to its bodies, and every body
+// pointer, so the scratch doesn't pin released frames until the next ingest.
+func (sc *deliveryScratch) releaseOwn() {
+	for _, e := range sc.ems {
+		if e.own {
+			e.body.release()
+		}
+	}
+	clear(sc.ems)
+	clear(sc.items)
 }
 
 // ingestReply formats the reply line both live execution and WAL replay
@@ -1008,7 +1051,7 @@ func (s *Server) cmdIngest(c *conn, rest string, batch bool) error {
 		// retry may (and must) re-execute — no dedup entry.
 		return err
 	}
-	emitted, items, pushErr := s.planDeliveries(&c.scratch, results)
+	emitted, pushErr := s.planDeliveries(&c.scratch, c, results)
 	reply := ingestReply(batch, len(rows), emitted, pushErr)
 	if reqID != "" {
 		// Registered before the fsync wait: if waitDurable fails the record
@@ -1019,15 +1062,15 @@ func (s *Server) cmdIngest(c *conn, rest string, batch bool) error {
 	// Durable before externalized: the fsync wait runs outside the shard
 	// locks (group commit), and no DATA byte goes out before it.
 	if err := s.waitDurable(lsn); err != nil {
-		dropDeliveries(items)
+		dropDeliveries(c, &c.scratch)
 		return err
 	}
 	if !s.checkpointDue() {
-		err = s.sendDeliveries(c, items, reply)
+		err = s.sendDeliveries(c, &c.scratch, reply)
 	} else {
 		// A checkpoint is about to quiesce the engine: DATA leaves first so
 		// results are not held behind the snapshot; the reply follows it.
-		err = s.sendDeliveries(c, items, "")
+		err = s.sendDeliveries(c, &c.scratch, "")
 		s.maybeCheckpoint()
 		if err == nil {
 			err = c.writeLine(reply)

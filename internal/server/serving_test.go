@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -289,7 +290,8 @@ func TestUnsharedResultsRenderOwn(t *testing.T) {
 	for _, qr := range results {
 		s.queries[qr.ID] = &registeredQuery{id: qr.ID, owner: c}
 	}
-	emitted, items, err := s.planDeliveries(&c.scratch, results)
+	emitted, err := s.planDeliveries(&c.scratch, c, results)
+	items := c.scratch.items
 	if err != nil || emitted != 4 || len(items) != 4 {
 		t.Fatalf("planDeliveries: emitted=%d items=%d err=%v", emitted, len(items), err)
 	}
@@ -298,26 +300,29 @@ func TestUnsharedResultsRenderOwn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := string(items[i].f.buf); got != string(want)+"\n" {
+		if got := "DATA " + items[i].id + " " + string(items[i].body.buf); got != string(want)+"\n" {
 			t.Errorf("query %s:\n got %q\nwant %q", qr.ID, got, want)
 		}
 	}
-	if a, b := items[0].f.buf, items[1].f.buf; bytes.Equal(a[len("DATA qa "):], b[len("DATA qb "):]) {
+	if bytes.Equal(items[0].body.buf, items[1].body.buf) {
 		t.Error("qb rendered qa's body: its own accuracy intervals are missing")
 	}
-	if !bytes.Contains(items[2].f.buf, []byte(`"unsure":true`)) {
+	if !bytes.Contains(items[2].body.buf, []byte(`"unsure":true`)) {
 		t.Error("qc rendered the cached body of the same tuple without its unsure flag")
 	}
-	dropDeliveries(items)
+	if items[3].body != items[0].body || len(c.scratch.ems) != 3 {
+		t.Errorf("qd did not share qa's body, or the command rendered %d bodies, want 3", len(c.scratch.ems))
+	}
+	dropDeliveries(c, &c.scratch)
 }
 
-// testFrames returns n single-reference frames of size bytes each, the i-th
-// filled with the letter 'a'+i.
+// testFrames returns n single-reference bodies whose DATA lines for query
+// "q" are size bytes each, the i-th filled with the letter 'a'+i.
 func testFrames(n, size int) []*frame {
 	frames := make([]*frame, n)
 	for i := range frames {
 		f := newFrame()
-		f.buf = append(f.buf, bytes.Repeat([]byte{'a' + byte(i)}, size-1)...)
+		f.buf = append(f.buf, bytes.Repeat([]byte{'a' + byte(i)}, size-len("DATA q \n"))...)
 		f.buf = append(f.buf, '\n')
 		frames[i] = f
 	}
@@ -326,17 +331,46 @@ func testFrames(n, size int) []*frame {
 
 func assertReleasedOnce(t *testing.T, frames []*frame) {
 	t.Helper()
+	assertRefs(t, frames, 0)
+}
+
+func assertRefs(t *testing.T, frames []*frame, want int32) {
+	t.Helper()
 	for i, f := range frames {
-		if refs := f.refs.Load(); refs != 0 {
-			t.Errorf("frame %d: refcount %d after the batch, want 0 (released exactly once)", i, refs)
+		if refs := f.refs.Load(); refs != want {
+			t.Errorf("body %d: refcount %d, want %d", i, refs, want)
 		}
 	}
 }
 
+// planBatch ingests one INSERTBATCH payload into s's engine and plans its
+// deliveries into from's scratch, returning the distinct bodies planned.
+func planBatch(t *testing.T, s *Server, from *conn, payload string) []*frame {
+	t.Helper()
+	_, rows, err := parseInsertRows(payload, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := s.engine.IngestBatch("s", rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.planDeliveries(&from.scratch, from, results); err != nil {
+		t.Fatal(err)
+	}
+	var bodies []*frame
+	for _, it := range from.scratch.items {
+		if !slices.Contains(bodies, it.body) {
+			bodies = append(bodies, it.body)
+		}
+	}
+	return bodies
+}
+
 // TestWriteErrorMidBatch fails a same-connection batch on its second socket
-// write: nothing is written after the failure, every frame's reference is
-// released exactly once, frames for another connection still go out, and a
-// command that hits the failure logs one line, not one per frame.
+// write: nothing is written after the failure, every body's references are
+// released exactly once, lines for another connection still go out, and a
+// command that hits the failure logs one line, not one per line.
 func TestWriteErrorMidBatch(t *testing.T) {
 	s := newTestServer(t, core.Config{})
 	rc := &recConn{failFrom: 2}
@@ -345,17 +379,19 @@ func TestWriteErrorMidBatch(t *testing.T) {
 	other := &conn{id: 2, c: otherRC}
 	lines := mDataLines.Value()
 
-	// Five 40 KB frames: the second write (bytes 64K..128K) fails with
-	// frames 3 and 4 not yet staged.
+	// Five 40 KB lines: the second write (bytes 64K..128K) fails with
+	// lines 3 and 4 not yet staged. The command holds one reference to each
+	// body; the other connection's line holds a second one to body 1.
 	frames := testFrames(5, 40<<10)
 	shared := frames[1]
 	shared.refs.Store(2)
-	var items []delivery
+	sc := &deliveryScratch{}
 	for _, f := range frames {
-		items = append(items, delivery{from, f})
+		sc.items = append(sc.items, delivery{from, dataLine{"q", f}})
+		sc.ems = append(sc.ems, emission{body: f, own: true})
 	}
-	items = append(items, delivery{other, shared})
-	err := s.sendDeliveries(from, items, "OK inserted results=5")
+	sc.items = append(sc.items, delivery{other, dataLine{"q", shared}})
+	err := s.sendDeliveries(from, sc, "OK inserted results=5")
 	if !errors.Is(err, errRecConnWrite) {
 		t.Fatalf("sendDeliveries error = %v, want the injected write failure", err)
 	}
@@ -371,6 +407,25 @@ func TestWriteErrorMidBatch(t *testing.T) {
 	if got := mDataLines.Value() - lines; got != 2 {
 		t.Errorf("data_lines delta = %d, want 2", got)
 	}
+
+	// Planned bodies shared with a subscriber's outbox: after the failure
+	// only the queued lines' references remain, and draining them ends at
+	// zero.
+	s = newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1})
+	rc = &recConn{}
+	from = &conn{id: 1, c: rc}
+	sub := &conn{id: 2, c: &recConn{discard: true}, outbox: make(chan dataLine, 8)}
+	sharedFleet(t, s, from, 128)
+	mustDispatch(t, s, sub, "SUBSCRIBE q007")
+	rc.take()
+	rc.failFrom = 2
+	bodies := planBatch(t, s, from, "s 5 N(10,4,25) | 6 N(11,4,25) | 7 N(12,4,25) | 8 N(13,4,25)")
+	if err := s.sendDeliveries(from, &from.scratch, "OK"); !errors.Is(err, errRecConnWrite) {
+		t.Fatalf("sendDeliveries error = %v, want the injected write failure", err)
+	}
+	assertRefs(t, bodies, 1)
+	sub.drainOutbox(<-sub.outbox)
+	assertReleasedOnce(t, bodies)
 
 	// The same failure through the connection handler: one log line.
 	var logged bytes.Buffer
@@ -388,18 +443,18 @@ func TestWriteErrorMidBatch(t *testing.T) {
 func TestOutboxBurstOneFlush(t *testing.T) {
 	rc := &recConn{entered: make(chan struct{}, 8), gate: make(chan struct{})}
 	c := &conn{id: 1, c: rc,
-		outbox: make(chan *frame, 64), outboxStop: make(chan struct{}), outboxDone: make(chan struct{})}
+		outbox: make(chan dataLine, 64), outboxStop: make(chan struct{}), outboxDone: make(chan struct{})}
 	go c.outboxLoop()
 	lines := mDataLines.Value()
 
-	frames := testFrames(17, 32)
-	if !c.queueFrame(frames[0]) {
-		t.Fatal("queueFrame rejected the first frame")
+	frames := testFrames(17, 40)
+	if !c.queueFrame(dataLine{"q", frames[0]}) {
+		t.Fatal("queueFrame rejected the first line")
 	}
-	<-rc.entered // the drainer is inside Write with frame 0
+	<-rc.entered // the drainer is inside Write with line 0
 	for _, f := range frames[1:] {
-		if !c.queueFrame(f) {
-			t.Fatal("queueFrame rejected a burst frame")
+		if !c.queueFrame(dataLine{"q", f}) {
+			t.Fatal("queueFrame rejected a burst line")
 		}
 	}
 	close(rc.gate)
@@ -411,12 +466,13 @@ func TestOutboxBurstOneFlush(t *testing.T) {
 		t.Fatalf("%d socket writes, want 2 (frame 0, then the burst)", len(w))
 	}
 	var want []byte
-	for _, f := range frames[1:] {
-		want = append(want, bytes.Repeat([]byte{f.buf[0]}, 31)...)
+	for i := range frames[1:] {
+		want = append(want, "DATA q "...)
+		want = append(want, bytes.Repeat([]byte{'b' + byte(i)}, 32)...)
 		want = append(want, '\n')
 	}
 	if !bytes.Equal(w[1], want) {
-		t.Errorf("burst write = %q, want the 16 frames in queue order", w[1])
+		t.Errorf("burst write = %q, want the 16 lines in queue order", w[1])
 	}
 	assertReleasedOnce(t, frames)
 	if got := mDataLines.Value() - lines; got != 17 {
@@ -425,18 +481,22 @@ func TestOutboxBurstOneFlush(t *testing.T) {
 }
 
 // TestOutboxDrainWriteError fails the drainer's write: the conn is marked
-// dead and closed once, and every queued frame is released exactly once
-// without further writes.
+// dead and closed once, and every queued line's reference is released
+// exactly once without further writes, bodies shared by several lines
+// included.
 func TestOutboxDrainWriteError(t *testing.T) {
 	rc := &recConn{failFrom: 1, entered: make(chan struct{}, 8), gate: make(chan struct{})}
 	c := &conn{id: 1, c: rc,
-		outbox: make(chan *frame, 64), outboxStop: make(chan struct{}), outboxDone: make(chan struct{})}
+		outbox: make(chan dataLine, 64), outboxStop: make(chan struct{}), outboxDone: make(chan struct{})}
 	go c.outboxLoop()
-	frames := testFrames(9, 32)
-	c.queueFrame(frames[0])
+	frames := testFrames(3, 32)
+	for _, f := range frames {
+		f.refs.Store(3)
+	}
+	c.queueFrame(dataLine{"q", frames[0]})
 	<-rc.entered
-	for _, f := range frames[1:] {
-		c.queueFrame(f)
+	for i := 1; i < 9; i++ {
+		c.queueFrame(dataLine{fmt.Sprintf("q%d", i), frames[i%3]})
 	}
 	close(rc.gate)
 	c.stopOutbox()
@@ -566,5 +626,27 @@ func TestRenderFailurePin(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("render-failure transcript diverged from %s\n%s", path, transcriptDiff(string(want), got))
+	}
+}
+
+// TestDroppedSubscriberLoggedOnce delivers a batch's lines to two dead
+// subscribers whose deliveries alternate: each is logged once per command,
+// not once per line.
+func TestDroppedSubscriberLoggedOnce(t *testing.T) {
+	s := newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1})
+	var logged bytes.Buffer
+	s.logger = log.New(&logged, "", 0)
+	from := &conn{id: 1, c: &recConn{discard: true}}
+	mustDispatch(t, s, from, "STREAM s key v:dist")
+	mustDispatch(t, s, from, "QUERY q SELECT v FROM s")
+	for id := uint64(2); id <= 3; id++ {
+		sub := &conn{id: id, c: &recConn{discard: true}, outbox: make(chan dataLine, 1)}
+		mustDispatch(t, s, sub, "SUBSCRIBE q")
+		sub.dead.Store(true)
+	}
+	mustDispatch(t, s, from, "INSERTBATCH s 1 N(10,4,25) | 2 N(11,4,25) | 3 N(12,4,25) | 4 N(13,4,25)")
+	got := strings.Count(logged.String(), "dropped (slow or closed)")
+	if got != 2 || !strings.Contains(logged.String(), "conn 2 dropped") || !strings.Contains(logged.String(), "conn 3 dropped") {
+		t.Errorf("four lines to two dead subscribers logged %d drops, want one per connection:\n%s", got, logged.String())
 	}
 }
