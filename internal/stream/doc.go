@@ -72,17 +72,20 @@
 //     API boundary; aggregate kernels must finish reading them before
 //     returning.
 //
-// Rendered frames (internal/server):
+// Rendered body frames (internal/server):
 //
-//   - A DATA line is rendered exactly once into a pooled frame and fanned
-//     out to every subscriber by reference. The frame is reference-counted:
-//     the renderer sets the count to the number of recipients, each
-//     recipient (copy into a write batch, outbox enqueue-then-copy, or the
-//     slow-client drop path) releases exactly once, and the frame returns
-//     to the pool only when the count reaches zero. Nobody may touch
-//     frame.buf after their release.
-//   - Within one command a rendered body may alias the frame of the first
-//     result that carried its tuple; the planner holds every frame of the
-//     command until the last line is rendered, so the alias never outlives
-//     its frame.
+//   - An emission's JSON body (newline included, no "DATA <id> " prefix)
+//     is rendered exactly once into a pooled frame, and every DATA line
+//     that carries it — one per plan-group member and recipient — refers
+//     to that frame; the prefix is written in front of the body as the
+//     line is staged into a write buffer.
+//   - The frame is reference-counted: the planner stores, once the whole
+//     command is planned, one reference per line bound for another
+//     connection plus one the command holds if any line goes to the
+//     inserting connection (those lines hold none). Each holder — outbox
+//     enqueue-then-copy, synchronous write, slow-client drop, teardown
+//     drain, and the command after its write batch or its failed fsync
+//     wait — releases exactly once, and the frame returns to the pool only
+//     when the count reaches zero. Nobody may touch frame.buf after their
+//     release.
 package stream
