@@ -63,8 +63,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
 	"strings"
@@ -74,7 +72,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/engineflags"
 	"repro/internal/server"
 )
 
@@ -90,17 +88,9 @@ type liveNode struct {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address")
-	level := flag.Float64("level", 0.9, "confidence level for accuracy intervals")
-	method := flag.String("method", "analytical", "accuracy method: none | analytical | bootstrap")
-	seed := flag.Uint64("seed", 1, "engine RNG seed")
-	dropUnsure := flag.Bool("drop-unsure", false, "drop tuples whose coupled significance test is UNSURE")
 	// Deprecated: -workers is accepted and ignored (the accuracy kernel runs
 	// serially) so that existing command lines keep starting the daemon.
 	flag.Int("workers", 0, "deprecated and ignored: the accuracy kernel runs serially")
-	dataDir := flag.String("data-dir", "", "durability directory (empty = in-memory only)")
-	fsyncPolicy := flag.String("fsync", "interval", "WAL fsync policy: always | interval | none")
-	ckEvery := flag.Int("checkpoint-every", 1024, "checkpoint after this many journaled commands")
-	debugAddr := flag.String("debug-addr", "", "HTTP observability listener (/debug/metrics, /debug/vars, /debug/pprof); empty disables")
 	maxConns := flag.Int("max-conns", 0, "max concurrent client connections (0 = default 1024, negative = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close connections idle this long (0 = default 5m, negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "graceful-shutdown drain window (0 = default 5s)")
@@ -115,9 +105,14 @@ func main() {
 	failoverProbe := flag.Duration("failover-probe", 100*time.Millisecond, "failure-detector probe interval")
 	promoteRepl := flag.String("promote-repl-addr", "", "start shipping the WAL on this listener after an automatic promotion (requires -data-dir)")
 	autoRejoin := flag.Bool("auto-rejoin", false, "follower mode with -data-dir: on a diverged-suffix verdict, truncate, re-recover and re-follow automatically")
-	flag.Parse()
+	logger := log.New(os.Stderr, "asdbd: ", log.LstdFlags)
+	cfg, err := engineflags.Parse(flag.CommandLine, os.Args[1:], logger.Printf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "asdbd: %v\n", err)
+		os.Exit(2)
+	}
 
-	if *replAddr != "" && *dataDir == "" {
+	if *replAddr != "" && cfg.DataDir == "" {
 		fmt.Fprintln(os.Stderr, "asdbd: -repl-addr requires -data-dir (replication ships the WAL)")
 		os.Exit(2)
 	}
@@ -129,53 +124,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "asdbd: -failover requires -follow (only a follower can promote)")
 		os.Exit(2)
 	}
-	if *promoteRepl != "" && *dataDir == "" {
+	if *promoteRepl != "" && cfg.DataDir == "" {
 		fmt.Fprintln(os.Stderr, "asdbd: -promote-repl-addr requires -data-dir (shipping needs a WAL)")
 		os.Exit(2)
 	}
-	if *autoRejoin && (*follow == "" || *dataDir == "") {
+	if *autoRejoin && (*follow == "" || cfg.DataDir == "") {
 		fmt.Fprintln(os.Stderr, "asdbd: -auto-rejoin requires -follow and -data-dir")
 		os.Exit(2)
 	}
 
-	var m core.AccuracyMethod
-	switch *method {
-	case "none":
-		m = core.AccuracyNone
-	case "analytical":
-		m = core.AccuracyAnalytical
-	case "bootstrap":
-		m = core.AccuracyBootstrap
-	default:
-		fmt.Fprintf(os.Stderr, "asdbd: unknown method %q\n", *method)
-		os.Exit(2)
-	}
-	cfg := core.Config{
-		Level:           *level,
-		Method:          m,
-		Seed:            *seed,
-		DropUnsure:      *dropUnsure,
-		DataDir:         *dataDir,
-		FsyncPolicy:     *fsyncPolicy,
-		CheckpointEvery: *ckEvery,
-	}
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		log.Fatalf("asdbd: %v", err)
-	}
-	logger := log.New(os.Stderr, "asdbd: ", log.LstdFlags)
-	if *debugAddr != "" {
-		// expvar and pprof register themselves on the default mux; the
-		// Prometheus page joins them. The listener shares nothing with the
-		// engine beyond reading atomic instruments.
-		metrics.Default.PublishExpvar("asdb")
-		http.Handle("/debug/metrics", metrics.Default.Handler())
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				logger.Printf("debug listener: %v", err)
-			}
-		}()
-		logger.Printf("debug listener on http://%s/debug/metrics", *debugAddr)
 	}
 	srv, err := server.NewDurable(eng, logger)
 	if err != nil {
@@ -284,11 +244,11 @@ func main() {
 			go superviseRejoin(node, cfg, logger, *follow, *addr, srvOpts, startFailover, swapped)
 		}
 	}
-	if *dataDir != "" {
+	if cfg.DataDir != "" {
 		logger.Printf("listening on %s (method=%s level=%g data-dir=%s fsync=%s)",
-			bound, m, *level, *dataDir, *fsyncPolicy)
+			bound, cfg.Method, cfg.Level, cfg.DataDir, cfg.FsyncPolicy)
 	} else {
-		logger.Printf("listening on %s (method=%s level=%g)", bound, m, *level)
+		logger.Printf("listening on %s (method=%s level=%g)", bound, cfg.Method, cfg.Level)
 	}
 
 	sigc := make(chan os.Signal, 1)

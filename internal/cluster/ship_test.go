@@ -345,3 +345,47 @@ func TestPromoteContinuesDeterministically(t *testing.T) {
 	fr := dialRaw(t, f.addr)
 	compareReplies(t, pr, fr, "STATS q1", "STATS q2")
 }
+
+// A follower's connection that ATTACHed a query and then left only
+// detaches it: the follower neither unbinds the query nor journals a
+// CLOSE, so it stays caught up and answers byte-identically to the
+// primary, whether it keeps a WAL of its own or not.
+func TestFollowerDisconnectDetaches(t *testing.T) {
+	for _, kind := range []struct {
+		name  string
+		start func(testing.TB, int, string) *tnode
+	}{{"in-memory", startFollower}, {"durable", startDurableFollower}} {
+		t.Run(kind.name, func(t *testing.T) {
+			p := startPrimary(t, 1, 1<<20, 0)
+			f := kind.start(t, 1, p.shipAddr)
+			pc := dialRaw(t, p.addr)
+			seedGolden(t, pc)
+			insertN(t, pc, 4, 1)
+			waitCaughtUp(t, p, f)
+
+			owner := dialRaw(t, f.addr)
+			owner.mustOK("ATTACH q1")
+			owner.nc.Close()
+			// The follower has handled the disconnect once another
+			// connection no longer finds q1 owned.
+			next := dialRaw(t, f.addr)
+			for {
+				rep := next.cmd("ATTACH q1")
+				if last := rep[len(rep)-1]; !strings.Contains(last, "owned by another connection") {
+					if last != "OK attached q1" {
+						t.Fatalf("ATTACH q1 after the owner left: %q", last)
+					}
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			insertN(t, pc, 3, 5)
+			waitCaughtUp(t, p, f)
+			compareReplies(t, dialRaw(t, p.addr), dialRaw(t, f.addr), "STATS q1")
+			if err := f.f.Err(); err != nil {
+				t.Fatalf("follower stopped: %v", err)
+			}
+		})
+	}
+}

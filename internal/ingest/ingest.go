@@ -9,9 +9,8 @@
 //
 // Determinism: the pipeline is a pure function of the CSV bytes and the
 // Spec — groups are emitted sorted by key and learners see observations in
-// file order, so repeated Reads yield identical tuples in identical order.
-// The durability layer relies on this: a journaled LOAD replays as the
-// same per-tuple insert sequence the original run produced.
+// file order, so repeated Reads yield identical tuples in identical order,
+// and asdb's LOAD sends the same INSERTBATCH lines for the same file.
 package ingest
 
 import (
@@ -33,9 +32,6 @@ type Spec struct {
 	KeyColumn string
 	// ValueColumn holds the observation (e.g. "delay_sec"). Required.
 	ValueColumn string
-	// TimeColumn optionally holds a timestamp in seconds; the group
-	// records the latest.
-	TimeColumn string
 	// Learner fits each group's distribution; defaults to Gaussian MLE.
 	Learner learn.Learner
 	// MinSamples skips groups with fewer observations (default 2 — one
@@ -61,9 +57,8 @@ func (s Spec) normalize() (Spec, error) {
 
 // Group is the raw sample of one key.
 type Group struct {
-	Key      float64
-	Sample   *learn.Sample
-	LastTime int64 // latest TimeColumn value, 0 when no TimeColumn
+	Key    float64
+	Sample *learn.Sample
 }
 
 // ReadGroups parses the CSV and groups the value column by key. Groups
@@ -79,15 +74,13 @@ func ReadGroups(r io.Reader, spec Spec) ([]Group, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: reading header: %w", err)
 	}
-	keyIdx, valIdx, timeIdx := -1, -1, -1
+	keyIdx, valIdx := -1, -1
 	for i, h := range header {
 		switch {
 		case strings.EqualFold(strings.TrimSpace(h), spec.KeyColumn):
 			keyIdx = i
 		case strings.EqualFold(strings.TrimSpace(h), spec.ValueColumn):
 			valIdx = i
-		case spec.TimeColumn != "" && strings.EqualFold(strings.TrimSpace(h), spec.TimeColumn):
-			timeIdx = i
 		}
 	}
 	if keyIdx < 0 {
@@ -95,9 +88,6 @@ func ReadGroups(r io.Reader, spec Spec) ([]Group, error) {
 	}
 	if valIdx < 0 {
 		return nil, fmt.Errorf("ingest: value column %q not in header %v", spec.ValueColumn, header)
-	}
-	if spec.TimeColumn != "" && timeIdx < 0 {
-		return nil, fmt.Errorf("ingest: time column %q not in header %v", spec.TimeColumn, header)
 	}
 	groups := make(map[float64]*Group)
 	line := 1
@@ -124,15 +114,6 @@ func ReadGroups(r io.Reader, spec Spec) ([]Group, error) {
 			groups[key] = g
 		}
 		g.Sample.Add(val)
-		if timeIdx >= 0 {
-			ts, err := strconv.ParseFloat(strings.TrimSpace(rec[timeIdx]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("ingest: line %d: bad time %q", line, rec[timeIdx])
-			}
-			if int64(ts) > g.LastTime {
-				g.LastTime = int64(ts)
-			}
-		}
 	}
 	out := make([]Group, 0, len(groups))
 	for _, g := range groups {
@@ -148,7 +129,6 @@ func ReadGroups(r io.Reader, spec Spec) ([]Group, error) {
 type LearnedTuple struct {
 	Key   float64
 	Field randvar.Field
-	Time  int64
 }
 
 // LearnGroups fits the spec's learner to every group.
@@ -166,7 +146,6 @@ func LearnGroups(groups []Group, spec Spec) ([]LearnedTuple, error) {
 		out = append(out, LearnedTuple{
 			Key:   g.Key,
 			Field: randvar.Field{Dist: d, N: g.Sample.Size()},
-			Time:  g.LastTime,
 		})
 	}
 	return out, nil

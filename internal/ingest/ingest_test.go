@@ -24,7 +24,6 @@ func TestReadGroups(t *testing.T) {
 	groups, err := ReadGroups(strings.NewReader(sampleCSV), Spec{
 		KeyColumn:   "segment_id",
 		ValueColumn: "delay_sec",
-		TimeColumn:  "time_sec",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +37,6 @@ func TestReadGroups(t *testing.T) {
 	}
 	if groups[0].Sample.Size() != 3 || groups[1].Sample.Size() != 4 {
 		t.Errorf("sizes = %d, %d", groups[0].Sample.Size(), groups[1].Sample.Size())
-	}
-	if groups[0].LastTime != 51 || groups[1].LastTime != 53 {
-		t.Errorf("times = %d, %d", groups[0].LastTime, groups[1].LastTime)
 	}
 	mean, _ := groups[0].Sample.Mean()
 	if math.Abs(mean-(56+38+97)/3.0) > 1e-9 {
@@ -57,13 +53,10 @@ func TestReadGroupsErrors(t *testing.T) {
 	}{
 		{"missing key column", sampleCSV, Spec{KeyColumn: "nope", ValueColumn: "delay_sec"}},
 		{"missing value column", sampleCSV, Spec{KeyColumn: "segment_id", ValueColumn: "nope"}},
-		{"missing time column", sampleCSV, Spec{KeyColumn: "segment_id", ValueColumn: "delay_sec", TimeColumn: "nope"}},
 		{"no spec", sampleCSV, Spec{}},
 		{"empty input", "", good},
 		{"bad key", "segment_id,delay_sec\nx,1\n", good},
 		{"bad value", "segment_id,delay_sec\n1,x\n", good},
-		{"bad time", "segment_id,delay_sec,time_sec\n1,2,x\n",
-			Spec{KeyColumn: "segment_id", ValueColumn: "delay_sec", TimeColumn: "time_sec"}},
 		{"ragged row", "segment_id,delay_sec\n1,2,3\n", good},
 		{"negative min samples", sampleCSV, Spec{KeyColumn: "segment_id", ValueColumn: "delay_sec", MinSamples: -1}},
 	}
@@ -78,7 +71,6 @@ func TestLearnGroupsAndRead(t *testing.T) {
 	tuples, err := Read(strings.NewReader(sampleCSV), Spec{
 		KeyColumn:   "segment_id",
 		ValueColumn: "delay_sec",
-		TimeColumn:  "time_sec",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +79,7 @@ func TestLearnGroupsAndRead(t *testing.T) {
 		t.Fatalf("tuples = %d", len(tuples))
 	}
 	lt := tuples[0]
-	if lt.Key != 19 || lt.Field.N != 3 || lt.Time != 51 {
+	if lt.Key != 19 || lt.Field.N != 3 {
 		t.Errorf("tuple = %+v", lt)
 	}
 	nd, ok := lt.Field.Dist.(dist.Normal)

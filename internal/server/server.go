@@ -173,12 +173,19 @@ func (s *Server) Serve() error {
 			continue
 		}
 		backoff = 0
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			s.handle(c)
-		}()
+		s.ServeConn(c)
 	}
+}
+
+// ServeConn serves one established connection on its own goroutine, as
+// Serve does for each accepted one; Close and Shutdown wait for it. asdb
+// serves its embedded session this way, over net.Pipe.
+func (s *Server) ServeConn(nc net.Conn) {
+	s.connWG.Add(1)
+	go func() {
+		defer s.connWG.Done()
+		s.handle(nc)
+	}()
 }
 
 // Close stops accepting, closes the listener, waits for connections to
@@ -741,7 +748,7 @@ func (s *Server) cmdQuery(c *conn, rest string) error {
 	// number; replay and replication apply journaled statements unchecked,
 	// so WALs written before this check still recover.
 	if stmt, err := sql.Parse(sqlText); err == nil && stmt.Window != nil && stmt.Window.Seconds > 0 {
-		return errors.New("WINDOW n SECONDS needs event times, which the line protocol does not carry; use WINDOW n ROWS")
+		return errors.New("WINDOW n SECONDS " + NoEventTimes + "; use WINDOW n ROWS")
 	}
 	release := s.engine.Exclusive()
 	s.mu.Lock()
@@ -761,6 +768,10 @@ func (s *Server) cmdQuery(c *conn, rest string) error {
 	s.maybeCheckpoint()
 	return c.writeLine("OK query " + id)
 }
+
+// NoEventTimes is why the protocol refuses what needs a tuple's event time
+// (a time window, asdb's LOAD ... TIME): INSERT sets no Tuple.Time.
+const NoEventTimes = "needs event times, which the line protocol does not carry"
 
 // parseInsertRows parses an ingest payload: "<stream> <field> ..." for a
 // single tuple, or — with batch set — "<stream> <field> ... | <field> ..."
@@ -1237,24 +1248,21 @@ func (s *Server) cmdClose(c *conn, rest string) error {
 	return c.writeLine("OK closed " + id)
 }
 
-// dropConnQueries removes queries owned by a departing connection,
-// journaling each removal so WAL replay reproduces the registry exactly.
+// dropConnQueries unsubscribes a departing connection and removes the
+// queries it owns, journaling each removal so WAL replay reproduces the
+// registry exactly. A read-only or fenced node only detaches them: its
+// registry follows the primary's WAL (or awaits a rejoin that truncates
+// its own), so it must neither unbind a query nor append a record.
 func (s *Server) dropConnQueries(c *conn) {
+	if s.readOnly.Load() || s.fenced.Load() {
+		s.mu.Lock()
+		s.unlinkConnLocked(c)
+		s.mu.Unlock()
+		return
+	}
 	release := s.engine.Exclusive()
 	s.mu.Lock()
-	var dropped []string
-	for id, rq := range s.queries {
-		for i, sub := range rq.subs {
-			if sub == c {
-				rq.subs = append(rq.subs[:i], rq.subs[i+1:]...)
-				break
-			}
-		}
-		if rq.owner == c {
-			dropped = append(dropped, id)
-		}
-	}
-	sort.Strings(dropped)
+	dropped := s.unlinkConnLocked(c)
 	var lastLSN uint64
 	for _, id := range dropped {
 		delete(s.queries, id)
@@ -1276,4 +1284,36 @@ func (s *Server) dropConnQueries(c *conn) {
 	if len(dropped) > 0 {
 		s.maybeCheckpoint()
 	}
+}
+
+// unlinkConnLocked removes c from every subscriber list and detaches the
+// queries c owns, returning their ids sorted. Caller holds s.mu.
+func (s *Server) unlinkConnLocked(c *conn) []string {
+	var owned []string
+	for id, rq := range s.queries {
+		if i := slices.Index(rq.subs, c); i >= 0 {
+			rq.subs = slices.Delete(rq.subs, i, i+1)
+		}
+		if rq.owner == c {
+			rq.owner = nil
+			owned = append(owned, id)
+		}
+	}
+	sort.Strings(owned)
+	return owned
+}
+
+// DetachedQueries returns the sorted ids of the queries no connection
+// owns: after recovery, every query, until a client ATTACHes it.
+func (s *Server) DetachedQueries() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []string
+	for id, rq := range s.queries {
+		if rq.owner == nil {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids
 }
