@@ -174,6 +174,10 @@ type Snapshot struct {
 	// checkpoints; readers treat that as epoch 1.
 	Epoch     uint64       `json:"epoch,omitempty"`
 	EpochHist []EpochBound `json:"epoch_hist,omitempty"`
+	// Dedup is the server's idempotent-request window: WAL truncation
+	// drops the records replay would rebuild it from. Absent when no
+	// request carried an id.
+	Dedup *DedupWindow `json:"dedup,omitempty"`
 }
 
 // EpochBound records one replication-epoch transition: Epoch's history
@@ -181,6 +185,16 @@ type Snapshot struct {
 type EpochBound struct {
 	Epoch uint64 `json:"epoch"`
 	Start uint64 `json:"start"`
+}
+
+// DedupWindow is an idempotent-request window, oldest first: request
+// IDs[i] was answered Replies[Reply[i]]. A window holds few distinct
+// replies, so each is stored once. The snapshot covers every request's
+// record, so a restored entry has nothing to wait for and keeps no LSN.
+type DedupWindow struct {
+	IDs     []string `json:"ids"`
+	Replies []string `json:"replies"`
+	Reply   []int    `json:"reply"`
 }
 
 // QueryDef names one live query for Capture.

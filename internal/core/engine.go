@@ -85,8 +85,8 @@ type Config struct {
 	// BootstrapResamples is the d.f. resample count r when the bootstrap
 	// backend must draw its own values (default 20, the paper's Example 7).
 	BootstrapResamples int
-	// DropUnsure controls significance predicates: when true (default),
-	// tuples whose coupled test returns UNSURE are dropped; when false
+	// DropUnsure controls significance predicates: when true, tuples whose
+	// coupled test returns UNSURE are dropped; when false (the default)
 	// they are kept and flagged in the Result.
 	DropUnsure bool
 	// MinProb drops result tuples whose membership probability falls

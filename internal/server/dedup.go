@@ -1,8 +1,11 @@
 package server
 
 import (
+	"slices"
 	"strings"
 	"sync"
+
+	"repro/internal/checkpoint"
 )
 
 // Idempotent ingest (ISSUE 5, tentpole part 2). A client may tag INSERT /
@@ -10,8 +13,9 @@ import (
 // the reply it produced and the WAL position that made the ingest durable;
 // a retry of the same id re-waits durability and replays the remembered
 // reply instead of re-applying the tuples. The token is part of the WAL
-// payload, so crash recovery rebuilds the same dedup window from replay and
-// a retry that straddles a crash still applies exactly once.
+// payload and checkpoints carry the window, so crash recovery rebuilds the
+// same window from the checkpoint and replay, and a retry that straddles a
+// crash still applies exactly once.
 //
 // The window is a bounded FIFO: when full, the oldest id is evicted and a
 // retry arriving after eviction re-executes. Clients therefore bound their
@@ -63,6 +67,47 @@ func (d *dedupWindow) put(id string, e dedupEntry) {
 		d.order = append(d.order, id)
 	}
 	d.byID[id] = e
+}
+
+// snapshot returns the window for a checkpoint; nil when empty.
+func (d *dedupWindow) snapshot() *checkpoint.DedupWindow {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.order) == 0 {
+		return nil
+	}
+	w := &checkpoint.DedupWindow{IDs: slices.Clone(d.order), Reply: make([]int, len(d.order))}
+	interned := make(map[string]int)
+	for i, id := range d.order {
+		reply := d.byID[id].reply
+		k, ok := interned[reply]
+		if !ok {
+			k = len(w.Replies)
+			interned[reply] = k
+			w.Replies = append(w.Replies, reply)
+		}
+		w.Reply[i] = k
+	}
+	return w
+}
+
+// restore replaces the window with a checkpoint's (empty for nil). The
+// checkpoint covers each entry's record, so a retry re-waits no
+// durability (lsn 0). An entry whose reply index is out of range is
+// skipped.
+func (d *dedupWindow) restore(w *checkpoint.DedupWindow) {
+	d.mu.Lock()
+	clear(d.byID)
+	d.order = d.order[:0]
+	d.mu.Unlock()
+	if w == nil {
+		return
+	}
+	for i, id := range w.IDs {
+		if i < len(w.Reply) && w.Reply[i] >= 0 && w.Reply[i] < len(w.Replies) {
+			d.put(id, dedupEntry{reply: w.Replies[w.Reply[i]]})
+		}
+	}
 }
 
 func (d *dedupWindow) len() int {

@@ -2,12 +2,12 @@ package server
 
 // Durability wiring: NewDurable opens the engine's DataDir, loads the
 // latest valid checkpoint, deterministically replays the write-ahead-log
-// suffix through the same apply paths live commands use, and then turns on
-// journaling. Because the engine RNGs are seeded from the engine
-// configuration and every consumer of randomness is restored (checkpointed
-// RNG states) or re-executed (WAL replay), a recovered server is
-// bit-identical to one that never crashed: the same inserts produce the
-// same results.
+// suffix through apply, the one function live commands and follower apply
+// also run, and then turns on journaling. Because the engine RNGs are
+// seeded from the engine configuration and every consumer of randomness is
+// restored (checkpointed RNG states) or re-executed (WAL replay), a
+// recovered server is bit-identical to one that never crashed: the same
+// inserts produce the same results.
 //
 // Replay runs with Engine.SetRecovering(true), which reroutes the
 // steady-state ingest/push metrics to a dedicated recovery counter, so a
@@ -79,6 +79,7 @@ func NewDurableFS(engine *core.Engine, logger *log.Logger, fs fault.FS) (*Server
 		}
 		from = snap.LSN + 1
 		s.restoreEpoch(snap.Epoch, snap.EpochHist)
+		s.dedup.restore(snap.Dedup)
 		s.logf("recovery: checkpoint lsn=%d (%d streams, %d queries)",
 			snap.LSN, len(snap.Streams), len(snap.Queries))
 	}
@@ -92,7 +93,12 @@ func NewDurableFS(engine *core.Engine, logger *log.Logger, fs fault.FS) (*Server
 	replayed := 0
 	if err := wlog.Replay(from, func(rec wal.Record) error {
 		replayed++
-		return s.applyRecord(rec)
+		_, _, err := s.apply(&s.replScratch, nil, rec.Type, string(rec.Payload), rec.LSN)
+		dropDeliveries(nil, &s.replScratch) // no connection is open yet
+		if err != nil {
+			return fmt.Errorf("lsn %d (%s): %w", rec.LSN, rec.Type, err)
+		}
+		return nil
 	}); err != nil {
 		wlog.Close()
 		return nil, fmt.Errorf("server: wal replay: %w", err)
@@ -104,96 +110,150 @@ func NewDurableFS(engine *core.Engine, logger *log.Logger, fs fault.FS) (*Server
 	return s, nil
 }
 
-// applyRecord re-executes one journaled command during recovery, through
-// the same code paths live commands use. Recovery is single-threaded, so
-// the Exclusive quiesce live commands need is unnecessary here; s.mu is
-// taken only around registry mutations.
-func (s *Server) applyRecord(rec wal.Record) error {
-	payload := string(rec.Payload)
-	switch rec.Type {
-	case wal.RecStream:
-		if _, err := s.applyStream(payload); err != nil {
-			return fmt.Errorf("lsn %d (STREAM): %w", rec.LSN, err)
+// apply executes one journaled record, typ and payload exactly as the WAL
+// holds them, and is the only code that does: live commands, crash replay
+// and follower apply all call it, so live equals replay by construction.
+// lsn is the LSN the record already has: 0 for a live command, the
+// record's own on replay and on a follower.
+//
+// A live record is journaled where it becomes final: inside the engine's
+// commit hook for ingest (WAL order then equals engine sequence order, and
+// the hook makes the engine admit every tuple), after a successful apply
+// for a control record, and before adoption for an epoch. A record that
+// has an LSN is written through first (journalAt), before the engine is
+// touched, and an ingest is taken as journaled.
+//
+// The reply is the command's protocol reply line: "" for an epoch, and for
+// a SHED at the current level, which changes and journals nothing. An
+// ingest renders every result, whoever listens, so its reply (ingestReply)
+// and its dedup entry depend only on the record and the engine state; its
+// DATA lines are planned into sc for the caller to send or drop. Errors are
+// bare: replay and follower apply prefix the LSN.
+func (s *Server) apply(sc *deliveryScratch, from *conn, typ wal.RecordType, payload string, lsn uint64) (string, uint64, error) {
+	if lsn != 0 {
+		if err := s.journalAt(typ, payload, lsn); err != nil {
+			return "", 0, err
 		}
-	case wal.RecQuery:
-		id, sqlText := payload, ""
-		if idx := indexByteSpace(payload); idx >= 0 {
-			id, sqlText = payload[:idx], payload[idx+1:]
-		}
-		s.mu.Lock()
-		err := s.applyQueryLocked(id, sqlText, nil)
-		s.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("lsn %d (QUERY %s): %w", rec.LSN, id, err)
-		}
-	case wal.RecInsert, wal.RecInsertBatch:
-		batch := rec.Type == wal.RecInsertBatch
-		body, reqID := SplitReqID(payload)
-		streamName, rows, err := parseInsertRows(body, batch)
-		if err != nil {
-			return fmt.Errorf("lsn %d (INSERT): %w", rec.LSN, err)
-		}
-		results, err := s.engine.IngestBatch(streamName, rows, nil)
-		if err != nil {
-			return fmt.Errorf("lsn %d (INSERT): %w", rec.LSN, err)
-		}
-		emitted := 0
-		var pushErrs []string
-		for _, qr := range results {
-			if qr.Err != nil {
-				// The live run hit (and reported) the same per-query error;
-				// the partial effects are deterministic, so replay continues.
-				s.logf("replay lsn %d: query %s: %v", rec.LSN, qr.ID, qr.Err)
-				pushErrs = append(pushErrs, fmt.Sprintf("query %s: %v", qr.ID, qr.Err))
-			}
-			emitted += len(qr.Results)
-		}
-		if reqID != "" {
-			// Rebuild the idempotency window: the deterministic engine makes
-			// the recomputed reply bit-identical to the live one, so a retry
-			// that arrives after a crash gets the same answer without
-			// double-applying.
-			var pushErr error
-			if len(pushErrs) > 0 {
-				sort.Strings(pushErrs)
-				pushErr = fmt.Errorf("%s", strings.Join(pushErrs, "; "))
-			}
-			s.dedup.put(reqID, dedupEntry{
-				reply: ingestReply(batch, len(rows), emitted, pushErr),
-				lsn:   rec.LSN,
-			})
-		}
-	case wal.RecShed:
-		level, err := strconv.Atoi(payload)
-		if err != nil {
-			return fmt.Errorf("lsn %d (SHED): %w", rec.LSN, err)
-		}
-		// Restore the accuracy budget at the same point in the insert
-		// sequence the live run changed it — RNG consumption downstream
-		// depends on it.
-		s.engine.SetDegradeLevel(level)
-	case wal.RecEpoch:
-		return s.applyEpochRecord(rec)
-	case wal.RecClose:
-		s.mu.Lock()
-		err := s.applyCloseLocked(payload)
-		s.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("lsn %d (CLOSE): %w", rec.LSN, err)
-		}
-	default:
-		return fmt.Errorf("lsn %d: unknown record type %d", rec.LSN, rec.Type)
 	}
-	return nil
+	switch typ {
+	case wal.RecInsert, wal.RecInsertBatch:
+		return s.applyIngest(sc, from, typ, payload, lsn)
+	case wal.RecEpoch:
+		epoch, err := strconv.ParseUint(payload, 10, 64)
+		if err == nil && lsn == 0 {
+			lsn, err = s.journal(typ, payload)
+		}
+		// Adopted only once durable: an epoch that a crash could lose must
+		// never fence a peer.
+		if err == nil {
+			err = s.waitDurable(lsn)
+		}
+		if err != nil {
+			return "", 0, err
+		}
+		s.adoptEpoch(epoch, lsn)
+		return "", lsn, nil
+	}
+	release := s.engine.Exclusive()
+	defer release()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.applyLocked(from, typ, payload, lsn)
 }
 
-func indexByteSpace(s string) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' {
-			return i
+// applyLocked applies a control record (STREAM, QUERY, CLOSE, SHED) and,
+// when it has no LSN yet, journals it once it succeeded. A live QUERY is
+// owned by from. Caller holds Exclusive and s.mu.
+func (s *Server) applyLocked(from *conn, typ wal.RecordType, payload string, lsn uint64) (reply string, _ uint64, err error) {
+	switch typ {
+	case wal.RecStream:
+		var name string
+		if name, err = s.applyStream(payload); err == nil {
+			reply = "OK stream " + name
+		}
+	case wal.RecQuery:
+		id, sqlText, _ := strings.Cut(payload, " ")
+		if err = s.applyQueryLocked(id, sqlText, from); err == nil {
+			reply = "OK query " + id
+		}
+	case wal.RecClose:
+		if err = s.applyCloseLocked(payload); err == nil {
+			reply = "OK closed " + payload
+		}
+	case wal.RecShed:
+		// The level changes at the same point in the insert sequence on
+		// every path: RNG consumption downstream depends on it.
+		var level int
+		if level, err = strconv.Atoi(payload); err == nil && level != s.engine.DegradeLevel() {
+			s.engine.SetDegradeLevel(level)
+			reply = "OK shed level=" + payload
+		}
+	default:
+		err = fmt.Errorf("unknown record type %d", typ)
+	}
+	if err == nil && reply != "" && lsn == 0 {
+		lsn, err = s.journal(typ, payload)
+	}
+	return reply, lsn, err
+}
+
+// applyIngest applies an INSERT or INSERTBATCH payload, "@<id>" token
+// included, and remembers its reply under that id. The entry is registered
+// before the caller's durability wait: if the wait fails the record is
+// still in the log and applied, and a retry must hit the entry and re-wait
+// rather than apply twice. From its journaling until then a live entry is
+// counted in s.registering, which a checkpoint waits out.
+func (s *Server) applyIngest(sc *deliveryScratch, from *conn, typ wal.RecordType, payload string, lsn uint64) (string, uint64, error) {
+	batch := typ == wal.RecInsertBatch
+	body, reqID := SplitReqID(payload)
+	streamName, rows, err := parseInsertRows(body, batch)
+	if err != nil {
+		return "", 0, err
+	}
+	var commit func() error
+	var registering bool
+	if lsn == 0 {
+		commit = func() (err error) {
+			lsn, err = s.journal(typ, payload)
+			if registering = err == nil && lsn != 0 && reqID != ""; registering {
+				s.registering.Add(1)
+			}
+			return err
 		}
 	}
-	return -1
+	defer func() {
+		if registering {
+			s.registering.Done()
+		}
+	}()
+	results, err := s.engine.IngestBatch(streamName, rows, commit)
+	if err != nil {
+		// Engine untouched, nothing journaled: a retry must re-execute.
+		return "", 0, err
+	}
+	emitted, pushErr := s.planDeliveries(sc, from, results)
+	reply := ingestReply(batch, len(rows), emitted, pushErr)
+	if reqID != "" {
+		s.dedup.put(reqID, dedupEntry{reply: reply, lsn: lsn})
+	}
+	return reply, lsn, nil
+}
+
+// journalAt writes through a record that already has its LSN: a no-op
+// during replay (s.wal is stored only once replay ends) and on an
+// in-memory follower. A durable follower journals every shipped record at
+// the primary's LSN, so it recovers as a follower without re-shipping
+// history and, once promoted, ships from the shared LSN space; a local log
+// that assigns another LSN has diverged.
+func (s *Server) journalAt(typ wal.RecordType, payload string, want uint64) error {
+	if s.wal.Load() == nil {
+		return nil
+	}
+	lsn, err := s.journal(typ, payload)
+	if err == nil && lsn != want {
+		err = fmt.Errorf("local wal assigned lsn %d (diverged)", lsn)
+	}
+	return err
 }
 
 // journal appends one record to the WAL without waiting for it to become
@@ -246,6 +306,9 @@ func (s *Server) maybeCheckpoint() {
 	}
 	release := s.engine.Exclusive()
 	defer release()
+	// A record journaled before Exclusive may still be on its way into the
+	// dedup window; the snapshot must not cover it without its entry.
+	s.registering.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.wal.Load()
@@ -282,6 +345,9 @@ func (s *Server) checkpointLocked(w *wal.Log, lsn uint64) error {
 	if e, hist := s.epochSnapshot(); e > 1 {
 		snap.Epoch, snap.EpochHist = e, hist
 	}
+	// Replay cannot rebuild the @reqid entries of the records truncated
+	// below, so the snapshot carries them; absent when none was seen.
+	snap.Dedup = s.dedup.snapshot()
 	if err := s.ck.Save(snap); err != nil {
 		return err
 	}

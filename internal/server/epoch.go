@@ -67,19 +67,16 @@ func (s *Server) Fence(higher uint64) {
 // between the old history and the new. The cluster layer picks epochs so
 // that no two replicas of a shard can ever journal the same one — equal
 // epochs can never fence each other, so distinctness is what makes
-// concurrent promotions safe. Returns the new epoch.
+// concurrent promotions safe. apply adopts the epoch only once its record
+// is durable. Returns the new epoch.
 func (s *Server) BumpEpochTo(next uint64) (uint64, error) {
 	if cur := s.epoch.Load(); next <= cur {
 		return 0, fmt.Errorf("server: epoch bump to %d not above current %d", next, cur)
 	}
-	lsn, err := s.journal(wal.RecEpoch, strconv.FormatUint(next, 10))
+	_, lsn, err := s.apply(nil, nil, wal.RecEpoch, strconv.FormatUint(next, 10), 0)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.waitDurable(lsn); err != nil {
-		return 0, err
-	}
-	s.adoptEpoch(next, lsn)
 	s.logf("promoted: epoch %d begins at lsn %d", next, lsn)
 	return next, nil
 }
@@ -141,18 +138,6 @@ func (s *Server) SafeJoinLSN(followerEpoch, lastApplied uint64) uint64 {
 		}
 	}
 	return safe
-}
-
-// applyEpochRecord is the shared RecEpoch apply path (recovery replay and
-// replicated apply): parse the decimal term and adopt it at the record's
-// LSN.
-func (s *Server) applyEpochRecord(rec wal.Record) error {
-	epoch, err := strconv.ParseUint(string(rec.Payload), 10, 64)
-	if err != nil {
-		return fmt.Errorf("lsn %d (EPOCH): %w", rec.LSN, err)
-	}
-	s.adoptEpoch(epoch, rec.LSN)
-	return nil
 }
 
 // SetFollowerCountFn injects the live-follower counter the cluster's ship

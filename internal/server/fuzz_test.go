@@ -244,13 +244,11 @@ func FuzzDeliveries(f *testing.F) {
 			s.queries[id] = rq
 			for _, r := range rs {
 				line, err := appendDataLine(nil, id, r)
-				if len(to) == 0 || err == nil {
-					wantEmitted++
-				}
-				if len(to) > 0 && err != nil {
+				if err != nil {
 					wantFailed = true
 					continue
 				}
+				wantEmitted++
 				for _, k := range to {
 					want[k] = append(append(want[k], line...), '\n')
 				}

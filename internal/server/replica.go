@@ -2,8 +2,8 @@ package server
 
 // Replication support: a follower server runs with Options.ReadOnly so
 // clients cannot mutate it, and applies records shipped from the primary's
-// WAL through ApplyReplicated — the same apply paths live commands and
-// crash recovery use. Because the engine is deterministic (WAL order ==
+// WAL through ApplyReplicated — apply, the one function live commands and
+// crash recovery run too. Because the engine is deterministic (WAL order ==
 // engine sequence order, results a pure function of that order), a follower
 // that has applied LSN n is byte-identical to the primary at LSN n: DATA
 // frames rendered for replica subscribers match the primary's, STATS and
@@ -15,8 +15,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/wal"
@@ -97,6 +95,7 @@ func (s *Server) installSnapshotLocked(snap *checkpoint.Snapshot) error {
 		s.queries[r.ID] = &registeredQuery{id: r.ID, sqlText: r.SQL, query: r.Query}
 	}
 	s.restoreEpoch(snap.Epoch, snap.EpochHist)
+	s.dedup.restore(snap.Dedup)
 	if w := s.wal.Load(); w != nil {
 		if err := w.Reset(snap.LSN + 1); err != nil {
 			return fmt.Errorf("server: re-basing wal at snapshot lsn %d: %w", snap.LSN, err)
@@ -113,106 +112,23 @@ func (s *Server) installSnapshotLocked(snap *checkpoint.Snapshot) error {
 	return nil
 }
 
-// ApplyReplicated applies one record shipped from the primary's WAL. Unlike
-// crash-recovery replay this runs while the follower serves live read
-// traffic, so control records quiesce the engine exactly like their live
-// command paths, and ingest results are rendered once and fanned out to
-// replica-side ATTACH/SUBSCRIBE connections. Must be called from a single
-// goroutine in LSN order.
+// ApplyReplicated applies one record shipped from the primary's WAL
+// through apply, at the primary's LSN, then fans its DATA lines out to
+// replica-side ATTACH/SUBSCRIBE connections once the record is durable
+// here. It runs while the follower serves live read traffic, so control
+// records quiesce the engine as live commands do. Must be called from a
+// single goroutine in LSN order.
 func (s *Server) ApplyReplicated(rec wal.Record) error {
-	payload := string(rec.Payload)
-	// Write-through: a durable follower journals every replicated record
-	// into its own WAL at the primary's LSN before applying it, so it can
-	// recover as a follower without re-shipping history — and, after a
-	// promotion, serve as a ship source itself from the shared LSN space.
-	// The apply loop is a single goroutine, so journal order trivially
-	// equals apply order; an LSN mismatch means the local log diverged and
-	// applying further would corrupt it.
-	if s.wal.Load() != nil {
-		lsn, err := s.journal(rec.Type, payload)
-		if err != nil {
-			return fmt.Errorf("replicated lsn %d: %w", rec.LSN, err)
-		}
-		if lsn != rec.LSN {
-			return fmt.Errorf("replicated lsn %d: local wal assigned lsn %d (diverged)", rec.LSN, lsn)
-		}
-		if err := s.waitDurable(lsn); err != nil {
-			return fmt.Errorf("replicated lsn %d: %w", rec.LSN, err)
-		}
-		defer s.maybeCheckpoint()
+	_, lsn, err := s.apply(&s.replScratch, nil, rec.Type, string(rec.Payload), rec.LSN)
+	if err == nil {
+		err = s.waitDurable(lsn)
 	}
-	switch rec.Type {
-	case wal.RecStream:
-		release := s.engine.Exclusive()
-		_, err := s.applyStream(payload)
-		release()
-		if err != nil {
-			return fmt.Errorf("replicated lsn %d (STREAM): %w", rec.LSN, err)
-		}
-	case wal.RecQuery:
-		id, sqlText := payload, ""
-		if idx := strings.IndexByte(payload, ' '); idx >= 0 {
-			id, sqlText = payload[:idx], payload[idx+1:]
-		}
-		release := s.engine.Exclusive()
-		s.mu.Lock()
-		err := s.applyQueryLocked(id, sqlText, nil)
-		s.mu.Unlock()
-		release()
-		if err != nil {
-			return fmt.Errorf("replicated lsn %d (QUERY %s): %w", rec.LSN, id, err)
-		}
-	case wal.RecInsert, wal.RecInsertBatch:
-		batch := rec.Type == wal.RecInsertBatch
-		body, reqID := SplitReqID(payload)
-		streamName, rows, err := parseInsertRows(body, batch)
-		if err != nil {
-			return fmt.Errorf("replicated lsn %d (INSERT): %w", rec.LSN, err)
-		}
-		results, err := s.engine.IngestBatch(streamName, rows, nil)
-		if err != nil {
-			return fmt.Errorf("replicated lsn %d (INSERT): %w", rec.LSN, err)
-		}
-		emitted, pushErr := s.planDeliveries(&s.replScratch, nil, results)
-		if reqID != "" {
-			// Same reply the primary computed (deterministic engine), same
-			// LSN: the dedup window stays failover-warm.
-			s.dedup.put(reqID, dedupEntry{
-				reply: ingestReply(batch, len(rows), emitted, pushErr),
-				lsn:   rec.LSN,
-			})
-		}
-		// No inserting connection: every line goes to a subscriber's outbox.
-		_ = s.sendDeliveries(nil, &s.replScratch, "")
-		if pushErr != nil {
-			// The primary hit (and reported) the same deterministic per-query
-			// error; the follower's state still matches, so applying continues.
-			s.logf("replica lsn %d: %v", rec.LSN, pushErr)
-		}
-	case wal.RecShed:
-		level, err := strconv.Atoi(payload)
-		if err != nil {
-			return fmt.Errorf("replicated lsn %d (SHED): %w", rec.LSN, err)
-		}
-		s.engine.SetDegradeLevel(level)
-	case wal.RecEpoch:
-		// The primary's promotion record: adopt the new epoch at the exact
-		// LSN the new history begins (also clears a standing fence — the
-		// node has caught up with the history that superseded it).
-		if err := s.applyEpochRecord(rec); err != nil {
-			return fmt.Errorf("replicated %w", err)
-		}
-	case wal.RecClose:
-		release := s.engine.Exclusive()
-		s.mu.Lock()
-		err := s.applyCloseLocked(payload)
-		s.mu.Unlock()
-		release()
-		if err != nil {
-			return fmt.Errorf("replicated lsn %d (CLOSE): %w", rec.LSN, err)
-		}
-	default:
-		return fmt.Errorf("replicated lsn %d: unknown record type %d", rec.LSN, rec.Type)
+	if err != nil {
+		dropDeliveries(nil, &s.replScratch)
+		return fmt.Errorf("replicated lsn %d (%s): %w", rec.LSN, rec.Type, err)
 	}
+	// No inserting connection: every line goes to a subscriber's outbox.
+	_ = s.sendDeliveries(nil, &s.replScratch, "")
+	s.maybeCheckpoint()
 	return nil
 }

@@ -48,12 +48,16 @@ type Server struct {
 
 	opts  Options      // robustness limits; set before Serve
 	dedup *dedupWindow // idempotent-request window (see dedup.go)
+	// registering counts live @reqid ingests journaled but not yet in
+	// dedup; maybeCheckpoint waits them out under Exclusive, when no
+	// commit can add one.
+	registering sync.WaitGroup
 
 	// readOnly rejects state-changing commands (replication follower mode);
 	// atomic so failover promotion can flip it while connections are live.
 	readOnly atomic.Bool
-	// replScratch is the delivery scratch of ApplyReplicated, which runs on
-	// the single follower apply goroutine.
+	// replScratch is the delivery scratch of replay and ApplyReplicated,
+	// which run on one goroutine: recovery, then the follower apply loop.
 	replScratch deliveryScratch
 
 	mu       sync.Mutex
@@ -523,16 +527,17 @@ func (c *conn) stopOutbox() {
 }
 
 func (s *Server) handle(nc net.Conn) {
-	// Registered first so it runs last: the registry/outbox cleanup defers
-	// below still execute while a panic unwinds, and only this connection
-	// dies — the server keeps serving everyone else.
+	// The close runs last, so a client that sees EOF after a panic also
+	// sees it counted. The recovery runs after the registry/outbox cleanup
+	// defers below, which still execute while a panic unwinds, and only
+	// this connection dies — the server keeps serving everyone else.
+	defer nc.Close()
 	defer func() {
 		if r := recover(); r != nil {
 			mConnPanics.Inc()
 			s.logf("conn from %s: panic: %v\n%s", nc.RemoteAddr(), r, debug.Stack())
 		}
 	}()
-	defer nc.Close()
 	s.mu.Lock()
 	if s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns {
 		limit := s.opts.MaxConns
@@ -650,13 +655,13 @@ func (s *Server) dispatch(c *conn, line string) (bool, error) {
 		_ = c.writeLine("OK bye")
 		return true, nil
 	case "STREAM":
-		return false, s.cmdStream(c, rest)
+		return false, s.applyCommand(c, wal.RecStream, rest)
 	case "QUERY":
 		return false, s.cmdQuery(c, rest)
 	case "INSERT":
-		return false, s.cmdInsert(c, rest)
+		return false, s.cmdIngest(c, rest, wal.RecInsert)
 	case "INSERTBATCH":
-		return false, s.cmdInsertBatch(c, rest)
+		return false, s.cmdIngest(c, rest, wal.RecInsertBatch)
 	case "STATS":
 		return false, s.cmdStats(c, rest)
 	case "METRICS":
@@ -668,7 +673,7 @@ func (s *Server) dispatch(c *conn, line string) (bool, error) {
 	case "SUBSCRIBE":
 		return false, s.cmdSubscribe(c, rest)
 	case "CLOSE":
-		return false, s.cmdClose(c, rest)
+		return false, s.applyCommand(c, wal.RecClose, rest)
 	case "SHED":
 		return false, s.cmdShed(c, rest)
 	case "ROLE":
@@ -678,7 +683,7 @@ func (s *Server) dispatch(c *conn, line string) (bool, error) {
 }
 
 // applyStream registers a stream from a STREAM command payload. Caller
-// holds Exclusive (or is the single-threaded replay loop).
+// holds Exclusive.
 func (s *Server) applyStream(rest string) (string, error) {
 	fields := strings.Fields(rest)
 	if len(fields) < 2 {
@@ -695,29 +700,24 @@ func (s *Server) applyStream(rest string) (string, error) {
 	return schema.Name, nil
 }
 
-func (s *Server) cmdStream(c *conn, rest string) error {
-	release := s.engine.Exclusive()
-	name, err := s.applyStream(rest)
-	var lsn uint64
+// applyCommand runs a live control command from c through apply, waits
+// for its record to be durable, and replies.
+func (s *Server) applyCommand(c *conn, typ wal.RecordType, payload string) error {
+	reply, lsn, err := s.apply(nil, c, typ, payload, 0)
 	if err == nil {
-		lsn, err = s.journal(wal.RecStream, rest)
+		err = s.waitDurable(lsn)
 	}
-	release()
 	if err != nil {
 		return err
 	}
-	if err := s.waitDurable(lsn); err != nil {
-		return err
-	}
 	s.maybeCheckpoint()
-	return c.writeLine("OK stream " + name)
+	return c.writeLine(reply)
 }
 
 // applyQueryLocked compiles, binds, and registers a query. The
 // duplicate-id check runs before compilation so a rejected registration
 // consumes no engine sequence number (WAL replay must see identical seq
-// evolution). Caller holds s.mu plus Exclusive (or is the single-threaded
-// replay loop).
+// evolution). Caller holds s.mu plus Exclusive.
 func (s *Server) applyQueryLocked(id, sqlText string, owner *conn) error {
 	if id == "" || sqlText == "" {
 		return errors.New("usage: QUERY <id> <sql>")
@@ -750,23 +750,7 @@ func (s *Server) cmdQuery(c *conn, rest string) error {
 	if stmt, err := sql.Parse(sqlText); err == nil && stmt.Window != nil && stmt.Window.Seconds > 0 {
 		return errors.New("WINDOW n SECONDS " + NoEventTimes + "; use WINDOW n ROWS")
 	}
-	release := s.engine.Exclusive()
-	s.mu.Lock()
-	err := s.applyQueryLocked(id, sqlText, c)
-	var lsn uint64
-	if err == nil {
-		lsn, err = s.journal(wal.RecQuery, id+" "+sqlText)
-	}
-	s.mu.Unlock()
-	release()
-	if err != nil {
-		return err
-	}
-	if err := s.waitDurable(lsn); err != nil {
-		return err
-	}
-	s.maybeCheckpoint()
-	return c.writeLine("OK query " + id)
+	return s.applyCommand(c, wal.RecQuery, id+" "+sqlText)
 }
 
 // NoEventTimes is why the protocol refuses what needs a tuple's event time
@@ -811,21 +795,6 @@ func parseInsertRows(rest string, batch bool) (string, []core.IngestRow, error) 
 	return streamName, rows, nil
 }
 
-// ingest applies a parsed batch through the engine, journaling the raw
-// payload inside the engine's sequencing critical section (so WAL order
-// equals engine sequence order). A journal failure aborts the batch with
-// the engine untouched. The returned lsn is 0 when journaling is off.
-func (s *Server) ingest(typ wal.RecordType, payload, streamName string, rows []core.IngestRow) ([]core.QueryResults, uint64, error) {
-	var lsn uint64
-	commit := func() error {
-		var err error
-		lsn, err = s.journal(typ, payload)
-		return err
-	}
-	results, err := s.engine.IngestBatch(streamName, rows, commit)
-	return results, lsn, err
-}
-
 // dataLine is one DATA line, staged as "DATA <id> " + the shared body.
 type dataLine struct {
 	id   string
@@ -851,14 +820,15 @@ type deliveryScratch struct {
 
 // planDeliveries routes engine results to their recipients and renders the
 // DATA bodies into sc; writing happens later in sendDeliveries, after the
-// WAL fsync. from is the inserting connection (nil on the replica apply
-// path). s.mu is held only to snapshot each query's owner and subscribers,
-// so a large fan-out's renders do not stall SUBSCRIBE, CLOSE or other
-// inserters. Each emission's body is rendered once (bodyCache); a body that
-// cannot be rendered is remembered, and each member with a recipient gets
-// its own push error. emitted counts results produced (delivered or
-// discarded for recipient-less queries); the error aggregates per-query
-// push failures, sorted for deterministic messages.
+// WAL fsync. from is the inserting connection (nil on replay and follower
+// apply). s.mu is held only to snapshot each query's owner and
+// subscribers, so a large fan-out's renders do not stall SUBSCRIBE, CLOSE
+// or other inserters. Every result is rendered, whether or not it has a
+// recipient, so the reply never depends on who listens. Each emission's
+// body is rendered once (bodyCache); a body that cannot be rendered is
+// remembered, and each member gets its own push error. emitted counts the
+// results rendered; the error aggregates per-query push failures, sorted
+// for deterministic messages.
 func (s *Server) planDeliveries(sc *deliveryScratch, from *conn, results []core.QueryResults) (int, error) {
 	targets, ends := sc.targets[:0], sc.ends[:0]
 	s.mu.Lock()
@@ -889,10 +859,6 @@ func (s *Server) planDeliveries(sc *deliveryScratch, from *conn, results []core.
 		}
 		to := targets[lo:ends[i]]
 		lo = ends[i]
-		if len(to) == 0 {
-			emitted += len(qr.Results)
-			continue
-		}
 		for _, r := range qr.Results {
 			k, seen := sc.bodies[r.Tuple]
 			if !seen || ems[k].tupleProb != r.TupleProb || ems[k].unsure != r.Unsure {
@@ -920,7 +886,11 @@ func (s *Server) planDeliveries(sc *deliveryScratch, from *conn, results []core.
 		}
 	}
 	for _, e := range ems {
-		if e.body != nil && e.refs != 1 { // newFrame set 1
+		switch {
+		case e.body == nil:
+		case e.refs == 0: // rendered for the reply alone
+			e.body.release()
+		case e.refs != 1: // newFrame set 1
 			e.body.refs.Store(e.refs)
 		}
 	}
@@ -943,7 +913,7 @@ func (s *Server) planDeliveries(sc *deliveryScratch, from *conn, results []core.
 // write batch, DATA strictly before the reply — a protocol invariant
 // same-connection clients rely on — and the command's references drop
 // after it; after a write to from fails nothing more is staged and the
-// error is returned. from is nil on the replica apply path, which has no
+// error is returned. from is nil on the follower apply path, which has no
 // inserting connection.
 func (s *Server) sendDeliveries(from *conn, sc *deliveryScratch, reply string) error {
 	var dropped []*conn
@@ -997,9 +967,9 @@ func (sc *deliveryScratch) releaseOwn() {
 	clear(sc.items)
 }
 
-// ingestReply formats the reply line both live execution and WAL replay
-// compute for an ingest — replay must reproduce it bit-identically to
-// rebuild the idempotency window (see dedup.go).
+// ingestReply formats an ingest's reply line, which apply computes on
+// every path: replay must reproduce it bit-identically to rebuild the
+// idempotency window (see dedup.go).
 func ingestReply(batch bool, tuples, emitted int, pushErr error) string {
 	if pushErr != nil {
 		return "ERR " + pushErr.Error()
@@ -1016,22 +986,13 @@ func ingestReply(batch bool, tuples, emitted int, pushErr error) string {
 	return string(buf)
 }
 
-func (s *Server) cmdInsert(c *conn, rest string) error {
-	return s.cmdIngest(c, rest, false)
-}
-
-func (s *Server) cmdInsertBatch(c *conn, rest string) error {
-	return s.cmdIngest(c, rest, true)
-}
-
 // cmdIngest executes INSERT/INSERTBATCH. A trailing "@<id>" token makes the
 // request idempotent: the dedup window replays the original reply instead
-// of re-applying, and because the token is journaled inside the payload,
-// the window survives crash recovery (a retry that straddles a crash still
-// applies exactly once).
-func (s *Server) cmdIngest(c *conn, rest string, batch bool) error {
-	payload, reqID := SplitReqID(rest)
-	if reqID != "" {
+// of re-applying. The token is journaled inside the payload, and
+// checkpoints carry the window, so a retry that straddles a crash still
+// applies exactly once.
+func (s *Server) cmdIngest(c *conn, rest string, typ wal.RecordType) error {
+	if _, reqID := SplitReqID(rest); reqID != "" {
 		if e, ok := s.dedup.get(reqID); ok {
 			mDedupHits.Inc()
 			// The original attempt applied and journaled; re-wait its
@@ -1046,29 +1007,9 @@ func (s *Server) cmdIngest(c *conn, rest string, batch bool) error {
 			return c.writeLine(e.reply)
 		}
 	}
-	streamName, rows, err := parseInsertRows(payload, batch)
+	reply, lsn, err := s.apply(&c.scratch, c, typ, rest, 0)
 	if err != nil {
 		return err
-	}
-	typ := wal.RecInsert
-	if batch {
-		typ = wal.RecInsertBatch
-	}
-	// The journaled payload keeps the @<id> token so replay re-registers
-	// the dedup entry at the same LSN.
-	results, lsn, err := s.ingest(typ, rest, streamName, rows)
-	if err != nil {
-		// Pre-apply failure: engine untouched, nothing journaled, so a
-		// retry may (and must) re-execute — no dedup entry.
-		return err
-	}
-	emitted, pushErr := s.planDeliveries(&c.scratch, c, results)
-	reply := ingestReply(batch, len(rows), emitted, pushErr)
-	if reqID != "" {
-		// Registered before the fsync wait: if waitDurable fails the record
-		// is still in the log and applied, and the retry must not
-		// double-apply — it hits this entry and re-waits durability.
-		s.dedup.put(reqID, dedupEntry{reply: reply, lsn: lsn})
 	}
 	// Durable before externalized: the fsync wait runs outside the shard
 	// locks (group commit), and no DATA byte goes out before it.
@@ -1087,7 +1028,7 @@ func (s *Server) cmdIngest(c *conn, rest string, batch bool) error {
 			err = c.writeLine(reply)
 		}
 	}
-	if err == nil && pushErr != nil {
+	if err == nil && strings.HasPrefix(reply, "ERR ") {
 		// The ERR reply went out here, after the DATA lines, so handle never
 		// sees this error.
 		mCmdErrs.Inc()
@@ -1217,7 +1158,7 @@ func (s *Server) cmdSubscribe(c *conn, rest string) error {
 }
 
 // applyCloseLocked drops a query from the registry and its engine shards.
-// Caller holds s.mu plus Exclusive (or is the single-threaded replay loop).
+// Caller holds s.mu plus Exclusive.
 func (s *Server) applyCloseLocked(id string) error {
 	if _, ok := s.queries[id]; !ok {
 		return fmt.Errorf("unknown query %q", id)
@@ -1225,27 +1166,6 @@ func (s *Server) applyCloseLocked(id string) error {
 	delete(s.queries, id)
 	s.engine.Unbind(id)
 	return nil
-}
-
-func (s *Server) cmdClose(c *conn, rest string) error {
-	id := strings.TrimSpace(rest)
-	release := s.engine.Exclusive()
-	s.mu.Lock()
-	err := s.applyCloseLocked(id)
-	var lsn uint64
-	if err == nil {
-		lsn, err = s.journal(wal.RecClose, id)
-	}
-	s.mu.Unlock()
-	release()
-	if err != nil {
-		return err
-	}
-	if err := s.waitDurable(lsn); err != nil {
-		return err
-	}
-	s.maybeCheckpoint()
-	return c.writeLine("OK closed " + id)
 }
 
 // dropConnQueries unsubscribes a departing connection and removes the
@@ -1265,16 +1185,12 @@ func (s *Server) dropConnQueries(c *conn) {
 	dropped := s.unlinkConnLocked(c)
 	var lastLSN uint64
 	for _, id := range dropped {
-		delete(s.queries, id)
-		s.engine.Unbind(id)
-		lsn, err := s.journal(wal.RecClose, id)
+		_, lsn, err := s.applyLocked(nil, wal.RecClose, id, 0)
 		if err != nil {
-			s.logf("journal close %s: %v", id, err)
+			s.logf("close %s: %v", id, err)
 			continue
 		}
-		if lsn > 0 {
-			lastLSN = lsn
-		}
+		lastLSN = lsn
 	}
 	s.mu.Unlock()
 	release()

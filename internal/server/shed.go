@@ -71,32 +71,18 @@ func (c ShedConfig) normalize() ShedConfig {
 	return c
 }
 
-// setShedLevel journals and applies one degrade-level transition. The
-// journal append happens under Exclusive so the WAL position fixes exactly
-// which inserts ran at which level; replay restores the same budget
-// schedule. No-op when the level is already current.
+// setShedLevel applies and journals one degrade-level transition through
+// apply, under Exclusive, so the WAL position fixes exactly which inserts
+// ran at which level and replay restores the same budget schedule. No-op
+// when the level is already current.
 func (s *Server) setShedLevel(level int) error {
-	if level < 0 {
-		level = 0
-	}
-	if level > core.MaxDegradeLevel {
-		level = core.MaxDegradeLevel
-	}
-	release := s.engine.Exclusive()
-	if s.engine.DegradeLevel() == level {
-		release()
-		return nil
-	}
-	lsn, err := s.journal(wal.RecShed, strconv.Itoa(level))
-	if err == nil {
-		s.engine.SetDegradeLevel(level)
-		mShedTransitions.Inc()
-		s.logf("shed: degrade level -> %d", level)
-	}
-	release()
-	if err != nil {
+	level = min(max(level, 0), core.MaxDegradeLevel)
+	reply, lsn, err := s.apply(nil, nil, wal.RecShed, strconv.Itoa(level), 0)
+	if err != nil || reply == "" {
 		return err
 	}
+	mShedTransitions.Inc()
+	s.logf("shed: degrade level -> %d", level)
 	return s.waitDurable(lsn)
 }
 

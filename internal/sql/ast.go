@@ -46,7 +46,7 @@ type UnaryExpr struct {
 }
 
 func (*UnaryExpr) exprNode()        {}
-func (e *UnaryExpr) String() string { return e.Op + e.X.String() }
+func (e *UnaryExpr) String() string { return e.Op + operand(e.X) }
 
 // BinaryExpr is an arithmetic expression: +, -, *, /.
 type BinaryExpr struct {
@@ -56,7 +56,7 @@ type BinaryExpr struct {
 
 func (*BinaryExpr) exprNode() {}
 func (e *BinaryExpr) String() string {
-	return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")"
+	return "(" + operand(e.L) + " " + e.Op + " " + operand(e.R) + ")"
 }
 
 // CmpExpr is a comparison: >, <, >=, <=, =, <>.
@@ -67,7 +67,19 @@ type CmpExpr struct {
 
 func (*CmpExpr) exprNode() {}
 func (e *CmpExpr) String() string {
-	return e.L.String() + " " + e.Op + " " + e.R.String()
+	return operand(e.L) + " " + e.Op + " " + operand(e.R)
+}
+
+// operand renders x as the operand of an arithmetic or comparison
+// operator. A comparison or NOT binds looser than either, so it is
+// parenthesized; rendered unparenthesized, "(0>0)*0" would re-parse as
+// "0 > (0*0)".
+func operand(x Expr) string {
+	switch x.(type) {
+	case *CmpExpr, *NotExpr:
+		return "(" + x.String() + ")"
+	}
+	return x.String()
 }
 
 // LogicalExpr combines boolean expressions with AND/OR.

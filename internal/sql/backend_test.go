@@ -57,11 +57,11 @@ func TestParseBackendRoundTrip(t *testing.T) {
 
 func TestParseBackendErrors(t *testing.T) {
 	for _, raw := range []string{
-		"SELECT AVG(x) FROM s WINDOW 5 ROWS BACKEND",          // missing name
-		"SELECT AVG(x) FROM s WINDOW 5 ROWS BACKEND TURBO",    // unknown name
-		"SELECT AVG(x) FROM s WINDOW 5 ROWS BACKEND 7",        // not an identifier
-		"SELECT AVG(x) FROM s BACKEND SKETCH WINDOW 5 ROWS",   // wrong position
-		"SELECT backend FROM s",                               // reserved word as column
+		"SELECT AVG(x) FROM s WINDOW 5 ROWS BACKEND",        // missing name
+		"SELECT AVG(x) FROM s WINDOW 5 ROWS BACKEND TURBO",  // unknown name
+		"SELECT AVG(x) FROM s WINDOW 5 ROWS BACKEND 7",      // not an identifier
+		"SELECT AVG(x) FROM s BACKEND SKETCH WINDOW 5 ROWS", // wrong position
+		"SELECT backend FROM s",                             // reserved word as column
 	} {
 		if _, err := Parse(raw); err == nil {
 			t.Errorf("Parse(%q): want error", raw)

@@ -198,6 +198,17 @@ const (
 	RecEpoch RecordType = 7
 )
 
+var recordNames = [...]string{RecInsert: "INSERT", RecStream: "STREAM", RecQuery: "QUERY",
+	RecClose: "CLOSE", RecInsertBatch: "INSERTBATCH", RecShed: "SHED", RecEpoch: "EPOCH"}
+
+// String names the command a record journals.
+func (t RecordType) String() string {
+	if int(t) < len(recordNames) && recordNames[t] != "" {
+		return recordNames[t]
+	}
+	return "type " + strconv.Itoa(int(t))
+}
+
 // Record is one journaled command.
 type Record struct {
 	LSN     uint64
