@@ -78,7 +78,7 @@ func main() {
 		os.Exit(2)
 	}
 	logger := log.New(os.Stderr, "asdb-router: ", log.LstdFlags)
-	rt, err := cluster.NewRouter(nodes, logger, server.DialOptions{
+	rt, err := cluster.NewRouter(nodes, server.DialOptions{
 		Retries:   *retries,
 		RetryBase: *retryBase,
 		RetryMax:  *retryMax,

@@ -45,9 +45,6 @@ func (iv Interval) Length() float64 { return iv.Hi - iv.Lo }
 // "miss" in the paper's Fig 4(c)/(d) metric.
 func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
 
-// Mid returns the interval midpoint.
-func (iv Interval) Mid() float64 { return (iv.Lo + iv.Hi) / 2 }
-
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%.6g, %.6g]@%g%%", iv.Lo, iv.Hi, iv.Level*100)
 }
@@ -265,32 +262,6 @@ func DFSampleSize(sizes ...int) (int, error) {
 	return minSize, nil
 }
 
-// LogDFSampleCount implements Lemma 4's counting argument: the natural log
-// of the number c = Π_{i≥2} nᵢ!/(nᵢ−n)! of distinct d.f. samples of
-// Y = f(X₁, …, X_d), where sizes are the input sample sizes (in any order)
-// and n = min is the d.f. sample size. The count itself overflows quickly,
-// so the log is returned.
-func LogDFSampleCount(sizes ...int) (float64, error) {
-	n, err := DFSampleSize(sizes...)
-	if err != nil {
-		return 0, err
-	}
-	// Identify one input attaining the minimum to play the role of X₁.
-	skipped := false
-	logC := 0.0
-	for _, ni := range sizes {
-		if ni == n && !skipped {
-			skipped = true
-			continue
-		}
-		// log(nᵢ!/(nᵢ−n)!) = lgamma(nᵢ+1) − lgamma(nᵢ−n+1).
-		a, _ := math.Lgamma(float64(ni) + 1)
-		b, _ := math.Lgamma(float64(ni-n) + 1)
-		logC += a - b
-	}
-	return logC, nil
-}
-
 // Info is the accuracy information attached to a probabilistic field of a
 // query result (Fig. 2): intervals for the distribution's mean and
 // variance, plus per-bucket bin-height intervals when the distribution is a
@@ -358,35 +329,4 @@ func ForSample(ybar, s float64, n int, c float64) (*Info, error) {
 		return nil, err
 	}
 	return &Info{N: n, Level: c, Mean: mean, Variance: variance, Method: "analytical"}, nil
-}
-
-// ProbGreaterInterval estimates an interval for P(X > v) from a histogram
-// with bin-height intervals — the §I use case "the user can estimate the
-// probability interval that the temperature is greater than 80 degrees".
-// Buckets straddling v contribute a prorated share of both bounds.
-func ProbGreaterInterval(h *dist.Histogram, bins []BinInterval, v float64) (Interval, error) {
-	if h == nil {
-		return Interval{}, errors.New("accuracy: nil histogram")
-	}
-	if len(bins) != h.NumBuckets() {
-		return Interval{}, fmt.Errorf("accuracy: %d bin intervals for %d buckets", len(bins), h.NumBuckets())
-	}
-	lo, hi := 0.0, 0.0
-	level := 1.0
-	for i := range bins {
-		blo, bhi := h.Bucket(i)
-		if bhi <= v {
-			continue
-		}
-		frac := 1.0
-		if blo < v { // straddling bucket: mass above v under uniform fill
-			frac = (bhi - v) / (bhi - blo)
-		}
-		lo += frac * bins[i].Interval.Lo
-		hi += frac * bins[i].Interval.Hi
-		if bins[i].Interval.Level < level {
-			level = bins[i].Interval.Level
-		}
-	}
-	return Interval{Lo: lo, Hi: hi, Level: level}.Clamp(0, 1), nil
 }

@@ -255,27 +255,6 @@ func TestDFSampleSize(t *testing.T) {
 	}
 }
 
-func TestLogDFSampleCount(t *testing.T) {
-	// Lemma 4 with d=2, n₁=2, n₂=3: c = 3!/1! = 6.
-	logC, err := LogDFSampleCount(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "log d.f. count", logC, math.Log(6), 1e-9)
-	// Single input: c = 1 (empty product).
-	logC, err = LogDFSampleCount(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "single input count", logC, 0, 1e-12)
-	// Equal sizes n: one plays X₁, the rest contribute n! each.
-	logC, err = LogDFSampleCount(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "equal sizes", logC, math.Log(6), 1e-9)
-}
-
 func TestForDistributionHistogram(t *testing.T) {
 	h, err := dist.HistogramFromCounts([]float64{0, 25, 50, 75, 100}, []int{3, 4, 8, 5})
 	if err != nil {
@@ -400,7 +379,6 @@ func TestBinHeightCoverage(t *testing.T) {
 func TestIntervalHelpers(t *testing.T) {
 	iv := Interval{Lo: 1, Hi: 3, Level: 0.9}
 	approx(t, "Length", iv.Length(), 2, 0)
-	approx(t, "Mid", iv.Mid(), 2, 0)
 	if !iv.Contains(1) || !iv.Contains(3) || iv.Contains(0.99) || iv.Contains(3.01) {
 		t.Error("Contains boundary behaviour wrong")
 	}
@@ -412,42 +390,6 @@ func TestIntervalHelpers(t *testing.T) {
 	c = Interval{Lo: -3, Hi: -2, Level: 0.9}.Clamp(0, 1)
 	if c.Lo != 0 || c.Hi != 0 {
 		t.Errorf("disjoint Clamp = %v", c)
-	}
-}
-
-func TestProbGreaterInterval(t *testing.T) {
-	h, err := dist.HistogramFromCounts([]float64{0, 25, 50, 75, 100}, []int{3, 4, 8, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bins, err := HistogramAccuracy(h, 0, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// P(X > 50): buckets 3 and 4 entirely above.
-	iv, err := ProbGreaterInterval(h, bins, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLo := bins[2].Interval.Lo + bins[3].Interval.Lo
-	wantHi := math.Min(1, bins[2].Interval.Hi+bins[3].Interval.Hi)
-	approx(t, "P(X>50) lo", iv.Lo, wantLo, 1e-12)
-	approx(t, "P(X>50) hi", iv.Hi, wantHi, 1e-12)
-	// The point estimate lies inside.
-	if !iv.Contains(1 - h.CDF(50)) {
-		t.Error("interval misses the point estimate")
-	}
-	// Straddling threshold: P(X > 62.5) takes half of bucket 3.
-	iv2, err := ProbGreaterInterval(h, bins, 62.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(iv2.Lo < iv.Lo && iv2.Hi < iv.Hi) {
-		t.Error("raising the threshold must shrink the probability interval")
-	}
-	// Mismatched bins slice is rejected.
-	if _, err := ProbGreaterInterval(h, bins[:2], 50); err == nil {
-		t.Error("mismatched bins: want error")
 	}
 }
 

@@ -3,15 +3,16 @@
 // summaries in internal/sketch rather than from raw windows. Lives in the
 // external test package because sketch imports accuracy.
 //
-// Targets follow the construction: the moment-sketch mean and variance
-// intervals are algebraically the Lemma 2 t/χ² intervals (Welford/Chan track
-// the exact sample moments), so their empirical coverage must match nominal
+// Targets follow the construction: the Lemma 2 t/χ² intervals built from a
+// moment sketch's Mean and M2/(N−1) (Welford/Chan track the exact sample
+// moments, merged or not) must cover at the nominal rate
 // within the binomial 3σ tolerance. The quantile-sketch interval widens exact
 // order-statistic ranks by the sketch's deterministic rank-error bound, so it
 // is conservative: coverage must be at least nominal (minus 3σ sampling
 // noise), and is additionally checked not to degrade when sketches are merged
-// from shards. The probabilistic-moment predictive intervals are CLT
-// constructions, nominal up to the normal approximation error.
+// from shards. The predictive interval for a probabilistic sum is a CLT
+// construction over the probabilistic moments, nominal up to the normal
+// approximation error.
 package accuracy_test
 
 import (
@@ -21,6 +22,7 @@ import (
 	"repro/internal/accuracy"
 	"repro/internal/dist"
 	"repro/internal/sketch"
+	"repro/internal/stat"
 )
 
 const sketchCalibTrials = 4000
@@ -52,6 +54,10 @@ func momentsOf(rng *dist.Rand, mu, sigma float64, n, shards int) sketch.Moments 
 	return whole
 }
 
+// momentsVar is a moment summary's unbiased sample variance, M2/(N−1): with
+// its Mean and N, the statistics the Lemma 2 intervals take.
+func momentsVar(m sketch.Moments) float64 { return m.M2 / float64(m.N-1) }
+
 func TestSketchMeanIntervalCalibration(t *testing.T) {
 	const mu, sigma = 5.0, 2.0
 	for _, shards := range []int{1, 4} {
@@ -60,7 +66,7 @@ func TestSketchMeanIntervalCalibration(t *testing.T) {
 			hits := 0
 			for trial := 0; trial < sketchCalibTrials; trial++ {
 				m := momentsOf(rng, mu, sigma, 100, shards)
-				iv, err := m.MeanInterval(level)
+				iv, err := accuracy.MeanInterval(m.Mean, math.Sqrt(momentsVar(m)), int(m.N), level)
 				if err != nil {
 					t.Fatalf("shards=%d trial %d: %v", shards, trial, err)
 				}
@@ -85,7 +91,7 @@ func TestSketchVarianceIntervalCalibration(t *testing.T) {
 			hits := 0
 			for trial := 0; trial < sketchCalibTrials; trial++ {
 				m := momentsOf(rng, mu, sigma, 24, shards)
-				iv, err := m.VarianceInterval(level)
+				iv, err := accuracy.VarianceInterval(momentsVar(m), int(m.N), level)
 				if err != nil {
 					t.Fatalf("shards=%d trial %d: %v", shards, trial, err)
 				}
@@ -149,8 +155,9 @@ func TestSketchQuantileIntervalCalibration(t *testing.T) {
 	}
 }
 
-// TestSketchProbSumIntervalCalibration: the McGregor–Muthukrishnan predictive
-// interval for the possible-world sum must cover the realized sum at its
+// TestSketchProbSumIntervalCalibration: the McGregor–Muthukrishnan moments
+// are the sufficient statistics of the possible-world sum — the predictive
+// interval Σp·x̄ ± z·√(Σp·v + Σp(1−p)·x̄²) must cover the realized sum at its
 // nominal rate (CLT over ~150 heterogeneous Bernoulli–Gaussian tuples; the
 // approximation error at that width is well inside 3σ).
 func TestSketchProbSumIntervalCalibration(t *testing.T) {
@@ -170,10 +177,8 @@ func TestSketchProbSumIntervalCalibration(t *testing.T) {
 				}
 				pm.Add(tuples[i].x, tuples[i].sd*tuples[i].sd, tuples[i].p)
 			}
-			iv, err := pm.SumInterval(level)
-			if err != nil {
-				t.Fatal(err)
-			}
+			half := stat.ZUpper((1-level)/2) * math.Sqrt(pm.SumPV+pm.SumP1PX2)
+			iv := accuracy.Interval{Lo: pm.SumPX - half, Hi: pm.SumPX + half}
 			realized := 0.0
 			for _, tp := range tuples {
 				if rng.Float64() < tp.p {
@@ -192,8 +197,8 @@ func TestSketchProbSumIntervalCalibration(t *testing.T) {
 }
 
 // TestSketchIntervalsMatchExactOnCertainData: cross-backend fidelity at the
-// accuracy layer — on a stream of certain tuples the sketch mean/variance
-// intervals equal accuracy.MeanInterval/VarianceInterval over the same data
+// accuracy layer — on a stream of certain tuples the mean interval built from
+// the moment sketch equals accuracy.MeanInterval over the two-pass moments
 // (same statistics in, same construction), and the sketch median interval
 // contains the exact order-statistic interval computed from the raw sample.
 func TestSketchIntervalsMatchExactOnCertainData(t *testing.T) {
@@ -223,7 +228,7 @@ func TestSketchIntervalsMatchExactOnCertainData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMean, err := m.MeanInterval(level)
+		gotMean, err := accuracy.MeanInterval(m.Mean, math.Sqrt(momentsVar(m)), int(m.N), level)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,8 +50,6 @@ var (
 		"output-variable values scanned by BOOTSTRAP-ACCURACY-INFO")
 	mDraws = metrics.Default.Counter("asdb_bootstrap_mc_draws_total",
 		"Monte Carlo variates drawn by FromDistribution")
-	mClassic = metrics.Default.Counter("asdb_bootstrap_classic_resamples_total",
-		"classic (single-sample) bootstrap resamples computed")
 	hKernel = metrics.Default.Histogram("asdb_bootstrap_kernel_seconds",
 		"wall time of one BOOTSTRAP-ACCURACY-INFO invocation", metrics.DefBuckets)
 	hSample = metrics.Default.Histogram("asdb_bootstrap_sample_seconds",
@@ -84,32 +82,10 @@ func getScratch(n int) *[]float64 {
 
 func putScratch(p *[]float64) { scratchPool.Put(p) }
 
-// PercentileInterval returns the level-α percentile interval of values:
-// the span between the 100·(1−α)/2-th and 100·(1+α)/2-th percentiles
-// (lines 12–15 of BOOTSTRAP-ACCURACY-INFO). values is not modified. NaN
-// values are rejected: a NaN has no rank, so any percentile over it would
-// be meaningless.
-func PercentileInterval(values []float64, alpha float64) (accuracy.Interval, error) {
-	if len(values) < 2 {
-		return accuracy.Interval{}, fmt.Errorf("%w: have %d values, need ≥ 2", ErrTooFewValues, len(values))
-	}
-	if alpha <= 0 || alpha >= 1 || math.IsNaN(alpha) {
-		return accuracy.Interval{}, fmt.Errorf("bootstrap: confidence level %v outside (0,1)", alpha)
-	}
-	for i, x := range values {
-		if math.IsNaN(x) {
-			return accuracy.Interval{}, fmt.Errorf("bootstrap: NaN at index %d in percentile-interval input", i)
-		}
-	}
-	sorted := append([]float64(nil), values...)
-	return percentileIntervalInPlace(sorted, alpha), nil
-}
-
-// percentileIntervalInPlace is the hot-path variant: it sorts values in
-// place (no copy) and assumes the caller has already validated alpha and
-// owns the buffer. AccuracyInfo and Classic route their per-statistic
-// interval extraction through it so the public copy-on-call contract of
-// PercentileInterval costs nothing on the engine's steady-state path.
+// percentileIntervalInPlace returns the level-α percentile interval of
+// values: the span between the 100·(1−α)/2-th and 100·(1+α)/2-th
+// percentiles (lines 12–15 of BOOTSTRAP-ACCURACY-INFO). It sorts values in
+// place and assumes the caller has validated alpha and owns the buffer.
 func percentileIntervalInPlace(values []float64, alpha float64) accuracy.Interval {
 	slices.Sort(values)
 	lo := percentile(values, (1-alpha)/2)
@@ -405,66 +381,3 @@ func sampleResamples(d dist.Distribution, v []float64, n int, root uint64) {
 // Statistic is a function of a sample, e.g. the sample mean (Definition 1:
 // "any function T of the sample is called a statistic").
 type Statistic func(*learn.Sample) (float64, error)
-
-// Mean is the sample-mean statistic.
-func Mean(s *learn.Sample) (float64, error) { return s.Mean() }
-
-// Variance is the unbiased sample-variance statistic.
-func Variance(s *learn.Sample) (float64, error) { return s.Variance() }
-
-// ProportionAbove returns the statistic measuring the fraction of
-// observations exceeding v.
-func ProportionAbove(v float64) Statistic {
-	return func(s *learn.Sample) (float64, error) {
-		return s.Proportion(func(x float64) bool { return x > v })
-	}
-}
-
-// Classic performs the textbook single-sample bootstrap (§III-A): b
-// resamples with replacement from s, computing stat on each, returning the
-// bootstrap distribution of the statistic. Use PercentileInterval on the
-// result for a confidence interval.
-//
-// Resample i draws from RNG substream i of one value consumed off rng. One
-// scratch Sample is reused across every resample (learn.Sample.ResampleInto),
-// so the loop does not allocate per resample.
-func Classic(s *learn.Sample, stat Statistic, b int, rng *dist.Rand) ([]float64, error) {
-	if s == nil || s.Size() == 0 {
-		return nil, learn.ErrEmptySample
-	}
-	if b < 1 {
-		return nil, fmt.Errorf("bootstrap: resample count %d, need ≥ 1", b)
-	}
-	root := rng.Uint64()
-	mClassic.Add(uint64(b))
-	out := make([]float64, b)
-	var (
-		scratch learn.Sample
-		sub     dist.Rand
-	)
-	for i := range out {
-		sub.Reseed(dist.DeriveSeed(root, uint64(i)))
-		if err := s.ResampleInto(&scratch, &sub); err != nil {
-			return nil, err
-		}
-		v, err := stat(&scratch)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// ClassicInterval is a convenience wrapper: bootstrap s with b resamples and
-// return the level-alpha percentile interval of stat.
-func ClassicInterval(s *learn.Sample, stat Statistic, b int, alpha float64, rng *dist.Rand) (accuracy.Interval, error) {
-	boot, err := Classic(s, stat, b, rng)
-	if err != nil {
-		return accuracy.Interval{}, err
-	}
-	if alpha <= 0 || alpha >= 1 || math.IsNaN(alpha) {
-		return accuracy.Interval{}, fmt.Errorf("bootstrap: confidence level %v outside (0,1)", alpha)
-	}
-	return percentileIntervalInPlace(boot, alpha), nil
-}

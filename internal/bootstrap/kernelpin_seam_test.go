@@ -7,5 +7,4 @@ var (
 	pinAccuracyInfoShed     = AccuracyInfoShed
 	pinFromDistribution     = FromDistribution
 	pinFromDistributionShed = FromDistributionShed
-	pinClassic              = Classic
 )

@@ -10,14 +10,12 @@ import (
 
 	"repro/internal/accuracy"
 	"repro/internal/dist"
-	"repro/internal/learn"
 )
 
 // The kernel pin suite fixes every output bit of the accuracy kernel's entry
 // points: BOOTSTRAP-ACCURACY-INFO with and without bin heights, its shed
 // variant, sampling from a result distribution (Normal and Point take their
-// own loops, a histogram and a Gamma the generic Sample path) and the classic
-// bootstrap. Each case runs at a total work of 200 and of 80 000 scalar
+// own loops, a histogram and a Gamma the generic Sample path). Each case runs at a total work of 200 and of 80 000 scalar
 // operations, on both sides of the 4096-operation cutoff below which the
 // kernel once declined to fan out over goroutines. Each case folds the
 // result's bits, then the state of the generator it drew from, into one
@@ -104,19 +102,6 @@ func fromDistributionPin(d func(*testing.T) dist.Distribution, n, r int, shed bo
 	}
 }
 
-func classicPin(size, b int) func(*testing.T, *dist.Rand) []byte {
-	return func(t *testing.T, rng *dist.Rand) []byte {
-		s := learn.NewSample(pinValues(t, rng, size))
-		var out []byte
-		for _, st := range []Statistic{Mean, Variance, ProportionAbove(60)} {
-			for _, x := range must(pinClassic(s, st, b, rng))(t) {
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
-			}
-		}
-		return out
-	}
-}
-
 var (
 	pinNormal = func(t *testing.T) dist.Distribution { return must(dist.NewNormal(62, 120))(t) }
 	pinPoint  = func(t *testing.T) dist.Distribution { return dist.Point{V: 74.5} }
@@ -173,10 +158,6 @@ var kernelPins = []kernelPin{
 		"de3044925c5f258906972e8d4d973c13b706a7ef896eb3990479b3fbf29722bf"},
 	{"from-distribution-shed/gamma/80000", fromDistributionPin(pinGamma, 16000, 5, true),
 		"ad5e8db6841530f8db016df7ce55e10beb267a0f0f0ddd4b4ac1634ea4e99666"},
-	{"classic/200", classicPin(20, 10),
-		"031d31debf8902a77b76945e1fd2de121dbd43837c733c488938588fae9feac8"},
-	{"classic/80000", classicPin(200, 400),
-		"5e5a615f21fc273c5364bc973d6b576a0ca6a47677c557b413d6d882a121937b"},
 }
 
 func pinDigest(t *testing.T, pc kernelPin) string {

@@ -89,19 +89,6 @@ func (n *Network) Segment(id int) (*Segment, error) {
 	return &n.Segments[id-1], nil
 }
 
-// Observe draws count iid delay observations for a segment — the raw rows
-// of Figure 1 from which the database learns a distribution.
-func (n *Network) Observe(segID, count int) ([]float64, error) {
-	seg, err := n.Segment(segID)
-	if err != nil {
-		return nil, err
-	}
-	if count < 0 {
-		return nil, fmt.Errorf("cartel: negative observation count %d", count)
-	}
-	return dist.SampleN(seg.Delay, count, n.rng), nil
-}
-
 // Observation is one raw probe report (Figure 1's row shape).
 type Observation struct {
 	SegmentID  int
@@ -186,20 +173,6 @@ func (n *Network) TrueMeanDelay(r Route) (float64, error) {
 			return 0, err
 		}
 		total += seg.Delay.Mean()
-	}
-	return total, nil
-}
-
-// TrueVarianceDelay returns the exact variance of the route's total delay
-// (segments are independent).
-func (n *Network) TrueVarianceDelay(r Route) (float64, error) {
-	total := 0.0
-	for _, id := range r.SegmentIDs {
-		seg, err := n.Segment(id)
-		if err != nil {
-			return 0, err
-		}
-		total += seg.Delay.Variance()
 	}
 	return total, nil
 }

@@ -530,13 +530,9 @@ type Manager struct {
 	fs  fault.FS
 }
 
-// NewManager opens (creating if needed) a checkpoint directory.
-func NewManager(dir string) (*Manager, error) {
-	return NewManagerFS(dir, nil)
-}
-
-// NewManagerFS is NewManager over an injectable filesystem (fault injection
-// in the chaos suite); nil fs uses the real one.
+// NewManagerFS opens (creating if needed) a checkpoint directory over an
+// injectable filesystem (fault injection in the chaos suite); nil fs uses
+// the real one.
 func NewManagerFS(dir string, fs fault.FS) (*Manager, error) {
 	if fs == nil {
 		fs = fault.OS

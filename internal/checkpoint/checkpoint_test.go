@@ -101,7 +101,7 @@ func TestCaptureRestoreEquivalence(t *testing.T) {
 		pushOne(t, engA, qA, float64(i), 10+float64(i), 2.5, 20+i)
 	}
 
-	snap, err := Capture(engA, 42, []QueryDef{{ID: "q1", SQL: qA.SQL(), Query: qA}})
+	snap, err := Capture(engA, 42, []QueryDef{{ID: "q1", SQL: qA.String(), Query: qA}})
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestCaptureRestoreGroupBy(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		pushOne(t, engA, qA, float64(i%2), 10+float64(i), 2.0, 15)
 	}
-	snap, err := Capture(engA, 7, []QueryDef{{ID: "g", SQL: qA.SQL(), Query: qA}})
+	snap, err := Capture(engA, 7, []QueryDef{{ID: "g", SQL: qA.String(), Query: qA}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRestoreRejectsUnknownVersion(t *testing.T) {
 
 func TestManagerSaveLoadPrune(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(dir)
+	m, err := NewManagerFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestManagerSaveLoadPrune(t *testing.T) {
 // falls back to the last epoch-consistent one.
 func TestManagerDropAfter(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(dir)
+	m, err := NewManagerFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestManagerDropAfter(t *testing.T) {
 // valid one.
 func TestLoadLatestSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(dir)
+	m, err := NewManagerFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestLoadLatestSkipsCorrupt(t *testing.T) {
 
 func TestLatestRawRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(dir)
+	m, err := NewManagerFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestColumnarCheckpointRoundTrip(t *testing.T) {
 			pushOne(t, engA, qA, float64(i), 10+float64(i), 2.5, 20+i)
 		}
 	}
-	snap, err := Capture(engA, 5, []QueryDef{{ID: "q1", SQL: qA.SQL(), Query: qA}})
+	snap, err := Capture(engA, 5, []QueryDef{{ID: "q1", SQL: qA.String(), Query: qA}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func bindShared(t *testing.T, eng *core.Engine) []QueryDef {
 		if err := eng.Bind(id, q); err != nil {
 			t.Fatal(err)
 		}
-		defs[i] = QueryDef{ID: id, SQL: q.SQL(), Query: q}
+		defs[i] = QueryDef{ID: id, SQL: q.String(), Query: q}
 	}
 	return defs
 }
@@ -151,7 +151,7 @@ func TestSharedStateRestoreDivergedWindows(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ingestTemps(t, engA, i)
 	}
-	snap, err := Capture(engA, 1, []QueryDef{{ID: "qa", SQL: qa.SQL(), Query: qa}})
+	snap, err := Capture(engA, 1, []QueryDef{{ID: "qa", SQL: qa.String(), Query: qa}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestPlanGroupRestore(t *testing.T) {
 			if err := eng.Bind(id, q); err != nil {
 				t.Fatal(err)
 			}
-			defs[i] = QueryDef{ID: id, SQL: q.SQL(), Query: q}
+			defs[i] = QueryDef{ID: id, SQL: q.String(), Query: q}
 		}
 		return defs
 	}

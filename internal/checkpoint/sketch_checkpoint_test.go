@@ -24,7 +24,7 @@ func TestCaptureRestoreSketch(t *testing.T) {
 		pushOne(t, engA, qA, float64(i), 10+float64(i), 2.5, 20+i)
 	}
 
-	snap, err := Capture(engA, 99, []QueryDef{{ID: "qs", SQL: qA.SQL(), Query: qA}})
+	snap, err := Capture(engA, 99, []QueryDef{{ID: "qs", SQL: qA.String(), Query: qA}})
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestRestoreSketchRejectsCorruption(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		pushOne(t, eng, q, float64(i), 12, 2.0, 15)
 	}
-	snap, err := Capture(eng, 1, []QueryDef{{ID: "qs", SQL: q.SQL(), Query: q}})
+	snap, err := Capture(eng, 1, []QueryDef{{ID: "qs", SQL: q.String(), Query: q}})
 	if err != nil {
 		t.Fatal(err)
 	}

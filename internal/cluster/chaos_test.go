@@ -185,7 +185,7 @@ func TestChaosFailoverExactlyOnce(t *testing.T) {
 			if !f.f.WaitCaughtUp(p.srv.WAL().LastLSN(), 5*time.Second) {
 				t.Error("follower never received the torn batch")
 			}
-			f.f.Promote()
+			promoteByHand(f.f)
 			p.ship.Close()
 			pc.nc.Close() // Close waits for live connections to drain.
 			p.srv.Close()

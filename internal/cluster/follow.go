@@ -73,7 +73,7 @@ func (o FollowOptions) normalize() FollowOptions {
 // Follower connects a read-only server to a primary's ShipServer and
 // applies the shipped WAL stream through Server.ApplyReplicated. The
 // server keeps serving ATTACH/SUBSCRIBE/STATS/METRICS traffic while
-// records apply; Promote flips it writable after the stream stops.
+// records apply; FailoverManager promotes it under a new epoch.
 type Follower struct {
 	srv     *server.Server
 	primary string
@@ -84,13 +84,12 @@ type Follower struct {
 	primaryLSN  atomic.Uint64
 	lastContact atomic.Int64 // unix nanos of the last frame (or dial) from the primary
 
-	mu       sync.Mutex
-	nc       net.Conn
-	closed   bool
-	promoted bool
-	termErr  error
-	done     chan struct{}
-	started  bool
+	mu      sync.Mutex
+	nc      net.Conn
+	closed  bool
+	termErr error
+	done    chan struct{}
+	started bool
 }
 
 // NewFollower wires a follower for a server running with Options.ReadOnly.
@@ -198,20 +197,8 @@ func (f *Follower) WaitCaughtUp(lsn uint64, timeout time.Duration) bool {
 	return f.lastApplied.Load() >= lsn
 }
 
-// Promote stops replication and flips the server writable: the MANUAL
-// failover path, kept for operators driving promotion by hand. It does not
-// bump the epoch; the automatic path (FailoverManager.promote) journals a
-// RecEpoch first so the new history is fenced against the old primary.
-func (f *Follower) Promote() {
-	f.stop(true)
-	f.srv.SetReadOnly(false)
-	f.logf("follower: promoted at lsn %d", f.lastApplied.Load())
-}
-
 // Close stops replication, leaving the server read-only.
-func (f *Follower) Close() { f.stop(false) }
-
-func (f *Follower) stop(promote bool) {
+func (f *Follower) Close() {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -219,7 +206,6 @@ func (f *Follower) stop(promote bool) {
 		return
 	}
 	f.closed = true
-	f.promoted = promote
 	nc := f.nc
 	started := f.started
 	if !started {

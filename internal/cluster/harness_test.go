@@ -163,7 +163,7 @@ func startFollowerOpts(t testing.TB, workers int, shipAddr string, opts FollowOp
 // with its client address.
 func startRouter(t testing.TB, nodes []Node, opts server.DialOptions) (*Router, string) {
 	t.Helper()
-	rt, err := NewRouter(nodes, quiet, opts)
+	rt, err := NewRouter(nodes, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +200,14 @@ func waitCaughtUp(t testing.TB, p, f *tnode) uint64 {
 }
 
 // raw is a line-protocol connection for byte-level assertions.
+// promoteByHand stops replication and flips the server writable without
+// bumping the epoch: an unfenced manual promotion for tests that check what
+// a promoted replica serves, not how it was fenced.
+func promoteByHand(f *Follower) {
+	f.Close()
+	f.srv.SetReadOnly(false)
+}
+
 type raw struct {
 	t  testing.TB
 	nc net.Conn

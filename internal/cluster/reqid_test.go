@@ -90,8 +90,8 @@ func TestReqIDReplyEverywhere(t *testing.T) {
 	check("retry on the primary", p.addr)
 	waitCaughtUp(t, p, withSub)
 	waitCaughtUp(t, p, noSub)
-	withSub.f.Promote()
-	noSub.f.Promote()
+	promoteByHand(withSub.f)
+	promoteByHand(noSub.f)
 	check("promoted follower with a subscriber", withSub.addr)
 	check("promoted follower without one", noSub.addr)
 	check("recovered primary, records replayed", restartNode(t, p))
@@ -121,7 +121,7 @@ func TestReqIDReplyEverywhere(t *testing.T) {
 	}
 	snapped := startFollower(t, 1, ck.shipAddr)
 	waitCaughtUp(t, ck, snapped)
-	snapped.f.Promote()
+	promoteByHand(snapped.f)
 	check("promoted SNAP-bootstrapped follower", snapped.addr)
 	check("recovered primary, records checkpointed", restartNode(t, ck))
 }

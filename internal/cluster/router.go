@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"strings"
 	"sync"
@@ -22,10 +21,9 @@ import (
 // lines get one attempt (the router must not invent idempotency the
 // client didn't ask for).
 type Router struct {
-	topo   *topo
-	logger *log.Logger
-	opts   server.DialOptions
-	retry  *server.Retrier // backoff shared by every session's walks
+	topo  *topo
+	opts  server.DialOptions
+	retry *server.Retrier // backoff shared by every session's walks
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -39,18 +37,17 @@ type Router struct {
 // @reqid-tagged ingest: Retries extra attempts, jittered backoff between
 // them so the retry storms of many sessions chasing one failover spread
 // out instead of synchronizing.
-func NewRouter(nodes []Node, logger *log.Logger, opts server.DialOptions) (*Router, error) {
+func NewRouter(nodes []Node, opts server.DialOptions) (*Router, error) {
 	t, err := newTopo(nodes)
 	if err != nil {
 		return nil, err
 	}
 	o := opts.Normalize()
 	return &Router{
-		topo:   t,
-		logger: logger,
-		opts:   o,
-		retry:  server.NewRetrier(o),
-		conns:  make(map[net.Conn]struct{}),
+		topo:  t,
+		opts:  o,
+		retry: server.NewRetrier(o),
+		conns: make(map[net.Conn]struct{}),
 	}, nil
 }
 
@@ -124,12 +121,6 @@ func (rt *Router) Close() error {
 	}
 	rt.wg.Wait()
 	return err
-}
-
-func (rt *Router) logf(format string, args ...any) {
-	if rt.logger != nil {
-		rt.logger.Printf(format, args...)
-	}
 }
 
 // rsession is one proxied client connection plus its cached backends.

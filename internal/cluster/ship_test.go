@@ -328,7 +328,7 @@ func TestPromoteContinuesDeterministically(t *testing.T) {
 	insertN(t, pc, 5, 1)
 	waitCaughtUp(t, p, f)
 
-	f.f.Promote()
+	promoteByHand(f.f)
 	fc := dialRaw(t, f.addr)
 	fc.mustOK("ATTACH q1")
 	fc.mustOK("ATTACH q2")

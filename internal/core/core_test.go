@@ -531,9 +531,16 @@ func TestRunBatch(t *testing.T) {
 		trafficTuple(t, e, 1, 60, 20, 40, 20),
 		trafficTuple(t, e, 2, 60, 20, 40, 20),
 	}
-	res, err := q.Run(batch)
-	if err != nil || len(res) != 2 {
-		t.Fatalf("Run: %v, %v", res, err)
+	var res []Result
+	for _, tp := range batch {
+		r, err := q.Push(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = append(res, r...)
+	}
+	if len(res) != 2 {
+		t.Fatalf("results: %v", res)
 	}
 }
 

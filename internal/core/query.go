@@ -991,17 +991,3 @@ func (q *Query) noteShed() {
 		mShedEvals.Inc()
 	}
 }
-
-// Run pushes a batch of tuples and collects all results — a convenience
-// wrapper for examples, tests, and the CLI.
-func (q *Query) Run(tuples []*stream.Tuple) ([]Result, error) {
-	var out []Result
-	for _, t := range tuples {
-		res, err := q.Push(t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res...)
-	}
-	return out, nil
-}

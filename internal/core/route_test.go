@@ -299,7 +299,7 @@ func TestPushInstrumentsPerMember(t *testing.T) {
 	for i := range rows {
 		rows[i] = benchRow(t, fanoutWindow+i)
 	}
-	pushes, results, observed := mPushes.Value(), mResults.Value(), hPush.Count()
+	pushes, results, observed := mPushes.Value(), mResults.Value(), hPush.Snapshot().Count
 	leads, follows := g.leads.Load(), g.follows.Load()
 	out, err := e.IngestBatch("bench", rows, nil)
 	if err != nil {
@@ -318,7 +318,7 @@ func TestPushInstrumentsPerMember(t *testing.T) {
 	if d := mResults.Value() - results; d != n {
 		t.Errorf("result counter moved by %d, want %d", d, n)
 	}
-	if d := hPush.Count() - observed; d != n {
+	if d := hPush.Snapshot().Count - observed; d != n {
 		t.Errorf("push histogram observed %d pushes, want %d", d, n)
 	}
 	if dl, df := g.leads.Load()-leads, g.follows.Load()-follows; dl != tuples || df != (members-1)*tuples {

@@ -247,7 +247,3 @@ func restoreTuples(schema *stream.Schema, ws *WindowState) ([]*stream.Tuple, err
 	}
 	return out, nil
 }
-
-// SQL returns the query's statement text as compiled (used by checkpoints
-// to recompile the plan on recovery).
-func (q *Query) SQL() string { return q.stmt.String() }

@@ -110,9 +110,9 @@ func TestJoinDefaultWindowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	printed := q.SQL()
+	printed := q.String()
 	if !strings.Contains(printed, "WINDOW 128 ROWS") {
-		t.Fatalf("q.SQL() = %q, want explicit WINDOW 128 ROWS", printed)
+		t.Fatalf("q.String() = %q, want explicit WINDOW 128 ROWS", printed)
 	}
 	if ex := q.Explain(); !strings.Contains(ex, "window 128 rows per side") {
 		t.Fatalf("Explain missing effective join window:\n%s", ex)
@@ -123,8 +123,8 @@ func TestJoinDefaultWindowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-compile %q: %v", printed, err)
 	}
-	if q2.SQL() != printed {
-		t.Fatalf("round trip changed statement: %q -> %q", printed, q2.SQL())
+	if q2.String() != printed {
+		t.Fatalf("round trip changed statement: %q -> %q", printed, q2.String())
 	}
 	if q2.join.leftWin.Cap() != 128 || q.join.leftWin.Cap() != 128 {
 		t.Fatalf("effective windows: %d and %d, want 128", q.join.leftWin.Cap(), q2.join.leftWin.Cap())
@@ -134,7 +134,7 @@ func TestJoinDefaultWindowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q3.join.leftWin.Cap() != 16 || !strings.Contains(q3.SQL(), "WINDOW 16 ROWS") {
-		t.Fatalf("explicit join window mangled: cap %d, sql %q", q3.join.leftWin.Cap(), q3.SQL())
+	if q3.join.leftWin.Cap() != 16 || !strings.Contains(q3.String(), "WINDOW 16 ROWS") {
+		t.Fatalf("explicit join window mangled: cap %d, sql %q", q3.join.leftWin.Cap(), q3.String())
 	}
 }

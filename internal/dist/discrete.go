@@ -165,22 +165,6 @@ func (d *Discrete) String() string {
 	return b.String()
 }
 
-// Bernoulli returns the two-point distribution taking 1 with probability p
-// and 0 otherwise. A result tuple's existence is exactly such a boolean
-// random variable (§II-C).
-func Bernoulli(p float64) (*Discrete, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return nil, fmt.Errorf("%w: Bernoulli p=%v", ErrInvalidParam, p)
-	}
-	switch p {
-	case 0:
-		return NewDiscrete([]float64{0}, []float64{1})
-	case 1:
-		return NewDiscrete([]float64{1}, []float64{1})
-	}
-	return NewDiscrete([]float64{0, 1}, []float64{1 - p, p})
-}
-
 // Mixture is a finite mixture of component distributions with given weights;
 // used for multimodal learned distributions (e.g. Gaussian mixtures, §III-B).
 //

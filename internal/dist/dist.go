@@ -31,12 +31,6 @@ type Distribution interface {
 // ErrInvalidParam reports an invalid distribution parameter.
 var ErrInvalidParam = errors.New("dist: invalid parameter")
 
-// StdDev returns the standard deviation of d.
-func StdDev(d Distribution) float64 { return math.Sqrt(d.Variance()) }
-
-// ProbGreater returns P(X > v) = 1 − CDF(v).
-func ProbGreater(d Distribution, v float64) float64 { return 1 - d.CDF(v) }
-
 // SampleN draws n variates from d into a new slice.
 func SampleN(d Distribution, n int, r *Rand) []float64 {
 	out := make([]float64, n)

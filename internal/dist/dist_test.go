@@ -280,26 +280,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := NewRand(8)
-	r2 := r.Split()
-	matches := 0
-	for i := 0; i < 100; i++ {
-		if r.Uint64() == r2.Uint64() {
-			matches++
-		}
-	}
-	if matches > 2 {
-		t.Errorf("split streams coincide %d/100 times", matches)
-	}
-}
-
-func TestProbGreater(t *testing.T) {
-	n, _ := NewNormal(0, 1)
-	approx(t, "P(Z>0)", ProbGreater(n, 0), 0.5, 1e-12)
-	approx(t, "P(Z>1.645)", ProbGreater(n, 1.6448536269514722), 0.05, 1e-9)
-}
-
 func TestSampleN(t *testing.T) {
 	u, _ := NewUniform(2, 3)
 	r := NewRand(1)

@@ -222,25 +222,6 @@ func TestDiscreteSample(t *testing.T) {
 	approx(t, "Bernoulli frequency", float64(ones)/n, 0.7, 0.01)
 }
 
-func TestBernoulli(t *testing.T) {
-	b, err := Bernoulli(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "Bernoulli mean", b.Mean(), 0.25, 1e-12)
-	approx(t, "Bernoulli var", b.Variance(), 0.25*0.75, 1e-12)
-	for _, p := range []float64{0, 1} {
-		d, err := Bernoulli(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx(t, "degenerate Bernoulli", d.Mean(), p, 0)
-	}
-	if _, err := Bernoulli(1.5); err == nil {
-		t.Error("Bernoulli(1.5): want error")
-	}
-}
-
 func TestEmpirical(t *testing.T) {
 	obs := []float64{71, 56, 82, 74, 69, 77, 65, 78, 59, 80} // paper Example 3
 	d, err := Empirical(obs)

@@ -58,13 +58,6 @@ func NewRand(seed uint64) *Rand {
 	return r
 }
 
-// Split returns a new generator whose stream is independent of r's
-// (seeded from r's next outputs). Useful for giving each stream operator or
-// worker goroutine its own source.
-func (r *Rand) Split() *Rand {
-	return NewRand(r.Uint64() ^ 0xd1342543de82ef95)
-}
-
 // DeriveSeed deterministically derives the seed of substream i from a root
 // seed (SplitMix-style: golden-ratio stride through the seed space followed
 // by a splitmix64 finalizer). It is a pure function — no generator state is
@@ -75,12 +68,6 @@ func DeriveSeed(root, i uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// NewRandStream returns a generator for substream i of root — shorthand for
-// NewRand(DeriveSeed(root, i)).
-func NewRandStream(root, i uint64) *Rand {
-	return NewRand(DeriveSeed(root, i))
 }
 
 // Reseed resets r to the state NewRand(seed) would produce, reusing the
@@ -222,12 +209,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

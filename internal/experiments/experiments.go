@@ -215,16 +215,3 @@ func Run(id string, cfg Config) (*Figure, error) {
 	}
 	return fn(cfg.Normalize())
 }
-
-// RunAll builds every figure in order.
-func RunAll(cfg Config) ([]*Figure, error) {
-	var out []*Figure
-	for _, id := range IDs() {
-		f, err := Run(id, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figure %s: %w", id, err)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}

@@ -62,7 +62,7 @@ func TestFig4aShape(t *testing.T) {
 	if !(ys[0] > ys[len(ys)-1]) {
 		t.Fatalf("interval length did not decrease: %v", ys)
 	}
-	wantRatio := theoreticalHalfWidthRatio(80, 10) // = sqrt(10/80)
+	wantRatio := math.Sqrt(10.0 / 80) // the 1/√n law
 	gotRatio := ys[len(ys)-1] / ys[0]
 	if gotRatio < wantRatio*0.6 || gotRatio > wantRatio*1.6 {
 		t.Errorf("decay ratio %g, want ≈%g", gotRatio, wantRatio)
@@ -320,14 +320,14 @@ func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	figs, err := RunAll(quickCfg())
-	if err != nil {
-		t.Fatal(err)
+	if len(IDs()) != 15 {
+		t.Fatalf("figures = %d, want 15", len(IDs()))
 	}
-	if len(figs) != 15 {
-		t.Fatalf("figures = %d, want 15", len(figs))
-	}
-	for _, f := range figs {
+	for _, id := range IDs() {
+		f, err := Run(id, quickCfg())
+		if err != nil {
+			t.Fatalf("figure %s: %v", id, err)
+		}
 		if f.Render() == "" || f.CSV() == "" {
 			t.Errorf("figure %s rendered empty", f.ID)
 		}

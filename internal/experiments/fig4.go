@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-
 	"repro/internal/accuracy"
 	"repro/internal/cartel"
 	"repro/internal/dist"
@@ -238,10 +236,4 @@ func Fig4d(cfg Config) (*Figure, error) {
 		Series: []Series{{Name: "avg miss rate", XLabels: labels, Y: ys}},
 		Notes:  "averaged over bin heights, mean, and variance",
 	}, nil
-}
-
-// theoreticalHalfWidthRatio is used by tests: the expected ratio of mean
-// interval lengths between two sample sizes under the 1/√n law.
-func theoreticalHalfWidthRatio(n1, n2 int) float64 {
-	return math.Sqrt(float64(n2)) / math.Sqrt(float64(n1))
 }

@@ -49,9 +49,6 @@ func (s *Sample) Observations() []float64 {
 	return append([]float64(nil), s.obs...)
 }
 
-// At returns the i-th observation.
-func (s *Sample) At(i int) float64 { return s.obs[i] }
-
 // Mean returns the sample mean ȳ = (1/n) Σ Xᵢ.
 func (s *Sample) Mean() (float64, error) {
 	if len(s.obs) == 0 {
@@ -156,56 +153,6 @@ func (s *Sample) Proportion(pred func(float64) bool) (float64, error) {
 		}
 	}
 	return float64(k) / float64(len(s.obs)), nil
-}
-
-// SubsampleWithoutReplacement draws k distinct observations uniformly at
-// random, as the paper's Fig 4 experiments do ("pick a sample of a small
-// size uniformly at random without replacement from the original large
-// sample"). It returns an error if k exceeds the sample size.
-func (s *Sample) SubsampleWithoutReplacement(k int, r *dist.Rand) (*Sample, error) {
-	if k < 0 || k > len(s.obs) {
-		return nil, fmt.Errorf("learn: subsample size %d outside [0, %d]", k, len(s.obs))
-	}
-	idx := r.Perm(len(s.obs))[:k]
-	out := make([]float64, k)
-	for i, j := range idx {
-		out[i] = s.obs[j]
-	}
-	return &Sample{obs: out}, nil
-}
-
-// Resample draws a bootstrap resample: n observations with replacement
-// (§III-A step 1).
-func (s *Sample) Resample(r *dist.Rand) (*Sample, error) {
-	if len(s.obs) == 0 {
-		return nil, ErrEmptySample
-	}
-	dst := &Sample{}
-	if err := s.ResampleInto(dst, r); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ResampleInto draws a bootstrap resample into dst, reusing dst's backing
-// array when it is large enough. It draws exactly the same observations as
-// Resample for the same generator state, so the two paths produce identical
-// statistics; the engine's bootstrap hot loop uses this variant to avoid a
-// Sample allocation per resample. dst must not alias s.
-func (s *Sample) ResampleInto(dst *Sample, r *dist.Rand) error {
-	if len(s.obs) == 0 {
-		return ErrEmptySample
-	}
-	n := len(s.obs)
-	if cap(dst.obs) < n {
-		dst.obs = make([]float64, n)
-	} else {
-		dst.obs = dst.obs[:n]
-	}
-	for i := range dst.obs {
-		dst.obs[i] = s.obs[r.Intn(n)]
-	}
-	return nil
 }
 
 // --- Learners ---

@@ -54,9 +54,6 @@ func TestEmptySampleErrors(t *testing.T) {
 	if _, err := s.Quantile(0.5); err == nil {
 		t.Error("Quantile on empty: want error")
 	}
-	if _, err := s.Resample(dist.NewRand(1)); err == nil {
-		t.Error("Resample on empty: want error")
-	}
 	one := NewSample([]float64{5})
 	if _, err := one.Variance(); err == nil {
 		t.Error("Variance of singleton: want error")
@@ -67,12 +64,12 @@ func TestAddAndObservations(t *testing.T) {
 	s := NewSample([]float64{1, 2})
 	s.Add(3)
 	s.AddAll([]float64{4, 5})
-	if s.Size() != 5 || s.At(4) != 5 {
+	if s.Size() != 5 || s.Observations()[4] != 5 {
 		t.Fatalf("unexpected sample: %v", s.Observations())
 	}
 	obs := s.Observations()
 	obs[0] = 99
-	if s.At(0) == 99 {
+	if s.Observations()[0] == 99 {
 		t.Error("Observations did not copy")
 	}
 }
@@ -110,54 +107,6 @@ func TestProportion(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx(t, "proportion", p, 0.6, 1e-12)
-}
-
-func TestSubsampleWithoutReplacement(t *testing.T) {
-	s := NewSample([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	r := dist.NewRand(4)
-	sub, err := s.SubsampleWithoutReplacement(4, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Size() != 4 {
-		t.Fatalf("size = %d", sub.Size())
-	}
-	seen := map[float64]int{}
-	for _, x := range sub.Observations() {
-		seen[x]++
-		if x < 1 || x > 10 {
-			t.Fatalf("value %v not from population", x)
-		}
-	}
-	for v, c := range seen {
-		if c > 1 {
-			t.Errorf("value %v drawn %d times without replacement", v, c)
-		}
-	}
-	if _, err := s.SubsampleWithoutReplacement(11, r); err == nil {
-		t.Error("k > n: want error")
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := example3()
-	r := dist.NewRand(9)
-	rs, err := s.Resample(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Size() != s.Size() {
-		t.Fatalf("resample size %d, want %d", rs.Size(), s.Size())
-	}
-	pop := map[float64]bool{}
-	for _, x := range s.Observations() {
-		pop[x] = true
-	}
-	for _, x := range rs.Observations() {
-		if !pop[x] {
-			t.Fatalf("resample value %v not from population", x)
-		}
-	}
 }
 
 func TestHistogramLearner(t *testing.T) {
@@ -336,66 +285,5 @@ func TestSampleMeanVarianceProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestResampleIntoMatchesResample checks the buffer-reuse path draws exactly
-// the same resample — and therefore exactly the same statistics — as the
-// allocating path given identical generator state.
-func TestResampleIntoMatchesResample(t *testing.T) {
-	s := NewSample([]float64{3.12, 0, 1.57, 19.67, 0.22, 2.20})
-	rA := dist.NewRand(77)
-	rB := dist.NewRand(77)
-	var buf Sample
-	for trial := 0; trial < 50; trial++ {
-		alloc, err := s.Resample(rA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ResampleInto(&buf, rB); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Size() != alloc.Size() {
-			t.Fatalf("trial %d: sizes %d vs %d", trial, buf.Size(), alloc.Size())
-		}
-		for i := 0; i < buf.Size(); i++ {
-			if buf.At(i) != alloc.At(i) {
-				t.Fatalf("trial %d: obs %d = %v, want %v", trial, i, buf.At(i), alloc.At(i))
-			}
-		}
-		mA, _ := alloc.Mean()
-		mB, _ := buf.Mean()
-		vA, _ := alloc.Variance()
-		vB, _ := buf.Variance()
-		if mA != mB || vA != vB {
-			t.Fatalf("trial %d: statistics diverge: mean %v vs %v, var %v vs %v", trial, mA, mB, vA, vB)
-		}
-	}
-}
-
-// TestResampleIntoReusesBuffer checks no growth happens once the buffer fits.
-func TestResampleIntoReusesBuffer(t *testing.T) {
-	s := NewSample([]float64{1, 2, 3, 4, 5})
-	r := dist.NewRand(3)
-	var buf Sample
-	if err := s.ResampleInto(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	first := &buf.obs[0]
-	for i := 0; i < 10; i++ {
-		if err := s.ResampleInto(&buf, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if &buf.obs[0] != first {
-		t.Error("ResampleInto reallocated a buffer that already fit")
-	}
-}
-
-// TestResampleIntoEmpty checks the error contract.
-func TestResampleIntoEmpty(t *testing.T) {
-	var empty, dst Sample
-	if err := empty.ResampleInto(&dst, dist.NewRand(1)); err != ErrEmptySample {
-		t.Errorf("err = %v, want ErrEmptySample", err)
 	}
 }

@@ -47,28 +47,8 @@ func NewWeightedSample(obs, weights []float64) (*WeightedSample, error) {
 	}, nil
 }
 
-// Add appends one weighted observation.
-func (s *WeightedSample) Add(x, w float64) error {
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("%w: %v", ErrBadWeight, w)
-	}
-	s.obs = append(s.obs, x)
-	s.weights = append(s.weights, w)
-	return nil
-}
-
 // Size returns the raw number of observations.
 func (s *WeightedSample) Size() int { return len(s.obs) }
-
-// Observations returns a copy of the observations.
-func (s *WeightedSample) Observations() []float64 {
-	return append([]float64(nil), s.obs...)
-}
-
-// Weights returns a copy of the weights.
-func (s *WeightedSample) Weights() []float64 {
-	return append([]float64(nil), s.weights...)
-}
 
 // EffectiveSize returns Kish's effective sample size
 // n_eff = (Σw)²/Σw² — the n to feed into the accuracy lemmas.
@@ -136,26 +116,6 @@ func (s *WeightedSample) StdDev() (float64, error) {
 	}
 	return math.Sqrt(v), nil
 }
-
-// Proportion returns the weighted fraction of observations satisfying
-// pred — the weighted analog of Sample.Proportion for pTest.
-func (s *WeightedSample) Proportion(pred func(float64) bool) (float64, error) {
-	if len(s.obs) == 0 {
-		return 0, ErrEmptySample
-	}
-	num, den := 0.0, 0.0
-	for i, x := range s.obs {
-		if pred(x) {
-			num += s.weights[i]
-		}
-		den += s.weights[i]
-	}
-	return num / den, nil
-}
-
-// Unweighted returns the observations as a plain Sample, discarding
-// weights (useful for comparison in ablations).
-func (s *WeightedSample) Unweighted() *Sample { return NewSample(s.obs) }
 
 // ExponentialDecay builds the paper's motivating weighting: observation i
 // with age ageᵢ (any non-negative unit — seconds, window slots) gets

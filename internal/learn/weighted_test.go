@@ -17,16 +17,6 @@ func TestNewWeightedSampleValidation(t *testing.T) {
 			t.Errorf("weight %v: want error", w)
 		}
 	}
-	s, err := NewWeightedSample([]float64{1, 2}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(3, 0); err == nil {
-		t.Error("Add with zero weight: want error")
-	}
-	if err := s.Add(3, 1); err != nil || s.Size() != 3 {
-		t.Errorf("Add failed: %v, size %d", err, s.Size())
-	}
 }
 
 func TestEqualWeightsMatchPlainSample(t *testing.T) {
@@ -76,11 +66,6 @@ func TestWeightedMeanPullsTowardHeavyObservations(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx(t, "weighted mean", m, 7.5, 1e-12)
-	p, err := s.Proportion(func(x float64) bool { return x > 5 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "weighted proportion", p, 0.75, 1e-12)
 }
 
 func TestWeightedVarianceNeedsEffectiveSize(t *testing.T) {
@@ -91,9 +76,6 @@ func TestWeightedVarianceNeedsEffectiveSize(t *testing.T) {
 	empty := &WeightedSample{}
 	if _, err := empty.Mean(); err == nil {
 		t.Error("empty: want error")
-	}
-	if _, err := empty.Proportion(func(float64) bool { return true }); err == nil {
-		t.Error("empty proportion: want error")
 	}
 	if empty.EffectiveSize() != 0 {
 		t.Error("empty effective size should be 0")
@@ -107,7 +89,7 @@ func TestExponentialDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := s.Weights()
+	w := s.weights
 	approx(t, "age 0 weight", w[0], 1, 1e-12)
 	approx(t, "age 60 weight", w[1], 0.5, 1e-12) // one half-life
 	approx(t, "age 120 weight", w[2], 0.25, 1e-12)
@@ -203,7 +185,7 @@ func TestDecayImprovesDriftedEstimates(t *testing.T) {
 			t.Fatal(err)
 		}
 		wm, _ := ws.Mean()
-		pm, _ := ws.Unweighted().Mean()
+		pm, _ := NewSample(obs).Mean()
 		if math.Abs(wm-10) < math.Abs(pm-10) {
 			decayBetter++
 		}

@@ -51,9 +51,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds d (negative to decrement).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Inc adds 1.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -126,9 +123,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(time.Since(t0).Seconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
@@ -163,32 +157,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 var DefBuckets = []float64{
 	1e-6, 5e-6, 25e-6, 100e-6, 500e-6,
 	2.5e-3, 10e-3, 50e-3, 250e-3, 1, 10,
-}
-
-// ExpBuckets returns n buckets starting at start, each factor× the last.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic(fmt.Sprintf("metrics: ExpBuckets(%v, %v, %d)", start, factor, n))
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n buckets start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic(fmt.Sprintf("metrics: LinearBuckets(%v, %v, %d)", start, width, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
 }
 
 // kind discriminates registry entries.

@@ -22,7 +22,6 @@ package randvar
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 	"repro/internal/learn"
@@ -284,26 +283,6 @@ func LinearGaussian(weights []float64, c float64, fields ...Field) (Field, bool,
 	return linearGaussianResult(mu, sigma2, fields)
 }
 
-// LinearGaussianUniform is LinearGaussian with every weight equal to w —
-// the AVG/SUM shape — without materializing a weight vector. The window
-// aggregate path calls it once per push with the window as fields, so the
-// saved allocation is one slice of window-size floats per tuple.
-func LinearGaussianUniform(w, c float64, fields ...Field) (Field, bool, error) {
-	mu, sigma2 := c, 0.0
-	for _, f := range fields {
-		if err := f.Validate(); err != nil {
-			return Field{}, false, err
-		}
-		m, s2, ok := gaussianOf(f)
-		if !ok {
-			return Field{}, false, nil
-		}
-		mu += w * m
-		sigma2 += w * w * s2
-	}
-	return linearGaussianResult(mu, sigma2, fields)
-}
-
 func linearGaussianResult(mu, sigma2 float64, fields []Field) (Field, bool, error) {
 	f, err := GaussianResult(mu, sigma2, DFSampleSize(fields...))
 	if err != nil {
@@ -326,91 +305,4 @@ func GaussianResult(mu, sigma2 float64, n int) (Field, error) {
 		return Field{}, err
 	}
 	return Field{Dist: nd, N: n}, nil
-}
-
-// --- The paper's six random-query operators (§V-C) ---
-
-// BinaryOp names one of the paper's expression operators.
-type BinaryOp int
-
-const (
-	Add BinaryOp = iota
-	Sub
-	Mul
-	Div
-)
-
-func (op BinaryOp) String() string {
-	switch op {
-	case Add:
-		return "+"
-	case Sub:
-		return "-"
-	case Mul:
-		return "*"
-	case Div:
-		return "/"
-	}
-	return fmt.Sprintf("BinaryOp(%d)", int(op))
-}
-
-// Binary evaluates X op Y. For Add/Sub over Gaussian/point inputs the
-// closed form is used; otherwise Monte Carlo.
-func (e *Evaluator) Binary(op BinaryOp, x, y Field) (Result, error) {
-	switch op {
-	case Add, Sub:
-		w := 1.0
-		if op == Sub {
-			w = -1
-		}
-		if f, ok, err := LinearGaussian([]float64{1, w}, 0, x, y); err != nil {
-			return Result{}, err
-		} else if ok {
-			return Result{Field: f}, nil
-		}
-	}
-	var fn Func
-	switch op {
-	case Add:
-		fn = func(a []float64) (float64, error) { return a[0] + a[1], nil }
-	case Sub:
-		fn = func(a []float64) (float64, error) { return a[0] - a[1], nil }
-	case Mul:
-		fn = func(a []float64) (float64, error) { return a[0] * a[1], nil }
-	case Div:
-		fn = func(a []float64) (float64, error) {
-			if a[1] == 0 {
-				return math.NaN(), nil // skipped by Apply
-			}
-			return a[0] / a[1], nil
-		}
-	default:
-		return Result{}, fmt.Errorf("randvar: unknown operator %v", op)
-	}
-	return e.Apply(fn, x, y)
-}
-
-// SqrtAbs evaluates SQRT(ABS(X)), one of the paper's random-query unary
-// operators.
-func (e *Evaluator) SqrtAbs(x Field) (Result, error) {
-	return e.Apply(func(a []float64) (float64, error) {
-		return math.Sqrt(math.Abs(a[0])), nil
-	}, x)
-}
-
-// Square evaluates X², the paper's SQUARE operator.
-func (e *Evaluator) Square(x Field) (Result, error) {
-	return e.Apply(func(a []float64) (float64, error) {
-		return a[0] * a[0], nil
-	}, x)
-}
-
-// ProbGreater returns P(X > v) for the field's distribution together with
-// the field's sample size — the inputs a probability-threshold predicate
-// and pTest need.
-func ProbGreater(f Field, v float64) (p float64, n int, err error) {
-	if err := f.Validate(); err != nil {
-		return 0, 0, err
-	}
-	return 1 - f.Dist.CDF(v), f.N, nil
 }

@@ -189,93 +189,13 @@ func TestLinearGaussianDegenerate(t *testing.T) {
 	approx(t, "point result", f.Dist.Mean(), 2*1+3*2+1, 1e-12)
 }
 
-func TestBinaryGaussianFastPath(t *testing.T) {
-	e := NewEvaluator(dist.NewRand(1))
-	a := normField(t, 5, 1, 20)
-	b := normField(t, 3, 4, 30)
-	res, err := e.Binary(Sub, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd, ok := res.Field.Dist.(dist.Normal)
-	if !ok {
-		t.Fatalf("Gaussian A−B should stay Gaussian, got %T", res.Field.Dist)
-	}
-	approx(t, "A−B mean", nd.Mu, 2, 1e-12)
-	approx(t, "A−B var", nd.Sigma2, 5, 1e-12)
-	if res.Values != nil {
-		t.Error("closed-form path must not emit values")
-	}
-	if res.Field.N != 20 {
-		t.Errorf("d.f. size = %d, want 20", res.Field.N)
-	}
-}
-
-func TestBinaryMonteCarloOps(t *testing.T) {
-	e := NewEvaluator(dist.NewRand(9))
-	a := normField(t, 4, 0.25, 20)
-	b := normField(t, 2, 0.25, 20)
-	cases := []struct {
-		op   BinaryOp
-		want float64
-		tol  float64
-	}{
-		{Add, 6, 0.1},
-		{Sub, 2, 0.1},
-		{Mul, 8, 0.3},
-		{Div, 2, 0.3},
-	}
-	for _, c := range cases {
-		res, err := e.Binary(c.op, a, b)
-		if err != nil {
-			t.Fatalf("%v: %v", c.op, err)
-		}
-		approx(t, "binary "+c.op.String(), res.Field.Dist.Mean(), c.want, c.tol)
-	}
-	if _, err := e.Binary(BinaryOp(9), a, b); err == nil {
-		t.Error("unknown op: want error")
-	}
-}
-
 func TestDivisionByZeroDraws(t *testing.T) {
 	e := NewEvaluator(dist.NewRand(2))
 	a := normField(t, 1, 0.01, 20)
 	zeroish := Det(0)
-	// X / 0 produces only NaN draws → error, not a crash.
-	if _, err := e.Binary(Div, a, zeroish); err == nil {
+	// X / 0 produces only non-finite draws → error, not a crash.
+	div := func(v []float64) (float64, error) { return v[0] / v[1], nil }
+	if _, err := e.Apply(div, a, zeroish); err == nil {
 		t.Error("division by exact zero: want error")
-	}
-}
-
-func TestSqrtAbsAndSquare(t *testing.T) {
-	e := NewEvaluator(dist.NewRand(5))
-	a := normField(t, 0, 1, 20)
-	res, err := e.SqrtAbs(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// E[sqrt(|Z|)] ≈ 0.822 for standard normal.
-	approx(t, "sqrt-abs mean", res.Field.Dist.Mean(), 0.822, 0.1)
-
-	sq, err := e.Square(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// E[Z²] = 1.
-	approx(t, "square mean", sq.Field.Dist.Mean(), 1, 0.15)
-}
-
-func TestProbGreater(t *testing.T) {
-	f := normField(t, 0, 1, 25)
-	p, n, err := ProbGreater(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "P(X>0)", p, 0.5, 1e-12)
-	if n != 25 {
-		t.Errorf("n = %d, want 25", n)
-	}
-	if _, _, err := ProbGreater(Field{}, 0); err == nil {
-		t.Error("invalid field: want error")
 	}
 }

@@ -17,9 +17,19 @@ import (
 // same window from the checkpoint and replay, and a retry that straddles a
 // crash still applies exactly once.
 //
-// The window is a bounded FIFO: when full, the oldest id is evicted and a
-// retry arriving after eviction re-executes. Clients therefore bound their
-// retry horizon (a handful of attempts over seconds) well inside the window.
+// The window is a bounded FIFO of dedupWindowSize ids: when full, the
+// oldest id is evicted and a retry arriving after eviction re-executes.
+// Clients therefore bound their retry horizon (a handful of attempts over
+// seconds) well inside the window.
+//
+// A live attempt claims its id before applying, so two attempts of one id
+// that arrive together (a router retrying on a timeout while the original
+// is still in flight) apply once: the second waits out the first's claim
+// and then replays the entry it left. A claim whose attempt failed before
+// journaling leaves no entry, so the waiter re-executes.
+
+// dedupWindowSize is the number of request ids the window remembers.
+const dedupWindowSize = 4096
 
 // dedupEntry remembers one idempotent request's outcome.
 type dedupEntry struct {
@@ -37,26 +47,45 @@ type dedupWindow struct {
 	max   int
 	order []string // FIFO of ids, oldest first
 	byID  map[string]dedupEntry
+	// claimed holds the ids a live attempt is applying; released wakes the
+	// attempts waiting on one of them.
+	claimed  map[string]struct{}
+	released sync.Cond
 }
 
 func newDedupWindow(max int) *dedupWindow {
-	if max < 0 {
-		max = 0
-	}
-	return &dedupWindow{max: max, byID: make(map[string]dedupEntry, max)}
+	d := &dedupWindow{max: max, byID: make(map[string]dedupEntry, max), claimed: make(map[string]struct{})}
+	d.released.L = &d.mu
+	return d
 }
 
-func (d *dedupWindow) get(id string) (dedupEntry, bool) {
+// claim returns id's entry when the window has one. Otherwise it waits until
+// no other attempt holds id, looks again, and claims id for the caller, who
+// must release it once the attempt's entry is in (or the attempt failed).
+func (d *dedupWindow) claim(id string) (dedupEntry, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.byID[id]
-	return e, ok
+	for {
+		if e, ok := d.byID[id]; ok {
+			return e, true
+		}
+		if _, busy := d.claimed[id]; !busy {
+			d.claimed[id] = struct{}{}
+			return dedupEntry{}, false
+		}
+		d.released.Wait()
+	}
+}
+
+// release ends the caller's claim on id.
+func (d *dedupWindow) release(id string) {
+	d.mu.Lock()
+	delete(d.claimed, id)
+	d.mu.Unlock()
+	d.released.Broadcast()
 }
 
 func (d *dedupWindow) put(id string, e dedupEntry) {
-	if d.max == 0 {
-		return
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, dup := d.byID[id]; !dup {

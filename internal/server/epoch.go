@@ -38,6 +38,24 @@ var errFencedStaleEpoch = errors.New("fenced: stale epoch: a newer primary was p
 // set unchanged. Set it before any server serves traffic.
 var FencedRejectHook func()
 
+// writeRefusal is the one write gate. A fenced node is a deposed primary: a
+// newer epoch exists, so any write accepted here would diverge from the
+// cluster's history. A read-only replica changes state only through the
+// shipped WAL. The two sentinels differ: clients retry both, but operators
+// must be able to tell "superseded" from "replica by design".
+func (s *Server) writeRefusal() error {
+	if s.fenced.Load() {
+		if FencedRejectHook != nil {
+			FencedRejectHook()
+		}
+		return errFencedStaleEpoch
+	}
+	if s.readOnly.Load() {
+		return errReadOnlyReplica
+	}
+	return nil
+}
+
 // EpochAdoptHook, when non-nil, observes every epoch transition this node
 // adopts — its own promotion, a replayed or replicated RecEpoch record, or
 // checkpointed state restored at recovery. The cluster package points it

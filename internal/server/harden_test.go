@@ -372,28 +372,129 @@ func TestDedupWindowEviction(t *testing.T) {
 	d.put("a", dedupEntry{reply: "OK a"})
 	d.put("b", dedupEntry{reply: "OK b"})
 	d.put("c", dedupEntry{reply: "OK c"}) // evicts a
-	if _, ok := d.get("a"); ok {
+	if _, ok := d.byID["a"]; ok {
 		t.Fatal("oldest entry not evicted")
 	}
-	if e, ok := d.get("b"); !ok || e.reply != "OK b" {
+	if e, ok := d.byID["b"]; !ok || e.reply != "OK b" {
 		t.Fatalf("entry b lost: %v %v", e, ok)
 	}
-	if e, ok := d.get("c"); !ok || e.reply != "OK c" {
+	if e, ok := d.byID["c"]; !ok || e.reply != "OK c" {
 		t.Fatalf("entry c lost: %v %v", e, ok)
 	}
 	// Re-putting an existing id updates in place, no duplicate FIFO slot.
 	d.put("b", dedupEntry{reply: "OK b2"})
-	if e, _ := d.get("b"); e.reply != "OK b2" {
+	if e := d.byID["b"]; e.reply != "OK b2" {
 		t.Fatalf("update in place failed: %q", e.reply)
 	}
 	if n := d.len(); n != 2 {
 		t.Fatalf("len = %d, want 2", n)
 	}
-	// Zero-capacity window is a no-op (dedup disabled).
-	z := newDedupWindow(0)
-	z.put("x", dedupEntry{})
-	if _, ok := z.get("x"); ok || z.len() != 0 {
-		t.Fatal("zero-capacity window stored an entry")
+}
+
+// TestDedupWindowConcurrentAttempts sends each of 200 request ids on two
+// connections at once, the way a router retries on a timeout while the
+// original is still in flight: every id applies once, and both attempts of
+// an id get the same reply.
+func TestDedupWindowConcurrentAttempts(t *testing.T) {
+	_, addr := startServerOpts(t, Options{})
+	owner := dialServer(t, addr)
+	defer owner.c.Close()
+	owner.mustOK(crashStreamCmd)
+	owner.mustOK(crashQueryCmd)
+
+	type attempt struct {
+		conn net.Conn
+		rd   *bufio.Reader
+	}
+	var pair [2]attempt
+	for k := range pair {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		pair[k] = attempt{c, bufio.NewReader(c)}
+	}
+	const ids = 200
+	for i := 0; i < ids; i++ {
+		line := fmt.Sprintf("%s @r%d\n", crashInsertCmd(i), i)
+		var replies [2]string
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for k := range pair {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				<-start
+				if _, err := pair[k].conn.Write([]byte(line)); err != nil {
+					t.Error(err)
+					return
+				}
+				reply, err := pair[k].rd.ReadString('\n')
+				if err != nil {
+					t.Error(err)
+				}
+				replies[k] = reply
+			}(k)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		if replies[0] != replies[1] || !strings.HasPrefix(replies[0], "OK") {
+			t.Fatalf("id r%d: replies %q and %q, want one OK reply twice", i, replies[0], replies[1])
+		}
+	}
+	reply, _ := owner.cmd("STATS q1")
+	if in := statsIn(t, reply); in != ids {
+		t.Fatalf("In = %d after %d ids sent twice, want %d", in, ids, ids)
+	}
+}
+
+// TestShedTickRefusedOffPrimary checks that the shed controller changes
+// nothing on a read-only replica or a fenced node: a SHED record of its own
+// would diverge from the primary's journal. A writable node under the same
+// load steps its level up, so the load is real.
+func TestShedTickRefusedOffPrimary(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		set       func(*Server)
+		wantLevel int
+	}{
+		{"writable", func(*Server) {}, 1},
+		{"read-only", func(s *Server) { s.SetReadOnly(true) }, 0},
+		{"fenced", func(s *Server) { s.Fence(2) }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := core.NewEngine(core.Config{Method: core.AccuracyBootstrap, Seed: 5, DataDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewDurable(eng, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			tc.set(srv)
+			c := &shedController{
+				s:    srv,
+				cfg:  ShedConfig{TargetP99: time.Nanosecond, MinEvals: 1}.normalize(),
+				prev: core.PushLatency().Snapshot(),
+			}
+			lsn := srv.wal.Load().LastLSN()
+			for i := 0; i < 4; i++ {
+				core.PushLatency().Observe(1) // one-second pushes
+			}
+			c.tick()
+			if got := eng.DegradeLevel(); got != tc.wantLevel {
+				t.Errorf("degrade level %d after tick, want %d", got, tc.wantLevel)
+			}
+			wantLSN := lsn + uint64(tc.wantLevel)
+			if got := srv.wal.Load().LastLSN(); got != wantLSN {
+				t.Errorf("wal at lsn %d after tick, want %d", got, wantLSN)
+			}
+		})
 	}
 }
 

@@ -96,11 +96,11 @@ func TestOldShellDataDirs(t *testing.T) {
 		if _, err := eng.IngestBatch("temps", []core.IngestRow{{Fields: []randvar.Field{randvar.Det(7), val}}}, nil); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := checkpoint.Capture(eng, 3, []checkpoint.QueryDef{{ID: "q1", SQL: q.SQL(), Query: q}})
+		snap, err := checkpoint.Capture(eng, 3, []checkpoint.QueryDef{{ID: "q1", SQL: q.String(), Query: q}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ckm, err := checkpoint.NewManager(filepath.Join(dir, "checkpoints"))
+		ckm, err := checkpoint.NewManagerFS(filepath.Join(dir, "checkpoints"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

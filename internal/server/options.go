@@ -30,10 +30,6 @@ type Options struct {
 	// DrainTimeout is how long Shutdown waits for in-flight connections to
 	// finish before force-closing them (default 5s; 0 closes immediately).
 	DrainTimeout time.Duration
-	// DedupWindow caps remembered idempotent request IDs (default 4096).
-	// Oldest entries are evicted first; a retry arriving after eviction
-	// re-executes, so clients should bound retry horizons accordingly.
-	DedupWindow int
 	// ReadOnly rejects state-changing commands (STREAM, QUERY, INSERT,
 	// INSERTBATCH, CLOSE, SHED <level>) so the server can serve as a
 	// replication follower: its state mutates only through ApplyReplicated.
@@ -50,7 +46,6 @@ const (
 	defaultMaxConns     = 1024
 	defaultOutboxLines  = 4096
 	defaultDrainTimeout = 5 * time.Second
-	defaultDedupWindow  = 4096
 )
 
 // Normalize fills defaults: zero means "default", negative means
@@ -70,9 +65,6 @@ func (o Options) Normalize() Options {
 	}
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = defaultDrainTimeout
-	}
-	if o.DedupWindow == 0 {
-		o.DedupWindow = defaultDedupWindow
 	}
 	o.Shed = o.Shed.normalize()
 	return o

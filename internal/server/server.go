@@ -120,7 +120,7 @@ func New(engine *core.Engine, logger *log.Logger) (*Server, error) {
 		engine:  engine,
 		logger:  logger,
 		opts:    opts,
-		dedup:   newDedupWindow(opts.DedupWindow),
+		dedup:   newDedupWindow(dedupWindowSize),
 		queries: make(map[string]*registeredQuery),
 		conns:   make(map[uint64]net.Conn),
 	}
@@ -629,23 +629,10 @@ func (s *Server) dispatch(c *conn, line string) (bool, error) {
 	}
 	countCmd(verb)
 	defer timeCmd(time.Now())
-	// A fenced node is a deposed primary: a newer epoch exists, so any
-	// write accepted here would diverge from the cluster's history. The
-	// sentinel is distinct from the read-only one — clients retry both, but
-	// operators must be able to tell "replica by design" from "superseded".
-	if s.fenced.Load() {
-		switch verb {
-		case "STREAM", "QUERY", "INSERT", "INSERTBATCH", "CLOSE":
-			if FencedRejectHook != nil {
-				FencedRejectHook()
-			}
-			return false, errFencedStaleEpoch
-		}
-	}
-	if s.readOnly.Load() {
-		switch verb {
-		case "STREAM", "QUERY", "INSERT", "INSERTBATCH", "CLOSE":
-			return false, errReadOnlyReplica
+	switch verb {
+	case "STREAM", "QUERY", "INSERT", "INSERTBATCH", "CLOSE":
+		if err := s.writeRefusal(); err != nil {
+			return false, err
 		}
 	}
 	switch verb {
@@ -990,10 +977,11 @@ func ingestReply(batch bool, tuples, emitted int, pushErr error) string {
 // request idempotent: the dedup window replays the original reply instead
 // of re-applying. The token is journaled inside the payload, and
 // checkpoints carry the window, so a retry that straddles a crash still
-// applies exactly once.
+// applies exactly once. The attempt holds a claim on the id until it
+// returns, so a concurrent attempt of the same id waits and replays.
 func (s *Server) cmdIngest(c *conn, rest string, typ wal.RecordType) error {
 	if _, reqID := SplitReqID(rest); reqID != "" {
-		if e, ok := s.dedup.get(reqID); ok {
+		if e, ok := s.dedup.claim(reqID); ok {
 			mDedupHits.Inc()
 			// The original attempt applied and journaled; re-wait its
 			// durability (it may have failed between append and fsync) and
@@ -1006,6 +994,7 @@ func (s *Server) cmdIngest(c *conn, rest string, typ wal.RecordType) error {
 			}
 			return c.writeLine(e.reply)
 		}
+		defer s.dedup.release(reqID)
 	}
 	reply, lsn, err := s.apply(&c.scratch, c, typ, rest, 0)
 	if err != nil {
@@ -1044,14 +1033,8 @@ func (s *Server) cmdShed(c *conn, rest string) error {
 	if arg == "" {
 		return c.writeLine(fmt.Sprintf("OK shed level=%d", s.engine.DegradeLevel()))
 	}
-	if s.fenced.Load() {
-		if FencedRejectHook != nil {
-			FencedRejectHook()
-		}
-		return errFencedStaleEpoch
-	}
-	if s.readOnly.Load() {
-		return errReadOnlyReplica
+	if err := s.writeRefusal(); err != nil {
+		return err
 	}
 	level, err := strconv.Atoi(arg)
 	if err != nil {

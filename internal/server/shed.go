@@ -144,14 +144,11 @@ func (c *shedController) tick() {
 	c.prev = cur
 	gShedP99Micros.Set(int64(p99 / time.Microsecond))
 	level := c.s.engine.DegradeLevel()
+	next := level
 	switch {
 	case evals >= c.cfg.MinEvals && p99 > c.cfg.TargetP99:
 		c.healthy = 0
-		if level < core.MaxDegradeLevel {
-			if err := c.s.setShedLevel(level + 1); err != nil {
-				c.s.logf("shed: raise level: %v", err)
-			}
-		}
+		next = min(level+1, core.MaxDegradeLevel)
 	case evals < c.cfg.MinEvals || p99 <= c.cfg.TargetP99/2:
 		if level == 0 {
 			c.healthy = 0
@@ -160,13 +157,19 @@ func (c *shedController) tick() {
 		c.healthy++
 		if c.healthy >= c.cfg.RecoverAfter {
 			c.healthy = 0
-			if err := c.s.setShedLevel(level - 1); err != nil {
-				c.s.logf("shed: lower level: %v", err)
-			}
+			next = level - 1
 		}
 	default:
 		// Between Target/2 and Target: hold the current level.
 		c.healthy = 0
+	}
+	// A replica's level follows its primary's journal, and a fenced node
+	// journals nothing: a SHED record of its own would diverge.
+	if next == level || c.s.writeRefusal() != nil {
+		return
+	}
+	if err := c.s.setShedLevel(next); err != nil {
+		c.s.logf("shed: set level %d: %v", next, err)
 	}
 }
 

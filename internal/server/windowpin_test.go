@@ -465,7 +465,7 @@ func pinRun(t *testing.T, pc pinCase, cfg core.Config, alone int) [][]core.Query
 				t.Fatal(err)
 			}
 		}
-		defs[i] = checkpoint.QueryDef{ID: id, SQL: q.SQL(), Query: q}
+		defs[i] = checkpoint.QueryDef{ID: id, SQL: q.String(), Query: q}
 	}
 
 	gen := &pinGen{rng: rand.New(rand.NewSource(20120401)), timed: pc.timed, hist: pc.hist, mixed: pc.mixed}

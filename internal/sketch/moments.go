@@ -3,8 +3,6 @@ package sketch
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/accuracy"
 )
 
 // Moments is a single-pass, mergeable mean/variance summary: Welford's
@@ -47,9 +45,6 @@ func (m *Moments) Merge(o Moments) {
 	m.N += o.N
 }
 
-// Count returns the number of observations.
-func (m Moments) Count() uint64 { return m.N }
-
 // Sum returns the observation total (Mean·N — exact up to float rounding).
 func (m Moments) Sum() float64 { return m.Mean * float64(m.N) }
 
@@ -63,37 +58,6 @@ func (m Moments) Variance() float64 {
 		return 0
 	}
 	return v
-}
-
-// SampleVariance returns the unbiased sample variance M2/(N−1) (0 when
-// N < 2).
-func (m Moments) SampleVariance() float64 {
-	if m.N < 2 {
-		return 0
-	}
-	v := m.M2 / float64(m.N-1)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// MeanInterval returns the Lemma 2 confidence interval for the population
-// mean computed from the sketch's running statistics.
-func (m Moments) MeanInterval(c float64) (accuracy.Interval, error) {
-	if m.N > math.MaxInt32 {
-		return accuracy.Interval{}, fmt.Errorf("sketch: moment count %d too large for an interval", m.N)
-	}
-	return accuracy.MeanInterval(m.Mean, math.Sqrt(m.SampleVariance()), int(m.N), c)
-}
-
-// VarianceInterval returns the Lemma 2 chi-square interval for the
-// population variance computed from the sketch's running statistics.
-func (m Moments) VarianceInterval(c float64) (accuracy.Interval, error) {
-	if m.N > math.MaxInt32 {
-		return accuracy.Interval{}, fmt.Errorf("sketch: moment count %d too large for an interval", m.N)
-	}
-	return accuracy.VarianceInterval(m.SampleVariance(), int(m.N), c)
 }
 
 // validate rejects non-finite or inconsistent serialized state.
@@ -153,38 +117,6 @@ func (pm *ProbMoments) Merge(o ProbMoments) {
 	pm.SumP1PX2 += o.SumP1PX2
 }
 
-// ExpectedCount returns Σpᵢ, the expected number of existing tuples under
-// possible-world semantics.
-func (pm ProbMoments) ExpectedCount() float64 { return pm.SumP }
-
-// ExpectedSum returns Σpᵢ·x̄ᵢ, the expectation of the possible-world sum.
-func (pm ProbMoments) ExpectedSum() float64 { return pm.SumPX }
-
-// SumVariance returns the variance of the possible-world sum: value
-// uncertainty Σpᵢvᵢ plus membership uncertainty Σpᵢ(1−pᵢ)x̄ᵢ².
-func (pm ProbMoments) SumVariance() float64 {
-	v := pm.SumPV + pm.SumP1PX2
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// CountInterval returns a level-c normal-approximation predictive interval
-// for the realized tuple count C = ΣBᵢ, Bᵢ ~ Bernoulli(pᵢ): the realized
-// count lands inside it with probability ≈ c (Lindeberg CLT over the
-// independent Bernoullis). Degenerate streams (every p ∈ {0, 1}) collapse
-// to the exact point.
-func (pm ProbMoments) CountInterval(c float64) (accuracy.Interval, error) {
-	return pm.normalPredictive(pm.SumP, pm.SumP1P, c)
-}
-
-// SumInterval returns a level-c normal-approximation predictive interval
-// for the possible-world sum ΣBᵢXᵢ.
-func (pm ProbMoments) SumInterval(c float64) (accuracy.Interval, error) {
-	return pm.normalPredictive(pm.SumPX, pm.SumVariance(), c)
-}
-
 // MembershipHalfWidth returns z(c)·scale·√(Σpᵢ(1−pᵢ)x̄ᵢ²) — the level-c
 // half-width of the membership-uncertainty component of a scaled sum of the
 // tuples' values (scale = 1 for SUM, 1/m for AVG). Zero when every tuple
@@ -195,21 +127,6 @@ func (pm ProbMoments) MembershipHalfWidth(scale, c float64) (float64, error) {
 		return 0, err
 	}
 	return z * scale * math.Sqrt(pm.SumP1PX2), nil
-}
-
-func (pm ProbMoments) normalPredictive(center, variance, c float64) (accuracy.Interval, error) {
-	if pm.N == 0 {
-		return accuracy.Interval{}, fmt.Errorf("%w: probabilistic interval over zero tuples", accuracy.ErrSampleSize)
-	}
-	if variance < 0 || math.IsNaN(variance) || math.IsNaN(center) {
-		return accuracy.Interval{}, fmt.Errorf("sketch: invalid estimator moments center=%v var=%v", center, variance)
-	}
-	z, err := zUpperLevel(c)
-	if err != nil {
-		return accuracy.Interval{}, err
-	}
-	half := z * math.Sqrt(variance)
-	return accuracy.Interval{Lo: center - half, Hi: center + half, Level: c}, nil
 }
 
 // validate rejects non-finite or inconsistent serialized state.

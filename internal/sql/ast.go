@@ -210,48 +210,3 @@ func (s *SelectStmt) String() string {
 	}
 	return b.String()
 }
-
-// Walk calls fn for expr and every sub-expression, depth-first. It is used
-// by the planner to collect column references and validate calls.
-func Walk(expr Expr, fn func(Expr)) {
-	if expr == nil {
-		return
-	}
-	fn(expr)
-	switch e := expr.(type) {
-	case *UnaryExpr:
-		Walk(e.X, fn)
-	case *BinaryExpr:
-		Walk(e.L, fn)
-		Walk(e.R, fn)
-	case *CmpExpr:
-		Walk(e.L, fn)
-		Walk(e.R, fn)
-	case *LogicalExpr:
-		Walk(e.L, fn)
-		Walk(e.R, fn)
-	case *NotExpr:
-		Walk(e.X, fn)
-	case *CallExpr:
-		for _, a := range e.Args {
-			Walk(a, fn)
-		}
-	}
-}
-
-// Columns returns the distinct column names referenced by expr, in first
-// appearance order.
-func Columns(expr Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	Walk(expr, func(e Expr) {
-		if c, ok := e.(*ColumnRef); ok {
-			key := strings.ToLower(c.Name)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, c.Name)
-			}
-		}
-	})
-	return out
-}

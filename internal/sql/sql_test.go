@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -260,61 +259,6 @@ func TestStatementStringRoundTrip(t *testing.T) {
 		}
 		if stmt.String() != stmt2.String() {
 			t.Errorf("round trip: %q != %q", stmt.String(), stmt2.String())
-		}
-	}
-}
-
-func TestColumns(t *testing.T) {
-	e, err := ParseExpr("(a + b)/2 + SQRT(ABS(a)) + c.d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := Columns(e)
-	want := []string{"a", "b", "c.d"}
-	if len(cols) != len(want) {
-		t.Fatalf("columns = %v", cols)
-	}
-	for i := range want {
-		if !strings.EqualFold(cols[i], want[i]) {
-			t.Errorf("column %d = %q, want %q", i, cols[i], want[i])
-		}
-	}
-	if got := Columns(nil); got != nil {
-		t.Errorf("Columns(nil) = %v", got)
-	}
-}
-
-func TestWalkCoversAllNodes(t *testing.T) {
-	e, err := ParseExpr("NOT (a > 1 AND -b < f(c, 'x') OR a + 2 * 3 <> 4)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]bool{}
-	Walk(e, func(x Expr) {
-		switch x.(type) {
-		case *NotExpr:
-			kinds["not"] = true
-		case *LogicalExpr:
-			kinds["logical"] = true
-		case *CmpExpr:
-			kinds["cmp"] = true
-		case *UnaryExpr:
-			kinds["unary"] = true
-		case *BinaryExpr:
-			kinds["binary"] = true
-		case *CallExpr:
-			kinds["call"] = true
-		case *ColumnRef:
-			kinds["col"] = true
-		case *NumberLit:
-			kinds["num"] = true
-		case *StringLit:
-			kinds["str"] = true
-		}
-	})
-	for _, k := range []string{"not", "logical", "cmp", "unary", "binary", "call", "col", "num", "str"} {
-		if !kinds[k] {
-			t.Errorf("Walk did not visit %s nodes", k)
 		}
 	}
 }

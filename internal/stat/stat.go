@@ -40,11 +40,6 @@ const (
 
 // --- Standard normal ---
 
-// NormPDF returns the density of the standard normal distribution at x.
-func NormPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // NormCDF returns P(Z ≤ x) for a standard normal Z.
 func NormCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
@@ -146,24 +141,6 @@ func GammaP(a, x float64) (float64, error) {
 		return gammaPSeries(a, x), nil
 	}
 	return 1 - gammaQContinuedFraction(a, x), nil
-}
-
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 − P(a, x).
-func GammaQ(a, x float64) (float64, error) {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return 0, ErrDomain
-	}
-	if x == 0 {
-		return 1, nil
-	}
-	if math.IsInf(x, 1) {
-		return 0, nil
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x), nil
-	}
-	return gammaQContinuedFraction(a, x), nil
 }
 
 // gammaPSeries evaluates P(a, x) by its power series; converges quickly for

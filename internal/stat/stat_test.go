@@ -93,19 +93,6 @@ func TestGammaPKnownValues(t *testing.T) {
 	}
 }
 
-func TestGammaPQComplement(t *testing.T) {
-	for _, a := range []float64{0.3, 1, 2.5, 10, 50} {
-		for _, x := range []float64{0.01, 0.5, 1, 3, 10, 60} {
-			p, err1 := GammaP(a, x)
-			q, err2 := GammaQ(a, x)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			approx(t, "P+Q", p+q, 1, 1e-12)
-		}
-	}
-}
-
 func TestGammaPDomain(t *testing.T) {
 	if _, err := GammaP(-1, 1); err == nil {
 		t.Error("GammaP(-1,1): want error")
@@ -320,7 +307,8 @@ func TestPDFsIntegrateToCDF(t *testing.T) {
 		}
 		return sum * h
 	}
-	got := integ(NormPDF, -8, 1.3, 40000)
+	normPDF := func(x float64) float64 { return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi) }
+	got := integ(normPDF, -8, 1.3, 40000)
 	approx(t, "∫normPDF", got, NormCDF(1.3), 1e-6)
 
 	df := 11.0
@@ -349,15 +337,6 @@ func TestEdgeBranches(t *testing.T) {
 	}
 	if p, err := GammaP(2, math.Inf(1)); err != nil || p != 1 {
 		t.Errorf("GammaP(2,Inf) = %v, %v", p, err)
-	}
-	if q, err := GammaQ(2, 0); err != nil || q != 1 {
-		t.Errorf("GammaQ(2,0) = %v, %v", q, err)
-	}
-	if q, err := GammaQ(2, math.Inf(1)); err != nil || q != 0 {
-		t.Errorf("GammaQ(2,Inf) = %v, %v", q, err)
-	}
-	if _, err := GammaQ(-1, 1); err == nil {
-		t.Error("GammaQ(-1,1): want error")
 	}
 	// TCDF at infinities and bad df.
 	if c, err := TCDF(math.Inf(1), 5); err != nil || c != 1 {

@@ -74,11 +74,15 @@ func Aggregate(e *randvar.Evaluator, kind AggKind, fields []randvar.Field) (rand
 	case Count:
 		return randvar.Result{Field: randvar.Det(float64(len(fields)))}, nil
 	case Avg, Sum:
-		w := 1.0
+		wt := 1.0
 		if kind == Avg {
-			w = 1 / float64(len(fields))
+			wt = 1 / float64(len(fields))
 		}
-		if f, ok, err := randvar.LinearGaussianUniform(w, 0, fields...); err != nil {
+		w := make([]float64, len(fields))
+		for i := range w {
+			w[i] = wt
+		}
+		if f, ok, err := randvar.LinearGaussian(w, 0, fields...); err != nil {
 			return randvar.Result{}, err
 		} else if ok {
 			return randvar.Result{Field: f}, nil

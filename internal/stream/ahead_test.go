@@ -11,7 +11,7 @@ import (
 )
 
 // scanRef is the closed-form scan as one oldest-first loop over the
-// window's linearized contents, the way randvar.LinearGaussianUniform adds
+// window's linearized contents, the way randvar.LinearGaussian adds
 // a window's fields: the reference every lane of LinearUniformAhead is held
 // to. Its sample size is the smallest positive n, with every n ≤ 0 wrapped
 // out of the running minimum.

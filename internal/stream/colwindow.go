@@ -54,7 +54,7 @@ type winColumn struct {
 // tuple — the window never retains the *Tuple (see the ownership contract in
 // doc.go). Results are bit-identical to aggregating the same tuples as rows:
 // the closed-form scan visits slots oldest-first with the same summation
-// order as randvar.LinearGaussianUniform, and the fallback path materializes
+// order as randvar.LinearGaussian, and the fallback path materializes
 // fields in that order for Aggregate.
 type ColumnWindow struct {
 	schema *Schema
@@ -310,7 +310,7 @@ const AheadWidth = 4
 // Σ wt·Xᵢ over column c, and the smallest positive sample size (0 if none),
 // of the window after each push of ahead — lane j after ahead[:j+1] — or,
 // with no look-ahead, in lane 0 of the window as it stands. Each lane adds
-// its window's slots oldest-first, as randvar.LinearGaussianUniform adds
+// its window's slots oldest-first, as randvar.LinearGaussian adds
 // rows, so every bit matches pushing and aggregating. ok is false, and
 // nothing is scanned, for a field that is not Point or Normal, a look-ahead
 // longer than AheadWidth, or a span window with a look-ahead.

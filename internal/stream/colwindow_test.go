@@ -321,7 +321,9 @@ func TestAggregateColumnEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if mEmit, _ := models[g].push(tp.Clone()); mEmit != emit {
+						cp := *tp
+						cp.Fields = append([]randvar.Field(nil), tp.Fields...)
+						if mEmit, _ := models[g].push(&cp); mEmit != emit {
 							t.Fatalf("push %d: emit %v, model %v", i, emit, mEmit)
 						}
 						if !emit {
@@ -577,7 +579,7 @@ func TestColumnWindowValidation(t *testing.T) {
 }
 
 // BenchmarkWindowScan measures the closed-form AVG scan over a full window
-// — row gather+LinearGaussianUniform vs the columnar contiguous scan — and,
+// — row gather+LinearGaussian vs the columnar contiguous scan — and,
 // as col-ahead, the look-ahead scan answering the windows after each of
 // four more tuples in one pass, in ns per window.
 func BenchmarkWindowScan(b *testing.B) {

@@ -114,13 +114,6 @@ func NewLearnOp(in *Schema, keyCol, valueCol string, bufferSize int) (*LearnOp, 
 	}, nil
 }
 
-func (l *LearnOp) Name() string {
-	return fmt.Sprintf("learn(%s by %s, buf=%d)", l.ValueCol, l.KeyCol, l.BufferSize)
-}
-
-// OutSchema returns the learned-tuple schema.
-func (l *LearnOp) OutSchema() *Schema { return l.out }
-
 // Process buffers the raw observation and emits a freshly learned tuple
 // for its key once MinSamples observations are available.
 func (l *LearnOp) Process(t *Tuple) ([]*Tuple, error) {
@@ -183,6 +176,3 @@ func (l *LearnOp) Process(t *Tuple) ([]*Tuple, error) {
 	}
 	return []*Tuple{out}, nil
 }
-
-// Keys returns the number of keys currently buffered.
-func (l *LearnOp) Keys() int { return len(l.buffers) }

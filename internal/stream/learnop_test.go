@@ -84,12 +84,12 @@ func TestLearnOpEmitsLearnedTuples(t *testing.T) {
 	if err != nil || len(out) != 0 {
 		t.Fatalf("road 20 first: %v, %v", out, err)
 	}
-	if op.Keys() != 2 {
-		t.Errorf("Keys = %d, want 2", op.Keys())
+	if len(op.buffers) != 2 {
+		t.Errorf("keys = %d, want 2", len(op.buffers))
 	}
 	// Output schema shape.
-	if op.OutSchema().Arity() != 2 || !op.OutSchema().Columns[1].Probabilistic {
-		t.Errorf("out schema = %v", op.OutSchema())
+	if op.out.Arity() != 2 || !op.out.Columns[1].Probabilistic {
+		t.Errorf("out schema = %v", op.out)
 	}
 }
 

@@ -49,36 +49,8 @@ func (s *Schema) Index(name string) (int, bool) {
 	return i, ok
 }
 
-// Column returns the named column's descriptor.
-func (s *Schema) Column(name string) (Column, error) {
-	i, ok := s.Index(name)
-	if !ok {
-		return Column{}, fmt.Errorf("stream: schema %q has no column %q", s.Name, name)
-	}
-	return s.Columns[i], nil
-}
-
 // Arity returns the number of columns.
 func (s *Schema) Arity() int { return len(s.Columns) }
-
-// Project returns a new schema consisting of the named columns, in order.
-func (s *Schema) Project(name string, cols ...string) (*Schema, error) {
-	out := make([]Column, 0, len(cols))
-	for _, c := range cols {
-		i, ok := s.Index(c)
-		if !ok {
-			return nil, fmt.Errorf("stream: schema %q has no column %q", s.Name, c)
-		}
-		out = append(out, s.Columns[i])
-	}
-	return NewSchema(name, out...)
-}
-
-// Extend returns a new schema with an extra column appended.
-func (s *Schema) Extend(name string, col Column) (*Schema, error) {
-	cols := append(append([]Column(nil), s.Columns...), col)
-	return NewSchema(name, cols...)
-}
 
 func (s *Schema) String() string {
 	var b strings.Builder

@@ -73,23 +73,6 @@ func (t *Tuple) Validate() error {
 	return nil
 }
 
-// Field returns the named field.
-func (t *Tuple) Field(name string) (randvar.Field, error) {
-	i, ok := t.Schema.Index(name)
-	if !ok {
-		return randvar.Field{}, fmt.Errorf("stream: tuple has no field %q", name)
-	}
-	return t.Fields[i], nil
-}
-
-// Clone returns a deep-enough copy: the field slice is copied (the
-// distributions themselves are immutable by convention).
-func (t *Tuple) Clone() *Tuple {
-	out := *t
-	out.Fields = append([]randvar.Field(nil), t.Fields...)
-	return &out
-}
-
 func (t *Tuple) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s{", t.Schema.Name)

@@ -42,9 +42,6 @@ func (w *CountWindow) Push(t *Tuple) *Tuple {
 // Len returns the number of tuples currently in the window.
 func (w *CountWindow) Len() int { return w.count }
 
-// Full reports whether the window has reached capacity.
-func (w *CountWindow) Full() bool { return w.count == len(w.buf) }
-
 // Cap returns the window capacity.
 func (w *CountWindow) Cap() int { return len(w.buf) }
 

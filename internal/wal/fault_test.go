@@ -164,7 +164,7 @@ func TestResetFailureWedges(t *testing.T) {
 	}
 }
 
-// TestBatchFsyncFailureNoPartialAck checks AppendBatch against an injected
+// TestBatchFsyncFailureNoPartialAck checks a group commit against an injected
 // fsync failure: the whole batch is unacknowledged, and no later batch can
 // sneak past the wedge.
 func TestBatchFsyncFailureNoPartialAck(t *testing.T) {
@@ -174,14 +174,14 @@ func TestBatchFsyncFailureNoPartialAck(t *testing.T) {
 	})
 	l := mustOpen(t, dir, Options{Policy: FsyncAlways, FS: ifs})
 
-	if _, _, err := l.AppendBatch(RecInsertBatch, [][]byte{[]byte("ok1"), []byte("ok2")}); err != nil {
+	if _, _, err := appendGroup(l, RecInsertBatch, [][]byte{[]byte("ok1"), []byte("ok2")}); err != nil {
 		t.Fatalf("healthy batch: %v", err)
 	}
-	_, _, err := l.AppendBatch(RecInsertBatch, [][]byte{[]byte("bad1"), []byte("bad2")})
+	_, _, err := appendGroup(l, RecInsertBatch, [][]byte{[]byte("bad1"), []byte("bad2")})
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("batch over failed fsync: got %v, want EIO", err)
 	}
-	if _, _, err := l.AppendBatch(RecInsertBatch, [][]byte{[]byte("later")}); !errors.Is(err, ErrWedged) {
+	if _, _, err := appendGroup(l, RecInsertBatch, [][]byte{[]byte("later")}); !errors.Is(err, ErrWedged) {
 		t.Fatalf("batch after wedge: got %v, want ErrWedged", err)
 	}
 	l.Close()

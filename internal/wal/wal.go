@@ -84,8 +84,6 @@ var (
 		"torn-tail bytes truncated when opening the WAL")
 	mSegsDropped = metrics.Default.Counter("asdb_wal_segments_dropped_total",
 		"segments removed by post-checkpoint truncation")
-	hBatchRecords = metrics.Default.Histogram("asdb_wal_batch_records",
-		"records per AppendBatch call", batchRecordBuckets)
 	mSyncWaits = metrics.Default.Counter("asdb_wal_sync_wait_total",
 		"WaitDurable calls that had to wait for durability")
 	mSyncCoalesced = metrics.Default.Counter("asdb_wal_sync_coalesced_total",
@@ -93,8 +91,6 @@ var (
 	mWedges = metrics.Default.Counter("asdb_wal_wedged_total",
 		"WAL logs wedged by an append-path write or fsync failure")
 )
-
-var batchRecordBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 const (
 	headerSize = 8 // u32 length + u32 crc
@@ -246,8 +242,7 @@ func (o Options) normalize() Options {
 // flushes the frame without syncing, and WaitDurable blocks until the
 // record is on stable storage — the first waiter in becomes the leader and
 // issues one fsync covering every record flushed so far, so concurrent
-// committers (and whole AppendBatch calls) share a single fsync instead of
-// paying one each. Append is the composition of the two.
+// committers share a single fsync instead of paying one each. Append is the composition of the two.
 type Log struct {
 	dir  string
 	opts Options
@@ -420,47 +415,6 @@ func (l *Log) Wedged() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.wedged
-}
-
-// AppendBatch journals payloads as consecutive records of one type with a
-// single buffered-writer flush and — under FsyncAlways — a single fsync
-// for the whole batch. It returns the first and last LSNs assigned.
-func (l *Log) AppendBatch(typ RecordType, payloads [][]byte) (first, last uint64, err error) {
-	if len(payloads) == 0 {
-		return 0, 0, errors.New("wal: empty batch")
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, 0, ErrClosed
-	}
-	if l.wedged != nil {
-		err := l.wedgedErrLocked()
-		l.mu.Unlock()
-		return 0, 0, err
-	}
-	t0 := time.Now()
-	for _, p := range payloads {
-		if err := l.writeFrameLocked(typ, p); err != nil {
-			// Flush what was written so the LSN space stays consistent
-			// with the file; the failed record consumed no LSN.
-			l.w.Flush()
-			l.mu.Unlock()
-			return 0, 0, err
-		}
-	}
-	if err := l.w.Flush(); err != nil {
-		err = l.wedgeLocked(err)
-		l.mu.Unlock()
-		return 0, 0, err
-	}
-	l.dirty = true
-	last = l.nextLSN - 1
-	first = last - uint64(len(payloads)) + 1
-	hAppend.ObserveSince(t0)
-	hBatchRecords.Observe(float64(len(payloads)))
-	l.mu.Unlock()
-	return first, last, l.WaitDurable(last)
 }
 
 // writeFrameLocked frames and writes one record into the buffered writer,
