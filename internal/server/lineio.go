@@ -18,21 +18,13 @@ var errLineTooLong = errors.New("protocol line exceeds its length cap")
 // execute (a truncated INSERTBATCH can parse as a valid, shorter batch) and
 // a torn reply must never parse as an answer. Every line-protocol speaker,
 // client, server, router and ship link, reads through it with its own cap.
+// A line the reader already holds whole is copied once, into the string.
 func ReadLine(r *bufio.Reader, max int) (string, error) {
+	line, err := r.ReadSlice('\n')
 	var buf []byte
-	for {
-		frag, err := r.ReadSlice('\n')
-		buf = append(buf, frag...)
+	for err != nil {
+		buf = append(buf, line...)
 		switch err {
-		case nil:
-			line := buf[:len(buf)-1]
-			if n := len(line); n > 0 && line[n-1] == '\r' {
-				line = line[:n-1]
-			}
-			if max > 0 && len(line) > max {
-				return "", errLineTooLong
-			}
-			return string(line), nil
 		case bufio.ErrBufferFull:
 			if max > 0 && len(buf) > max {
 				return "", errLineTooLong
@@ -45,5 +37,17 @@ func ReadLine(r *bufio.Reader, max int) (string, error) {
 		default:
 			return "", err
 		}
+		line, err = r.ReadSlice('\n')
 	}
+	if buf != nil {
+		line = append(buf, line...)
+	}
+	line = line[:len(line)-1]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	if max > 0 && len(line) > max {
+		return "", errLineTooLong
+	}
+	return string(line), nil
 }

@@ -125,3 +125,17 @@ func TestConnExchangeWriteDeadline(t *testing.T) {
 		t.Fatal("connection not dropped after a failed write")
 	}
 }
+
+// A line the reader already holds whole costs one allocation: its string.
+func TestReadLineCopiesOnce(t *testing.T) {
+	line := "INSERT temps 17 N(12.5,2.25,22) @client-7:000000042\n"
+	r := bufio.NewReaderSize(strings.NewReader(strings.Repeat(line, 200)), 64<<10)
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := ReadLine(r, maxLineBytes); err != nil || got != line[:len(line)-1] {
+			t.Fatalf("ReadLine = %q, %v", got, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("reading a buffered line made %v allocations, want 1", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -306,28 +307,39 @@ func (s *Server) logf(format string, args ...any) {
 //
 // Every write is a batch: lockWrite borrows a pooled buffer, stage copies
 // lines into it, unlockWrite sends what is pending with one socket write.
-// The connection itself holds no write buffer between batches, so an idle
-// connection costs no buffer memory however many are open.
+// The one exception is a pipelined burst: while the handler has another
+// whole request buffered (hold), its own replies stay staged in the open
+// batch, and the burst's last reply, or any other writer's unlock, sends
+// them all. Between batches and bursts the connection holds no write
+// buffer, so an idle connection costs no buffer memory however many are
+// open.
 type conn struct {
 	id           uint64
 	c            net.Conn
 	writeTimeout time.Duration
 
 	wmu   sync.Mutex
-	wb    *writeBuf // the open batch's buffer; nil between batches
+	wb    *writeBuf // the open or held batch's buffer; nil between batches
 	wdata uint64    // DATA lines staged since the last socket write
+	werr  error     // the first failed socket write; nothing is written after it
+
+	// hold keeps the handler's replies staged instead of sent; only the
+	// handler goroutine reads or writes it (see handle).
+	hold bool
 
 	// outbox buffers DATA lines produced by OTHER connections' inserts; a
 	// dedicated goroutine drains it so a slow subscriber never blocks the
-	// inserting connection. nil when Options.OutboxLines < 0 (cross-conn
-	// delivery then writes synchronously, pre-hardening behavior). Every
-	// line handed to the outbox carries one reference to its body, owned
-	// by the conn and released once its bytes are staged (or on
-	// drop/drain).
-	outbox     chan dataLine
-	outboxStop chan struct{}
-	outboxDone chan struct{}
-	dead       atomic.Bool // outbox overflow or write failure; conn is being torn down
+	// inserting connection. It is made, with its drainer, the first time
+	// the conn becomes a delivery target (ensureOutboxLocked), so nil means
+	// "never a target yet" while outboxLines > 0, and "disabled" otherwise:
+	// cross-conn delivery then writes synchronously. Every line handed to
+	// the outbox carries one reference to its body, owned by the conn and
+	// released once its bytes are staged (or on drop/drain).
+	outboxLines int // Options.OutboxLines at open
+	outbox      chan dataLine
+	outboxStop  chan struct{}
+	outboxDone  chan struct{}
+	dead        atomic.Bool // outbox overflow or write failure; conn is being torn down
 
 	// scratch is the handler-goroutine-local delivery scratch reused across
 	// ingests, keeping the steady-state push path allocation-free.
@@ -344,10 +356,13 @@ var writeBufPool = sync.Pool{New: func() any {
 	return &writeBuf{b: make([]byte, 0, writeBufSize)}
 }}
 
-// lockWrite opens a write batch; pair with unlockWrite.
+// lockWrite opens a write batch, or reopens the one a burst holds; pair
+// with unlockWrite (or, on the handler's own replies, unlockReply).
 func (c *conn) lockWrite() {
 	c.wmu.Lock()
-	c.wb = writeBufPool.Get().(*writeBuf)
+	if c.wb == nil {
+		c.wb = writeBufPool.Get().(*writeBuf)
+	}
 }
 
 // stage copies ps into the open batch, sending the buffer whenever it is
@@ -388,8 +403,13 @@ func (c *conn) stageData(id string, body []byte) error {
 }
 
 // flushLocked sends the pending bytes with one socket write under one
-// deadline. Caller holds wmu.
+// deadline. After a failed write it drops them and returns that failure
+// again: a stream cut mid-line must not continue. Caller holds wmu.
 func (c *conn) flushLocked() error {
+	if c.werr != nil {
+		c.wb.b, c.wdata = c.wb.b[:0], 0
+		return c.werr
+	}
 	if len(c.wb.b) == 0 {
 		return nil
 	}
@@ -400,6 +420,8 @@ func (c *conn) flushLocked() error {
 	c.wb.b = c.wb.b[:0]
 	if err == nil {
 		mDataLines.Add(c.wdata)
+	} else {
+		c.werr = err
 	}
 	c.wdata = 0
 	return err
@@ -410,7 +432,8 @@ func (c *conn) stageLine(line string) error {
 	return stage(c, line, "\n")
 }
 
-// unlockWrite sends what the batch still holds and closes it.
+// unlockWrite sends what the batch still holds, a burst's held replies
+// included, and closes it.
 func (c *conn) unlockWrite() error {
 	err := c.flushLocked()
 	writeBufPool.Put(c.wb)
@@ -419,10 +442,33 @@ func (c *conn) unlockWrite() error {
 	return err
 }
 
+// unlockReply ends a batch of the handler's own replies. Inside a pipelined
+// burst (hold) the batch stays open and staged for the burst's later
+// replies; otherwise, or after a failed write, it is unlockWrite.
+func (c *conn) unlockReply() error {
+	if c.hold && c.werr == nil {
+		c.wmu.Unlock()
+		return nil
+	}
+	return c.unlockWrite()
+}
+
+// flushHeld sends what a burst left staged and returns the buffer; the
+// handler calls it before a read that may block, before a checkpoint and
+// when it exits.
+func (c *conn) flushHeld() error {
+	c.wmu.Lock()
+	if c.wb == nil { // nothing held, or another writer sent it
+		c.wmu.Unlock()
+		return nil
+	}
+	return c.unlockWrite()
+}
+
 func (c *conn) writeLine(line string) error {
 	c.lockWrite()
 	err := c.stageLine(line)
-	if ferr := c.unlockWrite(); err == nil {
+	if ferr := c.unlockReply(); err == nil {
 		err = ferr
 	}
 	return err
@@ -506,6 +552,21 @@ func (c *conn) drainOutbox(l dataLine) {
 	}
 }
 
+// ensureOutboxLocked gives c its outbox and drainer the first time it
+// becomes a delivery target (query owner, ATTACH, SUBSCRIBE). Caller holds
+// s.mu and registers c as a target under the same hold, so every delivery
+// snapshot that sees c also sees its outbox.
+func (c *conn) ensureOutboxLocked() {
+	if c.outbox != nil || c.outboxLines <= 0 {
+		return
+	}
+	c.outbox = make(chan dataLine, c.outboxLines)
+	c.outboxStop = make(chan struct{})
+	c.outboxDone = make(chan struct{})
+	go c.outboxLoop()
+}
+
+// stopOutbox stops c's drainer, if c ever had one.
 func (c *conn) stopOutbox() {
 	if c.outbox == nil {
 		return
@@ -550,20 +611,16 @@ func (s *Server) handle(nc net.Conn) {
 		fmt.Fprintf(nc, "ERR server at connection limit (%d)\n", limit)
 		return
 	}
-	s.nextConn++
-	c := &conn{id: s.nextConn, c: nc, writeTimeout: s.opts.WriteTimeout}
-	if s.opts.OutboxLines > 0 {
-		c.outbox = make(chan dataLine, s.opts.OutboxLines)
-		c.outboxStop = make(chan struct{})
-		c.outboxDone = make(chan struct{})
-		go c.outboxLoop()
-	}
-	s.conns[c.id] = nc
+	c := s.newConnLocked(nc)
 	s.mu.Unlock()
 	mConnsOpened.Inc()
 	gConnsActive.Inc()
 	s.logf("conn %d: open from %s", c.id, nc.RemoteAddr())
 	defer func() {
+		// Replies a burst still holds leave on every exit — QUIT, EOF, a
+		// read error, a panic — before the conn's queries close. A failed
+		// write was already reported.
+		_ = c.flushHeld()
 		s.dropConnQueries(c)
 		s.mu.Lock()
 		delete(s.conns, c.id)
@@ -574,6 +631,15 @@ func (s *Server) handle(nc net.Conn) {
 	r := bufio.NewReaderSize(nc, 64*1024)
 	var readErr error
 	for {
+		if c.hold && !lineBuffered(r) {
+			// The burst ended on a line that sent nothing (a blank one):
+			// send what it holds before a read that may block.
+			c.hold = false
+			if err := c.flushHeld(); err != nil {
+				s.logf("conn %d: write: %v", c.id, err)
+				return
+			}
+		}
 		if s.opts.IdleTimeout > 0 {
 			nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
@@ -586,6 +652,10 @@ func (s *Server) handle(nc net.Conn) {
 		if line == "" {
 			continue
 		}
+		// While the client has pipelined another whole request, this
+		// command's replies stay staged: the burst's last command sends
+		// them all in one write (⌈bytes/writeBufSize⌉ when larger).
+		c.hold = lineBuffered(r)
 		quit, err := s.dispatch(c, line)
 		if err != nil {
 			mCmdErrs.Inc()
@@ -610,6 +680,22 @@ func (s *Server) handle(nc net.Conn) {
 		return
 	}
 	s.logf("conn %d: closed", c.id)
+}
+
+// newConnLocked registers a conn for nc. It gets no outbox until it
+// becomes a delivery target (ensureOutboxLocked). Caller holds s.mu.
+func (s *Server) newConnLocked(nc net.Conn) *conn {
+	s.nextConn++
+	c := &conn{id: s.nextConn, c: nc, writeTimeout: s.opts.WriteTimeout, outboxLines: s.opts.OutboxLines}
+	s.conns[c.id] = nc
+	return c
+}
+
+// lineBuffered reports whether r already holds a whole line: the client
+// pipelined another request behind the one being read.
+func lineBuffered(r *bufio.Reader) bool {
+	b, _ := r.Peek(r.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
 }
 
 // testHookDispatch, when non-nil, runs at the top of every dispatch; the
@@ -697,8 +783,18 @@ func (s *Server) applyCommand(c *conn, typ wal.RecordType, payload string) error
 	if err != nil {
 		return err
 	}
-	s.maybeCheckpoint()
+	s.checkpointFor(c)
 	return c.writeLine(reply)
+}
+
+// checkpointFor runs a due checkpoint (maybeCheckpoint) for a command of
+// c. What c's burst holds is sent first, so no result waits behind the
+// snapshot. A failed send sticks to c, and the command's reply reports it.
+func (s *Server) checkpointFor(c *conn) {
+	if s.checkpointDue() {
+		_ = c.flushHeld()
+	}
+	s.maybeCheckpoint()
 }
 
 // applyQueryLocked compiles, binds, and registers a query. The
@@ -718,6 +814,9 @@ func (s *Server) applyQueryLocked(id, sqlText string, owner *conn) error {
 	}
 	if err := s.engine.Bind(id, q); err != nil {
 		return err
+	}
+	if owner != nil {
+		owner.ensureOutboxLocked()
 	}
 	s.queries[id] = &registeredQuery{id: id, sqlText: sqlText, query: q, owner: owner}
 	s.logf("query %s registered: %s", id, sqlText)
@@ -923,7 +1022,7 @@ func (s *Server) sendDeliveries(from *conn, sc *deliveryScratch, reply string) e
 		if reply != "" && err == nil {
 			err = from.stageLine(reply)
 		}
-		if ferr := from.unlockWrite(); err == nil {
+		if ferr := from.unlockReply(); err == nil {
 			err = ferr
 		}
 	}
@@ -1012,7 +1111,7 @@ func (s *Server) cmdIngest(c *conn, rest string, typ wal.RecordType) error {
 		// A checkpoint is about to quiesce the engine: DATA leaves first so
 		// results are not held behind the snapshot; the reply follows it.
 		err = s.sendDeliveries(c, &c.scratch, "")
-		s.maybeCheckpoint()
+		s.checkpointFor(c)
 		if err == nil {
 			err = c.writeLine(reply)
 		}
@@ -1103,6 +1202,7 @@ func (s *Server) cmdAttach(c *conn, rest string) error {
 	if rq.owner != nil && rq.owner != c {
 		return fmt.Errorf("query %q is owned by another connection", id)
 	}
+	c.ensureOutboxLocked()
 	rq.owner = c
 	// A connection is either owner or subscriber, never both; promote.
 	for i, sub := range rq.subs {
@@ -1134,6 +1234,7 @@ func (s *Server) cmdSubscribe(c *conn, rest string) error {
 			}
 		}
 		if !found {
+			c.ensureOutboxLocked()
 			rq.subs = append(rq.subs, c)
 		}
 	}

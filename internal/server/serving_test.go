@@ -25,7 +25,7 @@ import (
 // connection handler against it.
 type recConn struct {
 	mu      sync.Mutex
-	in      *strings.Reader
+	in      io.Reader
 	writes  [][]byte
 	discard bool // count nothing, keep nothing (benchmarks, fuzzing)
 	// failFrom makes the failFrom-th Write (1-based) and every later one
@@ -35,7 +35,10 @@ type recConn struct {
 	// gate, when non-nil, blocks every Write until it is closed.
 	entered chan struct{}
 	gate    chan struct{}
-	closed  bool
+	// recorded, when non-nil, receives one token per Write once it is
+	// recorded.
+	recorded chan struct{}
+	closed   bool
 }
 
 var errRecConnWrite = errors.New("recConn: injected write failure")
@@ -51,6 +54,9 @@ func (c *recConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.writes = append(c.writes, bytes.Clone(p))
+	if c.recorded != nil {
+		c.recorded <- struct{}{}
+	}
 	if c.failFrom > 0 && len(c.writes) >= c.failFrom {
 		return 0, errRecConnWrite
 	}
@@ -648,5 +654,214 @@ func TestDroppedSubscriberLoggedOnce(t *testing.T) {
 	got := strings.Count(logged.String(), "dropped (slow or closed)")
 	if got != 2 || !strings.Contains(logged.String(), "conn 2 dropped") || !strings.Contains(logged.String(), "conn 3 dropped") {
 		t.Errorf("four lines to two dead subscribers logged %d drops, want one per connection:\n%s", got, logged.String())
+	}
+}
+
+// lineReader hands out its input one line per Read: a client that sends
+// each request on its own, so the server never finds another one buffered.
+type lineReader struct{ rest string }
+
+func (r *lineReader) Read(p []byte) (int, error) {
+	if r.rest == "" {
+		return 0, io.EOF
+	}
+	line, rest, _ := strings.Cut(r.rest, "\n")
+	n := copy(p, line+"\n")
+	r.rest = rest
+	return n, nil
+}
+
+// serveScript serves in on a fresh connection of s through ServeConn and
+// returns the socket writes once the handler has exited.
+func serveScript(s *Server, rc *recConn, in io.Reader) [][]byte {
+	rc.in = in
+	s.ServeConn(rc)
+	s.connWG.Wait()
+	return rc.take()
+}
+
+// TestPipelinedBurstOneWrite sends a session of 300 INSERTs in one client
+// write: the replies leave in ⌈bytes/writeBufSize⌉ socket writes, byte for
+// byte what the same session gets when each request arrives alone.
+func TestPipelinedBurstOneWrite(t *testing.T) {
+	cfg := core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1}
+	script := "STREAM s key v:dist\nQUERY q SELECT AVG(v) AS a FROM s WINDOW 4 ROWS\n"
+	for i := 0; i < 300; i++ {
+		script += fmt.Sprintf("INSERT s %d N(%d,4,25) @r%d\n", i, 10+i%7, i)
+	}
+	alone := serveScript(newTestServer(t, cfg), &recConn{}, &lineReader{script})
+	burst := serveScript(newTestServer(t, cfg), &recConn{}, strings.NewReader(script))
+
+	if len(alone) != 302 {
+		t.Fatalf("one request at a time: %d writes, want one per request (302)", len(alone))
+	}
+	want := bytes.Join(alone, nil)
+	if got := bytes.Join(burst, nil); !bytes.Equal(got, want) {
+		t.Fatalf("burst bytes differ from one request at a time:\n%s", transcriptDiff(string(want), string(got)))
+	}
+	if len(want) <= writeBufSize {
+		t.Fatalf("the session is only %d bytes; the test needs more than one buffer", len(want))
+	}
+	if n := (len(want) + writeBufSize - 1) / writeBufSize; len(burst) != n {
+		t.Errorf("a %d-byte burst took %d writes, want %d", len(want), len(burst), n)
+	}
+}
+
+// TestTornBurstRepliesFirst sends a whole PING and the start of the next:
+// the reply leaves before the handler waits for the rest of the line. A
+// burst that ends on a blank line is sent before the wait as well.
+func TestTornBurstRepliesFirst(t *testing.T) {
+	s := newTestServer(t, core.Config{})
+	pr, pw := io.Pipe()
+	rc := &recConn{in: pr, recorded: make(chan struct{}, 64)}
+	s.ServeConn(rc)
+	for _, step := range []struct{ send, want string }{
+		{"PING\nPI", "OK pong\n"},
+		{"NG\n", "OK pong\n"},
+		{"PING\nPING\n \n", "OK pong\nOK pong\n"},
+	} {
+		if _, err := pw.Write([]byte(step.send)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-rc.recorded:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("after %q: no reply while the handler waits for input", step.send)
+		}
+		if w := rc.take(); len(w) != 1 || string(w[0]) != step.want {
+			t.Fatalf("after %q: writes %q, want %q", step.send, w, step.want)
+		}
+	}
+	pw.Close()
+	s.connWG.Wait()
+}
+
+// TestQuitMidBurst: QUIT inside a burst sends every earlier reply and then
+// its own, and nothing behind it runs.
+func TestQuitMidBurst(t *testing.T) {
+	s := newTestServer(t, core.Config{})
+	w := serveScript(s, &recConn{}, strings.NewReader("PING\nSTREAM s key v:dist\nQUIT\nSTREAM t key v:dist\n"))
+	if len(w) != 1 || string(w[0]) != "OK pong\nOK stream s\nOK bye\n" {
+		t.Fatalf("writes %q, want the three replies in one write", w)
+	}
+	if _, err := s.dispatch(&conn{id: 9, c: &recConn{discard: true}}, "STREAM t key v:dist"); err != nil {
+		t.Errorf("the STREAM after QUIT ran: %v", err)
+	}
+}
+
+// TestCheckpointFlushesBurst pipelines the INSERT that makes a checkpoint
+// due: what the burst holds, that INSERT's DATA included, leaves before the
+// snapshot runs, and the rest of the burst follows in a second write.
+func TestCheckpointFlushesBurst(t *testing.T) {
+	s := newTestServer(t, durableConfig(t.TempDir(), 1, 4))
+	defer s.Close()
+	rc := &recConn{entered: make(chan struct{}, 64), gate: make(chan struct{})}
+	rc.in = strings.NewReader("STREAM s key v:dist\nQUERY q SELECT v FROM s\n" +
+		"INSERT s 1 N(10,4,25)\nINSERT s 2 N(11,4,25)\nINSERT s 3 N(12,4,25)\n")
+	s.ServeConn(rc)
+	<-rc.entered
+	if n := s.sinceCk.Load(); n != 4 {
+		t.Errorf("first write began with %d records since the checkpoint, want 4: the snapshot ran first", n)
+	}
+	close(rc.gate)
+	s.connWG.Wait()
+	w := rc.take()
+	if len(w) != 2 {
+		t.Fatalf("%d writes, want 2 (up to the checkpointing INSERT's DATA, then the rest): %q", len(w), w)
+	}
+	first, second := string(w[0]), string(w[1])
+	if !strings.HasPrefix(first, "OK stream s\nOK query q\nDATA q ") || strings.Count(first, "DATA q ") != 2 ||
+		!strings.HasSuffix(first, "}\n") || strings.Count(first, "OK inserted") != 1 {
+		t.Errorf("first write %q, want the setup replies, INSERT 1's DATA and reply, and INSERT 2's DATA", first)
+	}
+	if !strings.HasPrefix(second, "OK inserted results=1\nDATA q ") || !strings.HasSuffix(second, "\nOK inserted results=1\n") {
+		t.Errorf("second write %q, want INSERT 2's reply, then INSERT 3's DATA and reply", second)
+	}
+	if n := s.sinceCk.Load(); n != 2 {
+		t.Errorf("sinceCk = %d after the session, want 2 (checkpoint at record 4; INSERT 3 and the CLOSE at exit)", n)
+	}
+}
+
+// TestOutboxDataInBurst delivers another connection's DATA while a burst
+// holds replies: the drainer's write carries the held replies first, so the
+// wire order is the one the replies and the DATA had without holding.
+func TestOutboxDataInBurst(t *testing.T) {
+	s := newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1})
+	b := &conn{id: 100, c: &recConn{discard: true}}
+	mustDispatch(t, s, b, "STREAM sb key v:dist")
+	mustDispatch(t, s, b, "QUERY qb SELECT v FROM sb")
+	gate := make(chan struct{})
+	close(gate)
+	rc := &recConn{entered: make(chan struct{}, 64), gate: gate}
+	testHookDispatch = func(verb string) {
+		if verb != "ROLE" {
+			return
+		}
+		mustDispatch(t, s, b, "INSERT sb 1 N(10,4,25)")
+		<-rc.entered // the drainer's write
+	}
+	defer func() { testHookDispatch = nil }()
+	w := serveScript(s, rc, strings.NewReader("SUBSCRIBE qb\nPING\nROLE\nPING\n"))
+	if len(w) != 2 {
+		t.Fatalf("%d writes, want 2 (held replies and DATA, then the rest): %q", len(w), w)
+	}
+	if first := string(w[0]); !strings.HasPrefix(first, "OK subscribed qb\nOK pong\nDATA qb {") || strings.Count(first, "\n") != 3 {
+		t.Errorf("drainer's write %q, want the held replies, then the DATA line", first)
+	}
+	if second := string(w[1]); !strings.HasPrefix(second, "OK role=") || !strings.HasSuffix(second, "\nOK pong\n") {
+		t.Errorf("last write %q, want ROLE's and the last PING's replies", second)
+	}
+}
+
+// TestWriteErrorInBurst fails the first socket write of a burst, forced
+// mid-burst by a full buffer: the handler logs the failure once, writes
+// nothing more and stops reading.
+func TestWriteErrorInBurst(t *testing.T) {
+	s := newTestServer(t, core.Config{})
+	var logged bytes.Buffer
+	s.logger = log.New(&logged, "", 0)
+	rc := &recConn{failFrom: 1}
+	script := strings.Repeat("PING\n", 2*writeBufSize/len("OK pong\n")) + "STREAM late key v:dist\n"
+	if w := serveScript(s, rc, strings.NewReader(script)); len(w) != 1 || len(w[0]) != writeBufSize {
+		t.Errorf("%d writes, want the one full buffer that failed", len(w))
+	}
+	if n := strings.Count(logged.String(), errRecConnWrite.Error()); n != 1 {
+		t.Errorf("the failed write logged %d times, want 1:\n%s", n, logged.String())
+	}
+	if _, err := s.dispatch(&conn{id: 9, c: &recConn{discard: true}}, "STREAM late key v:dist"); err != nil {
+		t.Errorf("the handler kept running commands after the failed write: %v", err)
+	}
+}
+
+// TestOutboxOnFirstNeed: a connection gets its outbox and drainer only when
+// it first becomes a delivery target; one that only inserts has neither.
+func TestOutboxOnFirstNeed(t *testing.T) {
+	s := newTestServer(t, core.Config{Method: core.AccuracyAnalytical, Seed: 1})
+	s.mu.Lock()
+	ins, sub, own := s.newConnLocked(&recConn{discard: true}), s.newConnLocked(&recConn{discard: true}), s.newConnLocked(&recConn{discard: true})
+	s.mu.Unlock()
+	mustDispatch(t, s, ins, "STREAM s key v:dist")
+	mustDispatch(t, s, ins, "INSERT s 1 N(10,4,25)")
+	if ins.outbox != nil || ins.outboxDone != nil {
+		t.Fatal("a connection that only inserts has an outbox")
+	}
+	mustDispatch(t, s, own, "QUERY q SELECT v FROM s")
+	mustDispatch(t, s, sub, "SUBSCRIBE q")
+	for name, c := range map[string]*conn{"owner": own, "subscriber": sub} {
+		if cap(c.outbox) != defaultOutboxLines || c.outboxDone == nil {
+			t.Fatalf("%s: outbox of %d lines, drainer %v; want %d lines and a drainer", name, cap(c.outbox), c.outboxDone != nil, defaultOutboxLines)
+		}
+		select {
+		case <-c.outboxDone:
+			t.Fatalf("%s: drainer already exited", name)
+		default:
+		}
+	}
+	mustDispatch(t, s, ins, "INSERT s 2 N(10,4,25)")
+	for _, c := range []*conn{ins, sub, own} {
+		c.stopOutbox()
+	}
+	if ins.outbox != nil {
+		t.Error("the inserting connection got an outbox by delivering to others")
 	}
 }
