@@ -275,6 +275,71 @@ func TestCrashRecoveryCorruptCheckpoint(t *testing.T) {
 	compareTail(t, refData, data, refStats, stats)
 }
 
+// joinCrashCmds sets up a symmetric join whose WHERE over a histogram or
+// Gaussian field gives matches membership probabilities below 1.
+var joinCrashCmds = []string{
+	"STREAM temps key val:dist",
+	"STREAM hums key val:dist",
+	"QUERY j1 SELECT temps.val, (temps.val + hums.val) / 2 AS mix FROM temps JOIN hums ON key = key WHERE hums.val > 11 WINDOW 4 ROWS",
+}
+
+// joinInsertCmd sends two tuples in three to temps, cycles the key through
+// 0..3 and the value through Gaussian, deterministic and histogram fields.
+func joinInsertCmd(i int) string {
+	name := "temps"
+	if i%3 == 2 {
+		name = "hums"
+	}
+	val := fmt.Sprintf("N(%d.5,2.25,%d)", 10+i%13, 20+i%5)
+	switch i % 4 {
+	case 1:
+		val = fmt.Sprint(12 + i%7)
+	case 3:
+		val = fmt.Sprintf("H(0,10,20,30|%d,2,%d)", 1+i%5, 1+i%3)
+	}
+	return fmt.Sprintf("INSERT %s %d %s", name, i%4, val)
+}
+
+// TestCrashRecoveryJoin kills a server mid-stream while a join's windows
+// hold both streams' tuples, on both recovery paths (checkpoint plus WAL
+// suffix, WAL alone), and demands the DATA bytes of an uninterrupted run.
+func TestCrashRecoveryJoin(t *testing.T) {
+	const phase1, total = 11, 24
+	run := func(t *testing.T, ckEvery, crashAt int) (data []string, stats string) {
+		dir := t.TempDir()
+		s, addr := startDurableServer(t, durableConfig(dir, 1, ckEvery))
+		tc := dialServer(t, addr)
+		for _, cmd := range joinCrashCmds {
+			tc.mustOK(cmd)
+		}
+		for i := 0; i < total; i++ {
+			if i == crashAt {
+				crash(s)
+				tc.c.Close()
+				s, addr = startDurableServer(t, durableConfig(dir, 1, ckEvery))
+				tc = dialServer(t, addr)
+				tc.mustOK("ATTACH j1")
+				data = nil
+			}
+			data = append(data, tc.mustOK(joinInsertCmd(i))...)
+		}
+		stats, _ = tc.cmd("STATS j1")
+		tc.c.Close()
+		s.Close()
+		return data, stats
+	}
+	refData, refStats := run(t, 1024, -1)
+	if len(refData) < total/2 {
+		t.Fatalf("reference join emitted %d DATA lines over %d inserts, want at least half as many", len(refData), total)
+	}
+	for _, ckEvery := range []int{3, 1024} {
+		t.Run(fmt.Sprintf("ckEvery=%d", ckEvery), func(t *testing.T) {
+			data, stats := run(t, ckEvery, phase1)
+			compareTail(t, refData, data, refStats, stats)
+		})
+	}
+}
+
 // TestRecoveredQueriesAreDetached verifies results of recovered queries
 // are not delivered until a client ATTACHes, and that a second client
 // cannot steal an owned query.
