@@ -19,7 +19,7 @@ func (q *Query) Explain() string {
 			q.join.leftSchema.Name, q.join.rightSchema.Name,
 			q.join.leftSchema.Columns[q.join.leftKey].Name,
 			q.join.rightSchema.Columns[q.join.rightKey].Name,
-			q.join.leftWin.Cap())
+			q.stmt.Window.Rows)
 	} else {
 		fmt.Fprintf(&b, "  source: stream %s\n", q.in.Name)
 	}

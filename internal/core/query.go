@@ -112,7 +112,7 @@ type aggOutCol struct {
 }
 
 // joinState executes a symmetric window equi-join: each side retains a
-// count window; an arriving tuple probes the opposite window for equal
+// count-rule column window; an arriving tuple probes the opposite window for equal
 // (deterministic) keys and emits one combined tuple per match, with
 // membership probabilities multiplied under the possible-world
 // independence assumption.
@@ -121,7 +121,7 @@ type joinState struct {
 	leftSchema          *stream.Schema
 	rightSchema         *stream.Schema
 	leftKey, rightKey   int
-	leftWin, rightWin   *stream.CountWindow
+	leftWin, rightWin   *stream.ColumnWindow
 	combined            *stream.Schema // columns "<stream>.<col>"
 }
 
@@ -280,12 +280,11 @@ func (q *Query) planJoin() error {
 	if stmt.Window.Seconds > 0 {
 		return errors.New("core: time-windowed joins are not supported; use WINDOW n ROWS")
 	}
-	winSize := stmt.Window.Rows
-	lw, err := stream.NewCountWindow(winSize)
+	lw, err := stream.NewColumnWindow(left, stmt.Window.Rows)
 	if err != nil {
 		return err
 	}
-	rw, err := stream.NewCountWindow(winSize)
+	rw, err := stream.NewColumnWindow(right, stmt.Window.Rows)
 	if err != nil {
 		return err
 	}
@@ -650,70 +649,42 @@ func (q *Query) admit(a admission) bool {
 // side, and runs every combined match through the filter/select pipeline.
 func (q *Query) pushJoin(t *stream.Tuple) ([]Result, error) {
 	js := q.join
-	name := strings.ToLower(t.Schema.Name)
 	var (
 		myKey, otherKey int
-		otherWin        *stream.CountWindow
-		leftSide        bool
+		otherWin        *stream.ColumnWindow
+		pre, post       []randvar.Field // t's fields go left of a match from the right side
 	)
-	switch name {
+	switch strings.ToLower(t.Schema.Name) {
 	case js.leftName:
 		js.leftWin.Push(t)
 		myKey, otherKey = js.leftKey, js.rightKey
 		otherWin = js.rightWin
-		leftSide = true
+		pre = t.Fields
 	case js.rightName:
 		js.rightWin.Push(t)
 		myKey, otherKey = js.rightKey, js.leftKey
 		otherWin = js.leftWin
-		leftSide = false
+		post = t.Fields
 	default:
 		return nil, fmt.Errorf("core: tuple of stream %q pushed into join over %q and %q",
 			t.Schema.Name, js.leftSchema.Name, js.rightSchema.Name)
 	}
-	key := t.Fields[myKey].Dist.Mean()
 	var out []Result
-	var probeErr error
-	otherWin.Do(func(ot *stream.Tuple) {
-		if probeErr != nil {
-			return
-		}
-		if ot.Fields[otherKey].Dist.Mean() != key {
-			return
-		}
-		var lt, rt *stream.Tuple
-		if leftSide {
-			lt, rt = t, ot
-		} else {
-			lt, rt = ot, t
-		}
-		combined := &stream.Tuple{
-			Schema: js.combined,
-			Fields: append(append([]randvar.Field(nil), lt.Fields...), rt.Fields...),
-			Prob:   lt.Prob * rt.Prob,
-			ProbN:  combineN(lt.ProbN, rt.ProbN),
-			Seq:    t.Seq,
-			Time:   maxInt64(lt.Time, rt.Time),
-		}
+	err := otherWin.Probe(otherKey, t.Fields[myKey].Dist.Mean(), pre, post, func(m *stream.Tuple) error {
+		m.Schema = js.combined
+		m.Prob *= t.Prob
+		m.ProbN = combineN(m.ProbN, t.ProbN)
+		m.Seq = t.Seq
+		m.Time = max(m.Time, t.Time)
 		q.stats.joined.Add(1)
-		results, err := q.pushScalar(combined)
-		if err != nil {
-			probeErr = err
-			return
-		}
+		results, err := q.pushScalar(m)
 		out = append(out, results...)
+		return err
 	})
-	if probeErr != nil {
-		return nil, probeErr
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (q *Query) pushScalar(t *stream.Tuple) ([]Result, error) {

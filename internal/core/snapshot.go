@@ -158,11 +158,7 @@ func (q *Query) SetState(st *QueryState) error {
 		if g.win == nil {
 			return errors.New("core: window state for a query without an ungrouped window")
 		}
-		tuples, err := windowTuples(q.in, st.Window, st.ColWindow)
-		if err != nil {
-			return err
-		}
-		if err := g.win.RestoreTuples(tuples); err != nil {
+		if err := restoreWindow(g.win, q.in, st.Window, st.ColWindow); err != nil {
 			return err
 		}
 	}
@@ -171,19 +167,11 @@ func (q *Query) SetState(st *QueryState) error {
 			return errors.New("core: group state for a query without GROUP BY")
 		}
 		for _, gs := range st.Groups {
-			ws := &gs.Window
-			if gs.ColWindow != nil {
-				ws = nil
-			}
-			tuples, err := windowTuples(q.in, ws, gs.ColWindow)
-			if err != nil {
-				return err
-			}
 			w, err := q.newWindow()
 			if err != nil {
 				return err
 			}
-			if err := w.RestoreTuples(tuples); err != nil {
+			if err := restoreWindow(w, q.in, &gs.Window, gs.ColWindow); err != nil {
 				return err
 			}
 			g.groups[gs.Key] = w
@@ -193,39 +181,35 @@ func (q *Query) SetState(st *QueryState) error {
 		if q.join == nil {
 			return errors.New("core: join state for a non-join query")
 		}
-		if st.JoinLeft != nil {
-			tuples, err := restoreTuples(q.join.leftSchema, st.JoinLeft)
-			if err != nil {
-				return err
-			}
-			if err := q.join.leftWin.RestoreTuples(tuples); err != nil {
-				return err
-			}
+		if err := restoreWindow(q.join.leftWin, q.join.leftSchema, st.JoinLeft, nil); err != nil {
+			return err
 		}
-		if st.JoinRight != nil {
-			tuples, err := restoreTuples(q.join.rightSchema, st.JoinRight)
-			if err != nil {
-				return err
-			}
-			if err := q.join.rightWin.RestoreTuples(tuples); err != nil {
-				return err
-			}
+		if err := restoreWindow(q.join.rightWin, q.join.rightSchema, st.JoinRight, nil); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// windowTuples materializes a captured window — whichever form it was
-// stored in — as validated row tuples, which is what RestoreTuples takes.
-func windowTuples(schema *stream.Schema, ws *WindowState, cs *stream.ColumnWindowState) ([]*stream.Tuple, error) {
-	if cs != nil {
-		tuples, err := cs.Tuples(schema)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring columnar window: %w", err)
+// restoreWindow loads a captured window into w: the columnar form cs when
+// there is one, else the row form ws. It leaves w as it is when neither
+// was captured.
+func restoreWindow(w *stream.ColumnWindow, schema *stream.Schema, ws *WindowState, cs *stream.ColumnWindowState) error {
+	var tuples []*stream.Tuple
+	var err error
+	switch {
+	case cs != nil:
+		if tuples, err = cs.Tuples(schema); err != nil {
+			return fmt.Errorf("core: restoring columnar window: %w", err)
 		}
-		return tuples, nil
+	case ws != nil:
+		if tuples, err = restoreTuples(schema, ws); err != nil {
+			return err
+		}
+	default:
+		return nil
 	}
-	return restoreTuples(schema, ws)
+	return w.RestoreTuples(tuples)
 }
 
 // restoreTuples rebuilds window tuples against schema, revalidating each.

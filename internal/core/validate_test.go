@@ -126,15 +126,15 @@ func TestJoinDefaultWindowRoundTrip(t *testing.T) {
 	if q2.String() != printed {
 		t.Fatalf("round trip changed statement: %q -> %q", printed, q2.String())
 	}
-	if q2.join.leftWin.Cap() != 128 || q.join.leftWin.Cap() != 128 {
-		t.Fatalf("effective windows: %d and %d, want 128", q.join.leftWin.Cap(), q2.join.leftWin.Cap())
+	if q2.stmt.Window.Rows != 128 || q.stmt.Window.Rows != 128 {
+		t.Fatalf("effective windows: %d and %d, want 128", q.stmt.Window.Rows, q2.stmt.Window.Rows)
 	}
 	// An explicit window is untouched.
 	q3, err := e.Compile("SELECT roads.delay FROM roads JOIN weather ON roads.rid = weather.rid WINDOW 16 ROWS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q3.join.leftWin.Cap() != 16 || !strings.Contains(q3.String(), "WINDOW 16 ROWS") {
-		t.Fatalf("explicit join window mangled: cap %d, sql %q", q3.join.leftWin.Cap(), q3.String())
+	if q3.stmt.Window.Rows != 16 || !strings.Contains(q3.String(), "WINDOW 16 ROWS") {
+		t.Fatalf("explicit join window mangled: rows %d, sql %q", q3.stmt.Window.Rows, q3.String())
 	}
 }

@@ -37,9 +37,10 @@ type winColumn struct {
 	numOther int
 }
 
-// ColumnWindow is the sliding window of an exact aggregate query, with
-// columnar (struct-of-arrays) storage: per schema column, contiguous
-// kind/mean/variance/n arrays, plus per-tuple Prob/ProbN/Seq/Time columns.
+// ColumnWindow is the sliding window of every materialized query — each
+// exact aggregate and each side of a join — with columnar (struct-of-arrays)
+// storage: per schema column, contiguous kind/mean/variance/n arrays, plus
+// per-tuple Prob/ProbN/Seq/Time columns.
 // It is one ring with two eviction rules, fixed at construction by the
 // statement's WINDOW clause:
 //
@@ -55,7 +56,8 @@ type winColumn struct {
 // doc.go). Results are bit-identical to aggregating the same tuples as rows:
 // the closed-form scan visits slots oldest-first with the same summation
 // order as randvar.LinearGaussian, and the fallback path materializes
-// fields in that order for Aggregate.
+// fields in that order for Aggregate. A join probes a side's window
+// through Probe.
 type ColumnWindow struct {
 	schema *Schema
 	head   int // slot index of the oldest tuple
@@ -464,32 +466,65 @@ func (w *ColumnWindow) CompileColumn(dst *randvar.Column, c int) {
 	}
 }
 
-// Tuples materializes the window contents oldest-first as fresh tuples
-// (the compatibility path for snapshots and tests). The returned tuples
-// are owned by the caller; non-Gaussian Dist pointers are shared with the
-// window but immutable.
-func (w *ColumnWindow) Tuples() []*Tuple {
-	return w.AppendTuples(nil)
+// Probe calls fn, oldest first, for each tuple whose column c equals key:
+// the column's mean, read from the column arrays for Point and Normal
+// slots and from Mean() for any other. fn gets a new tuple whose Fields are
+// pre, the matched tuple's fields and post, in that order, with the matched
+// tuple's Prob, ProbN, Seq and Time and a nil Schema; it is fn's to
+// complete and keep. A slot that does not match is read for its key alone.
+// Probe stops at the first error fn returns and returns it.
+func (w *ColumnWindow) Probe(c int, key float64, pre, post []randvar.Field, fn func(*Tuple) error) error {
+	col := &w.cols[c]
+	for k := 0; k < w.count; k++ {
+		s := w.slot(k)
+		v := col.mean[s]
+		if col.kind[s] == slotOther {
+			v = col.other[s].Mean()
+		}
+		if v != key {
+			continue
+		}
+		fields := make([]randvar.Field, 0, len(pre)+len(w.cols)+len(post))
+		fields = append(fields, pre...)
+		for i := range w.cols {
+			fields = append(fields, w.cols[i].field(s))
+		}
+		t := &Tuple{
+			Fields: append(fields, post...),
+			Prob:   w.prob[s],
+			ProbN:  w.probN[s],
+			Seq:    w.seq[s],
+			Time:   w.time[s],
+		}
+		if err := fn(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// AppendTuples appends materialized window contents oldest-first to dst.
-func (w *ColumnWindow) AppendTuples(dst []*Tuple) []*Tuple {
-	for i := 0; i < w.count; i++ {
+// Tuples materializes the window contents oldest-first as fresh tuples, in
+// the row form checkpoints hold join windows in. The returned tuples are
+// owned by the caller; non-Gaussian Dist pointers are shared with the
+// window but immutable.
+func (w *ColumnWindow) Tuples() []*Tuple {
+	out := make([]*Tuple, w.count)
+	for i := range out {
 		slot := w.slot(i)
 		fields := make([]randvar.Field, len(w.cols))
 		for c := range w.cols {
 			fields[c] = w.cols[c].field(slot)
 		}
-		dst = append(dst, &Tuple{
+		out[i] = &Tuple{
 			Schema: w.schema,
 			Fields: fields,
 			Prob:   w.prob[slot],
 			ProbN:  w.probN[slot],
 			Seq:    w.seq[slot],
 			Time:   w.time[slot],
-		})
+		}
 	}
-	return dst
+	return out
 }
 
 // RestoreTuples replaces the window contents with tuples (oldest-first),

@@ -602,21 +602,12 @@ func BenchmarkWindowScan(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("row/%d", size), func(b *testing.B) {
-			w, err := NewCountWindow(size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, tp := range tuples {
-				w.Push(tp)
-			}
 			e := randvar.NewEvaluator(dist.NewRand(1))
 			var fields []randvar.Field
-			var scratch []*Tuple
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				scratch = w.AppendTuples(scratch[:0])
 				fields = fields[:0]
-				for _, tp := range scratch {
+				for _, tp := range tuples {
 					fields = append(fields, tp.Fields[0])
 				}
 				if _, err := Aggregate(e, Avg, fields); err != nil {

@@ -8,13 +8,12 @@
 // aggregate derives its output sample size via Lemma 3, so that the engine
 // (package core) can attach confidence intervals to any query result.
 //
-// There are two windows. ColumnWindow is the window of every exact
-// aggregate query: one columnar ring that evicts by count (WINDOW n ROWS)
-// or by time span (WINDOW n SECONDS), with one closed-form Gaussian scan.
-// CountWindow is a ring of whole tuples and exists for joins, whose probe
-// needs every field of a match. Aggregate over a []randvar.Field is both the
-// Monte Carlo path AggregateColumn falls back to and the reference its
-// closed form is tested against.
+// There is one window. ColumnWindow holds every exact aggregate query's
+// window and each side of a join: one columnar ring that evicts by count
+// (WINDOW n ROWS) or by time span (WINDOW n SECONDS), with one closed-form
+// Gaussian scan and one key probe for joins. Aggregate over a
+// []randvar.Field is both the Monte Carlo path AggregateColumn falls back to
+// and the reference its closed form is tested against.
 //
 // # Ownership contract
 //
@@ -28,20 +27,17 @@
 // Tuples:
 //
 //   - A *Tuple handed to an ingest path (core's Query.Push,
-//     CountWindow.Push, ColumnWindow.Push/Admit) is owned by the callee
+//     ColumnWindow.Push/Admit) is owned by the callee
 //     from that point on. The caller must not mutate the tuple or its
 //     Fields slice afterwards. Callers that need to keep writing must pass
 //     t.Clone().
 //   - Fields[i].Dist values are immutable by convention: no code in this
 //     module ever mutates a distribution after construction, which is what
 //     makes Clone's shallow copy of the Dist pointers safe.
-//   - ColumnWindow does NOT retain the tuple: pushing copies the per-field
+//   - No window retains a caller's *Tuple: pushing copies the per-field
 //     scalars (and, for non-Gaussian fields, the immutable Dist pointer,
-//     released again when the slot is evicted or overwritten) into its
-//     column arrays and drops the tuple reference. No aggregate window
-//     holds a caller's *Tuple. CountWindow — the join window — is the one
-//     window that retains the *Tuple pointers it was given, until
-//     eviction.
+//     released again when the slot is evicted or overwritten) into the
+//     column arrays and drops the tuple reference.
 //
 // Emitted tuples:
 //
@@ -60,13 +56,9 @@
 //
 // Window snapshots:
 //
-//   - CountWindow's Tuples()/AppendTuples return the retained tuples, which
-//     the caller may read until the next Push on the same window; after
-//     that they may have been evicted. Callers that outlive the next push
-//     must deep-copy.
-//   - ColumnWindow.Tuples materializes fresh *Tuple values; those are
-//     owned by the caller, but their Dist pointers are shared with the
-//     window for non-Gaussian fields (safe: immutable).
+//   - ColumnWindow.Tuples and the tuples Probe hands its callback are
+//     fresh *Tuple values owned by the caller, but their Dist pointers are
+//     shared with the window for non-Gaussian fields (safe: immutable).
 //   - Column slices returned by internal scans (ColumnWindow's kind/mean/
 //     variance arrays) are live ring storage, never handed out across an
 //     API boundary; aggregate kernels must finish reading them before

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -94,39 +95,59 @@ func TestTupleValidation(t *testing.T) {
 	}
 }
 
-func TestCountWindow(t *testing.T) {
-	w, err := NewCountWindow(3)
+// TestColumnWindowProbe pins the join's probe: only tuples still in the
+// count window are visited, oldest first, keyed by the mean of any field
+// kind, with pre, the tuple's bit-identical fields and post in order.
+func TestColumnWindowProbe(t *testing.T) {
+	s := testSchema(t)
+	w, err := NewColumnWindow(s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCountWindow(0); err == nil {
-		t.Error("size 0: want error")
+	u, err := dist.NewUniform(1, 3) // mean 2, kept as a distribution
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := testSchema(t)
-	var evicted []*Tuple
-	for i := 0; i < 5; i++ {
-		tp := speedTuple(t, s, float64(i), 60, 25, 10)
-		tp.Seq = uint64(i)
-		if old := w.Push(tp); old != nil {
-			evicted = append(evicted, old)
-		}
+	keys := []randvar.Field{randvar.Det(2), randvar.Det(2), {Dist: dist.Normal{Mu: 2, Sigma2: 1}, N: 4}, randvar.Det(5), {Dist: u, N: 3}}
+	var pushed []*Tuple
+	for i, k := range keys {
+		tp := speedTuple(t, s, 0, 60+float64(i), 25, 10+i)
+		tp.Fields[0] = k
+		tp.Prob, tp.ProbN, tp.Seq, tp.Time = 1-float64(i)/10, i, uint64(100+i), int64(7*i)
+		pushed = append(pushed, tp)
+		w.Push(tp)
 	}
-	if w.Len() != 3 || w.Cap() != 3 {
-		t.Fatalf("window state: len=%d cap=%d", w.Len(), w.Cap())
-	}
-	if len(evicted) != 2 || evicted[0].Seq != 0 || evicted[1].Seq != 1 {
-		t.Fatalf("evicted: %v", evicted)
-	}
-	tuples := w.Tuples()
-	for i, want := range []uint64{2, 3, 4} {
-		if tuples[i].Seq != want {
-			t.Errorf("window[%d].Seq = %d, want %d", i, tuples[i].Seq, want)
-		}
-	}
+	pre := []randvar.Field{randvar.Det(-1)}
+	post := []randvar.Field{randvar.Det(-2), randvar.Det(-3)}
 	var seen []uint64
-	w.Do(func(tp *Tuple) { seen = append(seen, tp.Seq) })
-	if len(seen) != 3 || seen[0] != 2 || seen[2] != 4 {
-		t.Errorf("Do order: %v", seen)
+	err = w.Probe(0, 2, pre, post, func(m *Tuple) error {
+		p := pushed[m.Seq-100]
+		want := append(append(append([]randvar.Field(nil), pre...), p.Fields...), post...)
+		if len(m.Fields) != len(want) || m.Schema != nil {
+			t.Fatalf("match %d: %d fields, schema %v; want %d fields, nil schema", m.Seq, len(m.Fields), m.Schema, len(want))
+		}
+		for i := range want {
+			if m.Fields[i] != want[i] {
+				t.Errorf("match %d field %d = %v, want %v", m.Seq, i, m.Fields[i], want[i])
+			}
+		}
+		if m.Prob != p.Prob || m.ProbN != p.ProbN || m.Time != p.Time {
+			t.Errorf("match %d: prob %v/%d time %d, want %v/%d %d", m.Seq, m.Prob, m.ProbN, m.Time, p.Prob, p.ProbN, p.Time)
+		}
+		seen = append(seen, m.Seq)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 100 and 101 were evicted; 103's key is 5.
+	if len(seen) != 2 || seen[0] != 102 || seen[1] != 104 {
+		t.Fatalf("probe visited %v, want [102 104]", seen)
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := w.Probe(0, 2, nil, nil, func(*Tuple) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("probe after an error: err %v after %d calls, want stop after 1", err, calls)
 	}
 }
 

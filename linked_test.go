@@ -22,8 +22,9 @@ import (
 // against, (e) the paper's power functions, (f) methods that satisfy an
 // interface, (g) read-only observers tests assert through. An entry is a
 // package path, a type (covering its methods) or a function, written as the
-// linker spells it without receiver stars. Every function asdb.go declares
-// or names is kept as well, read from its syntax.
+// linker spells it without receiver stars, and must cover at least one
+// function no binary links. Every function asdb.go declares or names is
+// kept as well, read from its syntax.
 var keptUnlinked = []struct{ name, reason string }{
 	{"repro/internal/fault", "(a) the injection seam tests substitute"},
 
@@ -66,9 +67,6 @@ var keptUnlinked = []struct{ name, reason string }{
 	{"repro/internal/cluster.Follower.WaitCaughtUp", "(g) observer the replication tests wait on"},
 	{"repro/internal/server.Server.ReadOnly", "(g) observer the replication tests assert through"},
 	{"repro/internal/server.dedupWindow.len", "(g) observer the dedup tests assert through"},
-	{"repro/internal/stream.ColumnWindow.Tuples", "(g) observer the window tests compare through"},
-	{"repro/internal/stream.ColumnWindow.AppendTuples", "(g) observer the window tests compare through"},
-	{"repro/internal/stream.winColumn.field", "(g) what ColumnWindow.Tuples reads"},
 	{"repro/internal/sketch.Quantile.ErrorBound", "(g) observer the sketch tests assert through"},
 	{"repro/internal/sketch.Quantile.EstRank", "(g) observer the sketch tests assert through"},
 	{"repro/internal/sketch.Quantile.Count", "(g) observer the sketch tests assert through"},
@@ -80,7 +78,8 @@ var keptUnlinked = []struct{ name, reason string }{
 // TestEveryFunctionLinked holds the rule that library code is either part
 // of a program or kept for a stated reason: it builds every command, example
 // and the benchmark without inlining, reads their symbols, and names each
-// non-test function outside bench/ that none of them links.
+// non-test function outside bench/ that none of them links, and each
+// keptUnlinked entry that no longer keeps such a function.
 func TestEveryFunctionLinked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every binary")
@@ -120,9 +119,14 @@ func TestEveryFunctionLinked(t *testing.T) {
 		kept[k.name] = true
 	}
 	facade := facadeNames(t)
+	used := map[string]bool{}
 	var missing []string
 	for _, fn := range declaredFuncs(t) {
-		if linked[fn] || facade[fn] || keptBy(kept, fn) {
+		if linked[fn] || facade[fn] {
+			continue
+		}
+		if k := keptBy(kept, fn); k != "" {
+			used[k] = true
 			continue
 		}
 		missing = append(missing, fn)
@@ -130,6 +134,16 @@ func TestEveryFunctionLinked(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("%d functions are linked into no binary and kept for no reason; delete them, or add them to keptUnlinked with one:\n\t%s",
 			len(missing), strings.Join(missing, "\n\t"))
+	}
+	var stale []string
+	for _, k := range keptUnlinked {
+		if !used[k.name] {
+			stale = append(stale, k.name)
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d keptUnlinked entries keep no unlinked function; delete them:\n\t%s",
+			len(stale), strings.Join(stale, "\n\t"))
 	}
 }
 
@@ -262,15 +276,16 @@ func facadeNames(t *testing.T) map[string]bool {
 	return names
 }
 
-// keptBy reports whether fn, or its package or receiver type, is kept.
-func keptBy(kept map[string]bool, fn string) bool {
+// keptBy returns the entry that keeps fn — fn itself, its receiver type or
+// its package — or "" if none does.
+func keptBy(kept map[string]bool, fn string) string {
 	for name := fn; ; {
 		if kept[name] {
-			return true
+			return name
 		}
 		i := strings.LastIndex(name, ".")
 		if i <= strings.LastIndex(name, "/") {
-			return false
+			return ""
 		}
 		name = name[:i]
 	}
