@@ -242,6 +242,15 @@ func unlockGroup(group []*streamDef) {
 // meant for.
 const MaxSampleSize = 1 << 16
 
+// MaxWindowRows bounds the WINDOW n ROWS of a live QUERY. A materialized
+// window allocates all n slots of every column when the query compiles, and
+// a GROUP BY allocates n more for each key on its first tuple; Go cannot
+// recover from running out of memory, so an unbounded n could end the
+// process, and every restart that replays the statement. 2²⁰ rows of a
+// two-column window take about 80 MiB. A BACKEND SKETCH window does not
+// grow with n and is not bounded.
+const MaxWindowRows = 1 << 20
+
 // admit refuses a tuple a live ingest must not journal: one with a field
 // learned from more than MaxSampleSize observations, or one whose
 // distribution can draw a value that is not finite (dist.CheckFiniteDraws).

@@ -7,8 +7,11 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var planQueryCmds = []string{
@@ -186,4 +189,44 @@ func TestDaemonRejectsTimeWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay path refused a journaled SECONDS query: %v", err)
 	}
+}
+
+// TestDaemonRejectsHugeWindow: a materialized WINDOW n ROWS allocates its n
+// slots at compile, so QUERY refuses n above core.MaxWindowRows before
+// compiling or journaling, with the window never allocated. The bound
+// itself and a sketch window, which does not grow with n, are accepted.
+func TestDaemonRejectsHugeWindow(t *testing.T) {
+	s, addr := startDurableServer(t, durableConfig(t.TempDir(), 1, 1024))
+	defer s.Close()
+	tc := dialServer(t, addr)
+	defer tc.c.Close()
+	tc.mustOK(crashStreamCmd)
+	tc.mustOK("STREAM temps2 key val:dist")
+	seq, lsn := s.engine.Seq(), s.WAL().LastLSN()
+	over := core.MaxWindowRows + 1
+	for _, cmd := range []string{
+		fmt.Sprintf("QUERY w1 SELECT AVG(val) AS a FROM temps WINDOW %d ROWS", over),
+		fmt.Sprintf("QUERY w2 SELECT key, AVG(val) AS a FROM temps GROUP BY key WINDOW %d ROWS", over),
+		fmt.Sprintf("QUERY w3 SELECT temps.val FROM temps JOIN temps2 ON key = key WINDOW %d ROWS", over),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reply, _ := tc.cmd(cmd)
+		runtime.ReadMemStats(&after)
+		if !strings.HasPrefix(reply, "ERR") || !strings.Contains(reply, "ROWS") {
+			t.Fatalf("%q: got %q, want ERR naming ROWS", cmd, reply)
+		}
+		// A window of over rows takes over·(32 + 25 per column) bytes.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(over)*8 {
+			t.Errorf("%q allocated %d bytes before its refusal", cmd, grew)
+		}
+	}
+	if got := s.engine.Seq(); got != seq {
+		t.Errorf("engine seq %d after rejected QUERY, want %d", got, seq)
+	}
+	if got := s.WAL().LastLSN(); got != lsn {
+		t.Errorf("wal lsn %d after rejected QUERY, want %d: the statement was journaled", got, lsn)
+	}
+	tc.mustOK(fmt.Sprintf("QUERY w4 SELECT AVG(val) AS a FROM temps WINDOW %d ROWS", core.MaxWindowRows))
+	tc.mustOK("QUERY w5 SELECT AVG(val) AS a FROM temps WINDOW 2000000000 ROWS BACKEND SKETCH")
 }

@@ -830,11 +830,19 @@ func (s *Server) cmdQuery(c *conn, rest string) error {
 	}
 	id, sqlText := rest[:idx], strings.TrimSpace(rest[idx+1:])
 	// The line protocol sets no Tuple.Time, so a time window would never
-	// evict. It is refused here, before Compile consumes an engine sequence
-	// number; replay and replication apply journaled statements unchecked,
-	// so WALs written before this check still recover.
-	if stmt, err := sql.Parse(sqlText); err == nil && stmt.Window != nil && stmt.Window.Seconds > 0 {
-		return errors.New("WINDOW n SECONDS " + NoEventTimes + "; use WINDOW n ROWS")
+	// evict; a materialized window above MaxWindowRows could take more
+	// memory than the process has. Both are refused here, before Compile
+	// allocates the window or consumes an engine sequence number; replay and
+	// replication apply journaled statements unchecked, so WALs written
+	// before these checks still recover.
+	if stmt, err := sql.Parse(sqlText); err == nil && stmt.Window != nil {
+		if stmt.Window.Seconds > 0 {
+			return errors.New("WINDOW n SECONDS " + NoEventTimes + "; use WINDOW n ROWS")
+		}
+		if stmt.Window.Rows > core.MaxWindowRows && stmt.Backend != "SKETCH" {
+			return fmt.Errorf("WINDOW %d ROWS is above the bound of %d rows; use fewer rows or BACKEND SKETCH",
+				stmt.Window.Rows, core.MaxWindowRows)
+		}
 	}
 	return s.applyCommand(c, wal.RecQuery, id+" "+sqlText)
 }
