@@ -551,3 +551,55 @@ func TestClientBackoffDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStalledReplyHoldsNoServerLock: ATTACH and SUBSCRIBE stage their reply
+// under the server lock and send it after releasing it, so a client that
+// sends one and never reads stalls only its own connection. Another
+// connection's INSERT, which takes the lock to plan its deliveries, still
+// answers at once instead of after the write timeout.
+func TestStalledReplyHoldsNoServerLock(t *testing.T) {
+	dir := t.TempDir()
+	s, addr := startDurableServer(t, durableConfig(dir, 1, 1024))
+	tc := dialServer(t, addr)
+	tc.mustOK(crashStreamCmd)
+	tc.mustOK(crashQueryCmd)
+	crash(s) // q1 comes back detached, free to ATTACH
+	tc.c.Close()
+
+	eng, err := core.NewEngine(durableConfig(dir, 1, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewDurable(eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.SetOptions(Options{WriteTimeout: 3 * time.Second})
+	t.Cleanup(func() { s2.Close() }) // after the pipes close
+	pipe := func() net.Conn {
+		p1, p2 := net.Pipe()
+		s2.ServeConn(p1)
+		t.Cleanup(func() { p2.Close() })
+		return p2
+	}
+	in := pipe()
+	writer := &tclient{t: t, c: in, sc: bufio.NewScanner(in)}
+	for i, verb := range []string{"SUBSCRIBE", "ATTACH"} {
+		start := time.Now()
+		if _, err := fmt.Fprintf(pipe(), "%s q1\n", verb); err != nil {
+			t.Fatal(err)
+		}
+		// Wait for the command to take effect: it is done with the lock
+		// then, whether or not its reply was read.
+		for registered := false; !registered && time.Since(start) < time.Second; time.Sleep(time.Millisecond) {
+			s2.mu.Lock()
+			rq := s2.queries["q1"]
+			registered = len(rq.subs) == 1 && (rq.owner != nil) == (i == 1)
+			s2.mu.Unlock()
+		}
+		writer.mustOK(crashInsertCmd(i))
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("INSERT answered %v after an unread %s reply, want under 1s", d, verb)
+		}
+	}
+}

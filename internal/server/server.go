@@ -1202,12 +1202,13 @@ func (s *Server) cmdExplain(c *conn, rest string) error {
 func (s *Server) cmdAttach(c *conn, rest string) error {
 	id := strings.TrimSpace(rest)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	rq, ok := s.queries[id]
 	if !ok {
+		s.mu.Unlock()
 		return fmt.Errorf("unknown query %q", id)
 	}
 	if rq.owner != nil && rq.owner != c {
+		s.mu.Unlock()
 		return fmt.Errorf("query %q is owned by another connection", id)
 	}
 	c.ensureOutboxLocked()
@@ -1219,7 +1220,7 @@ func (s *Server) cmdAttach(c *conn, rest string) error {
 			break
 		}
 	}
-	return c.writeLine("OK attached " + id)
+	return s.replyUnlock(c, "OK attached "+id)
 }
 
 // cmdSubscribe adds this connection as an additional DATA recipient for a
@@ -1228,25 +1229,31 @@ func (s *Server) cmdAttach(c *conn, rest string) error {
 func (s *Server) cmdSubscribe(c *conn, rest string) error {
 	id := strings.TrimSpace(rest)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	rq, ok := s.queries[id]
 	if !ok {
+		s.mu.Unlock()
 		return fmt.Errorf("unknown query %q", id)
 	}
-	if rq.owner != c {
-		found := false
-		for _, sub := range rq.subs {
-			if sub == c {
-				found = true
-				break
-			}
-		}
-		if !found {
-			c.ensureOutboxLocked()
-			rq.subs = append(rq.subs, c)
-		}
+	if rq.owner != c && !slices.Contains(rq.subs, c) {
+		c.ensureOutboxLocked()
+		rq.subs = append(rq.subs, c)
 	}
-	return c.writeLine("OK subscribed " + id)
+	return s.replyUnlock(c, "OK subscribed "+id)
+}
+
+// replyUnlock stages c's reply while the caller still holds s.mu, releases
+// s.mu, and only then sends the reply. Staged first, the reply precedes any
+// DATA line the change made under s.mu sends to c, since those need c.wmu;
+// sent after, a client that stops reading stalls its own handler and not
+// every command that takes s.mu (lock order s.mu → c.wmu, DESIGN §11.2).
+func (s *Server) replyUnlock(c *conn, line string) error {
+	c.lockWrite()
+	err := c.stageLine(line)
+	s.mu.Unlock()
+	if ferr := c.unlockReply(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // applyCloseLocked drops a query from the registry and its engine shards.
