@@ -173,8 +173,8 @@ func FuzzProtocolDispatch(f *testing.F) {
 // fleet and checks each connection's bytes against the per-line reference
 // renderer (appendDataLine), then that every planned body's reference count
 // ended at zero. Each member takes two input bytes: a recipient mask over
-// the inserting connection, two outbox connections and two with the outbox
-// off (the first recipient is the owner, the rest subscribers), and a
+// the inserting connection and four others, each with an outbox (the first
+// recipient is the owner, the rest subscribers), and a
 // variant — the group's shared results, one or both; the same tuples with
 // their own Unsure or TupleProb; equal tuples behind their own pointers; or
 // a shared TupleProb that cannot be rendered.
@@ -196,7 +196,7 @@ func FuzzDeliveries(f *testing.F) {
 		for i := 0; i < 5; i++ {
 			rc := &recConn{}
 			c := &conn{id: uint64(i + 1), c: rc}
-			if i == 1 || i == 2 {
+			if i > 0 {
 				c.outbox = make(chan dataLine, 256)
 			}
 			recs, conns = append(recs, rc), append(conns, c)

@@ -21,8 +21,8 @@ type Options struct {
 	// line and are closed — admission control, not silent drops.
 	MaxConns int
 	// OutboxLines bounds the per-connection queue of DATA lines pushed by
-	// OTHER connections' inserts (default 4096; negative disables the
-	// bound). A subscriber that cannot keep up is disconnected when its
+	// OTHER connections' inserts (default 4096, also for a negative
+	// value). A subscriber that cannot keep up is disconnected when its
 	// outbox overflows, so one slow client never blocks ingest. Delivery to
 	// the inserting connection itself stays synchronous (DATA precedes the
 	// OK reply on the same connection).
@@ -60,7 +60,7 @@ func (o Options) Normalize() Options {
 	if o.MaxConns == 0 {
 		o.MaxConns = defaultMaxConns
 	}
-	if o.OutboxLines == 0 {
+	if o.OutboxLines <= 0 {
 		o.OutboxLines = defaultOutboxLines
 	}
 	if o.DrainTimeout == 0 {

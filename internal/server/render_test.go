@@ -202,18 +202,18 @@ func TestFrameRefcount(t *testing.T) {
 	const batch = "s 5 N(10,4,25) | 6 N(11,4,25) | 7 N(12,4,25) | 8 N(13,4,25)"
 	analytical := core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1}
 	// fleet is a shared group of three owned by from; q001 is also
-	// subscribed from sub (outbox of outboxCap lines, no drainer running)
-	// and q002 from syncSub (outbox off, written synchronously).
-	fleet := func(t *testing.T, s *Server, outboxCap int) (from, sub, syncSub *conn) {
+	// subscribed from sub (outbox of outboxCap lines) and q002 from sub2
+	// (outbox of 8 lines), neither with a drainer running.
+	fleet := func(t *testing.T, s *Server, outboxCap int) (from, sub, sub2 *conn) {
 		from = &conn{id: 1, c: &recConn{}}
 		sub = &conn{id: 2, c: &recConn{}, outbox: make(chan dataLine, outboxCap)}
-		syncSub = &conn{id: 3, c: &recConn{discard: true}}
+		sub2 = &conn{id: 3, c: &recConn{discard: true}, outbox: make(chan dataLine, 8)}
 		sharedFleet(t, s, from, 3)
 		mustDispatch(t, s, sub, "SUBSCRIBE q001")
-		mustDispatch(t, s, syncSub, "SUBSCRIBE q002")
+		mustDispatch(t, s, sub2, "SUBSCRIBE q002")
 		from.c.(*recConn).take()
 		sub.c.(*recConn).take()
-		return from, sub, syncSub
+		return from, sub, sub2
 	}
 	// drainQueued releases every line still queued on c's outbox.
 	drainQueued := func(c *conn) {
@@ -224,20 +224,22 @@ func TestFrameRefcount(t *testing.T) {
 
 	t.Run("inserting connection and outbox", func(t *testing.T) {
 		s := newTestServer(t, analytical)
-		from, sub, _ := fleet(t, s, 8)
+		from, sub, sub2 := fleet(t, s, 8)
 		bodies := planBatch(t, s, from, batch)
 		if len(bodies) != 4 {
 			t.Fatalf("planned %d bodies, want one per emission (4)", len(bodies))
 		}
-		assertRefs(t, bodies, 3) // the command, sub's line, syncSub's line
+		assertRefs(t, bodies, 3) // the command, sub's line, sub2's line
 		if err := s.sendDeliveries(from, &from.scratch, "OK"); err != nil {
 			t.Fatal(err)
 		}
 		if w := from.c.(*recConn).take(); len(w) != 1 || strings.Count(string(w[0]), "\n") != 13 {
 			t.Fatalf("inserting connection got %q, want 12 DATA lines and the reply in one write", w)
 		}
-		assertRefs(t, bodies, 1) // sub's queued line
+		assertRefs(t, bodies, 2) // sub's and sub2's queued lines
 		sub.drainOutbox(<-sub.outbox)
+		assertRefs(t, bodies, 1)
+		sub2.drainOutbox(<-sub2.outbox)
 		assertReleasedOnce(t, bodies)
 		if w := sub.c.(*recConn).take(); len(w) != 1 || strings.Count(string(w[0]), "DATA q001 ") != 4 {
 			t.Errorf("subscriber got %q, want its 4 lines in one write", w)
@@ -245,17 +247,18 @@ func TestFrameRefcount(t *testing.T) {
 	})
 	t.Run("outbox overflow", func(t *testing.T) {
 		s := newTestServer(t, analytical)
-		from, sub, _ := fleet(t, s, 2)
+		from, sub, sub2 := fleet(t, s, 2)
 		bodies := planBatch(t, s, from, batch)
 		if err := s.sendDeliveries(from, &from.scratch, "OK"); err != nil {
 			t.Fatal(err)
 		}
-		if !sub.dead.Load() {
-			t.Fatal("overflowing subscriber not marked dead")
+		if !sub.dead.Load() || sub2.dead.Load() {
+			t.Fatalf("dead: sub %v, sub2 %v; want only the overflowing sub", sub.dead.Load(), sub2.dead.Load())
 		}
-		assertRefs(t, bodies[:2], 1)
-		assertReleasedOnce(t, bodies[2:])
+		assertRefs(t, bodies[:2], 2) // queued for sub and sub2
+		assertRefs(t, bodies[2:], 1) // dropped for sub, queued for sub2
 		drainQueued(sub)
+		drainQueued(sub2)
 		assertReleasedOnce(t, bodies)
 	})
 	t.Run("dropDeliveries after a failed durability wait", func(t *testing.T) {
@@ -273,11 +276,12 @@ func TestFrameRefcount(t *testing.T) {
 		cfg.Method = core.AccuracyAnalytical
 		s := newTestServer(t, cfg)
 		defer s.Close()
-		from, sub, _ := fleet(t, s, 8)                 // records 1-5
+		from, sub, sub2 := fleet(t, s, 8)              // records 1-5
 		mustDispatch(t, s, from, "INSERTBATCH "+batch) // record 6: checkpoint due
 		if w := from.c.(*recConn).take(); len(w) != 2 || s.sinceCk.Load() != 0 {
 			t.Fatalf("%d writes (want DATA, then the reply) and sinceCk=%d (want 0)", len(w), s.sinceCk.Load())
 		}
+		drainQueued(sub2)
 		var bodies []*frame
 		for len(sub.outbox) > 0 {
 			l := <-sub.outbox

@@ -301,9 +301,8 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // conn is one client connection. Writes are serialized by wmu because the
-// handler goroutine (command responses, same-connection DATA), the outbox
-// drainer (cross-conn DATA pushes), and — with the outbox disabled — insert
-// paths of other connections all write.
+// handler goroutine (command responses, same-connection DATA) and the
+// outbox drainer (cross-conn DATA pushes) both write.
 //
 // Every write is a batch: lockWrite borrows a pooled buffer, stage copies
 // lines into it, unlockWrite sends what is pending with one socket write.
@@ -331,15 +330,13 @@ type conn struct {
 	// dedicated goroutine drains it so a slow subscriber never blocks the
 	// inserting connection. It is made, with its drainer, the first time
 	// the conn becomes a delivery target (ensureOutboxLocked), so nil means
-	// "never a target yet" while outboxLines > 0, and "disabled" otherwise:
-	// cross-conn delivery then writes synchronously. Every line handed to
-	// the outbox carries one reference to its body, owned by the conn and
-	// released once its bytes are staged (or on drop/drain).
-	outboxLines int // Options.OutboxLines at open
-	outbox      chan dataLine
-	outboxStop  chan struct{}
-	outboxDone  chan struct{}
-	dead        atomic.Bool // outbox overflow or write failure; conn is being torn down
+	// "never a target yet". Every line handed to the outbox carries one
+	// reference to its body, owned by the conn and released once its bytes
+	// are staged (or on drop/drain).
+	outbox     chan dataLine
+	outboxStop chan struct{}
+	outboxDone chan struct{}
+	dead       atomic.Bool // outbox overflow or write failure; conn is being torn down
 
 	// scratch is the handler-goroutine-local delivery scratch reused across
 	// ingests, keeping the steady-state push path allocation-free.
@@ -474,22 +471,12 @@ func (c *conn) writeLine(line string) error {
 	return err
 }
 
-// queueFrame hands one cross-connection DATA line to the conn, consuming
-// the caller's reference to its body on every path (written, queued, or
-// dropped). With the outbox enabled the call never blocks: overflow means
-// the subscriber is not keeping up, and the conn is disconnected rather
-// than letting its backlog stall ingest. Reports whether the line was
-// delivered or queued.
+// queueFrame hands one cross-connection DATA line to the conn's outbox,
+// consuming the caller's reference to its body on every path (queued or
+// dropped). The call never blocks: overflow means the subscriber is not
+// keeping up, and the conn is disconnected rather than letting its backlog
+// stall ingest. Reports whether the line was queued.
 func (c *conn) queueFrame(l dataLine) bool {
-	if c.outbox == nil {
-		c.lockWrite()
-		err := c.stageData(l.id, l.body.buf)
-		if ferr := c.unlockWrite(); err == nil {
-			err = ferr
-		}
-		l.body.release()
-		return err == nil
-	}
 	if c.dead.Load() {
 		l.body.release()
 		return false
@@ -552,15 +539,16 @@ func (c *conn) drainOutbox(l dataLine) {
 	}
 }
 
-// ensureOutboxLocked gives c its outbox and drainer the first time it
-// becomes a delivery target (query owner, ATTACH, SUBSCRIBE). Caller holds
+// ensureOutboxLocked gives c its outbox of lines entries
+// (Options.OutboxLines) and its drainer the first time it becomes a delivery
+// target (query owner, ATTACH, SUBSCRIBE). Caller holds
 // s.mu and registers c as a target under the same hold, so every delivery
 // snapshot that sees c also sees its outbox.
-func (c *conn) ensureOutboxLocked() {
-	if c.outbox != nil || c.outboxLines <= 0 {
+func (c *conn) ensureOutboxLocked(lines int) {
+	if c.outbox != nil {
 		return
 	}
-	c.outbox = make(chan dataLine, c.outboxLines)
+	c.outbox = make(chan dataLine, lines)
 	c.outboxStop = make(chan struct{})
 	c.outboxDone = make(chan struct{})
 	go c.outboxLoop()
@@ -686,7 +674,7 @@ func (s *Server) handle(nc net.Conn) {
 // becomes a delivery target (ensureOutboxLocked). Caller holds s.mu.
 func (s *Server) newConnLocked(nc net.Conn) *conn {
 	s.nextConn++
-	c := &conn{id: s.nextConn, c: nc, writeTimeout: s.opts.WriteTimeout, outboxLines: s.opts.OutboxLines}
+	c := &conn{id: s.nextConn, c: nc, writeTimeout: s.opts.WriteTimeout}
 	s.conns[c.id] = nc
 	return c
 }
@@ -816,7 +804,7 @@ func (s *Server) applyQueryLocked(id, sqlText string, owner *conn) error {
 		return err
 	}
 	if owner != nil {
-		owner.ensureOutboxLocked()
+		owner.ensureOutboxLocked(s.opts.OutboxLines)
 	}
 	s.queries[id] = &registeredQuery{id: id, sqlText: sqlText, query: q, owner: owner}
 	s.logf("query %s registered: %s", id, sqlText)
@@ -1211,7 +1199,7 @@ func (s *Server) cmdAttach(c *conn, rest string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("query %q is owned by another connection", id)
 	}
-	c.ensureOutboxLocked()
+	c.ensureOutboxLocked(s.opts.OutboxLines)
 	rq.owner = c
 	// A connection is either owner or subscriber, never both; promote.
 	for i, sub := range rq.subs {
@@ -1235,7 +1223,7 @@ func (s *Server) cmdSubscribe(c *conn, rest string) error {
 		return fmt.Errorf("unknown query %q", id)
 	}
 	if rq.owner != c && !slices.Contains(rq.subs, c) {
-		c.ensureOutboxLocked()
+		c.ensureOutboxLocked(s.opts.OutboxLines)
 		rq.subs = append(rq.subs, c)
 	}
 	return s.replyUnlock(c, "OK subscribed "+id)

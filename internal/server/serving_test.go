@@ -382,7 +382,7 @@ func TestWriteErrorMidBatch(t *testing.T) {
 	rc := &recConn{failFrom: 2}
 	from := &conn{id: 1, c: rc}
 	otherRC := &recConn{}
-	other := &conn{id: 2, c: otherRC}
+	other := &conn{id: 2, c: otherRC, outbox: make(chan dataLine, 1)}
 	lines := mDataLines.Value()
 
 	// Five 40 KB lines: the second write (bytes 64K..128K) fails with
@@ -404,6 +404,7 @@ func TestWriteErrorMidBatch(t *testing.T) {
 	if w := rc.take(); len(w) != 2 {
 		t.Errorf("%d writes to the failing conn, want 2 (it stops at the first error)", len(w))
 	}
+	other.drainOutbox(<-other.outbox)
 	assertReleasedOnce(t, frames)
 	if w := otherRC.take(); len(w) != 1 || len(w[0]) != 40<<10 {
 		t.Errorf("the other connection got %d writes, want its one frame", len(w))
@@ -516,13 +517,14 @@ func TestOutboxDrainWriteError(t *testing.T) {
 }
 
 // TestSyncCrossDeliveryNoDeadlock runs two inserting connections that each
-// subscribe to the other's query with the outbox disabled, so each writes
-// synchronously to the other. A sender that held its own write lock while
-// taking the other's would deadlock here.
+// subscribe to the other's query, so each queues lines for the other while
+// the other's drainer and handler write. A sender that held its own write
+// lock while handing lines to the other would deadlock here.
 func TestSyncCrossDeliveryNoDeadlock(t *testing.T) {
 	s := newTestServer(t, core.Config{Method: core.AccuracyAnalytical, Seed: 1})
 	a := &conn{id: 1, c: &recConn{discard: true}}
 	b := &conn{id: 2, c: &recConn{discard: true}}
+	t.Cleanup(func() { a.stopOutbox(); b.stopOutbox() })
 	mustDispatch(t, s, a, "STREAM sa key v:dist")
 	mustDispatch(t, s, b, "STREAM sb key v:dist")
 	mustDispatch(t, s, a, "QUERY qa SELECT v FROM sa")
@@ -581,7 +583,7 @@ func TestRenderFailurePin(t *testing.T) {
 	for _, arm := range []string{"mixed", "no-recipient"} {
 		s := newTestServer(t, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1})
 		arc, brc := &recConn{}, &recConn{}
-		a, b := &conn{id: 1, c: arc}, &conn{id: 2, c: brc}
+		a, b := &conn{id: 1, c: arc}, &conn{id: 2, c: brc, outbox: make(chan dataLine, 64)}
 		mustDispatch(t, s, a, "STREAM temps key val:dist")
 		for _, id := range []string{"q1", "q2", "q3"} {
 			mustDispatch(t, s, a, "QUERY "+id+" SELECT SUM(val) AS s FROM temps WINDOW 3 ROWS")
@@ -608,6 +610,9 @@ func TestRenderFailurePin(t *testing.T) {
 			end := bytes.LastIndex(out[:len(out)-1], []byte("\n")) + 1
 			replies = append(replies, string(out[end:len(out)-1]))
 			aData = append(aData, out[:end]...)
+			if len(b.outbox) > 0 {
+				b.drainOutbox(<-b.outbox)
+			}
 			bData = append(bData, bytes.Join(brc.take(), nil)...)
 		}
 		fmt.Fprintf(&transcript, "## %s: replies\n", arm)

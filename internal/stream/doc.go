@@ -75,9 +75,8 @@
 //     command is planned, one reference per line bound for another
 //     connection plus one the command holds if any line goes to the
 //     inserting connection (those lines hold none). Each holder — outbox
-//     enqueue-then-copy, synchronous write, slow-client drop, teardown
-//     drain, and the command after its write batch or its failed fsync
-//     wait — releases exactly once, and the frame returns to the pool only
-//     when the count reaches zero. Nobody may touch frame.buf after their
-//     release.
+//     enqueue-then-copy, slow-client drop, teardown drain, and the command
+//     after its write batch or its failed fsync wait — releases exactly
+//     once, and the frame returns to the pool only when the count reaches
+//     zero. Nobody may touch frame.buf after their release.
 package stream
