@@ -155,9 +155,10 @@ func TestSketchQuantileIntervalCalibration(t *testing.T) {
 	}
 }
 
-// TestSketchProbSumIntervalCalibration: the McGregor–Muthukrishnan moments
-// are the sufficient statistics of the possible-world sum — the predictive
-// interval Σp·x̄ ± z·√(Σp·v + Σp(1−p)·x̄²) must cover the realized sum at its
+// TestSketchProbSumIntervalCalibration: the sketch's membership moment
+// Σp(1−p)·x̄² is the membership term of the possible-world sum's variance —
+// with Σp·x̄ and Σp·v summed here, the predictive interval
+// Σp·x̄ ± z·√(Σp·v + Σp(1−p)·x̄²) must cover the realized sum at its
 // nominal rate (CLT over ~150 heterogeneous Bernoulli–Gaussian tuples; the
 // approximation error at that width is well inside 3σ).
 func TestSketchProbSumIntervalCalibration(t *testing.T) {
@@ -167,18 +168,22 @@ func TestSketchProbSumIntervalCalibration(t *testing.T) {
 		hits := 0
 		for trial := 0; trial < sketchCalibTrials; trial++ {
 			var pm sketch.ProbMoments
+			var sumPX, sumPV float64
 			type tup struct{ x, sd, p float64 }
 			tuples := make([]tup, n)
 			for i := range tuples {
-				tuples[i] = tup{
+				tp := tup{
 					x:  rng.Float64()*20 - 10,
 					sd: rng.Float64() * 2,
 					p:  0.1 + 0.8*rng.Float64(),
 				}
-				pm.Add(tuples[i].x, tuples[i].sd*tuples[i].sd, tuples[i].p)
+				tuples[i] = tp
+				pm.Add(tp.x, tp.p)
+				sumPX += tp.p * tp.x
+				sumPV += tp.p * tp.sd * tp.sd
 			}
-			half := stat.ZUpper((1-level)/2) * math.Sqrt(pm.SumPV+pm.SumP1PX2)
-			iv := accuracy.Interval{Lo: pm.SumPX - half, Hi: pm.SumPX + half}
+			half := stat.ZUpper((1-level)/2) * math.Sqrt(sumPV+pm.SumP1PX2)
+			iv := accuracy.Interval{Lo: sumPX - half, Hi: sumPX + half}
 			realized := 0.0
 			for _, tp := range tuples {
 				if rng.Float64() < tp.p {

@@ -13,11 +13,10 @@
 //     the block structure, so results are deterministic at any worker
 //     count.
 //
-//   - ProbMoments: probability-weighted estimator moments for tuples with
-//     membership probabilities, after McGregor & Muthukrishnan's one-pass
-//     estimators for aggregates over probabilistic streams: expected
-//     count Σpᵢ with predictive variance Σpᵢ(1−pᵢ), expected sum Σpᵢ·x̄ᵢ
-//     with variance Σpᵢ·vᵢ + Σpᵢ(1−pᵢ)·x̄ᵢ², all mergeable by addition.
+//   - ProbMoments: the membership term Σpᵢ(1−pᵢ)·x̄ᵢ² of a sum's
+//     possible-world variance for tuples with membership probabilities,
+//     after McGregor & Muthukrishnan's one-pass estimators for aggregates
+//     over probabilistic streams, mergeable by addition.
 //
 //   - Quantile: a KLL-style multi-level compacting quantile sketch with a
 //     deterministic alternating compactor (no RNG — replicas and replays

@@ -74,46 +74,30 @@ func (m Moments) validate() error {
 	return nil
 }
 
-// ProbMoments accumulates the McGregor–Muthukrishnan one-pass estimator
-// moments for a probabilistic stream: tuple i contributes its field mean
-// x̄ᵢ, field variance vᵢ, and membership probability pᵢ. All fields merge
-// by addition, so the summary is mergeable across blocks, shards, and
-// cluster nodes.
+// ProbMoments accumulates the one McGregor–Muthukrishnan moment the served
+// intervals read for a probabilistic stream: tuple i contributes its field
+// mean x̄ᵢ and membership probability pᵢ to Σpᵢ(1−pᵢ)·x̄ᵢ². It merges by
+// addition, so the summary is mergeable across blocks, shards, and cluster
+// nodes. Checkpoints written while it also kept Σp, Σp(1−p), Σp·x̄ and Σp·v
+// still decode: the decoder ignores their keys.
 type ProbMoments struct {
 	// N is the number of tuples observed (including p = 1 tuples).
 	N uint64 `json:"n"`
-	// SumP is Σpᵢ — the expected number of existing tuples.
-	SumP float64 `json:"sum_p,omitempty"`
-	// SumP1P is Σpᵢ(1−pᵢ) — the variance of the realized tuple count.
-	SumP1P float64 `json:"sum_p1p,omitempty"`
-	// SumPX is Σpᵢ·x̄ᵢ — the expected sum.
-	SumPX float64 `json:"sum_px,omitempty"`
-	// SumPV is Σpᵢ·vᵢ — the value-uncertainty component of the sum
-	// estimator's variance.
-	SumPV float64 `json:"sum_pv,omitempty"`
 	// SumP1PX2 is Σpᵢ(1−pᵢ)·x̄ᵢ² — the membership-uncertainty component of
 	// the sum estimator's variance.
 	SumP1PX2 float64 `json:"sum_p1px2,omitempty"`
 }
 
-// Add absorbs one tuple with field mean x, field variance v ≥ 0, and
-// membership probability p ∈ [0, 1].
-func (pm *ProbMoments) Add(x, v, p float64) {
+// Add absorbs one tuple with field mean x and membership probability
+// p ∈ [0, 1].
+func (pm *ProbMoments) Add(x, p float64) {
 	pm.N++
-	pm.SumP += p
-	pm.SumP1P += p * (1 - p)
-	pm.SumPX += p * x
-	pm.SumPV += p * v
 	pm.SumP1PX2 += p * (1 - p) * x * x
 }
 
 // Merge combines o into pm by field-wise addition.
 func (pm *ProbMoments) Merge(o ProbMoments) {
 	pm.N += o.N
-	pm.SumP += o.SumP
-	pm.SumP1P += o.SumP1P
-	pm.SumPX += o.SumPX
-	pm.SumPV += o.SumPV
 	pm.SumP1PX2 += o.SumP1PX2
 }
 
@@ -131,16 +115,11 @@ func (pm ProbMoments) MembershipHalfWidth(scale, c float64) (float64, error) {
 
 // validate rejects non-finite or inconsistent serialized state.
 func (pm ProbMoments) validate() error {
-	for _, v := range []float64{pm.SumP, pm.SumP1P, pm.SumPX, pm.SumPV, pm.SumP1PX2} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("sketch: non-finite probabilistic moment state")
-		}
+	if math.IsNaN(pm.SumP1PX2) || math.IsInf(pm.SumP1PX2, 0) {
+		return fmt.Errorf("sketch: non-finite probabilistic moment state")
 	}
-	if pm.SumP < 0 || pm.SumP1P < 0 || pm.SumPV < 0 || pm.SumP1PX2 < 0 {
+	if pm.SumP1PX2 < 0 {
 		return fmt.Errorf("sketch: negative probabilistic moment accumulator")
-	}
-	if pm.SumP > float64(pm.N) {
-		return fmt.Errorf("sketch: Σp %v exceeds tuple count %d", pm.SumP, pm.N)
 	}
 	return nil
 }

@@ -142,30 +142,25 @@ func TestMomentsValidate(t *testing.T) {
 	}
 }
 
-// TestProbMomentsEstimators pins the McGregor–Muthukrishnan identities: the
-// accumulators are exactly the partial sums of the per-tuple contributions.
+// TestProbMomentsEstimators pins the McGregor–Muthukrishnan identity: the
+// accumulator is exactly the partial sum of the per-tuple contributions.
 func TestProbMomentsEstimators(t *testing.T) {
-	type tuple struct{ x, v, p float64 }
+	type tuple struct{ x, p float64 }
 	tuples := []tuple{
-		{10, 4, 1}, {20, 0, 0.5}, {-3, 1, 0.25}, {7, 9, 0.9}, {0, 0, 0},
+		{10, 1}, {20, 0.5}, {-3, 0.25}, {7, 0.9}, {0, 0},
 	}
 	var pm ProbMoments
-	var sumP, sumP1P, sumPX, sumPV, sumP1PX2 float64
+	var sumP1PX2 float64
 	for _, tp := range tuples {
-		pm.Add(tp.x, tp.v, tp.p)
-		sumP += tp.p
-		sumP1P += tp.p * (1 - tp.p)
-		sumPX += tp.p * tp.x
-		sumPV += tp.p * tp.v
+		pm.Add(tp.x, tp.p)
 		sumP1PX2 += tp.p * (1 - tp.p) * tp.x * tp.x
 	}
 	if pm.N != uint64(len(tuples)) {
 		t.Fatalf("count %d", pm.N)
 	}
-	// Same accumulation order, so the sums are bit-identical.
-	if pm.SumP != sumP || pm.SumP1P != sumP1P || pm.SumPX != sumPX ||
-		pm.SumPV != sumPV || pm.SumP1PX2 != sumP1PX2 {
-		t.Errorf("accumulators diverge from direct sums: %+v", pm)
+	// Same accumulation order, so the sum is bit-identical.
+	if pm.SumP1PX2 != sumP1PX2 {
+		t.Errorf("accumulator diverges from the direct sum: %+v", pm)
 	}
 }
 
@@ -175,22 +170,18 @@ func TestProbMomentsMergeIsAddition(t *testing.T) {
 	rng := dist.NewRand(15)
 	var whole, a, b ProbMoments
 	for i := 0; i < 400; i++ {
-		x, v, p := rng.Float64()*100-50, rng.Float64()*10, rng.Float64()
-		whole.Add(x, v, p)
+		x, p := rng.Float64()*100-50, rng.Float64()
+		whole.Add(x, p)
 		if i < 123 {
-			a.Add(x, v, p)
+			a.Add(x, p)
 		} else {
-			b.Add(x, v, p)
+			b.Add(x, p)
 		}
 	}
 	a.Merge(b)
 	if a.N != whole.N {
 		t.Fatalf("count %d vs %d", a.N, whole.N)
 	}
-	approx(t, "SumP", a.SumP, whole.SumP, 1e-9)
-	approx(t, "SumP1P", a.SumP1P, whole.SumP1P, 1e-9)
-	approx(t, "SumPX", a.SumPX, whole.SumPX, 1e-7)
-	approx(t, "SumPV", a.SumPV, whole.SumPV, 1e-8)
 	approx(t, "SumP1PX2", a.SumP1PX2, whole.SumP1PX2, 1e-6)
 }
 
@@ -199,9 +190,9 @@ func TestProbMomentsMergeIsAddition(t *testing.T) {
 func TestProbMomentsCertainStream(t *testing.T) {
 	var pm ProbMoments
 	for i := 0; i < 10; i++ {
-		pm.Add(float64(i), 2, 1)
+		pm.Add(float64(i), 1)
 	}
-	if pm.SumP1P != 0 || pm.SumP1PX2 != 0 {
+	if pm.SumP1PX2 != 0 {
 		t.Fatalf("certain stream accumulated membership variance: %+v", pm)
 	}
 	half, err := pm.MembershipHalfWidth(1, 0.95)
@@ -213,44 +204,9 @@ func TestProbMomentsCertainStream(t *testing.T) {
 	}
 }
 
-// TestProbMomentsCountIntervalCoverage: the CLT predictive interval for the
-// realized count, Σp ± z·√(Σp(1−p)), covers the simulated count at its
-// nominal rate.
-func TestProbMomentsCountIntervalCoverage(t *testing.T) {
-	rng := dist.NewRand(16)
-	const n, level, trials = 200, 0.95, 2000
-	ps := make([]float64, n)
-	var pm ProbMoments
-	for i := range ps {
-		ps[i] = 0.1 + 0.8*rng.Float64()
-		pm.Add(1, 0, ps[i])
-	}
-	z, err := zUpperLevel(level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := z * math.Sqrt(pm.SumP1P)
-	hits := 0
-	for trial := 0; trial < trials; trial++ {
-		count := 0.0
-		for _, p := range ps {
-			if rng.Float64() < p {
-				count++
-			}
-		}
-		if math.Abs(count-pm.SumP) <= half {
-			hits++
-		}
-	}
-	cov := float64(hits) / trials
-	if d := math.Abs(cov - level); d > 3*math.Sqrt(level*(1-level)/trials)+0.01 {
-		t.Errorf("count interval coverage %.4f, want ≈ %.2f", cov, level)
-	}
-}
-
 func TestProbMomentsErrors(t *testing.T) {
 	var pm ProbMoments
-	pm.Add(1, 0, 0.5)
+	pm.Add(1, 0.5)
 	if _, err := pm.MembershipHalfWidth(1, 1.5); err == nil {
 		t.Error("bad level: want error")
 	}
@@ -261,15 +217,14 @@ func TestProbMomentsErrors(t *testing.T) {
 
 func TestProbMomentsValidate(t *testing.T) {
 	var pm ProbMoments
-	pm.Add(3, 1, 0.5)
+	pm.Add(3, 0.5)
 	if err := pm.validate(); err != nil {
 		t.Errorf("valid state rejected: %v", err)
 	}
 	bad := []ProbMoments{
-		{N: 1, SumP: math.NaN()},
-		{N: 1, SumP: -0.5},
-		{N: 1, SumP: 2}, // Σp > N
-		{N: 1, SumPV: -1},
+		{N: 1, SumP1PX2: math.NaN()},
+		{N: 1, SumP1PX2: math.Inf(1)},
+		{N: 1, SumP1PX2: -0.5},
 	}
 	for i, b := range bad {
 		if err := b.validate(); err == nil {

@@ -42,7 +42,7 @@ func (s *ColSummary) Add(o Obs, p float64) error {
 		return err
 	}
 	s.Mom.Add(o.Mean)
-	s.Prob.Add(o.Mean, o.Variance, p)
+	s.Prob.Add(o.Mean, p)
 	s.SumVar += o.Variance
 	if o.N > 0 && (s.MinN == 0 || o.N < s.MinN) {
 		s.MinN = o.N
