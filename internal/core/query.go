@@ -112,9 +112,9 @@ type aggOutCol struct {
 }
 
 // joinState executes a symmetric window equi-join: each side retains a
-// count-rule column window; an arriving tuple probes the opposite window for equal
-// (deterministic) keys and emits one combined tuple per match, with
-// membership probabilities multiplied under the possible-world
+// count-rule column window; an arriving tuple probes the opposite window
+// for equal (deterministic) keys and emits one combined tuple per match,
+// with membership probabilities multiplied under the possible-world
 // independence assumption.
 type joinState struct {
 	leftName, rightName string
@@ -652,7 +652,7 @@ func (q *Query) pushJoin(t *stream.Tuple) ([]Result, error) {
 	var (
 		myKey, otherKey int
 		otherWin        *stream.ColumnWindow
-		pre, post       []randvar.Field // t's fields go left of a match from the right side
+		pre, post       []randvar.Field // t's fields, before or after a match's
 	)
 	switch strings.ToLower(t.Schema.Name) {
 	case js.leftName:

@@ -540,10 +540,10 @@ func (c *conn) drainOutbox(l dataLine) {
 }
 
 // ensureOutboxLocked gives c its outbox of lines entries
-// (Options.OutboxLines) and its drainer the first time it becomes a delivery
-// target (query owner, ATTACH, SUBSCRIBE). Caller holds
-// s.mu and registers c as a target under the same hold, so every delivery
-// snapshot that sees c also sees its outbox.
+// (Options.OutboxLines) and its drainer the first time it becomes a
+// delivery target (query owner, ATTACH, SUBSCRIBE). Caller holds s.mu and
+// registers c as a target under the same hold, so every delivery snapshot
+// that sees c also sees its outbox.
 func (c *conn) ensureOutboxLocked(lines int) {
 	if c.outbox != nil {
 		return
