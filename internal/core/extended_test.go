@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,6 +49,29 @@ func TestGroupByAggregate(t *testing.T) {
 		t.Fatalf("results = %d, want 3", len(results))
 	}
 	approx(t, "group 1 slide", results[2].Tuple.Fields[1].Dist.Mean(), 25, 1e-9)
+}
+
+// TestGroupByWindowStartsSmall: a GROUP BY over a large count window pays
+// for the rows each key holds, not for the window size: 64 keys of one
+// tuple each over WINDOW 65536 ROWS, compile included, allocate under
+// 8 MiB (a full window per key would be over 300 MiB).
+func TestGroupByWindowStartsSmall(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	q, err := e.Compile("SELECT road_id, AVG(delay) FROM traffic GROUP BY road_id WINDOW 65536 ROWS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := 0; key < 64; key++ {
+		if _, err := q.Push(trafficTuple(t, e, float64(key), 10, 20, 0, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Errorf("64 one-tuple groups allocated %d bytes, want under %d", got, 8<<20)
+	}
 }
 
 func TestGroupByErrors(t *testing.T) {

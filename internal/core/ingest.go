@@ -243,12 +243,11 @@ func unlockGroup(group []*streamDef) {
 const MaxSampleSize = 1 << 16
 
 // MaxWindowRows bounds the WINDOW n ROWS of a live QUERY. A materialized
-// window allocates all n slots of every column when the query compiles, and
-// a GROUP BY allocates n more for each key on its first tuple; Go cannot
-// recover from running out of memory, so an unbounded n could end the
-// process, and every restart that replays the statement. 2²⁰ rows of a
-// two-column window take about 80 MiB. A BACKEND SKETCH window does not
-// grow with n and is not bounded.
+// window starts small and grows to n slots of every column as rows arrive,
+// one window per key under GROUP BY; Go cannot recover from running out of
+// memory, so an unbounded n could end the process, and every restart that
+// replays the statement. 2²⁰ rows of a two-column window take about
+// 80 MiB. A BACKEND SKETCH window does not grow with n and is not bounded.
 const MaxWindowRows = 1 << 20
 
 // admit refuses a tuple a live ingest must not journal: one with a field
@@ -312,17 +311,27 @@ func (e *Engine) IngestBatch(streamName string, rows []IngestRow, commit func() 
 	}
 
 	// Build and validate every tuple before consuming sequence numbers or
-	// committing, so a malformed row aborts the whole batch cleanly.
+	// committing, so a malformed row aborts the whole batch cleanly. The
+	// tuples, as stream.NewTuple builds them, share one slab and their
+	// fields another; each tuple's Fields is capped at its own arity.
+	arity := sd.schema.Arity()
 	tuples := make([]*stream.Tuple, len(rows))
+	tupleSlab := make([]stream.Tuple, len(rows))
+	fieldSlab := make([]randvar.Field, len(rows)*arity)
 	for i, row := range rows {
-		t, err := stream.NewTuple(sd.schema, row.Fields)
-		if err == nil && commit != nil {
-			err = admit(t)
+		err := stream.CheckFields(sd.schema, row.Fields)
+		t := &tupleSlab[i]
+		if err == nil {
+			f := fieldSlab[i*arity : (i+1)*arity : (i+1)*arity]
+			copy(f, row.Fields)
+			*t = stream.Tuple{Schema: sd.schema, Fields: f, Prob: 1, Time: row.Time}
+			if commit != nil {
+				err = admit(t)
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: batch row %d: %w", i, err)
 		}
-		t.Time = row.Time
 		tuples[i] = t
 	}
 

@@ -38,6 +38,9 @@ func NewSample(obs []float64) *Sample {
 // Add appends one observation.
 func (s *Sample) Add(x float64) { s.obs = append(s.obs, x) }
 
+// Reset empties the sample, keeping its storage for the next observations.
+func (s *Sample) Reset() { s.obs = s.obs[:0] }
+
 // AddAll appends all observations in xs.
 func (s *Sample) AddAll(xs []float64) { s.obs = append(s.obs, xs...) }
 

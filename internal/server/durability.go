@@ -206,10 +206,12 @@ func (s *Server) applyLocked(from *conn, typ wal.RecordType, payload string, lsn
 func (s *Server) applyIngest(sc *deliveryScratch, from *conn, typ wal.RecordType, payload string, lsn uint64) (string, uint64, error) {
 	batch := typ == wal.RecInsertBatch
 	body, reqID := SplitReqID(payload)
-	streamName, rows, err := parseInsertRows(body, batch)
+	streamName, err := sc.batch.parse(body, batch)
+	defer sc.batch.release()
 	if err != nil {
 		return "", 0, err
 	}
+	rows := sc.batch.rows
 	var commit func() error
 	var registering bool
 	if lsn == 0 {

@@ -18,11 +18,11 @@ func BenchmarkDeliverFanout(b *testing.B) {
 		s := newTestServer(b, core.Config{Level: 0.9, Method: core.AccuracyAnalytical, Seed: 1})
 		c := &conn{id: 1, c: &recConn{discard: true}}
 		sharedFleet(b, s, c, members)
-		_, rows, err := parseInsertRows("s 5 N(10.5,4,25) | 6 N(11,3,30) | 7 N(12,5,9) | 8 N(9,2,40)", true)
-		if err != nil {
+		var batch insertBatch
+		if _, err := batch.parse("s 5 N(10.5,4,25) | 6 N(11,3,30) | 7 N(12,5,9) | 8 N(9,2,40)", true); err != nil {
 			b.Fatal(err)
 		}
-		results, err := s.engine.IngestBatch("s", rows, nil)
+		results, err := s.engine.IngestBatch("s", batch.rows, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

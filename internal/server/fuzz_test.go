@@ -121,6 +121,13 @@ func FuzzProtocolDispatch(f *testing.F) {
 		"INSERT readings N(,,) 7",
 		"INSERT readings NaN N(10,4,25)",
 		"INSERTBATCH readings NaN 1 | Inf 2 | NaN 3",
+		// Tokens split where strings.Fields splits: tabs and the non-ASCII
+		// spaces, around fields and around "|".
+		"INSERT readings\t1\tN(10,4,25)",
+		"INSERTBATCH readings 1\u00a0N(10,4,25)\u2003|\u30002 S(1;2;3)",
+		"INSERTBATCH readings 1 H(0,1,2|3,4)\u0085|\v2\u2028N(1,2,3)",
+		"INSERTBATCH readings 1 2 |\u00a0| 3 4",
+		"INSERT readings 1\xa0N(10,4,25)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

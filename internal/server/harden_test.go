@@ -552,11 +552,14 @@ func TestClientBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestStalledReplyHoldsNoServerLock: ATTACH and SUBSCRIBE stage their reply
-// under the server lock and send it after releasing it, so a client that
-// sends one and never reads stalls only its own connection. Another
-// connection's INSERT, which takes the lock to plan its deliveries, still
-// answers at once instead of after the write timeout.
+// TestStalledReplyHoldsNoServerLock: ATTACH and SUBSCRIBE take the
+// connection's write lock under the server lock and stage and send their
+// reply after releasing it, so a client that sends one and never reads
+// stalls only its own connection. Each is pipelined behind a burst of PINGs
+// whose held replies fill a write buffer exactly, so staging the reply
+// itself must send the buffer. Another connection's INSERT, which takes the
+// lock to plan its deliveries, still answers at once instead of after the
+// write timeout.
 func TestStalledReplyHoldsNoServerLock(t *testing.T) {
 	dir := t.TempDir()
 	s, addr := startDurableServer(t, durableConfig(dir, 1, 1024))
@@ -586,7 +589,8 @@ func TestStalledReplyHoldsNoServerLock(t *testing.T) {
 	writer := &tclient{t: t, c: in, sc: bufio.NewScanner(in)}
 	for i, verb := range []string{"SUBSCRIBE", "ATTACH"} {
 		start := time.Now()
-		if _, err := fmt.Fprintf(pipe(), "%s q1\n", verb); err != nil {
+		burst := strings.Repeat("PING\n", writeBufSize/len("OK pong\n"))
+		if _, err := fmt.Fprintf(pipe(), "%s%s q1\n", burst, verb); err != nil {
 			t.Fatal(err)
 		}
 		// Wait for the command to take effect: it is done with the lock

@@ -54,10 +54,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/accuracy"
 	"repro/internal/codec"
@@ -71,8 +74,8 @@ import (
 // finite refuses the infinities and NaN that strconv.ParseFloat accepts
 // ("Inf", "+inf", "infinity", "NaN"). A field built from one cannot be
 // rendered as JSON or encoded into a checkpoint, and an infinite histogram
-// edge samples NaN, so every ParseFieldSpec arm checks its numbers here:
-// such an INSERT fails before it takes a sequence number or a WAL record.
+// edge samples NaN, so every parseField arm checks its numbers here: such
+// an INSERT fails before it takes a sequence number or a WAL record.
 func finite(v float64, tok, spec string) error {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return fmt.Errorf("server: non-finite number %q in field %q", tok, spec)
@@ -82,31 +85,48 @@ func finite(v float64, tok, spec string) error {
 
 // ParseFieldSpec parses one INSERT field. Every number in it must be finite.
 func ParseFieldSpec(spec string) (randvar.Field, error) {
+	var p fieldParser
+	return p.parseField(spec)
+}
+
+// fieldParser parses INSERT fields. Its sample is the S() observation slab,
+// reused from field to field: learning copies nothing out of it, so the
+// parsed field does not depend on it.
+type fieldParser struct {
+	sample learn.Sample
+}
+
+// parseField parses one INSERT field, the one parser ParseFieldSpec and
+// insertBatch share. The lists inside N(), S() and H() are cut in place;
+// what a distribution keeps (histogram edges and counts, a J{} decode) is
+// freshly allocated.
+func (p *fieldParser) parseField(spec string) (randvar.Field, error) {
 	switch {
 	case strings.HasPrefix(spec, "J{"):
 		// JSON numbers are finite by construction.
 		return codec.DecodeField([]byte(spec[1:]))
 	case strings.HasPrefix(spec, "N(") && strings.HasSuffix(spec, ")"):
 		body := spec[2 : len(spec)-1]
-		parts := strings.Split(body, ",")
-		if len(parts) != 3 {
+		if strings.Count(body, ",") != 2 {
 			return randvar.Field{}, fmt.Errorf("server: N() takes (mu,sigma2,n), got %q", spec)
 		}
-		mu, err := strconv.ParseFloat(parts[0], 64)
+		muTok, body, _ := strings.Cut(body, ",")
+		sigmaTok, nTok, _ := strings.Cut(body, ",")
+		mu, err := strconv.ParseFloat(muTok, 64)
 		if err != nil {
 			return randvar.Field{}, fmt.Errorf("server: bad mu in %q: %w", spec, err)
 		}
-		if err := finite(mu, parts[0], spec); err != nil {
+		if err := finite(mu, muTok, spec); err != nil {
 			return randvar.Field{}, err
 		}
-		sigma2, err := strconv.ParseFloat(parts[1], 64)
+		sigma2, err := strconv.ParseFloat(sigmaTok, 64)
 		if err != nil {
 			return randvar.Field{}, fmt.Errorf("server: bad sigma2 in %q: %w", spec, err)
 		}
-		if err := finite(sigma2, parts[1], spec); err != nil {
+		if err := finite(sigma2, sigmaTok, spec); err != nil {
 			return randvar.Field{}, err
 		}
-		n, err := strconv.Atoi(parts[2])
+		n, err := strconv.Atoi(nTok)
 		if err != nil || n < 0 {
 			return randvar.Field{}, fmt.Errorf("server: bad n in %q", spec)
 		}
@@ -116,51 +136,58 @@ func ParseFieldSpec(spec string) (randvar.Field, error) {
 		}
 		return randvar.Field{Dist: nd, N: n}, nil
 	case strings.HasPrefix(spec, "S(") && strings.HasSuffix(spec, ")"):
-		body := spec[2 : len(spec)-1]
-		parts := strings.Split(body, ";")
-		obs := make([]float64, 0, len(parts))
-		for _, p := range parts {
-			if p == "" {
+		p.sample.Reset()
+		for rest, more := spec[2:len(spec)-1], true; more; {
+			var tok string
+			tok, rest, more = strings.Cut(rest, ";")
+			if tok == "" {
 				continue
 			}
-			v, err := strconv.ParseFloat(p, 64)
+			v, err := strconv.ParseFloat(tok, 64)
 			if err != nil {
-				return randvar.Field{}, fmt.Errorf("server: bad observation %q in %q", p, spec)
+				return randvar.Field{}, fmt.Errorf("server: bad observation %q in %q", tok, spec)
 			}
-			if err := finite(v, p, spec); err != nil {
+			if err := finite(v, tok, spec); err != nil {
 				return randvar.Field{}, err
 			}
-			obs = append(obs, v)
+			p.sample.Add(v)
 		}
-		if len(obs) < 2 {
-			return randvar.Field{}, fmt.Errorf("server: S() needs ≥ 2 observations, got %d", len(obs))
+		if p.sample.Size() < 2 {
+			return randvar.Field{}, fmt.Errorf("server: S() needs ≥ 2 observations, got %d", p.sample.Size())
 		}
-		return core.LearnField(learn.GaussianLearner{}, learn.NewSample(obs))
+		// What core.LearnField does, through the concrete learner, so the
+		// sample and the parser holding it do not escape to the heap.
+		d, err := learn.GaussianLearner{}.Learn(&p.sample)
+		if err != nil {
+			return randvar.Field{}, err
+		}
+		return randvar.Field{Dist: d, N: p.sample.Size()}, nil
 	case strings.HasPrefix(spec, "H(") && strings.HasSuffix(spec, ")"):
-		body := spec[2 : len(spec)-1]
-		halves := strings.SplitN(body, "|", 2)
-		if len(halves) != 2 {
+		edgeList, countList, ok := strings.Cut(spec[2:len(spec)-1], "|")
+		if !ok {
 			return randvar.Field{}, fmt.Errorf("server: H() takes edges|counts, got %q", spec)
 		}
-		edgeStrs := strings.Split(halves[0], ",")
-		countStrs := strings.Split(halves[1], ",")
-		edges := make([]float64, 0, len(edgeStrs))
-		for _, s := range edgeStrs {
-			v, err := strconv.ParseFloat(s, 64)
+		edges := make([]float64, 0, strings.Count(edgeList, ",")+1)
+		for rest, more := edgeList, true; more; {
+			var tok string
+			tok, rest, more = strings.Cut(rest, ",")
+			v, err := strconv.ParseFloat(tok, 64)
 			if err != nil {
-				return randvar.Field{}, fmt.Errorf("server: bad edge %q in %q", s, spec)
+				return randvar.Field{}, fmt.Errorf("server: bad edge %q in %q", tok, spec)
 			}
-			if err := finite(v, s, spec); err != nil {
+			if err := finite(v, tok, spec); err != nil {
 				return randvar.Field{}, err
 			}
 			edges = append(edges, v)
 		}
-		counts := make([]int, 0, len(countStrs))
+		counts := make([]int, 0, strings.Count(countList, ",")+1)
 		total := 0
-		for _, s := range countStrs {
-			v, err := strconv.Atoi(s)
+		for rest, more := countList, true; more; {
+			var tok string
+			tok, rest, more = strings.Cut(rest, ",")
+			v, err := strconv.Atoi(tok)
 			if err != nil {
-				return randvar.Field{}, fmt.Errorf("server: bad count %q in %q", s, spec)
+				return randvar.Field{}, fmt.Errorf("server: bad count %q in %q", tok, spec)
 			}
 			counts = append(counts, v)
 			total += v
@@ -180,6 +207,112 @@ func ParseFieldSpec(spec string) (randvar.Field, error) {
 		}
 		return randvar.Det(v), nil
 	}
+}
+
+// insertBatch is an INSERT or INSERTBATCH payload parsed into storage that
+// one command scratch reuses from command to command: one row slice, one
+// field slab the rows are windows of, and the S() observation slab. The
+// rows are valid until the next parse or release; IngestBatch copies every
+// field it keeps, so the batch is free again once IngestBatch returns.
+type insertBatch struct {
+	rows   []core.IngestRow
+	fields []randvar.Field
+	ends   []int // rows[i].Fields is fields[ends[i-1]:ends[i]]
+	fieldParser
+}
+
+// maxKeptFields caps the field slab a batch keeps between commands, so one
+// huge INSERTBATCH does not pin its slab for the life of the connection.
+const maxKeptFields = 4096
+
+// parse parses an ingest payload into b and returns its stream name:
+// "<stream> <field> ..." for a single tuple, or — with batch set —
+// "<stream> <field> ... | <field> ..." where "|" separates tuples. Tokens
+// split exactly where strings.Fields splits; field specs never contain
+// spaces or bare "|", so the framing is unambiguous.
+func (b *insertBatch) parse(rest string, batch bool) (string, error) {
+	b.release()
+	streamName, rest := cutField(rest)
+	tok, rest := cutField(rest)
+	if tok == "" {
+		if batch {
+			return "", errors.New("usage: INSERTBATCH <stream> <field> ... [| <field> ...]")
+		}
+		return "", errors.New("usage: INSERT <stream> <field> ...")
+	}
+	start := 0
+	for ; tok != ""; tok, rest = cutField(rest) {
+		if batch && tok == "|" {
+			if len(b.fields) == start {
+				return "", errors.New("empty tuple in batch")
+			}
+			start = len(b.fields)
+			b.ends = append(b.ends, start)
+			continue
+		}
+		f, err := b.parseField(tok)
+		if err != nil {
+			return "", err
+		}
+		b.fields = append(b.fields, f)
+	}
+	if len(b.fields) == start {
+		return "", errors.New("empty tuple in batch")
+	}
+	b.ends = append(b.ends, len(b.fields))
+	start = 0
+	for _, end := range b.ends {
+		b.rows = append(b.rows, core.IngestRow{Fields: b.fields[start:end:end]})
+		start = end
+	}
+	return streamName, nil
+}
+
+// release empties b and drops the distributions its slab points to.
+func (b *insertBatch) release() {
+	clear(b.fields)
+	clear(b.rows)
+	if cap(b.fields) > maxKeptFields {
+		b.fields, b.rows, b.ends = nil, nil, nil
+	}
+	b.fields, b.rows, b.ends = b.fields[:0], b.rows[:0], b.ends[:0]
+}
+
+// asciiSpace marks the bytes below utf8.RuneSelf that strings.Fields
+// splits on.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// cutField returns the first token of s as strings.Fields splits it (on
+// unicode.IsSpace; an invalid UTF-8 byte is not a space) and what follows
+// it; tok is "" when s holds no token.
+func cutField(s string) (tok, rest string) {
+	i := 0
+	for i < len(s) {
+		n, space := runeAt(s, i)
+		if !space {
+			break
+		}
+		i += n
+	}
+	j := i
+	for j < len(s) {
+		n, space := runeAt(s, j)
+		if space {
+			break
+		}
+		j += n
+	}
+	return s[i:j], s[j:]
+}
+
+// runeAt returns the byte length of the rune at s[i] and whether it is a
+// space.
+func runeAt(s string, i int) (int, bool) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return 1, asciiSpace[c]
+	}
+	r, n := utf8.DecodeRuneInString(s[i:])
+	return n, unicode.IsSpace(r)
 }
 
 // FormatFieldSpec renders a field in the protocol's INSERT syntax (inverse

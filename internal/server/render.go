@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -99,7 +100,10 @@ func renderBody(r core.Result) emission {
 // behavior, same sorted map keys, same float formatting, and the same
 // "json: unsupported value" errors on non-finite numbers.
 func appendResult(dst []byte, r core.Result) ([]byte, error) {
-	var err error
+	var (
+		err error
+		lv  levelMemo
+	)
 	dst = append(dst, `{"fields":{`...)
 	cols := r.Tuple.Schema.Columns
 	n := len(r.Tuple.Fields)
@@ -126,7 +130,7 @@ func appendResult(dst []byte, r core.Result) ([]byte, error) {
 		name := cols[i].Name
 		dst = codec.AppendString(dst, name)
 		dst = append(dst, ':')
-		if dst, err = appendFieldJSON(dst, r.Tuple.Fields[i].Dist, r.Tuple.Fields[i].N, r.Fields[name]); err != nil {
+		if dst, err = appendFieldJSON(dst, r.Tuple.Fields[i].Dist, r.Tuple.Fields[i].N, r.Fields[name], &lv); err != nil {
 			return dst, err
 		}
 	}
@@ -140,7 +144,7 @@ func appendResult(dst []byte, r core.Result) ([]byte, error) {
 	}
 	if r.TupleProb != nil {
 		dst = append(dst, `,"prob_interval":`...)
-		if dst, err = appendInterval(dst, *r.TupleProb); err != nil {
+		if dst, err = appendInterval(dst, *r.TupleProb, &lv); err != nil {
 			return dst, err
 		}
 	}
@@ -156,44 +160,79 @@ func appendResult(dst []byte, r core.Result) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// appendFieldJSON appends one FieldJSON object.
-func appendFieldJSON(dst []byte, d dist.Distribution, n int, info *accuracy.Info) ([]byte, error) {
+// appendFieldJSON appends one FieldJSON object. Each number is formatted
+// once: a Point's or Normal's "dist" summary and "repr" copy the bytes of
+// "mean" and "variance" (see reuseShortest), and lv carries the body's last
+// interval level.
+func appendFieldJSON(dst []byte, d dist.Distribution, n int, info *accuracy.Info, lv *levelMemo) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"mean":`...)
+	mean := len(dst)
 	if dst, err = codec.AppendFloat(dst, d.Mean()); err != nil {
 		return dst, err
 	}
+	meanEnd := len(dst)
 	dst = append(dst, `,"variance":`...)
+	variance := len(dst)
 	if dst, err = codec.AppendFloat(dst, d.Variance()); err != nil {
 		return dst, err
 	}
+	varianceEnd := len(dst)
 	if n != 0 {
 		dst = append(dst, `,"n":`...)
 		dst = strconv.AppendInt(dst, int64(n), 10)
 	}
 	dst = append(dst, `,"dist":`...)
-	dst = appendDistString(dst, d)
-	// Repr is omitted when the distribution has no codec encoding, exactly
-	// as EncodeResult drops it; truncating back removes any partial bytes.
-	mark := len(dst)
-	dst = append(dst, `,"repr":`...)
-	if rd, rerr := codec.AppendDistribution(dst, d); rerr == nil {
-		dst = rd
-	} else {
-		dst = dst[:mark]
+	switch v := d.(type) {
+	case dist.Point: // mean is V, variance 0
+		dst = append(dst, `"Point(`...)
+		dst = reuseShortest(dst, v.V, mean, meanEnd)
+		dst = append(dst, `)","repr":{"type":"point"`...)
+		if v.V != 0 {
+			dst = append(dst, `,"a":`...)
+			dst = append(dst, dst[mean:meanEnd]...)
+		}
+		dst = append(dst, '}')
+	case dist.Normal: // mean is Mu, variance Sigma2
+		dst = append(dst, `"Normal(μ=`...)
+		dst = reuseShortest(dst, v.Mu, mean, meanEnd)
+		dst = append(dst, `, σ²=`...)
+		dst = reuseShortest(dst, v.Sigma2, variance, varianceEnd)
+		dst = append(dst, `)","repr":{"type":"normal"`...)
+		if v.Mu != 0 {
+			dst = append(dst, `,"a":`...)
+			dst = append(dst, dst[mean:meanEnd]...)
+		}
+		if v.Sigma2 != 0 {
+			dst = append(dst, `,"b":`...)
+			dst = append(dst, dst[variance:varianceEnd]...)
+		}
+		dst = append(dst, '}')
+	default:
+		dst = appendDistString(dst, d)
+		// Repr is omitted when the distribution has no codec encoding,
+		// exactly as EncodeResult drops it; truncating back removes any
+		// partial bytes.
+		mark := len(dst)
+		dst = append(dst, `,"repr":`...)
+		if rd, rerr := codec.AppendDistribution(dst, d); rerr == nil {
+			dst = rd
+		} else {
+			dst = dst[:mark]
+		}
 	}
 	if info != nil {
 		dst = append(dst, `,"mean_interval":`...)
-		if dst, err = appendInterval(dst, info.Mean); err != nil {
+		if dst, err = appendInterval(dst, info.Mean, lv); err != nil {
 			return dst, err
 		}
 		dst = append(dst, `,"variance_interval":`...)
-		if dst, err = appendInterval(dst, info.Variance); err != nil {
+		if dst, err = appendInterval(dst, info.Variance, lv); err != nil {
 			return dst, err
 		}
 		if info.WindowMedian != nil {
 			dst = append(dst, `,"window_median":`...)
-			if dst, err = appendInterval(dst, *info.WindowMedian); err != nil {
+			if dst, err = appendInterval(dst, *info.WindowMedian, lv); err != nil {
 				return dst, err
 			}
 		}
@@ -216,7 +255,7 @@ func appendFieldJSON(dst []byte, d dist.Distribution, n int, info *accuracy.Info
 					return dst, err
 				}
 				dst = append(dst, `,"interval":`...)
-				if dst, err = appendInterval(dst, b.Interval); err != nil {
+				if dst, err = appendInterval(dst, b.Interval, lv); err != nil {
 					return dst, err
 				}
 				dst = append(dst, '}')
@@ -227,8 +266,28 @@ func appendFieldJSON(dst []byte, d dist.Distribution, n int, info *accuracy.Info
 	return append(dst, '}'), nil
 }
 
+// reuseShortest appends v as strconv's shortest 'g' form, which d.String()
+// prints, given dst[lo:hi] holds v's JSON form (codec.AppendFloat). When v
+// is 0 or 1e-4 ≤ |v| < 1e6 the two are the same bytes — both lay out the
+// shortest digits as %f — and they are copied; elsewhere 'g' switches to an
+// exponent that JSON does not, and v is formatted again.
+func reuseShortest(dst []byte, v float64, lo, hi int) []byte {
+	if a := math.Abs(v); a == 0 || (a >= 1e-4 && a < 1e6) {
+		return append(dst, dst[lo:hi]...)
+	}
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// levelMemo is the last interval level a body formatted: its bits, and
+// where in the body its bytes are. Bodies repeat one level (the query's
+// confidence level), so appendInterval formats it once and copies it after.
+type levelMemo struct {
+	bits   uint64
+	lo, hi int // hi == 0: no level yet
+}
+
 // appendInterval appends an IntervalJSON object.
-func appendInterval(dst []byte, iv accuracy.Interval) ([]byte, error) {
+func appendInterval(dst []byte, iv accuracy.Interval, lv *levelMemo) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"lo":`...)
 	if dst, err = codec.AppendFloat(dst, iv.Lo); err != nil {
@@ -239,29 +298,24 @@ func appendInterval(dst []byte, iv accuracy.Interval) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, `,"level":`...)
-	if dst, err = codec.AppendFloat(dst, iv.Level); err != nil {
-		return dst, err
+	if bits := math.Float64bits(iv.Level); lv.hi != 0 && bits == lv.bits {
+		dst = append(dst, dst[lv.lo:lv.hi]...)
+	} else {
+		lo := len(dst)
+		if dst, err = codec.AppendFloat(dst, iv.Level); err != nil {
+			return dst, err
+		}
+		*lv = levelMemo{bits: bits, lo: lo, hi: len(dst)}
 	}
 	return append(dst, '}'), nil
 }
 
 // appendDistString appends the JSON-quoted human-readable summary for d —
-// the strconv replication of d.String() for the distributions the hot path
-// emits (their summaries contain no JSON-escapable bytes), falling back to
-// the String method otherwise.
+// the strconv replication of d.String() for a histogram (its summary
+// contains no JSON-escapable bytes), falling back to the String method
+// otherwise. appendFieldJSON writes Point and Normal summaries itself.
 func appendDistString(dst []byte, d dist.Distribution) []byte {
-	switch v := d.(type) {
-	case dist.Point:
-		dst = append(dst, `"Point(`...)
-		dst = strconv.AppendFloat(dst, v.V, 'g', -1, 64)
-		return append(dst, ')', '"')
-	case dist.Normal:
-		dst = append(dst, `"Normal(μ=`...)
-		dst = strconv.AppendFloat(dst, v.Mu, 'g', -1, 64)
-		dst = append(dst, `, σ²=`...)
-		dst = strconv.AppendFloat(dst, v.Sigma2, 'g', -1, 64)
-		return append(dst, ')', '"')
-	case *dist.Histogram:
+	if v, ok := d.(*dist.Histogram); ok {
 		dst = append(dst, `"Histogram{`...)
 		dst = strconv.AppendInt(dst, int64(v.NumBuckets()), 10)
 		dst = append(dst, ` buckets on [`...)

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -92,10 +93,70 @@ func appendDataLine(dst []byte, id string, r core.Result) ([]byte, error) {
 	return appendResult(append(append(append(dst, "DATA "...), id...), ' '), r)
 }
 
+// renderEdgeValues are the numbers at the edges of the renderer's one-format
+// rule and of JSON's exponent switch: 0 and -0, both neighbours of 1e-4,
+// 1e6, 1e-6 and 1e21, subnormals, and the negatives of all.
+func renderEdgeValues() []float64 {
+	var vs []float64
+	for _, b := range []float64{1e-4, 1e6, 1e-6, 1e21} {
+		vs = append(vs, math.Nextafter(b, 0), b, math.Nextafter(b, math.Inf(1)))
+	}
+	vs = append(vs, 0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 0.1, 1.0/3, 123456.789, 999999.5, 1e300)
+	for _, v := range vs {
+		vs = append(vs, -v)
+	}
+	return vs
+}
+
+// renderEdgeResults builds one result per edge value: a Point field of that
+// value, and two decorated Normal fields with it as mean and as variance,
+// their intervals cycling through several levels (0 and -0 among them) so
+// one body repeats some levels and changes others.
+func renderEdgeResults(t testing.TB) []core.Result {
+	t.Helper()
+	schema, err := stream.NewSchema("edge",
+		stream.Column{Name: "p"},
+		stream.Column{Name: "n", Probabilistic: true},
+		stream.Column{Name: "m", Probabilistic: true},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := renderEdgeValues()
+	levels := []float64{0.9, 0.95, 0.9, 0, math.Copysign(0, -1), 0.99, 1e-7, 0.9}
+	iv := func(k int) accuracy.Interval {
+		return accuracy.Interval{Lo: vs[k%len(vs)], Hi: vs[(k+3)%len(vs)], Level: levels[k%len(levels)]}
+	}
+	var out []core.Result
+	for i, v := range vs {
+		other := vs[(i*7+5)%len(vs)]
+		tp, err := stream.NewTuple(schema, []randvar.Field{
+			{Dist: dist.Point{V: v}, N: i % 3},
+			{Dist: dist.Normal{Mu: v, Sigma2: math.Abs(other)}, N: 2 + i},
+			{Dist: dist.Normal{Mu: other, Sigma2: math.Abs(v)}, N: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp.Prob, tp.ProbN, tp.Seq = 0.5, 7, uint64(i+1)
+		tpIv := iv(i + 3)
+		out = append(out, core.Result{
+			Tuple: tp,
+			Fields: map[string]*accuracy.Info{
+				"n": {Mean: iv(i), Variance: iv(i + 1)},
+				"m": {Mean: iv(i + 2), Variance: iv(i), WindowMedian: &accuracy.Interval{Lo: v, Hi: other, Level: levels[(i+5)%len(levels)]}},
+			},
+			TupleProb: &tpIv,
+		})
+	}
+	return out
+}
+
 // TestRenderMatchesJSON pins the render-once path to the legacy encoder:
-// appendResult must be byte-identical to json.Marshal(EncodeResult(r)).
+// appendResult must be byte-identical to json.Marshal(EncodeResult(r)),
+// for the test results and at the edges of the one-format rule.
 func TestRenderMatchesJSON(t *testing.T) {
-	for i, r := range renderTestResults(t) {
+	for i, r := range append(renderTestResults(t), renderEdgeResults(t)...) {
 		want, err := json.Marshal(EncodeResult(r))
 		if err != nil {
 			t.Fatalf("result %d: marshal: %v", i, err)
@@ -129,6 +190,61 @@ func TestRenderMatchesJSON(t *testing.T) {
 		if wire, wantWire := rc.take(), "DATA q1 "+string(want)+"\n"; len(wire) != 1 || string(wire[0]) != wantWire {
 			t.Errorf("result %d wire line:\nappend: %q\n  want: %q", i, wire, wantWire)
 		}
+	}
+}
+
+// TestRenderNonFiniteError: a number that is not finite fails the render
+// with json.Marshal's error text, wherever in the body it sits.
+func TestRenderNonFiniteError(t *testing.T) {
+	base := renderEdgeResults(t)[1]
+	for _, c := range []struct {
+		name string
+		edit func(r *core.Result)
+	}{
+		{"point", func(r *core.Result) { r.Tuple.Fields[0].Dist = dist.Point{V: math.Inf(1)} }},
+		{"mean", func(r *core.Result) { r.Tuple.Fields[1].Dist = dist.Normal{Mu: math.NaN(), Sigma2: 1} }},
+		{"variance", func(r *core.Result) { r.Tuple.Fields[2].Dist = dist.Normal{Mu: 1, Sigma2: math.Inf(1)} }},
+		{"level", func(r *core.Result) { r.Fields["m"].Variance.Level = math.NaN() }},
+		{"repeated level", func(r *core.Result) { r.TupleProb.Level = math.Inf(-1) }},
+		{"bound", func(r *core.Result) { r.Fields["n"].Mean.Lo = math.Inf(-1) }},
+	} {
+		tp := *base.Tuple
+		tp.Fields = slices.Clone(base.Tuple.Fields)
+		n, m, tpIv := *base.Fields["n"], *base.Fields["m"], *base.TupleProb
+		r := core.Result{Tuple: &tp, Fields: map[string]*accuracy.Info{"n": &n, "m": &m}, TupleProb: &tpIv}
+		c.edit(&r)
+		_, want := json.Marshal(EncodeResult(r))
+		_, err := appendResult(nil, r)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: appendResult error %v, json.Marshal %v", c.name, err, want)
+		}
+	}
+}
+
+// BenchmarkRenderBody renders one wire-small-shaped DATA body per op: a
+// window AVG as a decorated Normal field, through renderBody into a pooled
+// frame.
+func BenchmarkRenderBody(b *testing.B) {
+	schema, err := stream.NewSchema("s", stream.Column{Name: "a", Probabilistic: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tp, err := stream.NewTuple(schema, []randvar.Field{{Dist: dist.Normal{Mu: 61.73203125, Sigma2: 0.0869140625}, N: 256}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tp.Seq = 123456
+	r := core.Result{Tuple: tp, Fields: map[string]*accuracy.Info{"a": {
+		Mean:     accuracy.Interval{Lo: 60.91578, Hi: 62.54828, Level: 0.9},
+		Variance: accuracy.Interval{Lo: 0.07540, Hi: 0.10141, Level: 0.9},
+	}}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := renderBody(r)
+		if e.err != nil {
+			b.Fatal(e.err)
+		}
+		e.body.release()
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/randvar"
 	"repro/internal/sql"
 	"repro/internal/wal"
 )
@@ -839,44 +838,6 @@ func (s *Server) cmdQuery(c *conn, rest string) error {
 // (a time window, asdb's LOAD ... TIME): INSERT sets no Tuple.Time.
 const NoEventTimes = "needs event times, which the line protocol does not carry"
 
-// parseInsertRows parses an ingest payload: "<stream> <field> ..." for a
-// single tuple, or — with batch set — "<stream> <field> ... | <field> ..."
-// where "|" separates tuples. Field specs never contain spaces or bare
-// "|", so the framing is unambiguous.
-func parseInsertRows(rest string, batch bool) (string, []core.IngestRow, error) {
-	usage := "usage: INSERT <stream> <field> ..."
-	if batch {
-		usage = "usage: INSERTBATCH <stream> <field> ... [| <field> ...]"
-	}
-	fields := strings.Fields(rest)
-	if len(fields) < 2 {
-		return "", nil, errors.New(usage)
-	}
-	streamName := fields[0]
-	var rows []core.IngestRow
-	cur := make([]randvar.Field, 0, len(fields)-1)
-	for _, tok := range fields[1:] {
-		if batch && tok == "|" {
-			if len(cur) == 0 {
-				return "", nil, errors.New("empty tuple in batch")
-			}
-			rows = append(rows, core.IngestRow{Fields: cur})
-			cur = make([]randvar.Field, 0, cap(cur))
-			continue
-		}
-		f, err := ParseFieldSpec(tok)
-		if err != nil {
-			return "", nil, err
-		}
-		cur = append(cur, f)
-	}
-	if len(cur) == 0 {
-		return "", nil, errors.New("empty tuple in batch")
-	}
-	rows = append(rows, core.IngestRow{Fields: cur})
-	return streamName, rows, nil
-}
-
 // dataLine is one DATA line, staged as "DATA <id> " + the shared body.
 type dataLine struct {
 	id   string
@@ -891,8 +852,10 @@ type delivery struct {
 	dataLine
 }
 
-// deliveryScratch is one command's planned deliveries, reused per goroutine.
+// deliveryScratch is one command's parsed ingest and planned deliveries,
+// reused per goroutine.
 type deliveryScratch struct {
+	batch   insertBatch
 	items   []delivery
 	ems     []emission // every body rendered for the command
 	bodies  bodyCache
@@ -1229,15 +1192,17 @@ func (s *Server) cmdSubscribe(c *conn, rest string) error {
 	return s.replyUnlock(c, "OK subscribed "+id)
 }
 
-// replyUnlock stages c's reply while the caller still holds s.mu, releases
-// s.mu, and only then sends the reply. Staged first, the reply precedes any
-// DATA line the change made under s.mu sends to c, since those need c.wmu;
-// sent after, a client that stops reading stalls its own handler and not
-// every command that takes s.mu (lock order s.mu → c.wmu, DESIGN §11.2).
+// replyUnlock takes c's write lock while the caller still holds s.mu,
+// releases s.mu, and only then stages and sends the reply. Holding c.wmu
+// first, the reply precedes any DATA line the change made under s.mu sends
+// to c, since those need c.wmu; staged after, even a stage that finds a
+// burst's held buffer full and sends it, a client that stops reading stalls
+// its own handler and not every command that takes s.mu (lock order
+// s.mu → c.wmu, DESIGN §11.2).
 func (s *Server) replyUnlock(c *conn, line string) error {
 	c.lockWrite()
-	err := c.stageLine(line)
 	s.mu.Unlock()
+	err := c.stageLine(line)
 	if ferr := c.unlockReply(); err == nil {
 		err = ferr
 	}

@@ -241,11 +241,11 @@ func TestSharedBodyByteIdentity(t *testing.T) {
 
 	const batch = "s 5 N(10.5,4,25) | 6 0.1 | 7 N(-3e-7,2.5e21,4)"
 	mustDispatch(t, s, c, "INSERTBATCH "+batch)
-	_, rows, err := parseInsertRows(batch, true)
-	if err != nil {
+	var b insertBatch
+	if _, err := b.parse(batch, true); err != nil {
 		t.Fatal(err)
 	}
-	results, err := twin.engine.IngestBatch("s", rows, nil)
+	results, err := twin.engine.IngestBatch("s", b.rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +353,10 @@ func assertRefs(t *testing.T, frames []*frame, want int32) {
 // deliveries into from's scratch, returning the distinct bodies planned.
 func planBatch(t *testing.T, s *Server, from *conn, payload string) []*frame {
 	t.Helper()
-	_, rows, err := parseInsertRows(payload, true)
-	if err != nil {
+	if _, err := from.scratch.batch.parse(payload, true); err != nil {
 		t.Fatal(err)
 	}
-	results, err := s.engine.IngestBatch("s", rows, nil)
+	results, err := s.engine.IngestBatch("s", from.scratch.batch.rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,10 @@ type winColumn struct {
 //   - count (NewColumnWindow, WINDOW n ROWS): the ring holds the most
 //     recent n tuples; the paper's throughput experiment (§V-C) runs on it;
 //   - span (NewSpanColumnWindow, WINDOW n SECONDS): the ring holds the
-//     tuples whose Time is within n of the newest one's and grows by
-//     doubling when an arrival finds it full.
+//     tuples whose Time is within n of the newest one's.
+//
+// Either ring starts at min(n, 16) slots (GROUP BY makes one window per
+// key) and doubles when an arrival finds it full; a count ring stops at n.
 //
 // Either way the Gaussian closed form is a branch-free scan over two
 // contiguous float64 segments, and pushing copies field data out of the
@@ -62,7 +64,8 @@ type ColumnWindow struct {
 	schema *Schema
 	head   int // slot index of the oldest tuple
 	count  int
-	size   int   // ring capacity: the window size under the count rule
+	size   int   // ring capacity
+	limit  int   // the count rule's n, which size grows to; math.MaxInt under the span rule
 	span   int64 // > 0 selects the span rule
 
 	prob  []float64
@@ -72,9 +75,9 @@ type ColumnWindow struct {
 	cols  []winColumn
 }
 
-// spanInitialCap is the capacity a span window starts with. GROUP BY
-// allocates one window per key, so it starts small and doubles on demand.
-const spanInitialCap = 16
+// initialCap is the most slots a window starts with. GROUP BY allocates
+// one window per key, so it starts small and doubles on demand.
+const initialCap = 16
 
 // NewColumnWindow returns a columnar window over schema holding the most
 // recent size tuples.
@@ -82,7 +85,7 @@ func NewColumnWindow(schema *Schema, size int) (*ColumnWindow, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("stream: count window size %d, need ≥ 1", size)
 	}
-	return newColumnWindow(schema, size, 0)
+	return newColumnWindow(schema, min(size, initialCap), size, 0)
 }
 
 // NewSpanColumnWindow returns a columnar window over schema holding the
@@ -91,16 +94,17 @@ func NewSpanColumnWindow(schema *Schema, span int64) (*ColumnWindow, error) {
 	if span <= 0 {
 		return nil, fmt.Errorf("stream: time window span %d, need > 0", span)
 	}
-	return newColumnWindow(schema, spanInitialCap, span)
+	return newColumnWindow(schema, initialCap, math.MaxInt, span)
 }
 
-func newColumnWindow(schema *Schema, size int, span int64) (*ColumnWindow, error) {
+func newColumnWindow(schema *Schema, size, limit int, span int64) (*ColumnWindow, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("stream: column window with nil schema")
 	}
 	w := &ColumnWindow{
 		schema: schema,
 		size:   size,
+		limit:  limit,
 		span:   span,
 		prob:   make([]float64, size),
 		probN:  make([]int, size),
@@ -123,25 +127,21 @@ func newColumnWindow(schema *Schema, size int, span int64) (*ColumnWindow, error
 func (w *ColumnWindow) Len() int { return w.count }
 
 // Full reports whether a count window has reached its size.
-func (w *ColumnWindow) Full() bool { return w.count == w.size }
+func (w *ColumnWindow) Full() bool { return w.count == w.limit }
 
 // Push adds t under the count rule, evicting the oldest tuple once the
 // window is full. The tuple's field data is copied into the column arrays;
 // the *Tuple itself is not retained. Span windows take tuples through Admit.
 func (w *ColumnWindow) Push(t *Tuple) {
-	var slot int
-	if w.count < w.size {
-		slot = w.head + w.count
-		if slot >= w.size {
-			slot -= w.size
-		}
-		w.count++
-	} else {
-		slot = w.head
-		w.head++
-		if w.head == w.size {
-			w.head = 0
-		}
+	if w.count < w.limit {
+		w.append(t)
+		return
+	}
+	// Full: the ring has grown to exactly limit slots.
+	slot := w.head
+	w.head++
+	if w.head == w.size {
+		w.head = 0
 	}
 	w.store(slot, t)
 }
@@ -198,7 +198,7 @@ func (w *ColumnWindow) slot(k int) int {
 	return i
 }
 
-// append stores t behind the newest tuple without evicting, doubling the
+// append stores t behind the newest tuple without evicting, growing the
 // ring first when it is full.
 func (w *ColumnWindow) append(t *Tuple) {
 	if w.count == w.size {
@@ -208,9 +208,10 @@ func (w *ColumnWindow) append(t *Tuple) {
 	w.store(w.slot(w.count-1), t)
 }
 
-// grow doubles the ring, relinearising every column (head becomes 0).
+// grow doubles the ring, up to limit slots, relinearising every column
+// (head becomes 0).
 func (w *ColumnWindow) grow() {
-	size := 2 * w.size
+	size := min(2*w.size, w.limit)
 	w.prob = regrow(w.prob, w.head, size)
 	w.probN = regrow(w.probN, w.head, size)
 	w.seq = regrow(w.seq, w.head, size)
@@ -334,7 +335,7 @@ func (w *ColumnWindow) LinearUniformAhead(c int, wt float64, ahead []*Tuple) (mu
 	var least [AheadWidth]uint
 	for j := 0; j < lanes; j++ {
 		hi[j] = w.count + j + min(1, len(ahead))
-		lo[j], least[j] = max(0, hi[j]-w.size), ^uint(0)
+		lo[j], least[j] = max(0, hi[j]-w.limit), ^uint(0)
 	}
 	add := func(k int) {
 		m, v, fn := 0.0, 0.0, 0
@@ -430,7 +431,7 @@ func (w *ColumnWindow) SameContents(o *ColumnWindow) bool {
 	if w == nil || o == nil {
 		return w == o
 	}
-	if w.span != o.span || (w.span == 0 && w.size != o.size) || w.count != o.count {
+	if w.span != o.span || w.limit != o.limit || w.count != o.count {
 		return false
 	}
 	for k := 0; k < w.count; k++ {
@@ -535,9 +536,9 @@ func (w *ColumnWindow) Tuples() []*Tuple {
 // restored ring starts at head 0 wherever the captured one did; every scan
 // runs oldest-first from head, so no result depends on where head is.
 func (w *ColumnWindow) RestoreTuples(tuples []*Tuple) error {
-	if w.span == 0 && len(tuples) > w.size {
+	if len(tuples) > w.limit {
 		return fmt.Errorf("stream: restoring %d tuples into count window of %d",
-			len(tuples), w.size)
+			len(tuples), w.limit)
 	}
 	for i, t := range tuples {
 		if len(t.Fields) != len(w.cols) {

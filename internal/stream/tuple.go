@@ -31,23 +31,33 @@ type Tuple struct {
 // NewTuple builds a tuple over schema with membership probability 1,
 // validating the field count and each field.
 func NewTuple(schema *Schema, fields []randvar.Field) (*Tuple, error) {
-	if schema == nil {
-		return nil, fmt.Errorf("stream: tuple with nil schema")
-	}
-	if len(fields) != schema.Arity() {
-		return nil, fmt.Errorf("stream: schema %q has %d columns, got %d fields",
-			schema.Name, schema.Arity(), len(fields))
-	}
-	for i, f := range fields {
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("stream: field %q: %w", schema.Columns[i].Name, err)
-		}
+	if err := CheckFields(schema, fields); err != nil {
+		return nil, err
 	}
 	return &Tuple{
 		Schema: schema,
 		Fields: append([]randvar.Field(nil), fields...),
 		Prob:   1,
 	}, nil
+}
+
+// CheckFields reports what NewTuple would refuse fields over schema for: a
+// nil schema, a field count other than the schema's arity, or an invalid
+// field. A caller that builds tuples in its own storage checks them here.
+func CheckFields(schema *Schema, fields []randvar.Field) error {
+	if schema == nil {
+		return fmt.Errorf("stream: tuple with nil schema")
+	}
+	if len(fields) != schema.Arity() {
+		return fmt.Errorf("stream: schema %q has %d columns, got %d fields",
+			schema.Name, schema.Arity(), len(fields))
+	}
+	for i, f := range fields {
+		if err := f.Validate(); err != nil {
+			return fmt.Errorf("stream: field %q: %w", schema.Columns[i].Name, err)
+		}
+	}
+	return nil
 }
 
 // Validate checks structural invariants (field arity, probability range).
