@@ -505,6 +505,20 @@ func (s *Snapshot) Encode() ([]byte, error) {
 
 // Decode parses and validates a framed snapshot.
 func Decode(data []byte) (*Snapshot, error) {
+	payload, err := verify(data)
+	if err != nil {
+		return nil, err
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return &snap, nil
+}
+
+// verify checks a framed snapshot's magic, length and CRC and returns its
+// JSON payload.
+func verify(data []byte) ([]byte, error) {
 	if len(data) < headerLen || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
@@ -517,11 +531,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if crc32.Checksum(payload, castagnoli) != crc {
 		return nil, fmt.Errorf("%w: bad crc", ErrCorrupt)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return &snap, nil
+	return payload, nil
 }
 
 // Manager stores checkpoints in a directory, keeping the newest few.
@@ -588,73 +598,89 @@ func (m *Manager) Save(s *Snapshot) error {
 // LoadLatest returns the newest valid checkpoint, skipping corrupt or
 // unreadable files (a crash mid-snapshot must never block recovery). It
 // returns (nil, nil) when no valid checkpoint exists.
-func (m *Manager) LoadLatest() (*Snapshot, error) {
-	files, err := m.list()
-	if err != nil {
-		return nil, err
-	}
-	for i := len(files) - 1; i >= 0; i-- {
-		data, err := m.fs.ReadFile(files[i])
-		if err != nil {
-			mLoadSkips.Inc()
-			continue
-		}
-		snap, err := Decode(data)
-		if err != nil {
-			mLoadSkips.Inc()
-			continue
-		}
+func (m *Manager) LoadLatest() (snap *Snapshot, err error) {
+	_, _, err = m.latest(func(data []byte) (err error) {
+		snap, err = Decode(data)
+		return err
+	})
+	if snap != nil {
 		mLoads.Inc()
-		return snap, nil
 	}
-	return nil, nil
+	return snap, err
 }
 
 // LatestRaw returns the newest valid checkpoint still in its framed on-disk
 // encoding, plus the LSN it covers, skipping corrupt files exactly like
-// LoadLatest. The replication handshake ships these bytes verbatim so the
-// follower can verify and decode them itself. (nil, 0, nil) when no valid
-// checkpoint exists.
+// LoadLatest. It checks the frame (magic, length, CRC) without decoding the
+// payload and takes the LSN from the file name, which Save writes
+// atomically with the bytes. The replication handshake ships these bytes
+// verbatim; the follower decodes them and refuses them if they cover
+// another LSN. (nil, 0, nil) when no valid checkpoint exists.
 func (m *Manager) LatestRaw() ([]byte, uint64, error) {
+	return m.latest(func(data []byte) error {
+		_, err := verify(data)
+		return err
+	})
+}
+
+// latest walks the checkpoints newest-first and returns the first file
+// check accepts, with the LSN its name carries. Unreadable and rejected
+// files are counted and skipped; (nil, 0, nil) when none is left.
+func (m *Manager) latest(check func(data []byte) error) ([]byte, uint64, error) {
 	files, err := m.list()
 	if err != nil {
 		return nil, 0, err
 	}
 	for i := len(files) - 1; i >= 0; i-- {
-		data, err := m.fs.ReadFile(files[i])
-		if err != nil {
-			mLoadSkips.Inc()
-			continue
+		data, err := m.fs.ReadFile(files[i].path)
+		if err == nil {
+			err = check(data)
 		}
-		snap, err := Decode(data)
-		if err != nil {
-			mLoadSkips.Inc()
-			continue
+		if err == nil {
+			return data, files[i].lsn, nil
 		}
-		return data, snap.LSN, nil
+		mLoadSkips.Inc()
 	}
 	return nil, 0, nil
 }
 
-// list returns checkpoint paths sorted oldest-first (names embed the LSN
-// in fixed-width hex, so lexical order is LSN order).
-func (m *Manager) list() ([]string, error) {
+// OldestLSN returns the LSN of the oldest checkpoint kept, the one recovery
+// falls back to when every newer one is unreadable, or 0 when there is
+// none. The WAL must keep every record after it.
+func (m *Manager) OldestLSN() (uint64, error) {
+	files, err := m.list()
+	if err != nil || len(files) == 0 {
+		return 0, err
+	}
+	return files[0].lsn, nil
+}
+
+// ckFile is one checkpoint file and the LSN its name carries.
+type ckFile struct {
+	path string
+	lsn  uint64
+}
+
+// list returns the checkpoint files sorted oldest-first, parsing each
+// name's LSN once.
+func (m *Manager) list() ([]ckFile, error) {
 	entries, err := m.fs.ReadDir(m.dir)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var out []string
+	var out []ckFile
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, filePref) || !strings.HasSuffix(name, fileSuf) {
 			continue
 		}
-		if _, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, filePref), fileSuf), 16, 64); err != nil {
+		lsn, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, filePref), fileSuf), 16, 64)
+		if err != nil {
 			continue
 		}
-		out = append(out, filepath.Join(m.dir, name))
+		out = append(out, ckFile{path: filepath.Join(m.dir, name), lsn: lsn})
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].lsn < out[j].lsn })
 	return out, nil
 }
 
@@ -664,7 +690,7 @@ func (m *Manager) prune() {
 		return
 	}
 	for len(files) > keepFiles {
-		m.fs.Remove(files[0])
+		m.fs.Remove(files[0].path)
 		files = files[1:]
 	}
 }
@@ -680,16 +706,11 @@ func (m *Manager) DropAfter(lsn uint64) error {
 		return err
 	}
 	dropped := false
-	for _, path := range files {
-		name := filepath.Base(path)
-		at, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, filePref), fileSuf), 16, 64)
-		if err != nil {
+	for _, f := range files {
+		if f.lsn <= lsn {
 			continue
 		}
-		if at <= lsn {
-			continue
-		}
-		if err := m.fs.Remove(path); err != nil {
+		if err := m.fs.Remove(f.path); err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
 		dropped = true

@@ -503,3 +503,122 @@ func TestChaosCrashLoopPrimarySnapshotFastForward(t *testing.T) {
 	fc := dialRaw(t, fnode.addr)
 	compareReplies(t, pr, fc, "STATS q1", "STATS q2")
 }
+
+// TestChaosRejoinWipesOverHistoryGap drives Rejoin's wipe branch. The
+// deposed primary comes back checkpointing every 3 records into 64-byte
+// segments and diverges long enough that both checkpoints it keeps lie past
+// the safe LSN, and its WAL is pruned beyond it. DropAfter removes those
+// checkpoints, so local recovery of the surviving prefix finds a gap
+// (server.ErrHistoryGap). The node must wipe its data dir, bootstrap from
+// the new primary and answer STATS byte-identically to it.
+func TestChaosRejoinWipesOverHistoryGap(t *testing.T) {
+	p := startPrimary(t, 1, 0, 0)
+	df := startDurableFollower(t, 1, p.shipAddr)
+	pc := dialRaw(t, p.addr)
+	pc.mustOK("STREAM temps seq temp:dist")
+	pc.mustOK("QUERY q1 SELECT temp FROM temps")
+	pc.mustOK("QUERY q2 SELECT AVG(temp) AS avg_temp FROM temps WINDOW 3 ROWS")
+	for i := 0; i < 4; i++ {
+		pc.mustOK(fmt.Sprintf("INSERT temps %d N(%d.5,2.25,%d)", i, 10+i, 20+i))
+	}
+	waitCaughtUp(t, p, df)
+
+	// Depose the primary; the follower takes over at epoch 2 and extends
+	// the new history.
+	p.ship.Close()
+	pc.nc.Close()
+	p.srv.Close()
+	df.f.Close()
+	if _, err := df.srv.BumpEpochTo(2); err != nil {
+		t.Fatal(err)
+	}
+	df.srv.SetReadOnly(false)
+	ship, err := NewShipServer(df.srv, quiet, ShipOptions{Heartbeat: 10 * time.Millisecond, Poll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipAddr, err := ship.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ship.Serve()
+	t.Cleanup(func() { ship.Close() })
+	dfc := dialRaw(t, df.addr)
+	dfc.mustOK("ATTACH q1")
+	dfc.mustOK("INSERT temps 100 N(40.5,2.25,30)")
+
+	// Revive the old primary with small segments and frequent checkpoints,
+	// and let it diverge at epoch 1.
+	cfg := p.cfg
+	cfg.CheckpointEvery = 3
+	cfg.WALSegmentBytes = 64
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := server.NewDurable(eng, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldAddr, err := old.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go old.Serve()
+	oc := dialRaw(t, oldAddr.String())
+	for i := 0; i < 12; i++ {
+		oc.mustOK(fmt.Sprintf("INSERT temps %d N(%d.5,4,25)", 500+i, 50+i))
+	}
+
+	of := NewFollower(old, shipAddr.String(), quiet, FollowOptions{
+		RetryBase: 2 * time.Millisecond, RetryMax: 50 * time.Millisecond, ReadTimeout: 2 * time.Second,
+	})
+	of.SetLastApplied(old.WAL().LastLSN())
+	of.Start()
+	t.Cleanup(of.Close)
+	var re *RejoinError
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if err := of.Err(); err != nil {
+			if !errors.As(err, &re) {
+				t.Fatalf("rejoiner terminal error = %v, want RejoinError", err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("rejoiner never received the divergence verdict")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// The scenario's premise: no surviving checkpoint meets the WAL.
+	if oldest, err := old.WAL().OldestLSN(); err != nil || oldest <= re.SafeLSN+1 {
+		t.Fatalf("old primary's wal oldest = %d (%v), want past safe lsn %d + 1", oldest, err, re.SafeLSN)
+	}
+
+	lb := &syncBuf{}
+	rsrv, rf, err := Rejoin(old, cfg, re, log.New(lb, "", 0), shipAddr.String(), FollowOptions{
+		RetryBase: 2 * time.Millisecond, RetryMax: 50 * time.Millisecond, ReadTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	if !strings.Contains(lb.String(), "resyncing from scratch") {
+		t.Fatalf("rejoin did not wipe over the gap; log:\n%s", lb.String())
+	}
+	raddr, err := rsrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rsrv.Serve()
+	rf.Start()
+	rnode := &tnode{srv: rsrv, addr: raddr.String(), f: rf, cfg: cfg}
+	t.Cleanup(func() {
+		rf.Close()
+		rsrv.Close()
+	})
+	waitCaughtUp(t, df, rnode)
+	if err := rf.Err(); err != nil {
+		t.Fatalf("rejoined follower terminal error: %v", err)
+	}
+	compareReplies(t, dialRaw(t, df.addr), dialRaw(t, rnode.addr), "STATS q1", "STATS q2")
+}

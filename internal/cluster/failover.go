@@ -394,10 +394,11 @@ func (m *FailoverManager) logf(format string, args ...any) {
 // are landing). The driver cuts the diverged WAL suffix after re.SafeLSN,
 // drops checkpoints past it, detaches the old server WITHOUT a shutdown
 // checkpoint (which would re-capture the diverged state), and re-recovers
-// from the surviving prefix — or, when the dropped checkpoints were the
-// only cover for already-pruned WAL records, wipes and lets the snapshot
-// bootstrap rebuild from the new primary. The returned follower is wired
-// but not started: callers Listen/Serve the new server, then f.Start().
+// from the surviving prefix — or, when that recovery finds a gap
+// (server.ErrHistoryGap: the dropped checkpoints were the only cover for
+// already-pruned WAL records), wipes and lets the snapshot bootstrap
+// rebuild from the new primary. The returned follower is wired but not
+// started: callers Listen/Serve the new server, then f.Start().
 func Rejoin(old *server.Server, cfg core.Config, re *RejoinError, logger *log.Logger, primaryShipAddr string, fopts FollowOptions) (*server.Server, *Follower, error) {
 	w := old.WAL()
 	if w == nil || cfg.DataDir == "" {
@@ -412,24 +413,20 @@ func Rejoin(old *server.Server, cfg core.Config, re *RejoinError, logger *log.Lo
 			return nil, nil, fmt.Errorf("cluster: dropping diverged checkpoints: %w", err)
 		}
 	}
-	// Local recovery reaches re.SafeLSN only if the surviving checkpoint
-	// still covers the WAL's truncation horizon; the diverged checkpoints
-	// just dropped may have been the only cover for records their saves
-	// pruned.
-	ckLSN := uint64(0)
-	if ck != nil {
-		if snap, err := ck.LoadLatest(); err == nil && snap != nil {
-			ckLSN = snap.LSN
-		}
-	}
-	oldest, oerr := w.OldestLSN()
-	contiguous := oerr == nil && oldest <= ckLSN+1
 	if err := old.Detach(); err != nil && logger != nil {
 		logger.Printf("rejoin: detaching old server: %v", err)
 	}
-	if !contiguous {
+	recoverNode := func() (*server.Server, error) {
+		eng, err := core.NewEngine(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return server.NewDurableFS(eng, logger, w.FS())
+	}
+	srv, err := recoverNode()
+	if errors.Is(err, server.ErrHistoryGap) {
 		if logger != nil {
-			logger.Printf("rejoin: local prefix has a gap (checkpoint %d, wal oldest %d); resyncing from scratch", ckLSN, oldest)
+			logger.Printf("rejoin: %v; resyncing from scratch", err)
 		}
 		// The wipe goes through the WAL's filesystem (the injected fault.FS
 		// when one is in play) and every error is fatal: recovering over a
@@ -440,12 +437,8 @@ func Rejoin(old *server.Server, cfg core.Config, re *RejoinError, logger *log.Lo
 				return nil, nil, fmt.Errorf("cluster: rejoin wipe of %s: %w", sub, err)
 			}
 		}
+		srv, err = recoverNode()
 	}
-	eng, err := core.NewEngine(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: rejoin engine: %w", err)
-	}
-	srv, err := server.NewDurableFS(eng, logger, w.FS())
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: rejoin recovery: %w", err)
 	}

@@ -371,6 +371,11 @@ func (f *Follower) handleSnap(fr frame) error {
 		return ErrResyncRequired
 	}
 	snap, err := checkpoint.Decode(fr.payload)
+	if err == nil && snap.LSN != fr.lsn {
+		// The primary names the LSN from the checkpoint's file name; bytes
+		// that say otherwise are not the checkpoint it meant to ship.
+		err = fmt.Errorf("snapshot covers lsn %d, frame says %d", snap.LSN, fr.lsn)
+	}
 	if err != nil {
 		return &applyError{fmt.Errorf("cluster: decoding shipped snapshot: %w", err)}
 	}

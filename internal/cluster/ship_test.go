@@ -13,6 +13,9 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
+	"repro/internal/server"
+	"repro/internal/stream"
 )
 
 // A follower that tails the live WAL serves byte-identical engine reads,
@@ -387,5 +390,55 @@ func TestFollowerDisconnectDetaches(t *testing.T) {
 				t.Fatalf("follower stopped: %v", err)
 			}
 		})
+	}
+}
+
+// A SNAP frame names the checkpoint's LSN from its file name, not from the
+// decoded bytes. A follower handed bytes that cover another LSN refuses
+// them, as it refuses bytes that do not decode, and installs nothing.
+func TestSnapLSNMismatchRefused(t *testing.T) {
+	src, err := core.NewEngine(engineConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := stream.NewSchema("temps", stream.Column{Name: "seq"}, stream.Column{Name: "temp", Probabilistic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.RegisterStream(schema); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Capture(src, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(engineConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(eng, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(srv, "127.0.0.1:0", quiet, FollowOptions{})
+	err = f.handleSnap(frame{verb: "SNAP", lsn: 9, epoch: 1, n: uint64(len(raw)), payload: raw})
+	if err == nil || !isApplyError(err) {
+		t.Fatalf("SNAP at lsn 9 carrying lsn 5 = %v, want a refused apply", err)
+	}
+	if got := f.LastApplied(); got != 0 {
+		t.Fatalf("last applied = %d after a refused snapshot, want 0", got)
+	}
+	if got := len(eng.Streams()); got != 0 {
+		t.Fatalf("refused snapshot installed %d streams", got)
+	}
+	if err := f.handleSnap(frame{verb: "SNAP", lsn: 5, epoch: 1, n: uint64(len(raw)), payload: raw}); err != nil {
+		t.Fatalf("SNAP at its own lsn: %v", err)
+	}
+	if got := f.LastApplied(); got != 5 {
+		t.Fatalf("last applied = %d, want 5", got)
 	}
 }

@@ -11,6 +11,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -150,15 +151,13 @@ func runReference(t *testing.T, workers, total int) (data []string, stats string
 	return data, reply
 }
 
-// runCrashed runs the first phase1 inserts, crashes the server, lets
-// damage inject faults into the data directory, recovers a fresh server at
-// recoverWorkers, re-attaches, and runs the remaining inserts. Returned
-// data/stats cover only the post-recovery phase.
-func runCrashed(t *testing.T, phase1, total, crashWorkers, recoverWorkers, ckEvery int,
-	damage func(t *testing.T, dataDir string)) (data []string, stats string) {
+// crashAfter runs the first phase1 inserts on a durable server over dir
+// and crashes it. segBytes sets the WAL segment size (0: the default).
+func crashAfter(t *testing.T, dir string, phase1, workers, ckEvery int, segBytes int64) {
 	t.Helper()
-	dir := t.TempDir()
-	s, addr := startDurableServer(t, durableConfig(dir, crashWorkers, ckEvery))
+	cfg := durableConfig(dir, workers, ckEvery)
+	cfg.WALSegmentBytes = segBytes
+	s, addr := startDurableServer(t, cfg)
 	tc := dialServer(t, addr)
 	tc.mustOK(crashStreamCmd)
 	tc.mustOK(crashQueryCmd)
@@ -167,11 +166,24 @@ func runCrashed(t *testing.T, phase1, total, crashWorkers, recoverWorkers, ckEve
 	}
 	crash(s)
 	tc.c.Close()
+}
+
+// runCrashed runs the first phase1 inserts, crashes the server, lets
+// damage inject faults into the data directory, recovers a fresh server at
+// recoverWorkers, re-attaches, and runs the remaining inserts. Returned
+// data/stats cover only the post-recovery phase.
+func runCrashed(t *testing.T, phase1, total, crashWorkers, recoverWorkers, ckEvery int, segBytes int64,
+	damage func(t *testing.T, dataDir string)) (data []string, stats string) {
+	t.Helper()
+	dir := t.TempDir()
+	crashAfter(t, dir, phase1, crashWorkers, ckEvery, segBytes)
 	if damage != nil {
 		damage(t, dir)
 	}
 
-	s2, addr2 := startDurableServer(t, durableConfig(dir, recoverWorkers, ckEvery))
+	cfg := durableConfig(dir, recoverWorkers, ckEvery)
+	cfg.WALSegmentBytes = segBytes
+	s2, addr2 := startDurableServer(t, cfg)
 	defer s2.Close()
 	tc2 := dialServer(t, addr2)
 	defer tc2.c.Close()
@@ -214,7 +226,7 @@ func TestCrashRecoveryDeterministic(t *testing.T) {
 		for _, ckEvery := range []int{3, 1024} {
 			name := fmt.Sprintf("workers=%d/ckEvery=%d", workers, ckEvery)
 			t.Run(name, func(t *testing.T) {
-				data, stats := runCrashed(t, phase1, total, workers, workers, ckEvery, nil)
+				data, stats := runCrashed(t, phase1, total, workers, workers, ckEvery, 0, nil)
 				compareTail(t, refData, data, refStats, stats)
 			})
 		}
@@ -222,7 +234,7 @@ func TestCrashRecoveryDeterministic(t *testing.T) {
 	// Crash at one worker count, recover at another: durability state must
 	// be worker-count independent.
 	t.Run("workers=4-then-1", func(t *testing.T) {
-		data, stats := runCrashed(t, phase1, total, 4, 1, 3, nil)
+		data, stats := runCrashed(t, phase1, total, 4, 1, 3, 0, nil)
 		compareTail(t, refData, data, refStats, stats)
 	})
 }
@@ -233,7 +245,7 @@ func TestCrashRecoveryDeterministic(t *testing.T) {
 func TestCrashRecoveryTornAppend(t *testing.T) {
 	const phase1, total = 5, 10
 	refData, refStats := runReference(t, 2, total)
-	data, stats := runCrashed(t, phase1, total, 2, 2, 1024, func(t *testing.T, dataDir string) {
+	data, stats := runCrashed(t, phase1, total, 2, 2, 1024, 0, func(t *testing.T, dataDir string) {
 		segs, err := filepath.Glob(filepath.Join(dataDir, "wal", "*.wal"))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("no wal segments: %v", err)
@@ -253,26 +265,55 @@ func TestCrashRecoveryTornAppend(t *testing.T) {
 
 // TestCrashRecoveryCorruptCheckpoint simulates dying mid-snapshot: the
 // newest checkpoint file is unreadable garbage. Recovery must fall back to
-// an older valid checkpoint (or none) plus a longer WAL replay, and still
-// match the reference bit-for-bit.
+// the older checkpoint kept plus a longer WAL replay, and still match the
+// reference bit-for-bit. With 64-byte segments every record sits in its
+// own segment, so this holds only because checkpoints truncate the WAL
+// through the oldest checkpoint kept, not the newest. With both
+// checkpoints unreadable no history reaches the pruned WAL, and recovery
+// must refuse rather than start short.
 func TestCrashRecoveryCorruptCheckpoint(t *testing.T) {
-	const phase1, total = 6, 10
+	const phase1, total, ckEvery = 6, 10, 2
 	refData, refStats := runReference(t, 2, total)
-	data, stats := runCrashed(t, phase1, total, 2, 2, 2, func(t *testing.T, dataDir string) {
-		ckDir := filepath.Join(dataDir, "checkpoints")
-		cks, err := filepath.Glob(filepath.Join(ckDir, "ckpt-*.ck"))
-		if err != nil || len(cks) == 0 {
-			t.Fatalf("no checkpoints written (ckEvery=2, %d inserts): %v", phase1, err)
-		}
-		newest := cks[len(cks)-1]
-		if err := os.WriteFile(newest, []byte("ASDBCKP1 half-written snapshot"), 0o644); err != nil {
+	for _, segBytes := range []int64{0, 64} {
+		t.Run(fmt.Sprintf("segBytes=%d", segBytes), func(t *testing.T) {
+			data, stats := runCrashed(t, phase1, total, 2, 2, ckEvery, segBytes, func(t *testing.T, dataDir string) {
+				corruptCheckpoints(t, dataDir, 1)
+			})
+			compareTail(t, refData, data, refStats, stats)
+		})
+	}
+	t.Run("both corrupt", func(t *testing.T) {
+		dir := t.TempDir()
+		crashAfter(t, dir, phase1, 2, ckEvery, 64)
+		corruptCheckpoints(t, dir, 2)
+		cfg := durableConfig(dir, 2, ckEvery)
+		cfg.WALSegmentBytes = 64
+		eng, err := core.NewEngine(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// The WAL suffix needed to rebuild from the older checkpoint must
-		// still exist; TruncateThrough keeps whole segments, and with the
-		// default 4MiB segment size nothing has rotated away.
+		if s, err := NewDurable(eng, nil); !errors.Is(err, ErrHistoryGap) {
+			if s != nil {
+				s.Close()
+			}
+			t.Fatalf("NewDurable over a gap = %v, want ErrHistoryGap", err)
+		}
 	})
-	compareTail(t, refData, data, refStats, stats)
+}
+
+// corruptCheckpoints overwrites the newest n checkpoint files with a
+// half-written snapshot.
+func corruptCheckpoints(t *testing.T, dataDir string, n int) {
+	t.Helper()
+	cks, err := filepath.Glob(filepath.Join(dataDir, "checkpoints", "ckpt-*.ck"))
+	if err != nil || len(cks) < n {
+		t.Fatalf("%d checkpoints written, want at least %d: %v", len(cks), n, err)
+	}
+	for _, path := range cks[len(cks)-n:] {
+		if err := os.WriteFile(path, []byte("ASDBCKP1 half-written snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // joinCrashCmds sets up a symmetric join whose WHERE over a histogram or

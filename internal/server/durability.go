@@ -15,6 +15,7 @@ package server
 // crashed (asserted by TestRecoveryMetricsParity).
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"path/filepath"
@@ -28,12 +29,18 @@ import (
 	"repro/internal/wal"
 )
 
+// ErrHistoryGap refuses a data directory whose oldest WAL segment starts
+// past the LSN after its newest readable checkpoint (LSN 1 without one):
+// the records between them are gone, and recovery would start short.
+var ErrHistoryGap = errors.New("server: checkpoint and wal do not meet")
+
 // NewDurable returns a server honoring the engine's durability
 // configuration. With Config.DataDir empty it behaves exactly like New;
 // otherwise it recovers state from <DataDir>/checkpoints and <DataDir>/wal
 // and journals every subsequent state-changing command. Recovered queries
 // are detached (no owning connection); clients re-acquire result delivery
-// with ATTACH <id>.
+// with ATTACH <id>. A data directory whose history has a gap is refused
+// with ErrHistoryGap.
 func NewDurable(engine *core.Engine, logger *log.Logger) (*Server, error) {
 	return NewDurableFS(engine, logger, nil)
 }
@@ -42,7 +49,7 @@ func NewDurable(engine *core.Engine, logger *log.Logger) (*Server, error) {
 // one). The fault-injection harness uses it to drive the whole durability
 // stack — WAL appends, fsyncs, checkpoint renames — through seeded fault
 // schedules without touching the OS.
-func NewDurableFS(engine *core.Engine, logger *log.Logger, fs fault.FS) (*Server, error) {
+func NewDurableFS(engine *core.Engine, logger *log.Logger, fs fault.FS) (_ *Server, err error) {
 	s, err := New(engine, logger)
 	if err != nil {
 		return nil, err
@@ -63,32 +70,38 @@ func NewDurableFS(engine *core.Engine, logger *log.Logger, fs fault.FS) (*Server
 	if err != nil {
 		return nil, err
 	}
-	engine.SetRecovering(true)
-	defer engine.SetRecovering(false)
-	from := uint64(1)
-	if snap != nil {
-		restored, err := checkpoint.Restore(engine, snap)
-		if err != nil {
-			return nil, fmt.Errorf("server: restoring checkpoint (lsn %d): %w", snap.LSN, err)
-		}
-		for _, r := range restored {
-			if err := engine.Bind(r.ID, r.Query); err != nil {
-				return nil, fmt.Errorf("server: restored query %s: %w", r.ID, err)
-			}
-			s.queries[r.ID] = &registeredQuery{id: r.ID, sqlText: r.SQL, query: r.Query}
-		}
-		from = snap.LSN + 1
-		s.restoreEpoch(snap.Epoch, snap.EpochHist)
-		s.dedup.restore(snap.Dedup)
-		s.logf("recovery: checkpoint lsn=%d (%d streams, %d queries)",
-			snap.LSN, len(snap.Streams), len(snap.Queries))
-	}
 	wlog, err := wal.Open(filepath.Join(cfg.DataDir, "wal"), wal.Options{Policy: policy, FS: fs, SegmentBytes: cfg.WALSegmentBytes})
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			wlog.Close()
+		}
+	}()
 	if n := wlog.TruncatedBytes(); n > 0 {
 		s.logf("recovery: truncated %d torn-tail bytes from the WAL", n)
+	}
+	from := uint64(1)
+	if snap != nil {
+		from = snap.LSN + 1
+	}
+	oldest, err := wlog.OldestLSN()
+	if err != nil {
+		return nil, err
+	}
+	if oldest > from {
+		return nil, fmt.Errorf("%w: wal starts at lsn %d, checkpoint covers lsn ..%d", ErrHistoryGap, oldest, from-1)
+	}
+	engine.SetRecovering(true)
+	defer engine.SetRecovering(false)
+	// The checkpoint goes in as a shipped one does. Nothing else can reach
+	// s yet, so no lock is held, and s.wal is still nil, so the local WAL
+	// is not re-based.
+	if snap != nil {
+		if err := s.installSnapshotLocked(snap); err != nil {
+			return nil, err
+		}
 	}
 	replayed := 0
 	if err := wlog.Replay(from, func(rec wal.Record) error {
@@ -100,7 +113,6 @@ func NewDurableFS(engine *core.Engine, logger *log.Logger, fs fault.FS) (*Server
 		}
 		return nil
 	}); err != nil {
-		wlog.Close()
 		return nil, fmt.Errorf("server: wal replay: %w", err)
 	}
 	s.logf("recovery: replayed %d wal records (lsn %d..%d)", replayed, from, wlog.LastLSN())
@@ -353,8 +365,15 @@ func (s *Server) checkpointLocked(w *wal.Log, lsn uint64) error {
 	if err := s.ck.Save(snap); err != nil {
 		return err
 	}
-	if err := w.TruncateThrough(lsn); err != nil {
-		s.logf("wal truncate through %d: %v", lsn, err)
+	// Keep the WAL from the oldest checkpoint kept on: recovery falls back
+	// to it when the newer one is unreadable, and must find every record
+	// after it (a gap is ErrHistoryGap).
+	horizon, err := s.ck.OldestLSN()
+	if err == nil {
+		err = w.TruncateThrough(horizon)
+	}
+	if err != nil {
+		s.logf("wal truncate through %d: %v", horizon, err)
 	}
 	s.logf("checkpoint: lsn=%d queries=%d", lsn, len(defs))
 	return nil

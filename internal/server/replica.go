@@ -78,15 +78,17 @@ func (s *Server) ReinstallSnapshot(snap *checkpoint.Snapshot) error {
 }
 
 // installSnapshotLocked restores snapshot state into the (fresh or
-// just-cleared) engine and, on a durable follower, re-bases the local WAL
-// and checkpoint set so the node's own recovery starts from this snapshot:
-// the records below snap.LSN live in the snapshot, not in the local WAL,
-// and the replicated suffix about to be journaled must line up with the
-// primary's LSN space. Caller holds Exclusive and s.mu.
+// just-cleared) engine; crash recovery, RestoreSnapshot and
+// ReinstallSnapshot all restore through it. On a durable follower it also
+// re-bases the local WAL and checkpoint set so the node's own recovery
+// starts from this snapshot: the records below snap.LSN live in the
+// snapshot, not in the local WAL, and the replicated suffix about to be
+// journaled must line up with the primary's LSN space. Caller holds
+// Exclusive and s.mu, or is recovery, which alone can reach s.
 func (s *Server) installSnapshotLocked(snap *checkpoint.Snapshot) error {
 	restored, err := checkpoint.Restore(s.engine, snap)
 	if err != nil {
-		return fmt.Errorf("server: restoring shipped checkpoint (lsn %d): %w", snap.LSN, err)
+		return fmt.Errorf("server: restoring checkpoint (lsn %d): %w", snap.LSN, err)
 	}
 	for _, r := range restored {
 		if err := s.engine.Bind(r.ID, r.Query); err != nil {
@@ -107,7 +109,7 @@ func (s *Server) installSnapshotLocked(snap *checkpoint.Snapshot) error {
 		}
 		s.sinceCk.Store(0)
 	}
-	s.logf("replica: restored snapshot lsn=%d (%d streams, %d queries)",
+	s.logf("restored checkpoint lsn=%d (%d streams, %d queries)",
 		snap.LSN, len(snap.Streams), len(snap.Queries))
 	return nil
 }

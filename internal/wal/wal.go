@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -285,42 +286,15 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, fs: fs}
+	l := &Log{dir: dir, opts: opts, fs: fs, nextLSN: 1}
 	if len(segs) == 0 {
-		if err := l.openSegment(1); err != nil {
-			return nil, err
-		}
-		l.nextLSN = 1
+		err = l.openSegment(1)
 	} else {
-		last := segs[len(segs)-1]
-		validLen, lastLSN, _, err := scanSegment(fs, last.path, last.first)
-		if err != nil {
-			return nil, err
-		}
-		fi, err := fs.Stat(last.path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if fi.Size() > validLen {
-			l.truncated = fi.Size() - validLen
-			mTornBytes.Add(uint64(l.truncated))
-			if err := fs.Truncate(last.path, validLen); err != nil {
-				return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-			}
-		}
-		f, err := fs.OpenFile(last.path, os.O_WRONLY, 0)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		l.f = f
-		l.w = bufio.NewWriter(f)
-		l.segFirst = last.first
-		l.size = validLen
-		l.nextLSN = lastLSN + 1
+		l.truncated, err = l.reopenTailLocked(segs[len(segs)-1], math.MaxUint64)
+		mTornBytes.Add(uint64(l.truncated))
+	}
+	if err != nil {
+		return nil, err
 	}
 	if opts.Policy == FsyncInterval {
 		l.stop = make(chan struct{})
@@ -609,9 +583,12 @@ func (l *Log) LastLSN() uint64 {
 func (l *Log) TruncatedBytes() int64 { return l.truncated }
 
 // Replay calls fn for every record with LSN ≥ from, in order, verifying
-// frame integrity and LSN continuity. It returns ErrCorrupt (wrapped with
-// detail) on any invalid interior frame or missing segment; an error from
-// fn aborts the replay.
+// frame integrity and LSN continuity. It reads through a Reader, the
+// tailer replication ships with, starting at from or at the oldest
+// retained record if that is later. It returns ErrCorrupt (wrapped with
+// detail) when the reader stops short of the log's last LSN: an invalid
+// interior frame, a truncated sealed segment or a missing segment. An
+// error from fn aborts the replay.
 func (l *Log) Replay(from uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -629,26 +606,25 @@ func (l *Log) Replay(from uint64, fn func(Record) error) error {
 	if err != nil {
 		return err
 	}
-	expect := uint64(0) // next LSN expected; 0 = take from first segment
-	for i, seg := range segs {
-		if expect != 0 && seg.first != expect {
-			return fmt.Errorf("%w: segment %s starts at lsn %d, want %d (missing segment?)",
-				ErrCorrupt, filepath.Base(seg.path), seg.first, expect)
-		}
-		// Skip segments entirely below the replay point (their last
-		// record is first(next)-1).
-		if i+1 < len(segs) && segs[i+1].first <= from {
-			expect = segs[i+1].first
-			continue
-		}
-		last, err := replaySegment(l.fs, seg.path, seg.first, from, func(rec Record) error {
-			mReplayed.Inc()
-			return fn(rec)
-		})
-		if err != nil {
+	if len(segs) > 0 && from < segs[0].first {
+		from = segs[0].first
+	}
+	r := l.NewReader(from)
+	defer r.Close()
+	rec, ok, err := r.Next()
+	for ; ok; rec, ok, err = r.Next() {
+		mReplayed.Inc()
+		if err := fn(rec); err != nil {
 			return err
 		}
-		expect = last + 1
+	}
+	if err != nil {
+		return err
+	}
+	// The failed frame of a wedged log may never have reached the file.
+	if last := l.nextLSN - 1; l.wedged == nil && r.NextLSN() <= last {
+		return fmt.Errorf("%w: replay stopped at lsn %d, log ends at %d (bad frame or missing segment)",
+			ErrCorrupt, r.NextLSN(), last)
 	}
 	return nil
 }
@@ -785,95 +761,10 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 func (l *Log) TruncateSuffix(after uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.wedged != nil {
-		return l.wedgedErrLocked()
-	}
-	if len(l.pins) > 0 {
-		return fmt.Errorf("wal: truncate suffix with %d active pins", len(l.pins))
-	}
-	if after >= l.nextLSN-1 {
+	if !l.closed && after >= l.nextLSN-1 {
 		return nil // nothing beyond after
 	}
-	if err := l.w.Flush(); err != nil {
-		return l.wedgeLocked(err)
-	}
-	// From here the active segment handle is closed; every error return
-	// below must wedge the log (wedgeSurgeryLocked) so subsequent appends
-	// fail fast instead of writing into a buffer over a closed fd.
-	if err := l.f.Close(); err != nil {
-		return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
-	}
-	segs, err := listSegments(l.fs, l.dir)
-	if err != nil {
-		return l.wedgeSurgeryLocked(err)
-	}
-	var keep []segment
-	for _, seg := range segs {
-		if seg.first > after {
-			if err := l.fs.Remove(seg.path); err != nil {
-				return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
-			}
-			mSegsDropped.Inc()
-			continue
-		}
-		keep = append(keep, seg)
-	}
-	if len(keep) == 0 {
-		// The entire history was past the boundary (or the log held nothing
-		// below it): restart with a fresh segment at after+1.
-		l.nextLSN = after + 1
-		if l.synced.Load() > after {
-			l.synced.Store(after)
-		}
-		if err := l.openSegment(after + 1); err != nil {
-			return l.wedgeSurgeryLocked(err)
-		}
-		return nil
-	}
-	last := keep[len(keep)-1]
-	validLen, lastLSN, err := scanThrough(l.fs, last.path, last.first, after)
-	if err != nil {
-		return l.wedgeSurgeryLocked(err)
-	}
-	fi, err := l.fs.Stat(last.path)
-	if err != nil {
-		return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
-	}
-	if fi.Size() > validLen {
-		if err := l.fs.Truncate(last.path, validLen); err != nil {
-			return l.wedgeSurgeryLocked(fmt.Errorf("wal: truncating suffix: %w", err))
-		}
-	}
-	f, err := l.fs.OpenFile(last.path, os.O_WRONLY, 0)
-	if err != nil {
-		return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
-	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
-	l.segFirst = last.first
-	l.size = validLen
-	l.nextLSN = lastLSN + 1
-	l.dirty = false
-	if l.synced.Load() > lastLSN {
-		l.synced.Store(lastLSN)
-	}
-	// A syncDir failure also wedges: the removals above may not be durable,
-	// and a crash could resurrect a diverged segment in front of recovery.
-	if err := syncDir(l.fs, l.dir); err != nil {
-		return l.wedgeSurgeryLocked(err)
-	}
-	return nil
+	return l.rewindLocked("truncate suffix", after, after+1)
 }
 
 // Reset discards the entire log and positions it so the next append
@@ -889,6 +780,20 @@ func (l *Log) Reset(next uint64) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.rewindLocked("reset", 0, next); err != nil {
+		return err
+	}
+	l.synced.Store(next - 1)
+	return nil
+}
+
+// rewindLocked removes every segment that starts after LSN after and
+// reopens the log for append: at the last kept segment, cut after its
+// record after, or at a fresh segment for LSN next when no segment is
+// kept. Past closing the active segment every error wedges the log
+// (wedgeSurgeryLocked), so later appends fail fast instead of writing into
+// a buffer over a closed fd. Caller holds l.mu.
+func (l *Log) rewindLocked(op string, after, next uint64) error {
 	if l.closed {
 		return ErrClosed
 	}
@@ -896,12 +801,11 @@ func (l *Log) Reset(next uint64) error {
 		return l.wedgedErrLocked()
 	}
 	if len(l.pins) > 0 {
-		return fmt.Errorf("wal: reset with %d active pins", len(l.pins))
+		return fmt.Errorf("wal: %s with %d active pins", op, len(l.pins))
 	}
 	if err := l.w.Flush(); err != nil {
 		return l.wedgeLocked(err)
 	}
-	// As in TruncateSuffix: past this close, every error must wedge.
 	if err := l.f.Close(); err != nil {
 		return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
 	}
@@ -909,16 +813,35 @@ func (l *Log) Reset(next uint64) error {
 	if err != nil {
 		return l.wedgeSurgeryLocked(err)
 	}
+	var keep []segment
 	for _, seg := range segs {
+		if seg.first <= after {
+			keep = append(keep, seg)
+			continue
+		}
 		if err := l.fs.Remove(seg.path); err != nil {
 			return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
 		}
 		mSegsDropped.Inc()
 	}
-	l.nextLSN = next
-	l.synced.Store(next - 1)
-	if err := l.openSegment(next); err != nil {
+	if len(keep) == 0 {
+		l.nextLSN = next
+		err = l.openSegment(next)
+	} else if _, err = l.reopenTailLocked(keep[len(keep)-1], after); err == nil {
+		if err = l.f.Sync(); err != nil {
+			err = fmt.Errorf("wal: %w", err)
+		} else {
+			// A syncDir failure also wedges: the removals above may not be
+			// durable, and a crash could resurrect a diverged segment in
+			// front of recovery.
+			err = syncDir(l.fs, l.dir)
+		}
+	}
+	if err != nil {
 		return l.wedgeSurgeryLocked(err)
+	}
+	if l.synced.Load() >= l.nextLSN {
+		l.synced.Store(l.nextLSN - 1)
 	}
 	return nil
 }
@@ -953,34 +876,12 @@ func listSegments(fs fault.FS, dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// scanSegment validates frames sequentially and returns the length of the
-// valid prefix and the last valid LSN (first-1 when the segment holds no
-// valid record). Invalid tails are expected (torn appends) and simply end
-// the scan; only I/O errors are returned.
-func scanSegment(fs fault.FS, path string, first uint64) (validLen int64, lastLSN uint64, nrec int, err error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	lastLSN = first - 1
-	for {
-		_, frameLen, ferr := readFrame(r, lastLSN+1)
-		if ferr != nil {
-			return validLen, lastLSN, nrec, nil // torn/corrupt tail ends the valid prefix
-		}
-		validLen += frameLen
-		lastLSN++
-		nrec++
-	}
-}
-
-// scanThrough walks a segment's frames up to and including LSN through,
-// returning the byte length of that prefix and its last LSN. A torn or
-// corrupt frame before through ends the walk early (like scanSegment): the
-// prefix that validated is all the history the segment can vouch for.
-func scanThrough(fs fault.FS, path string, first, through uint64) (validLen int64, lastLSN uint64, err error) {
+// scanSegment walks a segment's frames up to and including LSN through,
+// returning the byte length of that prefix and its last LSN (first-1 when
+// the segment holds no valid record). A torn or corrupt frame ends the walk
+// early: torn appends are expected, and the prefix that validated is all
+// the history the segment can vouch for. Only I/O errors are returned.
+func scanSegment(fs fault.FS, path string, first, through uint64) (validLen int64, lastLSN uint64, err error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
@@ -999,33 +900,39 @@ func scanThrough(fs fault.FS, path string, first, through uint64) (validLen int6
 	return validLen, lastLSN, nil
 }
 
-// replaySegment reads a fully-valid segment, calling fn for records with
-// LSN ≥ from; any invalid frame is ErrCorrupt (Open already truncated the
-// legitimate torn tail).
-func replaySegment(fs fault.FS, path string, first, from uint64, fn func(Record) error) (lastLSN uint64, err error) {
-	f, err := fs.Open(path)
+// reopenTailLocked cuts segment seg after its last valid frame with LSN ≤
+// through and reopens it for append: Open's torn-tail repair and
+// TruncateSuffix's cut. It returns how many bytes it cut. Caller holds l.mu
+// (or owns the log exclusively) with no segment open.
+func (l *Log) reopenTailLocked(seg segment, through uint64) (cut int64, err error) {
+	validLen, lastLSN, err := scanSegment(l.fs, seg.path, seg.first, through)
+	if err != nil {
+		return 0, err
+	}
+	fi, err := l.fs.Stat(seg.path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	lastLSN = first - 1
-	for {
-		rec, _, ferr := readFrame(r, lastLSN+1)
-		if ferr == io.EOF {
-			return lastLSN, nil
-		}
-		if ferr != nil {
-			return lastLSN, fmt.Errorf("%w: %s at lsn %d: %v",
-				ErrCorrupt, filepath.Base(path), lastLSN+1, ferr)
-		}
-		lastLSN++
-		if rec.LSN >= from {
-			if err := fn(rec); err != nil {
-				return lastLSN, err
-			}
+	if cut = fi.Size() - validLen; cut > 0 {
+		if err := l.fs.Truncate(seg.path, validLen); err != nil {
+			return 0, fmt.Errorf("wal: truncating %s at %d bytes: %w", filepath.Base(seg.path), validLen, err)
 		}
 	}
+	f, err := l.fs.OpenFile(seg.path, os.O_WRONLY, 0)
+	if err != nil {
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
+		f.Close()
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	l.f = f
+	l.w = bufio.NewWriter(f)
+	l.segFirst = seg.first
+	l.size = validLen
+	l.nextLSN = lastLSN + 1
+	l.dirty = false
+	return cut, nil
 }
 
 // readFrame decodes one frame, verifying length sanity, CRC, and that the
