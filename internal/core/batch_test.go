@@ -11,11 +11,12 @@ import (
 )
 
 // batchWorkload is the fleet TestBatchMatchesSingles feeds: closed-form
-// count windows of every size around a chunk of four, AVG + SUM + COUNT on
-// one column, a shared group of three, WHERE clauses that drop tuples,
-// filters that draw from the query's generator (the last one on every tuple,
-// between Monte Carlo MINs), MIN/MAX, GROUP BY, a time window, a sketch, and
-// the analytical and bootstrap backends.
+// count windows of every size around a chunk of eight tuples
+// (stream.AheadWidth) and around half of one, AVG + SUM + COUNT on one
+// column, a shared group of three, WHERE clauses that drop tuples, filters
+// that draw from the query's generator (the last one on every tuple,
+// between Monte Carlo MINs), MIN/MAX, GROUP BY, a time window, a sketch,
+// and the analytical and bootstrap backends.
 var batchWorkload = []string{
 	"SELECT AVG(delay) AS a FROM traffic WINDOW 1 ROWS",
 	"SELECT AVG(delay) AS a FROM traffic WINDOW 3 ROWS",
@@ -35,6 +36,9 @@ var batchWorkload = []string{
 	"SELECT AVG(delay) AS a FROM traffic WHERE delay > delay2 WINDOW 4 ROWS",
 	"SELECT AVG(delay2) AS a, SUM(delay) AS s FROM traffic WINDOW 64 ROWS BACKEND SKETCH",
 	"SELECT MIN(delay) AS lo, AVG(delay2) AS a FROM traffic WHERE delay * delay2 > 2400 WINDOW 4 ROWS",
+	"SELECT AVG(delay) AS a FROM traffic WINDOW 7 ROWS",
+	"SELECT AVG(delay) AS a FROM traffic WINDOW 8 ROWS",
+	"SELECT AVG(delay) AS a FROM traffic WINDOW 9 ROWS",
 }
 
 const batchTuples = 10000
@@ -117,7 +121,7 @@ func runBatches(t *testing.T, rows []IngestRow, sizes []int) *batchRun {
 // the same stream ingested one tuple per batch: every result and error,
 // STATS, telemetry, checkpoint state, the plan groups' lead and follow
 // tallies, and how often each EXPLAIN … TIMING stage ran. The first batch is
-// 13 tuples, so the windows of 3, 4 and 5 rows fill in its middle.
+// 13 tuples, so the windows of 3 to 9 rows fill in its middle.
 func TestBatchMatchesSingles(t *testing.T) {
 	rows := batchRows(t)
 	rng := rand.New(rand.NewSource(13))

@@ -17,6 +17,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -299,6 +300,60 @@ func TestCrashRecoveryCorruptCheckpoint(t *testing.T) {
 			t.Fatalf("NewDurable over a gap = %v, want ErrHistoryGap", err)
 		}
 	})
+}
+
+// TestCrashRecoveryCheckpointAheadOfWAL loses the WAL's tail below the
+// newest checkpoint, as power loss can under -fsync interval once a
+// checkpoint was saved past the fsynced prefix. The restarted server must
+// append after the checkpoint's LSN: acknowledged rows inserted then must
+// all be counted after the next restart, where an append at an LSN the
+// checkpoint covers would be skipped by its replay.
+func TestCrashRecoveryCheckpointAheadOfWAL(t *testing.T) {
+	const phase1, phase2 = 6, 4
+	dir := t.TempDir()
+	crashAfter(t, dir, phase1, 1, 2, 0)
+	cks, err := filepath.Glob(filepath.Join(dir, "checkpoints", "ckpt-*.ck"))
+	if err != nil || len(cks) == 0 {
+		t.Fatalf("no checkpoint written: %v", err)
+	}
+	ckLSN, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(cks[len(cks)-1]), "ckpt-"), ".ck"), 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.TruncateSuffix(ckLSN - 1); err != nil {
+		t.Fatal(err)
+	}
+	if last := w.LastLSN(); last >= ckLSN {
+		t.Fatalf("wal ends at lsn %d, want below the checkpoint's %d", last, ckLSN)
+	}
+	w.Close()
+
+	cfg := durableConfig(dir, 1, 1024) // no checkpoint covers the rows below
+	s, addr := startDurableServer(t, cfg)
+	tc := dialServer(t, addr)
+	tc.mustOK("ATTACH q1")
+	for i := phase1; i < phase1+phase2; i++ {
+		tc.mustOK(crashInsertCmd(i))
+	}
+	want, _ := tc.cmd("STATS q1")
+	if !strings.Contains(want, fmt.Sprintf(`"In":%d`, phase1+phase2)) {
+		t.Fatalf("STATS before the second restart: %s, want In %d", want, phase1+phase2)
+	}
+	crash(s)
+	tc.c.Close()
+
+	s2, addr2 := startDurableServer(t, cfg)
+	defer s2.Close()
+	tc2 := dialServer(t, addr2)
+	defer tc2.c.Close()
+	tc2.mustOK("ATTACH q1")
+	if got, _ := tc2.cmd("STATS q1"); got != want {
+		t.Fatalf("acknowledged rows lost across restart:\nbefore %s\nafter  %s", want, got)
+	}
 }
 
 // corruptCheckpoints overwrites the newest n checkpoint files with a

@@ -116,6 +116,16 @@ func NewDurableFS(engine *core.Engine, logger *log.Logger, fs fault.FS) (_ *Serv
 		return nil, fmt.Errorf("server: wal replay: %w", err)
 	}
 	s.logf("recovery: replayed %d wal records (lsn %d..%d)", replayed, from, wlog.LastLSN())
+	// A checkpoint saved before the WAL was fsynced that far can outlive
+	// the WAL's tail (power loss under -fsync interval): the next append
+	// must follow the checkpoint, or its LSN is one the checkpoint already
+	// covers and the next replay skips it.
+	if last := wlog.LastLSN(); snap != nil && last < snap.LSN {
+		if err := wlog.Reset(snap.LSN + 1); err != nil {
+			return nil, fmt.Errorf("server: re-base wal after checkpoint: %w", err)
+		}
+		s.logf("recovery: wal ends at lsn %d, before checkpoint lsn %d; wal re-based at lsn %d", last, snap.LSN, snap.LSN+1)
+	}
 	s.wal.Store(wlog)
 	s.ck = ckm
 	s.ckEvery = cfg.CheckpointEvery

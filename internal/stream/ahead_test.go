@@ -72,12 +72,12 @@ func aheadTuple(s *Schema, mean, v float64, n int) *Tuple {
 	return &Tuple{Schema: s, Fields: []randvar.Field{{Dist: d, N: n}}, Prob: 1}
 }
 
-// TestLinearUniformAhead holds every lane of a look-ahead of 0–4 tuples to
-// pushing them and scanning: ring sizes 1–9 and 64, empty, filling, full and
-// wrapped windows, and means of −0, subnormals and ±1e300 beside ordinary
-// ones, with sample sizes ≤ 0 among them. The kernel must decline a window
-// or look-ahead holding a histogram, more than four tuples, and a span
-// window with a look-ahead.
+// TestLinearUniformAhead holds every lane of a look-ahead of 0 to AheadWidth
+// tuples to pushing them and scanning: ring sizes 1–9 and 64, empty,
+// filling, full and wrapped windows, and means of −0, subnormals and ±1e300
+// beside ordinary ones, with sample sizes ≤ 0 among them. The kernel must
+// decline a window or look-ahead holding a histogram, more than AheadWidth
+// tuples, and a span window with a look-ahead.
 func TestLinearUniformAhead(t *testing.T) {
 	s, err := NewSchema("s", Column{Name: "v", Probabilistic: true})
 	if err != nil {
@@ -121,12 +121,15 @@ func TestLinearUniformAhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Push(next())
-	five := []*Tuple{next(), next(), next(), next(), next()}
+	over := make([]*Tuple, AheadWidth+1)
+	for j := range over {
+		over[j] = next()
+	}
 	if _, _, _, ok := w.LinearUniformAhead(0, 1, []*Tuple{next(), histTuple}); ok {
 		t.Error("a histogram in the look-ahead: want the kernel to decline")
 	}
-	if _, _, _, ok := w.LinearUniformAhead(0, 1, five); ok {
-		t.Error("a look-ahead of five: want the kernel to decline")
+	if _, _, _, ok := w.LinearUniformAhead(0, 1, over); ok {
+		t.Errorf("a look-ahead of %d: want the kernel to decline", len(over))
 	}
 	w.Push(histTuple)
 	if _, _, _, ok := w.LinearUniformAhead(0, 1, nil); ok {
@@ -136,7 +139,7 @@ func TestLinearUniformAhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := span.LinearUniformAhead(0, 1, five[:1]); ok {
+	if _, _, _, ok := span.LinearUniformAhead(0, 1, over[:1]); ok {
 		t.Error("a span window with a look-ahead: want the kernel to decline")
 	}
 	if _, _, _, ok := span.LinearUniformAhead(0, 1, nil); !ok {
@@ -152,6 +155,7 @@ func FuzzLinearUniformAhead(f *testing.F) {
 	f.Add(uint8(7), uint16(10), uint8(4), math.Float64bits(1.0/7), []byte("\x00\x00\x00\x00\x00\x00\xf0\x3f\x01\x02\x03\x04\x05\x06\x07\x08\x80"))
 	f.Add(uint8(0), uint16(3), uint8(3), math.Float64bits(1), []byte{})
 	f.Add(uint8(63), uint16(200), uint8(2), math.Float64bits(-2.5), []byte("\xff\xff\xff\xff\xff\xff\xef\x7f\x01\x00\x00\x00\x00\x00\x00\x80"))
+	f.Add(uint8(9), uint16(31), uint8(8), math.Float64bits(1.0/10), []byte("\x9a\x99\x99\x99\x99\x99\xb9\x3f\x00\x00\x00\x00\x00\x00\x00\x80\xff\xff\xff\xff\xff\xff\xff\x7f"))
 	s, err := NewSchema("s", Column{Name: "v", Probabilistic: true})
 	if err != nil {
 		f.Fatal(err)

@@ -304,19 +304,19 @@ func (w *ColumnWindow) LinearUniform(c int, wt float64) (randvar.Field, error) {
 }
 
 // AheadWidth is the most windows one closed-form scan sums side by side:
-// four lanes of two sums are eight add chains, which with their operands
-// fit amd64's sixteen float registers and fill its two add ports
-// (DESIGN §11.1).
-const AheadWidth = 4
+// eight lanes of two sums fill four YMM accumulators, so the AVX2 kernel
+// answers a chunk of eight tuples in one pass (DESIGN §11.1).
+const AheadWidth = 8
 
 // LinearUniformAhead is the one closed-form kernel: the Gaussian moments of
 // Σ wt·Xᵢ over column c, and the smallest positive sample size (0 if none),
 // of the window after each push of ahead — lane j after ahead[:j+1] — or,
 // with no look-ahead, in lane 0 of the window as it stands. Each lane adds
-// its window's slots oldest-first, as randvar.LinearGaussian adds
-// rows, so every bit matches pushing and aggregating. ok is false, and
-// nothing is scanned, for a field that is not Point or Normal, a look-ahead
-// longer than AheadWidth, or a span window with a look-ahead.
+// its window's slots oldest-first, as randvar.LinearGaussian adds rows, so
+// every bit matches pushing and aggregating; lanes past the look-ahead hold
+// no meaning. ok is false, and nothing is scanned, for a field that is not
+// Point or Normal, a look-ahead longer than AheadWidth, or a span window
+// with a look-ahead.
 func (w *ColumnWindow) LinearUniformAhead(c int, wt float64, ahead []*Tuple) (mu, sigma2 [AheadWidth]float64, n [AheadWidth]int, ok bool) {
 	col := &w.cols[c]
 	if !col.gaussian() || len(ahead) > AheadWidth || (w.span > 0 && len(ahead) > 0) {
@@ -366,7 +366,7 @@ func (w *ColumnWindow) LinearUniformAhead(c int, wt float64, ahead []*Tuple) (mu
 	for k := mid; k < end; {
 		p := w.slot(k)
 		q := p + min(end-k, w.size-p)
-		shared = scan4(&mu, &sigma2, shared, wt, col.mean[p:q], col.varr[p:q], col.n[p:q])
+		shared = scan8(&mu, &sigma2, shared, wt, col.mean[p:q], col.varr[p:q], col.n[p:q], lanes)
 		k += q - p
 	}
 	for k := end; k < hi[lanes-1]; k++ {
@@ -378,30 +378,6 @@ func (w *ColumnWindow) LinearUniformAhead(c int, wt float64, ahead []*Tuple) (mu
 		}
 	}
 	return mu, sigma2, n, true
-}
-
-// scan4, the closed form's one loop, adds wt·mean[i] and wt²·varr[i] to all
-// four lanes, i rising, and lowers least to the least ns[i]-1 as unsigned.
-// Eight independent sums run at add throughput, not one add's latency; a
-// loop of its own for the minimum would cost as much as the sums.
-func scan4(mu, sigma2 *[AheadWidth]float64, least uint, wt float64, mean, varr []float64, ns []int) uint {
-	varr, ns = varr[:len(mean)], ns[:len(mean)] // no bounds checks below
-	m0, m1, m2, m3 := mu[0], mu[1], mu[2], mu[3]
-	s0, s1, s2, s3 := sigma2[0], sigma2[1], sigma2[2], sigma2[3]
-	for i, x := range mean {
-		m0 += wt * x
-		m1 += wt * x
-		m2 += wt * x
-		m3 += wt * x
-		s0 += wt * wt * varr[i]
-		s1 += wt * wt * varr[i]
-		s2 += wt * wt * varr[i]
-		s3 += wt * wt * varr[i]
-		least = min(least, uint(ns[i])-1)
-	}
-	*mu = [AheadWidth]float64{m0, m1, m2, m3}
-	*sigma2 = [AheadWidth]float64{s0, s1, s2, s3}
-	return least
 }
 
 // LinearUniformMoments returns the closed-form Gaussian moments of

@@ -583,7 +583,9 @@ func TestColumnWindowValidation(t *testing.T) {
 // BenchmarkWindowScan measures the closed-form AVG scan over a full window
 // — row gather+LinearGaussian vs the columnar contiguous scan — and,
 // as col-ahead, the look-ahead scan answering the windows after each of
-// four more tuples in one pass, in ns per window.
+// AheadWidth more tuples in one pass, in ns per window. At 32768 rows,
+// kernel-NAME runs each closed-form kernel alone over the full ring with
+// every lane in use, also in ns per window.
 func BenchmarkWindowScan(b *testing.B) {
 	s, err := NewSchema("s", Column{Name: "v", Probabilistic: true})
 	if err != nil {
@@ -651,6 +653,29 @@ func BenchmarkWindowScan(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(AheadWidth*b.N), "ns/window")
 		})
+		if size != 32768 {
+			continue
+		}
+		w, err := NewColumnWindow(s, size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tp := range tuples {
+			w.Push(tp)
+		}
+		col := &w.cols[0]
+		for _, k := range scanKernels() {
+			b.Run(fmt.Sprintf("kernel-%s/%d", k.name, size), func(b *testing.B) {
+				if k.skip != "" {
+					b.Skip(k.skip)
+				}
+				var mu, sigma2 [AheadWidth]float64
+				for i := 0; i < b.N; i++ {
+					k.scan(&mu, &sigma2, ^uint(0), 1/float64(size), col.mean, col.varr, col.n, AheadWidth)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(AheadWidth*b.N), "ns/window")
+			})
+		}
 	}
 }
 

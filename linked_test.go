@@ -163,9 +163,11 @@ func goCmd(t *testing.T, dir string, args ...string) string {
 var typeArgs = regexp.MustCompile(`\[[^\[\]]*\]`)
 
 // normalizeSym turns a linker symbol into the pkg.Func or pkg.Type.Method
-// form declaredFuncs uses: no type arguments, no receiver stars, and a
-// closure or wrapper counted as its enclosing function.
+// form declaredFuncs uses: no type arguments, no receiver stars, no .abi0
+// suffix the linker gives an assembly function, and a closure or wrapper
+// counted as its enclosing function.
 func normalizeSym(sym string) string {
+	sym = strings.TrimSuffix(sym, ".abi0")
 	for strings.Contains(sym, "[") {
 		s := typeArgs.ReplaceAllString(sym, "")
 		if s == sym {
@@ -183,6 +185,24 @@ func normalizeSym(sym string) string {
 		}
 	}
 	return sym[:slash+1] + strings.Join(parts, ".")
+}
+
+// TestNormalizeSym holds normalizeSym to the symbol shapes go tool nm
+// prints.
+func TestNormalizeSym(t *testing.T) {
+	for _, c := range []struct{ sym, want string }{
+		{"repro/internal/stream.scan8", "repro/internal/stream.scan8"},
+		{"repro/internal/stream.scan8AVX2.abi0", "repro/internal/stream.scan8AVX2"},
+		{"repro/internal/stream.(*ColumnWindow).Push", "repro/internal/stream.ColumnWindow.Push"},
+		{"repro/internal/core.(*Engine).IngestBatch.func2", "repro/internal/core.Engine.IngestBatch"},
+		{"repro/internal/server.(*Server).Serve.gowrap1", "repro/internal/server.Server.Serve"},
+		{"repro/internal/plan.Registry[go.shape.int].Hits", "repro/internal/plan.Registry.Hits"},
+		{"main.run.deferwrap1", "main.run"},
+	} {
+		if got := normalizeSym(c.sym); got != c.want {
+			t.Errorf("normalizeSym(%q) = %q, want %q", c.sym, got, c.want)
+		}
+	}
 }
 
 // declaredFuncs lists every function and method declared in the module's
