@@ -42,7 +42,7 @@ sketch-conformance:
 # failures, ENOSPC, torn writes, torn connections, panics) against the full
 # server under the race detector.
 chaos:
-	$(GO) test -race -count 1 -run 'TestChaos|TestMaxConns|TestIdleTimeout|TestConnPanic|TestSlowClient|TestAcceptTransient|TestTornRequest|TestShed|TestSplitReqID|TestDedupWindow|TestClientBackoff|TestCrashRecoveryCorruptCheckpoint' \
+	$(GO) test -race -count 1 -run 'TestChaos|TestMaxConns|TestIdleTimeout|TestConnPanic|TestSlowClient|TestStopModes|TestReinstallSaveFailure|TestTornRequest|TestShed|TestSplitReqID|TestDedupWindow|TestClientBackoff|TestCrashRecoveryCorruptCheckpoint' \
 		./internal/server/
 	$(GO) test -race -count 1 ./internal/fault/
 	$(GO) test -race -count 1 -run 'TestFsyncFailureWedges|TestTornWriteRecovers|TestBatchFsyncFailureNoPartialAck' ./internal/wal/

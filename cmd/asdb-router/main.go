@@ -102,7 +102,7 @@ func main() {
 	case sig := <-sigc:
 		logger.Printf("%s: shutting down", sig)
 		rt.Close()
-		// Serve returns nil once the listener closes under rt.closed.
+		// Serve returns nil once Close has stopped its listener.
 		if err := <-done; err != nil {
 			log.Fatalf("asdb-router: %v", err)
 		}

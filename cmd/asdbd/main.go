@@ -157,48 +157,29 @@ func main() {
 		log.Fatalf("asdbd: %v", err)
 	}
 	node := &liveNode{srv: srv}
-	if *replAddr != "" {
+	// startShip ships srv's WAL to followers on addr: a primary's
+	// -repl-addr at start, or -promote-repl-addr once promotion has made
+	// this node the shard's new primary.
+	startShip := func(srv *server.Server, addr string) error {
 		ship, err := cluster.NewShipServer(srv, logger, cluster.ShipOptions{})
 		if err != nil {
-			log.Fatalf("asdbd: %v", err)
+			return err
 		}
-		raddr, err := ship.Listen(*replAddr)
+		raddr, err := ship.Listen(addr)
 		if err != nil {
-			log.Fatalf("asdbd: replication listener: %v", err)
+			return fmt.Errorf("replication listener: %w", err)
 		}
-		go func() {
-			if err := ship.Serve(); err != nil {
-				logger.Printf("replication listener: %v", err)
-			}
-		}()
-		node.ship = ship
-		logger.Printf("shipping wal to followers on %s", raddr)
-	}
-	// startShip boots a ship listener for a just-promoted (or rejoined+
-	// promoted) server; promotion makes this node the shard's new primary.
-	startShip := func(srv *server.Server) {
-		if *promoteRepl == "" {
-			return
-		}
-		ship, err := cluster.NewShipServer(srv, logger, cluster.ShipOptions{})
-		if err != nil {
-			logger.Printf("promotion: ship server: %v", err)
-			return
-		}
-		raddr, err := ship.Listen(*promoteRepl)
-		if err != nil {
-			logger.Printf("promotion: replication listener: %v", err)
-			return
-		}
-		go func() {
-			if err := ship.Serve(); err != nil {
-				logger.Printf("replication listener: %v", err)
-			}
-		}()
+		go ship.Serve() // retries a failed Accept; returns once Close stops it
 		node.mu.Lock()
 		node.ship = ship
 		node.mu.Unlock()
-		logger.Printf("promotion: shipping wal to followers on %s", raddr)
+		logger.Printf("shipping wal to followers on %s", raddr)
+		return nil
+	}
+	if *replAddr != "" {
+		if err := startShip(srv, *replAddr); err != nil {
+			log.Fatalf("asdbd: %v", err)
+		}
 	}
 	startFailover := func(srv *server.Server, f *cluster.Follower) *cluster.FailoverManager {
 		if !*failover {
@@ -223,7 +204,14 @@ func main() {
 			Peers:        peers,
 			SuspectAfter: *failoverSuspect,
 			ProbeEvery:   *failoverProbe,
-			OnPromote:    func(epoch uint64) { startShip(srv) },
+			OnPromote: func(epoch uint64) {
+				if *promoteRepl == "" {
+					return
+				}
+				if err := startShip(srv, *promoteRepl); err != nil {
+					logger.Printf("promotion: %v", err)
+				}
+			},
 		})
 		fm.Start()
 		logger.Printf("failover: watching %s (rank %d of %d, suspect after %v)",
@@ -275,7 +263,7 @@ func main() {
 			if err := cur.Shutdown(); err != nil {
 				log.Fatalf("asdbd: shutdown: %v", err)
 			}
-			<-done // Serve returns once the listener closes under s.closed.
+			<-done // Serve returns nil once Shutdown has stopped its listener.
 			return
 		case err := <-done:
 			if err != nil {

@@ -21,15 +21,12 @@ import (
 // lines get one attempt (the router must not invent idempotency the
 // client didn't ask for).
 type Router struct {
+	// Listener accepts, tracks and stops the client connections.
+	*server.Listener
+
 	topo  *topo
 	opts  server.DialOptions
 	retry *server.Retrier // backoff shared by every session's walks
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // NewRouter builds a proxy over the given nodes. opts shape every backend
@@ -43,85 +40,17 @@ func NewRouter(nodes []Node, opts server.DialOptions) (*Router, error) {
 		return nil, err
 	}
 	o := opts.Normalize()
-	return &Router{
-		topo:  t,
-		opts:  o,
-		retry: server.NewRetrier(o),
-		conns: make(map[net.Conn]struct{}),
-	}, nil
-}
-
-// Listen binds the client-facing listener.
-func (rt *Router) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	rt.mu.Lock()
-	rt.ln = ln
-	rt.mu.Unlock()
-	return ln.Addr(), nil
+	rt := &Router{topo: t, opts: o, retry: server.NewRetrier(o)}
+	rt.Listener = server.NewListener(rt.serveConn, nil)
+	return rt, nil
 }
 
 // Serve accepts client connections until Close.
-func (rt *Router) Serve() error {
-	rt.mu.Lock()
-	ln := rt.ln
-	rt.mu.Unlock()
-	if ln == nil {
-		return errors.New("cluster: Serve before Listen")
-	}
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			rt.mu.Lock()
-			closed := rt.closed
-			rt.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		rt.mu.Lock()
-		if rt.closed {
-			rt.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		rt.conns[nc] = struct{}{}
-		rt.wg.Add(1)
-		rt.mu.Unlock()
-		go func() {
-			defer rt.wg.Done()
-			rt.serveConn(nc)
-			rt.mu.Lock()
-			delete(rt.conns, nc)
-			rt.mu.Unlock()
-		}()
-	}
-}
+func (rt *Router) Serve() error { return rt.Listener.Serve(nil) }
 
 // Close stops the listener and disconnects every client (and their
 // backends).
-func (rt *Router) Close() error {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return nil
-	}
-	rt.closed = true
-	ln := rt.ln
-	for nc := range rt.conns {
-		nc.Close()
-	}
-	rt.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	rt.wg.Wait()
-	return err
-}
+func (rt *Router) Close() error { return rt.Stop(0) }
 
 // rsession is one proxied client connection plus its cached backends.
 type rsession struct {

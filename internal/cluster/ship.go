@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -51,23 +50,20 @@ func (o ShipOptions) normalize() ShipOptions {
 // the ingest path. The server handle supplies the epoch used to stamp and
 // fence frames.
 type ShipServer struct {
+	// Listener accepts, tracks and stops the follower connections.
+	*server.Listener
+
 	srv    *server.Server
 	log    *wal.Log
 	ck     *checkpoint.Manager
 	logger *log.Logger
 	opts   ShipOptions
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // NewShipServer wires a replication server to a durable server: it ships
 // the server's WAL and checkpoints, stamps frames with the server's
-// current epoch, and registers itself as the server's follower-count
-// source for ROLE.
+// current epoch, and registers its live connection count as the server's
+// follower count for ROLE.
 func NewShipServer(srv *server.Server, logger *log.Logger, opts ShipOptions) (*ShipServer, error) {
 	if srv == nil || srv.WAL() == nil {
 		return nil, errors.New("cluster: replication requires a durable server (nil WAL)")
@@ -78,9 +74,9 @@ func NewShipServer(srv *server.Server, logger *log.Logger, opts ShipOptions) (*S
 		ck:     srv.Checkpoints(),
 		logger: logger,
 		opts:   opts.normalize(),
-		conns:  make(map[net.Conn]struct{}),
 	}
-	srv.SetFollowerCountFn(ss.followerCount)
+	ss.Listener = server.NewListener(ss.serveConn, logger)
+	srv.SetFollowerCountFn(ss.Live)
 	return ss, nil
 }
 
@@ -88,89 +84,20 @@ func NewShipServer(srv *server.Server, logger *log.Logger, opts ShipOptions) (*S
 // address is also advertised through the server's ROLE reply (repl= field)
 // so peers probing this node can learn where to follow it.
 func (ss *ShipServer) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
+	a, err := ss.Listener.Listen(addr)
+	if err == nil {
+		bound := a.String()
+		ss.srv.SetReplAddrFn(func() string { return bound })
 	}
-	ss.mu.Lock()
-	ss.ln = ln
-	ss.mu.Unlock()
-	bound := ln.Addr().String()
-	ss.srv.SetReplAddrFn(func() string { return bound })
-	return ln.Addr(), nil
+	return a, err
 }
 
 // Serve accepts follower connections until Close. Each follower gets its
 // own shipping goroutine and WAL reader.
-func (ss *ShipServer) Serve() error {
-	ss.mu.Lock()
-	ln := ss.ln
-	ss.mu.Unlock()
-	if ln == nil {
-		return errors.New("cluster: Serve before Listen")
-	}
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			ss.mu.Lock()
-			closed := ss.closed
-			ss.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		ss.mu.Lock()
-		if ss.closed {
-			ss.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		ss.conns[nc] = struct{}{}
-		ss.wg.Add(1)
-		ss.mu.Unlock()
-		go func() {
-			defer ss.wg.Done()
-			ss.serveConn(nc)
-			ss.mu.Lock()
-			delete(ss.conns, nc)
-			ss.mu.Unlock()
-		}()
-	}
-}
+func (ss *ShipServer) Serve() error { return ss.Listener.Serve(nil) }
 
 // Close stops the listener and disconnects every follower.
-func (ss *ShipServer) Close() error {
-	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
-		return nil
-	}
-	ss.closed = true
-	ln := ss.ln
-	for nc := range ss.conns {
-		nc.Close()
-	}
-	ss.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	ss.wg.Wait()
-	return err
-}
-
-func (ss *ShipServer) isClosed() bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.closed
-}
-
-func (ss *ShipServer) followerCount() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return len(ss.conns)
-}
+func (ss *ShipServer) Close() error { return ss.Stop(0) }
 
 func (ss *ShipServer) logf(format string, args ...any) {
 	if ss.logger != nil {
@@ -284,11 +211,14 @@ func (ss *ShipServer) serveConn(nc net.Conn) {
 	// fast instead of waiting out TCP buffers. Started BEFORE position()
 	// and the snapshot send: a peer that dies mid-snapshot must unblock
 	// the write below, or this goroutine would hold its WAL pin forever.
+	// gone closes once that read returns, and also when Close closes nc.
 	nc.SetReadDeadline(time.Time{})
+	gone := make(chan struct{})
 	go func() {
 		var b [1]byte
 		nc.Read(b[:])
 		nc.Close()
+		close(gone)
 	}()
 
 	snapRaw, from, pin, err := ss.position(lastApplied)
@@ -323,9 +253,10 @@ func (ss *ShipServer) serveConn(nc net.Conn) {
 	lastHB := time.Time{}
 	pending := 0
 	for {
-		if ss.isClosed() {
-			flush()
+		select {
+		case <-gone:
 			return
+		default:
 		}
 		if rd.NextLSN() <= ss.shipLimit() {
 			rec, ok, err := rd.Next()

@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/wal"
 )
 
@@ -62,22 +63,10 @@ func startDurableServer(t testing.TB, cfg core.Config) (*Server, string) {
 // crash would leave behind.
 func crash(s *Server) {
 	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for _, nc := range s.conns {
-		conns = append(conns, nc)
-	}
 	s.wal.Store(nil) // journaling (incl. disconnect-driven CLOSE records) stops here
 	s.ck = nil
 	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, nc := range conns {
-		nc.Close()
-	}
-	s.connWG.Wait()
+	s.Stop(0)
 }
 
 type tclient struct {
@@ -781,5 +770,67 @@ func TestRecordsAdmittedBeforeBoundsReplay(t *testing.T) {
 	}
 	if got := eng.Seq(); got != want {
 		t.Errorf("follower engine seq %d, want %d", got, want)
+	}
+}
+
+// TestReinstallSaveFailureKeepsHistory fails the checkpoint save of a
+// durable follower's ReinstallSnapshot. The follower's own WAL must stay
+// as it was, so the data dir still opens, at the follower's old state; a
+// reinstall that saves then re-bases the WAL at the snapshot.
+func TestReinstallSaveFailureKeepsHistory(t *testing.T) {
+	fake := &conn{id: 1, c: &recConn{discard: true}}
+	primary := newTestServer(t, durableConfig(t.TempDir(), 1, 1024))
+	for _, cmd := range []string{crashStreamCmd, crashQueryCmd, crashInsertCmd(0), crashInsertCmd(1), crashInsertCmd(2)} {
+		mustDispatch(t, primary, fake, cmd)
+	}
+	ckm := primary.Checkpoints()
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ckm.LoadLatest()
+	if err != nil || snap == nil || snap.LSN != 5 {
+		t.Fatalf("primary's final checkpoint: %v, %v; want one at lsn 5", snap, err)
+	}
+
+	dir := t.TempDir()
+	open := func(fs fault.FS) (*Server, error) {
+		eng, err := core.NewEngine(durableConfig(dir, 1, 1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewDurableFS(eng, nil, fs)
+	}
+	f, err := open(fault.NewInjectFS(nil, fault.Rule{Op: fault.OpRename, Path: "checkpoints"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustDispatch(t, f, fake, crashStreamCmd)
+	f.SetReadOnly(true)
+	if err := f.ReinstallSnapshot(snap); err == nil {
+		t.Fatal("ReinstallSnapshot succeeded although the checkpoint save failed")
+	}
+	if err := f.Detach(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = open(nil)
+	if err != nil {
+		t.Fatalf("reopen after the failed save: %v", err)
+	}
+	if got := f.WAL().LastLSN(); got != 1 {
+		t.Fatalf("reopened at lsn %d, want the follower's own lsn 1", got)
+	}
+	if err := f.ReinstallSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Detach(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = open(nil)
+	if err != nil {
+		t.Fatalf("reopen after the reinstall: %v", err)
+	}
+	defer f.Close()
+	if got, q := f.WAL().LastLSN(), f.DetachedQueries(); got != 5 || len(q) != 1 {
+		t.Fatalf("reopened at lsn %d with queries %v, want lsn 5 and q1", got, q)
 	}
 }

@@ -10,11 +10,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 )
 
@@ -170,47 +173,91 @@ func TestSlowClientOutboxOverflow(t *testing.T) {
 	}
 }
 
-// flakyListener fails its first n Accepts with a transient error.
-type flakyListener struct {
-	net.Listener
-	fails int
-}
+// TestStopModes pins Server's three stop modes against a client that
+// stays connected and idle: Close waits for it to hang up and then writes
+// the final checkpoint; Shutdown waits out DrainTimeout, force-closes it
+// and still writes the final checkpoint; Detach closes it at once and
+// writes no checkpoint.
+func TestStopModes(t *testing.T) {
+	const drain = 500 * time.Millisecond
+	for _, mode := range []struct {
+		name       string
+		stop       func(*Server) error
+		waits      bool          // returns only once the client hangs up
+		least      time.Duration // otherwise takes at least this long
+		most       time.Duration // and less than this (0: no bound)
+		checkpoint bool          // a final checkpoint covers the WAL's last record
+	}{
+		{"Close", (*Server).Close, true, 0, 0, true},
+		{"Shutdown", (*Server).Shutdown, false, drain, 0, true},
+		{"Detach", (*Server).Detach, false, 0, drain, false},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			eng, err := core.NewEngine(durableConfig(dir, 1, 1024))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewDurable(eng, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetOptions(Options{DrainTimeout: drain})
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go s.Serve()
+			tc := dialServer(t, addr.String())
+			defer tc.c.Close()
+			tc.mustOK(crashStreamCmd)
+			tc.mustOK(crashQueryCmd)
+			tc.mustOK(crashInsertCmd(0))
+			w := s.WAL()
 
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.fails > 0 {
-		l.fails--
-		return nil, errors.New("accept: resource temporarily unavailable")
-	}
-	return l.Listener.Accept()
-}
-
-func TestAcceptTransientErrorRetry(t *testing.T) {
-	eng, err := core.NewEngine(core.Config{Method: core.AccuracyAnalytical})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(eng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	retries := mAcceptRetries.Value()
-	srv.mu.Lock()
-	srv.ln = &flakyListener{Listener: srv.ln, fails: 3}
-	srv.mu.Unlock()
-	go srv.Serve()
-	defer srv.Close()
-
-	// Serve must absorb the transient failures (5+10+20ms backoff) and then
-	// accept normally.
-	tc := dialServer(t, addr.String())
-	defer tc.c.Close()
-	tc.mustOK("PING")
-	if got := mAcceptRetries.Value() - retries; got != 3 {
-		t.Fatalf("accept_retries delta = %d, want 3", got)
+			start := time.Now()
+			stopped := make(chan error, 1)
+			go func() { stopped <- mode.stop(s) }()
+			if mode.waits {
+				select {
+				case err := <-stopped:
+					t.Fatalf("returned (%v) while a client was connected", err)
+				case <-time.After(drain + drain/2):
+				}
+				tc.c.Close()
+			}
+			select {
+			case err := <-stopped:
+				if err != nil {
+					t.Fatalf("stop: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("stop did not return")
+			}
+			if took := time.Since(start); !mode.waits && (took < mode.least || mode.most > 0 && took >= mode.most) {
+				t.Errorf("stop took %v with the client connected, want [%v, %v)", took, mode.least, mode.most)
+			}
+			if !mode.waits {
+				tc.c.SetReadDeadline(time.Now().Add(2 * time.Second))
+				if _, err := tc.c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Errorf("client read after stop: %v, want the server to have closed it", err)
+				}
+			}
+			ckm, err := checkpoint.NewManagerFS(filepath.Join(dir, "checkpoints"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := ckm.LoadLatest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case mode.checkpoint && (snap == nil || snap.LSN != w.LastLSN()):
+				t.Errorf("final checkpoint %v, want one at the WAL's last lsn %d", snap != nil, w.LastLSN())
+			case !mode.checkpoint && snap != nil:
+				t.Errorf("a checkpoint at lsn %d was written, want none", snap.LSN)
+			}
+		})
 	}
 }
 

@@ -28,7 +28,8 @@ type Options struct {
 	// OK reply on the same connection).
 	OutboxLines int
 	// DrainTimeout is how long Shutdown waits for in-flight connections to
-	// finish before force-closing them (default 5s; 0 closes immediately).
+	// finish before force-closing them (default 5s; negative closes them
+	// immediately).
 	DrainTimeout time.Duration
 	// ReadOnly rejects state-changing commands (STREAM, QUERY, INSERT,
 	// INSERTBATCH, CLOSE, SHED <level>) so the server can serve as a

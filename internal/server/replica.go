@@ -98,14 +98,17 @@ func (s *Server) installSnapshotLocked(snap *checkpoint.Snapshot) error {
 	}
 	s.restoreEpoch(snap.Epoch, snap.EpochHist)
 	s.dedup.restore(snap.Dedup)
+	// The checkpoint is saved before the WAL is re-based: a save that
+	// fails or is cut short leaves the old history whole, and a WAL that
+	// still ends below the saved checkpoint is re-based by recovery.
 	if w := s.wal.Load(); w != nil {
-		if err := w.Reset(snap.LSN + 1); err != nil {
-			return fmt.Errorf("server: re-basing wal at snapshot lsn %d: %w", snap.LSN, err)
-		}
 		if s.ck != nil {
 			if err := s.ck.Save(snap); err != nil {
 				return fmt.Errorf("server: saving shipped checkpoint locally: %w", err)
 			}
+		}
+		if err := w.Reset(snap.LSN + 1); err != nil {
+			return fmt.Errorf("server: re-basing wal at snapshot lsn %d: %w", snap.LSN, err)
 		}
 		s.sinceCk.Store(0)
 	}

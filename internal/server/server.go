@@ -43,6 +43,9 @@ import (
 // happens inside the critical section, the fsync wait outside it — so
 // concurrent committers and whole batches share fsyncs.
 type Server struct {
+	// Listener accepts, tracks and stops the client connections.
+	*Listener
+
 	engine *core.Engine
 	logger *log.Logger
 
@@ -61,11 +64,7 @@ type Server struct {
 	replScratch deliveryScratch
 
 	mu       sync.Mutex
-	ln       net.Listener
 	queries  map[string]*registeredQuery
-	conns    map[uint64]net.Conn
-	closed   bool
-	connWG   sync.WaitGroup
 	nextConn uint64
 	shed     *shedController
 
@@ -122,174 +121,53 @@ func New(engine *core.Engine, logger *log.Logger) (*Server, error) {
 		opts:    opts,
 		dedup:   newDedupWindow(dedupWindowSize),
 		queries: make(map[string]*registeredQuery),
-		conns:   make(map[uint64]net.Conn),
 	}
+	srv.Listener = NewListener(srv.handle, logger)
 	srv.epoch.Store(1)
 	return srv, nil
 }
 
-// Listen binds addr (e.g. "127.0.0.1:7433"; port 0 picks a free port) and
-// returns the bound address.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	return ln.Addr(), nil
-}
-
-// Serve accepts connections until Close. Call after Listen. Transient
-// Accept failures (FD exhaustion, ECONNABORTED, ...) are retried with
-// capped exponential backoff instead of killing the accept loop; only a
-// closed listener ends it.
+// Serve starts the shed controller and accepts connections until Close,
+// Shutdown or Detach; call it after Listen.
 func (s *Server) Serve() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln == nil {
-		return errors.New("server: Serve before Listen")
-	}
 	s.startShed()
-	var backoff time.Duration
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return err
-			}
-			if backoff == 0 {
-				backoff = 5 * time.Millisecond
-			} else if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			mAcceptRetries.Inc()
-			s.logf("accept: %v; retrying in %v", err, backoff)
-			time.Sleep(backoff)
-			continue
-		}
-		backoff = 0
-		s.ServeConn(c)
-	}
+	return s.Listener.Serve(nil)
 }
 
-// ServeConn serves one established connection on its own goroutine, as
-// Serve does for each accepted one; Close and Shutdown wait for it. asdb
-// serves its embedded session this way, over net.Pipe.
-func (s *Server) ServeConn(nc net.Conn) {
-	s.connWG.Add(1)
-	go func() {
-		defer s.connWG.Done()
-		s.handle(nc)
-	}()
-}
-
-// Close stops accepting, closes the listener, waits for connections to
-// finish, and finalizes durability (final checkpoint, WAL sync+close).
+// Close stops accepting, waits for every connection to finish, and
+// finalizes durability (final checkpoint, WAL sync+close).
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.connWG.Wait()
-	s.stopShed()
-	if derr := s.finalizeDurable(); err == nil {
-		err = derr
-	}
-	return err
+	return errors.Join(s.stop(-1), s.finalizeDurable())
 }
 
-// Shutdown is the graceful-stop used on SIGINT/SIGTERM: it stops
-// accepting, then drains — existing connections get up to
-// Options.DrainTimeout to finish and disconnect on their own before being
-// force-closed (in-flight commands always finish; command dispatch is
-// synchronous). It then writes a final checkpoint and fsyncs and closes the
-// WAL.
+// Shutdown is the graceful stop used on SIGINT/SIGTERM: connections get up
+// to Options.DrainTimeout to finish and disconnect on their own before
+// they are force-closed (an in-flight command always finishes; command
+// dispatch is synchronous). It then writes a final checkpoint and fsyncs
+// and closes the WAL.
 func (s *Server) Shutdown() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	drained := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(drained)
-	}()
-	if s.opts.DrainTimeout > 0 {
-		select {
-		case <-drained:
-		case <-time.After(s.opts.DrainTimeout):
-			s.logf("shutdown: drain timeout after %v, closing %d connections",
-				s.opts.DrainTimeout, len(s.conns))
-		}
-	}
-	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for _, nc := range s.conns {
-		conns = append(conns, nc)
-	}
-	s.mu.Unlock()
-	for _, nc := range conns {
-		nc.Close()
-	}
-	<-drained
-	s.stopShed()
-	if derr := s.finalizeDurable(); err == nil {
-		err = derr
+	return errors.Join(s.stop(max(s.opts.DrainTimeout, 0)), s.finalizeDurable())
+}
+
+// Detach stops the server WITHOUT the shutdown checkpoint: connections
+// close at once, then the WAL is synced and closed as-is. The
+// fenced-rejoin path needs this — a shutdown checkpoint here would capture
+// the diverged suffix at the WAL tail and prune the records below it that
+// re-recovery at the truncation point depends on. On-disk state is left
+// exactly as the last durable append and checkpoint wrote it.
+func (s *Server) Detach() error {
+	err := s.stop(0)
+	if w := s.wal.Swap(nil); w != nil {
+		err = errors.Join(err, w.Sync(), w.Close())
 	}
 	return err
 }
 
-// Detach stops the server WITHOUT the shutdown checkpoint: listener and
-// connections close immediately, then the WAL is synced and closed as-is.
-// The fenced-rejoin path needs this — a shutdown checkpoint here would
-// capture the diverged suffix at the WAL tail and prune the records below
-// it that re-recovery at the truncation point depends on. On-disk state is
-// left exactly as the last durable append and checkpoint wrote it.
-func (s *Server) Detach() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for _, nc := range s.conns {
-		conns = append(conns, nc)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, nc := range conns {
-		nc.Close()
-	}
-	s.connWG.Wait()
+// stop is the serving half of every stop mode: the listener's Stop, then
+// the shed controller.
+func (s *Server) stop(drain time.Duration) error {
+	err := s.Stop(drain)
 	s.stopShed()
-	w := s.wal.Swap(nil)
-	if w == nil {
-		return err
-	}
-	if serr := w.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }
 
@@ -586,10 +464,8 @@ func (s *Server) handle(nc net.Conn) {
 			s.logf("conn from %s: panic: %v\n%s", nc.RemoteAddr(), r, debug.Stack())
 		}
 	}()
-	s.mu.Lock()
-	if s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns {
-		limit := s.opts.MaxConns
-		s.mu.Unlock()
+	// The live count includes this connection.
+	if limit := s.opts.MaxConns; limit > 0 && s.Live() > limit {
 		mConnsRejected.Inc()
 		s.logf("conn from %s: rejected, at connection limit (%d)", nc.RemoteAddr(), limit)
 		if s.opts.WriteTimeout > 0 {
@@ -598,6 +474,7 @@ func (s *Server) handle(nc net.Conn) {
 		fmt.Fprintf(nc, "ERR server at connection limit (%d)\n", limit)
 		return
 	}
+	s.mu.Lock()
 	c := s.newConnLocked(nc)
 	s.mu.Unlock()
 	mConnsOpened.Inc()
@@ -609,9 +486,6 @@ func (s *Server) handle(nc net.Conn) {
 		// write was already reported.
 		_ = c.flushHeld()
 		s.dropConnQueries(c)
-		s.mu.Lock()
-		delete(s.conns, c.id)
-		s.mu.Unlock()
 		c.stopOutbox()
 		gConnsActive.Dec()
 	}()
@@ -669,13 +543,11 @@ func (s *Server) handle(nc net.Conn) {
 	s.logf("conn %d: closed", c.id)
 }
 
-// newConnLocked registers a conn for nc. It gets no outbox until it
-// becomes a delivery target (ensureOutboxLocked). Caller holds s.mu.
+// newConnLocked makes the conn for nc. It gets no outbox until it becomes
+// a delivery target (ensureOutboxLocked). Caller holds s.mu.
 func (s *Server) newConnLocked(nc net.Conn) *conn {
 	s.nextConn++
-	c := &conn{id: s.nextConn, c: nc, writeTimeout: s.opts.WriteTimeout}
-	s.conns[c.id] = nc
-	return c
+	return &conn{id: s.nextConn, c: nc, writeTimeout: s.opts.WriteTimeout}
 }
 
 // lineBuffered reports whether r already holds a whole line: the client

@@ -680,7 +680,7 @@ func (r *lineReader) Read(p []byte) (int, error) {
 func serveScript(s *Server, rc *recConn, in io.Reader) [][]byte {
 	rc.in = in
 	s.ServeConn(rc)
-	s.connWG.Wait()
+	s.wg.Wait()
 	return rc.take()
 }
 
@@ -737,7 +737,7 @@ func TestTornBurstRepliesFirst(t *testing.T) {
 		}
 	}
 	pw.Close()
-	s.connWG.Wait()
+	s.wg.Wait()
 }
 
 // TestQuitMidBurst: QUIT inside a burst sends every earlier reply and then
@@ -768,7 +768,7 @@ func TestCheckpointFlushesBurst(t *testing.T) {
 		t.Errorf("first write began with %d records since the checkpoint, want 4: the snapshot ran first", n)
 	}
 	close(rc.gate)
-	s.connWG.Wait()
+	s.wg.Wait()
 	w := rc.take()
 	if len(w) != 2 {
 		t.Fatalf("%d writes, want 2 (up to the checkpointing INSERT's DATA, then the rest): %q", len(w), w)
