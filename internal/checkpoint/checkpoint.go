@@ -36,13 +36,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/randvar"
-	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
@@ -63,6 +59,13 @@ var (
 )
 
 const (
+	// version is the format Capture writes. legacyVersion files may also
+	// hold windows as rows, which an engine that writes only columns reads
+	// through decodeRows; an engine that knows only legacyVersion refuses
+	// version rather than restore its columnar join sides as empty.
+	version       = 2
+	legacyVersion = 1
+
 	magic     = "ASDBCKP1"
 	headerLen = len(magic) + 8 // magic + u32 len + u32 crc
 	filePref  = "ckpt-"
@@ -87,72 +90,19 @@ type StreamState struct {
 	Columns []ColumnState `json:"columns"`
 }
 
-// tupleState is one windowed tuple; fields are codec JSON (lossless).
-type tupleState struct {
-	Fields []json.RawMessage `json:"fields"`
-	Prob   float64           `json:"prob"`
-	ProbN  int               `json:"prob_n,omitempty"`
-	Seq    uint64            `json:"seq"`
-	Time   int64             `json:"time,omitempty"`
-}
-
-type windowState struct {
-	Tuples []tupleState `json:"tuples"`
-}
-
-// colColumnState is one column of a columnar window snapshot. Kind uses
-// ints (not the in-memory uint8s) so the arrays stay human-readable JSON
-// rather than base64. Other maps decimal slot index → codec JSON for the
-// slots whose kind is non-Gaussian.
-type colColumnState struct {
-	Kind  []int                      `json:"kind"`
-	Mean  []float64                  `json:"mean,omitempty"`
-	Var   []float64                  `json:"var,omitempty"`
-	N     []int                      `json:"n,omitempty"`
-	Other map[string]json.RawMessage `json:"other,omitempty"`
-}
-
-// colWindowState is the columnar (struct-of-arrays) window snapshot form:
-// linearized oldest-first, per-tuple columns plus per-schema-column arrays.
-type colWindowState struct {
-	Prob  []float64        `json:"prob,omitempty"`
-	ProbN []int            `json:"prob_n,omitempty"`
-	Seq   []uint64         `json:"seq,omitempty"`
-	Time  []int64          `json:"time,omitempty"`
-	Cols  []colColumnState `json:"cols,omitempty"`
-}
-
-// groupWindow is the window of one GROUP BY key.
-type groupWindow struct {
-	Key       float64         `json:"key"`
-	Window    *windowState    `json:"window,omitempty"`
-	ColWindow *colWindowState `json:"col_window,omitempty"`
-}
-
-// QueryState is one registered continuous query: its identity, SQL, and
-// serialized runtime state. Aggregate windows (ungrouped and per group) are
-// written as col_window; the row form, window, is what older checkpoints
-// hold and is still read. Join windows are rows in both directions.
+// QueryState is one registered continuous query: its identity and SQL,
+// and the runtime state core.QueryState serializes. Every window, join
+// sides included, is written in the columnar form stream.ColumnWindowState.
 type QueryState struct {
-	ID        string          `json:"id"`
-	SQL       string          `json:"sql"`
-	Eval      dist.RandState  `json:"eval_rng"`
-	Boot      dist.RandState  `json:"boot_rng"`
-	Stats     core.QueryStats `json:"stats"`
-	Window    *windowState    `json:"window,omitempty"`
-	ColWindow *colWindowState `json:"col_window,omitempty"`
-	Groups    []groupWindow   `json:"groups,omitempty"`
-	JoinLeft  *windowState    `json:"join_left,omitempty"`
-	JoinRight *windowState    `json:"join_right,omitempty"`
-	// Sketch is the sketch-backend window, serialized directly: its state
-	// is plain floats and integers (JSON float64 round-trips are exact), so
-	// no codec translation layer is needed.
-	Sketch *sketch.Window `json:"sketch,omitempty"`
+	ID  string `json:"id"`
+	SQL string `json:"sql"`
+	core.QueryState
 }
 
 // Snapshot is a complete engine checkpoint.
 type Snapshot struct {
-	// Version guards the format; readers reject unknown versions.
+	// Version guards the format: Capture writes version, and Restore also
+	// reads legacyVersion, whose row-form windows Decode converts.
 	Version int `json:"version"`
 	// LSN is the last WAL record reflected in this snapshot; recovery
 	// replays from LSN+1.
@@ -209,7 +159,7 @@ type QueryDef struct {
 // Pass defs in a deterministic order (e.g. sorted by ID) so checkpoint
 // bytes are reproducible.
 func Capture(eng *core.Engine, lsn uint64, defs []QueryDef) (*Snapshot, error) {
-	snap := &Snapshot{Version: 1, LSN: lsn, Seq: eng.Seq(), Degrade: eng.DegradeLevel()}
+	snap := &Snapshot{Version: version, LSN: lsn, Seq: eng.Seq(), Degrade: eng.DegradeLevel()}
 	names := eng.Streams()
 	sort.Strings(names)
 	for _, name := range names {
@@ -224,189 +174,9 @@ func Capture(eng *core.Engine, lsn uint64, defs []QueryDef) (*Snapshot, error) {
 		snap.Streams = append(snap.Streams, ss)
 	}
 	for _, def := range defs {
-		st := def.Query.State()
-		qs := QueryState{
-			ID:     def.ID,
-			SQL:    def.SQL,
-			Eval:   st.Eval,
-			Boot:   st.Boot,
-			Stats:  st.Stats,
-			Sketch: st.Sketch,
-		}
-		var err error
-		if qs.ColWindow, err = encodeColWindow(st.ColWindow); err != nil {
-			return nil, fmt.Errorf("checkpoint: query %s: %w", def.ID, err)
-		}
-		for _, g := range st.Groups {
-			gs := groupWindow{Key: g.Key}
-			if gs.ColWindow, err = encodeColWindow(g.ColWindow); err != nil {
-				return nil, fmt.Errorf("checkpoint: query %s group %g: %w", def.ID, g.Key, err)
-			}
-			qs.Groups = append(qs.Groups, gs)
-		}
-		if qs.JoinLeft, err = encodeWindow(st.JoinLeft); err != nil {
-			return nil, fmt.Errorf("checkpoint: query %s: %w", def.ID, err)
-		}
-		if qs.JoinRight, err = encodeWindow(st.JoinRight); err != nil {
-			return nil, fmt.Errorf("checkpoint: query %s: %w", def.ID, err)
-		}
-		snap.Queries = append(snap.Queries, qs)
+		snap.Queries = append(snap.Queries, QueryState{ID: def.ID, SQL: def.SQL, QueryState: *def.Query.State()})
 	}
 	return snap, nil
-}
-
-func encodeWindow(ws *core.WindowState) (*windowState, error) {
-	if ws == nil {
-		return nil, nil
-	}
-	out := &windowState{Tuples: make([]tupleState, len(ws.Tuples))}
-	for i, t := range ws.Tuples {
-		ts := tupleState{
-			Fields: make([]json.RawMessage, len(t.Fields)),
-			Prob:   t.Prob,
-			ProbN:  t.ProbN,
-			Seq:    t.Seq,
-			Time:   t.Time,
-		}
-		for j, f := range t.Fields {
-			enc, err := codec.EncodeField(f)
-			if err != nil {
-				return nil, err
-			}
-			ts.Fields[j] = enc
-		}
-		out.Tuples[i] = ts
-	}
-	return out, nil
-}
-
-func encodeColWindow(cs *stream.ColumnWindowState) (*colWindowState, error) {
-	if cs == nil {
-		return nil, nil
-	}
-	out := &colWindowState{
-		Prob:  cs.Prob,
-		ProbN: cs.ProbN,
-		Seq:   cs.Seq,
-		Time:  cs.Time,
-		Cols:  make([]colColumnState, len(cs.Cols)),
-	}
-	for c, col := range cs.Cols {
-		oc := colColumnState{
-			Kind: make([]int, len(col.Kind)),
-			Mean: col.Mean,
-			Var:  col.Var,
-			N:    col.N,
-		}
-		for i, k := range col.Kind {
-			oc.Kind[i] = int(k)
-		}
-		for slot, d := range col.Other {
-			enc, err := codec.EncodeDistribution(d)
-			if err != nil {
-				return nil, err
-			}
-			if oc.Other == nil {
-				oc.Other = make(map[string]json.RawMessage, len(col.Other))
-			}
-			oc.Other[strconv.Itoa(slot)] = enc
-		}
-		out.Cols[c] = oc
-	}
-	return out, nil
-}
-
-func decodeColWindow(cw *colWindowState) (*stream.ColumnWindowState, error) {
-	if cw == nil {
-		return nil, nil
-	}
-	out := &stream.ColumnWindowState{
-		Prob:  cw.Prob,
-		ProbN: cw.ProbN,
-		Seq:   cw.Seq,
-		Time:  cw.Time,
-		Cols:  make([]stream.ColumnState, len(cw.Cols)),
-	}
-	// JSON omitempty drops empty arrays; rebuild them so an empty window
-	// round-trips to a structurally valid (zero-length) snapshot.
-	if out.Prob == nil {
-		out.Prob = []float64{}
-	}
-	n := len(out.Prob)
-	if out.ProbN == nil {
-		out.ProbN = make([]int, n)
-	}
-	if out.Seq == nil {
-		out.Seq = make([]uint64, n)
-	}
-	if out.Time == nil {
-		out.Time = make([]int64, n)
-	}
-	for c, col := range cw.Cols {
-		oc := stream.ColumnState{
-			Kind: make([]uint8, len(col.Kind)),
-			Mean: col.Mean,
-			Var:  col.Var,
-			N:    col.N,
-		}
-		for i, k := range col.Kind {
-			if k < 0 || k > 255 {
-				return nil, fmt.Errorf("checkpoint: columnar window column %d slot %d kind %d out of range", c, i, k)
-			}
-			oc.Kind[i] = uint8(k)
-		}
-		m := len(oc.Kind)
-		if oc.Mean == nil {
-			oc.Mean = make([]float64, m)
-		}
-		if oc.Var == nil {
-			oc.Var = make([]float64, m)
-		}
-		if oc.N == nil {
-			oc.N = make([]int, m)
-		}
-		for key, raw := range col.Other {
-			slot, err := strconv.Atoi(key)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: columnar window column %d bad slot key %q", c, key)
-			}
-			d, err := codec.DecodeDistribution(raw)
-			if err != nil {
-				return nil, err
-			}
-			if oc.Other == nil {
-				oc.Other = make(map[int]dist.Distribution, len(col.Other))
-			}
-			oc.Other[slot] = d
-		}
-		out.Cols[c] = oc
-	}
-	return out, nil
-}
-
-func decodeWindow(ws *windowState) (*core.WindowState, error) {
-	if ws == nil {
-		return nil, nil
-	}
-	out := &core.WindowState{Tuples: make([]core.TupleState, len(ws.Tuples))}
-	for i, t := range ws.Tuples {
-		ts := core.TupleState{
-			Fields: make([]randvar.Field, len(t.Fields)),
-			Prob:   t.Prob,
-			ProbN:  t.ProbN,
-			Seq:    t.Seq,
-			Time:   t.Time,
-		}
-		for j, raw := range t.Fields {
-			f, err := codec.DecodeField(raw)
-			if err != nil {
-				return nil, err
-			}
-			ts.Fields[j] = f
-		}
-		out.Tuples[i] = ts
-	}
-	return out, nil
 }
 
 // RestoredQuery is one query rebuilt by Restore.
@@ -424,7 +194,7 @@ func Restore(eng *core.Engine, snap *Snapshot) ([]RestoredQuery, error) {
 	if snap == nil {
 		return nil, errors.New("checkpoint: nil snapshot")
 	}
-	if snap.Version != 1 {
+	if snap.Version != version && snap.Version != legacyVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", snap.Version)
 	}
 	for _, ss := range snap.Streams {
@@ -446,40 +216,7 @@ func Restore(eng *core.Engine, snap *Snapshot) ([]RestoredQuery, error) {
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: recompiling query %s: %w", qs.ID, err)
 		}
-		st := &core.QueryState{Eval: qs.Eval, Boot: qs.Boot, Stats: qs.Stats, Sketch: qs.Sketch}
-		if st.Window, err = decodeWindow(qs.Window); err != nil {
-			return nil, fmt.Errorf("checkpoint: query %s: %w", qs.ID, err)
-		}
-		if st.ColWindow, err = decodeColWindow(qs.ColWindow); err != nil {
-			return nil, fmt.Errorf("checkpoint: query %s: %w", qs.ID, err)
-		}
-		for _, g := range qs.Groups {
-			gs := core.GroupWindowState{Key: g.Key}
-			if g.ColWindow != nil {
-				cw, err := decodeColWindow(g.ColWindow)
-				if err != nil {
-					return nil, fmt.Errorf("checkpoint: query %s group %g: %w", qs.ID, g.Key, err)
-				}
-				gs.ColWindow = cw
-			} else {
-				gw, err := decodeWindow(g.Window)
-				if err != nil {
-					return nil, fmt.Errorf("checkpoint: query %s group %g: %w", qs.ID, g.Key, err)
-				}
-				if gw == nil {
-					gw = &core.WindowState{Tuples: []core.TupleState{}}
-				}
-				gs.Window = *gw
-			}
-			st.Groups = append(st.Groups, gs)
-		}
-		if st.JoinLeft, err = decodeWindow(qs.JoinLeft); err != nil {
-			return nil, fmt.Errorf("checkpoint: query %s: %w", qs.ID, err)
-		}
-		if st.JoinRight, err = decodeWindow(qs.JoinRight); err != nil {
-			return nil, fmt.Errorf("checkpoint: query %s: %w", qs.ID, err)
-		}
-		if err := q.SetState(st); err != nil {
+		if err := q.SetState(&qs.QueryState); err != nil {
 			return nil, fmt.Errorf("checkpoint: query %s: %w", qs.ID, err)
 		}
 		out = append(out, RestoredQuery{ID: qs.ID, SQL: qs.SQL, Query: q})
@@ -512,6 +249,11 @@ func Decode(data []byte) (*Snapshot, error) {
 	var snap Snapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if snap.Version == legacyVersion {
+		if err := decodeRows(payload, &snap); err != nil {
+			return nil, err
+		}
 	}
 	return &snap, nil
 }

@@ -105,8 +105,8 @@ func TestCaptureRestoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
 	}
-	if snap.LSN != 42 || snap.Version != 1 || len(snap.Streams) != 1 || len(snap.Queries) != 1 {
-		t.Fatalf("snapshot = %+v, want lsn 42, 1 stream, 1 query", snap)
+	if snap.LSN != 42 || snap.Version != version || len(snap.Streams) != 1 || len(snap.Queries) != 1 {
+		t.Fatalf("snapshot = %+v, want version %d, lsn 42, 1 stream, 1 query", snap, version)
 	}
 
 	// Round-trip through the on-disk encoding to prove serialization is
@@ -211,13 +211,21 @@ func flipLastByte(data []byte) []byte {
 	return out
 }
 
+// TestRestoreRejectsUnknownVersion accepts the version Capture writes and
+// the legacy one, and refuses any other.
 func TestRestoreRejectsUnknownVersion(t *testing.T) {
+	for _, v := range []int{1, 2, 3} {
+		eng, err := core.NewEngine(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(eng, &Snapshot{Version: v}); (err == nil) != (v <= 2) {
+			t.Fatalf("Restore of version %d: %v", v, err)
+		}
+	}
 	eng, err := core.NewEngine(testConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Restore(eng, &Snapshot{Version: 99}); err == nil {
-		t.Fatal("Restore accepted an unknown snapshot version")
 	}
 	if _, err := Restore(eng, nil); err == nil {
 		t.Fatal("Restore accepted a nil snapshot")
@@ -351,5 +359,62 @@ func TestLatestRawRoundTrip(t *testing.T) {
 	}
 	if snap.LSN != 17 || snap.Seq != 8 {
 		t.Fatalf("decoded snapshot = LSN %d Seq %d, want 17/8", snap.LSN, snap.Seq)
+	}
+}
+
+// TestCaptureDetached encodes a capture again after its queries moved on —
+// ungrouped, GROUP BY, join and sketch, past wrapped rings, new group keys
+// and new histogram slots — and demands the bytes it encoded right after
+// the capture.
+func TestCaptureDetached(t *testing.T) {
+	fx := joinFixture
+	fx.queries = append([][2]string{
+		{"qavg", "SELECT AVG(val) AS a FROM temps WINDOW 4 ROWS"},
+		{"qgroup", "SELECT key, SUM(val) AS s FROM temps GROUP BY key WINDOW 3 ROWS"},
+		{"qsketch", "SELECT COUNT(val) AS c, AVG(val) AS a FROM temps WINDOW 6 ROWS BACKEND SKETCH"},
+	}, fx.queries...)
+	eng := fx.engine(t)
+	defs := make([]QueryDef, len(fx.queries))
+	for i, q := range fx.queries {
+		cq, err := eng.Compile(q[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs[i] = QueryDef{ID: q[0], SQL: cq.String(), Query: cq}
+	}
+	push := func(from, to int) {
+		for i := from; i < to; i++ {
+			tup := fx.tuple(t, eng, i)
+			for _, d := range defs {
+				if tup.Schema.Name != "temps" && !strings.Contains(d.SQL, "JOIN") {
+					continue
+				}
+				if _, err := d.Query.Push(tup); err != nil {
+					t.Fatalf("tuple %d into %s: %v", i, d.ID, err)
+				}
+			}
+		}
+	}
+	push(0, 7)
+	snap, err := Capture(eng, 7, defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"col_window"`, `"groups"`, `"col_join_left"`, `"sketch"`} {
+		if !strings.Contains(string(want), key) {
+			t.Fatalf("capture holds no %s", key)
+		}
+	}
+	push(7, 60)
+	got, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("capture changed as its queries were pushed:\n got: %s\nwant: %s", got[headerLen:], want[headerLen:])
 	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 var genFixtures = flag.Bool("gen-fixtures", false,
-	"rewrite testdata/join_windows.* and testdata/sketch_prob.* from the current engine")
+	"rewrite testdata/join_columns.* from the current engine")
 
 // A pinned fixture is a checkpoint a given engine wrote after captureAt
 // tuples, and what that engine emitted for tuples captureAt..end afterwards
@@ -27,11 +27,17 @@ type pinnedFixture struct {
 	queries   [][2]string // id, SQL
 	captureAt int
 	end       int
+	// current marks the fixture this engine writes, which -gen-fixtures
+	// rewrites; every other one shows that what an earlier engine wrote
+	// still restores, and is never rewritten.
+	current bool
 }
 
 var (
 	// Two joins: WINDOW 3 ROWS has both sides full (and wrapped) at the
-	// capture, WINDOW 40 ROWS both part-full.
+	// capture, WINDOW 40 ROWS both part-full. join_windows holds the sides
+	// as rows, the legacy form; join_columns is the same run's checkpoint
+	// as this engine writes it.
 	joinFixture = pinnedFixture{
 		name:    "join_windows",
 		streams: []string{"temps", "hums"},
@@ -41,6 +47,26 @@ var (
 		},
 		captureAt: 20,
 		end:       50,
+	}
+	joinColumnsFixture = func() pinnedFixture {
+		fx := joinFixture
+		fx.name, fx.current = "join_columns", true
+		return fx
+	}()
+	// A count window, GROUP BY over count and span windows, and a span
+	// window, with histogram values in Other slots, as a version-1 engine
+	// checkpointed them.
+	aggregateFixture = pinnedFixture{
+		name:    "aggregate_windows",
+		streams: []string{"temps"},
+		queries: [][2]string{
+			{"qcount", "SELECT AVG(val) AS a, COUNT(key) AS c FROM temps WINDOW 5 ROWS"},
+			{"qgroup", "SELECT key, SUM(val) AS s FROM temps GROUP BY key WINDOW 3 ROWS"},
+			{"qspan", "SELECT AVG(val) AS a, MAX(val) AS hi FROM temps WINDOW 10 SECONDS"},
+			{"qgspan", "SELECT key, AVG(val) AS a FROM temps GROUP BY key WINDOW 8 SECONDS"},
+		},
+		captureAt: 18,
+		end:       45,
 	}
 	sketchFixture = pinnedFixture{
 		name:    "sketch_prob",
@@ -182,11 +208,12 @@ func (fx pinnedFixture) restore(t *testing.T, data []byte) (*core.Engine, []Quer
 	return eng, defs
 }
 
-// load reads the fixture, or rewrites it first under -gen-fixtures.
+// load reads the fixture, rewriting a current one first under
+// -gen-fixtures.
 func (fx pinnedFixture) load(t *testing.T) (ck []byte, golden string) {
 	t.Helper()
 	path := "testdata/" + fx.name
-	if *genFixtures {
+	if *genFixtures && fx.current {
 		ck, golden := fx.write(t)
 		if err := os.WriteFile(path+".ck", ck, 0o644); err != nil {
 			t.Fatal(err)
@@ -219,26 +246,60 @@ func diffLines(t *testing.T, what, got, want string) {
 	}
 }
 
-// TestJoinWindowFixture pins join state across checkpoints against a
-// checkpoint an earlier engine wrote: a fresh run writes the same bytes,
-// the restored engine captures them again unchanged, and it goes on to
-// emit what the writing engine emitted.
+// TestJoinWindowFixture pins join state across checkpoints. join_windows,
+// which an earlier engine wrote with both joins' sides as rows, restores,
+// captures again as exactly join_columns and goes on to emit what its
+// writer emitted; a fresh run writes join_columns, whose golden lines are
+// join_windows', and it restores and re-captures unchanged.
 func TestJoinWindowFixture(t *testing.T) {
-	fx := joinFixture
-	ck, golden := fx.load(t)
-	if strings.Count(string(ck), `"join_left"`) != 2 || strings.Count(string(ck), `"join_right"`) != 2 {
-		t.Fatal("fixture does not hold two joins' windows")
+	legacy, legacyGolden := joinFixture.load(t)
+	if strings.Count(string(legacy), `"join_left"`) != 2 || strings.Count(string(legacy), `"join_right"`) != 2 {
+		t.Fatal("legacy fixture does not hold two joins' windows as rows")
 	}
+	fx := joinColumnsFixture
+	ck, golden := fx.load(t)
+	if strings.Count(string(ck), `"col_join_left"`) != 2 || strings.Count(string(ck), `"col_join_right"`) != 2 ||
+		strings.Contains(string(ck), `"join_left"`) {
+		t.Fatal("fixture does not hold two joins' windows in columns only")
+	}
+	diffLines(t, "columnar fixture's golden", golden, legacyGolden)
 	fresh, freshGolden := fx.write(t)
 	if !bytes.Equal(fresh, ck) {
 		t.Fatalf("this engine checkpoints the fixture's run differently:\n got: %s\nwant: %s", fresh[headerLen:], ck[headerLen:])
 	}
 	diffLines(t, "fresh run", freshGolden, golden)
 
-	eng, defs := fx.restore(t, ck)
-	if re := fx.capture(t, eng, defs); !bytes.Equal(re, ck) {
-		t.Fatalf("restored engine re-captures differently:\n got: %s\nwant: %s", re[headerLen:], ck[headerLen:])
+	for _, from := range []struct {
+		name string
+		ck   []byte
+	}{{"legacy", legacy}, {"columnar", ck}} {
+		eng, defs := fx.restore(t, from.ck)
+		if re := fx.capture(t, eng, defs); !bytes.Equal(re, ck) {
+			t.Fatalf("engine restored from the %s fixture re-captures differently:\n got: %s\nwant: %s", from.name, re[headerLen:], ck[headerLen:])
+		}
+		diffLines(t, "continuation after restoring the "+from.name+" fixture", fx.push(t, eng, defs, fx.captureAt, fx.end), golden)
 	}
+}
+
+// TestAggregateWindowFixture holds aggregate windows to the bytes a
+// version-1 engine wrote for them: a fresh run's checkpoint differs from
+// that engine's only in its version, and the restored fixture goes on to
+// emit what its writer emitted.
+func TestAggregateWindowFixture(t *testing.T) {
+	fx := aggregateFixture
+	ck, golden := fx.load(t)
+	for _, key := range []string{`"col_window"`, `"groups"`, `"other"`} {
+		if !bytes.Contains(ck, []byte(key)) {
+			t.Fatalf("fixture holds no %s", key)
+		}
+	}
+	fresh, freshGolden := fx.write(t)
+	want := bytes.Replace(ck[headerLen:], []byte(`{"version":1,`), []byte(`{"version":2,`), 1)
+	if !bytes.Equal(fresh[headerLen:], want) {
+		t.Fatalf("this engine checkpoints aggregate windows differently:\n got: %s\nwant: %s", fresh[headerLen:], want)
+	}
+	diffLines(t, "fresh run", freshGolden, golden)
+	eng, defs := fx.restore(t, ck)
 	diffLines(t, "continuation after restore", fx.push(t, eng, defs, fx.captureAt, fx.end), golden)
 }
 

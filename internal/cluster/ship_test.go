@@ -101,6 +101,62 @@ func TestSnapshotCatchup(t *testing.T) {
 	compareReplies(t, pr, fc, "STATS q1", "STATS q2")
 }
 
+// A follower that bootstraps from SNAP while two joins hold windows, one
+// full and wrapped on both sides and one part-full, restores those windows
+// exactly: every DATA line it sends a subscriber afterwards is the
+// primary's, byte for byte.
+func TestSnapshotJoinCatchup(t *testing.T) {
+	p := startPrimary(t, 1, 4, 256)
+	pc := dialRaw(t, p.addr)
+	pc.mustOK("STREAM temps key val:dist")
+	pc.mustOK("STREAM hums key val:dist")
+	queries := []string{"qfull", "qpart"}
+	pc.mustOK("QUERY qfull SELECT temps.val, hums.val FROM temps JOIN hums ON key = key WINDOW 3 ROWS")
+	pc.mustOK("QUERY qpart SELECT (temps.val + hums.val) / 2 AS mix FROM temps JOIN hums ON temps.key = hums.key WHERE hums.val > 11 WINDOW 40 ROWS")
+	// insert feeds tuples [from, to) and returns the DATA lines the
+	// primary sent their owner.
+	insert := func(from, to int) []string {
+		var data []string
+		for i := from; i < to; i++ {
+			name, val := "temps", fmt.Sprintf("N(%d,2.5,%d)", 10+i%13, 20+i%5)
+			if i%3 == 2 {
+				name, val = "hums", strconv.Itoa(12+i%7)
+			}
+			out := pc.mustOK(fmt.Sprintf("INSERT %s %d %s", name, i%4, val))
+			data = append(data, out[:len(out)-1]...)
+		}
+		return data
+	}
+	if len(insert(0, 24)) == 0 {
+		t.Fatal("the joins emitted nothing before the snapshot")
+	}
+	oldest, err := p.srv.WAL().OldestLSN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldest <= 1 {
+		t.Fatalf("workload did not truncate the WAL (oldest=%d); snapshot path untested", oldest)
+	}
+
+	f := startFollower(t, 1, p.shipAddr)
+	waitCaughtUp(t, p, f)
+	fc := dialRaw(t, f.addr)
+	for _, q := range queries {
+		fc.mustOK("SUBSCRIBE " + q)
+	}
+	want := insert(24, 60)
+	if len(want) < 20 {
+		t.Fatalf("the joins emitted %d DATA lines after the snapshot, want more to compare", len(want))
+	}
+	waitCaughtUp(t, p, f)
+	for i, line := range want {
+		if got := fc.line(); got != line {
+			t.Fatalf("DATA line %d diverged:\n follower: %s\n  primary: %s", i, got, line)
+		}
+	}
+	compareReplies(t, dialRaw(t, p.addr), dialRaw(t, f.addr), "STATS qfull", "STATS qpart")
+}
+
 // A checkpoint larger than the ship line cap still bootstraps a follower:
 // the SNAP body is framed by its announced length, not read as a line.
 // Seventeen queries with distinct windows each keep their own copy of 30

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/dist"
 	"repro/internal/plan"
 	"repro/internal/randvar"
@@ -115,64 +113,13 @@ func (r *routeRun) feed(t *testing.T, e *Engine) {
 	}
 }
 
-// stateBytes renders a query's checkpoint state the way a checkpoint keeps
-// it: distributions through the codec, everything else as JSON.
+// stateBytes renders a query's checkpoint state as a checkpoint stores it.
 func stateBytes(t *testing.T, q *Query) []byte {
 	t.Helper()
-	st := q.State()
-	var b []byte
-	add := func(v any) {
-		j, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = append(b, j...)
+	b, err := json.Marshal(q.State())
+	if err != nil {
+		t.Fatal(err)
 	}
-	addDist := func(d dist.Distribution) {
-		enc, err := codec.EncodeDistribution(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = append(b, enc...)
-	}
-	colWin := func(cs *stream.ColumnWindowState) {
-		if cs == nil {
-			return
-		}
-		add([]any{cs.Prob, cs.ProbN, cs.Seq, cs.Time})
-		for _, c := range cs.Cols {
-			add([]any{c.Kind, c.Mean, c.Var, c.N})
-			slots := make([]int, 0, len(c.Other))
-			for s := range c.Other {
-				slots = append(slots, s)
-			}
-			sort.Ints(slots)
-			for _, s := range slots {
-				add(s)
-				addDist(c.Other[s])
-			}
-		}
-	}
-	rowWin := func(ws *WindowState) {
-		if ws == nil {
-			return
-		}
-		for _, tp := range ws.Tuples {
-			add([]any{tp.Prob, tp.ProbN, tp.Seq, tp.Time})
-			for _, f := range tp.Fields {
-				add(f.N)
-				addDist(f.Dist)
-			}
-		}
-	}
-	add([]any{st.Eval, st.Boot, st.Stats})
-	colWin(st.ColWindow)
-	for _, g := range st.Groups {
-		add(g.Key)
-		colWin(g.ColWindow)
-	}
-	rowWin(st.JoinLeft)
-	rowWin(st.JoinRight)
 	return b
 }
 

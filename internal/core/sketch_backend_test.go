@@ -210,7 +210,7 @@ func TestSketchSnapshotRoundTrip(t *testing.T) {
 	if st.Sketch == nil {
 		t.Fatal("sketch query state has no sketch window")
 	}
-	if st.Window != nil || st.ColWindow != nil {
+	if st.ColWindow != nil {
 		t.Fatal("sketch query state carries a materialized window")
 	}
 	eB := newTestEngine(t, sketchConfig())

@@ -6,42 +6,23 @@ import (
 	"sort"
 
 	"repro/internal/dist"
-	"repro/internal/randvar"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
 // This file is the engine half of the durability subsystem: it exposes the
 // complete runtime state of a compiled Query — window contents, per-group
-// windows, join windows, RNG states, counters — as plain serializable
-// structs, and restores them into a freshly compiled query. The checkpoint
-// package handles the on-disk encoding (distributions travel through
-// internal/codec); this layer guarantees that a restored query is
-// observationally identical to the captured one: every subsequent Push
-// draws the same variates and emits the same results bit-for-bit.
+// windows, join windows, RNG states, counters — as one plain value whose
+// JSON form is what a checkpoint stores, and restores it into a freshly
+// compiled query. Every window travels as a stream.ColumnWindowState. This
+// layer guarantees that a restored query is observationally identical to
+// the captured one: every subsequent Push draws the same variates and emits
+// the same results bit-for-bit.
 
-// TupleState is the serializable state of one windowed tuple.
-type TupleState struct {
-	Fields []randvar.Field
-	Prob   float64
-	ProbN  int
-	Seq    uint64
-	Time   int64
-}
-
-// WindowState is the serializable contents of one sliding window in row
-// form, oldest-first: what join windows are captured as, and what
-// checkpoints written before aggregate windows were columnar hold.
-type WindowState struct {
-	Tuples []TupleState
-}
-
-// GroupWindowState is the window of one GROUP BY key. State fills
-// ColWindow; SetState also accepts the legacy row form in Window.
+// GroupWindowState is the window of one GROUP BY key.
 type GroupWindowState struct {
-	Key       float64
-	Window    WindowState
-	ColWindow *stream.ColumnWindowState
+	Key       float64                   `json:"key"`
+	ColWindow *stream.ColumnWindowState `json:"col_window,omitempty"`
 }
 
 // QueryState is the complete mutable state of a compiled Query. Everything
@@ -50,31 +31,27 @@ type GroupWindowState struct {
 // determine future behavior.
 type QueryState struct {
 	// Eval is the state of the expression evaluator's Monte Carlo RNG.
-	Eval dist.RandState
+	Eval dist.RandState `json:"eval_rng"`
 	// Boot is the state of the bootstrap accuracy sampler's RNG.
-	Boot dist.RandState
+	Boot dist.RandState `json:"boot_rng"`
 	// Stats are the query counters.
-	Stats QueryStats
+	Stats QueryStats `json:"stats"`
 	// ColWindow holds the ungrouped aggregate window (count- or
 	// time-based), nil when the query has none.
-	ColWindow *stream.ColumnWindowState
-	// Window is the legacy row form of ColWindow: State never fills it,
-	// SetState restores from either, so checkpoints written before
-	// aggregate windows were columnar still recover.
-	Window *WindowState
+	ColWindow *stream.ColumnWindowState `json:"col_window,omitempty"`
 	// Groups holds per-key windows of GROUP BY queries, sorted by key.
-	Groups []GroupWindowState
+	Groups []GroupWindowState `json:"groups,omitempty"`
 	// JoinLeft and JoinRight hold the symmetric join windows.
-	JoinLeft  *WindowState
-	JoinRight *WindowState
+	JoinLeft  *stream.ColumnWindowState `json:"col_join_left,omitempty"`
+	JoinRight *stream.ColumnWindowState `json:"col_join_right,omitempty"`
 	// Sketch holds the sketch-backend window (BACKEND SKETCH queries);
-	// mutually exclusive with the materialized window forms.
-	Sketch *sketch.Window
+	// mutually exclusive with the materialized window forms. Its state is
+	// plain floats and integers, which JSON round-trips exactly.
+	Sketch *sketch.Window `json:"sketch,omitempty"`
 }
 
-// State captures the query's complete mutable state. The returned structs
-// reference the query's live tuples and must be consumed (serialized)
-// before the query is pushed again.
+// State captures the query's complete mutable state as a value detached
+// from the query: pushing the query again leaves it unchanged.
 func (q *Query) State() *QueryState {
 	st := &QueryState{
 		Eval:  q.ev.RNG().State(),
@@ -98,24 +75,10 @@ func (q *Query) State() *QueryState {
 		}
 	}
 	if q.join != nil {
-		st.JoinLeft = windowState(q.join.leftWin.Tuples())
-		st.JoinRight = windowState(q.join.rightWin.Tuples())
+		st.JoinLeft = q.join.leftWin.State()
+		st.JoinRight = q.join.rightWin.State()
 	}
 	return st
-}
-
-func windowState(tuples []*stream.Tuple) *WindowState {
-	ws := &WindowState{Tuples: make([]TupleState, len(tuples))}
-	for i, t := range tuples {
-		ws.Tuples[i] = TupleState{
-			Fields: t.Fields,
-			Prob:   t.Prob,
-			ProbN:  t.ProbN,
-			Seq:    t.Seq,
-			Time:   t.Time,
-		}
-	}
-	return ws
 }
 
 // SetState restores a state captured with State into a freshly compiled
@@ -154,11 +117,11 @@ func (q *Query) SetState(st *QueryState) error {
 		}
 		g.sk = st.Sketch.Clone()
 	}
-	if st.Window != nil || st.ColWindow != nil {
+	if st.ColWindow != nil {
 		if g.win == nil {
 			return errors.New("core: window state for a query without an ungrouped window")
 		}
-		if err := restoreWindow(g.win, q.in, st.Window, st.ColWindow); err != nil {
+		if err := restoreWindow(g.win, q.in, st.ColWindow); err != nil {
 			return err
 		}
 	}
@@ -171,7 +134,7 @@ func (q *Query) SetState(st *QueryState) error {
 			if err != nil {
 				return err
 			}
-			if err := restoreWindow(w, q.in, &gs.Window, gs.ColWindow); err != nil {
+			if err := restoreWindow(w, q.in, gs.ColWindow); err != nil {
 				return err
 			}
 			g.groups[gs.Key] = w
@@ -181,53 +144,25 @@ func (q *Query) SetState(st *QueryState) error {
 		if q.join == nil {
 			return errors.New("core: join state for a non-join query")
 		}
-		if err := restoreWindow(q.join.leftWin, q.join.leftSchema, st.JoinLeft, nil); err != nil {
+		if err := restoreWindow(q.join.leftWin, q.join.leftSchema, st.JoinLeft); err != nil {
 			return err
 		}
-		if err := restoreWindow(q.join.rightWin, q.join.rightSchema, st.JoinRight, nil); err != nil {
+		if err := restoreWindow(q.join.rightWin, q.join.rightSchema, st.JoinRight); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// restoreWindow loads a captured window into w: the columnar form cs when
-// there is one, else the row form ws. It leaves w as it is when neither
-// was captured.
-func restoreWindow(w *stream.ColumnWindow, schema *stream.Schema, ws *WindowState, cs *stream.ColumnWindowState) error {
-	var tuples []*stream.Tuple
-	var err error
-	switch {
-	case cs != nil:
-		if tuples, err = cs.Tuples(schema); err != nil {
-			return fmt.Errorf("core: restoring columnar window: %w", err)
-		}
-	case ws != nil:
-		if tuples, err = restoreTuples(schema, ws); err != nil {
-			return err
-		}
-	default:
+// restoreWindow loads a captured window into w, validating every tuple
+// against schema. It leaves w as it is when no window was captured.
+func restoreWindow(w *stream.ColumnWindow, schema *stream.Schema, cs *stream.ColumnWindowState) error {
+	if cs == nil {
 		return nil
 	}
-	return w.RestoreTuples(tuples)
-}
-
-// restoreTuples rebuilds window tuples against schema, revalidating each.
-func restoreTuples(schema *stream.Schema, ws *WindowState) ([]*stream.Tuple, error) {
-	out := make([]*stream.Tuple, len(ws.Tuples))
-	for i, ts := range ws.Tuples {
-		t := &stream.Tuple{
-			Schema: schema,
-			Fields: ts.Fields,
-			Prob:   ts.Prob,
-			ProbN:  ts.ProbN,
-			Seq:    ts.Seq,
-			Time:   ts.Time,
-		}
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("core: restoring window tuple %d: %w", i, err)
-		}
-		out[i] = t
+	tuples, err := cs.Tuples(schema)
+	if err != nil {
+		return fmt.Errorf("core: restoring columnar window: %w", err)
 	}
-	return out, nil
+	return w.RestoreTuples(tuples)
 }

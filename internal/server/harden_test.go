@@ -94,6 +94,57 @@ func TestMaxConnsAdmission(t *testing.T) {
 	}
 }
 
+// TestMaxConnsRefusedHoldNoSlot serves net.Pipe sessions under MaxConns 1:
+// B, refused while A holds the slot, never reads its ERR, so its handler
+// stays blocked in the write. Once A has gone, C is admitted all the same.
+func TestMaxConnsRefusedHoldNoSlot(t *testing.T) {
+	eng, err := core.NewEngine(core.Config{Method: core.AccuracyBootstrap, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetOptions(Options{MaxConns: 1, WriteTimeout: time.Minute})
+	dial := func() net.Conn {
+		client, server := net.Pipe()
+		srv.ServeConn(server)
+		return client
+	}
+	ping := func(c net.Conn) string {
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		fmt.Fprintf(c, "PING\n")
+		line, _ := bufio.NewReader(c).ReadString('\n')
+		return line
+	}
+	wait := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	a := dial()
+	if line := ping(a); line != "OK pong\n" {
+		t.Fatalf("A got %q", line)
+	}
+	rejected := mConnsRejected.Value()
+	b := dial()
+	wait("B's refusal", func() bool { return mConnsRejected.Value() > rejected })
+	a.Close()
+	wait("A's handler to end", func() bool { return srv.Live() == 1 })
+	c := dial()
+	if line := ping(c); line != "OK pong\n" {
+		t.Fatalf("C, arriving after A left, got %q", line)
+	}
+	c.Close()
+	b.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIdleTimeout(t *testing.T) {
 	_, addr := startServerOpts(t, Options{IdleTimeout: 50 * time.Millisecond})
 	idle := mIdleTimeouts.Value()

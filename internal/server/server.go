@@ -51,6 +51,9 @@ type Server struct {
 
 	opts  Options      // robustness limits; set before Serve
 	dedup *dedupWindow // idempotent-request window (see dedup.go)
+	// admitted counts the connections MaxConns admission let in and whose
+	// handlers still run; a refused connection never holds a slot.
+	admitted atomic.Int64
 	// registering counts live @reqid ingests journaled but not yet in
 	// dedup; maybeCheckpoint waits them out under Exclusive, when no
 	// commit can add one.
@@ -464,15 +467,18 @@ func (s *Server) handle(nc net.Conn) {
 			s.logf("conn from %s: panic: %v\n%s", nc.RemoteAddr(), r, debug.Stack())
 		}
 	}()
-	// The live count includes this connection.
-	if limit := s.opts.MaxConns; limit > 0 && s.Live() > limit {
-		mConnsRejected.Inc()
-		s.logf("conn from %s: rejected, at connection limit (%d)", nc.RemoteAddr(), limit)
-		if s.opts.WriteTimeout > 0 {
-			nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+	if limit := s.opts.MaxConns; limit > 0 {
+		if s.admitted.Add(1) > int64(limit) {
+			s.admitted.Add(-1)
+			mConnsRejected.Inc()
+			s.logf("conn from %s: rejected, at connection limit (%d)", nc.RemoteAddr(), limit)
+			if s.opts.WriteTimeout > 0 {
+				nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+			}
+			fmt.Fprintf(nc, "ERR server at connection limit (%d)\n", limit)
+			return
 		}
-		fmt.Fprintf(nc, "ERR server at connection limit (%d)\n", limit)
-		return
+		defer s.admitted.Add(-1)
 	}
 	s.mu.Lock()
 	c := s.newConnLocked(nc)

@@ -1,9 +1,13 @@
 package stream
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
+	"repro/internal/codec"
 	"repro/internal/dist"
 	"repro/internal/randvar"
 )
@@ -61,12 +65,11 @@ type winColumn struct {
 // fields in that order for Aggregate. A join probes a side's window
 // through Probe.
 type ColumnWindow struct {
-	schema *Schema
-	head   int // slot index of the oldest tuple
-	count  int
-	size   int   // ring capacity
-	limit  int   // the count rule's n, which size grows to; math.MaxInt under the span rule
-	span   int64 // > 0 selects the span rule
+	head  int // slot index of the oldest tuple
+	count int
+	size  int   // ring capacity
+	limit int   // the count rule's n, which size grows to; math.MaxInt under the span rule
+	span  int64 // > 0 selects the span rule
 
 	prob  []float64
 	probN []int
@@ -85,7 +88,10 @@ func NewColumnWindow(schema *Schema, size int) (*ColumnWindow, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("stream: count window size %d, need ≥ 1", size)
 	}
-	return newColumnWindow(schema, min(size, initialCap), size, 0)
+	if schema == nil {
+		return nil, errNilSchema
+	}
+	return newColumnWindow(schema.Arity(), min(size, initialCap), size, 0), nil
 }
 
 // NewSpanColumnWindow returns a columnar window over schema holding the
@@ -94,23 +100,24 @@ func NewSpanColumnWindow(schema *Schema, span int64) (*ColumnWindow, error) {
 	if span <= 0 {
 		return nil, fmt.Errorf("stream: time window span %d, need > 0", span)
 	}
-	return newColumnWindow(schema, initialCap, math.MaxInt, span)
+	if schema == nil {
+		return nil, errNilSchema
+	}
+	return newColumnWindow(schema.Arity(), initialCap, math.MaxInt, span), nil
 }
 
-func newColumnWindow(schema *Schema, size, limit int, span int64) (*ColumnWindow, error) {
-	if schema == nil {
-		return nil, fmt.Errorf("stream: column window with nil schema")
-	}
+var errNilSchema = errors.New("stream: column window with nil schema")
+
+func newColumnWindow(arity, size, limit int, span int64) *ColumnWindow {
 	w := &ColumnWindow{
-		schema: schema,
-		size:   size,
-		limit:  limit,
-		span:   span,
-		prob:   make([]float64, size),
-		probN:  make([]int, size),
-		seq:    make([]uint64, size),
-		time:   make([]int64, size),
-		cols:   make([]winColumn, schema.Arity()),
+		size:  size,
+		limit: limit,
+		span:  span,
+		prob:  make([]float64, size),
+		probN: make([]int, size),
+		seq:   make([]uint64, size),
+		time:  make([]int64, size),
+		cols:  make([]winColumn, arity),
 	}
 	for i := range w.cols {
 		w.cols[i] = winColumn{
@@ -120,7 +127,7 @@ func newColumnWindow(schema *Schema, size, limit int, span int64) (*ColumnWindow
 			n:    make([]int, size),
 		}
 	}
-	return w, nil
+	return w
 }
 
 // Len returns the number of tuples currently in the window.
@@ -480,30 +487,6 @@ func (w *ColumnWindow) Probe(c int, key float64, pre, post []randvar.Field, fn f
 	return nil
 }
 
-// Tuples materializes the window contents oldest-first as fresh tuples, in
-// the row form checkpoints hold join windows in. The returned tuples are
-// owned by the caller; non-Gaussian Dist pointers are shared with the
-// window but immutable.
-func (w *ColumnWindow) Tuples() []*Tuple {
-	out := make([]*Tuple, w.count)
-	for i := range out {
-		slot := w.slot(i)
-		fields := make([]randvar.Field, len(w.cols))
-		for c := range w.cols {
-			fields[c] = w.cols[c].field(slot)
-		}
-		out[i] = &Tuple{
-			Schema: w.schema,
-			Fields: fields,
-			Prob:   w.prob[slot],
-			ProbN:  w.probN[slot],
-			Seq:    w.seq[slot],
-			Time:   w.time[slot],
-		}
-	}
-	return out
-}
-
 // RestoreTuples replaces the window contents with tuples (oldest-first),
 // e.g. when a checkpointed window is reloaded during crash recovery. The
 // contents are restored exactly as captured — no eviction is applied — so a
@@ -549,24 +532,107 @@ func (w *ColumnWindow) reset() {
 }
 
 // ColumnWindowState is the serializable, linearized (oldest-first) form of
-// a ColumnWindow — the columnar snapshot exchanged with the checkpoint
-// layer. All slices have the same length (the live tuple count); Other
-// maps slot index → distribution for slots whose Kind is slotOther.
+// a ColumnWindow: the one form a checkpoint writes every window in. All
+// slices have the same length (the live tuple count); Other maps slot
+// index → distribution for slots whose Kind is slotOther. An empty window
+// omits its empty arrays, which decode as nil and validate as length 0.
 type ColumnWindowState struct {
-	Prob  []float64
-	ProbN []int
-	Seq   []uint64
-	Time  []int64
-	Cols  []ColumnState
+	Prob  []float64     `json:"prob,omitempty"`
+	ProbN []int         `json:"prob_n,omitempty"`
+	Seq   []uint64      `json:"seq,omitempty"`
+	Time  []int64       `json:"time,omitempty"`
+	Cols  []ColumnState `json:"cols,omitempty"`
 }
 
 // ColumnState is one column of a ColumnWindowState.
 type ColumnState struct {
-	Kind  []uint8
-	Mean  []float64
-	Var   []float64
-	N     []int
-	Other map[int]dist.Distribution
+	Kind  SlotKinds `json:"kind"`
+	Mean  []float64 `json:"mean,omitempty"`
+	Var   []float64 `json:"var,omitempty"`
+	N     []int     `json:"n,omitempty"`
+	Other SlotDists `json:"other,omitempty"`
+}
+
+// SlotKinds are a column's slot kinds, written in JSON as ints rather than
+// base64.
+type SlotKinds []uint8
+
+// SlotDists maps slot index → distribution for a column's slots whose kind
+// is slotOther, written in JSON as decimal slot index → codec JSON.
+type SlotDists map[int]dist.Distribution
+
+// MarshalJSON writes the kinds as an array of ints.
+func (k SlotKinds) MarshalJSON() ([]byte, error) {
+	out := make([]byte, 0, 2*len(k)+2)
+	out = append(out, '[')
+	for i, v := range k {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendUint(out, uint64(v), 10)
+	}
+	return append(out, ']'), nil
+}
+
+// UnmarshalJSON reads an array of ints, refusing one outside a byte.
+func (k *SlotKinds) UnmarshalJSON(data []byte) error {
+	var ints []int
+	if err := json.Unmarshal(data, &ints); err != nil {
+		return err
+	}
+	*k = make(SlotKinds, len(ints))
+	for i, v := range ints {
+		if v < 0 || v > math.MaxUint8 {
+			return fmt.Errorf("stream: columnar snapshot slot %d kind %d out of range", i, v)
+		}
+		(*k)[i] = uint8(v)
+	}
+	return nil
+}
+
+// MarshalJSON writes each distribution through codec.
+func (o SlotDists) MarshalJSON() ([]byte, error) {
+	enc := make(map[int]json.RawMessage, len(o))
+	for slot, d := range o {
+		raw, err := codec.EncodeDistribution(d)
+		if err != nil {
+			return nil, err
+		}
+		enc[slot] = raw
+	}
+	return json.Marshal(enc)
+}
+
+// UnmarshalJSON reads what MarshalJSON writes.
+func (o *SlotDists) UnmarshalJSON(data []byte) error {
+	var enc map[int]json.RawMessage
+	if err := json.Unmarshal(data, &enc); err != nil {
+		return err
+	}
+	*o = make(SlotDists, len(enc))
+	for slot, raw := range enc {
+		d, err := codec.DecodeDistribution(raw)
+		if err != nil {
+			return err
+		}
+		(*o)[slot] = d
+	}
+	return nil
+}
+
+// TuplesState is the snapshot of a window holding tuples, oldest-first:
+// how a window checkpointed as rows comes back in the columnar form. It is
+// nil, an empty window, when there are no tuples, and an error when the
+// tuples differ in arity.
+func TuplesState(tuples []*Tuple) (*ColumnWindowState, error) {
+	if len(tuples) == 0 {
+		return nil, nil
+	}
+	w := newColumnWindow(len(tuples[0].Fields), len(tuples), len(tuples), 0)
+	if err := w.RestoreTuples(tuples); err != nil {
+		return nil, err
+	}
+	return w.State(), nil
 }
 
 // State captures the window contents as a linearized columnar snapshot.
@@ -601,7 +667,7 @@ func (w *ColumnWindow) State() *ColumnWindowState {
 			cs.N = append(cs.N, col.n[slot])
 			if col.kind[slot] == slotOther {
 				if cs.Other == nil {
-					cs.Other = make(map[int]dist.Distribution)
+					cs.Other = make(SlotDists)
 				}
 				cs.Other[i] = col.other[slot]
 			}

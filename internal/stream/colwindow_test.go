@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -43,6 +44,16 @@ func mixedTuple(t *testing.T, s *Schema, i int) *Tuple {
 	}
 }
 
+// contents materializes w's tuples oldest-first through its state.
+func contents(t *testing.T, w *ColumnWindow, s *Schema) []*Tuple {
+	t.Helper()
+	tuples, err := w.State().Tuples(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tuples
+}
+
 func tuplesEqual(a, b *Tuple) bool {
 	return a.Prob == b.Prob && a.ProbN == b.ProbN && a.Seq == b.Seq &&
 		a.Time == b.Time && reflect.DeepEqual(a.Fields, b.Fields)
@@ -74,7 +85,7 @@ func TestColumnWindowAliasing(t *testing.T) {
 		if i+1 > size {
 			lo = i + 1 - size
 		}
-		got := w.Tuples()
+		got := contents(t, w, s)
 		if len(got) != i+1-lo {
 			t.Fatalf("after %d pushes: len = %d, want %d", i+1, len(got), i+1-lo)
 		}
@@ -110,7 +121,7 @@ func TestColumnWindowAliasing(t *testing.T) {
 		if n := i + 1 - lo; n&(n-1) != 0 && (n-1)&(n-2) != 0 && i%997 != 0 {
 			continue
 		}
-		got := sw.Tuples()
+		got := contents(t, sw, s)
 		if len(got) != i+1-lo {
 			t.Fatalf("span, after %d pushes: len = %d, want %d", i+1, len(got), i+1-lo)
 		}
@@ -208,7 +219,7 @@ func TestSpanWindowModel(t *testing.T) {
 		if !emit {
 			t.Fatalf("push %d: span window did not emit", i)
 		}
-		got := w.Tuples()
+		got := contents(t, w, s)
 		if len(got) != len(model.rows) || w.Len() != len(model.rows) {
 			t.Fatalf("push %d: len = %d/%d, model %d", i, len(got), w.Len(), len(model.rows))
 		}
@@ -234,7 +245,7 @@ func TestSpanWindowModel(t *testing.T) {
 
 	// A checkpointed span window restores past its initial capacity, keeps
 	// evolving like the original, and fails closed on non-monotone times.
-	tuples := w.Tuples()
+	tuples := contents(t, w, s)
 	w2, _ := NewSpanColumnWindow(s, span)
 	if err := w2.RestoreTuples(tuples); err != nil {
 		t.Fatal(err)
@@ -257,7 +268,7 @@ func TestSpanWindowModel(t *testing.T) {
 	}
 	// Same tuples, different rule: never the same contents.
 	cw, _ := NewColumnWindow(s, w.Len())
-	for _, tp := range w.Tuples() {
+	for _, tp := range contents(t, w, s) {
 		cw.Push(tp)
 	}
 	if cw.SameContents(w) || w.SameContents(cw) {
@@ -452,8 +463,10 @@ func TestColumnWindowStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var pushed []*Tuple
 	for i := 0; i < size*3+5; i++ { // wrapped ring, head != 0
-		w.Push(mixedTuple(t, s, i))
+		pushed = append(pushed, mixedTuple(t, s, i))
+		w.Push(pushed[i])
 	}
 	st := w.State()
 	if st.Len() != size {
@@ -466,7 +479,7 @@ func TestColumnWindowStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := w.Tuples()
+	orig := pushed[len(pushed)-size:]
 	if len(bridged) != len(orig) {
 		t.Fatalf("bridged len = %d, want %d", len(bridged), len(orig))
 	}
@@ -505,6 +518,28 @@ func TestColumnWindowStateRoundTrip(t *testing.T) {
 	}
 	if _, err := est.Tuples(s); err != nil {
 		t.Fatalf("empty state tuples: %v", err)
+	}
+
+	// The JSON form, full and empty, decodes to a state that validates and
+	// encodes to the same bytes; a kind outside a byte is refused.
+	for _, cs := range []*ColumnWindowState{st, est} {
+		enc, err := json.Marshal(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back ColumnWindowState
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := back.Tuples(s); err != nil {
+			t.Fatalf("decoded state %s: %v", enc, err)
+		}
+		if again, err := json.Marshal(&back); err != nil || string(again) != string(enc) {
+			t.Fatalf("decoded state re-encodes as %s (%v), want %s", again, err, enc)
+		}
+	}
+	if err := json.Unmarshal([]byte(`{"kind":[0,256]}`), new(ColumnState)); err == nil {
+		t.Error("kind 256 decoded")
 	}
 }
 

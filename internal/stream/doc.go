@@ -56,9 +56,10 @@
 //
 // Window snapshots:
 //
-//   - ColumnWindow.Tuples and the tuples Probe hands its callback are
-//     fresh *Tuple values owned by the caller, but their Dist pointers are
-//     shared with the window for non-Gaussian fields (safe: immutable).
+//   - ColumnWindow.State and the tuples Probe hands its callback are fresh
+//     values owned by the caller, detached from the ring, but their Dist
+//     pointers are shared with the window for non-Gaussian fields (safe:
+//     immutable).
 //   - Column slices returned by internal scans (ColumnWindow's kind/mean/
 //     variance arrays) are live ring storage, never handed out across an
 //     API boundary; aggregate kernels must finish reading them before

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"os"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -73,7 +75,7 @@ func TestTornWriteRecovers(t *testing.T) {
 	}
 	// From now on writes to the segment tear: disk full.
 	ifs.AddRule(fault.Rule{Op: fault.OpWrite, Path: segSuffix, Torn: true, Err: fault.ErrNoSpace})
-	// The frame is small enough to sit in bufio until Flush, which tears.
+	// The frame's one write tears.
 	if _, err := l.Append(RecInsert, []byte("doomed")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append on full disk: got %v, want ENOSPC", err)
 	}
@@ -202,5 +204,51 @@ func TestBatchFsyncFailureNoPartialAck(t *testing.T) {
 	}
 	if string(recs[0].Payload) != "ok1" || string(recs[1].Payload) != "ok2" {
 		t.Fatalf("acknowledged batch corrupted: %q %q", recs[0].Payload, recs[1].Payload)
+	}
+}
+
+// countFS counts the Write calls on the files it opens.
+type countFS struct {
+	fault.FS
+	writes atomic.Int64
+}
+
+func (fs *countFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countFile{File: f, writes: &fs.writes}, nil
+}
+
+type countFile struct {
+	fault.File
+	writes *atomic.Int64
+}
+
+func (f countFile) Write(p []byte) (int, error) {
+	f.writes.Add(1)
+	return f.File.Write(p)
+}
+
+// TestOneWritePerFrame holds every append, small or past any buffer size,
+// to one Write of its whole frame: a full disk can refuse a frame but never
+// land half of it between two writes.
+func TestOneWritePerFrame(t *testing.T) {
+	for _, size := range []int{1, 5000, 64 << 10} {
+		fs := &countFS{FS: fault.OS}
+		l := mustOpen(t, t.TempDir(), Options{Policy: FsyncAlways, FS: fs})
+		for i := 0; i < 3; i++ {
+			before := fs.writes.Load()
+			if _, err := l.Append(RecInsert, make([]byte, size)); err != nil {
+				t.Fatal(err)
+			}
+			if got := fs.writes.Load() - before; got != 1 {
+				t.Fatalf("append %d of a %d-byte payload took %d writes, want 1", i, size, got)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -37,8 +37,8 @@
 // FsyncAlways syncs after every append (group-commit durability),
 // FsyncInterval syncs from a background goroutine every SyncInterval
 // (bounded data loss, default 100ms), FsyncNone leaves syncing to the OS.
-// Every append is flushed to the OS immediately regardless of policy; the
-// policy only governs fsync.
+// Every append reaches the OS in one write immediately regardless of
+// policy; the policy only governs fsync.
 package wal
 
 import (
@@ -118,7 +118,7 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 var ErrClosed = errors.New("wal: log closed")
 
 // ErrWedged reports an append to a log disabled by an earlier write or
-// fsync failure. Once a flush or fsync fails, the segment tail may hold a
+// fsync failure. Once a write or fsync fails, the segment tail may hold a
 // torn frame (or the kernel may have dropped dirty pages), so continuing to
 // append — and acknowledge — records would risk acknowledged-then-lost
 // writes and mid-file corruption. The log therefore goes append-wedged:
@@ -239,11 +239,12 @@ func (o Options) normalize() Options {
 
 // Log is an append-only write-ahead log. Safe for concurrent use.
 //
-// Durability under FsyncAlways uses group commit: AppendAsync writes and
-// flushes the frame without syncing, and WaitDurable blocks until the
-// record is on stable storage — the first waiter in becomes the leader and
-// issues one fsync covering every record flushed so far, so concurrent
-// committers share a single fsync instead of paying one each. Append is the composition of the two.
+// Durability under FsyncAlways uses group commit: AppendAsync writes the
+// frame to the segment file without syncing, and WaitDurable blocks until
+// the record is on stable storage — the first waiter in becomes the leader
+// and issues one fsync covering every record written so far, so concurrent
+// committers share a single fsync instead of paying one each. Append is
+// the composition of the two.
 type Log struct {
 	dir  string
 	opts Options
@@ -251,11 +252,11 @@ type Log struct {
 
 	mu        sync.Mutex
 	f         fault.File
-	w         *bufio.Writer
+	frame     []byte // reused buffer each frame is built in, then written once
 	segFirst  uint64 // LSN of the current segment's first record
 	size      int64  // bytes written to the current segment
 	nextLSN   uint64
-	dirty     bool // bytes flushed to the OS but not fsynced
+	dirty     bool // bytes written to the OS but not fsynced
 	closed    bool
 	wedged    error // first append-path write/sync failure; nil = healthy
 	truncated int64 // torn-tail bytes dropped at Open
@@ -329,8 +330,8 @@ func (l *Log) Append(typ RecordType, payload []byte) (uint64, error) {
 	return lsn, l.WaitDurable(lsn)
 }
 
-// AppendAsync writes and flushes one record without waiting for it to
-// reach stable storage, returning its LSN. Callers needing durability
+// AppendAsync writes one record without waiting for it to reach stable
+// storage, returning its LSN. Callers needing durability
 // (FsyncAlways) must follow with WaitDurable — typically after releasing
 // whatever critical section ordered the append, so fsyncs coalesce.
 func (l *Log) AppendAsync(typ RecordType, payload []byte) (uint64, error) {
@@ -346,15 +347,12 @@ func (l *Log) AppendAsync(typ RecordType, payload []byte) (uint64, error) {
 	if err := l.writeFrameLocked(typ, payload); err != nil {
 		return 0, err
 	}
-	if err := l.w.Flush(); err != nil {
-		return 0, l.wedgeLocked(err)
-	}
 	l.dirty = true
 	return l.nextLSN - 1, nil
 }
 
 // wedgeLocked records the first append-path failure and disables further
-// appends: a failed flush or fsync may have left a torn frame on disk (or
+// appends: a failed write or fsync may have left a torn frame on disk (or
 // dropped dirty pages), and appending past it would corrupt the interior of
 // the log. Caller holds l.mu.
 func (l *Log) wedgeLocked(err error) error {
@@ -373,9 +371,9 @@ func (l *Log) wedgedErrLocked() error {
 // wedgeSurgeryLocked wedges the log after a failure mid-surgery:
 // TruncateSuffix and Reset close the active segment before rebuilding the
 // tail, so any error past that point leaves the log without a usable file
-// handle. Without the wedge, a later append would buffer over the closed
-// fd and be acknowledged, only to fail at flush time with a confusing
-// error. Unlike wedgeLocked it does not re-wrap (callers already did).
+// handle. Without the wedge, a later append would write to the closed fd
+// and fail with a confusing error. Unlike wedgeLocked it does not re-wrap
+// (callers already did).
 func (l *Log) wedgeSurgeryLocked(err error) error {
 	if l.wedged == nil {
 		l.wedged = err
@@ -391,9 +389,9 @@ func (l *Log) Wedged() error {
 	return l.wedged
 }
 
-// writeFrameLocked frames and writes one record into the buffered writer,
-// rotating segments as needed, and advances size/nextLSN. Caller holds
-// l.mu and flushes afterwards.
+// writeFrameLocked builds one record's frame and writes it to the segment
+// file in one Write, rotating segments as needed, and advances
+// size/nextLSN. Caller holds l.mu.
 func (l *Log) writeFrameLocked(typ RecordType, payload []byte) error {
 	frameLen := int64(headerSize + metaSize + len(payload))
 	if frameLen > MaxRecordBytes {
@@ -404,20 +402,18 @@ func (l *Log) writeFrameLocked(typ RecordType, payload []byte) error {
 			return err
 		}
 	}
-	lsn := l.nextLSN
-	var hdr [headerSize + metaSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(metaSize+len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], lsn)
-	hdr[16] = byte(typ)
-	crc := crc32.Update(0, castagnoli, hdr[8:])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	// A bufio write only fails when it triggered a real flush, so bytes may
-	// have reached the file mid-frame: wedge.
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return l.wedgeLocked(err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	l.frame = append(append(l.frame[:0], make([]byte, headerSize+metaSize)...), payload...)
+	frame := l.frame
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(metaSize+len(payload)))
+	binary.LittleEndian.PutUint64(frame[8:16], l.nextLSN)
+	frame[16] = byte(typ)
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
+	// A failed or short write may have put part of the frame in the file:
+	// wedge.
+	if n, err := l.f.Write(frame); err != nil || n != len(frame) {
+		if err == nil {
+			err = io.ErrShortWrite
+		}
 		return l.wedgeLocked(err)
 	}
 	l.size += frameLen
@@ -431,7 +427,7 @@ func (l *Log) writeFrameLocked(typ RecordType, payload []byte) error {
 // FsyncInterval and FsyncNone it returns immediately (callers accepted the
 // policy's durability window). Under FsyncAlways the first caller in
 // becomes the group-commit leader: it issues one fsync covering everything
-// flushed so far, and callers that arrive while it runs are satisfied by
+// written so far, and callers that arrive while it runs are satisfied by
 // that same fsync.
 func (l *Log) WaitDurable(lsn uint64) error {
 	if l.opts.Policy != FsyncAlways {
@@ -455,9 +451,6 @@ func (l *Log) WaitDurable(lsn uint64) error {
 	if l.wedged != nil {
 		return l.wedgedErrLocked()
 	}
-	if err := l.w.Flush(); err != nil {
-		return l.wedgeLocked(err)
-	}
 	if err := l.fsync(); err != nil {
 		return l.wedgeLocked(err)
 	}
@@ -467,7 +460,7 @@ func (l *Log) WaitDurable(lsn uint64) error {
 
 // fsync syncs the current segment file, recording count and latency and
 // advancing the durable watermark to cover every record written so far.
-// Caller holds l.mu with the buffered writer flushed.
+// Caller holds l.mu.
 func (l *Log) fsync() error {
 	t0 := time.Now()
 	err := l.f.Sync()
@@ -496,9 +489,6 @@ func (l *Log) SyncedLSN() uint64 { return l.synced.Load() }
 
 // rotateLocked finalizes the current segment and starts one at nextLSN.
 func (l *Log) rotateLocked() error {
-	if err := l.w.Flush(); err != nil {
-		return l.wedgeLocked(err)
-	}
 	if err := l.fsync(); err != nil {
 		return l.wedgeLocked(err)
 	}
@@ -517,14 +507,13 @@ func (l *Log) openSegment(first uint64) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
-	l.w = bufio.NewWriter(f)
 	l.segFirst = first
 	l.size = 0
 	l.dirty = false
 	return syncDir(l.fs, l.dir)
 }
 
-// Sync flushes buffered appends and fsyncs the current segment.
+// Sync fsyncs the current segment.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -537,9 +526,6 @@ func (l *Log) syncLocked() error {
 	}
 	if l.wedged != nil {
 		return l.wedgedErrLocked()
-	}
-	if err := l.w.Flush(); err != nil {
-		return l.wedgeLocked(err)
 	}
 	if !l.dirty {
 		return nil
@@ -594,13 +580,6 @@ func (l *Log) Replay(from uint64, fn func(Record) error) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
-	}
-	// A wedged log already flushed everything up to the failure; the frames
-	// on disk are the valid prefix Replay should read.
-	if l.wedged == nil {
-		if err := l.w.Flush(); err != nil {
-			return l.wedgeLocked(err)
-		}
 	}
 	segs, err := listSegments(l.fs, l.dir)
 	if err != nil {
@@ -791,8 +770,8 @@ func (l *Log) Reset(next uint64) error {
 // reopens the log for append: at the last kept segment, cut after its
 // record after, or at a fresh segment for LSN next when no segment is
 // kept. Past closing the active segment every error wedges the log
-// (wedgeSurgeryLocked), so later appends fail fast instead of writing into
-// a buffer over a closed fd. Caller holds l.mu.
+// (wedgeSurgeryLocked), so later appends fail fast instead of writing to a
+// closed fd. Caller holds l.mu.
 func (l *Log) rewindLocked(op string, after, next uint64) error {
 	if l.closed {
 		return ErrClosed
@@ -802,9 +781,6 @@ func (l *Log) rewindLocked(op string, after, next uint64) error {
 	}
 	if len(l.pins) > 0 {
 		return fmt.Errorf("wal: %s with %d active pins", op, len(l.pins))
-	}
-	if err := l.w.Flush(); err != nil {
-		return l.wedgeLocked(err)
 	}
 	if err := l.f.Close(); err != nil {
 		return l.wedgeSurgeryLocked(fmt.Errorf("wal: %w", err))
@@ -927,7 +903,6 @@ func (l *Log) reopenTailLocked(seg segment, through uint64) (cut int64, err erro
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
-	l.w = bufio.NewWriter(f)
 	l.segFirst = seg.first
 	l.size = validLen
 	l.nextLSN = lastLSN + 1
