@@ -110,7 +110,7 @@ func TestSharedStateCheckpointRoundTrip(t *testing.T) {
 
 	// Content-equality admission must have re-merged the identical trio
 	// into one group (and left the second class alone).
-	if g := engB.Planner().Groups(); g != 2 {
+	if g, _, _ := engB.SharedGroups(); g != 2 {
 		t.Fatalf("restored Groups() = %d, want 2", g)
 	}
 	if ex := restored[0].Query.Explain(); !strings.Contains(ex, "3 sharer(s)") {
@@ -178,7 +178,7 @@ func TestSharedStateRestoreDivergedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same key, different contents: two groups.
-	if g := engB.Planner().Groups(); g != 2 {
+	if g, _, _ := engB.SharedGroups(); g != 2 {
 		t.Fatalf("Groups() = %d, want 2 (diverged windows must not merge)", g)
 	}
 }
@@ -249,7 +249,7 @@ func TestPlanGroupRestore(t *testing.T) {
 		qsB[i] = rq.Query
 	}
 	bind(engB, qsB)
-	if g := engB.Planner().Groups(); g != 1 {
+	if g, _, _ := engB.SharedGroups(); g != 1 {
 		t.Fatalf("restored Groups() = %d, want 1: the sketch pair shares, GROUP BY is private", g)
 	}
 	for i, want := range []string{"2 sharer(s)", "2 sharer(s)", "per-query state — GROUP BY windows are per-key"} {

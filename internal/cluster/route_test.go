@@ -346,6 +346,45 @@ func TestRouterQueryIDOncePerCluster(t *testing.T) {
 	rc.mustOK("QUERY q3 SELECT temp FROM " + b)
 }
 
+// The router reads a request line as asdbd does: a whitespace-only line is
+// no request — nothing is forwarded, nothing answered, the session's
+// backend link and its queries stay — and a leading space still routes a
+// line by its verb, to the node that owns the stream.
+func TestRouterTrimsRequestLines(t *testing.T) {
+	p1 := startPrimary(t, 1, 1<<20, 0)
+	p2 := startPrimary(t, 1, 1<<20, 0)
+	nodes := []Node{{Primary: p1.addr}, {Primary: p2.addr}}
+	rt, addr := startRouter(t, nodes, server.DialOptions{OpTimeout: time.Second})
+	rc := dialRaw(t, addr)
+	var s string
+	for i := 0; i < 64 && s == ""; i++ {
+		name := fmt.Sprintf("w%d", i)
+		rc.mustOK("STREAM " + name + " seq temp:dist")
+		if mustNode(t, rt, name) != 0 {
+			s = name
+		}
+	}
+	if s == "" {
+		t.Fatal("hash put 64 streams on node 0")
+	}
+	rc.mustOK("QUERY q1 SELECT temp FROM " + s)
+
+	delivers := func(line string) {
+		t.Helper()
+		rep := rc.cmd(line)
+		if len(rep) != 2 || !strings.HasPrefix(rep[0], "DATA q1 ") || !strings.HasPrefix(rep[1], "OK inserted") {
+			t.Fatalf("%q: %v, want one DATA q1 line and OK", line, rep)
+		}
+	}
+	rc.send("   ")
+	delivers("INSERT " + s + " 1 N(60,4,25)")
+	rc.send(" \t ")
+	delivers("  INSERT " + s + " 2 N(61,4,25)")
+	if rep := rc.mustOK(" STATS q1"); !strings.Contains(rep[len(rep)-1], `"In":2,`) {
+		t.Fatalf("STATS q1: %v", rep)
+	}
+}
+
 func mustNode(t *testing.T, rt *Router, stream string) int {
 	t.Helper()
 	n, ok := rt.topo.streamNode(stream)

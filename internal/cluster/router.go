@@ -77,10 +77,13 @@ func (rt *Router) serveConn(nc net.Conn) {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	for {
 		nc.SetReadDeadline(time.Now().Add(5 * time.Minute))
-		line, err := server.ReadLine(br, maxShipLine)
+		raw, err := server.ReadLine(br, maxShipLine)
 		if err != nil {
 			return
 		}
+		// Trimmed as asdbd trims it: a blank line is no request, and a
+		// leading space must not hide the verb that routes the line.
+		line := strings.TrimSpace(raw)
 		if line == "" {
 			continue
 		}

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/learn"
-	"repro/internal/plan"
 	"repro/internal/randvar"
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -234,10 +233,12 @@ type Engine struct {
 	// the same RNG consumption — as the live run.
 	degrade atomic.Int32
 
-	// plans is the multi-query planner's shared-state registry. Group
-	// membership mutates only under the Bind/Unbind registration contract;
-	// see plan_shared.go.
-	plans *plan.Registry
+	// shared is the multi-query planner's registry: the plan groups of
+	// bound shareable queries by key, and how many Binds joined (hits) or
+	// founded (misses) one. Only Bind and Unbind change them, under mu; see
+	// plan_shared.go.
+	shared                   map[planKey][]*sharedGroup
+	sharedHits, sharedMisses uint64
 }
 
 // MaxDegradeLevel bounds the load-shedding ladder: each level halves the
@@ -304,17 +305,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:     norm,
 		streams: make(map[string]*streamDef),
 		bound:   make(map[string]*boundQuery),
-		plans:   plan.NewRegistry(),
+		shared:  make(map[planKey][]*sharedGroup),
 	}, nil
 }
 
 // Config returns the engine's normalized configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// Planner returns the multi-query planner's shared-state registry. Exposed
-// for EXPLAIN-style introspection and tests; group membership is
-// engine-internal.
-func (e *Engine) Planner() *plan.Registry { return e.plans }
 
 // RegisterStream declares a stream with the given schema.
 func (e *Engine) RegisterStream(schema *stream.Schema) error {

@@ -3,8 +3,9 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
+	"time"
 
-	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -119,11 +120,61 @@ func (q *Query) ExplainTiming() string {
 	}
 	snap := q.timing.Snapshot()
 	for s, st := range snap {
-		fmt.Fprintf(&b, "  stage %-9s %d timed runs, %d ns total\n", plan.Stage(s), st.Count, st.Nanos)
+		fmt.Fprintf(&b, "  stage %-9s %d timed runs, %d ns total\n", stage(s), st.Count, st.Nanos)
 	}
 	if g := q.group; g != nil && g.registered {
 		fmt.Fprintf(&b, "  shared group [%s]: %d sharers, %d emissions computed, %d replayed to other members\n",
 			g.key, g.sharers.Load(), g.leads.Load(), g.follows.Load())
 	}
 	return b.String()
+}
+
+// stage names one timed phase of the per-push pipeline.
+type stage int
+
+const (
+	stageFilter    stage = iota // WHERE evaluation
+	stageWindow                 // window maintenance (push/evict)
+	stageAggregate              // aggregate evaluation over the window
+	stageAccuracy               // accuracy-information computation
+	numStages
+)
+
+var stageNames = [numStages]string{"filter", "window", "aggregate", "accuracy"}
+
+func (s stage) String() string { return stageNames[s] }
+
+// stageStat is one stage's cumulative observation.
+type stageStat struct {
+	Count uint64
+	Nanos uint64
+}
+
+// stageTimer accumulates per-stage wall time for ExplainTiming. Collection
+// is off until Enable (the first EXPLAIN … TIMING), so steady-state pushes
+// pay one atomic load per stage and take no timestamps. Timing never feeds
+// back into results, so enabling it cannot perturb determinism.
+type stageTimer struct {
+	enabled atomic.Bool
+	count   [numStages]atomic.Uint64
+	nanos   [numStages]atomic.Uint64
+}
+
+func (t *stageTimer) Enable() { t.enabled.Store(true) }
+
+func (t *stageTimer) Enabled() bool { return t.enabled.Load() }
+
+// Observe records one run of stage s.
+func (t *stageTimer) Observe(s stage, d time.Duration) {
+	t.count[s].Add(1)
+	t.nanos[s].Add(uint64(d.Nanoseconds()))
+}
+
+// Snapshot returns the cumulative per-stage observations.
+func (t *stageTimer) Snapshot() [numStages]stageStat {
+	var out [numStages]stageStat
+	for s := range out {
+		out[s] = stageStat{Count: t.count[s].Load(), Nanos: t.nanos[s].Load()}
+	}
+	return out
 }

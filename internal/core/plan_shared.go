@@ -3,21 +3,22 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/accuracy"
-	"repro/internal/plan"
 	"repro/internal/randvar"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
-// This file is the push pipeline of every aggregate query, and the engine
-// half of the multi-query planner (package plan holds the static analysis
-// and the registry). Each aggregate query runs in a plan group that owns its
-// window state and runs the per-push pipeline once per ingested tuple for
-// all of its members:
+// This file is the push pipeline of every aggregate query and the
+// multi-query planner: the sharing verdict, the registry of shared groups,
+// and the groups themselves. Each aggregate query runs in a plan group that
+// owns its window state and runs the per-push pipeline once per ingested
+// tuple for all of its members:
 //
 //   - the filter is evaluated once and its verdict replayed to each member;
 //   - the window (ColumnWindow, one per GROUP BY key, or sketch ring) is
@@ -29,11 +30,11 @@ import (
 //     backend that consumes no per-query randomness, the first member's
 //     assembled and decorated emission is handed to the others verbatim.
 //
-// A query the planner may share (plan.Analyze) joins a registry group at
-// Bind; any other aggregate query — GROUP BY, WINDOW n SECONDS, an
-// RNG-consuming filter, or one pushed without Bind — runs in a private group
-// of one that the registry never sees. A group of one computes and replays
-// in one step, so the pipeline is the same code either way.
+// A query the planner may share (planProfileOf) joins a registry group at
+// Bind; any other aggregate query — GROUP BY, WINDOW n SECONDS, a filter
+// that may draw, or one pushed without Bind — runs in a private group of one
+// that the registry never sees. A group of one computes and replays in one
+// step, so the pipeline is the same code either way.
 //
 // Determinism is the design constraint, not a side effect: every shared
 // computation is provably identical to what each member would compute alone
@@ -50,11 +51,50 @@ import (
 // id) computes the emission and every member replays it before the next
 // tuple, so one emission per group is alive at a time, reused throughout.
 
+// planKey identifies one shared-state equivalence class: every query with
+// the same key consumes the same stream prefix through the same filter into
+// a window of the same shape under the same accuracy backend, so the window
+// contents — and everything derived from them without per-query randomness
+// — are identical across the class.
+type planKey struct {
+	// Stream is the canonical (lower-cased) source stream name.
+	Stream string
+	// Filter is the canonical rendering of the WHERE clause ("" when
+	// absent). sql.Expr.String() parenthesizes nested boolean structure,
+	// so equal strings imply equal filter semantics.
+	Filter string
+	// Rows is the count-window size.
+	Rows int
+	// Backend is the effective accuracy backend the query runs with
+	// (engine default or BACKEND override).
+	Backend string
+	// Sig is the aggregate-plan signature for backends whose window state
+	// depends on the aggregate list (the sketch backend tracks one moment
+	// sketch per aggregate item); empty for columnar windows, which hold
+	// every schema column regardless of which aggregates read them.
+	Sig string
+}
+
+func (k planKey) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "stream=%s rows=%d backend=%s", k.Stream, k.Rows, k.Backend)
+	if k.Filter != "" {
+		fmt.Fprintf(&b, " filter=%q", k.Filter)
+	}
+	if k.Sig != "" {
+		fmt.Fprintf(&b, " aggs=%s", k.Sig)
+	}
+	return b.String()
+}
+
 // planProfile is a compiled query's shareability verdict plus the group
 // key it would share under.
 type planProfile struct {
-	plan.Decision
-	Key plan.Key
+	// Shareable reports whether the query's window state may join a
+	// registry group; Reason says why not, for EXPLAIN.
+	Shareable bool
+	Reason    string
+	Key       planKey
 	// Sig is the canonical output-plan signature (label:column:kind per
 	// output column): groups whose members all carry the same signature
 	// can share fully built emissions, not just window state.
@@ -145,13 +185,13 @@ type aheadAgg struct {
 // sharedGroup is one plan group: the window state of its members and the
 // emission of the tuple being pushed. Exactly one of win/groups/sk is set.
 // Membership mutates only under the engine registration contract; the
-// atomics exist because EXPLAIN renders sharers and hit counters without
-// quiescing ingest.
+// atomics exist because EXPLAIN renders sharers and lead/follow tallies
+// without quiescing ingest.
 type sharedGroup struct {
 	// registered is set while the group is in the planner registry under key;
 	// a private group has no key and only ever one member.
 	registered bool
-	key        plan.Key
+	key        planKey
 
 	win    *stream.ColumnWindow
 	groups map[float64]*stream.ColumnWindow // per GROUP BY key
@@ -178,9 +218,26 @@ type sharedGroup struct {
 	leads, follows atomic.Uint64
 }
 
-// planProfile computes the query's shareability profile at compile time.
-func (q *Query) planProfileOf() planProfile {
-	p := planProfile{Decision: plan.Analyze(q.stmt, q.method.String())}
+// planProfileOf decides at compile time whether the query's window state
+// may be shared, and under which key; draws reports whether its compiled
+// filter may draw from the query's evaluator. Only ungrouped count-windowed
+// aggregates whose filter never draws qualify: their window contents and
+// filter verdicts are a pure function of the stream history and the key, so
+// sharing them changes no output bit. Scalar and join queries have no plan
+// group and are never shareable.
+func (q *Query) planProfileOf(draws bool) planProfile {
+	var p planProfile
+	switch {
+	case q.group == nil:
+	case q.groupIdx >= 0:
+		p.Reason = "GROUP BY windows are per-key"
+	case q.stmt.Window.Seconds > 0:
+		p.Reason = "time windows are per-query: the shared pipeline slides count windows only"
+	case draws:
+		p.Reason = "filter may consume per-query randomness"
+	default:
+		p.Shareable = true
+	}
 	if !p.Shareable {
 		return p
 	}
@@ -194,7 +251,7 @@ func (q *Query) planProfileOf() planProfile {
 	if q.stmt.Where != nil {
 		filter = q.stmt.Where.String()
 	}
-	p.Key = plan.Key{
+	p.Key = planKey{
 		Stream:  keyOf(q.in.Name),
 		Filter:  filter,
 		Rows:    q.stmt.Window.Rows,
@@ -256,46 +313,67 @@ func (g *sharedGroup) refresh() {
 }
 
 // attachShared moves q from its private group into its registry group,
-// joining an existing one or registering its own. Called from Bind under the
-// engine's registration contract (Exclusive or single-threaded), so no push
-// is in flight.
+// joining an existing one or registering its own. A group admits q only when
+// their windows hold the same contents, so queries restored from a
+// checkpoint re-merge only once their windows agree, and a key can hold
+// several groups for a while. Called from Bind under e.mu and the engine's
+// registration contract (Exclusive or single-threaded), so no push is in
+// flight.
 func (e *Engine) attachShared(q *Query) {
 	own := q.group
 	if own == nil || own.registered || !q.prof.Shareable {
 		return
 	}
-	join := func(state any) bool {
-		g := state.(*sharedGroup)
-		if g.sk != nil {
-			return g.sk.Pushes() == own.sk.Pushes()
+	k := q.prof.Key
+	for _, g := range e.shared[k] {
+		if g.sk != nil && g.sk.Pushes() == own.sk.Pushes() || g.sk == nil && g.win.SameContents(own.win) {
+			e.sharedHits++
+			g.add(q)
+			q.group = g
+			return
 		}
-		return g.win.SameContents(own.win)
 	}
-	create := func() any {
-		own.registered, own.key = true, q.prof.Key
-		return own
-	}
-	state, _ := e.plans.Acquire(q.prof.Key, join, create)
-	if g := state.(*sharedGroup); g != own {
-		g.add(q)
-		q.group = g
-	}
+	e.sharedMisses++
+	own.registered, own.key = true, k
+	e.shared[k] = append(e.shared[k], own)
 }
 
 // detachShared removes q from its registry group on Unbind; the last
 // member's departure releases the group. The departing query moves to a
-// private group over the window it shared: it is no longer driven, and
-// survivors keep advancing that window.
+// private group, where Push may still drive it: over a copy of the window
+// while survivors keep advancing the original, over the window itself
+// once no one else holds it.
 func (e *Engine) detachShared(q *Query) {
 	g := q.group
 	if g == nil || !g.registered {
 		return
 	}
 	g.remove(q)
-	if len(g.members) == 0 {
-		e.plans.Release(g.key, g)
+	win, sk := g.win, g.sk
+	switch {
+	case len(g.members) > 0 && sk != nil:
+		sk = sk.Clone()
+	case len(g.members) > 0:
+		win = win.Clone()
+	default:
+		if list := slices.DeleteFunc(e.shared[g.key], func(m *sharedGroup) bool { return m == g }); len(list) > 0 {
+			e.shared[g.key] = list
+		} else {
+			delete(e.shared, g.key)
+		}
 	}
-	q.group = newGroup(q, g.win, nil, g.sk)
+	q.group = newGroup(q, win, nil, sk)
+}
+
+// SharedGroups reports the planner registry: the live shared groups, and
+// how many Binds joined an existing group (hits) or founded one (misses).
+func (e *Engine) SharedGroups() (groups int, hits, misses uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, list := range e.shared {
+		groups += len(list)
+	}
+	return groups, e.sharedHits, e.sharedMisses
 }
 
 // newGroup returns a private group of one over the given window state.
@@ -376,7 +454,7 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple, em *sharedEmission, lan
 	}
 	em.err = err
 	if timed {
-		q.timing.Observe(plan.StageWindow, time.Since(t0))
+		q.timing.Observe(stageWindow, time.Since(t0))
 	}
 	if !em.emit {
 		return
@@ -416,7 +494,7 @@ func (g *sharedGroup) compute(q *Query, t *stream.Tuple, em *sharedEmission, lan
 		em.compile(win, spec.col)
 	}
 	if timed {
-		q.timing.Observe(plan.StageAggregate, time.Since(t0)+g.laneTime)
+		q.timing.Observe(stageAggregate, time.Since(t0)+g.laneTime)
 		g.laneTime = 0
 	}
 }
@@ -517,7 +595,7 @@ func (q *Query) replay(em *sharedEmission, t *stream.Tuple) (res Result, ok bool
 	}
 	q.valuesBuf = values
 	if timed {
-		q.timing.Observe(plan.StageAggregate, time.Since(t0))
+		q.timing.Observe(stageAggregate, time.Since(t0))
 		t0 = time.Now()
 	}
 	sr, err := q.decorate(&stream.Tuple{
@@ -529,7 +607,7 @@ func (q *Query) replay(em *sharedEmission, t *stream.Tuple) (res Result, ok bool
 		Time:   t.Time,
 	}, values)
 	if timed {
-		q.timing.Observe(plan.StageAccuracy, time.Since(t0))
+		q.timing.Observe(stageAccuracy, time.Since(t0))
 	}
 	if err != nil {
 		return res, false, err

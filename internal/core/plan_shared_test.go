@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/randvar"
+	"repro/internal/stream"
 )
 
 // sharedRow builds one ingest row of the traffic stream, swapping in a
@@ -167,6 +168,28 @@ func compareResults(t *testing.T, label string, a, b QueryResults) {
 	}
 }
 
+// pushDeparted pushes rows from..to-1 straight into a query unbound from
+// the shared engine and into its alone twin, and demands equal results.
+// The tuples come from outside either engine, so no engine's sequence
+// counter moves.
+func pushDeparted(t *testing.T, shared *Engine, q, alone *Query, from, to int) {
+	t.Helper()
+	schema, err := shared.Schema("traffic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := from; i < to; i++ {
+		tp, err := stream.NewTuple(schema, sharedRow(t, i).Fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp.Seq = uint64(i)
+		ra, errA := q.Push(tp)
+		rb, errB := alone.Push(tp)
+		compareResults(t, fmt.Sprintf("departed@%d", i), QueryResults{Results: ra, Err: errA}, QueryResults{Results: rb, Err: errB})
+	}
+}
+
 // sharedWorkload mixes identical queries (one big shared group), a group
 // that shares window state but not output plans, Monte Carlo aggregates,
 // filtered classes, and an unshareable query.
@@ -197,7 +220,7 @@ func TestSharedStateEquivalence(t *testing.T) {
 			shared := newTestEngine(t, cfg)
 			qs := bindAll(t, shared, sharedWorkload)
 			ref := newAloneRef(t, cfg, sharedWorkload)
-			if g := shared.Planner().Groups(); g == 0 {
+			if g, _, _ := shared.SharedGroups(); g == 0 {
 				t.Fatal("no shared groups formed")
 			}
 			for i := 0; i < 30; i += 3 {
@@ -232,10 +255,10 @@ func TestSharedGroupLifecycle(t *testing.T) {
 	// Expected classes: AVG/SUM/COUNT family at window 4 (one group of 6,
 	// incl. MIN/MAX member), the filtered pair at window 3, and the
 	// unshareable query outside any group.
-	if g := e.Planner().Groups(); g != 2 {
+	if g, _, _ := e.SharedGroups(); g != 2 {
 		t.Fatalf("Groups() = %d, want 2", g)
 	}
-	if h, m := e.Planner().Hits(), e.Planner().Misses(); h != 7 || m != 2 {
+	if _, h, m := e.SharedGroups(); h != 7 || m != 2 {
 		t.Fatalf("hits=%d misses=%d, want 7/2", h, m)
 	}
 	if ex := qs[0].Explain(); !strings.Contains(ex, "plan: shared state [stream=traffic rows=4 backend=analytical] — 7 sharer(s)") {
@@ -267,13 +290,13 @@ func TestSharedGroupLifecycle(t *testing.T) {
 			t.Fatalf("unbind q%03d failed", i)
 		}
 	}
-	if g := e.Planner().Groups(); g != 2 {
+	if g, _, _ := e.SharedGroups(); g != 2 {
 		t.Fatalf("Groups() after partial unbind = %d, want 2", g)
 	}
 	if !e.Unbind("q000") {
 		t.Fatal("unbind q000 failed")
 	}
-	if g := e.Planner().Groups(); g != 1 {
+	if g, _, _ := e.SharedGroups(); g != 1 {
 		t.Fatalf("Groups() after class teardown = %d, want 1", g)
 	}
 }
@@ -330,12 +353,20 @@ func TestSharedSketchEquivalence(t *testing.T) {
 			rows[j] = sharedRow(t, i+j)
 		}
 		ingestAlone(t, fmt.Sprintf("batch@%d", i), shared, ref, rows)
+		if i == 80 {
+			// Half way, one sharer leaves and is pushed on its own.
+			shared.Unbind(queryID(1))
+			ref.unbind(1)
+			pushDeparted(t, shared, qs[1], ref.queries[1], 200, 240)
+		}
 	}
+	pushDeparted(t, shared, qs[1], ref.queries[1], 240, 280)
 	checkAloneStats(t, qs, ref)
 }
 
 // TestSharedUnbindMidStream detaches a sharer between batches and checks
-// the survivors continue bit-identically to queries running alone.
+// the survivors, and the departed query pushed on its own, continue
+// bit-identically to queries running alone.
 func TestSharedUnbindMidStream(t *testing.T) {
 	cfg := Config{Method: AccuracyAnalytical, Seed: 5}
 	shared := newTestEngine(t, cfg)
@@ -346,9 +377,13 @@ func TestSharedUnbindMidStream(t *testing.T) {
 	}
 	shared.Unbind(queryID(1))
 	ref.unbind(1)
+	// The departed query may still be pushed directly: it must advance a
+	// window of its own, not the one its former group still slides.
+	pushDeparted(t, shared, qs[1], ref.queries[1], 100, 102)
 	for i := 10; i < 20; i++ {
 		ingestAlone(t, fmt.Sprintf("post@%d", i), shared, ref, []IngestRow{sharedRow(t, i)})
 	}
+	pushDeparted(t, shared, qs[1], ref.queries[1], 102, 106)
 	checkAloneStats(t, qs, ref)
 }
 
@@ -365,7 +400,7 @@ func TestSharedThousandQueries(t *testing.T) {
 	shared := newTestEngine(t, cfg)
 	qs := bindAll(t, shared, stmts)
 	ref := newAloneRef(t, cfg, stmts, 0, nq/2, nq-1)
-	if g := shared.Planner().Groups(); g != 1 {
+	if g, _, _ := shared.SharedGroups(); g != 1 {
 		t.Fatalf("Groups() = %d, want 1", g)
 	}
 	// All-Gaussian rows keep every engine on the closed form (the Monte
@@ -458,7 +493,7 @@ func TestPrivateGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g := e.Planner().Groups(); g != 1 {
+	if g, _, _ := e.SharedGroups(); g != 1 {
 		t.Fatalf("Groups() = %d, want 1: only the ROWS query registers", g)
 	}
 	for i := 0; i < 6; i++ {

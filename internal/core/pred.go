@@ -40,17 +40,20 @@ func combineN(a, b int) int {
 
 // compilePredicate compiles a WHERE expression. Atoms on independent
 // columns combine under the independence assumption: AND multiplies
-// probabilities, OR uses inclusion–exclusion, NOT complements.
-func compilePredicate(schema *stream.Schema, expr sql.Expr, cfg Config) (compiledPred, error) {
+// probabilities, OR uses inclusion–exclusion, NOT complements. draws reports
+// whether the predicate may draw from the evaluator it is given: only a
+// comparison on compileCmpAtom's general D = L − R path can, so a predicate
+// that does not gives every query the same verdict on a tuple.
+func compilePredicate(schema *stream.Schema, expr sql.Expr, cfg Config) (pred compiledPred, draws bool, err error) {
 	switch e := expr.(type) {
 	case *sql.LogicalExpr:
-		l, err := compilePredicate(schema, e.L, cfg)
+		l, ld, err := compilePredicate(schema, e.L, cfg)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		r, err := compilePredicate(schema, e.R, cfg)
+		r, rd, err := compilePredicate(schema, e.R, cfg)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		isAnd := e.Op == "AND"
 		return func(ev *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
@@ -72,11 +75,11 @@ func compilePredicate(schema *stream.Schema, expr sql.Expr, cfg Config) (compile
 				out.Prob = lo.Prob + ro.Prob - lo.Prob*ro.Prob
 			}
 			return out, nil
-		}, nil
+		}, ld || rd, nil
 	case *sql.NotExpr:
-		x, err := compilePredicate(schema, e.X, cfg)
+		x, draws, err := compilePredicate(schema, e.X, cfg)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		return func(ev *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
 			o, err := x(ev, t)
@@ -85,19 +88,21 @@ func compilePredicate(schema *stream.Schema, expr sql.Expr, cfg Config) (compile
 			}
 			o.Prob = 1 - o.Prob
 			return o, nil
-		}, nil
+		}, draws, nil
 	case *sql.CmpExpr:
 		return compileCmpAtom(schema, e)
 	case *sql.CallExpr:
 		return compilePredicateCall(schema, e, cfg)
 	}
-	return nil, fmt.Errorf("core: %s is not a boolean predicate", expr)
+	return nil, false, fmt.Errorf("core: %s is not a boolean predicate", expr)
 }
 
 // compileCmpAtom compiles "exprL op exprR". The general strategy evaluates
 // D = exprL − exprR as a random variable and returns P(D op 0); when both
-// sides are deterministic the comparison is exact.
-func compileCmpAtom(schema *stream.Schema, e *sql.CmpExpr) (compiledPred, error) {
+// sides are deterministic the comparison is exact. That path may draw (a
+// non-linear D is Monte Carlo); the column-vs-constant form reads CDFs and
+// never does, and a PROB threshold draws only if its comparison does.
+func compileCmpAtom(schema *stream.Schema, e *sql.CmpExpr) (pred compiledPred, draws bool, err error) {
 	// PROB(...) >= tau and friends: the left side is the PROB call.
 	if call, ok := e.L.(*sql.CallExpr); ok && call.Func == "PROB" {
 		return compileProbThreshold(schema, call, e.Op, e.R)
@@ -105,7 +110,7 @@ func compileCmpAtom(schema *stream.Schema, e *sql.CmpExpr) (compiledPred, error)
 	if call, ok := e.R.(*sql.CallExpr); ok && call.Func == "PROB" {
 		flipped, err := flipCmp(e.Op)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		return compileProbThreshold(schema, call, flipped, e.L)
 	}
@@ -114,14 +119,14 @@ func compileCmpAtom(schema *stream.Schema, e *sql.CmpExpr) (compiledPred, error)
 	// discrete distributions and the paper's CDF-based probability
 	// computation.
 	if pred, ok, err := compileColConstAtom(schema, e); err != nil {
-		return nil, err
+		return nil, false, err
 	} else if ok {
-		return pred, nil
+		return pred, false, nil
 	}
 	diff := &sql.BinaryExpr{Op: "-", L: e.L, R: e.R}
 	ce, err := compileScalarExpr(schema, diff)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	op := e.Op
 	return func(ev *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
@@ -148,7 +153,7 @@ func compileCmpAtom(schema *stream.Schema, e *sql.CmpExpr) (compiledPred, error)
 			return predOutcome{}, fmt.Errorf("core: unsupported comparison %q", op)
 		}
 		return predOutcome{Prob: p, N: f.N}, nil
-	}, nil
+	}, true, nil
 }
 
 // compileColConstAtom handles "col op const" and "const op col" directly
@@ -265,24 +270,24 @@ func flipCmp(op string) (string, error) {
 // compileProbThreshold compiles PROB(inner) op tau — the paper's
 // probability-threshold predicate. The decision is boolean (accuracy
 // oblivious, unlike pTest).
-func compileProbThreshold(schema *stream.Schema, call *sql.CallExpr, op string, tauExpr sql.Expr) (compiledPred, error) {
+func compileProbThreshold(schema *stream.Schema, call *sql.CallExpr, op string, tauExpr sql.Expr) (pred compiledPred, draws bool, err error) {
 	if len(call.Args) != 1 {
-		return nil, fmt.Errorf("core: PROB takes 1 argument, got %d", len(call.Args))
+		return nil, false, fmt.Errorf("core: PROB takes 1 argument, got %d", len(call.Args))
 	}
 	inner, ok := call.Args[0].(*sql.CmpExpr)
 	if !ok {
-		return nil, fmt.Errorf("core: PROB argument must be a comparison, got %s", call.Args[0])
+		return nil, false, fmt.Errorf("core: PROB argument must be a comparison, got %s", call.Args[0])
 	}
-	innerPred, err := compileCmpAtom(schema, inner)
+	innerPred, draws, err := compileCmpAtom(schema, inner)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	tau, err := constValue(tauExpr)
 	if err != nil {
-		return nil, fmt.Errorf("core: PROB threshold: %w", err)
+		return nil, false, fmt.Errorf("core: PROB threshold: %w", err)
 	}
 	if tau < 0 || tau > 1 {
-		return nil, fmt.Errorf("core: PROB threshold %v outside [0,1]", tau)
+		return nil, false, fmt.Errorf("core: PROB threshold %v outside [0,1]", tau)
 	}
 	return func(ev *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
 		o, err := innerPred(ev, t)
@@ -290,37 +295,37 @@ func compileProbThreshold(schema *stream.Schema, call *sql.CallExpr, op string, 
 			return predOutcome{}, err
 		}
 		return predOutcome{Prob: boolProb(cmpScalar(o.Prob-tau, op))}, nil
-	}, nil
+	}, draws, nil
 }
 
 // compilePredicateCall compiles the significance predicates MTEST, MDTEST,
 // and PTEST. With one significance level the basic (single) test runs; with
 // two, algorithm COUPLED-TESTS bounds both error rates, and UNSURE is
-// surfaced in the outcome.
-func compilePredicateCall(schema *stream.Schema, call *sql.CallExpr, cfg Config) (compiledPred, error) {
+// surfaced in the outcome. Only a PTEST's comparison can draw.
+func compilePredicateCall(schema *stream.Schema, call *sql.CallExpr, cfg Config) (compiledPred, bool, error) {
 	switch call.Func {
 	case "PROB":
-		return nil, fmt.Errorf("core: PROB(...) must be compared against a threshold, e.g. PROB(x > 5) >= 0.8")
+		return nil, false, fmt.Errorf("core: PROB(...) must be compared against a threshold, e.g. PROB(x > 5) >= 0.8")
 	case "MTEST":
 		// MTEST(col, 'op', c, α₁ [, α₂])
 		if len(call.Args) != 4 && len(call.Args) != 5 {
-			return nil, fmt.Errorf("core: MTEST takes 4 or 5 arguments, got %d", len(call.Args))
+			return nil, false, fmt.Errorf("core: MTEST takes 4 or 5 arguments, got %d", len(call.Args))
 		}
 		colIdx, err := probColumnArg(schema, call.Args[0], "MTEST field")
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		op, err := opArg(call.Args[1])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		c, err := constValue(call.Args[2])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		a1, a2, coupled, err := alphaArgs(call.Args[3:])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		return func(_ *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
 			f := t.Fields[colIdx]
@@ -334,31 +339,31 @@ func compilePredicateCall(schema *stream.Schema, call *sql.CallExpr, cfg Config)
 			}
 			ok, err := hypothesis.MTest(stats, op, c, a1)
 			return predOutcome{Prob: boolProb(ok)}, err
-		}, nil
+		}, false, nil
 	case "MDTEST":
 		// MDTEST(colX, colY, 'op', c, α₁ [, α₂])
 		if len(call.Args) != 5 && len(call.Args) != 6 {
-			return nil, fmt.Errorf("core: MDTEST takes 5 or 6 arguments, got %d", len(call.Args))
+			return nil, false, fmt.Errorf("core: MDTEST takes 5 or 6 arguments, got %d", len(call.Args))
 		}
 		xIdx, err := probColumnArg(schema, call.Args[0], "MDTEST field X")
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		yIdx, err := probColumnArg(schema, call.Args[1], "MDTEST field Y")
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		op, err := opArg(call.Args[2])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		c, err := constValue(call.Args[3])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		a1, a2, coupled, err := alphaArgs(call.Args[4:])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		return func(_ *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
 			xs, err := fieldStats(t.Fields[xIdx])
@@ -375,28 +380,28 @@ func compilePredicateCall(schema *stream.Schema, call *sql.CallExpr, cfg Config)
 			}
 			ok, err := hypothesis.MDTest(xs, ys, op, c, a1)
 			return predOutcome{Prob: boolProb(ok)}, err
-		}, nil
+		}, false, nil
 	case "KSTEST":
 		// KSTEST(colX, colY, α) — are the two distributions different?
 		// KSTEST(colX, colY, minEffect, α₁, α₂) — coupled three-state form.
 		if len(call.Args) != 3 && len(call.Args) != 5 {
-			return nil, fmt.Errorf("core: KSTEST takes 3 or 5 arguments, got %d", len(call.Args))
+			return nil, false, fmt.Errorf("core: KSTEST takes 3 or 5 arguments, got %d", len(call.Args))
 		}
 		xIdx, err := probColumnArg(schema, call.Args[0], "KSTEST field X")
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		yIdx, err := probColumnArg(schema, call.Args[1], "KSTEST field Y")
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if len(call.Args) == 3 {
 			alpha, err := constValue(call.Args[2])
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if badAlpha(alpha) {
-				return nil, fmt.Errorf("core: significance level %v outside (0,1)", alpha)
+				return nil, false, fmt.Errorf("core: significance level %v outside (0,1)", alpha)
 			}
 			return func(_ *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
 				fx, fy := t.Fields[xIdx], t.Fields[yIdx]
@@ -405,15 +410,15 @@ func compilePredicateCall(schema *stream.Schema, call *sql.CallExpr, cfg Config)
 				}
 				reject, _, _, err := hypothesis.KSTest(fx.Dist, fx.N, fy.Dist, fy.N, alpha)
 				return predOutcome{Prob: boolProb(reject)}, err
-			}, nil
+			}, false, nil
 		}
 		minEffect, err := constValue(call.Args[2])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		a1, a2, _, err := alphaArgs(call.Args[3:])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		return func(_ *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
 			fx, fy := t.Fields[xIdx], t.Fields[yIdx]
@@ -422,15 +427,15 @@ func compilePredicateCall(schema *stream.Schema, call *sql.CallExpr, cfg Config)
 			}
 			res, err := hypothesis.CoupledKSTest(fx.Dist, fx.N, fy.Dist, fy.N, minEffect, a1, a2)
 			return sigOutcome(res), err
-		}, nil
+		}, false, nil
 	case "PTEST":
 		// PTEST(pred, τ, α₁ [, α₂]); H1 is Pr[pred] > τ as in §IV-B.
 		if len(call.Args) != 3 && len(call.Args) != 4 {
-			return nil, fmt.Errorf("core: PTEST takes 3 or 4 arguments, got %d", len(call.Args))
+			return nil, false, fmt.Errorf("core: PTEST takes 3 or 4 arguments, got %d", len(call.Args))
 		}
 		inner, ok := call.Args[0].(*sql.CmpExpr)
 		if !ok {
-			return nil, fmt.Errorf("core: PTEST predicate must be a comparison, got %s", call.Args[0])
+			return nil, false, fmt.Errorf("core: PTEST predicate must be a comparison, got %s", call.Args[0])
 		}
 		// PTEST consumes the inner predicate's d.f. sample size. A
 		// probability-threshold comparison yields an exact boolean (N = 0)
@@ -442,22 +447,22 @@ func compilePredicateCall(schema *stream.Schema, call *sql.CallExpr, cfg Config)
 			return ok && c.Func == "PROB"
 		}
 		if isProb(inner.L) || isProb(inner.R) {
-			return nil, fmt.Errorf("core: PTEST predicate %s is a probability-threshold comparison, which carries no sample size; test the comparison directly", inner)
+			return nil, false, fmt.Errorf("core: PTEST predicate %s is a probability-threshold comparison, which carries no sample size; test the comparison directly", inner)
 		}
 		if !refsProbColumn(schema, inner) {
-			return nil, fmt.Errorf("core: PTEST predicate %s references no probabilistic column, so no sample size is available", inner)
+			return nil, false, fmt.Errorf("core: PTEST predicate %s references no probabilistic column, so no sample size is available", inner)
 		}
-		innerPred, err := compileCmpAtom(schema, inner)
+		innerPred, draws, err := compileCmpAtom(schema, inner)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		tau, err := constValue(call.Args[1])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		a1, a2, coupled, err := alphaArgs(call.Args[2:])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		return func(ev *randvar.Evaluator, t *stream.Tuple) (predOutcome, error) {
 			o, err := innerPred(ev, t)
@@ -473,9 +478,9 @@ func compilePredicateCall(schema *stream.Schema, call *sql.CallExpr, cfg Config)
 			}
 			ok, err := hypothesis.PTest(o.Prob, o.N, hypothesis.Greater, tau, a1)
 			return predOutcome{Prob: boolProb(ok)}, err
-		}, nil
+		}, draws, nil
 	}
-	return nil, fmt.Errorf("core: %s is not a boolean predicate", call.Func)
+	return nil, false, fmt.Errorf("core: %s is not a boolean predicate", call.Func)
 }
 
 func sigOutcome(r hypothesis.Result) predOutcome {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/accuracy"
 	"repro/internal/bootstrap"
 	"repro/internal/dist"
-	"repro/internal/plan"
 	"repro/internal/randvar"
 	"repro/internal/sketch"
 	"repro/internal/sql"
@@ -168,7 +167,7 @@ type Query struct {
 	// prof is the compile-time shareability profile; timing collects
 	// per-stage wall time once EXPLAIN … TIMING enables it.
 	prof   planProfile
-	timing plan.StageTimer
+	timing stageTimer
 
 	stats queryCounters
 	telem queryTelemetry
@@ -218,9 +217,10 @@ func (e *Engine) CompileStmt(stmt *sql.SelectStmt) (*Query, error) {
 		}
 		q.in = in
 	}
+	var draws bool
 	if stmt.Where != nil {
 		var err error
-		q.where, err = compilePredicate(q.in, stmt.Where, e.cfg)
+		q.where, draws, err = compilePredicate(q.in, stmt.Where, e.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +231,7 @@ func (e *Engine) CompileStmt(stmt *sql.SelectStmt) (*Query, error) {
 	if q.method == AccuracySketch && (q.group == nil || q.group.sk == nil) {
 		return nil, errors.New("core: BACKEND SKETCH requires an ungrouped count-windowed aggregate query")
 	}
-	q.prof = q.planProfileOf()
+	q.prof = q.planProfileOf(draws)
 	// The evaluator is created last so a failed compile consumes no engine
 	// sequence number: WAL replay re-runs only the successful statements,
 	// and seq (hence every evaluator seed) must evolve identically.
@@ -616,7 +616,7 @@ func (q *Query) filter(t *stream.Tuple) (admission, error) {
 	}
 	o, err := q.where(q.ev, t)
 	if timed {
-		q.timing.Observe(plan.StageFilter, time.Since(t0))
+		q.timing.Observe(stageFilter, time.Since(t0))
 	}
 	if err != nil {
 		return a, err

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/plan"
 	"repro/internal/randvar"
 	"repro/internal/stream"
 )
@@ -272,13 +271,13 @@ func TestPushInstrumentsPerMember(t *testing.T) {
 		t.Errorf("group led %d and followed %d times, want %d and %d", dl, df, tuples, (members-1)*tuples)
 	}
 	for i, q := range qs {
-		var want [plan.NumStages]uint64
+		var want [numStages]uint64
 		if i == 0 {
-			want[plan.StageWindow], want[plan.StageAggregate], want[plan.StageAccuracy] = tuples, 2*tuples, tuples
+			want[stageWindow], want[stageAggregate], want[stageAccuracy] = tuples, 2*tuples, tuples
 		}
 		for s, st := range q.timing.Snapshot() {
 			if st.Count != want[s] {
-				t.Errorf("member %d: %v stage observed %d times, want %d", i, plan.Stage(s), st.Count, want[s])
+				t.Errorf("member %d: %v stage observed %d times, want %d", i, stage(s), st.Count, want[s])
 			}
 		}
 	}

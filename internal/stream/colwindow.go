@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/codec"
@@ -423,6 +424,28 @@ func (w *ColumnWindow) SameContents(o *ColumnWindow) bool {
 		}
 	}
 	return true
+}
+
+// Clone returns an independent copy of the window: pushing either one
+// leaves the other as it was. The copy shares the read-only distributions
+// of slots that are neither Point nor Normal, as the tuples they came from
+// do.
+func (w *ColumnWindow) Clone() *ColumnWindow {
+	c := *w
+	c.prob, c.probN = slices.Clone(w.prob), slices.Clone(w.probN)
+	c.seq, c.time = slices.Clone(w.seq), slices.Clone(w.time)
+	c.cols = make([]winColumn, len(w.cols))
+	for i, col := range w.cols {
+		c.cols[i] = winColumn{
+			kind:     slices.Clone(col.kind),
+			mean:     slices.Clone(col.mean),
+			varr:     slices.Clone(col.varr),
+			n:        slices.Clone(col.n),
+			other:    slices.Clone(col.other),
+			numOther: col.numOther,
+		}
+	}
+	return &c
 }
 
 // CompileColumn adds column c's fields, oldest-first, to dst — the input of

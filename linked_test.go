@@ -57,11 +57,8 @@ var keptUnlinked = []struct{ name, reason string }{
 
 	{"repro/internal/wal.Log.Pins", "(g) observer the checkpoint-pin tests assert through"},
 	{"repro/internal/wal.Log.Wedged", "(g) observer the fault tests assert through"},
-	{"repro/internal/plan.Registry.Hits", "(g) observer the sharing tests assert through"},
-	{"repro/internal/plan.Registry.Misses", "(g) observer the sharing tests assert through"},
-	{"repro/internal/plan.Registry.Groups", "(g) observer the sharing tests assert through"},
+	{"repro/internal/core.Engine.SharedGroups", "(g) observer the sharing tests assert through"},
 	{"repro/internal/core.Engine.Bound", "(g) observer the engine tests assert through"},
-	{"repro/internal/core.Engine.Planner", "(g) observer the engine tests assert through"},
 	{"repro/internal/core.Query.OutSchema", "(g) observer the engine tests assert through"},
 	{"repro/internal/cluster.FailoverManager.Promoted", "(g) observer the failover tests assert through"},
 	{"repro/internal/cluster.Follower.WaitCaughtUp", "(g) observer the replication tests wait on"},
@@ -196,7 +193,7 @@ func TestNormalizeSym(t *testing.T) {
 		{"repro/internal/stream.(*ColumnWindow).Push", "repro/internal/stream.ColumnWindow.Push"},
 		{"repro/internal/core.(*Engine).IngestBatch.func2", "repro/internal/core.Engine.IngestBatch"},
 		{"repro/internal/server.(*Server).Serve.gowrap1", "repro/internal/server.Server.Serve"},
-		{"repro/internal/plan.Registry[go.shape.int].Hits", "repro/internal/plan.Registry.Hits"},
+		{"repro/internal/sketch.Window[go.shape.int].Clone", "repro/internal/sketch.Window.Clone"},
 		{"main.run.deferwrap1", "main.run"},
 	} {
 		if got := normalizeSym(c.sym); got != c.want {
