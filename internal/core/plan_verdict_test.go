@@ -49,15 +49,14 @@ func verdictTuples(t *testing.T, e *Engine, n int) []*stream.Tuple {
 	return out
 }
 
-// TestShareVerdicts holds the planner's sharing rule to what the compiled
-// query does. Every statement gets the verdict and EXPLAIN reason the rule
-// gives it; every filter ruled shareable leaves its evaluator's RNG where it
-// was over 10⁴ tuples, and every filter ruled out for drawing moves it.
-func TestShareVerdicts(t *testing.T) {
+// TestAnalyzeVerdicts holds the planner's sharing rule to what the compiled
+// query does for statements the rule settles before looking at the filter:
+// each gets the verdict and EXPLAIN reason the rule gives it, and shapes the
+// compiler refuses never reach the rule.
+func TestAnalyzeVerdicts(t *testing.T) {
 	const (
 		perKey = "GROUP BY windows are per-key"
 		timed  = "time windows are per-query: the shared pipeline slides count windows only"
-		draws  = "filter may consume per-query randomness"
 	)
 	e := newTestEngine(t, Config{Method: AccuracyAnalytical, Seed: 3})
 	for _, name := range []string{"roads", "weather"} {
@@ -103,7 +102,15 @@ func TestShareVerdicts(t *testing.T) {
 			t.Errorf("%q compiled", s)
 		}
 	}
+}
 
+// TestFilterShareable compiles every filter form over a count-windowed
+// aggregate: every filter ruled shareable leaves its evaluator's RNG where it
+// was over 10⁴ tuples, and every filter ruled out for drawing moves it and
+// carries the drawing reason.
+func TestFilterShareable(t *testing.T) {
+	const draws = "filter may consume per-query randomness"
+	e := newTestEngine(t, Config{Method: AccuracyAnalytical, Seed: 3})
 	tuples := verdictTuples(t, e, 10000)
 	for _, c := range []struct {
 		filter string
